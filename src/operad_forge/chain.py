@@ -216,26 +216,14 @@ class HomologyRecord:
 
     def classify(self, i, vec):
         """Homology coordinates of an ambient cycle; None if not a cycle."""
-        z = self.cycles[i].basis if i in self.cycles else Matrix.zeros(self.complex.dim(i), 0)
-        coords = solve(z, vec)
+        z = self.cycles.get(i) or Subspace.zero(self.complex.dim(i))
+        coords = z.coordinates(vec)
         if coords is None:
             return None
         proj = self.projections.get(i)
         if proj is None:
             return ()
         return proj.apply(coords)
-
-    def classify_matrix(self, i):
-        """Matrix H_i <- ambient_i on cycles (zero columns off Z would be wrong;
-        only apply to cycle vectors)."""
-        n = self.complex.dim(i)
-        cols = []
-        for j in range(n):
-            e = [F0] * n
-            e[j] = F1
-            c = self.classify(i, tuple(e))
-            cols.append(c if c is not None else (F0,) * self.dim(i))
-        return Matrix.from_cols(cols, rows=self.dim(i))
 
     def homology_complex(self):
         return ChainComplex({i: d for i, d in self.dims.items()})
@@ -254,27 +242,22 @@ def homology(c: ChainComplex) -> HomologyRecord:
         dims[i] = h
         if h == 0:
             continue
-        # choose representatives: echelon-greedy cycles independent mod B
+        # representatives: the cycle basis vectors, in order, that are
+        # independent modulo B and the earlier choices
         chosen = []
-        current = b.basis
-        rk = current.cols
+        span = b
         for j in range(z.dim):
             cand = z.basis.col(j)
-            trial = current.hstack(Matrix.column(list(cand)))
-            if rank(trial) > rk:
+            span, grew = span.insert(cand)
+            if grew:
                 chosen.append(cand)
-                current = trial
-                rk += 1
-            if len(chosen) == h:
-                break
+                if len(chosen) == h:
+                    break
         reps[i] = chosen
-        # projection on cycle coordinates: solve [B | R] (x, y) = z
+        # projection on cycle coordinates: solve [B | R] (X, Y) = Z
         br = b.basis.hstack(Matrix.from_cols(chosen, rows=c.dim(i)))
-        proj_cols = []
-        for j in range(z.dim):
-            sol = solve(br, z.basis.col(j))
-            proj_cols.append(tuple(sol[b.dim:]))
-        projections[i] = Matrix.from_cols(proj_cols, rows=h)
+        projections[i] = solve_matrix(br, z.basis).submatrix(
+            range(b.dim, z.dim), range(z.dim))
     dims = {i: d for i, d in dims.items() if d}
     return HomologyRecord(c, dims, cycles, boundaries, reps, projections)
 
@@ -319,11 +302,6 @@ def shift(c: ChainComplex, n: int) -> ChainComplex:
         {i + n: d for i, d in c.dims.items()},
         {i + n: m.scale(sign) for i, m in c.diff.items()},
         check=False)
-
-
-def shift_map(f: ChainMap, n: int) -> ChainMap:
-    return ChainMap(shift(f.src, n), shift(f.dst, n),
-                    {i + n: m for i, m in f.blocks.items()}, check=False)
 
 
 def mapping_cone(eta: ChainMap):
@@ -505,9 +483,6 @@ class TensorData:
     def index(self, label):
         """(total degree, position) of a basis label."""
         return self._index[label]
-
-    def pair_index(self, degree_pairs):
-        return self._index[tuple(degree_pairs)]
 
 
 def tensor_data(factors) -> TensorData:

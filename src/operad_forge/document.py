@@ -90,15 +90,30 @@ def _component_to_doc(ga: GroupAction):
     return out
 
 
+def _expect(value, kind, what):
+    """value if its JSON type is kind (a bool is not an int), else a
+    DocumentError naming what was wrong."""
+    if type(value) is not kind:
+        raise DocumentError(f"{what}: expected {kind.__name__}, "
+                            f"got {type(value).__name__}")
+    return value
+
+
 def _component_from_doc(key, doc):
-    if "dims" not in doc or not isinstance(doc["dims"], dict):
+    _expect(doc, dict, f"component {key}")
+    if "dims" not in doc:
         raise DocumentError(f"component {key}: missing dims")
     try:
-        dims = {int(d): int(n) for d, n in doc["dims"].items()}
+        dims = {int(d): n for d, n in
+                _expect(doc["dims"], dict, f"component {key}: dims").items()}
     except ValueError as exc:
         raise DocumentError(f"component {key}: bad degree") from exc
+    if any(_expect(n, int, f"component {key}: dim") < 0
+           for n in dims.values()):
+        raise DocumentError(f"component {key}: negative dim")
     diff = {}
-    for d, data in doc.get("differential", {}).items():
+    for d, data in _expect(doc.get("differential", {}), dict,
+                           f"component {key}: differential").items():
         d = int(d)
         diff[d] = matrix_from_lists(data, dims.get(d - 1, 0), dims.get(d, 0))
     try:
@@ -107,13 +122,15 @@ def _component_from_doc(key, doc):
         raise DocumentError(f"component {key}: {exc}") from exc
     n = key[1] if isinstance(key, tuple) else key
     gens = []
-    action_doc = doc.get("action", [])
+    action_doc = _expect(doc.get("action", []), list,
+                         f"component {key}: action")
     if action_doc and len(action_doc) != max(n - 1, 0):
         raise DocumentError(f"component {key}: expected {max(n - 1, 0)} "
                             "action generators")
     for gen in action_doc:
         blocks = {}
-        for d, data in gen.items():
+        for d, data in _expect(gen, dict,
+                               f"component {key}: action generator").items():
             d = int(d)
             blocks[d] = matrix_from_lists(data, dims.get(d, 0), dims.get(d, 0))
         try:
@@ -266,10 +283,15 @@ def from_document(doc):
         raise DocumentError(f"unknown kind {kind!r}")
     modular = doc.get("indexing") == "modular"
     components = {}
-    for key_s, comp_doc in doc.get("components", {}).items():
+    for key_s, comp_doc in _expect(doc.get("components", {}), dict,
+                                   "components").items():
         key = _key_from_str(key_s, modular)
         components[key] = _component_from_doc(key, comp_doc)
-    metadata = dict(doc.get("metadata", {}))
+    metadata = dict(_expect(doc.get("metadata", {}), dict, "metadata"))
+    if "name" in metadata:
+        _expect(metadata["name"], str, "metadata.name")
+    if "seed" in metadata:
+        _expect(metadata["seed"], int, "metadata.seed")
     metadata["kind"] = kind
     metadata["indexing"] = doc.get("indexing", "arity")
     if kind == "sigma-module":
@@ -280,7 +302,7 @@ def from_document(doc):
     cut = doc.get("truncation_cut") if kind == "truncated" else None
     if kind == "truncated" and cut is None:
         raise DocumentError("truncated document needs truncation_cut")
-    window = doc.get("window", {})
+    window = _expect(doc.get("window", {}), dict, "window")
     if modular:
         contr = _contr_tables_from_doc(doc.get("contractions", []))
         max_dim = window.get("max_dim")
@@ -361,12 +383,6 @@ def loads(text: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
-
-
-def save(path, obj, **kwargs):
-    doc = to_document(obj, **kwargs) if not isinstance(obj, dict) else obj
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc))
 
 
 def load(path):

@@ -44,7 +44,7 @@ from .operad import (
     OperadMorphism,
     truncate,
 )
-from .qlinalg import F0, F1, Matrix, kernel, solve
+from .qlinalg import F0, F1, Matrix, kernel, solve, solve_matrix
 from .sigma import (
     GroupAction,
     ModularSigmaModule,
@@ -199,7 +199,6 @@ def _equivariant_section(cone_action: GroupAction, hrec, rng=None):
         v_gens.append(ChainMap(v_complex, v_complex, blocks, check=False))
     mix = None
     if rng is not None:
-        from .qlinalg import solve_matrix
         mix = {d: _random_unimodular(rng, h) for d, h in hdims.items()}
         inv = {d: solve_matrix(m, Matrix.identity(m.rows))
                for d, m in mix.items()}
@@ -571,30 +570,19 @@ def _extended_classify(hrec, degree):
     h = hrec.dim(degree)
     if h == 0 or n == 0:
         return Matrix.zeros(h, n)
-    z = hrec.cycles[degree].basis
-    # complement of Z inside the ambient space
-    from .qlinalg import rank as _rank
+    z = hrec.cycles[degree]
+    # complement of Z: the unit vectors, in index order, outside the span
+    # of Z and the earlier choices
+    ident = Matrix.identity(n)
     chosen = []
-    cur = z
-    rk = z.cols
+    span = z
     for j in range(n):
-        e = [F0] * n
-        e[j] = F1
-        trial = cur.hstack(Matrix.column(e))
-        if _rank(trial) > rk:
-            chosen.append(tuple(e))
-            cur = trial
-            rk += 1
-    stacked = z.hstack(Matrix.from_cols(chosen, rows=n)) if chosen else z
-    proj = hrec.projections.get(degree)
-    cols = []
-    for j in range(n):
-        e = [F0] * n
-        e[j] = F1
-        sol = solve(stacked, e)
-        zcoords = sol[:z.cols]
-        cols.append(tuple(proj.apply(zcoords)))
-    return Matrix.from_cols(cols, rows=h)
+        span, grew = span.insert(ident.col(j))
+        if grew:
+            chosen.append(j)
+    stacked = z.basis.hstack(ident.submatrix(range(n), chosen))
+    inv = solve_matrix(stacked, ident)
+    return hrec.projections[degree] * inv.submatrix(range(z.dim), range(n))
 
 
 def _corolla_layout(builder, key, modular):

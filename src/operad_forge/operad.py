@@ -24,7 +24,7 @@ from .chain import (
     homology,
     induced_map,
 )
-from .qlinalg import F0, F1, Matrix, Subspace, rank, rref, solve
+from .qlinalg import F0, F1, Matrix, Subspace, rank
 from .sigma import (
     GroupAction,
     ModularSigmaModule,
@@ -130,13 +130,6 @@ class ContrTable:
             for row, coeff in cell.items():
                 grid[row][k] = coeff
         return Matrix(target_dim, source_dim, grid)
-
-
-def dict_to_vec(d, dim):
-    out = [F0] * dim
-    for k, c in d.items():
-        out[k] = c
-    return tuple(out)
 
 
 # -- block permutations for equivariance axioms -------------------------------
@@ -1051,21 +1044,13 @@ class OperadIdeal:
 
 
 def _span_insert(spans, key, degree, vec, dim):
-    """Add vec to the span; returns True if the rank grew."""
-    if all(x == 0 for x in vec):
-        return False
-    comp = spans.setdefault(key, {})
-    cur = comp.get(degree)
-    if cur is None:
-        sub = Subspace.from_spanning(dim, [vec])
-        comp[degree] = sub.basis
-        return True
-    sub = Subspace(dim, cur)
-    if sub.contains(vec):
-        return False
-    new = Subspace.from_spanning(dim, list(cur.columns()) + [list(vec)])
-    comp[degree] = new.basis
-    return True
+    """Add vec to the span (spans: key -> degree -> Subspace); returns
+    True if the rank grew."""
+    sub = spans.get(key, {}).get(degree) or Subspace.zero(dim)
+    sub, grew = sub.insert(vec)
+    if grew:
+        spans.setdefault(key, {})[degree] = sub
+    return grew
 
 
 def ideal_closure(op, seeds) -> OperadIdeal:
@@ -1130,7 +1115,8 @@ def ideal_closure(op, seeds) -> OperadIdeal:
             if _span_insert(spans, tkey, tdeg, tuple(tvec),
                             op.component(tkey).dim(tdeg)):
                 frontier.append((tkey, tdeg, tuple(tvec)))
-    return OperadIdeal(op, spans)
+    return OperadIdeal(op, {key: {d: sub.basis for d, sub in per.items()}
+                            for key, per in spans.items()})
 
 
 def validate_ideal(ideal: OperadIdeal, max_report=25) -> list:
@@ -1196,37 +1182,6 @@ def validate_ideal(ideal: OperadIdeal, max_report=25) -> list:
     return report
 
 
-def _quotient_projection(span: Matrix, ambient: int):
-    """Projection onto a canonical complement of the span.
-
-    Returns (proj, section): proj is (c x n), section (n x c), with
-    proj*section = id and kernel(proj) = span.
-    """
-    if span is None or span.cols == 0:
-        ident = Matrix.identity(ambient)
-        return ident, ident
-    red, pivots, rk = rref(span.transpose())
-    pivot_rows = set(pivots)
-    free_rows = [r for r in range(ambient) if r not in pivot_rows]
-    section = Matrix(ambient, len(free_rows),
-                     [[F1 if (r == fr) else F0 for fr in free_rows]
-                      for r in range(ambient)])
-    # proj(v) = coordinates of v mod span in the free-row basis:
-    # subtract the span part: for pivot rows express via reduced rows.
-    # Solve [span | section] * (a, b) = v; proj(v) = b.
-    stacked = span.hstack(section)
-    cols = []
-    for r in range(ambient):
-        e = [F0] * ambient
-        e[r] = F1
-        sol = solve(stacked, e)
-        if sol is None:
-            raise AssertionError("span + complement do not fill the space")
-        cols.append(tuple(sol[span.cols:]))
-    proj = Matrix.from_cols(cols, rows=len(free_rows))
-    return proj, section
-
-
 def quotient(op, ideal: OperadIdeal):
     """Componentwise quotient by a validated ideal.
 
@@ -1245,8 +1200,7 @@ def quotient(op, ideal: OperadIdeal):
             continue
         pj, sec, dims = {}, {}, {}
         for degree in c.dims:
-            span = ideal.spans.get(key, {}).get(degree)
-            p, s = _quotient_projection(span, c.dim(degree))
+            p, s = ideal.subspace(key, degree).complement_projection()
             if p.rows:
                 pj[degree] = p
                 sec[degree] = s

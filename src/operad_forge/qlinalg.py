@@ -11,7 +11,7 @@ canonical reduced-echelon basis so equality of subspaces is syntactic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -245,11 +245,33 @@ class Subspace:
     """Subspace of Q^n with a canonical reduced-echelon basis.
 
     ``basis`` is an ``ambient_dim x dim`` matrix whose columns are the
-    basis vectors; two equal subspaces have identical bases.
+    rows of a reduced row echelon form, ordered by pivot; two equal
+    subspaces have identical bases.  ``pivots`` holds the pivot index of
+    each column.  Membership, coordinates, insertion and the complement
+    projection are read off the pivots, with no new elimination.
     """
 
     ambient_dim: int
     basis: Matrix
+    pivots: tuple = field(init=False, repr=False, compare=False)
+    _entries: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.basis.rows != self.ambient_dim:
+            raise ValueError("basis rows do not match the ambient dimension")
+        pivots, entries = [], []
+        for col in self.basis.columns():
+            nonzero = tuple((r, x) for r, x in enumerate(col) if x != 0)
+            if not nonzero or nonzero[0][1] != 1 \
+                    or (pivots and nonzero[0][0] <= pivots[-1]):
+                raise ValueError("subspace basis is not in reduced echelon form")
+            pivots.append(nonzero[0][0])
+            entries.append(nonzero)
+        for p in pivots:
+            if sum(1 for x in self.basis.data[p] if x != 0) != 1:
+                raise ValueError("subspace basis is not in reduced echelon form")
+        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_entries", tuple(entries))
 
     @classmethod
     def from_spanning(cls, ambient_dim, vectors):
@@ -273,11 +295,65 @@ class Subspace:
     def dim(self):
         return self.basis.cols
 
+    def _split(self, vec):
+        """(coordinates along the basis, residual) of vec."""
+        v = [_frac(x) for x in vec]
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length mismatch")
+        coords = tuple(v[p] for p in self.pivots)
+        for c, nonzero in zip(coords, self._entries):
+            if c != 0:
+                for r, x in nonzero:
+                    v[r] -= c * x
+        return coords, v
+
+    def reduce(self, vec):
+        """Residual of vec against the pivots: zero at every pivot, and
+        zero everywhere exactly when vec lies in the subspace."""
+        return tuple(self._split(vec)[1])
+
     def contains(self, vec):
-        return solve(self.basis, vec) is not None
+        return not any(self.reduce(vec))
 
     def coordinates(self, vec):
-        return solve(self.basis, vec)
+        """Coordinates of vec in the basis, or None if vec is outside."""
+        coords, residual = self._split(vec)
+        return None if any(residual) else coords
+
+    def insert(self, vec):
+        """``(span of self and vec, whether the dimension grew)``; the
+        basis is the canonical one ``from_spanning`` would give."""
+        residual = self._split(vec)[1]
+        lead = next((r for r, x in enumerate(residual) if x != 0), None)
+        if lead is None:
+            return self, False
+        inv = F1 / residual[lead]
+        new = [x * inv for x in residual]
+        cols = []
+        for col in self.basis.columns():
+            c = col[lead]
+            cols.append([a - c * b for a, b in zip(col, new)] if c != 0 else col)
+        at = sum(1 for p in self.pivots if p < lead)
+        cols.insert(at, new)
+        return Subspace(self.ambient_dim,
+                        Matrix.from_cols(cols, rows=self.ambient_dim)), True
+
+    def complement_projection(self):
+        """``(proj, section)`` for the complement spanned by the unit
+        vectors off the pivots: section (n x c) includes it, proj (c x n)
+        has kernel the subspace and proj * section = id."""
+        n = self.ambient_dim
+        pivot_set = set(self.pivots)
+        free = [r for r in range(n) if r not in pivot_set]
+        section = [[F1 if r == f else F0 for f in free] for r in range(n)]
+        proj = [[F1 if r == f else F0 for r in range(n)] for f in free]
+        # e_p is its basis column minus that column's entries off p
+        where = {f: j for j, f in enumerate(free)}
+        for p, nonzero in zip(self.pivots, self._entries):
+            for r, x in nonzero:
+                if r != p:
+                    proj[where[r]][p] = -x
+        return Matrix(len(free), n, proj), Matrix(n, len(free), section)
 
     def sum(self, other):
         if self.ambient_dim != other.ambient_dim:
@@ -312,31 +388,21 @@ def solve(m: Matrix, b):
     ``None`` means b is not in the image of m (used upstream as the
     "obstruction is nonzero" signal).
     """
-    b = tuple(_frac(x) for x in b)
+    b = tuple(b)
     if len(b) != m.rows:
         raise ValueError("right-hand side has wrong length")
-    aug = m.hstack(Matrix.column(b))
-    red, pivots, rk = rref(aug)
-    if pivots and pivots[-1] == m.cols:
-        return None
-    x = [F0] * m.cols
-    for r, pcol in enumerate(pivots):
-        x[pcol] = red.data[r][m.cols]
-    return tuple(x)
+    x = solve_matrix(m, Matrix.column(b))
+    return None if x is None else x.col(0)
 
 
 def solve_matrix(m: Matrix, b: Matrix):
     """Solve m X = b columnwise; return X or None if any column fails."""
     if b.rows != m.rows:
         raise ValueError("shape mismatch in solve_matrix")
-    aug = m.hstack(b)
-    red, pivots, rk = rref(aug)
+    red, pivots, rk = rref(m.hstack(b))
+    # a pivot beyond m.cols signals inconsistency
     if pivots and pivots[-1] >= m.cols:
         return None
-    # any pivot beyond m.cols signals inconsistency
-    for p in pivots:
-        if p >= m.cols:
-            return None
     cols = []
     for j in range(b.cols):
         x = [F0] * m.cols

@@ -253,10 +253,6 @@ class SigmaModule(_IndexedModule):
     def arities(self):
         return self.keys()
 
-    @classmethod
-    def trivial_single(cls, arity, complex):
-        return cls({arity: GroupAction.trivial(arity, complex)})
-
 
 def modular_dimension(g, l):
     """Induction grading for modular truncations: 3g - 3 + l."""

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -47,6 +49,42 @@ class TestValidate:
 
     def test_missing_file_exit_2(self):
         assert main(["validate", "no_such_file.json"]) == 2
+
+
+def _set(path, value):
+    """Mutation of a generator document: set the entry at path to value."""
+    def mutate(payload):
+        node = payload
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _set(("components", "2", "action"), None),
+    _set(("components",), []),
+    _set(("metadata",), None),
+    _set(("components", "2", "dims", "0"), 1.5),
+    _set(("metadata", "seed"), "7"),
+], ids=["null-action", "list-components", "null-metadata", "float-dim",
+        "string-seed"])
+def test_malformed_document_exit_2_without_traceback(mutate, tmp_path):
+    with open(fx("binary_generator.json")) as fh:
+        payload = json.load(fh)
+    mutate(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for args in (["validate"], ["homology"], ["free", "--max-arity", "3"]):
+        run = subprocess.run(
+            [sys.executable, "-m", "operad_forge.cli", args[0], str(bad),
+             *args[1:]], capture_output=True, text=True, env=env)
+        assert run.returncode == 2, (args, run.stderr)
+        assert "malformed input" in run.stderr
+        assert "Traceback" not in run.stderr
 
 
 class TestHomology:

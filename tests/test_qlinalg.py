@@ -193,3 +193,99 @@ class TestSubspace:
         s = Subspace.from_spanning(2, [(Fraction(1, 3), Fraction(1, 7))])
         v = (Fraction(1), Fraction(3, 7))
         assert s.contains(v)
+
+
+# -- Subspace fast paths against the elimination they replace ---------------
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def spans_and_vector(draw):
+    """(n, spanning vectors, test vector); the spanning vectors are
+    combinations of at most ``cap`` base vectors, so the set is often
+    rank-deficient, and the test vector is often inside the span."""
+    n = draw(st.integers(1, 5))
+    vec = st.lists(rationals, min_size=n, max_size=n)
+    cap = draw(st.integers(0, n))
+    base = draw(st.lists(vec, min_size=cap, max_size=cap))
+    combos = draw(st.lists(st.lists(rationals, min_size=cap, max_size=cap),
+                           max_size=5))
+    vecs = [tuple(sum((c * b[i] for c, b in zip(cs, base)), Fraction(0))
+                  for i in range(n)) for cs in combos]
+    if vecs and draw(st.booleans()):
+        cs = draw(st.lists(rationals, min_size=len(vecs),
+                           max_size=len(vecs)))
+        v = tuple(sum((c * u[i] for c, u in zip(cs, vecs)), Fraction(0))
+                  for i in range(n))
+    else:
+        v = tuple(draw(vec))
+    return n, vecs, v
+
+
+def _unit(n, r):
+    return tuple(Fraction(int(i == r)) for i in range(n))
+
+
+def complement_projection_by_solves(sub):
+    """Reference: solve [span | section] (a, b) = e_r once per unit vector."""
+    n, span = sub.ambient_dim, sub.basis
+    if span.cols == 0:
+        return Matrix.identity(n), Matrix.identity(n)
+    pivots = set(rref(span.transpose())[1])
+    free = [r for r in range(n) if r not in pivots]
+    section = Matrix(n, len(free), [[int(r == f) for f in free]
+                                    for r in range(n)])
+    stacked = span.hstack(section)
+    cols = [solve(stacked, _unit(n, r))[span.cols:] for r in range(n)]
+    return Matrix.from_cols(cols, rows=len(free)), section
+
+
+class TestSubspaceFastPaths:
+    @given(spans_and_vector())
+    @settings(max_examples=100, deadline=None)
+    def test_contains_and_coordinates_match_solve(self, case):
+        n, vecs, v = case
+        sub = Subspace.from_spanning(n, vecs)
+        expected = solve(sub.basis, v)
+        assert sub.coordinates(v) == expected
+        assert sub.contains(v) == (expected is not None)
+        residual = sub.reduce(v)
+        assert all(residual[p] == 0 for p in sub.pivots)
+        assert any(residual) == (expected is None)
+
+    @given(spans_and_vector())
+    @settings(max_examples=100, deadline=None)
+    def test_insert_matches_from_spanning(self, case):
+        n, vecs, v = case
+        sub = Subspace.from_spanning(n, vecs)
+        grown, grew = sub.insert(v)
+        assert grown == Subspace.from_spanning(n, vecs + [v])
+        assert grown.pivots == rref(Matrix.from_rows(vecs + [v]))[1]
+        assert grew == (grown.dim == sub.dim + 1)
+
+    @given(spans_and_vector())
+    @settings(max_examples=100, deadline=None)
+    def test_complement_projection_matches_solves(self, case):
+        n, vecs, _ = case
+        sub = Subspace.from_spanning(n, vecs)
+        proj, section = sub.complement_projection()
+        assert (proj, section) == complement_projection_by_solves(sub)
+        assert proj * section == Matrix.identity(n - sub.dim)
+        assert (proj * sub.basis).is_zero()
+
+    @given(matrices(max_dim=4))
+    @settings(max_examples=100, deadline=None)
+    def test_only_canonical_bases_accepted(self, m):
+        canonical = Subspace.from_spanning(m.rows, m.columns()).basis
+        if m == canonical:
+            assert Subspace(m.rows, m).basis == m
+        else:
+            with pytest.raises(ValueError):
+                Subspace(m.rows, m)
+
+    def test_non_rref_bases_rejected(self):
+        for cols in ([(2, 0)], [(0, 1), (1, 0)], [(1, 1), (0, 1)],
+                     [(0, 0)]):
+            with pytest.raises(ValueError):
+                Subspace(2, Matrix.from_cols(cols, rows=2))
