@@ -161,12 +161,10 @@ def cmd_enumerate(args):
     if args.trees is not None:
         trees = enumerate_trees(args.trees)
         if args.json:
-            import json
             payload = [{"leaves": args.trees,
                         "vertices": t.vertex_valences(),
                         "tree": _tree_to_text(t)} for t in trees]
-            _emit(json.dumps(payload, indent=1, sort_keys=True) + "\n",
-                  args.out)
+            _emit(doc_mod.dumps(payload), args.out)
         else:
             lines = [f"reduced trees with {args.trees} leaves: {len(trees)}"]
             lines.extend(_tree_to_text(t) for t in trees)
@@ -175,7 +173,6 @@ def cmd_enumerate(args):
     g, l = args.stable_graphs
     graphs = enumerate_stable_graphs(g, l)
     if args.json:
-        import json
         payload = []
         for gr in graphs:
             from .trees import graph_automorphisms
@@ -183,7 +180,7 @@ def cmd_enumerate(args):
                             "legs": list(gr.legs),
                             "edges": [list(e) for e in gr.edges],
                             "automorphisms": len(graph_automorphisms(gr))})
-        _emit(json.dumps(payload, indent=1, sort_keys=True) + "\n", args.out)
+        _emit(doc_mod.dumps(payload), args.out)
     else:
         lines = [f"stable graphs of genus {g} with {l} legs: {len(graphs)}"]
         for gr in graphs:

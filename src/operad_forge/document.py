@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .chain import ChainComplex, ChainMap
 from .operad import CompTable, ContrTable, DGOperad, ModularOperad
-from .qlinalg import Matrix
+from .qlinalg import F0, Matrix
 from .sigma import GroupAction, ModularSigmaModule, SigmaModule
 
 FORMAT_VERSION = "operad-forge/1"
@@ -25,7 +25,8 @@ class DocumentError(ValueError):
 
 
 def rational_to_str(x) -> str:
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -48,7 +49,10 @@ def rational_from_str(s) -> Fraction:
 
 
 def matrix_to_lists(m: Matrix):
-    return [[rational_to_str(x) for x in row] for row in m.data]
+    # the dense builders fill with the shared F0, so the identity test
+    # skips most zeros; any other zero still prints as "0"
+    return [["0" if x is F0 else rational_to_str(x) for x in row]
+            for row in m.data]
 
 
 def matrix_from_lists(data, rows, cols):
@@ -373,9 +377,68 @@ def _check_table_indices(op, contr=None):
                                             f"row out of range at degree {d}")
 
 
-def dumps(doc: dict) -> str:
-    """Canonical byte-deterministic serialization."""
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+def dumps(doc) -> str:
+    """Canonical byte-deterministic serialization.
+
+    The text is exactly ``json.dumps(doc, sort_keys=True, indent=1) +
+    "\\n"`` for a JSON value with string keys, written directly: the
+    standard encoder runs in pure Python whenever it indents, and a
+    matrix row of strings is joined here in one call.
+    """
+    out = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_STR_ONLY = {str}
+
+
+def _write(x, nl, out):
+    """Append the indented JSON text of x; nl is the newline plus the
+    indentation of the line x starts on."""
+    if isinstance(x, str):
+        out.append(_encode_str(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + " "
+        sep = "{" + inner
+        for key, value in sorted(x.items()):
+            out.append(sep + _encode_str(key) + ": ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + " "
+        if set(map(type, x)) == _STR_ONLY:
+            out.append("[" + inner + ("," + inner).join(map(_encode_str, x))
+                       + nl + "]")
+            return
+        sep = "[" + inner
+        for value in x:
+            out.append(sep)
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, float):
+        out.append(json.dumps(x))
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} "
+                        "is not JSON serializable")
 
 
 def loads(text: str) -> dict:

@@ -123,6 +123,7 @@ class FreeOperadBuilder:
         self.max_arity = max_arity
         self.summands = {}
         self.layouts = {}
+        self._summand_of = {}
         for n in range(2, max_arity + 1):
             items = []
             for tree in T.enumerate_trees(n):
@@ -133,8 +134,8 @@ class FreeOperadBuilder:
                     continue
                 items.append((tree, td))
             self.summands[n] = items
+            self._summand_of[n] = {tree: s for s, (tree, _) in enumerate(items)}
             self.layouts[n] = Layout([td.complex for _, td in items])
-        self._norm_cache = {}
 
     def _gen_complex(self, arity):
         ga = self.gens.get(arity)
@@ -147,10 +148,10 @@ class FreeOperadBuilder:
         return ga
 
     def summand_index(self, n, tree):
-        for s, (t, _) in enumerate(self.summands[n]):
-            if t == tree:
-                return s
-        raise KeyError("tree summand not present")
+        try:
+            return self._summand_of[n][tree]
+        except KeyError:
+            raise KeyError("tree summand not present") from None
 
     def corolla_summand(self, n):
         for s, (t, _) in enumerate(self.summands[n]):
@@ -420,6 +421,7 @@ class FreeModularBuilder:
         self.max_dim = max_dim
         self.summands = {}   # (g,l) -> list of (graph, TensorData, Coinvariants)
         self.layouts = {}
+        self._summand_of = {}
         for key in stable_pairs_up_to(max_dim):
             items = []
             for graph in T.enumerate_stable_graphs(*key):
@@ -433,6 +435,8 @@ class FreeModularBuilder:
                     continue
                 items.append((graph, td, coin))
             self.summands[key] = items
+            self._summand_of[key] = {graph: s for s, (graph, _, _)
+                                     in enumerate(items)}
             self.layouts[key] = Layout([c.complex for _, _, c in items])
 
     def _gen_complex(self, key):
@@ -444,15 +448,6 @@ class FreeModularBuilder:
         if ga is None:
             raise KeyError(f"no generators at {key}")
         return ga
-
-    def _kept_index(self, key):
-        cache = getattr(self, "_kept_cache", None)
-        if cache is None:
-            cache = self._kept_cache = {}
-        if key not in cache:
-            cache[key] = {graph: s for s, (graph, _, _)
-                          in enumerate(self.summands[key])}
-        return cache[key]
 
     def _automorphism_maps(self, graph, td):
         maps = []
@@ -501,12 +496,11 @@ class FreeModularBuilder:
         into ``out``.  Targets whose coinvariants vanished contribute
         nothing.
         """
-        match = T.match_graph(concrete, T.enumerate_stable_graphs(*key))
+        match = T.match_graph(concrete)
         target_graph = T.enumerate_stable_graphs(*key)[match.index]
-        kept = self._kept_index(key)
-        if target_graph not in kept:
+        index = self._summand_of[key].get(target_graph)
+        if index is None:
             return
-        index = kept[target_graph]
         graph, td, coin = self.summands[key][index]
         match = T.GraphMatch(index, match.vertex_map, match.slot_perms)
         sigmas = [match.slot_perms[v] for v in range(len(factor_actions))]

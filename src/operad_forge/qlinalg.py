@@ -33,7 +33,8 @@ class Matrix:
     def __init__(self, rows, cols, data):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        data = tuple(tuple(_frac(x) for x in row) for row in data)
+        data = tuple(tuple(x if type(x) is Fraction else Fraction(x)
+                           for x in row) for row in data)
         if len(data) != rows or any(len(row) != cols for row in data):
             raise ValueError(f"matrix data does not match shape {rows}x{cols}")
         self.rows = rows
@@ -136,16 +137,15 @@ class Matrix:
             if self.cols != other.rows:
                 raise ValueError(
                     f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
+            # each row of other as its nonzero (j, b) pairs, built once;
+            # every entry sums its terms in increasing k
+            sparse = [[(j, b) for j, b in enumerate(brow) if b]
+                      for brow in other.data]
             out = [[F0] * other.cols for _ in range(self.rows)]
-            odata = other.data
-            for i, row in enumerate(self.data):
-                orow = out[i]
-                for k, a in enumerate(row):
-                    if a == 0:
-                        continue
-                    brow = odata[k]
-                    for j, b in enumerate(brow):
-                        if b != 0:
+            for row, orow in zip(self.data, out):
+                for a, brow in zip(row, sparse):
+                    if a:
+                        for j, b in brow:
                             orow[j] += a * b
             return Matrix(self.rows, other.cols, out)
         return self.scale(other)

@@ -397,14 +397,25 @@ def enumerate_stable_graphs(g: int, l: int):
                 continue
             pairs = [(a, b) for a in range(nv) for b in range(a, nv)]
             for edges in itertools.combinations_with_replacement(pairs, n_edges):
+                # connectivity does not depend on the legs
+                if not StableGraph(genera, (), edges).is_connected():
+                    continue
                 for legs in itertools.product(range(nv), repeat=l):
-                    cand = StableGraph(genera, legs, tuple(edges))
-                    if not cand.is_connected() or not cand.is_stable():
+                    cand = StableGraph(genera, legs, edges)
+                    if not cand.is_stable():
                         continue
                     key = cand.canonical_key()
                     if key not in found:
                         found[key] = StableGraph(*key)
     return tuple(found[k] for k in sorted(found))
+
+
+@lru_cache(maxsize=None)
+def _catalog_index(g: int, l: int):
+    """Position of each graph of ``enumerate_stable_graphs(g, l)`` by its
+    canonical key."""
+    return {(gr.genera, gr.legs, gr.edges): i
+            for i, gr in enumerate(enumerate_stable_graphs(g, l))}
 
 
 def graph_space_data(graph: StableGraph, module) -> TensorData:
@@ -603,17 +614,24 @@ class GraphMatch:
     slot_perms: dict      # concrete vertex -> Permutation (canonical slot -> factor slot)
 
 
-def match_graph(c: ConcreteGraph, catalog) -> GraphMatch:
+def match_graph(c: ConcreteGraph) -> GraphMatch:
+    """Match c against ``enumerate_stable_graphs(genus, legs)`` of its own
+    genus and leg count: the catalog graph with c's canonical key, by the
+    first isomorphism onto it.  Catalog graphs are pairwise
+    non-isomorphic, so no other entry could match."""
     underlying = c.as_stable_graph()
-    for idx, cand in enumerate(catalog):
-        for vertex_map, slot_map in graph_isomorphisms(underlying, cand):
-            slot_perms = {}
-            for v in range(len(c.genera)):
-                target_order = cand.leg_order(vertex_map[v])
-                image_slots = [slot_map[s] for s in c.slot_orders[v]]
-                perm = []
-                for d in target_order:
-                    perm.append(image_slots.index(d) + 1)
-                slot_perms[v] = Permutation(tuple(perm))
-            return GraphMatch(idx, vertex_map, slot_perms)
-    raise LookupError("graph not found in catalog")
+    g, l = underlying.genus, underlying.n_legs
+    idx = _catalog_index(g, l).get(underlying.canonical_key())
+    if idx is None:
+        raise LookupError("graph not found in catalog")
+    cand = enumerate_stable_graphs(g, l)[idx]
+    vertex_map, slot_map = next(graph_isomorphisms(underlying, cand))
+    slot_perms = {}
+    for v in range(len(c.genera)):
+        target_order = cand.leg_order(vertex_map[v])
+        image_slots = [slot_map[s] for s in c.slot_orders[v]]
+        perm = []
+        for d in target_order:
+            perm.append(image_slots.index(d) + 1)
+        slot_perms[v] = Permutation(tuple(perm))
+    return GraphMatch(idx, vertex_map, slot_perms)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -85,6 +86,31 @@ def test_malformed_document_exit_2_without_traceback(mutate, tmp_path):
         assert run.returncode == 2, (args, run.stderr)
         assert "malformed input" in run.stderr
         assert "Traceback" not in run.stderr
+
+
+# sha256 of the stdout of `free` on the generator fixtures, as written
+# before the writer and the summand and graph lookups were rewritten
+FREE_DIGESTS = [
+    (["binary_generator.json", "--max-arity", "4"],
+     "405434c8b02813b2545e2ec97a93b406e22a6a7df57f19ce0ff7d9685754005a"),
+    (["modular_generator_03.json", "--max-dim", "2"],
+     "d9a67201747703f6c3ca02c0139a7a02cbc72365b75d8458fa2b50d9d28b2a13"),
+]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "123"])
+@pytest.mark.parametrize("args,digest", FREE_DIGESTS,
+                         ids=["arity-4", "dim-2"])
+def test_free_output_bytes_unchanged(args, digest, hash_seed):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "operad_forge.cli", "free", fx(args[0]),
+         *args[1:]], capture_output=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(run.stdout).hexdigest() == digest
 
 
 class TestHomology:

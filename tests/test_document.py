@@ -4,6 +4,7 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operad_forge import document as doc
 from operad_forge.chain import ChainComplex
@@ -136,6 +137,47 @@ class TestDeterminism:
         a = doc.dumps(doc.to_document(com, name="x", seed=1))
         b = doc.dumps(doc.to_document(com, name="x", seed=1))
         assert a == b
+
+
+# strings with non-ASCII characters, quotes, backslashes and control
+# characters; matrix-like rows of rationals; mixed lists
+json_strings = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7fé€😀ab', max_size=8),
+    st.sampled_from(["0", "1", "-1", "3/2", "-7/4"]))
+json_scalars = st.one_of(st.none(), st.booleans(),
+                         st.integers(-10**20, 10**20), st.floats(),
+                         json_strings)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(json_strings, max_size=6),
+        st.dictionaries(json_strings, inner, max_size=5)),
+    max_leaves=40)
+
+
+class TestWriter:
+    @given(json_values)
+    @settings(max_examples=300, deadline=None)
+    def test_dumps_matches_json_dumps(self, value):
+        assert doc.dumps(value) == json.dumps(value, sort_keys=True,
+                                              indent=1) + "\n"
+
+    def test_edge_values(self):
+        for value in ({}, [], [[]], {"": {}}, {"a": [], "b": [[], {}]},
+                      ["x", 1, None, True, False, ["y"]], [["1", "0"]],
+                      {"ä\n\"\\": ["\u2028", "\x00"]}, "", 0, None,
+                      (1, ("a",)), {"b": 1, "a": 2, "B": 3, "é": 4}):
+            assert doc.dumps(value) == json.dumps(value, sort_keys=True,
+                                                  indent=1) + "\n"
+
+    def test_golden_fixture_bytes(self):
+        for path in fixture_files():
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            assert doc.dumps(payload) == json.dumps(
+                payload, sort_keys=True, indent=1) + "\n", path
 
 
 class TestIndexRangeValidation:

@@ -289,3 +289,65 @@ class TestSubspaceFastPaths:
                      [(0, 0)]):
             with pytest.raises(ValueError):
                 Subspace(2, Matrix.from_cols(cols, rows=2))
+
+
+# -- the sparse-row product against the triple loop -------------------------
+
+
+@st.composite
+def product_operands(draw):
+    """(a, b) with a.cols == b.rows; each operand is dense, rank-deficient
+    (a product of thin factors), all zero, or a signed permutation."""
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+
+    def operand(rows, cols):
+        kind = draw(st.sampled_from(["dense", "low-rank", "zero",
+                                     "signed-permutation"]))
+        if kind == "zero":
+            return Matrix.zeros(rows, cols)
+        if kind == "signed-permutation" and rows == cols:
+            perm = draw(st.permutations(range(rows)))
+            signs = draw(st.lists(st.sampled_from([1, -1]), min_size=rows,
+                                  max_size=rows))
+            return Matrix(rows, cols, [[signs[i] * int(perm[i] == j)
+                                        for j in range(cols)]
+                                       for i in range(rows)])
+        if kind == "low-rank":
+            s = draw(st.integers(0, 2))
+            u = draw(st.lists(st.lists(rationals, min_size=s, max_size=s),
+                              min_size=rows, max_size=rows))
+            v = draw(st.lists(st.lists(rationals, min_size=cols,
+                                       max_size=cols),
+                              min_size=s, max_size=s))
+            return Matrix(rows, cols, [[sum((u[i][t] * v[t][j]
+                                             for t in range(s)), Fraction(0))
+                                        for j in range(cols)]
+                                       for i in range(rows)])
+        entries = st.one_of(st.just(Fraction(0)), rationals)
+        return Matrix(rows, cols, draw(st.lists(
+            st.lists(entries, min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)))
+
+    return operand(r, k), operand(k, c)
+
+
+def product_by_triple_loop(a, b):
+    return tuple(tuple(sum((a.data[i][t] * b.data[t][j]
+                            for t in range(a.cols)), Fraction(0))
+                       for j in range(b.cols))
+                 for i in range(a.rows))
+
+
+class TestProduct:
+    @given(product_operands())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_triple_loop(self, case):
+        a, b = case
+        prod = a * b
+        assert (prod.rows, prod.cols) == (a.rows, b.cols)
+        assert prod.data == product_by_triple_loop(a, b)
+        assert all(type(x) is Fraction for row in prod.data for x in row)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            Matrix.zeros(2, 3) * Matrix.zeros(2, 3)

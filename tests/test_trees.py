@@ -3,7 +3,14 @@ import itertools
 import pytest
 
 from operad_forge.chain import ChainComplex
-from operad_forge.sigma import GroupAction, Permutation, SigmaModule
+from operad_forge.free import FreeOperadBuilder
+from operad_forge.sigma import (
+    GroupAction,
+    Permutation,
+    SigmaModule,
+    modular_dimension,
+    stable_pairs_up_to,
+)
 from operad_forge.trees import (
     ConcreteGraph,
     PlanarNode,
@@ -220,8 +227,14 @@ class TestEnumerateGraphs:
         assert len(two_vertex) == 3
 
     def test_against_oracle(self):
-        for (g, l) in [(0, 3), (0, 4), (1, 1), (1, 2), (0, 5)]:
-            assert len(enumerate_stable_graphs(g, l)) == len(oracle_stable_graphs(g, l))
+        for (g, l) in [(0, 3), (0, 4), (1, 1), (1, 2), (0, 5), (2, 0), (1, 3)]:
+            graphs = enumerate_stable_graphs(g, l)
+            oracle = oracle_stable_graphs(g, l)
+            assert len(graphs) == len(oracle)
+            assert ({gr.canonical_key() for gr in graphs}
+                    == {gr.canonical_key() for gr in oracle})
+        # the seven stable graphs of M_2-bar, one per boundary stratum
+        assert len(enumerate_stable_graphs(2, 0)) == 7
 
     def test_genus_and_stability_recomputed(self):
         for (g, l) in [(0, 4), (1, 1), (1, 2), (2, 0)]:
@@ -271,7 +284,7 @@ class TestConcreteOperations:
         grafted = graft_graphs(a, 2, b)
         assert grafted.as_stable_graph().genus == 0
         assert len(grafted.legs) == 4
-        match = match_graph(grafted, enumerate_stable_graphs(0, 4))
+        match = match_graph(grafted)
         target = enumerate_stable_graphs(0, 4)[match.index]
         assert target.n_vertices == 2
 
@@ -280,7 +293,7 @@ class TestConcreteOperations:
         glued = self_glue(c03, 2, 3)
         sg = glued.as_stable_graph()
         assert sg.genus == 1 and sg.n_legs == 1
-        match = match_graph(glued, enumerate_stable_graphs(1, 1))
+        match = match_graph(glued)
         assert enumerate_stable_graphs(1, 1)[match.index].edges
 
     def test_relabel_legs(self):
@@ -298,13 +311,97 @@ class TestConcreteOperations:
         out = expand_vertex(host, 0, concrete_from_canonical(twov))
         sg = out.as_stable_graph()
         assert sg.n_vertices == 2 and sg.genus == 0 and sg.n_legs == 4
-        match = match_graph(out, enumerate_stable_graphs(0, 4))
+        match = match_graph(out)
 
     def test_match_identity(self):
         for gr in enumerate_stable_graphs(1, 2):
-            match = match_graph(concrete_from_canonical(gr),
-                                enumerate_stable_graphs(1, 2))
+            match = match_graph(concrete_from_canonical(gr))
             assert enumerate_stable_graphs(1, 2)[match.index] == gr
+
+
+def linear_scan_match(c, catalog):
+    """Reference: the first isomorphism onto the first catalog entry that
+    admits one, scanning the catalog in order."""
+    underlying = c.as_stable_graph()
+    for idx, cand in enumerate(catalog):
+        for vertex_map, slot_map in graph_isomorphisms(underlying, cand):
+            slot_perms = {}
+            for v in range(len(c.genera)):
+                image_slots = [slot_map[s] for s in c.slot_orders[v]]
+                slot_perms[v] = Permutation(tuple(
+                    image_slots.index(d) + 1
+                    for d in cand.leg_order(vertex_map[v])))
+            return idx, vertex_map, slot_perms
+    raise LookupError("graph not found in catalog")
+
+
+def concrete_graphs_up_to(max_dim):
+    """Every concrete graph one relabel_legs (adjacent transpositions and
+    the cycle), graft_graphs or self_glue away from a catalog graph,
+    with the key of its target catalog, within modular dimension max_dim."""
+    keys = stable_pairs_up_to(max_dim)
+    for (g, l) in keys:
+        for gr in enumerate_stable_graphs(g, l):
+            c = concrete_from_canonical(gr)
+            sigmas = [Permutation.transposition(l, j) for j in range(1, l)]
+            if l > 2:
+                sigmas.append(Permutation(tuple(range(2, l + 1)) + (1,)))
+            for sigma in sigmas:
+                yield (g, l), relabel_legs(c, sigma)
+            for i in range(1, l + 1):
+                for j in range(i + 1, l + 1):
+                    if modular_dimension(g + 1, l - 2) <= max_dim:
+                        yield (g + 1, l - 2), self_glue(c, i, j)
+            for (g2, l2) in keys:
+                if l2 == 0 or modular_dimension(g + g2, l + l2 - 2) > max_dim:
+                    continue
+                for gr2 in enumerate_stable_graphs(g2, l2):
+                    for i in range(1, l + 1):
+                        yield ((g + g2, l + l2 - 2),
+                               graft_graphs(c, i, concrete_from_canonical(gr2)))
+
+
+class TestMatchAgainstLinearScan:
+    def test_every_concrete_graph_up_to_dimension_three(self):
+        seen = 0
+        for key, c in concrete_graphs_up_to(3):
+            match = match_graph(c)
+            assert ((match.index, match.vertex_map, match.slot_perms)
+                    == linear_scan_match(c, enumerate_stable_graphs(*key)))
+            seen += 1
+        assert seen > 1000
+
+    def test_unstable_graph_not_found(self):
+        # a genus-0 vertex with two legs is unstable, so in no catalog
+        c = ConcreteGraph((0, 0), (0, 0, 1, 1), ((0, 1),),
+                          ((("leg", 1), ("leg", 2), ("edge", 0, 0)),
+                           (("leg", 3), ("leg", 4), ("edge", 0, 1))))
+        assert match_graph(c).index >= 0
+        lonely = ConcreteGraph((0, 0), (0, 0, 0, 1), ((0, 1),),
+                               ((("leg", 1), ("leg", 2), ("leg", 3),
+                                 ("edge", 0, 0)),
+                                (("leg", 4), ("edge", 0, 1))))
+        with pytest.raises(LookupError):
+            match_graph(lonely)
+
+
+class TestSummandIndex:
+    def test_own_index_and_missing_tree(self):
+        gens = {2: GroupAction.trivial(2, ChainComplex({0: 1}))}
+        builder = FreeOperadBuilder(gens, 5)
+        for n in range(2, 6):
+            assert builder.summands[n]
+            for s, (tree, _) in enumerate(builder.summands[n]):
+                assert builder.summand_index(n, tree) == s
+        # trees with a ternary vertex carry no generators: not summands
+        ternary = [t for t in enumerate_trees(4)
+                   if 3 in t.vertex_valences()]
+        assert ternary
+        for tree in ternary:
+            with pytest.raises(KeyError):
+                builder.summand_index(4, tree)
+        with pytest.raises(KeyError):
+            builder.summand_index(3, enumerate_trees(4)[0])
 
 
 class TestGraphSpace:
