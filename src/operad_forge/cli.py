@@ -23,7 +23,8 @@ from .free import free_modular_operad, free_operad
 from .minimal import minimal_model
 from .operad import ModularOperad, validate
 from .sigma import ModularSigmaModule, SigmaModule, validate_action
-from .trees import enumerate_stable_graphs, enumerate_trees
+from .trees import (enumerate_stable_graphs, enumerate_trees,
+                    graph_automorphisms)
 from .weight import formality_check
 
 EXIT_OK = 0
@@ -33,6 +34,10 @@ EXIT_MALFORMED = 2
 
 class SystemExit2(Exception):
     """Semantic misuse of a command (mapped to exit code 1)."""
+
+
+class MalformedArgument(Exception):
+    """A command-line value out of its domain (mapped to exit code 2)."""
 
 
 def _resolve_input(path):
@@ -136,10 +141,14 @@ def cmd_minimal_model(args):
 
 
 def cmd_check_formality(args):
+    try:
+        alpha = Fraction(args.alpha)
+    except (ValueError, ZeroDivisionError):
+        raise MalformedArgument(
+            f"--alpha {args.alpha!r} is not a rational number") from None
     obj, meta = _load(args.file)
     if isinstance(obj, (SigmaModule, ModularSigmaModule)):
         raise SystemExit2("check-formality expects an operad document")
-    alpha = Fraction(args.alpha)
     witness = formality_check(obj, up_to=args.max, alpha=alpha,
                               seed=args.seed)
     if witness is None:
@@ -175,7 +184,6 @@ def cmd_enumerate(args):
     if args.json:
         payload = []
         for gr in graphs:
-            from .trees import graph_automorphisms
             payload.append({"genera": list(gr.genera),
                             "legs": list(gr.legs),
                             "edges": [list(e) for e in gr.edges],
@@ -184,7 +192,6 @@ def cmd_enumerate(args):
     else:
         lines = [f"stable graphs of genus {g} with {l} legs: {len(graphs)}"]
         for gr in graphs:
-            from .trees import graph_automorphisms
             lines.append(f"genera={gr.genera} legs={gr.legs} "
                          f"edges={gr.edges} |Aut|={len(graph_automorphisms(gr))}")
         _emit("\n".join(lines) + "\n", args.out)
@@ -195,6 +202,8 @@ def cmd_alt_check(args):
     from .cubical import (CubicChain, alt, boundary, interval_power,
                           sigma_tau_r_i, compose_maps, perm_map, delta_map)
     from .sigma import all_permutations
+    if args.dim < 0:
+        raise MalformedArgument(f"--dim {args.dim} is negative")
     rng = random.Random(args.seed)
     failures = []
     space = interval_power(args.dim)
@@ -289,11 +298,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as exc:
+    except (DocumentError, MalformedArgument) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except FileNotFoundError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot open file: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except SystemExit2 as exc:
         print(str(exc), file=sys.stderr)

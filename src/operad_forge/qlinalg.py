@@ -203,37 +203,37 @@ def block_matrix(blocks):
 
 
 def rref(m: Matrix):
-    """Reduced row echelon form.
-
-    Returns ``(R, pivots, rank)`` where ``pivots`` is the tuple of pivot
-    column indices.
+    """Reduced row echelon form ``(R, pivots, rank)``, ``pivots`` the tuple
+    of pivot columns.  Gauss-Jordan on sparse ``{col: value}`` rows: each
+    pivot comes from the shortest row holding its column (R is unique, so
+    the choice is free) and clears only the rows that hold that column.
     """
-    data = [list(row) for row in m.data]
-    pivots = []
-    r = 0
+    pending = [{j: x for j, x in enumerate(r) if x} for r in m.data]
+    done = {}  # pivot column -> its row, kept without the pivot entry 1
     for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, m.rows):
-            if data[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        holders = [row for row in pending if c in row]
+        if not holders:
             continue
-        data[r], data[pivot_row] = data[pivot_row], data[r]
-        pv = data[r][c]
-        if pv != 1:
-            inv = F1 / pv
-            data[r] = [x * inv for x in data[r]]
-        for i in range(m.rows):
-            if i != r and data[i][c] != 0:
-                f = data[i][c]
-                row_r = data[r]
-                data[i] = [a - f * b for a, b in zip(data[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return Matrix(m.rows, m.cols, data), tuple(pivots), r
+        prow = min(holders, key=len)
+        inv = F1 / prow.pop(c)
+        for k in prow:
+            prow[k] *= inv
+        for row in holders + [row for row in done.values() if c in row]:
+            if row is not prow:
+                f = row.pop(c)
+                for k, x in prow.items():
+                    v = row.get(k, F0) - f * x
+                    if v:
+                        row[k] = v
+                    else:
+                        del row[k]
+        done[c] = prow
+        pending = [row for row in pending if row and row is not prow]
+    for c, row in done.items():
+        row[c] = F1
+    data = [[row.get(j, F0) for j in range(m.cols)] for row in done.values()]
+    data += [[F0] * m.cols] * (m.rows - len(done))
+    return Matrix(m.rows, m.cols, data), tuple(done), len(done)
 
 
 def rank(m: Matrix) -> int:

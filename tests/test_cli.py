@@ -15,6 +15,16 @@ def fx(name):
     return os.path.join(FIXTURES, name)
 
 
+def run_cli(*args, **env):
+    """Run the CLI in a fresh interpreter that imports the package from
+    this checkout's src/; extra keyword arguments go to its environment."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "operad_forge.cli", *args],
+                          capture_output=True, env=env)
+
+
 class TestValidate:
     def test_golden_fixture_ok(self, capsys):
         assert main(["validate", fx("commutative_window3.json")]) == 0
@@ -76,16 +86,28 @@ def test_malformed_document_exit_2_without_traceback(mutate, tmp_path):
     mutate(payload)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     for args in (["validate"], ["homology"], ["free", "--max-arity", "3"]):
-        run = subprocess.run(
-            [sys.executable, "-m", "operad_forge.cli", args[0], str(bad),
-             *args[1:]], capture_output=True, text=True, env=env)
-        assert run.returncode == 2, (args, run.stderr)
-        assert "malformed input" in run.stderr
-        assert "Traceback" not in run.stderr
+        run = run_cli(args[0], str(bad), *args[1:])
+        stderr = run.stderr.decode()
+        assert run.returncode == 2, (args, stderr)
+        assert "malformed input" in stderr
+        assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["alt-check", "--dim", "-1"],
+    ["check-formality", fx("commutative_window3.json"), "--alpha", "1/0"],
+    ["check-formality", fx("commutative_window3.json"), "--alpha", "two"],
+    ["validate", FIXTURES],
+], ids=["negative-dim", "alpha-zero-denominator", "alpha-not-rational",
+        "directory"])
+def test_malformed_argument_exit_2_without_traceback(args):
+    run = run_cli(*args)
+    stderr = run.stderr.decode()
+    assert run.returncode == 2, stderr
+    assert "Traceback" not in stderr
+    assert len(stderr.splitlines()) == 1, stderr
+    assert run.stdout == b""
 
 
 # sha256 of the stdout of `free` on the generator fixtures, as written
@@ -102,13 +124,7 @@ FREE_DIGESTS = [
 @pytest.mark.parametrize("args,digest", FREE_DIGESTS,
                          ids=["arity-4", "dim-2"])
 def test_free_output_bytes_unchanged(args, digest, hash_seed):
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run(
-        [sys.executable, "-m", "operad_forge.cli", "free", fx(args[0]),
-         *args[1:]], capture_output=True, env=env)
+    run = run_cli("free", fx(args[0]), *args[1:], PYTHONHASHSEED=hash_seed)
     assert run.returncode == 0, run.stderr
     assert hashlib.sha256(run.stdout).hexdigest() == digest
 

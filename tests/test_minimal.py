@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from operad_forge.chain import (
     homotopy_solve,
     mapping_cone,
 )
+from operad_forge.document import matrix_to_lists
 from operad_forge.free import (
     FreeOperadBuilder,
     endomorphism_modular_operad,
@@ -293,6 +296,41 @@ class TestLift:
             h = homotopy_solve(phi1.block(key), phi2.block(key))
             assert h is not None
             assert check_homotopy(phi1.block(key), phi2.block(key), h)
+
+    def test_homotopy_bytes_pinned(self):
+        # the seeded self-lifts of the commutative window-4 model are the
+        # identity at arity 4, so the other end is the identity moved by
+        # d h0 + h0 d for a seeded h0: the target is then nonzero, and the
+        # free variables of the 661 x 420 system decide which h comes back
+        mm = minimal_model(commutative_style_operad(4), 4)
+        phi, _ = lift(mm.morphism, mm.morphism, mm, seed=9)
+        f = phi.block(4)
+        x = f.src
+        rng = random.Random(4)
+        h0 = {i: Matrix(x.dim(i + 1), x.dim(i),
+                        [[rng.randint(-1, 1) for _ in range(x.dim(i))]
+                         for _ in range(x.dim(i + 1))]) for i in (0, 1)}
+        blocks = {}
+        for i in x.dims:
+            acc = Matrix.identity(x.dim(i))
+            if i in h0:
+                acc = acc + x.d(i + 1) * h0[i]
+            if i - 1 in h0:
+                acc = acc + h0[i - 1] * x.d(i)
+            blocks[i] = acc
+        g = ChainMap(x, x, blocks)
+        assert any(f.block(i) != g.block(i) for i in x.dims)
+        h = homotopy_solve(f, g)
+        assert check_homotopy(f, g, h) is True
+        assert h[0] != -h0[0]
+        # sha256 of each block as computed by the dense elimination
+        digests = {i: hashlib.sha256(
+            json.dumps(matrix_to_lists(m)).encode()).hexdigest()
+            for i, m in h.items()}
+        assert digests == {
+            0: "fbd8442c6007240f2a42d0260a17903cc538f77cbb92f91fd659973b722e874f",
+            1: "5bae48439a3261467d55e23920900800def4dce19af49e2292a8852f4c29d84e",
+        }
 
     def test_not_isomorphic_reported(self):
         mm1 = minimal_model(commutative_style_operad(3), 3)

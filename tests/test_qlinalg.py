@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -351,3 +352,135 @@ class TestProduct:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             Matrix.zeros(2, 3) * Matrix.zeros(2, 3)
+
+
+# -- the sparse-row elimination against the dense one it replaced -----------
+
+
+def dense_rref(m: Matrix):
+    """Reference: the dense Gauss-Jordan ``rref`` as it was before the
+    sparse-row kernel, kept verbatim."""
+    F1 = Fraction(1)
+    data = [list(row) for row in m.data]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pivot_row = None
+        for i in range(r, m.rows):
+            if data[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        data[r], data[pivot_row] = data[pivot_row], data[r]
+        pv = data[r][c]
+        if pv != 1:
+            inv = F1 / pv
+            data[r] = [x * inv for x in data[r]]
+        for i in range(m.rows):
+            if i != r and data[i][c] != 0:
+                f = data[i][c]
+                row_r = data[r]
+                data[i] = [a - f * b for a, b in zip(data[i], row_r)]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return Matrix(m.rows, m.cols, data), tuple(pivots), r
+
+
+def dense_solve_matrix(m: Matrix, b: Matrix):
+    """Reference: ``solve_matrix`` through ``dense_rref``."""
+    red, pivots, rk = dense_rref(m.hstack(b))
+    if pivots and pivots[-1] >= m.cols:
+        return None
+    cols = []
+    for j in range(b.cols):
+        x = [Fraction(0)] * m.cols
+        for r, pcol in enumerate(pivots):
+            x[pcol] = red.data[r][m.cols + j]
+        cols.append(tuple(x))
+    return Matrix.from_cols(cols, rows=m.cols)
+
+
+def _grid(draw, rows, cols, entries):
+    return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@st.composite
+def elimination_inputs(draw):
+    """Matrices of the kinds the kernel meets: dense rationals,
+    rank-deficient (rows that are sums of other rows), wide, tall, with
+    no rows or no columns, and sparse Kronecker systems
+    (I_p x A) + (B^T x I_a) like the ones ``homotopy_solve`` builds."""
+    kind = draw(st.sampled_from(["dense", "rank-deficient", "wide", "tall",
+                                 "empty", "kronecker"]))
+    sparse = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                       st.sampled_from([Fraction(1), Fraction(-1)]),
+                       rationals)
+    if kind == "empty":
+        n = draw(st.integers(0, 6))
+        return draw(st.sampled_from([Matrix.zeros(0, n), Matrix.zeros(n, 0)]))
+    if kind == "kronecker":
+        a, p = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        A = _grid(draw, a, a, sparse)
+        B = _grid(draw, p, p, sparse)
+        # vec(A X + X B) for X of shape a x p, X stored column by column
+        rows = [[(A[i][k] if j == l else 0) + (B[l][j] if i == k else 0)
+                 for l in range(p) for k in range(a)]
+                for j in range(p) for i in range(a)]
+        return Matrix(a * p, a * p, rows)
+    r, c = {"dense": (draw(st.integers(1, 6)), draw(st.integers(1, 6))),
+            "rank-deficient": (draw(st.integers(1, 4)),
+                               draw(st.integers(1, 7))),
+            "wide": (draw(st.integers(1, 3)), draw(st.integers(6, 12))),
+            "tall": (draw(st.integers(6, 12)), draw(st.integers(1, 3)))}[kind]
+    rows = _grid(draw, r, c, sparse if draw(st.booleans()) else rationals)
+    if kind == "rank-deficient":
+        for _ in range(draw(st.integers(1, 4))):
+            picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2,
+                                  max_size=3))
+            rows.append([sum((rows[i][j] for i in picks), Fraction(0))
+                         for j in range(c)])
+        rows = draw(st.permutations(rows))
+    return Matrix(len(rows), c, rows)
+
+
+class TestRrefAgainstDense:
+    @given(elimination_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_identical_to_dense(self, m):
+        red, pivots, rk = rref(m)
+        assert (red, pivots, rk) == dense_rref(m)
+        assert all(type(x) is Fraction for row in red.data for x in row)
+
+    @given(elimination_inputs(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_solve_matrix_identical_to_dense(self, m, data):
+        k = data.draw(st.integers(1, 2))
+        if data.draw(st.booleans()) and m.cols:
+            # consistent right-hand sides: m times a drawn solution
+            xs = data.draw(st.lists(st.lists(rationals, min_size=m.cols,
+                                             max_size=m.cols),
+                                    min_size=k, max_size=k))
+            b = m * Matrix.from_cols(xs, rows=m.cols)
+        else:
+            b = Matrix(m.rows, k, data.draw(st.lists(
+                st.lists(rationals, min_size=k, max_size=k),
+                min_size=m.rows, max_size=m.rows)))
+        assert solve_matrix(m, b) == dense_solve_matrix(m, b)
+
+    def test_homotopy_sized_system(self):
+        # a 72 x 72 Kronecker system with about 5% nonzeros, rank 65
+        rng = random.Random(7)
+        a, p = 9, 8
+        A = [[rng.choice([0] * 8 + [1, -1]) for _ in range(a)]
+             for _ in range(a)]
+        B = [[rng.choice([0] * 8 + [1, -2]) for _ in range(p)]
+             for _ in range(p)]
+        rows = [[(A[i][k] if j == l else 0) + (B[l][j] if i == k else 0)
+                 for l in range(p) for k in range(a)]
+                for j in range(p) for i in range(a)]
+        m = Matrix(a * p, a * p, rows)
+        assert rref(m) == dense_rref(m)
