@@ -21,7 +21,7 @@ from .chain import homology_dims
 from .document import DocumentError
 from .free import free_modular_operad, free_operad
 from .minimal import minimal_model
-from .operad import ModularOperad, validate
+from .operad import validate
 from .sigma import ModularSigmaModule, SigmaModule, validate_action
 from .trees import (enumerate_stable_graphs, enumerate_trees,
                     graph_automorphisms)
@@ -78,16 +78,9 @@ def cmd_validate(args):
 
 def cmd_homology(args):
     obj, meta = _load(args.file)
-    if isinstance(obj, (SigmaModule, ModularSigmaModule)):
-        keys = obj.keys()
-        component = obj.component
-    else:
-        keys = (obj.indices if isinstance(obj, ModularOperad)
-                else obj.arities)
-        component = obj.component
     lines = ["component\tdegree\tdim"]
-    for key in keys:
-        comp = component(key)
+    for key in obj.keys():
+        comp = obj.component(key)
         if comp.is_zero():
             continue
         hd = homology_dims(comp)

@@ -170,23 +170,52 @@ def _comp_tables_to_doc(comp, modular):
     return out
 
 
+def _ints(s, n, what):
+    """The n integers of a comma-separated key string."""
+    try:
+        out = tuple(int(x) for x in s.split(","))
+    except ValueError:
+        out = ()
+    if len(out) != n:
+        raise DocumentError(f"{what}: bad key {s!r}")
+    return out
+
+
+def _table_key(x, modular, what):
+    if not modular:
+        return _expect(x, int, what)
+    if type(x) is not list or len(x) != 2 or any(type(y) is not int
+                                                 for y in x):
+        raise DocumentError(f"{what}: expected [genus, legs]")
+    return tuple(x)
+
+
+def _cells(rowlist, what):
+    """(row, coefficient) pairs of one table cell."""
+    for pair in _expect(rowlist, list, what):
+        if type(pair) is not list or len(pair) != 2:
+            raise DocumentError(f"{what}: expected [row, coefficient]")
+        yield _expect(pair[0], int, f"{what}: row"), rational_from_str(pair[1])
+
+
 def _comp_tables_from_doc(entries, modular):
     comp = {}
-    for item in entries:
-        src = item.get("source")
+    for item in _expect(entries, list, "compositions"):
+        src = _expect(item, dict, "composition entry").get("source")
         if not isinstance(src, list) or len(src) != 3:
             raise DocumentError("composition entry needs [key, slot, key]")
-        key1 = tuple(src[0]) if modular else src[0]
-        key2 = tuple(src[2]) if modular else src[2]
-        i = src[1]
+        key1 = _table_key(src[0], modular, "composition source")
+        key2 = _table_key(src[2], modular, "composition source")
+        i = _expect(src[1], int, "composition slot")
         table = CompTable()
-        for degs, cells in item.get("blocks", {}).items():
-            d1, d2 = (int(x) for x in degs.split(","))
-            for pair, rowlist in cells.items():
-                k1, k2 = (int(x) for x in pair.split(","))
-                for row, coeff in rowlist:
-                    table.add(d1, k1, d2, k2, int(row),
-                              rational_from_str(coeff))
+        for degs, cells in _expect(item.get("blocks", {}), dict,
+                                   "composition blocks").items():
+            d1, d2 = _ints(degs, 2, "composition block")
+            for pair, rowlist in _expect(cells, dict,
+                                         "composition block").items():
+                k1, k2 = _ints(pair, 2, "composition cell")
+                for row, coeff in _cells(rowlist, "composition cell"):
+                    table.add(d1, k1, d2, k2, row, coeff)
         comp[(key1, i, key2)] = table
     return comp
 
@@ -210,18 +239,22 @@ def _contr_tables_to_doc(contr):
 
 def _contr_tables_from_doc(entries):
     contr = {}
-    for item in entries:
-        src = item.get("source")
+    for item in _expect(entries, list, "contractions"):
+        src = _expect(item, dict, "contraction entry").get("source")
         if not isinstance(src, list) or len(src) != 3:
             raise DocumentError("contraction entry needs [key, i, j]")
-        key = tuple(src[0])
-        i, j = src[1], src[2]
+        key = _table_key(src[0], True, "contraction source")
+        i = _expect(src[1], int, "contraction leg")
+        j = _expect(src[2], int, "contraction leg")
         table = ContrTable()
-        for d, cells in item.get("blocks", {}).items():
-            for k, rowlist in cells.items():
-                for row, coeff in rowlist:
-                    table.add(int(d), int(k), int(row),
-                              rational_from_str(coeff))
+        for d, cells in _expect(item.get("blocks", {}), dict,
+                                "contraction blocks").items():
+            d, = _ints(d, 1, "contraction block")
+            for k, rowlist in _expect(cells, dict,
+                                      "contraction block").items():
+                k, = _ints(k, 1, "contraction cell")
+                for row, coeff in _cells(rowlist, "contraction cell"):
+                    table.add(d, k, row, coeff)
         contr[(key, i, j)] = table
     return contr
 
@@ -306,22 +339,25 @@ def from_document(doc):
     cut = doc.get("truncation_cut") if kind == "truncated" else None
     if kind == "truncated" and cut is None:
         raise DocumentError("truncated document needs truncation_cut")
+    if cut is not None:
+        _expect(cut, int, "truncation_cut")
     window = _expect(doc.get("window", {}), dict, "window")
-    if modular:
-        contr = _contr_tables_from_doc(doc.get("contractions", []))
-        max_dim = window.get("max_dim")
-        if max_dim is None:
-            raise DocumentError("modular document needs window.max_dim")
-        op = ModularOperad(ModularSigmaModule(components), comp, contr,
-                           max_dim=max_dim, cut=cut)
-        _check_table_indices(op, contr=contr)
-    else:
-        max_arity = window.get("max_arity")
-        if max_arity is None:
-            raise DocumentError("operad document needs window.max_arity")
-        op = DGOperad(SigmaModule(components), comp,
-                      max_arity=max_arity, cut=cut)
-        _check_table_indices(op)
+    bound = "max_dim" if modular else "max_arity"
+    if window.get(bound) is None:
+        raise DocumentError(f"{kind} document needs window.{bound}")
+    top = _expect(window[bound], int, f"window.{bound}")
+    contr = (_contr_tables_from_doc(doc.get("contractions", []))
+             if modular else None)
+    try:
+        if modular:
+            op = ModularOperad(ModularSigmaModule(components), comp, contr,
+                               max_dim=top, cut=cut)
+        else:
+            op = DGOperad(SigmaModule(components), comp, max_arity=top,
+                          cut=cut)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
+    _check_table_indices(op)
     if "endomorphism" in doc:
         endo = {}
         for key_s, blocks in doc["endomorphism"].items():
@@ -336,11 +372,10 @@ def from_document(doc):
     return op, metadata
 
 
-def _check_table_indices(op, contr=None):
+def _check_table_indices(op):
     """Every referenced degree pair and basis index must be in range."""
     for (key1, i, key2), table in op.comp.items():
-        n1 = key1[1] if isinstance(key1, tuple) else key1
-        if not (1 <= i <= n1):
+        if not (1 <= i <= op.legs(key1)):
             raise DocumentError(f"composition slot {i} out of range for {key1}")
         try:
             tkey = op.comp_target(key1, i, key2)
@@ -351,28 +386,28 @@ def _check_table_indices(op, contr=None):
                 from exc
         for (d1, d2), cells in table.entries.items():
             for (k1, k2), cell in cells.items():
-                if k1 >= c1.dim(d1) or k2 >= c2.dim(d2):
+                if not (0 <= k1 < c1.dim(d1) and 0 <= k2 < c2.dim(d2)):
                     raise DocumentError(
                         f"composition {key1} o_{i} {key2}: basis index out "
                         f"of range at degrees ({d1},{d2})")
                 for row in cell:
-                    if row >= ct.dim(d1 + d2):
+                    if not 0 <= row < ct.dim(d1 + d2):
                         raise DocumentError(
                             f"composition {key1} o_{i} {key2}: target row "
                             f"out of range at degree {d1 + d2}")
-    for (key, i, j), table in (contr or {}).items():
+    for (key, i, j), table in op.contr.items():
         c = op.component(key)
-        ct = op.component((key[0] + 1, key[1] - 2))
+        ct = op.component(op.contr_target(key))
         if not (1 <= i < j <= key[1]):
             raise DocumentError(f"contraction legs ({i},{j}) out of range "
                                 f"for {key}")
         for d, cells in table.entries.items():
             for k, cell in cells.items():
-                if k >= c.dim(d):
+                if not 0 <= k < c.dim(d):
                     raise DocumentError(f"contraction on {key}: basis index "
                                         f"out of range at degree {d}")
                 for row in cell:
-                    if row >= ct.dim(d):
+                    if not 0 <= row < ct.dim(d):
                         raise DocumentError(f"contraction on {key}: target "
                                             f"row out of range at degree {d}")
 

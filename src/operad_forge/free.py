@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from .chain import ChainComplex, ChainMap, TensorData, koszul_reorder_sign
-from .qlinalg import F0, F1, Matrix
+from .qlinalg import F0, F1, Matrix, kernel
 from .sigma import (
     GroupAction,
     ModularSigmaModule,
@@ -106,10 +106,55 @@ class TowerData:
     attachments: dict    # level key(s) -> dict degree -> Matrix (component coords)
 
 
+class _FreeBuilder:
+    """What both free builders offer the constructions built on them.
+
+    Subclasses keep ``summands`` and ``layouts`` per component key and
+    say, per summand, which generator key decorates each vertex
+    (``vertex_types``) and what a basis vector evaluates to in another
+    operad (``evaluate_basis``).
+    """
+
+    def corolla_summand(self, key):
+        """The summand of a component holding its own generators (one
+        vertex, of type key), or None.  A one-vertex graph with a loop
+        is not the corolla: its vertex has another type."""
+        for s in range(len(self.summands[key])):
+            if self.vertex_types(key, s) == [key]:
+                return s
+        return None
+
+    def evaluation(self, dst, images, key, skip_summand=None):
+        """Evaluation matrices (degree -> Matrix) of the component at
+        key in dst, the generators sent along ``images``.
+
+        ``skip_summand`` leaves the columns of one summand zero (used
+        for the corolla while its generator images are still unknown).
+        """
+        layout = self.layouts[key]
+        target = dst.component(key)
+        blocks = {deg: [[F0] * layout.dim(deg) for _ in range(target.dim(deg))]
+                  for deg in layout.dims}
+        for s, cc in enumerate(layout.complexes):
+            if s == skip_summand:
+                continue
+            for deg in cc.dims:
+                for col in range(cc.dim(deg)):
+                    gcol = layout.offset(s, deg) + col
+                    res = self.evaluate_basis(dst, images, key, s, deg, col)
+                    for d, vec in res.items():
+                        if d != deg:
+                            raise AssertionError("degree drift in evaluation")
+                        for r, x in enumerate(vec):
+                            blocks[d][r][gcol] = x
+        return {d: Matrix(target.dim(d), layout.dim(d), g)
+                for d, g in blocks.items()}
+
+
 # -- free operads on trees ----------------------------------------------------
 
 
-class FreeOperadBuilder:
+class FreeOperadBuilder(_FreeBuilder):
     """Gamma(V) on a finite window of arities.
 
     ``gens`` maps arity -> GroupAction (the generator module); the
@@ -153,11 +198,13 @@ class FreeOperadBuilder:
         except KeyError:
             raise KeyError("tree summand not present") from None
 
-    def corolla_summand(self, n):
-        for s, (t, _) in enumerate(self.summands[n]):
-            if len(t.vertices()) == 1:
-                return s
-        return None
+    def vertex_types(self, n, s):
+        return [len(v.children) for v in self.summands[n][s][0].vertices()]
+
+    def evaluate_basis(self, dst, images, n, s, deg, col):
+        tree, td = self.summands[n][s]
+        d, vec = evaluate_tree_basis(dst, tree, images, td.basis(deg)[col])
+        return {d: vec}
 
     # -- normalized pushes ----------------------------------------------------
 
@@ -408,7 +455,7 @@ def free_operad(module: SigmaModule, max_arity: int,
 # -- free modular operads on stable graphs ------------------------------------
 
 
-class FreeModularBuilder:
+class FreeModularBuilder(_FreeBuilder):
     """M(V) on the window of modular dimension <= max_dim.
 
     Component summands are the coinvariants of graph spaces under graph
@@ -528,6 +575,14 @@ class FreeModularBuilder:
         vec = coin.inclusion.block(deg).col(col)
         basis = td.basis(deg)
         return [(basis[r], c) for r, c in enumerate(vec) if c != 0]
+
+    def vertex_types(self, key, s):
+        graph = self.summands[key][s][0]
+        return [graph.vertex_type(v) for v in range(graph.n_vertices)]
+
+    def evaluate_basis(self, dst, images, key, s, deg, col):
+        return evaluate_graph_basis(dst, self.summands[key][s][0], images,
+                                    self._lift_component_basis(key, s, deg, col))
 
     # -- components -------------------------------------------------------------
 
@@ -1072,50 +1127,12 @@ def morphism_from_generators(src, dst, images, check=True) -> OperadMorphism:
     if builder is None:
         raise ValueError("source operad carries no free-construction data")
     maps = {}
-    if isinstance(src, ModularOperad):
-        keys = [k for k in src.indices if not src.component(k).is_zero()]
-        for key in keys:
-            blocks = {}
-            comp = src.component(key)
-            layout = builder.layouts[key]
-            for s, (graph, td, coin) in enumerate(builder.summands[key]):
-                cc = coin.complex
-                for deg in cc.dims:
-                    for col in range(cc.dim(deg)):
-                        lifted = builder._lift_component_basis(key, s, deg, col)
-                        res = evaluate_graph_basis(dst, graph, images, lifted)
-                        gcol = layout.offset(s, deg) + col
-                        for d, vec in res.items():
-                            if d != deg:
-                                raise AssertionError("degree drift in evaluation")
-                            blk = blocks.setdefault(
-                                deg, [[F0] * comp.dim(deg)
-                                      for _ in range(dst.component(key).dim(deg))])
-                            for r, x in enumerate(vec):
-                                blk[r][gcol] = x
-            mapped = {d: Matrix(dst.component(key).dim(d), comp.dim(d), g)
-                      for d, g in blocks.items()}
-            maps[key] = ChainMap(comp, dst.component(key), mapped, check=check)
-    else:
-        keys = [k for k in src.arities if not src.component(k).is_zero()]
-        for key in keys:
-            comp = src.component(key)
-            layout = builder.layouts[key]
-            blocks = {}
-            for s, (tree, td) in enumerate(builder.summands[key]):
-                for deg in td.complex.dims:
-                    for col in range(td.complex.dim(deg)):
-                        label = td.basis(deg)[col]
-                        d, vec = evaluate_tree_basis(dst, tree, images, label)
-                        gcol = layout.offset(s, deg) + col
-                        blk = blocks.setdefault(
-                            deg, [[F0] * comp.dim(deg)
-                                  for _ in range(dst.component(key).dim(deg))])
-                        for r, x in enumerate(vec):
-                            blk[r][gcol] = x
-            mapped = {d: Matrix(dst.component(key).dim(d), comp.dim(d), g)
-                      for d, g in blocks.items()}
-            maps[key] = ChainMap(comp, dst.component(key), mapped, check=check)
+    for key in src.keys():
+        comp = src.component(key)
+        if not comp.is_zero():
+            maps[key] = ChainMap(comp, dst.component(key),
+                                 builder.evaluation(dst, images, key),
+                                 check=check)
     return OperadMorphism(src, dst, maps)
 
 
@@ -1130,7 +1147,6 @@ def extend_freely(op, up_to: int, strict=True):
     truncation, and returns the quotient with its presentation attached.
     """
     from .operad import ideal_closure, quotient
-    from .chain import ChainMap as _CM
     if op.cut is None:
         raise ValueError("extend_freely expects a truncated operad")
     cut = op.cut
@@ -1138,40 +1154,19 @@ def extend_freely(op, up_to: int, strict=True):
         raise ValueError("extension window below the truncation cut")
     gens = {k: ga for k, ga in op.module.components.items()
             if not ga.complex.is_zero()}
-    modular = isinstance(op, ModularOperad)
-    builder = (FreeModularBuilder(gens, up_to) if modular
-               else FreeOperadBuilder(gens, up_to))
+    if isinstance(op, ModularOperad):
+        builder = FreeModularBuilder(gens, up_to)
+    else:
+        builder = FreeOperadBuilder(gens, up_to)
     free_op = builder.finish()
-    images = {k: _CM.identity(op.component(k)) for k in gens}
+    images = {k: ChainMap.identity(op.component(k)) for k in gens}
     seeds = {}
-    keys_in_cut = [k for k in (free_op.indices if modular else free_op.arities)
-                   if (modular_dimension(*k) if modular else k) <= cut]
-    from .qlinalg import kernel as _kernel
+    keys_in_cut = [k for k in free_op.keys() if free_op.level(k) <= cut]
     for key in keys_in_cut:
-        src_c = free_op.component(key)
-        if src_c.is_zero():
+        if free_op.component(key).is_zero():
             continue
-        dst_c = op.component(key)
-        for deg in src_c.dims:
-            cols = []
-            for col in range(src_c.dim(deg)):
-                vec = [F0] * src_c.dim(deg)
-                vec[col] = F1
-                if modular:
-                    s, local = builder.layouts[key].locate(deg, col)
-                    graph, td, coin = builder.summands[key][s]
-                    lifted = builder._lift_component_basis(key, s, deg, local)
-                    res = evaluate_graph_basis(op, graph, images, lifted)
-                    out = res.get(deg, (F0,) * dst_c.dim(deg))
-                else:
-                    s, local = builder.layouts[key].locate(deg, col)
-                    tree, td = builder.summands[key][s]
-                    label = td.basis(deg)[local]
-                    d, out = evaluate_tree_basis(op, tree, images, label)
-                cols.append(tuple(out))
-            ev = Matrix.from_cols(cols, rows=dst_c.dim(deg)) if cols else \
-                Matrix.zeros(dst_c.dim(deg), 0)
-            ker = _kernel(ev)
+        for deg, ev in builder.evaluation(op, images, key).items():
+            ker = kernel(ev)
             if ker.dim:
                 seeds.setdefault(key, {}).setdefault(deg, []).extend(
                     ker.basis.columns())

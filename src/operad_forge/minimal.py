@@ -33,27 +33,12 @@ from .chain import (
 from .free import (
     FreeModularBuilder,
     FreeOperadBuilder,
-    evaluate_graph_basis,
-    evaluate_tree_basis,
     extend_freely,
     morphism_from_generators,
 )
-from .operad import (
-    DGOperad,
-    ModularOperad,
-    OperadMorphism,
-    truncate,
-)
+from .operad import ModularOperad, OperadMorphism, truncate
 from .qlinalg import F0, F1, Matrix, kernel, solve, solve_matrix
-from .sigma import (
-    GroupAction,
-    ModularSigmaModule,
-    Permutation,
-    SigmaModule,
-    all_permutations,
-    modular_dimension,
-    stable_pairs_with_dimension,
-)
+from .sigma import GroupAction, Permutation
 
 
 class ObstructionError(RuntimeError):
@@ -71,66 +56,10 @@ class NotIsomorphicError(RuntimeError):
 # -- helpers ------------------------------------------------------------------
 
 
-def _is_modular(op):
-    return isinstance(op, ModularOperad)
-
-
-def _level_keys(op, n):
-    return stable_pairs_with_dimension(n) if _is_modular(op) else [n]
-
-
-def _key_arity(key):
-    return key[1] if isinstance(key, tuple) else key
-
-
 def _make_builder(op, gens, window):
-    if _is_modular(op):
+    if isinstance(op, ModularOperad):
         return FreeModularBuilder(gens, window)
     return FreeOperadBuilder(gens, max(window, 2))
-
-
-def _window(op):
-    return op.max_dim if _is_modular(op) else op.max_arity
-
-
-def _evaluate_component(builder, dst, images, key, modular, skip_summand=None):
-    """Evaluation matrices (degree -> Matrix) of a free component in dst.
-
-    ``skip_summand`` leaves the columns of one summand zero (used for
-    the corolla while its generator images are still unknown).
-    """
-    layout = builder.layouts[key]
-    target = dst.component(key)
-    blocks = {}
-    for deg in layout.dims:
-        blocks[deg] = [[F0] * layout.dim(deg)
-                       for _ in range(target.dim(deg))]
-    if modular:
-        for s, (graph, td, coin) in enumerate(builder.summands[key]):
-            if s == skip_summand:
-                continue
-            cc = coin.complex
-            for deg in cc.dims:
-                for col in range(cc.dim(deg)):
-                    lifted = builder._lift_component_basis(key, s, deg, col)
-                    res = evaluate_graph_basis(dst, graph, images, lifted)
-                    gcol = layout.offset(s, deg) + col
-                    for d, vec in res.items():
-                        for r, x in enumerate(vec):
-                            blocks[d][r][gcol] = x
-    else:
-        for s, (tree, td) in enumerate(builder.summands[key]):
-            if s == skip_summand:
-                continue
-            for deg in td.complex.dims:
-                for col in range(td.complex.dim(deg)):
-                    label = td.basis(deg)[col]
-                    d, vec = evaluate_tree_basis(dst, tree, images, label)
-                    gcol = layout.offset(s, deg) + col
-                    for r, x in enumerate(vec):
-                        blocks[d][r][gcol] = x
-    return {d: Matrix(target.dim(d), layout.dim(d), g)
-            for d, g in blocks.items()}
 
 
 def _diagonal_action(n, cone, a_action, b_action, a_complex, b_complex):
@@ -254,10 +183,8 @@ class PrincipalExtension:
 
 def _truncated_with_cone(p, level, generators, xi):
     """t_level(p) with the level component replaced by the cone of xi."""
-    modular = _is_modular(p)
     tr = truncate(p, level)
     actions = dict(tr.module.components)
-    cone_offsets = {}
     for key, v_act in generators.items():
         pc = p.component(key)
         vc = v_act.complex
@@ -268,7 +195,7 @@ def _truncated_with_cone(p, level, generators, xi):
                        {d - 1: xi_blocks[d] for d in xi_blocks},
                        check=True)
         cone, _, _ = mapping_cone(eta)
-        n = _key_arity(key)
+        n = p.legs(key)
         shifted_action = GroupAction(
             n, shifted,
             [ChainMap(shifted, shifted,
@@ -276,18 +203,9 @@ def _truncated_with_cone(p, level, generators, xi):
              for g in v_act.generators], check=False)
         actions[key] = _diagonal_action(
             n, cone, p.group_action(key), shifted_action, pc, shifted)
-        cone_offsets[key] = pc
-    # compositions: the old tables, targets at the level embedded into
+    # structure maps: the old tables, targets at the level embedded into
     # the cone (the P-part sits first)
-    comp = dict(tr.comp)
-    if modular:
-        contr = dict(tr.contr)
-        out = ModularOperad(ModularSigmaModule(actions, check=False), comp,
-                            contr, max_dim=level, cut=level)
-    else:
-        out = DGOperad(SigmaModule(actions, check=False), comp,
-                       max_arity=level, cut=level)
-    return out
+    return tr.remake(actions, dict(tr.comp), dict(tr.contr), level, level)
 
 
 def principal_extension(p, level, generators, xi, window=None,
@@ -300,16 +218,14 @@ def principal_extension(p, level, generators, xi, window=None,
     equivariantly.  The result is t_!(truncation-with-cone) within the
     window.
     """
-    modular = _is_modular(p)
-    window = window if window is not None else _window(p)
+    window = window if window is not None else p.window
     for key, v_act in generators.items():
-        lv = modular_dimension(*key) if modular else key
-        if lv != level:
+        if p.level(key) != level:
             raise ValueError("generators not concentrated at the level")
         if v_act.complex.diff:
             raise ValueError("generators must carry the zero differential")
         pc = p.component(key)
-        n = _key_arity(key)
+        n = p.legs(key)
         for d, m in xi.get(key, {}).items():
             if m.rows != pc.dim(d - 1) or m.cols != v_act.complex.dim(d):
                 raise ValueError("attachment block has the wrong shape")
@@ -328,8 +244,8 @@ def principal_extension(p, level, generators, xi, window=None,
     x = _truncated_with_cone(p, level, generators, xi)
     result = extend_freely(x, window, strict=strict)
     if strict:
-        lower = truncate(p, level - 1) if level > (0 if modular else 2) else None
-        if lower is not None:
+        if any(p.level(k) < level for k in p.keys()):
+            lower = truncate(p, level - 1)
             got = truncate(result, level - 1)
             if got.total_dims() != lower.total_dims():
                 raise AssertionError("principal extension changed the "
@@ -455,25 +371,23 @@ def minimal_model(p, up_to=None, seed=0) -> MinimalModel:
     generators are the homology of the cone of the current morphism.
     Deterministic for a fixed seed.
     """
-    modular = _is_modular(p)
-    window = _window(p)
-    up_to = up_to if up_to is not None else window
-    if up_to > window:
+    up_to = up_to if up_to is not None else p.window
+    if up_to > p.window:
         raise ValueError("requested window exceeds the operad's support")
     gens = {}
     attachments = {}
     images = {}
     tower = []
-    levels = range(0, up_to + 1) if modular else range(2, up_to + 1)
+    levels = sorted({p.level(k) for k in p.keys() if p.level(k) <= up_to})
     for n in levels:
         builder = _make_builder(p, gens, n)
         rec = LevelRecord(n, {}, {})
-        for key in _level_keys(p, n):
+        for key in [k for k in p.keys() if p.level(k) == n]:
             pc = p.component(key)
             layout = builder.layouts.get(key)
             m_complex = builder.component_complex(key, attachments) \
                 if layout is not None else ChainComplex.zero()
-            arity = _key_arity(key)
+            arity = p.legs(key)
             if m_complex.is_zero():
                 m_action = GroupAction.trivial(arity, m_complex)
                 rho_blocks = {}
@@ -482,8 +396,7 @@ def minimal_model(p, up_to=None, seed=0) -> MinimalModel:
                     arity, m_complex,
                     [builder.action_generator(key, j, m_complex)
                      for j in range(1, arity)], check=False)
-                rho_blocks = _evaluate_component(builder, p, images, key,
-                                                 modular)
+                rho_blocks = builder.evaluation(p, images, key)
             rho_map = ChainMap(m_complex, pc, rho_blocks, check=True)
             cone, _, _ = mapping_cone(rho_map)
             if cone.is_zero():
@@ -530,33 +443,23 @@ def is_minimal(op):
     """
     if op.tower is None or op.free is None:
         raise ValueError("operad carries no tower bookkeeping")
-    modular = _is_modular(op)
     builder = op.free
     for key, ga in op.tower.gen_actions.items():
-        lv = modular_dimension(*key) if modular else key
         if ga.complex.diff:
-            return False, lv
+            return False, op.level(key)
         att = op.tower.attachments.get(key)
         if not att:
             continue
-        corolla = None
-        for s, item in enumerate(builder.summands[key]):
-            obj = item[0]
-            nverts = (obj.n_vertices if modular else len(obj.vertices()))
-            if nverts == 1:
-                corolla = s
-                break
+        corolla = builder.corolla_summand(key)
         if corolla is None:
             continue
         layout = builder.layouts[key]
-        comp_of_summand = builder.summands[key][corolla][1].complex if not modular \
-            else builder.summands[key][corolla][2].complex
         for d, m in att.items():
             off = layout.offset(corolla, d - 1)
-            span = comp_of_summand.dim(d - 1)
+            span = layout.complexes[corolla].dim(d - 1)
             for r in range(off, off + span):
                 if any(m.data[r][c] != 0 for c in range(m.cols)):
-                    return False, lv
+                    return False, op.level(key)
     return True, None
 
 
@@ -585,28 +488,11 @@ def _extended_classify(hrec, degree):
     return hrec.projections[degree] * inv.submatrix(range(z.dim), range(n))
 
 
-def _corolla_layout(builder, key, modular):
-    for s, item in enumerate(builder.summands[key]):
-        obj = item[0]
-        nverts = obj.n_vertices if modular else len(obj.vertices())
-        if nverts == 1:
-            return s
-    return None
-
-
-def _count_type_vertices(builder, ckey, gen_key, modular):
+def _count_type_vertices(builder, ckey, gen_key):
     """Max count of gen_key-typed vertices over the summands of ckey."""
-    worst = 0
-    for item in builder.summands.get(ckey, []):
-        obj = item[0]
-        if modular:
-            count = sum(1 for v in range(obj.n_vertices)
-                        if obj.vertex_type(v) == gen_key)
-        else:
-            count = sum(1 for v in obj.vertices()
-                        if len(v.children) == gen_key)
-        worst = max(worst, count)
-    return worst
+    return max((builder.vertex_types(ckey, s).count(gen_key)
+                for s in range(len(builder.summands.get(ckey, [])))),
+               default=0)
 
 
 def _assign_c_keys(op, gen_keys):
@@ -617,22 +503,18 @@ def _assign_c_keys(op, gen_keys):
     appear in the component (so the condition rows are nonconstant
     there); components no generator can move are attached to the last
     admissible key as a pure consistency check."""
-    modular = _is_modular(op)
     builder = op.free
-    keys = op.indices if modular else op.arities
     order = {k: pos for pos, k in enumerate(gen_keys)}
-    lv = {k: (modular_dimension(*k) if modular else k) for k in gen_keys}
     out = {k: [] for k in gen_keys}
-    for ckey in keys:
+    for ckey in op.keys():
         if op.component(ckey).is_zero():
             continue
-        clevel = modular_dimension(*ckey) if modular else ckey
-        candidates = [k for k in gen_keys if lv[k] <= clevel]
+        candidates = [k for k in gen_keys if op.level(k) <= op.level(ckey)]
         if not candidates:
             continue
         movers = [k for k in candidates
                   if k == ckey
-                  or _count_type_vertices(builder, ckey, k, modular) >= 1]
+                  or _count_type_vertices(builder, ckey, k) >= 1]
         pool = movers or candidates
         owner = max(pool, key=lambda k: order[k])
         out[owner].append(ckey)
@@ -651,18 +533,16 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
     summand; checked by the caller).  Returns the blocks of g.
     """
     op = mm.operad
-    modular = _is_modular(op)
     builder = op.free
     v_act = op.tower.gen_actions[key]
     vc = v_act.complex
     qc = q_operad.component(key)
-    arity = _key_arity(key)
+    arity = op.legs(key)
     m_complex = op.component(key)
-    corolla = _corolla_layout(builder, key, modular)
     # phi_prev on the decomposable part: evaluation with known images
-    prev_eval = _evaluate_component(builder, q_operad, images_so_far, key,
-                                    modular, skip_summand=corolla) \
-        if images_so_far else {}
+    prev_eval = builder.evaluation(
+        q_operad, images_so_far, key,
+        skip_summand=builder.corolla_summand(key)) if images_so_far else {}
 
     def prev_matrix(deg):
         if deg in prev_eval:
@@ -729,14 +609,12 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
             continue
         base_images = dict(images_so_far)
         base_images[key] = zero_g
-        base_eval = _evaluate_component(builder, q_operad, base_images, ckey,
-                                        modular)
+        base_eval = builder.evaluation(q_operad, base_images, ckey)
         deltas = {}
         for (d, r, k) in units:
             unit_images = dict(images_so_far)
             unit_images[key] = _unit_g_map(vc, qc, d, r, k)
-            ev = _evaluate_component(builder, q_operad, unit_images, ckey,
-                                     modular)
+            ev = builder.evaluation(q_operad, unit_images, ckey)
             delta = {deg: ev[deg] - base_eval[deg] for deg in ev
                      if not (ev[deg] - base_eval[deg]).is_zero()}
             if delta:
@@ -801,23 +679,15 @@ def _unit_g_map(vc, qc, d, r, k):
 
 
 def _ordered_gen_keys(op):
-    modular = _is_modular(op)
-    return sorted(op.tower.gen_actions,
-                  key=lambda k: ((modular_dimension(*k), k) if modular
-                                 else (k,)))
+    return sorted(op.tower.gen_actions, key=lambda k: (op.level(k), k))
 
 
 def _linear_c_keys(op, gen_key, candidates):
     """Drop components whose dependence on gen_key images is nonlinear
     (more than one gen_key-typed vertex in some summand); their homology
     conditions are then only checked post hoc."""
-    modular = _is_modular(op)
-    builder = op.free
-    out = []
-    for ckey in candidates:
-        if _count_type_vertices(builder, ckey, gen_key, modular) <= 1:
-            out.append(ckey)
-    return out
+    return [ckey for ckey in candidates
+            if _count_type_vertices(op.free, ckey, gen_key) <= 1]
 
 
 def lift(rho: OperadMorphism, psi: OperadMorphism, mm: MinimalModel,
@@ -831,11 +701,9 @@ def lift(rho: OperadMorphism, psi: OperadMorphism, mm: MinimalModel,
     if psi.src is not op:
         raise ValueError("psi must start at the minimal model's operad")
     q_operad, r_operad = rho.src, rho.dst
-    modular = _is_modular(op)
     r_hom = {}
     prescribed = {}
-    keys = op.indices if modular else op.arities
-    for key in keys:
+    for key in op.keys():
         if key not in op.tower.gen_actions and op.component(key).is_zero():
             continue
         hr = homology(r_operad.component(key))
@@ -854,7 +722,7 @@ def lift(rho: OperadMorphism, psi: OperadMorphism, mm: MinimalModel,
     certificates = {}
     if certify:
         comp = rho.compose(phi)
-        for key in keys:
+        for key in op.keys():
             f = comp.block(key)
             g = psi.block(key)
             h = homotopy_solve(f, g)
@@ -874,9 +742,7 @@ def endomorphism_with_prescribed_homology(mm: MinimalModel, h_target,
     Raises ObstructionError when some level system has no solution.
     """
     op = mm.operad
-    modular = _is_modular(op)
-    keys = op.indices if modular else op.arities
-    r_hom = {key: homology(op.component(key)) for key in keys
+    r_hom = {key: homology(op.component(key)) for key in op.keys()
              if not op.component(key).is_zero()}
     prescribed = {}
     for key, hr in r_hom.items():

@@ -104,10 +104,13 @@ class ContrTable:
         if cell[row] == 0:
             del cell[row]
             if not cell:
-                del block[d]
+                del block[k]
 
     def basis_image(self, d, k):
         return self.entries.get(d, {}).get(k, {})
+
+    def is_zero(self):
+        return not any(self.entries.values())
 
     def apply(self, d, v, target_dim):
         out = [F0] * target_dim
@@ -212,11 +215,20 @@ def modular_commutation_relabel(i: int, l: int, m: int) -> Permutation:
 
 
 class _OperadCore:
-    """Shared structure of operads and modular operads."""
+    """Shared structure of operads and modular operads.
 
-    def __init__(self, module, comp, cut=None):
+    The subclasses own the key arithmetic: ``keys()`` lists the window,
+    ``legs(key)`` is the number of legs (the symmetric group acting on
+    the component), ``level(key)`` is the grading that truncations cut
+    at, ``window`` is the top level, and ``remake`` builds an operad of
+    the same kind.  An operad has no contractions (``contr_keys()`` is
+    empty), so code written against this interface serves both kinds.
+    """
+
+    def __init__(self, module, comp, contr, cut=None):
         self.module = module
         self.comp = comp
+        self.contr = contr
         self.cut = cut
         self.free = None      # free-construction data, set by builders
         self.tower = None     # principal-extension bookkeeping
@@ -245,6 +257,13 @@ class _OperadCore:
     def basis_compose(self, key1, i, key2, d1, k1, d2, k2):
         return self.comp_table(key1, i, key2).pair_image(d1, k1, d2, k2)
 
+    def is_zero(self):
+        return all(self.component(k).is_zero() for k in self.keys())
+
+    def total_dims(self):
+        return {k: dict(self.component(k).dims) for k in self.keys()
+                if not self.component(k).is_zero()}
+
 
 _EMPTY_COMP = CompTable()
 _EMPTY_CONTR = ContrTable()
@@ -256,15 +275,32 @@ class DGOperad(_OperadCore):
     kind = "operad"
 
     def __init__(self, module: SigmaModule, comp, max_arity, cut=None):
-        super().__init__(module, comp, cut)
+        super().__init__(module, comp, {}, cut)
         self.max_arity = max_arity
         for l in module.keys():
             if l < 2 or l > max_arity:
                 raise ValueError(f"arity {l} outside window [2, {max_arity}]")
 
+    def keys(self):
+        return list(range(2, self.max_arity + 1))
+
     @property
     def arities(self):
-        return [l for l in range(2, self.max_arity + 1)]
+        return self.keys()
+
+    @property
+    def window(self):
+        return self.max_arity
+
+    def legs(self, l):
+        return l
+
+    def level(self, l):
+        return l
+
+    def remake(self, actions, comp, contr, window, cut):
+        return DGOperad(SigmaModule(actions, check=False), comp, window,
+                        cut=cut)
 
     def comp_target(self, l, i, m):
         return l + m - 1
@@ -278,12 +314,8 @@ class DGOperad(_OperadCore):
                         out.append((l, i, m))
         return out
 
-    def is_zero(self):
-        return all(self.component(l).is_zero() for l in self.arities)
-
-    def total_dims(self):
-        return {l: dict(self.component(l).dims) for l in self.arities
-                if not self.component(l).is_zero()}
+    def contr_keys(self):
+        return []
 
 
 class ModularOperad(_OperadCore):
@@ -292,16 +324,32 @@ class ModularOperad(_OperadCore):
     kind = "modular"
 
     def __init__(self, module: ModularSigmaModule, comp, contr, max_dim, cut=None):
-        super().__init__(module, comp, cut)
-        self.contr = contr
+        super().__init__(module, comp, contr, cut)
         self.max_dim = max_dim
         for (g, l) in module.keys():
             if modular_dimension(g, l) > max_dim:
                 raise ValueError(f"index ({g},{l}) outside window")
 
+    def keys(self):
+        return stable_pairs_up_to(self.max_dim)
+
     @property
     def indices(self):
-        return stable_pairs_up_to(self.max_dim)
+        return self.keys()
+
+    @property
+    def window(self):
+        return self.max_dim
+
+    def legs(self, key):
+        return key[1]
+
+    def level(self, key):
+        return modular_dimension(*key)
+
+    def remake(self, actions, comp, contr, window, cut):
+        return ModularOperad(ModularSigmaModule(actions, check=False), comp,
+                             contr, window, cut=cut)
 
     def comp_target(self, key1, i, key2):
         (g, l), (h, m) = key1, key2
@@ -322,6 +370,10 @@ class ModularOperad(_OperadCore):
                     for i in range(1, l + 1):
                         out.append((key1, i, key2))
         return out
+
+    def contr_target(self, key):
+        g, l = key
+        return (g + 1, l - 2)
 
     def contr_keys(self):
         out = []
@@ -345,20 +397,11 @@ class ModularOperad(_OperadCore):
         return self.contr.get((key, i, j), _EMPTY_CONTR)
 
     def contract(self, key, i, j, d, v):
-        g, l = key
-        tkey = (g + 1, l - 2)
-        dim = self.component(tkey).dim(d)
+        dim = self.component(self.contr_target(key)).dim(d)
         return self.contr_table(key, i, j).apply(d, v, dim)
 
     def basis_contract(self, key, i, j, d, k):
         return self.contr_table(key, i, j).basis_image(d, k)
-
-    def is_zero(self):
-        return all(self.component(k).is_zero() for k in self.indices)
-
-    def total_dims(self):
-        return {k: dict(self.component(k).dims) for k in self.indices
-                if not self.component(k).is_zero()}
 
 
 # -- validation ---------------------------------------------------------------
@@ -428,8 +471,7 @@ class _Validator:
     def check_comp_equivariance_first(self, key1, i, key2, gen_index,
                                       relabel_fn):
         op = self.op
-        l = key1 if isinstance(key1, int) else key1[1]
-        sigma = Permutation.transposition(l, gen_index)
+        sigma = Permutation.transposition(op.legs(key1), gen_index)
         tkey = op.comp_target(key1, i, key2)
         c1, c2, ct = op.component(key1), op.component(key2), op.component(tkey)
         rho = relabel_fn(sigma, i)
@@ -452,8 +494,7 @@ class _Validator:
     def check_comp_equivariance_second(self, key1, i, key2, gen_index,
                                        relabel_fn):
         op = self.op
-        m = key2 if isinstance(key2, int) else key2[1]
-        tau = Permutation.transposition(m, gen_index)
+        tau = Permutation.transposition(op.legs(key2), gen_index)
         tkey = op.comp_target(key1, i, key2)
         c1, c2 = op.component(key1), op.component(key2)
         rho = relabel_fn(i, tau)
@@ -573,7 +614,7 @@ def _check_modular_contractions(v):
     op = v.op
     for (key, i, j) in op.contr_keys():
         g, l = key
-        tkey = (g + 1, l - 2)
+        tkey = op.contr_target(key)
         c, ct = op.component(key), op.component(tkey)
         # chain map
         for d, k in _basis_elements(c):
@@ -795,9 +836,8 @@ class OperadMorphism:
 
     @classmethod
     def identity(cls, op):
-        keys = op.indices if isinstance(op, ModularOperad) else op.arities
         return cls(op, op, {k: ChainMap.identity(op.component(k))
-                            for k in keys if not op.component(k).is_zero()})
+                            for k in op.keys() if not op.component(k).is_zero()})
 
     def compose(self, other):
         maps = {}
@@ -807,15 +847,12 @@ class OperadMorphism:
         return OperadMorphism(other.src, self.dst, maps)
 
     def is_iso(self):
-        keys = (self.src.indices if isinstance(self.src, ModularOperad)
-                else self.src.arities)
-        return all(self.block(k).is_iso() for k in keys)
+        return all(self.block(k).is_iso() for k in self.src.keys())
 
     def validate(self, max_report=25) -> list:
         report = []
         src, dst = self.src, self.dst
-        keys = src.indices if isinstance(src, ModularOperad) else src.arities
-        for key in keys:
+        for key in src.keys():
             f = self.block(key)
             try:
                 f.assert_chain()
@@ -824,8 +861,7 @@ class OperadMorphism:
             ga = src.group_action(key)
             n_gens = len(ga.generators) if ga else 0
             for j in range(1, n_gens + 1):
-                sigma = Permutation.transposition(
-                    key if isinstance(key, int) else key[1], j)
+                sigma = Permutation.transposition(src.legs(key), j)
                 lhs = f.compose(src.action(key, sigma))
                 rhs = dst.action(key, sigma).compose(f)
                 if lhs != rhs:
@@ -851,19 +887,17 @@ class OperadMorphism:
                     break
             if len(report) >= max_report:
                 return report
-        if isinstance(src, ModularOperad):
-            for (key, i, j) in src.contr_keys():
-                tkey = (key[0] + 1, key[1] - 2)
-                f, ft = self.block(key), self.block(tkey)
-                c = src.component(key)
-                for d, k in _basis_elements(c):
-                    vec = _unit_vec(c.dim(d), k)
-                    lhs = ft.block(d).apply(src.contract(key, i, j, d, vec))
-                    rhs = dst.contract(key, i, j, d, f.block(d).apply(vec))
-                    if not _vec_eq(lhs, rhs):
-                        report.append(
-                            f"does not commute with contraction {key} xi_({i},{j})")
-                        break
+        for (key, i, j) in src.contr_keys():
+            f, ft = self.block(key), self.block(src.contr_target(key))
+            c = src.component(key)
+            for d, k in _basis_elements(c):
+                vec = _unit_vec(c.dim(d), k)
+                lhs = ft.block(d).apply(src.contract(key, i, j, d, vec))
+                rhs = dst.contract(key, i, j, d, f.block(d).apply(vec))
+                if not _vec_eq(lhs, rhs):
+                    report.append(
+                        f"does not commute with contraction {key} xi_({i},{j})")
+                    break
         return report
 
 
@@ -872,11 +906,9 @@ def weak_equivalence_test(f: OperadMorphism):
 
     Returns (verdict, per-component homology dimension table).
     """
-    keys = (f.src.indices if isinstance(f.src, ModularOperad)
-            else f.src.arities)
     table = {}
     ok = True
-    for key in keys:
+    for key in f.src.keys():
         blk = f.block(key)
         hs, hd = homology(blk.src), homology(blk.dst)
         iso = hs.dims == hd.dims
@@ -888,6 +920,83 @@ def weak_equivalence_test(f: OperadMorphism):
                       "isomorphism": iso}
         ok = ok and iso
     return ok, table
+
+
+# -- structure transfer -------------------------------------------------------
+
+
+def transfer(op, complexes, section, project):
+    """The operad of op's kind on new component complexes, with op's
+    structure maps carried across.
+
+    ``complexes``: key -> ChainComplex, the nonzero new components;
+    ``section(key, d)``: the matrix whose columns are the new basis of
+    degree d inside op's component; ``project(key, d, m)``: the
+    coordinates in the new basis of the columns of m (vectors of op's
+    component), or None when a column lies outside that basis.  It is
+    also called for target keys and degrees outside ``complexes``, where
+    the new basis is empty, so every image is checked.  Raises
+    AssertionError when the action, a composition or a contraction
+    leaves the new complexes.
+    """
+    basis = {key: {d: section(key, d) for d in c.dims}
+             for key, c in complexes.items()}
+    vectors = {key: {d: m.columns() for d, m in per.items()}
+               for key, per in basis.items()}
+    actions = {}
+    for key, c in complexes.items():
+        n = op.legs(key)
+        ga = op.group_action(key)
+        gens = []
+        for j in range(1, n):
+            act = ga.action(Permutation.transposition(n, j))
+            blocks = {}
+            for d in c.dims:
+                blocks[d] = project(key, d, act.block(d) * basis[key][d])
+                if blocks[d] is None:
+                    raise AssertionError(f"not action-closed at {key}")
+            gens.append(ChainMap(c, c, blocks, check=False))
+        actions[key] = GroupAction(n, c, gens, check=False)
+    comp = {}
+    for trip in op.comp_keys():
+        key1, i, key2 = trip
+        if key1 not in complexes or key2 not in complexes:
+            continue
+        tkey = op.comp_target(*trip)
+        table = CompTable()
+        for d1, vs1 in vectors[key1].items():
+            for d2, vs2 in vectors[key2].items():
+                images = [op.compose(key1, i, key2, d1, v1, d2, v2)
+                          for v1 in vs1 for v2 in vs2]
+                coords = project(tkey, d1 + d2, Matrix.from_cols(
+                    images, rows=op.component(tkey).dim(d1 + d2)))
+                if coords is None:
+                    raise AssertionError(f"closure fails at {trip}")
+                for row, line in enumerate(coords.data):
+                    for col, coeff in enumerate(line):
+                        k1, k2 = divmod(col, len(vs2))
+                        table.add(d1, k1, d2, k2, row, coeff)
+        if not table.is_zero():
+            comp[trip] = table
+    contr = {}
+    for trip in op.contr_keys():
+        key, i, j = trip
+        if key not in complexes:
+            continue
+        tkey = op.contr_target(key)
+        table = ContrTable()
+        for d, vs in vectors[key].items():
+            images = [op.contract(key, i, j, d, v) for v in vs]
+            coords = project(tkey, d, Matrix.from_cols(
+                images, rows=op.component(tkey).dim(d)))
+            if coords is None:
+                raise AssertionError(f"closure fails at xi {key}")
+            for row, line in enumerate(coords.data):
+                for k, coeff in enumerate(line):
+                    table.add(d, k, row, coeff)
+        if not table.is_zero():
+            contr[trip] = table
+    return op.remake(actions, comp, contr, op.window, op.cut)
 
 
 # -- homology operad ----------------------------------------------------------
@@ -909,105 +1018,38 @@ class HomologyTransfer:
 
 
 def homology_operad(op) -> HomologyTransfer:
-    """The operad H(P): zero differentials, induced structure maps."""
-    modular = isinstance(op, ModularOperad)
-    keys = op.indices if modular else op.arities
-    records = {}
-    actions = {}
-    for key in keys:
-        c = op.component(key)
-        rec = homology(c)
-        records[key] = rec
-        hc = rec.homology_complex()
-        if hc.is_zero():
-            continue
-        n = key if isinstance(key, int) else key[1]
-        gens = []
-        ga = op.group_action(key)
-        for j in range(1, n):
-            sigma = Permutation.transposition(n, j)
-            blocks = induced_map(ga.action(sigma), rec, rec)
-            gens.append(ChainMap(hc, hc, blocks, check=False))
-        actions[key] = GroupAction(n, hc, gens, check=False)
-    module = (ModularSigmaModule(actions, check=False) if modular
-              else SigmaModule(actions, check=False))
-    comp = {}
-    for (key1, i, key2) in op.comp_keys():
-        tkey = op.comp_target(key1, i, key2)
-        if key1 not in records or key2 not in records or tkey not in records:
-            continue
-        r1, r2, rt = records[key1], records[key2], records[tkey]
-        table = CompTable()
-        for d1 in r1.dims:
-            for d2 in r2.dims:
-                for k1 in range(r1.dim(d1)):
-                    rep1 = r1.rep_matrix(d1).col(k1)
-                    for k2 in range(r2.dim(d2)):
-                        rep2 = r2.rep_matrix(d2).col(k2)
-                        img = op.compose(key1, i, key2, d1, rep1, d2, rep2)
-                        cls = rt.classify(d1 + d2, img)
-                        if cls is None:
-                            raise AssertionError(
-                                "composition of cycles is not a cycle")
-                        for row, coeff in enumerate(cls):
-                            table.add(d1, k1, d2, k2, row, coeff)
-        if not table.is_zero():
-            comp[(key1, i, key2)] = table
-    if modular:
-        contr = {}
-        for (key, i, j) in op.contr_keys():
-            tkey = (key[0] + 1, key[1] - 2)
-            if key not in records or tkey not in records:
-                continue
-            r, rt = records[key], records[tkey]
-            table = ContrTable()
-            for d in r.dims:
-                for k in range(r.dim(d)):
-                    rep = r.rep_matrix(d).col(k)
-                    img = op.contract(key, i, j, d, rep)
-                    cls = rt.classify(d, img)
-                    if cls is None:
-                        raise AssertionError(
-                            "contraction of a cycle is not a cycle")
-                    for row, coeff in enumerate(cls):
-                        table.add(d, k, row, coeff)
-            if table.entries:
-                contr[(key, i, j)] = table
-        hop = ModularOperad(module, comp, contr, op.max_dim, cut=op.cut)
-    else:
-        hop = DGOperad(module, comp, op.max_arity, cut=op.cut)
+    """The operad H(P): zero differentials, induced structure maps.
+
+    Raises AssertionError when a structure map sends cycles to a
+    non-cycle."""
+    records = {key: homology(op.component(key)) for key in op.keys()}
+
+    def classify(key, d, m):
+        cols = [records[key].classify(d, v) for v in m.columns()]
+        if None in cols:
+            return None
+        return Matrix.from_cols(cols, rows=records[key].dim(d))
+
+    hop = transfer(op, {key: rec.homology_complex()
+                        for key, rec in records.items() if rec.dims},
+                   lambda key, d: records[key].rep_matrix(d), classify)
     return HomologyTransfer(hop, records)
 
 
 # -- truncations --------------------------------------------------------------
 
 
-def _keys_within(op, n):
-    if isinstance(op, ModularOperad):
-        return [k for k in op.indices if modular_dimension(*k) <= n]
-    return [k for k in op.arities if k <= n]
-
-
-def level(op, key):
-    return modular_dimension(*key) if isinstance(op, ModularOperad) else key
-
-
 def truncate(op, n):
     """t_n: restrict to levels <= n (arity, resp. modular dimension)."""
-    keys = set(_keys_within(op, n))
+    keys = {k for k in op.keys() if op.level(k) <= n}
     module_components = {k: ga for k, ga in op.module.components.items()
                          if k in keys}
     comp = {trip: t for trip, t in op.comp.items()
             if trip[0] in keys and trip[2] in keys
             and op.comp_target(*trip) in keys}
-    if isinstance(op, ModularOperad):
-        contr = {trip: t for trip, t in op.contr.items()
-                 if trip[0] in keys
-                 and (trip[0][0] + 1, trip[0][1] - 2) in keys}
-        return ModularOperad(ModularSigmaModule(module_components, check=False),
-                             comp, contr, max_dim=n, cut=n)
-    return DGOperad(SigmaModule(module_components, check=False), comp,
-                    max_arity=n, cut=n)
+    contr = {trip: t for trip, t in op.contr.items()
+             if trip[0] in keys and op.contr_target(trip[0]) in keys}
+    return op.remake(module_components, comp, contr, n, n)
 
 
 def extend_by_zero(op, window=None):
@@ -1015,10 +1057,8 @@ def extend_by_zero(op, window=None):
     if op.cut is None:
         raise ValueError("extend_by_zero expects a truncated operad")
     window = window if window is not None else op.cut
-    if isinstance(op, ModularOperad):
-        return ModularOperad(op.module, dict(op.comp), dict(op.contr),
-                             max_dim=window, cut=None)
-    return DGOperad(op.module, dict(op.comp), max_arity=window, cut=None)
+    return op.remake(op.module.components, dict(op.comp), dict(op.contr),
+                     window, None)
 
 
 # -- ideals and quotients -----------------------------------------------------
@@ -1060,8 +1100,6 @@ def ideal_closure(op, seeds) -> OperadIdeal:
     under the differential, the symmetric-group action, compositions on
     both sides and (modular case) contractions, until ranks stabilize.
     """
-    modular = isinstance(op, ModularOperad)
-    keys = op.indices if modular else op.arities
     spans = {}
     frontier = []
     for key, per_degree in seeds.items():
@@ -1078,7 +1116,7 @@ def ideal_closure(op, seeds) -> OperadIdeal:
     while frontier:
         key, degree, vec = frontier.pop()
         c = op.component(key)
-        n = key if isinstance(key, int) else key[1]
+        n = op.legs(key)
         produced = []
         dvec = c.d(degree).apply(vec)
         produced.append((key, degree - 1, dvec))
@@ -1103,12 +1141,10 @@ def ideal_closure(op, seeds) -> OperadIdeal:
                     produced.append((tkey, degree + d1,
                                      op.compose(key1, i, key2, d1, e1,
                                                 degree, vec)))
-        if modular:
-            g, l = key
-            for (ckey, i, j) in op.contr_keys():
-                if ckey == key:
-                    produced.append(((g + 1, l - 2), degree,
-                                     op.contract(key, i, j, degree, vec)))
+        for (ckey, i, j) in op.contr_keys():
+            if ckey == key:
+                produced.append((op.contr_target(key), degree,
+                                 op.contract(key, i, j, degree, vec)))
         for (tkey, tdeg, tvec) in produced:
             if not tvec or all(x == 0 for x in tvec):
                 continue
@@ -1122,8 +1158,6 @@ def ideal_closure(op, seeds) -> OperadIdeal:
 def validate_ideal(ideal: OperadIdeal, max_report=25) -> list:
     """Closure of the spans under d, the action, products and xi."""
     op = ideal.operad
-    modular = isinstance(op, ModularOperad)
-    keys = op.indices if modular else op.arities
     report = []
 
     def inside(key, degree, vec):
@@ -1131,9 +1165,9 @@ def validate_ideal(ideal: OperadIdeal, max_report=25) -> list:
             return True
         return ideal.subspace(key, degree).contains(vec)
 
-    for key in keys:
+    for key in op.keys():
         c = op.component(key)
-        n = key if isinstance(key, int) else key[1]
+        n = op.legs(key)
         for degree in sorted(c.dims):
             sub = ideal.subspace(key, degree)
             for jcol in range(sub.dim):
@@ -1169,16 +1203,15 @@ def validate_ideal(ideal: OperadIdeal, max_report=25) -> list:
                         report.append(f"ideal not closed under o_i at {trip}")
         if len(report) >= max_report:
             return report
-    if modular:
-        for (key, i, j) in op.contr_keys():
-            tkey = (key[0] + 1, key[1] - 2)
-            for degree in sorted(op.component(key).dims):
-                sub = ideal.subspace(key, degree)
-                for jcol in range(sub.dim):
-                    vec = sub.basis.col(jcol)
-                    if not inside(tkey, degree,
-                                  op.contract(key, i, j, degree, vec)):
-                        report.append(f"ideal not xi-stable at {key}")
+    for (key, i, j) in op.contr_keys():
+        tkey = op.contr_target(key)
+        for degree in sorted(op.component(key).dims):
+            sub = ideal.subspace(key, degree)
+            for jcol in range(sub.dim):
+                vec = sub.basis.col(jcol)
+                if not inside(tkey, degree,
+                              op.contract(key, i, j, degree, vec)):
+                    report.append(f"ideal not xi-stable at {key}")
     return report
 
 
@@ -1190,90 +1223,26 @@ def quotient(op, ideal: OperadIdeal):
     bad = validate_ideal(ideal)
     if bad:
         raise ValueError("not an ideal: " + "; ".join(bad[:3]))
-    modular = isinstance(op, ModularOperad)
-    keys = op.indices if modular else op.arities
-    projs, sections = {}, {}
-    new_actions = {}
-    for key in keys:
+    projs, sections, complexes = {}, {}, {}
+    for key in op.keys():
         c = op.component(key)
-        if c.is_zero():
-            continue
-        pj, sec, dims = {}, {}, {}
+        pj, sec = {}, {}
         for degree in c.dims:
             p, s = ideal.subspace(key, degree).complement_projection()
             if p.rows:
-                pj[degree] = p
-                sec[degree] = s
-                dims[degree] = p.rows
-        if not dims:
+                pj[degree], sec[degree] = p, s
+        if not pj:
             continue
-        diff = {}
-        for degree in dims:
-            if degree - 1 in dims:
-                diff[degree] = pj[degree - 1] * c.d(degree) * sec[degree]
-        qc = ChainComplex(dims, diff)
-        n = key if isinstance(key, int) else key[1]
-        gens = []
-        ga = op.group_action(key)
-        for j in range(1, n):
-            sigma = Permutation.transposition(n, j)
-            act = ga.action(sigma)
-            gens.append(ChainMap(qc, qc, {
-                d: pj[d] * act.block(d) * sec[d] for d in dims}, check=False))
-        new_actions[key] = GroupAction(n, qc, gens, check=False)
-        projs[key] = pj
-        sections[key] = sec
-    comp = {}
-    for trip in op.comp_keys():
-        key1, i, key2 = trip
-        tkey = op.comp_target(*trip)
-        if key1 not in new_actions or key2 not in new_actions \
-                or tkey not in projs:
-            continue
-        c1q = new_actions[key1].complex
-        c2q = new_actions[key2].complex
-        table = CompTable()
-        for d1 in c1q.dims:
-            for d2 in c2q.dims:
-                if d1 + d2 not in projs[tkey]:
-                    continue
-                for k1 in range(c1q.dim(d1)):
-                    v1 = sections[key1][d1].col(k1)
-                    for k2 in range(c2q.dim(d2)):
-                        v2 = sections[key2][d2].col(k2)
-                        img = op.compose(key1, i, key2, d1, v1, d2, v2)
-                        out = projs[tkey][d1 + d2].apply(img)
-                        for row, coeff in enumerate(out):
-                            table.add(d1, k1, d2, k2, row, coeff)
-        if not table.is_zero():
-            comp[trip] = table
-    morphism_maps = {}
-    for key in projs:
-        src_c = op.component(key)
-        dst_c = new_actions[key].complex
-        morphism_maps[key] = ChainMap(src_c, dst_c, projs[key], check=False)
-    if modular:
-        contr = {}
-        for (key, i, j) in op.contr_keys():
-            tkey = (key[0] + 1, key[1] - 2)
-            if key not in projs or tkey not in projs:
-                continue
-            table = ContrTable()
-            cq = new_actions[key].complex
-            for d in cq.dims:
-                if d not in projs[tkey]:
-                    continue
-                for k in range(cq.dim(d)):
-                    vec = sections[key][d].col(k)
-                    out = projs[tkey][d].apply(op.contract(key, i, j, d, vec))
-                    for row, coeff in enumerate(out):
-                        table.add(d, k, row, coeff)
-            if table.entries:
-                contr[(key, i, j)] = table
-        q = ModularOperad(ModularSigmaModule(new_actions, check=False),
-                          comp, contr, op.max_dim, cut=op.cut)
-    else:
-        q = DGOperad(SigmaModule(new_actions, check=False), comp,
-                     op.max_arity, cut=op.cut)
-    proj_morphism = OperadMorphism(op, q, morphism_maps)
-    return q, proj_morphism
+        complexes[key] = ChainComplex(
+            {d: p.rows for d, p in pj.items()},
+            {d: pj[d - 1] * c.d(d) * sec[d] for d in pj if d - 1 in pj})
+        projs[key], sections[key] = pj, sec
+
+    def project(key, d, m):
+        p = projs.get(key, {}).get(d)
+        return Matrix.zeros(0, m.cols) if p is None else p * m
+
+    q = transfer(op, complexes, lambda key, d: sections[key][d], project)
+    return q, OperadMorphism(op, q, {
+        key: ChainMap(op.component(key), complexes[key], projs[key],
+                      check=False) for key in projs})

@@ -32,10 +32,9 @@ from .minimal import (
     minimal_model,
 )
 from .operad import (
-    DGOperad,
-    ModularOperad,
     OperadMorphism,
     homology_operad,
+    transfer,
     weak_equivalence_test,
 )
 from .qlinalg import (
@@ -43,7 +42,6 @@ from .qlinalg import (
     Matrix,
     Subspace,
     rational_eigen_split,
-    solve,
     solve_matrix,
 )
 
@@ -180,9 +178,8 @@ def grading_automorphism(c: ChainComplex, alpha) -> ChainMap:
 
 def operad_grading_automorphism(op, alpha) -> OperadMorphism:
     """The grading automorphism of an operad with zero differentials."""
-    keys = op.indices if isinstance(op, ModularOperad) else op.arities
     maps = {}
-    for key in keys:
+    for key in op.keys():
         comp = op.component(key)
         if comp.is_zero():
             continue
@@ -203,8 +200,7 @@ class PureEndomorphism:
 def _component_items(p, f):
     if isinstance(f, ChainMap):
         return [(None, p, f)]
-    keys = p.indices if isinstance(p, ModularOperad) else p.arities
-    return [(key, p.component(key), f.block(key)) for key in keys
+    return [(key, p.component(key), f.block(key)) for key in p.keys()
             if not p.component(key).is_zero()]
 
 
@@ -378,121 +374,30 @@ def _suboperad_from_components(p, components):
     ``components``: key -> dict degree -> ambient basis Matrix.
     Returns (operad, inclusion morphism).
     """
-    from .operad import CompTable, ContrTable
-    from .sigma import GroupAction, ModularSigmaModule, Permutation, SigmaModule
-    modular = isinstance(p, ModularOperad)
-    keys = p.indices if modular else p.arities
+    bases = {key: {d: m for d, m in basis.items() if m.cols}
+             for key, basis in components.items()}
+    bases = {key: basis for key, basis in bases.items() if basis}
+
+    def project(key, d, m):
+        basis = bases.get(key, {}).get(d)
+        if basis is None:
+            return Matrix.zeros(0, m.cols) if m.is_zero() else None
+        return solve_matrix(basis, m)
+
     complexes = {}
-    incl_blocks = {}
-    for key, basis in components.items():
-        dims = {d: m.cols for d, m in basis.items() if m.cols}
-        if not dims:
-            continue
+    for key, basis in bases.items():
         diff = {}
-        for d in dims:
-            if d - 1 in dims:
-                sol = solve_matrix(basis[d - 1],
-                                   p.component(key).d(d) * basis[d])
-                if sol is None:
-                    raise AssertionError(
-                        f"candidate suboperad not d-closed at {key}")
-                diff[d] = sol
-        complexes[key] = (ChainComplex(dims, diff), basis)
-    actions = {}
-    for key, (sub, basis) in complexes.items():
-        n = key[1] if isinstance(key, tuple) else key
-        gens = []
-        ga = p.group_action(key)
-        for j in range(1, n):
-            sigma = Permutation.transposition(n, j)
-            act = ga.action(sigma)
-            blocks = {}
-            for d in sub.dims:
-                sol = solve_matrix(basis[d], act.block(d) * basis[d])
-                if sol is None:
-                    raise AssertionError(
-                        f"candidate suboperad not action-closed at {key}")
-                blocks[d] = sol
-            gens.append(ChainMap(sub, sub, blocks, check=False))
-        actions[key] = GroupAction(n, sub, gens, check=False)
-    comp = {}
-    for trip in p.comp_keys():
-        key1, i, key2 = trip
-        tkey = p.comp_target(*trip)
-        if key1 not in complexes or key2 not in complexes \
-                or tkey not in complexes:
-            # compositions into a vanished component must vanish
-            if key1 in complexes and key2 in complexes:
-                c1, b1 = complexes[key1]
-                c2, b2 = complexes[key2]
-                for d1 in c1.dims:
-                    for k1 in range(c1.dim(d1)):
-                        for d2 in c2.dims:
-                            for k2 in range(c2.dim(d2)):
-                                img = p.compose(key1, i, key2, d1,
-                                                b1[d1].col(k1), d2,
-                                                b2[d2].col(k2))
-                                if any(x != 0 for x in img):
-                                    raise AssertionError(
-                                        "suboperad closure fails "
-                                        f"at {trip}")
-            continue
-        c1, b1 = complexes[key1]
-        c2, b2 = complexes[key2]
-        ct, bt = complexes[tkey]
-        table = CompTable()
-        for d1 in c1.dims:
-            for k1 in range(c1.dim(d1)):
-                v1 = b1[d1].col(k1)
-                for d2 in c2.dims:
-                    for k2 in range(c2.dim(d2)):
-                        v2 = b2[d2].col(k2)
-                        img = p.compose(key1, i, key2, d1, v1, d2, v2)
-                        if all(x == 0 for x in img):
-                            continue
-                        if d1 + d2 not in bt:
-                            raise AssertionError(
-                                f"suboperad closure fails at {trip}")
-                        sol = solve(bt[d1 + d2], img)
-                        if sol is None:
-                            raise AssertionError(
-                                f"suboperad closure fails at {trip}")
-                        for row, coeff in enumerate(sol):
-                            table.add(d1, k1, d2, k2, row, coeff)
-        if not table.is_zero():
-            comp[trip] = table
-    if modular:
-        contr = {}
-        for (key, i, j) in p.contr_keys():
-            tkey = (key[0] + 1, key[1] - 2)
-            if key not in complexes:
-                continue
-            c1, b1 = complexes[key]
-            table = ContrTable()
-            for d in c1.dims:
-                for k in range(c1.dim(d)):
-                    img = p.contract(key, i, j, d, b1[d].col(k))
-                    if all(x == 0 for x in img):
-                        continue
-                    if tkey not in complexes or d not in complexes[tkey][1]:
-                        raise AssertionError(
-                            f"suboperad closure fails at xi {key}")
-                    sol = solve(complexes[tkey][1][d], img)
-                    if sol is None:
-                        raise AssertionError(
-                            f"suboperad closure fails at xi {key}")
-                    for row, coeff in enumerate(sol):
-                        table.add(d, k, row, coeff)
-            if table.entries:
-                contr[(key, i, j)] = table
-        sub_op = ModularOperad(ModularSigmaModule(actions, check=False),
-                               comp, contr, p.max_dim, cut=p.cut)
-    else:
-        sub_op = DGOperad(SigmaModule(actions, check=False), comp,
-                          p.max_arity, cut=p.cut)
+        for d, m in basis.items():
+            diff[d] = project(key, d - 1, p.component(key).d(d) * m)
+            if diff[d] is None:
+                raise AssertionError(
+                    f"candidate suboperad not d-closed at {key}")
+        complexes[key] = ChainComplex({d: m.cols for d, m in basis.items()},
+                                      diff)
+    sub_op = transfer(p, complexes, lambda key, d: bases[key][d], project)
     incl = OperadMorphism(sub_op, p, {
-        key: ChainMap(complexes[key][0], p.component(key),
-                      complexes[key][1], check=False)
+        key: ChainMap(complexes[key], p.component(key), bases[key],
+                      check=False)
         for key in complexes})
     return sub_op, incl
 
@@ -506,11 +411,9 @@ def formality_witness_from_pure(p, f: OperadMorphism,
     an upstream bug), and both arrows are certified weak equivalences.
     """
     purity_check(p, f, w)
-    modular = isinstance(p, ModularOperad)
-    keys = p.indices if modular else p.arities
     components = {}
     projections = {}
-    for key in keys:
+    for key in p.keys():
         comp = p.component(key)
         if comp.is_zero():
             continue
@@ -558,10 +461,8 @@ def formality_check(p, up_to=None, alpha=Fraction(2), seed=0):
     w = WeightFunction(Fraction(alpha))
     mm = minimal_model(p, up_to, seed=seed)
     m_op = mm.operad
-    modular = isinstance(m_op, ModularOperad)
-    keys = m_op.indices if modular else m_op.arities
     h_target = {}
-    for key in keys:
+    for key in m_op.keys():
         comp = m_op.component(key)
         if comp.is_zero():
             continue

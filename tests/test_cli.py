@@ -94,6 +94,67 @@ def test_malformed_document_exit_2_without_traceback(mutate, tmp_path):
         assert "Traceback" not in stderr
 
 
+def _truncated(cut):
+    """Mutation of an operad document: make it truncated at cut."""
+    def mutate(payload):
+        payload["kind"] = "truncated"
+        payload["truncation_cut"] = cut
+    return mutate
+
+
+COM, ENDO = "commutative_window3.json", "endomorphism_dim1.json"
+CELL = ("compositions", 0, "blocks", "0,0", "0,0")
+
+
+@pytest.mark.parametrize("name,mutate", [
+    # these raised a traceback
+    (COM, _set(("compositions",), None)),
+    (ENDO, _set(("contractions",), None)),
+    (COM, _set(("compositions", 0), [[2, 1, 2], {}])),
+    (COM, _set(("compositions", 0, "blocks"), [])),
+    (COM, _set(("compositions", 0, "blocks", "0,0"), [])),
+    (COM, _set(CELL, "0")),
+    (ENDO, _set(("contractions", 0, "blocks", "0", "0"), [5])),
+    (COM, _set(("compositions", 0, "source", 1), "1")),
+    (COM, _set(("compositions", 0, "source", 0), "2")),
+    (ENDO, _set(("compositions", 0, "source", 0), ["0", 3])),
+    (COM, _set(("window", "max_arity"), "3")),
+    (ENDO, _set(("window", "max_dim"), "1")),
+    # these ended with a bare "error:" line
+    (COM, _set(("compositions", 0, "blocks"), {"0,x": {"0,0": [[0, "1"]]}})),
+    (ENDO, _set(("contractions", 0, "blocks"), {"x": {"0": [[0, "1"]]}})),
+    (COM, _set(CELL, [["x", "1"]])),
+    (COM, _set(CELL, [[0, "1", 5]])),
+    (COM, _set(("window", "max_arity"), 2)),
+    (ENDO, _set(("window", "max_dim"), 0)),
+    # these were accepted
+    (COM, _set(CELL, [[-1, "1"]])),
+    (COM, _set(CELL, [[0.5, "1"]])),
+    (COM, _set(("compositions", 0, "blocks", "0,0"), {"-1,0": [[0, "1"]]})),
+    (ENDO, _set(("contractions", 0, "blocks", "0"), {"-1": [[0, "1"]]})),
+    (COM, _truncated("3")),
+], ids=["null-compositions", "null-contractions", "list-entry", "list-blocks",
+        "list-block", "string-cell", "non-list-pair", "string-slot",
+        "string-source-key", "string-modular-key", "string-max-arity",
+        "string-max-dim", "bad-degree-key", "bad-contraction-degree",
+        "string-row", "three-element-pair", "window-below-component",
+        "modular-window-below-component", "negative-row", "float-row",
+        "negative-basis-index", "negative-contraction-index",
+        "string-truncation-cut"])
+def test_malformed_tables_exit_2_without_traceback(name, mutate, tmp_path):
+    with open(fx(name)) as fh:
+        payload = json.load(fh)
+    mutate(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    for command in ("validate", "homology"):
+        run = run_cli(command, str(bad))
+        stderr = run.stderr.decode()
+        assert run.returncode == 2, (command, stderr)
+        assert "malformed input" in stderr
+        assert "Traceback" not in stderr
+
+
 @pytest.mark.parametrize("args", [
     ["alt-check", "--dim", "-1"],
     ["check-formality", fx("commutative_window3.json"), "--alpha", "1/0"],

@@ -1,8 +1,11 @@
+import hashlib
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
 
+from operad_forge import document
 from operad_forge.chain import ChainComplex, ChainMap, homology_dims
 from operad_forge.free import (
     FreeOperadBuilder,
@@ -14,6 +17,7 @@ from operad_forge.free import (
 )
 from operad_forge.operad import (
     CompTable,
+    ContrTable,
     DGOperad,
     ModularOperad,
     OperadIdeal,
@@ -42,6 +46,7 @@ from operad_forge.trees import (
     graph_space,
     tree_space,
 )
+from operad_forge.weight import formality_check
 
 from fixtures_ops import (
     acyclic_operad,
@@ -421,3 +426,96 @@ class TestGenusBearingGenerators:
         assert op.component((0, 6)).dims == {0: 105}
         assert op.component((2, 0)).dims == {0: 2, 1: 1}
         assert validate(op) == []
+
+
+class TestContrTable:
+    def test_cancelled_cell_keeps_other_images(self):
+        table = ContrTable()
+        table.add(0, 0, 0, 1)
+        table.add(0, 1, 0, 2)
+        table.add(0, 1, 0, -2)
+        assert table.basis_image(0, 0) == {0: 1}
+        assert table.basis_image(0, 1) == {}
+
+    def test_cancelled_cell_in_fresh_block(self):
+        table = ContrTable()
+        table.add(2, 0, 0, 1)
+        table.add(2, 0, 0, -1)
+        assert table.basis_image(2, 0) == {}
+        assert table.is_zero()
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def _fixture(name):
+    return document.load(os.path.join(FIXTURES, name))[0]
+
+
+def _digest(doc):
+    return hashlib.sha256(document.dumps(doc).encode()).hexdigest()
+
+
+class TestTransferredOutputsPinned:
+    """sha256 of the canonical documents of operads whose structure maps
+    are carried onto new complexes (homology, quotients, sub-operads),
+    as computed before those three constructions shared one routine."""
+
+    @pytest.mark.parametrize("name,digest", [
+        ("free_binary_window3.json",
+         "5f6276a49555051dd8f592a5e16122ae56e147e83a4ba779ed47b100267f1784"),
+        ("endomorphism_dim1.json",
+         "bbfa46a66c2056a6bb5cf755dd329456df1706c23865c84c4252f78f7d6f5bcf"),
+        ("commutative_window3.json",
+         "0db2b4166c39f3e6f2c3ce19cd11ef8b5131b3dc5a77251166a814729011f4a5"),
+    ])
+    def test_homology_operad(self, name, digest):
+        hop = homology_operad(_fixture(name)).operad
+        assert _digest(document.to_document(hop)) == digest
+
+    @pytest.mark.parametrize("name,cut,window,digest", [
+        ("free_binary_window3.json", 2, 4,
+         "82e3c2e2a2e714bac5aac7ee691046b5de931e6949722d96c18fd0594c42dccf"),
+        ("commutative_window3.json", 3, 4,
+         "83397d388ee2d02b7e36db8370af38714360274b8276bc29fd7010d0c5dce2c8"),
+        ("endomorphism_dim1.json", 1, 2,
+         "3133865940c167a73343024a3092fafc1bafc8d00dc6d633b611cd7c51537b93"),
+    ])
+    def test_free_extension_quotient(self, name, cut, window, digest):
+        ext = extend_freely(truncate(_fixture(name), cut), window)
+        assert _digest(document.to_document(ext)) == digest
+
+    @pytest.mark.parametrize("name,digest", [
+        ("commutative_window3.json",
+         "510b534cb8e11854a12f2d46489e7b66af6a71413d8da48d4febc904d87b411d"),
+        ("endomorphism_dim1.json",
+         "db22ef463a9a11df2033119b5655b976938a2b898db74e2f44a0b16b58974492"),
+    ])
+    def test_formality_witness(self, name, digest):
+        witness = formality_check(_fixture(name))
+        assert _digest(document.witness_to_document(witness, 2)) == digest
+
+
+def genus_one_module():
+    return ModularSigmaModule({
+        (0, 3): GroupAction.trivial(3, ChainComplex({0: 1})),
+        (1, 1): GroupAction.trivial(1, ChainComplex({0: 1}))})
+
+
+class TestCorollaSummand:
+    def test_tree_corolla(self):
+        builder = free_operad(trivial_module({2: {0: 1}, 3: {0: 1}}), 4).free
+        for n in (2, 3):
+            s = builder.corolla_summand(n)
+            assert len(builder.summands[n][s][0].vertices()) == 1
+        assert builder.corolla_summand(4) is None
+
+    def test_graph_corolla_is_not_the_loop(self):
+        builder = free_modular_operad(genus_one_module(), 1).free
+        # (1, 1) holds the (0, 3) vertex with a loop, and the corolla
+        assert [builder.vertex_types((1, 1), s)
+                for s in range(len(builder.summands[(1, 1)]))] \
+            == [[(0, 3)], [(1, 1)]]
+        assert builder.corolla_summand((1, 1)) == 1
+        assert builder.corolla_summand((0, 3)) == 0
+        assert builder.corolla_summand((0, 4)) is None

@@ -12,6 +12,7 @@ from operad_forge.weight import (
     FormalityWitness,
     PurityError,
     WeightFunction,
+    _suboperad_from_components,
     formality_check,
     formality_witness_from_pure,
     grading_automorphism,
@@ -259,6 +260,17 @@ class TestFormalityCheck:
         wit = formality_check(E, up_to=1, alpha=2)
         assert wit is not None and wit.verify()
 
+    def test_generators_in_genus_zero_and_one(self):
+        # the (1, 1) component also holds the looped (0, 3) vertex; the
+        # lift must solve for the (1, 1) corolla, not for that graph
+        from operad_forge.free import free_modular_operad
+        from operad_forge.sigma import ModularSigmaModule
+        op = free_modular_operad(ModularSigmaModule({
+            (0, 3): GroupAction.trivial(3, ChainComplex({0: 1})),
+            (1, 1): GroupAction.trivial(1, ChainComplex({0: 1}))}), 1)
+        wit = formality_check(op, alpha=2)
+        assert wit is not None and wit.verify()
+
     def test_obstructed_fixture_is_inconclusive(self):
         # minimal operad with an odd binary generator and the ternary
         # generator killing the symmetrized double composite: every
@@ -273,3 +285,66 @@ class TestFormalityCheck:
         com = commutative_style_operad(3)
         wit = formality_check(com, up_to=3, alpha=2, seed=4)
         assert wit is not None and wit.verify()
+
+
+class TestSuboperadRejects:
+    """_suboperad_from_components refuses a candidate that is not closed
+    under one of the structure maps."""
+
+    @staticmethod
+    def _full(op, keys):
+        return {k: {d: Matrix.identity(n)
+                    for d, n in op.component(k).dims.items()} for k in keys}
+
+    def test_not_closed_under_d(self):
+        from fixtures_ops import one_dim_operad_with_acyclic_component
+        op = one_dim_operad_with_acyclic_component()
+        # d(top) = e_1, but degree 0 keeps only e_0
+        cand = self._full(op, [3])
+        cand[2] = {1: Matrix.from_rows([[1]]),
+                   0: Matrix.from_rows([[1], [0]])}
+        with pytest.raises(AssertionError, match="not d-closed"):
+            _suboperad_from_components(op, cand)
+
+    def test_d_into_a_missing_degree(self):
+        from fixtures_ops import one_dim_operad_with_acyclic_component
+        op = one_dim_operad_with_acyclic_component()
+        # d(top) = e_1 is nonzero, and the candidate has no degree 0
+        cand = self._full(op, [3])
+        cand[2] = {1: Matrix.from_rows([[1]])}
+        with pytest.raises(AssertionError, match="not d-closed"):
+            _suboperad_from_components(op, cand)
+
+    def test_not_action_closed(self):
+        c = ChainComplex({0: 2})
+        swap = ChainMap(c, c, {0: Matrix.from_rows([[0, 1], [1, 0]])})
+        op = free_operad(SigmaModule({2: GroupAction(2, c, [swap])}), 3)
+        cand = {2: {0: Matrix.from_rows([[1], [0]])}}
+        with pytest.raises(AssertionError, match="not action-closed"):
+            _suboperad_from_components(op, cand)
+
+    def test_composition_leaves_span(self):
+        op = free_operad(SigmaModule(
+            {2: GroupAction.trivial(2, ChainComplex({0: 1}))}), 3)
+        # the sum of the three binary trees is Sigma_3-stable, but a
+        # single composite is one tree
+        assert op.component(3).dims == {0: 3}
+        cand = self._full(op, [2])
+        cand[3] = {0: Matrix.from_rows([[1], [1], [1]])}
+        with pytest.raises(AssertionError, match=r"closure fails at \(2, 1, 2\)"):
+            _suboperad_from_components(op, cand)
+
+    def test_composition_into_vanished_component(self):
+        op = free_operad(SigmaModule(
+            {2: GroupAction.trivial(2, ChainComplex({0: 1}))}), 3)
+        with pytest.raises(AssertionError, match=r"closure fails at \(2, 1, 2\)"):
+            _suboperad_from_components(op, self._full(op, [2]))
+
+    def test_contraction_leaves_span(self):
+        E = endomorphism_modular_operad(ChainComplex({0: 2}),
+                                        Matrix.identity(2), 1)
+        cand = self._full(E, [(0, 3), (0, 4)])
+        # xi(v1 v2 v3) = <v1, v2> v3 reaches all of V, not only e_1
+        cand[(1, 1)] = {0: Matrix.from_rows([[1], [0]])}
+        with pytest.raises(AssertionError, match="closure fails at xi"):
+            _suboperad_from_components(E, cand)
