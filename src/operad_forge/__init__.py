@@ -33,6 +33,7 @@ from .chain import (
     is_weak_equivalence,
     mapping_cone,
     shift,
+    subcomplex,
     tensor,
     tensor_data,
     tensor_symmetry,

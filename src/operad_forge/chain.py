@@ -340,34 +340,32 @@ def mapping_cone(eta: ChainMap):
     return cone, incl, proj
 
 
+def subcomplex(c: ChainComplex, bases):
+    """The subcomplex of c spanned in each degree d by the independent
+    columns of the ambient matrix ``bases[d]``; empty ones are dropped.
+
+    Returns (subcomplex, inclusion).  Raises AssertionError when d
+    leaves the span, into a present degree or an absent one.
+    """
+    bases = {d: m for d, m in bases.items() if m.cols}
+    diff = {}
+    for d, m in bases.items():
+        prev = bases.get(d - 1, Matrix.zeros(c.dim(d - 1), 0))
+        diff[d] = solve_matrix(prev, c.d(d) * m)
+        if diff[d] is None:
+            raise AssertionError(f"span is not d-closed at degree {d}")
+    sub = ChainComplex({d: m.cols for d, m in bases.items()}, diff)
+    return sub, ChainMap(sub, c, bases)
+
+
 def canonical_truncation(c: ChainComplex, n: int):
     """Subcomplex: cycles in degree n, everything above, zero below.
 
     Returns (truncated complex, inclusion).
     """
-    z = kernel(c.d(n))
-    dims = {i: d for i, d in c.dims.items() if i > n}
-    if z.dim:
-        dims[n] = z.dim
-    diff = {}
-    blocks = {}
-    for i, d in dims.items():
-        if i > n:
-            blocks[i] = Matrix.identity(d)
-        else:
-            blocks[i] = z.basis
-    for i in dims:
-        if i - 1 in dims:
-            if i - 1 == n:
-                m = solve_matrix(z.basis, c.d(i) * blocks[i])
-                if m is None:
-                    raise AssertionError("differential does not land in cycles")
-                diff[i] = m
-            else:
-                diff[i] = c.d(i)
-    trunc = ChainComplex(dims, diff)
-    incl = ChainMap(trunc, c, blocks)
-    return trunc, incl
+    bases = {i: Matrix.identity(d) for i, d in c.dims.items() if i > n}
+    bases[n] = kernel(c.d(n)).basis
+    return subcomplex(c, bases)
 
 
 def direct_sum(complexes):

@@ -368,11 +368,13 @@ def alt(chain: CubicChain) -> CubicChain:
     n = chain.dim
     if n <= 1:
         return chain
-    total = None
+    out = {}
     for sigma in all_permutations(n):
-        term = act(chain, sigma).scale(sigma.sign())
-        total = term if total is None else total + term
-    return total.scale(Fraction(1, factorial(n)))
+        sign = sigma.sign()
+        for cube, coeff in chain.coeffs.items():
+            newcube, sgn = chain.space.act(cube, sigma)
+            out[newcube] = out.get(newcube, F0) + sign * sgn * coeff
+    return CubicChain(chain.space, n, out).scale(Fraction(1, factorial(n)))
 
 
 def kappa(cx: CubicChain, cy: CubicChain, product=None) -> CubicChain:

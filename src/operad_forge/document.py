@@ -360,12 +360,14 @@ def from_document(doc):
     _check_table_indices(op)
     if "endomorphism" in doc:
         endo = {}
-        for key_s, blocks in doc["endomorphism"].items():
+        for key_s, blocks in _expect(doc["endomorphism"], dict,
+                                     "endomorphism").items():
             key = _key_from_str(key_s, modular)
             c = op.component(key)
-            endo[key] = {int(d): matrix_from_lists(m, c.dim(int(d)),
-                                                   c.dim(int(d)))
-                         for d, m in blocks.items()}
+            endo[key] = {}
+            for d, m in _expect(blocks, dict, "endomorphism blocks").items():
+                d, = _ints(d, 1, "endomorphism block")
+                endo[key][d] = matrix_from_lists(m, c.dim(d), c.dim(d))
         metadata["endomorphism"] = endo
     if "tower" in doc:
         metadata["tower"] = doc["tower"]

@@ -1066,31 +1066,26 @@ def extend_by_zero(op, window=None):
 
 @dataclass
 class OperadIdeal:
-    """Per-component, per-degree spanning matrices (columns = vectors)."""
+    """Per-component, per-degree spans, each kept as its echelon."""
 
     operad: _OperadCore
-    spans: dict  # key -> dict degree -> Matrix (ambient x k, canonical)
+    spans: dict  # key -> dict degree -> Subspace of the component
 
     def subspace(self, key, degree) -> Subspace:
-        mat = self.spans.get(key, {}).get(degree)
-        dim = self.operad.component(key).dim(degree)
-        if mat is None:
-            return Subspace.zero(dim)
-        return Subspace(dim, mat)
+        sub = self.spans.get(key, {}).get(degree)
+        if sub is None:
+            return Subspace.zero(self.operad.component(key).dim(degree))
+        return sub
 
     def dim(self, key, degree):
-        mat = self.spans.get(key, {}).get(degree)
-        return mat.cols if mat is not None else 0
+        return self.subspace(key, degree).dim
 
-
-def _span_insert(spans, key, degree, vec, dim):
-    """Add vec to the span (spans: key -> degree -> Subspace); returns
-    True if the rank grew."""
-    sub = spans.get(key, {}).get(degree) or Subspace.zero(dim)
-    sub, grew = sub.insert(vec)
-    if grew:
-        spans.setdefault(key, {})[degree] = sub
-    return grew
+    def insert(self, key, degree, vec):
+        """Add vec to the span at (key, degree); True if it grew."""
+        sub, grew = self.subspace(key, degree).insert(vec)
+        if grew:
+            self.spans.setdefault(key, {})[degree] = sub
+        return grew
 
 
 def ideal_closure(op, seeds) -> OperadIdeal:
@@ -1100,14 +1095,12 @@ def ideal_closure(op, seeds) -> OperadIdeal:
     under the differential, the symmetric-group action, compositions on
     both sides and (modular case) contractions, until ranks stabilize.
     """
-    spans = {}
+    ideal = OperadIdeal(op, {})
     frontier = []
     for key, per_degree in seeds.items():
-        dim_of = op.component(key)
         for degree, vecs in per_degree.items():
             for vec in vecs:
-                if _span_insert(spans, key, degree, tuple(vec),
-                                dim_of.dim(degree)):
+                if ideal.insert(key, degree, tuple(vec)):
                     frontier.append((key, degree, tuple(vec)))
     comp_by_source = {}
     for trip in op.comp_keys():
@@ -1148,11 +1141,9 @@ def ideal_closure(op, seeds) -> OperadIdeal:
         for (tkey, tdeg, tvec) in produced:
             if not tvec or all(x == 0 for x in tvec):
                 continue
-            if _span_insert(spans, tkey, tdeg, tuple(tvec),
-                            op.component(tkey).dim(tdeg)):
+            if ideal.insert(tkey, tdeg, tuple(tvec)):
                 frontier.append((tkey, tdeg, tuple(tvec)))
-    return OperadIdeal(op, {key: {d: sub.basis for d, sub in per.items()}
-                            for key, per in spans.items()})
+    return ideal
 
 
 def validate_ideal(ideal: OperadIdeal, max_report=25) -> list:
@@ -1161,57 +1152,49 @@ def validate_ideal(ideal: OperadIdeal, max_report=25) -> list:
     report = []
 
     def inside(key, degree, vec):
-        if all(x == 0 for x in vec):
-            return True
-        return ideal.subspace(key, degree).contains(vec)
+        sub = ideal.spans.get(key, {}).get(degree)
+        return not any(vec) or (sub is not None and sub.contains(vec))
+
+    def spanned(key):
+        """(degree, basis vector) over the spans of key, by degree."""
+        for degree, sub in sorted(ideal.spans.get(key, {}).items()):
+            for vec in sub.basis.columns():
+                yield degree, vec
 
     for key in op.keys():
         c = op.component(key)
         n = op.legs(key)
-        for degree in sorted(c.dims):
-            sub = ideal.subspace(key, degree)
-            for jcol in range(sub.dim):
-                vec = sub.basis.col(jcol)
-                if not inside(key, degree - 1, c.d(degree).apply(vec)):
-                    report.append(f"ideal not closed under d at {key}")
-                for j in range(1, n):
-                    sigma = Permutation.transposition(n, j)
-                    if not inside(key, degree,
-                                  op.action(key, sigma).block(degree).apply(vec)):
-                        report.append(f"ideal not action-stable at {key}")
+        for degree, vec in spanned(key):
+            if not inside(key, degree - 1, c.d(degree).apply(vec)):
+                report.append(f"ideal not closed under d at {key}")
+            for j in range(1, n):
+                sigma = Permutation.transposition(n, j)
+                if not inside(key, degree,
+                              op.action(key, sigma).block(degree).apply(vec)):
+                    report.append(f"ideal not action-stable at {key}")
     for trip in op.comp_keys():
         key1, i, key2 = trip
         tkey = op.comp_target(*trip)
         c1, c2 = op.component(key1), op.component(key2)
-        for d1 in sorted(c1.dims):
-            sub = ideal.subspace(key1, d1)
-            for jcol in range(sub.dim):
-                vec = sub.basis.col(jcol)
-                for d2, k2 in _basis_elements(c2):
-                    img = op.compose(key1, i, key2, d1, vec, d2,
-                                     _unit_vec(c2.dim(d2), k2))
-                    if not inside(tkey, d1 + d2, img):
-                        report.append(f"ideal not closed under o_i at {trip}")
-        for d2 in sorted(c2.dims):
-            sub = ideal.subspace(key2, d2)
-            for jcol in range(sub.dim):
-                vec = sub.basis.col(jcol)
-                for d1, k1 in _basis_elements(c1):
-                    img = op.compose(key1, i, key2, d1,
-                                     _unit_vec(c1.dim(d1), k1), d2, vec)
-                    if not inside(tkey, d1 + d2, img):
-                        report.append(f"ideal not closed under o_i at {trip}")
+        for d1, vec in spanned(key1):
+            for d2, k2 in _basis_elements(c2):
+                img = op.compose(key1, i, key2, d1, vec, d2,
+                                 _unit_vec(c2.dim(d2), k2))
+                if not inside(tkey, d1 + d2, img):
+                    report.append(f"ideal not closed under o_i at {trip}")
+        for d2, vec in spanned(key2):
+            for d1, k1 in _basis_elements(c1):
+                img = op.compose(key1, i, key2, d1,
+                                 _unit_vec(c1.dim(d1), k1), d2, vec)
+                if not inside(tkey, d1 + d2, img):
+                    report.append(f"ideal not closed under o_i at {trip}")
         if len(report) >= max_report:
             return report
     for (key, i, j) in op.contr_keys():
         tkey = op.contr_target(key)
-        for degree in sorted(op.component(key).dims):
-            sub = ideal.subspace(key, degree)
-            for jcol in range(sub.dim):
-                vec = sub.basis.col(jcol)
-                if not inside(tkey, degree,
-                              op.contract(key, i, j, degree, vec)):
-                    report.append(f"ideal not xi-stable at {key}")
+        for degree, vec in spanned(key):
+            if not inside(tkey, degree, op.contract(key, i, j, degree, vec)):
+                report.append(f"ideal not xi-stable at {key}")
     return report
 
 

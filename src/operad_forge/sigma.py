@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain import ChainComplex, ChainMap
+from .chain import ChainComplex, ChainMap, subcomplex
 from .qlinalg import F0, F1, Matrix, image, solve_matrix
 
 
@@ -374,29 +374,13 @@ def coinvariants(complex: ChainComplex, generators) -> Coinvariants:
     for m in elements:
         avg = m if avg is None else avg + m
     avg = avg.scale(Fraction(1, len(elements)))
-    dims = {}
-    basis = {}
-    for i in complex.dims:
-        im = image(avg.block(i))
-        if im.dim:
-            dims[i] = im.dim
-            basis[i] = im.basis
-    diff = {}
-    for i in dims:
-        if i - 1 in dims:
-            m = solve_matrix(basis[i - 1], complex.d(i) * basis[i])
-            if m is None:
-                raise AssertionError("averaging image is not a subcomplex")
-            diff[i] = m
-    sub = ChainComplex(dims, diff)
-    incl = ChainMap(sub, complex, {i: basis[i] for i in dims}, check=False)
+    sub, incl = subcomplex(complex, {i: image(avg.block(i)).basis
+                                     for i in complex.dims})
     proj_blocks = {}
-    for i in dims:
-        m = solve_matrix(basis[i], avg.block(i))
+    for i in sub.dims:
+        m = solve_matrix(incl.block(i), avg.block(i))
         if m is None:
             raise AssertionError("projection failed")
         proj_blocks[i] = m
-    proj = ChainMap(complex, sub, proj_blocks, check=False)
-    incl.assert_chain()
-    proj.assert_chain()
+    proj = ChainMap(complex, sub, proj_blocks)
     return Coinvariants(sub, proj, incl)

@@ -25,6 +25,7 @@ from .chain import (
     canonical_truncation,
     homology,
     induced_map,
+    subcomplex,
 )
 from .minimal import (
     ObstructionError,
@@ -111,27 +112,11 @@ class WeightDecomposition:
         mat = self.residual.get(d)
         return mat.cols if mat is not None else 0
 
-    def subcomplex(self, basis_by_degree):
-        """(complex, inclusion) spanned by ambient basis matrices."""
-        dims = {d: m.cols for d, m in basis_by_degree.items() if m.cols}
-        diff = {}
-        for d in dims:
-            if d - 1 in dims:
-                sol = solve_matrix(basis_by_degree[d - 1],
-                                   self.complex.d(d) * basis_by_degree[d])
-                if sol is None:
-                    raise AssertionError("weight part is not a subcomplex")
-                diff[d] = sol
-        sub = ChainComplex(dims, diff)
-        incl = ChainMap(sub, self.complex,
-                        {d: basis_by_degree[d] for d in dims})
-        return sub, incl
-
     def weight_part(self, n):
-        return self.subcomplex(self.pure.get(n, {}))
+        return subcomplex(self.complex, self.pure.get(n, {}))
 
     def residual_part(self):
-        return self.subcomplex(self.residual)
+        return subcomplex(self.complex, self.residual)
 
 
 def weight_decompose(c: ChainComplex, f: ChainMap,
@@ -271,23 +256,14 @@ def t_functor(c: ChainComplex, f: ChainMap, w: WeightFunction) -> TFunctorResult
             cols = (incl.block(d) * tincl.block(d)).columns()
             basis.setdefault(d, []).extend(cols)
             tags.setdefault(d, []).extend([n] * len(cols))
-    dims = {d: len(cols) for d, cols in basis.items() if cols}
     mats = {d: Matrix.from_cols(cols, rows=c.dim(d))
-            for d, cols in basis.items() if cols}
-    diff = {}
-    for d in dims:
-        if d - 1 in dims:
-            sol = solve_matrix(mats[d - 1], c.d(d) * mats[d])
-            if sol is None:
-                raise AssertionError("weight truncation is not a subcomplex")
-            diff[d] = sol
-    tp = ChainComplex(dims, diff)
-    inclusion = ChainMap(tp, c, mats)
+            for d, cols in basis.items()}
+    tp, inclusion = subcomplex(c, mats)
     hcomplex = hrec.homology_complex()
     proj_blocks = {}
-    for d in dims:
+    for d in tp.dims:
         cols = []
-        for col in range(dims[d]):
+        for col in range(tp.dims[d]):
             if tags[d][col] == d:
                 cls = hrec.classify(d, mats[d].col(col))
                 if cls is None:
@@ -374,32 +350,19 @@ def _suboperad_from_components(p, components):
     ``components``: key -> dict degree -> ambient basis Matrix.
     Returns (operad, inclusion morphism).
     """
-    bases = {key: {d: m for d, m in basis.items() if m.cols}
+    incls = {key: subcomplex(p.component(key), basis)[1]
              for key, basis in components.items()}
-    bases = {key: basis for key, basis in bases.items() if basis}
+    incls = {key: f for key, f in incls.items() if f.src.dims}
 
     def project(key, d, m):
-        basis = bases.get(key, {}).get(d)
+        basis = incls[key].blocks.get(d) if key in incls else None
         if basis is None:
             return Matrix.zeros(0, m.cols) if m.is_zero() else None
         return solve_matrix(basis, m)
 
-    complexes = {}
-    for key, basis in bases.items():
-        diff = {}
-        for d, m in basis.items():
-            diff[d] = project(key, d - 1, p.component(key).d(d) * m)
-            if diff[d] is None:
-                raise AssertionError(
-                    f"candidate suboperad not d-closed at {key}")
-        complexes[key] = ChainComplex({d: m.cols for d, m in basis.items()},
-                                      diff)
-    sub_op = transfer(p, complexes, lambda key, d: bases[key][d], project)
-    incl = OperadMorphism(sub_op, p, {
-        key: ChainMap(complexes[key], p.component(key), bases[key],
-                      check=False)
-        for key in complexes})
-    return sub_op, incl
+    sub_op = transfer(p, {key: f.src for key, f in incls.items()},
+                      lambda key, d: incls[key].blocks[d], project)
+    return sub_op, OperadMorphism(sub_op, p, incls)
 
 
 def formality_witness_from_pure(p, f: OperadMorphism,

@@ -17,11 +17,12 @@ from operad_forge.chain import (
     is_weak_equivalence,
     mapping_cone,
     shift,
+    subcomplex,
     tensor,
     tensor_data,
     tensor_symmetry,
 )
-from operad_forge.qlinalg import F0, F1, Matrix
+from operad_forge.qlinalg import F0, F1, Matrix, image, kernel, solve_matrix
 
 from helpers import random_complex, random_chain_map
 
@@ -110,6 +111,81 @@ class TestCone:
             f = ChainMap.identity(src) + random_chain_map(rng, src, src)
             cone, _, _ = mapping_cone(f)
             assert is_weak_equivalence(f) == (homology_dims(cone) == {})
+
+
+def spanned_subcomplex(c, bases):
+    """The per-site loop that ``subcomplex`` replaced, kept as reference:
+    d is solved only into degrees whose span is present."""
+    dims = {d: m.cols for d, m in bases.items() if m.cols}
+    diff = {}
+    for d in dims:
+        if d - 1 in dims:
+            sol = solve_matrix(bases[d - 1], c.d(d) * bases[d])
+            if sol is None:
+                raise AssertionError("not a subcomplex")
+            diff[d] = sol
+    sub = ChainComplex(dims, diff)
+    return sub, ChainMap(sub, c, {d: bases[d] for d in dims})
+
+
+def truncated_by_hand(c, n):
+    """The hand-built canonical truncation ``subcomplex`` replaced:
+    d copied above n + 1, solved into the cycles at n + 1."""
+    z = kernel(c.d(n))
+    dims = {i: d for i, d in c.dims.items() if i > n}
+    if z.dim:
+        dims[n] = z.dim
+    blocks = {i: Matrix.identity(d) if i > n else z.basis
+              for i, d in dims.items()}
+    diff = {}
+    for i in dims:
+        if i - 1 == n:
+            diff[i] = solve_matrix(z.basis, c.d(i) * blocks[i])
+        elif i - 1 in dims:
+            diff[i] = c.d(i)
+    trunc = ChainComplex(dims, diff)
+    return trunc, ChainMap(trunc, c, blocks)
+
+
+class TestSubcomplex:
+    def test_images_of_chain_maps_match_reference(self):
+        nonzero = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            c = random_complex(rng, degree_span=(0, 3), max_cells=5)
+            if seed % 2:
+                f = ChainMap.identity(c) + random_chain_map(rng, c, c)
+            else:
+                src = random_complex(rng, degree_span=(0, 3), max_cells=5)
+                f = random_chain_map(rng, src, c)
+            bases = {d: image(f.block(d)).basis for d in c.dims}
+            sub, incl = subcomplex(c, bases)
+            ref, ref_incl = spanned_subcomplex(c, bases)
+            assert sub == ref
+            assert incl.blocks == ref_incl.blocks
+            nonzero += bool(sub.diff)
+        assert nonzero >= 10
+
+    def test_truncations_match_reference(self):
+        for seed in range(20):
+            c = random_complex(random.Random(seed), degree_span=(0, 3),
+                               max_cells=5)
+            for n in range(-1, 5):
+                trunc, incl = canonical_truncation(c, n)
+                ref, ref_incl = truncated_by_hand(c, n)
+                assert trunc == ref
+                assert incl.blocks == ref_incl.blocks
+
+    def test_d_leaving_into_present_degree(self):
+        c = ChainComplex({1: 1, 0: 2}, {1: Matrix.from_rows([[1], [0]])})
+        with pytest.raises(AssertionError, match="not d-closed"):
+            subcomplex(c, {1: Matrix.identity(1),
+                           0: Matrix.from_rows([[0], [1]])})
+
+    def test_d_leaving_into_absent_degree(self):
+        c = two_term(1)
+        with pytest.raises(AssertionError, match="not d-closed"):
+            subcomplex(c, {1: Matrix.identity(1), 0: Matrix.zeros(1, 0)})
 
 
 class TestTruncation:

@@ -133,6 +133,10 @@ CELL = ("compositions", 0, "blocks", "0,0", "0,0")
     (COM, _set(("compositions", 0, "blocks", "0,0"), {"-1,0": [[0, "1"]]})),
     (ENDO, _set(("contractions", 0, "blocks", "0"), {"-1": [[0, "1"]]})),
     (COM, _truncated("3")),
+    # the endomorphism section: two tracebacks and a bare "error:" line
+    (COM, _set(("endomorphism",), [])),
+    (COM, _set(("endomorphism",), {"2": []})),
+    (COM, _set(("endomorphism",), {"2": {"x": [["1"]]}})),
 ], ids=["null-compositions", "null-contractions", "list-entry", "list-blocks",
         "list-block", "string-cell", "non-list-pair", "string-slot",
         "string-source-key", "string-modular-key", "string-max-arity",
@@ -140,7 +144,8 @@ CELL = ("compositions", 0, "blocks", "0,0", "0,0")
         "string-row", "three-element-pair", "window-below-component",
         "modular-window-below-component", "negative-row", "float-row",
         "negative-basis-index", "negative-contraction-index",
-        "string-truncation-cut"])
+        "string-truncation-cut", "list-endomorphism", "list-endomorphism-blocks",
+        "bad-endomorphism-degree"])
 def test_malformed_tables_exit_2_without_traceback(name, mutate, tmp_path):
     with open(fx(name)) as fh:
         payload = json.load(fh)

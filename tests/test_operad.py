@@ -31,7 +31,7 @@ from operad_forge.operad import (
     validate_ideal,
     weak_equivalence_test,
 )
-from operad_forge.qlinalg import Matrix
+from operad_forge.qlinalg import Matrix, Subspace
 from operad_forge.sigma import (
     GroupAction,
     ModularSigmaModule,
@@ -308,6 +308,8 @@ class TestQuotient:
         assert validate_ideal(ideal) == []
         q, proj = quotient(fr, ideal)
         assert q.component(2).dims == {0: 1}
+        # the ideal hands out the echelon it stores, never a rebuilt one
+        assert ideal.subspace(3, 0) is ideal.spans[3][0]
         # oracle: iterated span closure dims at arity 3
         killed = ideal.dim(3, 0)
         assert q.component(3).dims == {0: fr.component(3).dim(0) - killed}
@@ -315,7 +317,8 @@ class TestQuotient:
 
     def test_non_ideal_rejected(self):
         fr = free_operad(regular2_module(), 3)
-        bad = OperadIdeal(fr, {2: {0: Matrix.from_rows([[1], [0]])}})
+        line = Subspace(2, Matrix.from_rows([[1], [0]]))
+        bad = OperadIdeal(fr, {2: {0: line}})
         with pytest.raises(ValueError):
             quotient(fr, bad)
 
