@@ -195,8 +195,9 @@ def cmd_alt_check(args):
     from .cubical import (CubicChain, alt, boundary, interval_power,
                           sigma_tau_r_i, compose_maps, perm_map, delta_map)
     from .sigma import all_permutations
-    if args.dim < 0:
-        raise MalformedArgument(f"--dim {args.dim} is negative")
+    for flag, value in (("--dim", args.dim), ("--trials", args.trials)):
+        if value < 0:
+            raise MalformedArgument(f"{flag} {value} is negative")
     rng = random.Random(args.seed)
     failures = []
     space = interval_power(args.dim)

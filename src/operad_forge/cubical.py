@@ -16,6 +16,7 @@ index maps, together with its sign identity.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -123,6 +124,9 @@ class FiniteCubicalSet:
         self.cube_table = {p: list(cs) for p, cs in cube_table.items() if cs}
         self.face_table = dict(face_table)
         self.degenerate = set(degenerate)
+        # reversed, so that the first degree listing a cube wins
+        self._dims = {c: p for p, cs in reversed(self.cube_table.items())
+                      for c in cs}
         if check:
             self._validate()
 
@@ -155,10 +159,7 @@ class FiniteCubicalSet:
         return self.cube_table.get(p, [])
 
     def dim_of(self, cube):
-        for p, cs in self.cube_table.items():
-            if cube in cs:
-                return p
-        raise KeyError(cube)
+        return self._dims[cube]
 
     def face(self, cube, i, eps):
         return self.face_table[(cube, i, eps)]
@@ -168,9 +169,12 @@ class FiniteCubicalSet:
 
     def act(self, cube, sigma: Permutation):
         """Right action by coordinate permutation; only trivial here."""
-        if sigma.is_identity():
-            return cube, 1
-        raise ValueError("this cubical set carries no symmetry structure")
+        return self._act(cube, sigma.images)
+
+    def _act(self, cube, inv):
+        if inv != tuple(range(1, len(inv) + 1)):
+            raise ValueError("this cubical set carries no symmetry structure")
+        return cube, 1
 
 
 def point() -> FiniteCubicalSet:
@@ -237,37 +241,32 @@ class ProductCubicalSet:
 
     def face(self, cube, i, eps):
         a, b, S = cube
-        if i in S:
-            k = S.index(i) + 1
-            a2 = self.left.face(a, k, eps)
-            S2 = tuple(s - 1 if s > i else s for s in S if s != i)
-            return (a2, b, S2)
-        comp = [j for j in range(1, self.dim_of(cube) + 1) if j not in S]
-        k = comp.index(i) + 1
-        b2 = self.right.face(b, k, eps)
-        S2 = tuple(s - 1 if s > i else s for s in S)
-        return (a, b2, S2)
+        k = bisect_left(S, i)
+        if k < len(S) and S[k] == i:
+            return (self.left.face(a, k + 1, eps), b,
+                    S[:k] + tuple(s - 1 for s in S[k + 1:]))
+        return (a, self.right.face(b, i - k, eps),
+                S[:k] + tuple(s - 1 for s in S[k:]))
 
     def act(self, cube, sigma: Permutation):
-        """Right action by precomposition: coordinate j of the result
-        reads coordinate sigma^{-1}(j)... the new cube reads its a-part
+        """Right action by precomposition: the new cube reads its a-part
         at the positions sigma^{-1}(S), reordered inside each factor."""
-        a, b, S = cube
-        p = self.dim_of(cube)
-        if sigma.n != p:
+        if sigma.n != self.dim_of(cube):
             raise ValueError("permutation has the wrong size")
-        inv = sigma.inverse()
-        new_positions = [inv(s) for s in S]
-        order = sorted(range(len(S)), key=lambda k: new_positions[k])
-        S2 = tuple(new_positions[k] for k in order)
-        tau_a = Permutation(tuple(k + 1 for k in order))
-        comp = [j for j in range(1, p + 1) if j not in S]
-        new_comp = [inv(s) for s in comp]
-        order_b = sorted(range(len(comp)), key=lambda k: new_comp[k])
-        tau_b = Permutation(tuple(k + 1 for k in order_b))
-        a2, sa = self.left.act(a, tau_a)
-        b2, sb = self.right.act(b, tau_b)
-        return (a2, b2, S2), sa * sb
+        return self._act(cube, sigma.inverse().images)
+
+    def _act(self, cube, inv):
+        """``act`` for inv[j - 1] = sigma^{-1}(j); each factor gets the
+        inverse tuple of the permutation sorting its new positions."""
+        a, b, S = cube
+        new_a = [inv[s - 1] for s in S]
+        S2 = sorted(new_a)
+        inv_a = tuple([bisect_left(S2, x) + 1 for x in new_a])
+        inv_b = tuple([x - bisect_left(S2, x)
+                       for j, x in enumerate(inv, 1) if j not in S])
+        a2, sa = self.left._act(a, inv_a)
+        b2, sb = self.right._act(b, inv_b)
+        return (a2, b2, tuple(S2)), sa * sb
 
 
 def interval_power(n: int):
@@ -295,11 +294,11 @@ class CubicChain:
     def __post_init__(self):
         clean = {}
         for cube, coeff in self.coeffs.items():
-            coeff = Fraction(coeff)
-            if coeff == 0 or self.space.is_degenerate(cube):
-                continue
-            clean[cube] = clean.get(cube, F0) + coeff
-        self.coeffs = {c: x for c, x in clean.items() if x != 0}
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            if coeff and not self.space.is_degenerate(cube):
+                clean[cube] = coeff
+        self.coeffs = clean
 
     @classmethod
     def of_cube(cls, space, cube):
@@ -334,11 +333,11 @@ def boundary(chain: CubicChain) -> CubicChain:
     out = {}
     space = chain.space
     for cube, coeff in chain.coeffs.items():
+        signed = (coeff, -coeff)
         for i in range(1, chain.dim + 1):
             for eps in (0, 1):
-                sign = -1 if (i + eps) % 2 else 1
-                f = space.face(cube, i, eps)
-                out[f] = out.get(f, F0) + sign * coeff
+                f, x = space.face(cube, i, eps), signed[(i + eps) % 2]
+                out[f] = out[f] + x if f in out else x
     return CubicChain(space, chain.dim - 1, out)
 
 
@@ -368,13 +367,20 @@ def alt(chain: CubicChain) -> CubicChain:
     n = chain.dim
     if n <= 1:
         return chain
+    space = chain.space
+    if any(space.dim_of(cube) != n for cube in chain.coeffs):
+        raise ValueError("permutation has the wrong size")
+    w = Fraction(1, factorial(n))
+    terms = [(cube, {1: x * w, -1: -x * w})
+             for cube, x in chain.coeffs.items()]
     out = {}
     for sigma in all_permutations(n):
-        sign = sigma.sign()
-        for cube, coeff in chain.coeffs.items():
-            newcube, sgn = chain.space.act(cube, sigma)
-            out[newcube] = out.get(newcube, F0) + sign * sgn * coeff
-    return CubicChain(chain.space, n, out).scale(Fraction(1, factorial(n)))
+        inv, sign = sigma.inverse().images, sigma.sign()
+        for cube, signed in terms:
+            newcube, sgn = space._act(cube, inv)
+            x = signed[sign * sgn]
+            out[newcube] = out[newcube] + x if newcube in out else x
+    return CubicChain(space, n, out)
 
 
 def kappa(cx: CubicChain, cy: CubicChain, product=None) -> CubicChain:

@@ -118,7 +118,7 @@ def _component_from_doc(key, doc):
     diff = {}
     for d, data in _expect(doc.get("differential", {}), dict,
                            f"component {key}: differential").items():
-        d = int(d)
+        d, = _ints(d, 1, f"component {key}: differential")
         diff[d] = matrix_from_lists(data, dims.get(d - 1, 0), dims.get(d, 0))
     try:
         complex_ = ChainComplex(dims, diff)
@@ -135,7 +135,7 @@ def _component_from_doc(key, doc):
         blocks = {}
         for d, data in _expect(gen, dict,
                                f"component {key}: action generator").items():
-            d = int(d)
+            d, = _ints(d, 1, f"component {key}: action generator")
             blocks[d] = matrix_from_lists(data, dims.get(d, 0), dims.get(d, 0))
         try:
             gens.append(ChainMap(complex_, complex_, blocks))

@@ -137,6 +137,9 @@ CELL = ("compositions", 0, "blocks", "0,0", "0,0")
     (COM, _set(("endomorphism",), [])),
     (COM, _set(("endomorphism",), {"2": []})),
     (COM, _set(("endomorphism",), {"2": {"x": [["1"]]}})),
+    # a component's degree keys: a bare "error:" line
+    (COM, _set(("components", "2", "differential"), {"x": []})),
+    (COM, _set(("components", "2", "action"), [{"x": [["1"]]}])),
 ], ids=["null-compositions", "null-contractions", "list-entry", "list-blocks",
         "list-block", "string-cell", "non-list-pair", "string-slot",
         "string-source-key", "string-modular-key", "string-max-arity",
@@ -145,7 +148,8 @@ CELL = ("compositions", 0, "blocks", "0,0", "0,0")
         "modular-window-below-component", "negative-row", "float-row",
         "negative-basis-index", "negative-contraction-index",
         "string-truncation-cut", "list-endomorphism", "list-endomorphism-blocks",
-        "bad-endomorphism-degree"])
+        "bad-endomorphism-degree", "bad-differential-degree",
+        "bad-action-degree"])
 def test_malformed_tables_exit_2_without_traceback(name, mutate, tmp_path):
     with open(fx(name)) as fh:
         payload = json.load(fh)
@@ -162,11 +166,12 @@ def test_malformed_tables_exit_2_without_traceback(name, mutate, tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["alt-check", "--dim", "-1"],
+    ["alt-check", "--dim", "2", "--trials", "-3"],
     ["check-formality", fx("commutative_window3.json"), "--alpha", "1/0"],
     ["check-formality", fx("commutative_window3.json"), "--alpha", "two"],
     ["validate", FIXTURES],
-], ids=["negative-dim", "alpha-zero-denominator", "alpha-not-rational",
-        "directory"])
+], ids=["negative-dim", "negative-trials", "alpha-zero-denominator",
+        "alpha-not-rational", "directory"])
 def test_malformed_argument_exit_2_without_traceback(args):
     run = run_cli(*args)
     stderr = run.stderr.decode()

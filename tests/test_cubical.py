@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -334,3 +335,163 @@ class TestHomology:
         # this finite model has an extra class on top of the point
         assert homology_dims(chain_complex(interval_power(2))) \
             == {0: 1, 2: 1}
+
+
+# -- the flat action against the nested-Permutation path it replaced -----------
+
+
+class ReferenceFinite(FiniteCubicalSet):
+    """Leaf ``dim_of`` and ``act`` as they were before the flat action."""
+
+    def dim_of(self, cube):
+        for p, cs in self.cube_table.items():
+            if cube in cs:
+                return p
+        raise KeyError(cube)
+
+    def act(self, cube, sigma: Permutation):
+        """Right action by coordinate permutation; only trivial here."""
+        if sigma.is_identity():
+            return cube, 1
+        raise ValueError("this cubical set carries no symmetry structure")
+
+
+class ReferenceProduct(ProductCubicalSet):
+    """``face`` and ``act`` as they were before the flat action: a new
+    ``Permutation`` per factor at every level of the product."""
+
+    def face(self, cube, i, eps):
+        a, b, S = cube
+        if i in S:
+            k = S.index(i) + 1
+            a2 = self.left.face(a, k, eps)
+            S2 = tuple(s - 1 if s > i else s for s in S if s != i)
+            return (a2, b, S2)
+        comp = [j for j in range(1, self.dim_of(cube) + 1) if j not in S]
+        k = comp.index(i) + 1
+        b2 = self.right.face(b, k, eps)
+        S2 = tuple(s - 1 if s > i else s for s in S)
+        return (a, b2, S2)
+
+    def act(self, cube, sigma: Permutation):
+        """Right action by precomposition: coordinate j of the result
+        reads coordinate sigma^{-1}(j)... the new cube reads its a-part
+        at the positions sigma^{-1}(S), reordered inside each factor."""
+        a, b, S = cube
+        p = self.dim_of(cube)
+        if sigma.n != p:
+            raise ValueError("permutation has the wrong size")
+        inv = sigma.inverse()
+        new_positions = [inv(s) for s in S]
+        order = sorted(range(len(S)), key=lambda k: new_positions[k])
+        S2 = tuple(new_positions[k] for k in order)
+        tau_a = Permutation(tuple(k + 1 for k in order))
+        comp = [j for j in range(1, p + 1) if j not in S]
+        new_comp = [inv(s) for s in comp]
+        order_b = sorted(range(len(comp)), key=lambda k: new_comp[k])
+        tau_b = Permutation(tuple(k + 1 for k in order_b))
+        a2, sa = self.left.act(a, tau_a)
+        b2, sb = self.right.act(b, tau_b)
+        return (a2, b2, S2), sa * sb
+
+
+def reference_copy(space):
+    """The same cubical set, built from the reference classes."""
+    if isinstance(space, ProductCubicalSet):
+        return ReferenceProduct(reference_copy(space.left),
+                                reference_copy(space.right))
+    return ReferenceFinite(space.cube_table, space.face_table,
+                           space.degenerate, check=False)
+
+
+def outcome(space, cube, sigma):
+    """``space.act(cube, sigma)``, or the exception class it raised."""
+    try:
+        return space.act(cube, sigma)
+    except ValueError:
+        return ValueError
+
+
+class TestFlatAction:
+    def test_every_cube_of_i4_under_every_permutation(self):
+        X = interval_power(4)
+        R = reference_copy(X)
+        assert len(X.cubes(4)) == 1944
+        for p in X.dims():
+            assert R.cubes(p) == X.cubes(p)
+            perms = all_permutations(p)
+            for cube in X.cubes(p):
+                for sigma in perms:
+                    assert X.act(cube, sigma) == R.act(cube, sigma)
+
+    def test_nondegenerate_cubes_of_i5_against_reference_and_flat_form(self):
+        X = interval_power(5)
+        R = reference_copy(X)
+        for p in X.dims():
+            cubes = [c for c in X.cubes(p) if not X.is_degenerate(c)]
+            flats = [flatten(X, c) for c in cubes]
+            for sigma in all_permutations(p):
+                inv = sigma.inverse()
+                for cube, flat in zip(cubes, flats):
+                    new, sign = X.act(cube, sigma)
+                    assert (new, sign) == R.act(cube, sigma)
+                    # each interval letter moves to coordinate sigma^{-1}(c)
+                    assert flatten(X, new) == tuple(
+                        (leaf, tuple(inv(c) for c in coords))
+                        for leaf, coords in flat)
+        assert len([c for c in X.cubes(5) if not X.is_degenerate(c)]) == 120
+
+    def test_faces_of_every_cube_of_i4(self):
+        X = interval_power(4)
+        R = reference_copy(X)
+        for p in X.dims():
+            for cube in X.cubes(p):
+                for i in range(1, p + 1):
+                    for eps in (0, 1):
+                        assert X.face(cube, i, eps) == R.face(cube, i, eps)
+
+    def test_torus_factor_rejects_a_swap_in_both_paths(self):
+        P = ProductCubicalSet(torus(), interval())
+        R = reference_copy(P)
+        cube = ("s", "id", (1, 2))
+        swap = Permutation.transposition(3, 1)
+        assert outcome(P, cube, swap) is ValueError
+        assert outcome(R, cube, swap) is ValueError
+        for space in (P, R):
+            with pytest.raises(ValueError):
+                space.act(cube, Permutation.identity(2))
+        # the two paths agree on every cube and permutation
+        for p in P.dims():
+            for cube in P.cubes(p):
+                for sigma in all_permutations(p):
+                    assert outcome(P, cube, sigma) == outcome(R, cube, sigma)
+
+    def test_dim_of(self):
+        X = interval()
+        with pytest.raises(KeyError):
+            X.dim_of("zz")
+        # a cube listed in two degrees has the first one
+        Y = FiniteCubicalSet({1: ["e", "p"], 0: ["p"]}, {}, check=False)
+        assert Y.dim_of("p") == reference_copy(Y).dim_of("p") == 1
+        assert [X.dim_of(c) for c in ("0", "id", "c1")] == [0, 1, 1]
+
+    def test_alt_rejects_a_cube_of_the_wrong_dimension(self):
+        X = interval_power(3)
+        chain = CubicChain(X, 2, {X.cubes(3)[0]: 1, X.cubes(2)[0]: 1})
+        with pytest.raises(ValueError):
+            alt(chain)
+
+    def test_alt_against_reference_action(self):
+        X = interval_power(4)
+        R = reference_copy(X)
+        rng = random.Random(7)
+        for p in (2, 3, 4):
+            chain = random_chain(rng, X, p, size=5)
+            expected = {}
+            for sigma in all_permutations(p):
+                for cube, coeff in chain.coeffs.items():
+                    new, sgn = R.act(cube, sigma)
+                    expected[new] = expected.get(new, Fraction(0)) \
+                        + sigma.sign() * sgn * coeff
+            assert alt(chain) == CubicChain(X, p, expected).scale(
+                Fraction(1, math.factorial(p)))
