@@ -195,9 +195,10 @@ def cmd_alt_check(args):
     from .cubical import (CubicChain, alt, boundary, interval_power,
                           sigma_tau_r_i, compose_maps, perm_map, delta_map)
     from .sigma import all_permutations
-    for flag, value in (("--dim", args.dim), ("--trials", args.trials)):
-        if value < 0:
-            raise MalformedArgument(f"{flag} {value} is negative")
+    for flag, value, least in (("--dim", args.dim, 1),
+                               ("--trials", args.trials, 0)):
+        if value < least:
+            raise MalformedArgument(f"{flag} {value} is below {least}")
     rng = random.Random(args.seed)
     failures = []
     space = interval_power(args.dim)

@@ -271,6 +271,8 @@ class ProductCubicalSet:
 
 def interval_power(n: int):
     """n-fold product of intervals (n >= 1), fully symmetric."""
+    if n < 1:
+        raise ValueError(f"interval_power needs n >= 1, got {n}")
     x = interval()
     for _ in range(n - 1):
         x = ProductCubicalSet(x, interval())

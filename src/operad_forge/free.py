@@ -124,19 +124,19 @@ class _FreeBuilder:
                 return s
         return None
 
-    def evaluation(self, dst, images, key, skip_summand=None):
+    def evaluation(self, dst, images, key, select=None):
         """Evaluation matrices (degree -> Matrix) of the component at
         key in dst, the generators sent along ``images``.
 
-        ``skip_summand`` leaves the columns of one summand zero (used
-        for the corolla while its generator images are still unknown).
+        ``select(s)``, when given, picks the summands to evaluate; the
+        columns of the others stay zero.
         """
         layout = self.layouts[key]
         target = dst.component(key)
         blocks = {deg: [[F0] * layout.dim(deg) for _ in range(target.dim(deg))]
                   for deg in layout.dims}
         for s, cc in enumerate(layout.complexes):
-            if s == skip_summand:
+            if select is not None and not select(s):
                 continue
             for deg in cc.dims:
                 for col in range(cc.dim(deg)):

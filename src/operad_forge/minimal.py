@@ -457,7 +457,8 @@ def is_minimal(op):
         for d, m in att.items():
             off = layout.offset(corolla, d - 1)
             span = layout.complexes[corolla].dim(d - 1)
-            for r in range(off, off + span):
+            # an attachment made before the corolla existed stops short of it
+            for r in range(off, min(off + span, m.rows)):
                 if any(m.data[r][c] != 0 for c in range(m.cols)):
                     return False, op.level(key)
     return True, None
@@ -527,10 +528,8 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
 
     Conditions: (a) d_Q g = phi_prev(xi), (b) equivariance, and (c) for
     every component in c_keys: the induced homology map, composed with
-    the post map, equals the prescribed matrix.  The (c) rows are
-    assembled by unit perturbations of g, legitimate because every
-    passed component is linear in g (at most one key-typed vertex per
-    summand; checked by the caller).  Returns the blocks of g.
+    the post map, equals the prescribed matrix.  The (c) rows are read
+    off _condition_deltas.  Returns the blocks of g.
     """
     op = mm.operad
     builder = op.free
@@ -538,17 +537,11 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
     vc = v_act.complex
     qc = q_operad.component(key)
     arity = op.legs(key)
-    m_complex = op.component(key)
-    # phi_prev on the decomposable part: evaluation with known images
+    # phi_prev on the decomposable part: every summand but the corolla
     prev_eval = builder.evaluation(
         q_operad, images_so_far, key,
-        skip_summand=builder.corolla_summand(key)) if images_so_far else {}
-
-    def prev_matrix(deg):
-        if deg in prev_eval:
-            return prev_eval[deg]
-        return Matrix.zeros(qc.dim(deg), m_complex.dim(deg))
-
+        select=lambda s: key not in builder.vertex_types(key, s)) \
+        if images_so_far else {}
     # unknown layout: g[deg][r][k]
     offsets = {}
     total = 0
@@ -565,8 +558,11 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
     for d in sorted(vc.dims):
         nv, nq = vc.dim(d), qc.dim(d)
         dq = qc.d(d)
-        target = prev_matrix(d - 1) * xi[d] if d in xi else \
-            Matrix.zeros(qc.dim(d - 1), nv)
+        # row r of xi[d] is column r here, as Layout.locate reads it
+        target = prev_eval[d - 1].submatrix(
+            range(qc.dim(d - 1)), range(xi[d].rows)) * xi[d] \
+            if d in xi and d - 1 in prev_eval \
+            else Matrix.zeros(qc.dim(d - 1), nv)
         for r in range(qc.dim(d - 1)):
             for k in range(nv):
                 row = [F0] * total
@@ -596,10 +592,7 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
                             row[var(d, rr, k)] -= rqb.data[r][rr]
                     rows.append(row)
                     rhs.append(F0)
-    # (c) homology conditions, assembled by unit perturbations of g
-    units = [(d, r, k) for d in sorted(vc.dims)
-             for r in range(qc.dim(d)) for k in range(vc.dim(d))]
-    zero_g = ChainMap(vc, qc, {}, check=False)
+    # (c) homology conditions
     for ckey in c_keys:
         mc = op.component(ckey)
         if mc.is_zero() or ckey not in r_hom:
@@ -607,18 +600,8 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
         hm = homology(mc)
         if not hm.dims:
             continue
-        base_images = dict(images_so_far)
-        base_images[key] = zero_g
-        base_eval = builder.evaluation(q_operad, base_images, ckey)
-        deltas = {}
-        for (d, r, k) in units:
-            unit_images = dict(images_so_far)
-            unit_images[key] = _unit_g_map(vc, qc, d, r, k)
-            ev = builder.evaluation(q_operad, unit_images, ckey)
-            delta = {deg: ev[deg] - base_eval[deg] for deg in ev
-                     if not (ev[deg] - base_eval[deg]).is_zero()}
-            if delta:
-                deltas[(d, r, k)] = delta
+        base_eval, deltas = _condition_deltas(builder, q_operad,
+                                              images_so_far, key, ckey, vc, qc)
         post = post_maps.get(ckey)
         hr = r_hom[ckey]
         presc = prescribed.get(ckey, {})
@@ -630,20 +613,14 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
             lam = ext * post_block
             for col in range(hm.dim(d)):
                 z = reps.col(col)
-                fixed = lam.apply(base_eval[d].apply(z)) if d in base_eval \
-                    else (F0,) * hr.dim(d)
+                fixed = lam.apply(base_eval[d].apply(z))
                 want = presc[d].col(col) if d in presc else (F0,) * hr.dim(d)
-                contribs = {}
-                for u, dmat in deltas.items():
-                    if d in dmat:
-                        c_vec = lam.apply(dmat[d].apply(z))
-                        if any(x != 0 for x in c_vec):
-                            contribs[u] = c_vec
+                contribs = {var(*u): lam.apply(dmat[d].apply(z))
+                            for u, dmat in deltas.items() if d in dmat}
                 for hrow in range(hr.dim(d)):
                     row = [F0] * total
-                    for (du, ru, ku), c_vec in contribs.items():
-                        if c_vec[hrow] != 0:
-                            row[var(du, ru, ku)] += c_vec[hrow]
+                    for v, c_vec in contribs.items():
+                        row[v] = c_vec[hrow]
                     rows.append(row)
                     rhs.append(want[hrow] - fixed[hrow])
     system = Matrix(len(rows), total, rows) if rows else Matrix.zeros(0, total)
@@ -654,12 +631,8 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
         rng = random.Random(f"{seed}:lift:{key}")
         ker = kernel(system)
         if ker.dim:
-            extra = [F0] * total
-            for j in range(ker.dim):
-                c = Fraction(rng.randint(-1, 1))
-                if c:
-                    colv = ker.basis.col(j)
-                    extra = [a + c * b for a, b in zip(extra, colv)]
+            extra = ker.basis.apply([rng.randint(-1, 1)
+                                     for _ in range(ker.dim)])
             sol = tuple(a + b for a, b in zip(sol, extra))
     blocks = {}
     for d in sorted(vc.dims):
@@ -669,6 +642,29 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
         if not m.is_zero():
             blocks[d] = m
     return ChainMap(vc, qc, blocks, check=False)
+
+
+def _condition_deltas(builder, q_operad, images, key, ckey, vc, qc):
+    """Evaluation of component ckey at g = 0, and the change each unit
+    (d, r, k) of g makes to it.  No summand has two key-typed vertices
+    (checked by the caller): those with one vanish at g = 0 and are
+    linear in g, the others do not depend on g."""
+    def carries(s):
+        return key in builder.vertex_types(ckey, s)
+
+    base = builder.evaluation(q_operad, images, ckey,
+                              select=lambda s: not carries(s))
+    deltas = {}
+    for d in sorted(vc.dims):
+        for r in range(qc.dim(d)):
+            for k in range(vc.dim(d)):
+                ev = builder.evaluation(
+                    q_operad, {**images, key: _unit_g_map(vc, qc, d, r, k)},
+                    ckey, select=carries)
+                delta = {deg: m for deg, m in ev.items() if not m.is_zero()}
+                if delta:
+                    deltas[(d, r, k)] = delta
+    return base, deltas
 
 
 def _unit_g_map(vc, qc, d, r, k):

@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 from operad_forge.chain import ChainComplex, ChainMap
-from operad_forge.operad import CompTable, DGOperad
+from operad_forge.free import free_operad
+from operad_forge.operad import CompTable, DGOperad, ideal_closure, quotient
 from operad_forge.qlinalg import Matrix
 from operad_forge.sigma import GroupAction, SigmaModule
 
@@ -44,3 +45,36 @@ def acyclic_operad():
     c = ChainComplex({1: 1, 0: 1}, {1: Matrix.from_rows([[1]])})
     actions = {2: GroupAction.trivial(2, c)}
     return DGOperad(SigmaModule(actions), {}, 2)
+
+
+def hypercommutative(max_arity):
+    """The genus-0 part of H_*(M-bar): arity n is H_*(M-bar_{0,n+1}).
+
+    Getzler (1995): the free operad on one generator nu_n of degree
+    2(n - 2) with trivial action in each arity n >= 2, divided by the
+    ideal of the relations
+        sum nu(nu(a, b, x_S1), c, x_S2) = sum nu(a, nu(b, c, x_S1), x_S2).
+    Each term is a two-vertex tree fixed by the leaf set T of its inner
+    vertex, so one seed per arity n >= 3 (a, b, c = 1, 2, 3) is enough:
+    the ideal closure adds the permuted copies.
+    """
+    module = SigmaModule({
+        n: GroupAction.trivial(n, ChainComplex({2 * (n - 2): 1}))
+        for n in range(2, max_arity + 1)})
+    free = free_operad(module, max_arity)
+    seeds = {}
+    for n in range(3, max_arity + 1):
+        deg = 2 * (n - 3)
+        layout = free.free.layouts[n]
+        vec = [Fraction(0)] * layout.dim(deg)
+        for s, (tree, _) in enumerate(free.free.summands[n]):
+            verts = tree.vertices()
+            if len(verts) != 2:
+                continue
+            inner = set(verts[1].leaves())
+            if {1, 2} <= inner and 3 not in inner:
+                vec[layout.offset(s, deg)] += 1
+            if {2, 3} <= inner and 1 not in inner:
+                vec[layout.offset(s, deg)] -= 1
+        seeds[n] = {deg: [vec]}
+    return quotient(free, ideal_closure(free, seeds))[0]

@@ -166,11 +166,12 @@ def test_malformed_tables_exit_2_without_traceback(name, mutate, tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["alt-check", "--dim", "-1"],
+    ["alt-check", "--dim", "0"],
     ["alt-check", "--dim", "2", "--trials", "-3"],
     ["check-formality", fx("commutative_window3.json"), "--alpha", "1/0"],
     ["check-formality", fx("commutative_window3.json"), "--alpha", "two"],
     ["validate", FIXTURES],
-], ids=["negative-dim", "negative-trials", "alpha-zero-denominator",
+], ids=["negative-dim", "zero-dim", "negative-trials", "alpha-zero-denominator",
         "alpha-not-rational", "directory"])
 def test_malformed_argument_exit_2_without_traceback(args):
     run = run_cli(*args)

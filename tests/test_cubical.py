@@ -64,6 +64,13 @@ class TestFaceAlgebra:
         FiniteCubicalSet({0: ["p"], 1: ["e"]},
                          {("e", 1, 0): "p", ("e", 1, 1): "p"})
 
+    def test_interval_power_needs_a_factor(self):
+        assert interval_power(1).dims() == interval().dims() == [0, 1]
+        assert interval_power(2).dims() == [0, 1, 2]
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                interval_power(n)
+
     def test_product_faces_commute(self):
         X = interval_power(3)
         for cube in X.cubes(3):

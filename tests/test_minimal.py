@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ from operad_forge.chain import (
     homotopy_solve,
     mapping_cone,
 )
+from operad_forge import document as doc
+from operad_forge import minimal
 from operad_forge.document import matrix_to_lists
 from operad_forge.free import (
     FreeOperadBuilder,
@@ -29,6 +32,7 @@ from operad_forge.minimal import (
     iso_between_minimal,
     lift,
     minimal_model,
+    _unit_g_map,
     principal_extension,
 )
 from operad_forge.operad import (
@@ -40,7 +44,13 @@ from operad_forge.operad import (
 from operad_forge.qlinalg import Matrix
 from operad_forge.sigma import GroupAction, SigmaModule
 
-from fixtures_ops import acyclic_operad, commutative_style_operad
+from operad_forge.weight import formality_check
+
+from fixtures_ops import (
+    acyclic_operad,
+    commutative_style_operad,
+    hypercommutative,
+)
 from helpers import random_complex, random_chain_map
 
 
@@ -392,3 +402,113 @@ class TestModularLift:
         phi2, _ = lift(mm.morphism, mm.morphism, mm, seed=5)
         for key in mm.operad.indices:
             assert homotopy_solve(phi1.block(key), phi2.block(key)) is not None
+
+
+def reference_condition_deltas(builder, q_operad, images_so_far, key, ckey,
+                               vc, qc):
+    """The unit-perturbation loop that _condition_deltas replaced, kept
+    verbatim as its reference: the whole component evaluated with each
+    unit of g, minus the whole component evaluated at g = 0."""
+    units = [(d, r, k) for d in sorted(vc.dims)
+             for r in range(qc.dim(d)) for k in range(vc.dim(d))]
+    zero_g = ChainMap(vc, qc, {}, check=False)
+    base_images = dict(images_so_far)
+    base_images[key] = zero_g
+    base_eval = builder.evaluation(q_operad, base_images, ckey)
+    deltas = {}
+    for (d, r, k) in units:
+        unit_images = dict(images_so_far)
+        unit_images[key] = _unit_g_map(vc, qc, d, r, k)
+        ev = builder.evaluation(q_operad, unit_images, ckey)
+        delta = {deg: ev[deg] - base_eval[deg] for deg in ev
+                 if not (ev[deg] - base_eval[deg]).is_zero()}
+        if delta:
+            deltas[(d, r, k)] = delta
+    return base_eval, deltas
+
+
+def fixture_document(name):
+    path = os.path.join(os.path.dirname(__file__), "fixtures", name)
+    with open(path, encoding="utf-8") as fh:
+        return doc.from_document(doc.loads(fh.read()))[0]
+
+
+def endomorphism_dim1(window):
+    return endomorphism_modular_operad(ChainComplex({0: 1}),
+                                       Matrix.from_rows([[1]]), window)
+
+
+def free_binary_ternary_window4():
+    # arity 4 has no generators of its own: its homology rows sit in the
+    # arity-3 level, whose generator is the root of some trees and a
+    # child in others
+    return free_operad(SigmaModule({
+        2: GroupAction.trivial(2, ChainComplex({0: 1})),
+        3: GroupAction.trivial(3, ChainComplex({1: 1}))}), 4)
+
+
+def lift_commutative_window4():
+    mm = minimal_model(commutative_style_operad(4), 4)
+    return lift(mm.morphism, mm.morphism, mm, seed=9)
+
+
+class TestConditionDeltas:
+    """Every level system reads its homology rows off the summands that
+    carry the level's generator; the deltas and base evaluations must be
+    the matrices the whole-component perturbations gave."""
+
+    @pytest.mark.parametrize("run", [
+        lambda: formality_check(fixture_document("commutative_window3.json")),
+        lambda: formality_check(fixture_document("endomorphism_dim1.json")),
+        lift_commutative_window4,
+        lambda: formality_check(endomorphism_dim1(2)),
+        lambda: formality_check(hypercommutative(4), 4),
+        lambda: formality_check(free_binary_ternary_window4(), 4),
+    ], ids=["commutative-window3", "endomorphism-dim1",
+            "commutative-window4-lift", "endomorphism-window2",
+            "hypercommutative-window4", "free-binary-ternary-window4"])
+    def test_identical_to_whole_component_perturbations(self, run,
+                                                        monkeypatch):
+        fast = minimal._condition_deltas
+        seen = []
+
+        def checked(*args):
+            got = fast(*args)
+            base, deltas = reference_condition_deltas(*args)
+            assert got[1] == deltas, args[3:5]
+            assert got[0] == base, args[3:5]
+            seen.append((args[3], args[4], len(deltas)))
+            return got
+
+        monkeypatch.setattr(minimal, "_condition_deltas", checked)
+        assert run() is not None
+        assert any(n for _, _, n in seen)
+
+
+class TestHypercommutative:
+    """H_*(M-bar_{0,n+1}), the genus-0 part of the paper's operad."""
+
+    def test_keel_dimensions(self):
+        q = hypercommutative(4)
+        assert validate(q) == []
+        assert {n: dict(q.component(n).dims) for n in q.arities} == {
+            2: {0: 1}, 3: {0: 1, 2: 1}, 4: {0: 1, 2: 5, 4: 1}}
+
+    def test_keel_dimensions_arity_5(self):
+        # Poincare polynomial 1 + 16t^2 + 16t^4 + t^6, total 34
+        assert dict(hypercommutative(5).component(5).dims) == {
+            0: 1, 2: 16, 4: 16, 6: 1}
+
+    def test_minimal_model_generators(self):
+        # a generator of degree 2(n - 2) - k counts b_k(M_{0,n+1}), whose
+        # Poincare polynomial is the product of (1 + kt) for k = 2..n-1
+        mm = minimal_model(hypercommutative(4), 4)
+        assert mm.generator_dims == {2: {0: 1}, 3: {1: 2, 2: 1},
+                                     4: {2: 6, 3: 5, 4: 1}}
+        assert is_minimal(mm.operad) == (True, None)
+
+    def test_formality_witness(self):
+        # the operad has zero differential, so it is formal; arity 4 has
+        # generators in the adjacent degrees 2 and 3
+        wit = formality_check(hypercommutative(4), 4)
+        assert wit is not None and wit.verify()
