@@ -15,6 +15,7 @@ from .qlinalg import (
     F1,
     Matrix,
     Subspace,
+    block_matrix,
     image,
     kernel,
     rank,
@@ -325,7 +326,6 @@ def mapping_cone(eta: ChainMap):
         blocks_top.append(eta.block(i - 1))
         blocks_bot.append(Matrix.zeros(b.dim(i - 2), a.dim(i)))
         blocks_bot.append(b.d(i - 1).scale(-1))
-        from .qlinalg import block_matrix
         diff[i] = block_matrix([blocks_top, blocks_bot])
     cone = ChainComplex(dims, diff)
     incl = ChainMap(a, cone, {

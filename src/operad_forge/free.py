@@ -17,18 +17,32 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .chain import ChainComplex, ChainMap, TensorData, koszul_reorder_sign
-from .qlinalg import F0, F1, Matrix, kernel
+from .chain import (
+    ChainComplex,
+    ChainMap,
+    TensorData,
+    koszul_reorder_sign,
+    reorder_map,
+)
+from .qlinalg import F0, F1, Matrix, kernel, rank
 from .sigma import (
     GroupAction,
     ModularSigmaModule,
     Permutation,
     SigmaModule,
     coinvariants,
-    modular_dimension,
     stable_pairs_up_to,
 )
-from .operad import CompTable, ContrTable, DGOperad, ModularOperad, OperadMorphism
+from .operad import (
+    CompTable,
+    ContrTable,
+    DGOperad,
+    ModularOperad,
+    OperadMorphism,
+    ideal_closure,
+    quotient,
+    validate,
+)
 from . import trees as T
 
 
@@ -66,6 +80,16 @@ def push_label(factor_actions, sigmas, label, perm_images, target_td, scale, out
         out[key] = out.get(key, F0) + coeff
         if out[key] == 0:
             del out[key]
+
+
+def _assemble(rows, cols, entries):
+    """Dense rows x cols Matrix of the sparse columns {col: {row: coeff}}."""
+    grid = [[F0] * cols for _ in range(rows)]
+    for col, column in entries.items():
+        for row, coeff in column.items():
+            if coeff != 0:
+                grid[row][col] = coeff
+    return Matrix(rows, cols, grid)
 
 
 @dataclass
@@ -107,384 +131,45 @@ class TowerData:
 
 
 class _FreeBuilder:
-    """What both free builders offer the constructions built on them.
+    """The free (modular) operad on ``gens`` over the window of ``shape``.
 
-    Subclasses keep ``summands`` and ``layouts`` per component key and
-    say, per summand, which generator key decorates each vertex
-    (``vertex_types``) and what a basis vector evaluates to in another
-    operad (``evaluate_basis``).
+    ``shape`` is an empty operad of the result's kind; it supplies the
+    key arithmetic.  The component at a key is a direct sum of
+    summands, one per catalogue object (tree or stable graph) whose
+    vertices all carry generators: ``summands[key]`` lists them, each a
+    tuple with the object first and, last, what carries the summand's
+    complex (the tensor data, or the coinvariants); ``layouts[key]``
+    places those complexes.
+    Every structure map takes one route: lift a basis vector of a
+    summand to tensor labels, rearrange the object (relabel its legs,
+    graft, expand a vertex), match the result onto its summand and push
+    the labels there.
+
+    Subclasses say what a summand is: the catalogue at a key, the
+    generator key of each vertex (``_types``), the summand tuple
+    (``_summand``, None when it vanishes), the lift of a basis vector
+    (``_lift``), the match of a rearranged object (``_match``) with the
+    projection back onto the summand (``_project``), and the
+    rearrangements ``_relabelled``, ``_grafted`` and ``_expanded``.
     """
 
-    def corolla_summand(self, key):
-        """The summand of a component holding its own generators (one
-        vertex, of type key), or None.  A one-vertex graph with a loop
-        is not the corolla: its vertex has another type."""
-        for s in range(len(self.summands[key])):
-            if self.vertex_types(key, s) == [key]:
-                return s
-        return None
-
-    def evaluation(self, dst, images, key, select=None):
-        """Evaluation matrices (degree -> Matrix) of the component at
-        key in dst, the generators sent along ``images``.
-
-        ``select(s)``, when given, picks the summands to evaluate; the
-        columns of the others stay zero.
-        """
-        layout = self.layouts[key]
-        target = dst.component(key)
-        blocks = {deg: [[F0] * layout.dim(deg) for _ in range(target.dim(deg))]
-                  for deg in layout.dims}
-        for s, cc in enumerate(layout.complexes):
-            if select is not None and not select(s):
-                continue
-            for deg in cc.dims:
-                for col in range(cc.dim(deg)):
-                    gcol = layout.offset(s, deg) + col
-                    res = self.evaluate_basis(dst, images, key, s, deg, col)
-                    for d, vec in res.items():
-                        if d != deg:
-                            raise AssertionError("degree drift in evaluation")
-                        for r, x in enumerate(vec):
-                            blocks[d][r][gcol] = x
-        return {d: Matrix(target.dim(d), layout.dim(d), g)
-                for d, g in blocks.items()}
-
-
-# -- free operads on trees ----------------------------------------------------
-
-
-class FreeOperadBuilder(_FreeBuilder):
-    """Gamma(V) on a finite window of arities.
-
-    ``gens`` maps arity -> GroupAction (the generator module); the
-    differential is the derivation extending the generators' internal
-    differential plus the optional attachment maps (used by principal
-    extensions and minimal models).
-    """
-
-    def __init__(self, gens, max_arity):
+    def __init__(self, gens, shape):
         self.gens = dict(gens)
-        self.max_arity = max_arity
+        self.shape = shape
         self.summands = {}
         self.layouts = {}
         self._summand_of = {}
-        for n in range(2, max_arity + 1):
+        for key in shape.keys():
             items = []
-            for tree in T.enumerate_trees(n):
-                factors = tuple(self._gen_complex(len(v.children))
-                                for v in tree.vertices())
-                td = TensorData(factors)
-                if td.complex.is_zero():
-                    continue
-                items.append((tree, td))
-            self.summands[n] = items
-            self._summand_of[n] = {tree: s for s, (tree, _) in enumerate(items)}
-            self.layouts[n] = Layout([td.complex for _, td in items])
-
-    def _gen_complex(self, arity):
-        ga = self.gens.get(arity)
-        return ga.complex if ga else ChainComplex.zero()
-
-    def _gen_action(self, arity):
-        ga = self.gens.get(arity)
-        if ga is None:
-            raise KeyError(f"no generators in arity {arity}")
-        return ga
-
-    def summand_index(self, n, tree):
-        try:
-            return self._summand_of[n][tree]
-        except KeyError:
-            raise KeyError("tree summand not present") from None
-
-    def vertex_types(self, n, s):
-        return [len(v.children) for v in self.summands[n][s][0].vertices()]
-
-    def evaluate_basis(self, dst, images, n, s, deg, col):
-        tree, td = self.summands[n][s]
-        d, vec = evaluate_tree_basis(dst, tree, images, td.basis(deg)[col])
-        return {d: vec}
-
-    # -- normalized pushes ----------------------------------------------------
-
-    def _push_planar(self, n, planar, factor_actions, label, scale, out):
-        """Normalize a planar tree and push a label into the component."""
-        match = T.normalize_planar(planar)
-        s = self.summand_index(n, match.tree)
-        td = self.summands[n][s][1]
-        perm_images = [0] * len(match.factor_order)
-        for pos, fid in enumerate(match.factor_order):
-            perm_images[fid] = pos
-        sigmas = [match.input_perms[fid] for fid in range(len(factor_actions))]
-        local = {}
-        push_label(factor_actions, sigmas, label, perm_images, td, scale, local)
-        layout = self.layouts[n]
-        for (deg, pos), coeff in local.items():
-            key = (deg, layout.offset(s, deg) + pos)
-            out[key] = out.get(key, F0) + coeff
-
-    # -- component construction ----------------------------------------------
-
-    def component_complex(self, n, attachments=None):
-        layout = self.layouts[n]
-        dims = dict(layout.dims)
-        diff_entries = {deg: {} for deg in dims}
-        for s, (tree, td) in enumerate(self.summands[n]):
-            verts = tree.vertices()
-            factor_actions = [self._gen_action(len(v.children)) for v in verts]
-            for deg in td.complex.dims:
-                dmat = td.complex.d(deg)
-                for col in range(td.complex.dim(deg)):
-                    gcol = layout.offset(s, deg) + col
-                    coldict = diff_entries[deg].setdefault(gcol, {})
-                    # internal tensor differential (block diagonal)
-                    if not dmat.is_zero():
-                        for r in range(dmat.rows):
-                            c = dmat.data[r][col]
-                            if c != 0:
-                                grow = layout.offset(s, deg - 1) + r
-                                coldict[grow] = coldict.get(grow, F0) + c
-                    # attachment derivation terms
-                    if attachments:
-                        label = td.basis(deg)[col]
-                        self._derivation_terms(n, s, tree, verts, factor_actions,
-                                               label, attachments, coldict)
-        diff = {}
-        for deg in dims:
-            rows = layout.dim(deg - 1)
-            if rows == 0:
-                continue
-            grid = [[F0] * dims[deg] for _ in range(rows)]
-            any_entry = False
-            for col, coldict in diff_entries[deg].items():
-                for row, coeff in coldict.items():
-                    if coeff != 0:
-                        grid[row][col] = coeff
-                        any_entry = True
-            if any_entry:
-                diff[deg] = Matrix(rows, dims[deg], grid)
-        return ChainComplex(dims, diff)
-
-    def _derivation_terms(self, n, s, tree, verts, factor_actions, label,
-                          attachments, coldict):
-        sign = F1
-        for fv, vert in enumerate(verts):
-            kv = len(vert.children)
-            att = attachments.get(kv)
-            dv, kk = label[fv]
-            if att and (dv in att) and not att[dv].is_zero():
-                col = att[dv].col(kk)
-                sub_layout = self.layouts[kv]
-                for row, coeff in enumerate(col):
-                    if coeff == 0:
-                        continue
-                    ssub, local = sub_layout.locate(dv - 1, row)
-                    sub_tree, sub_td = self.summands[kv][ssub]
-                    sub_label = sub_td.basis(dv - 1)[local]
-                    planar, actions, big_label = self._expanded_planar(
-                        tree, fv, sub_tree, label, sub_label, factor_actions)
-                    out = {}
-                    self._push_planar(n, planar, actions, big_label,
-                                      sign * coeff, out)
-                    for key, c in out.items():
-                        grow = key[1]
-                        coldict[grow] = coldict.get(grow, F0) + c
-            if dv % 2:
-                sign = -sign
-        return coldict
-
-    def _expanded_planar(self, tree, fv, sub_tree, label, sub_label,
-                         factor_actions):
-        """Planar tree with vertex fv replaced by sub_tree.
-
-        Factor ids follow the sequence order: tree's vertices with the
-        slot of fv replaced by the block of sub_tree's vertices.
-        """
-        n_old = len(factor_actions)
-        n_sub = len(sub_tree.vertices())
-
-        def remap(fid):
-            if fid < fv:
-                return fid
-            if fid == fv:
-                return None
-            return fid + n_sub - 1
-
-        counter = [0]
-
-        def walk(t):
-            if t.is_leaf:
-                return t.label
-            fid = counter[0]
-            counter[0] += 1
-            children = tuple(walk(c) for c in t.children)
-            if fid == fv:
-                # paste sub_tree: its leaves 1..kv wire to these children
-                sub_planar = T.tree_to_planar(sub_tree, factor_offset=0)
-
-                def paste(p):
-                    if isinstance(p, int):
-                        return children[p - 1]
-                    return T.PlanarNode(fv + p.factor,
-                                        tuple(paste(c) for c in p.children))
-
-                return paste(sub_planar)
-            return T.PlanarNode(remap(fid), children)
-
-        planar = walk(tree)
-        sub_actions = [self._gen_action(len(v.children))
-                       for v in sub_tree.vertices()]
-        actions = (factor_actions[:fv] + sub_actions + factor_actions[fv + 1:])
-        big_label = label[:fv] + tuple(sub_label) + label[fv + 1:]
-        return planar, actions, big_label
-
-    # -- structure maps --------------------------------------------------------
-
-    def action_generator(self, n, j, component):
-        """ChainMap of the adjacent transposition s_j on component n."""
-        sigma = Permutation.transposition(n, j)
-        inv = sigma  # adjacent transpositions are involutions
-        blocks_entries = {}
-        for s, (tree, td) in enumerate(self.summands[n]):
-            verts = tree.vertices()
-            factor_actions = [self._gen_action(len(v.children)) for v in verts]
-            planar = T.tree_to_planar(tree)
-            relabeled = T.planar_relabel(
-                planar, {lbl: inv(lbl) for lbl in range(1, n + 1)})
-            for deg in td.complex.dims:
-                for col in range(td.complex.dim(deg)):
-                    label = td.basis(deg)[col]
-                    out = {}
-                    self._push_planar(n, relabeled, factor_actions, label,
-                                      F1, out)
-                    gcol = self.layouts[n].offset(s, deg) + col
-                    for (tdeg, grow), coeff in out.items():
-                        blocks_entries.setdefault(tdeg, {}).setdefault(
-                            gcol, {})[grow] = coeff
-        blocks = {}
-        for deg, cols in blocks_entries.items():
-            dim = self.layouts[n].dim(deg)
-            grid = [[F0] * dim for _ in range(dim)]
-            for col, rows in cols.items():
-                for row, coeff in rows.items():
-                    grid[row][col] = coeff
-            blocks[deg] = Matrix(dim, dim, grid)
-        return ChainMap(component, component, blocks, check=False)
-
-    def composition_table(self, l, i, m):
-        table = CompTable()
-        n = l + m - 1
-        layout_l, layout_m = self.layouts[l], self.layouts[m]
-        for s1, (t1, td1) in enumerate(self.summands[l]):
-            verts1 = t1.vertices()
-            for s2, (t2, td2) in enumerate(self.summands[m]):
-                verts2 = t2.vertices()
-                planar1 = T.tree_to_planar(t1)
-                relabel1 = {j: (j if j < i else (i if j == i else j + m - 1))
-                            for j in range(1, l + 1)}
-                planar1 = T.planar_relabel(planar1, relabel1)
-                planar2 = T.tree_to_planar(
-                    t2, factor_offset=len(verts1),
-                    relabel={p: p + i - 1 for p in range(1, m + 1)})
-                grafted = T.planar_substitute_leaf(planar1, i, planar2)
-                factor_actions = (
-                    [self._gen_action(len(v.children)) for v in verts1]
-                    + [self._gen_action(len(v.children)) for v in verts2])
-                for deg1 in td1.complex.dims:
-                    for c1 in range(td1.complex.dim(deg1)):
-                        lab1 = td1.basis(deg1)[c1]
-                        k1 = layout_l.offset(s1, deg1) + c1
-                        for deg2 in td2.complex.dims:
-                            for c2 in range(td2.complex.dim(deg2)):
-                                lab2 = td2.basis(deg2)[c2]
-                                k2 = layout_m.offset(s2, deg2) + c2
-                                out = {}
-                                self._push_planar(n, grafted, factor_actions,
-                                                  lab1 + lab2, F1, out)
-                                for (tdeg, grow), coeff in out.items():
-                                    table.add(deg1, k1, deg2, k2, grow, coeff)
-        return table
-
-    def finish(self, attachments=None, check_actions=False) -> DGOperad:
-        attachments = attachments or {}
-        actions = {}
-        for n in range(2, self.max_arity + 1):
-            comp = self.component_complex(n, attachments)
-            if comp.is_zero():
-                continue
-            gens = [self.action_generator(n, j, comp) for j in range(1, n)]
-            actions[n] = GroupAction(n, comp, gens, check=check_actions)
-        comp_tables = {}
-        for l in range(2, self.max_arity + 1):
-            for m in range(2, self.max_arity + 1):
-                if l + m - 1 > self.max_arity:
-                    continue
-                if l not in actions or m not in actions:
-                    continue
-                for i in range(1, l + 1):
-                    tab = self.composition_table(l, i, m)
-                    if not tab.is_zero():
-                        comp_tables[(l, i, m)] = tab
-        op = DGOperad(SigmaModule(actions, check=False), comp_tables,
-                      self.max_arity)
-        op.free = self
-        op.tower = TowerData(
-            levels=tuple(sorted(self.gens)),
-            gen_actions=dict(self.gens),
-            attachments={k: dict(v) for k, v in attachments.items()})
-        return op
-
-
-def free_operad(module: SigmaModule, max_arity: int,
-                run_validation=False) -> DGOperad:
-    """Free dg operad on an arity-indexed module with V(1) = 0."""
-    if 1 in module.components and not module.component(1).is_zero():
-        raise ValueError("free operad requires V(1) = 0")
-    gens = {l: ga for l, ga in module.components.items() if l >= 2}
-    op = FreeOperadBuilder(gens, max_arity).finish()
-    if run_validation:
-        from .operad import validate
-        report = validate(op)
-        if report:
-            raise AssertionError("free operad failed validation: "
-                                 + "; ".join(report[:3]))
-    return op
-
-
-# -- free modular operads on stable graphs ------------------------------------
-
-
-class FreeModularBuilder(_FreeBuilder):
-    """M(V) on the window of modular dimension <= max_dim.
-
-    Component summands are the coinvariants of graph spaces under graph
-    automorphisms; structure maps are computed at graph-space level and
-    sandwiched between the coinvariant inclusions and projections.
-    """
-
-    def __init__(self, gens, max_dim):
-        self.gens = dict(gens)
-        self.max_dim = max_dim
-        self.summands = {}   # (g,l) -> list of (graph, TensorData, Coinvariants)
-        self.layouts = {}
-        self._summand_of = {}
-        for key in stable_pairs_up_to(max_dim):
-            items = []
-            for graph in T.enumerate_stable_graphs(*key):
-                td = TensorData(tuple(self._gen_complex(graph.vertex_type(v))
-                                      for v in range(graph.n_vertices)))
-                if td.complex.is_zero():
-                    continue
-                coin = coinvariants(td.complex,
-                                    self._automorphism_maps(graph, td))
-                if coin.complex.is_zero():
-                    continue
-                items.append((graph, td, coin))
+            for obj in self._catalogue(key):
+                td = TensorData(tuple(self._gen_complex(t)
+                                      for t in self._types(obj)))
+                item = None if td.complex.is_zero() else self._summand(obj, td)
+                if item is not None:
+                    items.append(item)
             self.summands[key] = items
-            self._summand_of[key] = {graph: s for s, (graph, _, _)
-                                     in enumerate(items)}
-            self.layouts[key] = Layout([c.complex for _, _, c in items])
+            self._summand_of[key] = {item[0]: s for s, item in enumerate(items)}
+            self.layouts[key] = Layout([item[-1].complex for item in items])
 
     def _gen_complex(self, key):
         ga = self.gens.get(key)
@@ -495,6 +180,328 @@ class FreeModularBuilder(_FreeBuilder):
         if ga is None:
             raise KeyError(f"no generators at {key}")
         return ga
+
+    def _actions(self, obj):
+        return [self._gen_action(t) for t in self._types(obj)]
+
+    def summand_index(self, key, obj):
+        try:
+            return self._summand_of[key][obj]
+        except KeyError:
+            raise KeyError("summand not present") from None
+
+    def vertex_types(self, key, s):
+        return self._types(self.summands[key][s][0])
+
+    def corolla_summand(self, key):
+        """The summand of a component holding its own generators (one
+        vertex, of type key), or None.  A one-vertex graph with a loop
+        is not the corolla: its vertex has another type."""
+        for s in range(len(self.summands[key])):
+            if self.vertex_types(key, s) == [key]:
+                return s
+        return None
+
+    def _columns(self, key, s):
+        """(degree, summand column, component column) of each basis
+        vector of summand s."""
+        layout = self.layouts[key]
+        for deg, dim in layout.complexes[s].dims.items():
+            off = layout.offset(s, deg)
+            for col in range(dim):
+                yield deg, col, off + col
+
+    def _push(self, key, obj, actions, labels, scale):
+        """Component coordinates {(degree, row): coeff} of the tensor
+        labels [(label, coeff)] of a rearranged object; an object whose
+        summand vanished gives nothing."""
+        found = self._match(key, obj)
+        if found is None:
+            return {}
+        s, sigmas, perm_images = found
+        td = self.summands[key][s][1]
+        local = {}
+        for label, coeff in labels:
+            push_label(actions, sigmas, label, perm_images, td, scale * coeff,
+                       local)
+        layout = self.layouts[key]
+        return {(deg, layout.offset(s, deg) + pos): coeff
+                for (deg, pos), coeff in self._project(key, s, local)}
+
+    # -- components and structure maps -----------------------------------------
+
+    def component_complex(self, key, attachments=None):
+        """The component at key; its differential is the summands' own
+        plus the derivation extending the attachment maps."""
+        layout = self.layouts[key]
+        cols = {deg: {} for deg in layout.dims}
+        for s, cc in enumerate(layout.complexes):
+            for deg, col, gcol in self._columns(key, s):
+                column = cols[deg].setdefault(gcol, {})
+                if deg in cc.diff:
+                    off = layout.offset(s, deg - 1)
+                    for r, c in enumerate(cc.diff[deg].col(col)):
+                        if c != 0:
+                            column[off + r] = column.get(off + r, F0) + c
+                if attachments:
+                    self._derivation(key, s, deg, col, attachments, column)
+        diff = {deg: _assemble(layout.dim(deg - 1), layout.dim(deg), entries)
+                for deg, entries in cols.items()
+                if any(c != 0 for column in entries.values()
+                       for c in column.values())}
+        return ChainComplex(dict(layout.dims), diff)
+
+    def _derivation(self, key, s, deg, col, attachments, column):
+        """Add to ``column`` the attachment terms of d on one basis
+        vector: each vertex in turn expanded into the attachment image of
+        its generator, with the Koszul sign of the vertices before it."""
+        obj = self.summands[key][s][0]
+        types = self._types(obj)
+        actions = [self._gen_action(t) for t in types]
+        lifted = self._lift(key, s, deg, col)
+        for v, vkey in enumerate(types):
+            att = attachments.get(vkey)
+            if not att:
+                continue
+            for label, lcoeff in lifted:
+                dv, kk = label[v]
+                if dv not in att or att[dv].is_zero():
+                    continue
+                sign = -F1 if sum(d for d, _ in label[:v]) % 2 else F1
+                for row, coeff in enumerate(att[dv].col(kk)):
+                    if coeff == 0:
+                        continue
+                    ssub, local = self.layouts[vkey].locate(dv - 1, row)
+                    sub = self.summands[vkey][ssub][0]
+                    labels = [(label[:v] + tuple(sl) + label[v + 1:], c)
+                              for sl, c in self._lift(vkey, ssub, dv - 1, local)]
+                    out = self._push(
+                        key, self._expanded(obj, v, sub),
+                        actions[:v] + self._actions(sub) + actions[v + 1:],
+                        labels, sign * lcoeff * coeff)
+                    for (_, r), c in out.items():
+                        column[r] = column.get(r, F0) + c
+
+    def action_generator(self, key, j, component):
+        """ChainMap of the adjacent transposition s_j on the component."""
+        sigma = Permutation.transposition(self.shape.legs(key), j)
+        cols = {}
+        for s, (obj, *_) in enumerate(self.summands[key]):
+            moved = self._relabelled(obj, sigma)
+            actions = self._actions(obj)
+            for deg, col, gcol in self._columns(key, s):
+                out = self._push(key, moved, actions,
+                                 self._lift(key, s, deg, col), F1)
+                for (tdeg, row), c in out.items():
+                    cols.setdefault(tdeg, {}).setdefault(gcol, {})[row] = c
+        layout = self.layouts[key]
+        return ChainMap(component, component,
+                        {deg: _assemble(layout.dim(deg), layout.dim(deg), e)
+                         for deg, e in cols.items()}, check=False)
+
+    def composition_table(self, key1, i, key2):
+        table = CompTable()
+        tkey = self.shape.comp_target(key1, i, key2)
+        for s1, (obj1, *_) in enumerate(self.summands[key1]):
+            lifts1 = [(deg, k, self._lift(key1, s1, deg, c))
+                      for deg, c, k in self._columns(key1, s1)]
+            for s2, (obj2, *_) in enumerate(self.summands[key2]):
+                lifts2 = [(deg, k, self._lift(key2, s2, deg, c))
+                          for deg, c, k in self._columns(key2, s2)]
+                grafted = self._grafted(obj1, i, obj2)
+                actions = self._actions(obj1) + self._actions(obj2)
+                for deg1, k1, lift1 in lifts1:
+                    for deg2, k2, lift2 in lifts2:
+                        labels = [(l1 + l2, a * b) for l1, a in lift1
+                                  for l2, b in lift2]
+                        out = self._push(tkey, grafted, actions, labels, F1)
+                        for (_, row), c in out.items():
+                            table.add(deg1, k1, deg2, k2, row, c)
+        return table
+
+    def finish(self, attachments=None, check_actions=False):
+        """The operad on the window, its differential extended by the
+        attachment maps (generator key -> degree -> Matrix)."""
+        attachments = attachments or {}
+        shape = self.shape
+        actions = {}
+        for key in shape.keys():
+            comp = self.component_complex(key, attachments)
+            if comp.is_zero():
+                continue
+            legs = shape.legs(key)
+            gens = [self.action_generator(key, j, comp) for j in range(1, legs)]
+            actions[key] = GroupAction(legs, comp, gens, check=check_actions)
+        comp_tables = {}
+        for trip in shape.comp_keys():
+            if {trip[0], trip[2], shape.comp_target(*trip)} <= actions.keys():
+                tab = self.composition_table(*trip)
+                if not tab.is_zero():
+                    comp_tables[trip] = tab
+        contr_tables = {}
+        for trip in shape.contr_keys():
+            if {trip[0], shape.contr_target(trip[0])} <= actions.keys():
+                tab = self.contraction_table(*trip)
+                if tab.entries:
+                    contr_tables[trip] = tab
+        op = shape.remake(actions, comp_tables, contr_tables, shape.window,
+                          None)
+        op.free = self
+        op.tower = TowerData(
+            levels=tuple(sorted({shape.level(k) for k in self.gens})),
+            gen_actions=dict(self.gens),
+            attachments={k: dict(v) for k, v in attachments.items()})
+        return op
+
+    def evaluation(self, dst, images, key, select=None):
+        """Evaluation matrices (degree -> Matrix) of the component at
+        key in dst, the generators sent along ``images``.
+
+        ``select(s)``, when given, picks the summands to evaluate; the
+        columns of the others stay zero.
+        """
+        layout = self.layouts[key]
+        target = dst.component(key)
+        cols = {deg: {} for deg in layout.dims}
+        for s in range(len(self.summands[key])):
+            if select is not None and not select(s):
+                continue
+            for deg, col, gcol in self._columns(key, s):
+                res = self.evaluate_basis(dst, images, key, s, deg, col)
+                for d, vec in res.items():
+                    if d != deg:
+                        raise AssertionError("degree drift in evaluation")
+                    cols[d][gcol] = dict(enumerate(vec))
+        return {d: _assemble(target.dim(d), layout.dim(d), c)
+                for d, c in cols.items()}
+
+
+def _checked(op, run_validation, what):
+    if run_validation:
+        report = validate(op)
+        if report:
+            raise AssertionError(f"{what} failed validation: "
+                                 + "; ".join(report[:3]))
+    return op
+
+
+# -- free operads on trees ----------------------------------------------------
+
+
+class FreeOperadBuilder(_FreeBuilder):
+    """Gamma(V) on arities 2..max_arity: summands are reduced trees.
+
+    ``gens`` maps arity -> GroupAction (the generator module); the
+    differential is the derivation extending the generators' internal
+    differential plus the optional attachment maps (used by principal
+    extensions and minimal models).
+    """
+
+    def __init__(self, gens, max_arity):
+        super().__init__(gens, DGOperad(SigmaModule({}), {}, max_arity))
+
+    def _catalogue(self, n):
+        return T.enumerate_trees(n)
+
+    def _types(self, tree):
+        return [len(v.children) for v in tree.vertices()]
+
+    def _summand(self, tree, td):
+        return tree, td
+
+    def _lift(self, n, s, deg, col):
+        return ((self.summands[n][s][1].basis(deg)[col], F1),)
+
+    def _match(self, n, planar):
+        match = T.normalize_planar(planar)
+        perm_images = [0] * len(match.factor_order)
+        for pos, fid in enumerate(match.factor_order):
+            perm_images[fid] = pos
+        sigmas = [match.input_perms[fid] for fid in range(len(perm_images))]
+        return self.summand_index(n, match.tree), sigmas, perm_images
+
+    def _project(self, n, s, local):
+        return local.items()
+
+    def _relabelled(self, tree, sigma):
+        inv = sigma.inverse()
+        return T.planar_relabel(T.tree_to_planar(tree),
+                                {lbl: inv(lbl) for lbl in range(1, sigma.n + 1)})
+
+    def _grafted(self, t1, i, t2):
+        l, m = t1.arity, t2.arity
+        first = T.planar_relabel(
+            T.tree_to_planar(t1),
+            {j: (j if j < i else (i if j == i else j + m - 1))
+             for j in range(1, l + 1)})
+        second = T.tree_to_planar(t2, factor_offset=len(t1.vertices()),
+                                  relabel={p: p + i - 1 for p in range(1, m + 1)})
+        return T.planar_substitute_leaf(first, i, second)
+
+    def _expanded(self, tree, v, sub):
+        """Planar tree with vertex v replaced by sub.  Factor ids follow
+        the sequence order: tree's vertices with the slot of v replaced by
+        the block of sub's vertices."""
+        shift = len(sub.vertices()) - 1
+
+        def paste(p, children):
+            if isinstance(p, int):
+                return children[p - 1]
+            return T.PlanarNode(p.factor,
+                                tuple(paste(c, children) for c in p.children))
+
+        def walk(p):
+            if isinstance(p, int):
+                return p
+            children = tuple(walk(c) for c in p.children)
+            if p.factor == v:
+                return paste(T.tree_to_planar(sub, factor_offset=v), children)
+            return T.PlanarNode(p.factor + shift if p.factor > v else p.factor,
+                                children)
+
+        return walk(T.tree_to_planar(tree))
+
+    def evaluate_basis(self, dst, images, n, s, deg, col):
+        tree, td = self.summands[n][s]
+        d, vec = evaluate_tree_basis(dst, tree, images, td.basis(deg)[col])
+        return {d: vec}
+
+
+def free_operad(module: SigmaModule, max_arity: int,
+                run_validation=False) -> DGOperad:
+    """Free dg operad on an arity-indexed module with V(1) = 0."""
+    if 1 in module.components and not module.component(1).is_zero():
+        raise ValueError("free operad requires V(1) = 0")
+    gens = {l: ga for l, ga in module.components.items() if l >= 2}
+    return _checked(FreeOperadBuilder(gens, max_arity).finish(),
+                    run_validation, "free operad")
+
+
+# -- free modular operads on stable graphs ------------------------------------
+
+
+class FreeModularBuilder(_FreeBuilder):
+    """M(V) on the window of modular dimension <= max_dim.
+
+    Summands are the coinvariants of graph spaces under graph
+    automorphisms: a basis vector lifts through the coinvariant
+    inclusion, and a vector pushed onto a graph space comes back through
+    the projection.
+    """
+
+    def __init__(self, gens, max_dim):
+        super().__init__(gens, ModularOperad(ModularSigmaModule({}), {}, {},
+                                             max_dim))
+
+    def _catalogue(self, key):
+        return T.enumerate_stable_graphs(*key)
+
+    def _types(self, graph):
+        return [graph.vertex_type(v) for v in range(graph.n_vertices)]
+
+    def _summand(self, graph, td):
+        coin = coinvariants(td.complex, self._automorphism_maps(graph, td))
+        return None if coin.complex.is_zero() else (graph, td, coin)
 
     def _automorphism_maps(self, graph, td):
         maps = []
@@ -517,290 +524,78 @@ class FreeModularBuilder(_FreeBuilder):
             image_slots = [slot_map[s] for s in g1.leg_order(v)]
             sigmas.append(Permutation(tuple(
                 image_slots.index(d) + 1 for d in target_order)))
-        perm_images = list(vperm)
-        blocks_entries = {}
-        for deg in td1.complex.dims:
-            dim_t = td2.complex.dim(deg)
-            grid = [[F0] * td1.complex.dim(deg) for _ in range(dim_t)]
-            for col in range(td1.complex.dim(deg)):
-                out = {}
-                push_label(factor_actions, sigmas, td1.basis(deg)[col],
-                           perm_images, td2, F1, out)
-                for (tdeg, row), coeff in out.items():
-                    grid[row][col] = coeff
-            blocks_entries[deg] = Matrix(dim_t, td1.complex.dim(deg), grid)
-        return ChainMap(td1.complex, td2.complex, blocks_entries, check=False)
-
-    # -- pushing through a concrete graph --------------------------------------
-
-    def _push_concrete(self, key, concrete, factor_actions, vlevel_vectors,
-                       scale, out):
-        """Map graph-space vectors through the match to the catalog.
-
-        ``vlevel_vectors``: dict (deg, label) -> coeff at graph-space
-        level, with labels in the concrete factor sequence order.
-        Accumulates component coordinates (after coinvariant projection)
-        into ``out``.  Targets whose coinvariants vanished contribute
-        nothing.
-        """
-        match = T.match_graph(concrete)
-        target_graph = T.enumerate_stable_graphs(*key)[match.index]
-        index = self._summand_of[key].get(target_graph)
-        if index is None:
-            return
-        graph, td, coin = self.summands[key][index]
-        match = T.GraphMatch(index, match.vertex_map, match.slot_perms)
-        sigmas = [match.slot_perms[v] for v in range(len(factor_actions))]
-        perm_images = list(match.vertex_map)
-        vout = {}
-        for (label, coeff) in vlevel_vectors:
-            push_label(factor_actions, sigmas, label, perm_images, td,
-                       scale * coeff, vout)
-        layout = self.layouts[key]
-        for deg in set(d for d, _ in vout):
-            dim = td.complex.dim(deg)
-            vec = [F0] * dim
-            for (d, pos), coeff in vout.items():
-                if d == deg:
-                    vec[pos] = coeff
-            proj = coin.projection.block(deg).apply(vec)
-            for row, coeff in enumerate(proj):
-                if coeff != 0:
-                    gkey = (deg, layout.offset(match.index, deg) + row)
-                    out[gkey] = out.get(gkey, F0) + coeff
-
-    def _lift_component_basis(self, key, summand, deg, col):
-        """Inclusion of a coinvariant basis vector: list of (label, coeff)."""
-        graph, td, coin = self.summands[key][summand]
-        vec = coin.inclusion.block(deg).col(col)
-        basis = td.basis(deg)
-        return [(basis[r], c) for r, c in enumerate(vec) if c != 0]
-
-    def vertex_types(self, key, s):
-        graph = self.summands[key][s][0]
-        return [graph.vertex_type(v) for v in range(graph.n_vertices)]
-
-    def evaluate_basis(self, dst, images, key, s, deg, col):
-        return evaluate_graph_basis(dst, self.summands[key][s][0], images,
-                                    self._lift_component_basis(key, s, deg, col))
-
-    # -- components -------------------------------------------------------------
-
-    def component_complex(self, key, attachments=None):
-        layout = self.layouts[key]
-        dims = dict(layout.dims)
-        diff_cols = {deg: {} for deg in dims}
-        for s, (graph, td, coin) in enumerate(self.summands[key]):
-            cc = coin.complex
-            for deg in cc.dims:
-                dmat = cc.d(deg)
-                for col in range(cc.dim(deg)):
-                    gcol = layout.offset(s, deg) + col
-                    coldict = diff_cols[deg].setdefault(gcol, {})
-                    if not dmat.is_zero():
-                        for r in range(dmat.rows):
-                            c = dmat.data[r][col]
-                            if c != 0:
-                                grow = layout.offset(s, deg - 1) + r
-                                coldict[grow] = coldict.get(grow, F0) + c
-                    if attachments:
-                        self._modular_derivation(key, s, deg, col, attachments,
-                                                 coldict)
-        diff = {}
-        for deg in dims:
-            rows = layout.dim(deg - 1)
-            if rows == 0:
-                continue
-            grid = [[F0] * dims[deg] for _ in range(rows)]
-            nonzero = False
-            for col, coldict in diff_cols[deg].items():
-                for row, coeff in coldict.items():
-                    if coeff != 0:
-                        grid[row][col] = coeff
-                        nonzero = True
-            if nonzero:
-                diff[deg] = Matrix(rows, dims[deg], grid)
-        return ChainComplex(dims, diff)
-
-    def _modular_derivation(self, key, s, deg, col, attachments, coldict):
-        graph, td, coin = self.summands[key][s]
-        lifted = self._lift_component_basis(key, s, deg, col)
-        factor_actions = [self._gen_action(graph.vertex_type(v))
-                          for v in range(graph.n_vertices)]
-        for v in range(graph.n_vertices):
-            vkey = graph.vertex_type(v)
-            att = attachments.get(vkey)
-            if not att:
-                continue
-            for (label, lcoeff) in lifted:
-                dv, kk = label[v]
-                if dv not in att or att[dv].is_zero():
-                    continue
-                sign = F1
-                for p in range(v):
-                    if label[p][0] % 2:
-                        sign = -sign
-                colvec = att[dv].col(kk)
-                sub_layout = self.layouts[vkey]
-                for row, coeff in enumerate(colvec):
-                    if coeff == 0:
-                        continue
-                    ssub, local = sub_layout.locate(dv - 1, row)
-                    sub_graph, sub_td, sub_coin = self.summands[vkey][ssub]
-                    concrete = T.expand_vertex(
-                        T.concrete_from_canonical(graph), v,
-                        T.concrete_from_canonical(sub_graph))
-                    sub_lift = self._lift_component_basis(vkey, ssub,
-                                                          dv - 1, local)
-                    combined = [
-                        (label[:v] + tuple(sl) + label[v + 1:], lc)
-                        for (sl, lc) in sub_lift]
-                    actions = (factor_actions[:v]
-                               + [self._gen_action(sub_graph.vertex_type(u))
-                                  for u in range(sub_graph.n_vertices)]
-                               + factor_actions[v + 1:])
-                    out = {}
-                    self._push_concrete(key, concrete, actions, combined,
-                                        sign * lcoeff * coeff, out)
-                    for (tdeg, grow), c in out.items():
-                        coldict[grow] = coldict.get(grow, F0) + c
-
-    def action_generator(self, key, j, component):
-        g, l = key
-        sigma = Permutation.transposition(l, j)
-        blocks_entries = {}
-        layout = self.layouts[key]
-        for s, (graph, td, coin) in enumerate(self.summands[key]):
-            factor_actions = [self._gen_action(graph.vertex_type(v))
-                              for v in range(graph.n_vertices)]
-            concrete = T.relabel_legs(T.concrete_from_canonical(graph), sigma)
-            cc = coin.complex
-            for deg in cc.dims:
-                for col in range(cc.dim(deg)):
-                    lifted = self._lift_component_basis(key, s, deg, col)
-                    out = {}
-                    self._push_concrete(key, concrete, factor_actions, lifted,
-                                        F1, out)
-                    gcol = layout.offset(s, deg) + col
-                    for (tdeg, grow), coeff in out.items():
-                        blocks_entries.setdefault(tdeg, {}).setdefault(
-                            gcol, {})[grow] = coeff
         blocks = {}
-        for deg, cols in blocks_entries.items():
-            dim = layout.dim(deg)
-            grid = [[F0] * dim for _ in range(dim)]
-            for col, rows in cols.items():
-                for row, coeff in rows.items():
-                    grid[row][col] = coeff
-            blocks[deg] = Matrix(dim, dim, grid)
-        return ChainMap(component, component, blocks, check=False)
+        for deg in td1.complex.dims:
+            cols = {}
+            for col, label in enumerate(td1.basis(deg)):
+                out = {}
+                push_label(factor_actions, sigmas, label, vperm, td2, F1, out)
+                cols[col] = {row: c for (_, row), c in out.items()}
+            blocks[deg] = _assemble(td2.complex.dim(deg),
+                                    td1.complex.dim(deg), cols)
+        return ChainMap(td1.complex, td2.complex, blocks, check=False)
 
-    def composition_table(self, key1, i, key2):
-        table = CompTable()
-        tkey = (key1[0] + key2[0], key1[1] + key2[1] - 2)
-        layout1, layout2 = self.layouts[key1], self.layouts[key2]
-        for s1, (g1, td1, coin1) in enumerate(self.summands[key1]):
-            actions1 = [self._gen_action(g1.vertex_type(v))
-                        for v in range(g1.n_vertices)]
-            for s2, (g2, td2, coin2) in enumerate(self.summands[key2]):
-                actions2 = [self._gen_action(g2.vertex_type(v))
-                            for v in range(g2.n_vertices)]
-                concrete = T.graft_graphs(T.concrete_from_canonical(g1), i,
-                                          T.concrete_from_canonical(g2))
-                actions = actions1 + actions2
-                cc1, cc2 = coin1.complex, coin2.complex
-                for deg1 in cc1.dims:
-                    for c1 in range(cc1.dim(deg1)):
-                        lift1 = self._lift_component_basis(key1, s1, deg1, c1)
-                        k1 = layout1.offset(s1, deg1) + c1
-                        for deg2 in cc2.dims:
-                            for c2 in range(cc2.dim(deg2)):
-                                lift2 = self._lift_component_basis(
-                                    key2, s2, deg2, c2)
-                                k2 = layout2.offset(s2, deg2) + c2
-                                combined = [(l1 + l2, a * b)
-                                            for (l1, a) in lift1
-                                            for (l2, b) in lift2]
-                                out = {}
-                                self._push_concrete(tkey, concrete, actions,
-                                                    combined, F1, out)
-                                for (tdeg, grow), coeff in out.items():
-                                    table.add(deg1, k1, deg2, k2, grow, coeff)
-        return table
+    def _lift(self, key, s, deg, col):
+        _, td, coin = self.summands[key][s]
+        basis = td.basis(deg)
+        return [(basis[r], c)
+                for r, c in enumerate(coin.inclusion.block(deg).col(col))
+                if c != 0]
+
+    def _match(self, key, concrete):
+        match = T.match_graph(concrete)
+        s = self._summand_of[key].get(
+            T.enumerate_stable_graphs(*key)[match.index])
+        if s is None:
+            return None
+        sigmas = [match.slot_perms[v] for v in range(len(match.vertex_map))]
+        return s, sigmas, match.vertex_map
+
+    def _project(self, key, s, local):
+        _, td, coin = self.summands[key][s]
+        for deg in set(d for d, _ in local):
+            vec = [F0] * td.complex.dim(deg)
+            for (d, pos), c in local.items():
+                if d == deg:
+                    vec[pos] = c
+            for row, c in enumerate(coin.projection.block(deg).apply(vec)):
+                if c != 0:
+                    yield (deg, row), c
+
+    def _relabelled(self, graph, sigma):
+        return T.relabel_legs(T.concrete_from_canonical(graph), sigma)
+
+    def _grafted(self, g1, i, g2):
+        return T.graft_graphs(T.concrete_from_canonical(g1), i,
+                              T.concrete_from_canonical(g2))
+
+    def _expanded(self, graph, v, sub):
+        return T.expand_vertex(T.concrete_from_canonical(graph), v,
+                               T.concrete_from_canonical(sub))
 
     def contraction_table(self, key, i, j):
         table = ContrTable()
-        tkey = (key[0] + 1, key[1] - 2)
-        layout = self.layouts[key]
-        for s, (graph, td, coin) in enumerate(self.summands[key]):
-            actions = [self._gen_action(graph.vertex_type(v))
-                       for v in range(graph.n_vertices)]
-            concrete = T.self_glue(T.concrete_from_canonical(graph), i, j)
-            cc = coin.complex
-            for deg in cc.dims:
-                for col in range(cc.dim(deg)):
-                    lifted = self._lift_component_basis(key, s, deg, col)
-                    out = {}
-                    self._push_concrete(tkey, concrete, actions, lifted, F1,
-                                        out)
-                    k = layout.offset(s, deg) + col
-                    for (tdeg, grow), coeff in out.items():
-                        table.add(deg, k, grow, coeff)
+        tkey = self.shape.contr_target(key)
+        for s, (graph, _, _) in enumerate(self.summands[key]):
+            glued = T.self_glue(T.concrete_from_canonical(graph), i, j)
+            actions = self._actions(graph)
+            for deg, col, k in self._columns(key, s):
+                out = self._push(tkey, glued, actions,
+                                 self._lift(key, s, deg, col), F1)
+                for (_, row), c in out.items():
+                    table.add(deg, k, row, c)
         return table
 
-    def finish(self, attachments=None, check_actions=False) -> ModularOperad:
-        attachments = attachments or {}
-        actions = {}
-        for key in stable_pairs_up_to(self.max_dim):
-            comp = self.component_complex(key, attachments)
-            if comp.is_zero():
-                continue
-            l = key[1]
-            gens = [self.action_generator(key, j, comp) for j in range(1, l)]
-            actions[key] = GroupAction(l, comp, gens, check=check_actions)
-        comp_tables, contr_tables = {}, {}
-        probe = ModularOperad(ModularSigmaModule(actions, check=False), {}, {},
-                              self.max_dim)
-        for trip in probe.comp_keys():
-            key1, i, key2 = trip
-            if key1 not in actions or key2 not in actions:
-                continue
-            tkey = probe.comp_target(key1, i, key2)
-            if tkey not in actions:
-                continue
-            tab = self.composition_table(key1, i, key2)
-            if not tab.is_zero():
-                comp_tables[trip] = tab
-        for (key, i, j) in probe.contr_keys():
-            if key not in actions:
-                continue
-            if (key[0] + 1, key[1] - 2) not in actions:
-                continue
-            tab = self.contraction_table(key, i, j)
-            if tab.entries:
-                contr_tables[(key, i, j)] = tab
-        op = ModularOperad(ModularSigmaModule(actions, check=False),
-                           comp_tables, contr_tables, self.max_dim)
-        op.free = self
-        op.tower = TowerData(
-            levels=tuple(sorted({modular_dimension(*k) for k in self.gens})),
-            gen_actions=dict(self.gens),
-            attachments={k: dict(v) for k, v in attachments.items()})
-        return op
+    def evaluate_basis(self, dst, images, key, s, deg, col):
+        return evaluate_graph_basis(dst, self.summands[key][s][0], images,
+                                    self._lift(key, s, deg, col))
 
 
 def free_modular_operad(module: ModularSigmaModule, max_dim: int,
                         run_validation=False) -> ModularOperad:
     """Free dg modular operad on a modular module, within the window."""
-    gens = dict(module.components)
-    op = FreeModularBuilder(gens, max_dim).finish()
-    if run_validation:
-        from .operad import validate
-        report = validate(op)
-        if report:
-            raise AssertionError("free modular operad failed validation: "
-                                 + "; ".join(report[:3]))
-    return op
+    return _checked(FreeModularBuilder(dict(module.components), max_dim).finish(),
+                    run_validation, "free modular operad")
 
 
 # -- endomorphism modular operad ----------------------------------------------
@@ -824,9 +619,8 @@ def _normalize_pairing(v: ChainComplex, pairing):
 
 
 def _validate_pairing(v: ChainComplex, b):
-    from .qlinalg import rank as _rank
     for i, m in b.items():
-        if m.rows != m.cols or _rank(m) != m.rows:
+        if m.rows != m.cols or rank(m) != m.rows:
             raise ValueError("inner product is degenerate")
         sign = -F1 if i % 2 else F1
         other = b.get(-i)
@@ -880,7 +674,6 @@ def endomorphism_modular_operad(v: ChainComplex, pairing,
             continue
         tds[key] = td
         gens = []
-        from .chain import reorder_map
         for j in range(1, l):
             sigma = Permutation.transposition(l, j)
             images = [sigma(q) - 1 for q in range(1, l + 1)]
@@ -888,19 +681,16 @@ def endomorphism_modular_operad(v: ChainComplex, pairing,
             gens.append(ChainMap(td.complex, td.complex, rmap.blocks,
                                  check=False))
         actions[key] = GroupAction(l, td.complex, gens, check=False)
-    comp = {}
-    contr = {}
-    probe = ModularOperad(ModularSigmaModule(actions, check=False), {}, {},
-                          max_dim)
-    for trip in probe.comp_keys():
+    op = ModularOperad(ModularSigmaModule(actions, check=False), {}, {},
+                       max_dim)
+    for trip in op.comp_keys():
         key1, i, key2 = trip
         if key1 not in tds or key2 not in tds:
             continue
-        tkey = probe.comp_target(key1, i, key2)
+        tkey = op.comp_target(key1, i, key2)
         if tkey not in tds:
             continue
         td1, td2, tdt = tds[key1], tds[key2], tds[tkey]
-        l, m = key1[1], key2[1]
         table = CompTable()
         for deg1 in td1.complex.dims:
             for k1, lab1 in enumerate(td1.basis(deg1)):
@@ -923,11 +713,11 @@ def endomorphism_modular_operad(v: ChainComplex, pairing,
                         tdeg, pos = tdt.index(newlab)
                         table.add(deg1, k1, deg2, k2, pos, coeff)
         if not table.is_zero():
-            comp[trip] = table
-    for (key, i, j) in probe.contr_keys():
+            op.comp[trip] = table
+    for (key, i, j) in op.contr_keys():
         if key not in tds:
             continue
-        tkey = (key[0] + 1, key[1] - 2)
+        tkey = op.contr_target(key)
         if tkey not in tds:
             continue
         td, tdt = tds[key], tds[tkey]
@@ -952,9 +742,7 @@ def endomorphism_modular_operad(v: ChainComplex, pairing,
                 tdeg, pos = tdt.index(newlab)
                 table.add(deg, k, pos, coeff)
         if table.entries:
-            contr[(key, i, j)] = table
-    op = ModularOperad(ModularSigmaModule(actions, check=False), comp, contr,
-                       max_dim)
+            op.contr[(key, i, j)] = table
     return op
 
 
@@ -1146,7 +934,6 @@ def extend_freely(op, up_to: int, strict=True):
     by the ideal generated by the kernel of the evaluation back onto the
     truncation, and returns the quotient with its presentation attached.
     """
-    from .operad import ideal_closure, quotient
     if op.cut is None:
         raise ValueError("extend_freely expects a truncated operad")
     cut = op.cut

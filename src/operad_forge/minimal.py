@@ -25,6 +25,7 @@ from fractions import Fraction
 from .chain import (
     ChainComplex,
     ChainMap,
+    check_homotopy,
     homology,
     homotopy_solve,
     induced_map,
@@ -37,7 +38,7 @@ from .free import (
     morphism_from_generators,
 )
 from .operad import ModularOperad, OperadMorphism, truncate
-from .qlinalg import F0, F1, Matrix, kernel, solve, solve_matrix
+from .qlinalg import F0, F1, Matrix, block_matrix, kernel, solve, solve_matrix
 from .sigma import GroupAction, Permutation
 
 
@@ -72,18 +73,10 @@ def _diagonal_action(n, cone, a_action, b_action, a_complex, b_complex):
         blocks = {}
         for i in cone.dims:
             na, nb = a_complex.dim(i), b_complex.dim(i - 1)
-            grid = [[F0] * (na + nb) for _ in range(na + nb)]
-            if na:
-                mat = ra.block(i) if ra else Matrix.identity(na)
-                for r in range(na):
-                    for c in range(na):
-                        grid[r][c] = mat.data[r][c]
-            if nb:
-                mat = rb.block(i - 1) if rb else Matrix.identity(nb)
-                for r in range(nb):
-                    for c in range(nb):
-                        grid[na + r][na + c] = mat.data[r][c]
-            blocks[i] = Matrix(na + nb, na + nb, grid)
+            top = ra.block(i) if ra and na else Matrix.identity(na)
+            bottom = rb.block(i - 1) if rb and nb else Matrix.identity(nb)
+            blocks[i] = block_matrix([[top, Matrix.zeros(na, nb)],
+                                      [Matrix.zeros(nb, na), bottom]])
         gens.append(ChainMap(cone, cone, blocks, check=False))
     return GroupAction(n, cone, gens, check=False)
 
@@ -318,21 +311,8 @@ def cone_completion(lam: ChainMap, mu: ChainMap, eta: ChainMap,
             for c in range(nb):
                 grid[r][na + c] = lam_im1.data[r][c]
         lp_blocks[i] = Matrix(rows, na + nb, grid)
-    f1 = incl_x.compose(nu)
-    shifted = ChainComplex({i + 1: n for i, n in czeta.dims.items()},
-                           {i + 1: m.scale(-1) for i, m in czeta.diff.items()},
-                           check=False)
-    ok = True
-    for i in ceta.dims:
-        target = f1.block(i) - lp_blocks[i]
-        acc = Matrix.zeros(czeta.dim(i), ceta.dim(i))
-        if i in h:
-            acc = acc + czeta.d(i + 1) * h[i]
-        if i - 1 in h:
-            acc = acc + h[i - 1] * ceta.d(i)
-        if acc != target:
-            ok = False
-    if not ok:
+    if not check_homotopy(incl_x.compose(nu),
+                          ChainMap(ceta, czeta, lp_blocks, check=False), h):
         raise AssertionError("cone completion homotopy identity failed")
     return nu, h
 

@@ -22,6 +22,7 @@ from .chain import (
     ChainComplex,
     ChainMap,
     HomologyRecord,
+    TensorData,
     canonical_truncation,
     homology,
     induced_map,
@@ -279,7 +280,6 @@ def t_functor(c: ChainComplex, f: ChainMap, w: WeightFunction) -> TFunctorResult
 def leibniz_containment(cx, fx, cy, fy, w) -> bool:
     """Products of the weight truncations land in the truncation of the
     tensor product (the monoidality containment), checked exactly."""
-    from .chain import TensorData
     tx, ty = t_functor(cx, fx, w), t_functor(cy, fy, w)
     td = TensorData((cx, cy))
     tensor_f_blocks = {}

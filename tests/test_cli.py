@@ -183,20 +183,32 @@ def test_malformed_argument_exit_2_without_traceback(args):
 
 
 # sha256 of the stdout of `free` on the generator fixtures, as written
-# before the writer and the summand and graph lookups were rewritten
+# before the writer and the summand and graph lookups were rewritten, and
+# of seeded `minimal-model` runs (the only pinned runs of the attachment
+# derivation), as written before the two free builders were merged
 FREE_DIGESTS = [
-    (["binary_generator.json", "--max-arity", "4"],
+    (["free", "binary_generator.json", "--max-arity", "4"],
      "405434c8b02813b2545e2ec97a93b406e22a6a7df57f19ce0ff7d9685754005a"),
-    (["modular_generator_03.json", "--max-dim", "2"],
+    (["free", "modular_generator_03.json", "--max-dim", "2"],
      "d9a67201747703f6c3ca02c0139a7a02cbc72365b75d8458fa2b50d9d28b2a13"),
+    (["free", "binary_generator.json", "--max-arity", "5"],
+     "771a6fc1d54350705aaa0b0aa93834754a46b71a1246fd5820dc9b4f11d8a0a8"),
+    (["free", "modular_generator_03.json", "--max-dim", "3"],
+     "5f3ebf2a646211211cdd032fabb35c0da474f32a6ca08c6b8cba38d0b4916d35"),
+    (["minimal-model", "commutative_window3.json", "--max", "3",
+      "--seed", "9"],
+     "2a575fbb502fdea6dbe20f5f9721f51bdde7e2cbd4a299ec33fa44afac7ef800"),
+    (["minimal-model", "endomorphism_dim1.json", "--seed", "5"],
+     "aa7f6189b421d2eaef559bfc05681fbdd13460d6d1459aac906d76882b73d251"),
 ]
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "123"])
 @pytest.mark.parametrize("args,digest", FREE_DIGESTS,
-                         ids=["arity-4", "dim-2"])
+                         ids=["arity-4", "dim-2", "arity-5", "dim-3",
+                              "model-commutative", "model-endomorphism"])
 def test_free_output_bytes_unchanged(args, digest, hash_seed):
-    run = run_cli("free", fx(args[0]), *args[1:], PYTHONHASHSEED=hash_seed)
+    run = run_cli(args[0], fx(args[1]), *args[2:], PYTHONHASHSEED=hash_seed)
     assert run.returncode == 0, run.stderr
     assert hashlib.sha256(run.stdout).hexdigest() == digest
 

@@ -232,6 +232,16 @@ class TestMinimalModel:
         assert ok
         assert is_minimal(mm.operad) == (True, None)
 
+    def test_attachment_derivation_satisfies_axioms(self):
+        # the odd binary generator sits before the attached ternary vertex
+        # in some trees, so a wrong Koszul sign in the derivation breaks
+        # the axioms; seed 5 gives a modular model whose axioms break when
+        # the derivation drops the coefficients of a coinvariant lift
+        assert validate(massey_minimal_operad()) == []
+        E = endomorphism_modular_operad(ChainComplex({0: 1}),
+                                        Matrix.from_rows([[1]]), 2)
+        assert validate(minimal_model(E, 2, seed=5).operad) == []
+
     def test_seeds_give_isomorphic_models(self):
         com = commutative_style_operad(4)
         mm0 = minimal_model(com, 4, seed=0)
