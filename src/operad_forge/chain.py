@@ -21,6 +21,7 @@ from .qlinalg import (
     rank,
     solve,
     solve_matrix,
+    sparse_row,
 )
 
 
@@ -385,16 +386,13 @@ def direct_sum(complexes):
         rows, cols = dims.get(i - 1, 0), dims[i]
         if rows == 0 or cols == 0:
             continue
-        grid = [[F0] * cols for _ in range(rows)]
+        # the summands' row ranges are disjoint, so each row has one source
+        out = [()] * rows
         for k, c in enumerate(complexes):
-            m = c.d(i)
-            if i - 1 not in offsets:
-                continue
             ro, co = offsets[i - 1][k], offsets[i][k]
-            for r in range(m.rows):
-                for cc in range(m.cols):
-                    grid[ro + r][co + cc] = m.data[r][cc]
-        diff[i] = Matrix(rows, cols, grid)
+            for r, row in enumerate(c.d(i).sparse):
+                out[ro + r] = tuple((co + j, x) for j, x in row)
+        diff[i] = Matrix._trusted(rows, cols, tuple(out))
     total = ChainComplex(dims, diff, check=False)
     incls, projs = [], []
     for k, c in enumerate(complexes):
@@ -402,10 +400,9 @@ def direct_sum(complexes):
         for i in c.dims:
             n = c.dim(i)
             off = offsets[i][k]
-            rowsel = list(range(off, off + n))
-            ib[i] = Matrix(dims[i], n,
-                           [[F1 if (r in rowsel and r - off == j) else F0
-                             for j in range(n)] for r in range(dims[i])])
+            ib[i] = Matrix._trusted(dims[i], n, tuple(
+                ((r - off, F1),) if off <= r < off + n else ()
+                for r in range(dims[i])))
             pb[i] = ib[i].transpose()
         incls.append(ChainMap(c, total, ib, check=False))
         projs.append(ChainMap(total, c, pb, check=False))
@@ -451,28 +448,28 @@ class TensorData:
             for pos, label in enumerate(items):
                 self._index[label] = (n, pos)
         dims = {n: len(items) for n, items in self._basis.items()}
+        # the columns of each factor's differentials, as sparse rows
+        dcols = {}
+        for j, f in enumerate(self.factors):
+            for d in f.dims:
+                dcols[j, d] = f.d(d).transpose().sparse
         diff = {}
         for n, items in self._basis.items():
             rows = len(self._basis.get(n - 1, []))
             if rows == 0:
                 continue
-            grid = [[F0] * len(items) for _ in range(rows)]
+            out = [{} for _ in range(rows)]
             for colpos, label in enumerate(items):
                 sign = F1
                 for j, (d, k) in enumerate(label):
-                    fac = self.factors[j]
-                    dm = fac.d(d)
-                    if not dm.is_zero():
-                        for r in range(dm.rows):
-                            coef = dm.data[r][k]
-                            if coef == 0:
-                                continue
-                            newlabel = label[:j] + ((d - 1, r),) + label[j + 1:]
-                            _, rowpos = self._index[newlabel]
-                            grid[rowpos][colpos] += sign * coef
+                    for r, coef in dcols[j, d][k]:
+                        newlabel = label[:j] + ((d - 1, r),) + label[j + 1:]
+                        row = out[self._index[newlabel][1]]
+                        row[colpos] = row.get(colpos, F0) + sign * coef
                     if d % 2:
                         sign = -sign
-            diff[n] = Matrix(rows, len(items), grid)
+            diff[n] = Matrix._trusted(rows, len(items),
+                                      tuple(map(sparse_row, out)))
         self.complex = ChainComplex(dims, diff)
 
     def basis(self, degree):
@@ -519,8 +516,7 @@ def reorder_map(td: TensorData, perm_images):
     target = TensorData(tuple(target_factors))
     blocks = {}
     for n, items in td._basis.items():
-        rows = len(target.basis(n))
-        grid = [[F0] * len(items) for _ in range(rows)]
+        out = [()] * len(target.basis(n))
         for colpos, label in enumerate(items):
             degrees = [d for d, _ in label]
             sign = koszul_reorder_sign(degrees, perm_images)
@@ -528,8 +524,8 @@ def reorder_map(td: TensorData, perm_images):
             for p, entry in enumerate(label):
                 newlabel[perm_images[p]] = entry
             _, rowpos = target.index(tuple(newlabel))
-            grid[rowpos][colpos] = sign
-        blocks[n] = Matrix(rows, len(items), grid)
+            out[rowpos] = ((colpos, sign),)
+        blocks[n] = Matrix._trusted(len(out), len(items), tuple(out))
     return target, ChainMap(td.complex, target.complex, blocks)
 
 
@@ -567,31 +563,26 @@ def homotopy_solve(f: ChainMap, g: ChainMap):
             if not target.is_zero():
                 return None
             continue
-        dy = y.d(i + 1)
-        dx = x.d(i)
+        dy = y.d(i + 1).sparse
+        dxt = x.d(i).transpose().sparse
         for r in range(ni):
+            trow = target.row(r)
             for c in range(mi):
-                row = [F0] * total
-                # (d h_i)[r, c] = sum_k dy[r, k] h_i[k, c]
-                if i in hoffsets:
-                    base = hoffsets[i]
-                    yk = y.dim(i + 1)
-                    for k in range(yk):
-                        if dy.data[r][k] != 0:
-                            row[base + k * mi + c] += dy.data[r][k]
+                row = []
                 # (h_{i-1} d)[r, c] = sum_k h_{i-1}[r, k] dx[k, c]
                 if i - 1 in hoffsets:
-                    base = hoffsets[i - 1]
-                    mk = x.dim(i - 1)
-                    for k in range(mk):
-                        if dx.data[k][c] != 0:
-                            row[base + r * mk + k] += dx.data[k][c]
-                rows.append(row)
-                rhs.append(target.data[r][c])
+                    base = hoffsets[i - 1] + r * x.dim(i - 1)
+                    row += [(base + k, v) for k, v in dxt[c]]
+                # (d h_i)[r, c] = sum_k dy[r, k] h_i[k, c]; its unknowns
+                # come after those of h_{i-1}
+                if i in hoffsets:
+                    base = hoffsets[i] + c
+                    row += [(base + k * mi, v) for k, v in dy[r]]
+                rows.append(tuple(row))
+                rhs.append(trow[c])
     if total == 0:
         return {} if all(v == 0 for v in rhs) else None
-    system = Matrix(len(rows), total, rows)
-    sol = solve(system, rhs)
+    sol = solve(Matrix._trusted(len(rows), total, tuple(rows)), rhs)
     if sol is None:
         return None
     h = {}

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .chain import ChainComplex, ChainMap
 from .operad import CompTable, ContrTable, DGOperad, ModularOperad
-from .qlinalg import F0, Matrix
+from .qlinalg import Matrix
 from .sigma import GroupAction, ModularSigmaModule, SigmaModule
 
 FORMAT_VERSION = "operad-forge/1"
@@ -49,18 +49,31 @@ def rational_from_str(s) -> Fraction:
 
 
 def matrix_to_lists(m: Matrix):
-    # the dense builders fill with the shared F0, so the identity test
-    # skips most zeros; any other zero still prints as "0"
-    return [["0" if x is F0 else rational_to_str(x) for x in row]
-            for row in m.data]
+    out = []
+    for row in m.sparse:
+        line = ["0"] * m.cols
+        for j, x in row:
+            line[j] = rational_to_str(x)
+        out.append(line)
+    return out
 
 
 def matrix_from_lists(data, rows, cols):
     if not isinstance(data, list) or len(data) != rows \
             or any(not isinstance(r, list) or len(r) != cols for r in data):
         raise DocumentError(f"matrix shape mismatch (expected {rows}x{cols})")
-    return Matrix(rows, cols,
-                  [[rational_from_str(x) for x in row] for row in data])
+    sparse = []
+    for row in data:
+        entries = []
+        for j, x in enumerate(row):
+            # a "0" cell is the common case; any other spelling of zero
+            # ("-0", "0/3") is parsed and dropped
+            if x != "0":
+                x = rational_from_str(x)
+                if x:
+                    entries.append((j, x))
+        sparse.append(tuple(entries))
+    return Matrix._trusted(rows, cols, tuple(sparse))
 
 
 def _key_to_str(key):

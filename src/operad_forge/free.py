@@ -24,7 +24,7 @@ from .chain import (
     koszul_reorder_sign,
     reorder_map,
 )
-from .qlinalg import F0, F1, Matrix, kernel, rank
+from .qlinalg import F0, F1, Matrix, kernel, rank, sparse_row
 from .sigma import (
     GroupAction,
     ModularSigmaModule,
@@ -83,13 +83,13 @@ def push_label(factor_actions, sigmas, label, perm_images, target_td, scale, out
 
 
 def _assemble(rows, cols, entries):
-    """Dense rows x cols Matrix of the sparse columns {col: {row: coeff}}."""
-    grid = [[F0] * cols for _ in range(rows)]
+    """The rows x cols Matrix of the sparse columns {col: {row: coeff}}."""
+    out = [{} for _ in range(rows)]
     for col, column in entries.items():
         for row, coeff in column.items():
-            if coeff != 0:
-                grid[row][col] = coeff
-    return Matrix(rows, cols, grid)
+            if coeff:
+                out[row][col] = coeff
+    return Matrix._trusted(rows, cols, tuple(map(sparse_row, out)))
 
 
 @dataclass
@@ -234,43 +234,45 @@ class _FreeBuilder:
         """The component at key; its differential is the summands' own
         plus the derivation extending the attachment maps."""
         layout = self.layouts[key]
+        # attachment images and summand differentials by column
+        att_cols = {k: {d: m.transpose().sparse for d, m in v.items()}
+                    for k, v in (attachments or {}).items()}
         cols = {deg: {} for deg in layout.dims}
         for s, cc in enumerate(layout.complexes):
+            dcols = {d: m.transpose().sparse for d, m in cc.diff.items()}
             for deg, col, gcol in self._columns(key, s):
                 column = cols[deg].setdefault(gcol, {})
-                if deg in cc.diff:
+                if deg in dcols:
                     off = layout.offset(s, deg - 1)
-                    for r, c in enumerate(cc.diff[deg].col(col)):
-                        if c != 0:
-                            column[off + r] = column.get(off + r, F0) + c
-                if attachments:
-                    self._derivation(key, s, deg, col, attachments, column)
+                    for r, c in dcols[deg][col]:
+                        column[off + r] = column.get(off + r, F0) + c
+                if att_cols:
+                    self._derivation(key, s, deg, col, att_cols, column)
         diff = {deg: _assemble(layout.dim(deg - 1), layout.dim(deg), entries)
                 for deg, entries in cols.items()
                 if any(c != 0 for column in entries.values()
                        for c in column.values())}
         return ChainComplex(dict(layout.dims), diff)
 
-    def _derivation(self, key, s, deg, col, attachments, column):
+    def _derivation(self, key, s, deg, col, att_cols, column):
         """Add to ``column`` the attachment terms of d on one basis
         vector: each vertex in turn expanded into the attachment image of
-        its generator, with the Koszul sign of the vertices before it."""
+        its generator, with the Koszul sign of the vertices before it.
+        ``att_cols[vkey][degree]`` holds the attachment's columns."""
         obj = self.summands[key][s][0]
         types = self._types(obj)
         actions = [self._gen_action(t) for t in types]
         lifted = self._lift(key, s, deg, col)
         for v, vkey in enumerate(types):
-            att = attachments.get(vkey)
+            att = att_cols.get(vkey)
             if not att:
                 continue
             for label, lcoeff in lifted:
                 dv, kk = label[v]
-                if dv not in att or att[dv].is_zero():
+                if dv not in att:
                     continue
                 sign = -F1 if sum(d for d, _ in label[:v]) % 2 else F1
-                for row, coeff in enumerate(att[dv].col(kk)):
-                    if coeff == 0:
-                        continue
+                for row, coeff in att[dv][kk]:
                     ssub, local = self.layouts[vkey].locate(dv - 1, row)
                     sub = self.summands[vkey][ssub][0]
                     labels = [(label[:v] + tuple(sl) + label[v + 1:], c)
@@ -626,30 +628,20 @@ def _validate_pairing(v: ChainComplex, b):
         other = b.get(-i)
         if other is None or other != m.transpose().scale(sign):
             raise ValueError("inner product is not graded symmetric")
-    # compatibility with the differential: B(dx, y) + (-1)^|x| B(x, dy) = 0
+    # compatibility with the differential: B(dx, y) + (-1)^|x| B(x, dy) = 0,
+    # as the dim V_i x dim V_{1-i} matrix d_i^T B_{i-1} + (-1)^i B_i d_{1-i}
     for i in v.dims:
         j = 1 - i
         if v.dim(j) == 0:
             continue
-        di = v.d(i)
-        dj = v.d(j)
-        for a in range(v.dim(i)):
-            for bidx in range(v.dim(j)):
-                lhs = F0
-                if v.dim(i - 1) and (i - 1) in b and v.dim(j):
-                    col = di.col(a)
-                    for r, c in enumerate(col):
-                        if c != 0:
-                            lhs += c * b[i - 1].data[r][bidx]
-                rhs = F0
-                if v.dim(j - 1) and i in b:
-                    col = dj.col(bidx)
-                    for r, c in enumerate(col):
-                        if c != 0:
-                            rhs += c * b[i].data[a][r]
-                total = lhs + (rhs if i % 2 == 0 else -rhs)
-                if total != 0:
-                    raise ValueError("inner product is not a chain map")
+        total = Matrix.zeros(v.dim(i), v.dim(j))
+        if v.dim(i - 1) and (i - 1) in b:
+            total = total + v.d(i).transpose() * b[i - 1]
+        if v.dim(j - 1) and i in b:
+            rhs = b[i] * v.d(j)
+            total = total + rhs if i % 2 == 0 else total - rhs
+        if not total.is_zero():
+            raise ValueError("inner product is not a chain map")
 
 
 def endomorphism_modular_operad(v: ChainComplex, pairing,
@@ -700,7 +692,7 @@ def endomorphism_modular_operad(v: ChainComplex, pairing,
                         dj, kj = lab2[0]
                         if di + dj != 0 or di not in b:
                             continue
-                        coeff = b[di].data[ki][kj]
+                        coeff = b[di][ki, kj]
                         if coeff == 0:
                             continue
                         tail_a = sum(d for d, _ in lab1[i:])
@@ -728,7 +720,7 @@ def endomorphism_modular_operad(v: ChainComplex, pairing,
                 dj, kj = lab[j - 1]
                 if di + dj != 0 or di not in b:
                     continue
-                coeff = b[di].data[ki][kj]
+                coeff = b[di][ki, kj]
                 if coeff == 0:
                     continue
                 before_i = sum(d for d, _ in lab[:i - 1])

@@ -38,7 +38,16 @@ from .free import (
     morphism_from_generators,
 )
 from .operad import ModularOperad, OperadMorphism, truncate
-from .qlinalg import F0, F1, Matrix, block_matrix, kernel, solve, solve_matrix
+from .qlinalg import (
+    F0,
+    F1,
+    Matrix,
+    block_matrix,
+    kernel,
+    solve,
+    solve_matrix,
+    sparse_row,
+)
 from .sigma import GroupAction, Permutation
 
 
@@ -293,24 +302,14 @@ def cone_completion(lam: ChainMap, mu: ChainMap, eta: ChainMap,
         if rows == 0:
             continue
         na, nb = a.dim(i), b.dim(i - 1)
-        grid = [[F0] * (na + nb) for _ in range(rows)]
-        mu_i = mu.block(i)
-        for r in range(y.dim(i)):
-            for c in range(na):
-                grid[x.dim(i + 1) + r][c] = mu_i.data[r][c]
-        h[i] = Matrix(rows, na + nb, grid)
+        h[i] = Matrix.zeros(x.dim(i + 1), na + nb).vstack(
+            mu.block(i).hstack(Matrix.zeros(y.dim(i), nb)))
     # verify the right square commutes up to h: lam[1] o proj_b sends
     # (C eta)_i onto B_{i-1} and through lam into (C zeta)_i
     lp_blocks = {}
     for i in ceta.dims:
-        na, nb = a.dim(i), b.dim(i - 1)
-        rows = czeta.dim(i)
-        grid = [[F0] * (na + nb) for _ in range(rows)]
-        lam_im1 = lam.block(i - 1)
-        for r in range(min(rows, lam_im1.rows)):
-            for c in range(nb):
-                grid[r][na + c] = lam_im1.data[r][c]
-        lp_blocks[i] = Matrix(rows, na + nb, grid)
+        lp = Matrix.zeros(czeta.dim(i), a.dim(i))
+        lp_blocks[i] = lp.hstack(lam.block(i - 1)) if b.dim(i - 1) else lp
     if not check_homotopy(incl_x.compose(nu),
                           ChainMap(ceta, czeta, lp_blocks, check=False), h):
         raise AssertionError("cone completion homotopy identity failed")
@@ -438,9 +437,8 @@ def is_minimal(op):
             off = layout.offset(corolla, d - 1)
             span = layout.complexes[corolla].dim(d - 1)
             # an attachment made before the corolla existed stops short of it
-            for r in range(off, min(off + span, m.rows)):
-                if any(m.data[r][c] != 0 for c in range(m.cols)):
-                    return False, op.level(key)
+            if any(m.sparse[off:off + span]):
+                return False, op.level(key)
     return True, None
 
 
@@ -544,13 +542,11 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
             if d in xi and d - 1 in prev_eval \
             else Matrix.zeros(qc.dim(d - 1), nv)
         for r in range(qc.dim(d - 1)):
+            trow = target.row(r)
             for k in range(nv):
-                row = [F0] * total
-                for rr in range(nq):
-                    if dq.data[r][rr] != 0:
-                        row[var(d, rr, k)] += dq.data[r][rr]
-                rows.append(row)
-                rhs.append(target.data[r][k])
+                rows.append(tuple((var(d, rr, k), x)
+                                  for rr, x in dq.sparse[r]))
+                rhs.append(trow[k])
     # (b) equivariance: g R_V(s) = R_Q(s) g
     q_ga = q_operad.group_action(key)
     for j in range(1, arity):
@@ -559,18 +555,15 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
         rq = q_ga.action(sigma) if q_ga else None
         for d in sorted(vc.dims):
             nv, nq = vc.dim(d), qc.dim(d)
-            rvb = rv.block(d)
+            rv_cols = rv.block(d).transpose().sparse
             rqb = rq.block(d) if rq else Matrix.identity(nq)
             for r in range(nq):
                 for k in range(nv):
-                    row = [F0] * total
-                    for kk in range(nv):
-                        if rvb.data[kk][k] != 0:
-                            row[var(d, r, kk)] += rvb.data[kk][k]
-                    for rr in range(nq):
-                        if rqb.data[r][rr] != 0:
-                            row[var(d, rr, k)] -= rqb.data[r][rr]
-                    rows.append(row)
+                    row = {var(d, r, kk): x for kk, x in rv_cols[k]}
+                    for rr, x in rqb.sparse[r]:
+                        v = var(d, rr, k)
+                        row[v] = row.get(v, F0) - x
+                    rows.append(sparse_row(row))
                     rhs.append(F0)
     # (c) homology conditions
     for ckey in c_keys:
@@ -598,12 +591,10 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
                 contribs = {var(*u): lam.apply(dmat[d].apply(z))
                             for u, dmat in deltas.items() if d in dmat}
                 for hrow in range(hr.dim(d)):
-                    row = [F0] * total
-                    for v, c_vec in contribs.items():
-                        row[v] = c_vec[hrow]
-                    rows.append(row)
+                    rows.append(sparse_row({v: c_vec[hrow] for v, c_vec
+                                            in contribs.items()}))
                     rhs.append(want[hrow] - fixed[hrow])
-    system = Matrix(len(rows), total, rows) if rows else Matrix.zeros(0, total)
+    system = Matrix._trusted(len(rows), total, tuple(rows))
     sol = solve(system, rhs) if rows else (F0,) * total
     if sol is None:
         raise ObstructionError(f"obstruction system unsolvable at {key}")
@@ -648,9 +639,8 @@ def _condition_deltas(builder, q_operad, images, key, ckey, vc, qc):
 
 
 def _unit_g_map(vc, qc, d, r, k):
-    grid = [[F0] * vc.dim(d) for _ in range(qc.dim(d))]
-    grid[r][k] = F1
-    return ChainMap(vc, qc, {d: Matrix(qc.dim(d), vc.dim(d), grid)},
+    unit = tuple(((k, F1),) if i == r else () for i in range(qc.dim(d)))
+    return ChainMap(vc, qc, {d: Matrix._trusted(qc.dim(d), vc.dim(d), unit)},
                     check=False)
 
 

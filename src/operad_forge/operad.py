@@ -24,7 +24,7 @@ from .chain import (
     homology,
     induced_map,
 )
-from .qlinalg import F0, F1, Matrix, Subspace, rank
+from .qlinalg import F0, F1, Matrix, Subspace, rank, sparse_row
 from .sigma import (
     GroupAction,
     ModularSigmaModule,
@@ -127,12 +127,12 @@ class ContrTable:
         return tuple(out)
 
     def matrix(self, d, target_dim, source_dim):
-        grid = [[F0] * source_dim for _ in range(target_dim)]
-        block = self.entries.get(d, {})
-        for k, cell in block.items():
+        rows = [{} for _ in range(target_dim)]
+        for k, cell in self.entries.get(d, {}).items():
             for row, coeff in cell.items():
-                grid[row][k] = coeff
-        return Matrix(target_dim, source_dim, grid)
+                rows[row][k] = coeff
+        return Matrix._trusted(target_dim, source_dim,
+                               tuple(map(sparse_row, rows)))
 
 
 # -- block permutations for equivariance axioms -------------------------------
@@ -972,8 +972,8 @@ def transfer(op, complexes, section, project):
                     images, rows=op.component(tkey).dim(d1 + d2)))
                 if coords is None:
                     raise AssertionError(f"closure fails at {trip}")
-                for row, line in enumerate(coords.data):
-                    for col, coeff in enumerate(line):
+                for row, line in enumerate(coords.sparse):
+                    for col, coeff in line:
                         k1, k2 = divmod(col, len(vs2))
                         table.add(d1, k1, d2, k2, row, coeff)
         if not table.is_zero():
@@ -991,8 +991,8 @@ def transfer(op, complexes, section, project):
                 images, rows=op.component(tkey).dim(d)))
             if coords is None:
                 raise AssertionError(f"closure fails at xi {key}")
-            for row, line in enumerate(coords.data):
-                for k, coeff in enumerate(line):
+            for row, line in enumerate(coords.sparse):
+                for k, coeff in line:
                     table.add(d, k, row, coeff)
         if not table.is_zero():
             contr[trip] = table

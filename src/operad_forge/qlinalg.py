@@ -5,14 +5,18 @@ decompositions) reduces to solving, kernels, images and eigenspace
 splittings of matrices with ``fractions.Fraction`` entries.  All
 arithmetic is exact; no floating point is ever introduced.
 
-Matrices are immutable (tuple-of-rows) and hashable.  Subspaces carry a
-canonical reduced-echelon basis so equality of subspaces is syntactic.
+Matrices are immutable and hashable, and stored as sparse rows: each
+row is the tuple of its nonzero ``(col, Fraction)`` pairs, sorted by
+column.  Subspaces carry a canonical reduced-echelon basis so equality
+of subspaces is syntactic.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 F0 = Fraction(0)
@@ -25,40 +29,80 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
-class Matrix:
-    """Dense rational matrix; rows*cols may be zero."""
+def sparse_row(entries) -> tuple:
+    """The sorted nonzero ``(col, value)`` pairs of a ``{col: value}``
+    dict of ``Fraction``s: one row of ``Matrix.sparse``."""
+    return tuple(sorted((j, x) for j, x in entries.items() if x))
 
-    __slots__ = ("rows", "cols", "data")
+
+def _combine(a, b, c):
+    """The sparse row a + c * b."""
+    if not b:
+        return a
+    acc = dict(a)
+    for j, x in b:
+        v = acc.get(j)
+        acc[j] = c * x if v is None else v + c * x
+    return sparse_row(acc)
+
+
+class Matrix:
+    """Sparse rational matrix; rows*cols may be zero.
+
+    ``sparse[i]`` is row i as its nonzero ``(col, Fraction)`` pairs,
+    sorted by column; that is the only storage, and every operation
+    reads only nonzeros.  ``data`` is a dense tuple-of-rows view, built
+    on each read.
+    """
+
+    __slots__ = ("rows", "cols", "sparse")
 
     def __init__(self, rows, cols, data):
+        """From dense rows; each entry goes through ``Fraction``."""
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        data = tuple(tuple(x if type(x) is Fraction else Fraction(x)
-                           for x in row) for row in data)
-        if len(data) != rows or any(len(row) != cols for row in data):
+        sparse = []
+        for row in data:
+            row = [x if type(x) is Fraction else Fraction(x) for x in row]
+            if len(row) != cols:
+                raise ValueError(
+                    f"matrix data does not match shape {rows}x{cols}")
+            sparse.append(tuple((j, x) for j, x in enumerate(row) if x))
+        if len(sparse) != rows:
             raise ValueError(f"matrix data does not match shape {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self.sparse = tuple(sparse)
+
+    @classmethod
+    def _trusted(cls, rows, cols, sparse):
+        """From a tuple of rows that are already sparse (sorted nonzero
+        ``(col, Fraction)`` pairs, in range); nothing is checked."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.sparse = sparse
+        return m
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zeros(cls, rows, cols):
-        row = (F0,) * cols
-        return cls(rows, cols, (row,) * rows)
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimensions")
+        return cls._trusted(rows, cols, ((),) * rows)
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, tuple(tuple(F1 if i == j else F0 for j in range(n))
-                               for i in range(n)))
+        if n < 0:
+            raise ValueError("negative matrix dimensions")
+        return cls.diagonal([F1] * n)
 
     @classmethod
     def diagonal(cls, entries):
         entries = [_frac(x) for x in entries]
-        n = len(entries)
-        return cls(n, n, tuple(tuple(entries[i] if i == j else F0 for j in range(n))
-                               for i in range(n)))
+        return cls._trusted(len(entries), len(entries), tuple(
+            ((i, x),) if x else () for i, x in enumerate(entries)))
 
     @classmethod
     def from_rows(cls, rows):
@@ -73,8 +117,7 @@ class Matrix:
             if not cols:
                 raise ValueError("from_cols with no columns needs explicit row count")
             rows = len(cols[0])
-        return cls(rows, len(cols),
-                   [[cols[j][i] for j in range(len(cols))] for i in range(rows)])
+        return cls(len(cols), rows, cols).transpose()
 
     @classmethod
     def column(cls, vec):
@@ -82,73 +125,97 @@ class Matrix:
 
     # -- basics -----------------------------------------------------------
 
+    @property
+    def data(self):
+        return tuple(self.row(i) for i in range(self.rows))
+
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols and self.sparse == other.sparse)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.sparse))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
     def __getitem__(self, idx):
         i, j = idx
-        return self.data[i][j]
+        if not 0 <= j < self.cols:
+            raise IndexError("matrix column out of range")
+        for k, x in self.sparse[i]:
+            if k == j:
+                return x
+        return F0
 
     def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
+        return not any(self.sparse)
 
     def col(self, j):
-        return tuple(row[j] for row in self.data)
+        return tuple(self[i, j] for i in range(self.rows))
 
     def row(self, i):
-        return self.data[i]
+        out = [F0] * self.cols
+        for j, x in self.sparse[i]:
+            out[j] = x
+        return tuple(out)
 
     def columns(self):
-        return [self.col(j) for j in range(self.cols)]
+        return list(self.transpose().data)
 
     def transpose(self):
-        return Matrix(self.cols, self.rows,
-                      tuple(tuple(self.data[i][j] for i in range(self.rows))
-                            for j in range(self.cols)))
+        cols = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse):
+            for j, x in row:
+                cols[j].append((i, x))
+        return Matrix._trusted(self.cols, self.rows, tuple(map(tuple, cols)))
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols,
-                      tuple(tuple(-x for x in row) for row in self.data))
+        return Matrix._trusted(self.rows, self.cols, tuple(
+            tuple((j, -x) for j, x in row) for row in self.sparse))
 
-    def __add__(self, other):
+    def _plus(self, other, c):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix addition")
-        return Matrix(self.rows, self.cols,
-                      tuple(tuple(a + b for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.data, other.data)))
+        return Matrix._trusted(self.rows, self.cols, tuple(
+            _combine(r1, r2, c) for r1, r2 in zip(self.sparse, other.sparse)))
+
+    def __add__(self, other):
+        return self._plus(other, F1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -F1)
 
     def scale(self, c):
         c = _frac(c)
-        return Matrix(self.rows, self.cols,
-                      tuple(tuple(c * x for x in row) for row in self.data))
+        if not c:
+            return Matrix.zeros(self.rows, self.cols)
+        return Matrix._trusted(self.rows, self.cols, tuple(
+            tuple((j, c * x) for j, x in row) for row in self.sparse))
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError(
-                    f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-            # each row of other as its nonzero (j, b) pairs, built once;
-            # every entry sums its terms in increasing k
-            sparse = [[(j, b) for j, b in enumerate(brow) if b]
-                      for brow in other.data]
-            out = [[F0] * other.cols for _ in range(self.rows)]
-            for row, orow in zip(self.data, out):
-                for a, brow in zip(row, sparse):
-                    if a:
-                        for j, b in brow:
-                            orow[j] += a * b
-            return Matrix(self.rows, other.cols, out)
-        return self.scale(other)
+        if not isinstance(other, Matrix):
+            return self.scale(other)
+        if self.cols != other.rows:
+            raise ValueError(
+                f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
+        brows = other.sparse
+        out = []
+        for row in self.sparse:
+            if len(row) == 1:
+                # one term: a scaled row of other, already sorted and nonzero
+                k, a = row[0]
+                out.append(tuple((j, a * b) for j, b in brows[k]))
+                continue
+            acc = {}
+            for k, a in row:
+                for j, b in brows[k]:
+                    if j in acc:
+                        acc[j] += a * b
+                    else:
+                        acc[j] = a * b
+            out.append(sparse_row(acc))
+        return Matrix._trusted(self.rows, other.cols, tuple(out))
 
     __rmul__ = scale
 
@@ -156,31 +223,38 @@ class Matrix:
         """Matrix times column vector, as a tuple."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        out = [F0] * self.rows
-        for k, x in enumerate(vec):
-            if x == 0:
-                continue
-            x = _frac(x)
-            for i in range(self.rows):
-                a = self.data[i][k]
-                if a != 0:
-                    out[i] += a * x
+        vec = [x if type(x) is Fraction else Fraction(x) for x in vec]
+        out = []
+        for row in self.sparse:
+            acc = F0
+            for k, a in row:
+                x = vec[k]
+                if x:
+                    acc += a * x
+            out.append(acc)
         return tuple(out)
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return Matrix(self.rows, self.cols + other.cols,
-                      tuple(r1 + r2 for r1, r2 in zip(self.data, other.data)))
+        return block_matrix([[self, other]])
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
-        return Matrix(self.rows + other.rows, self.cols, self.data + other.data)
+        return Matrix._trusted(self.rows + other.rows, self.cols,
+                               self.sparse + other.sparse)
 
     def submatrix(self, row_idx, col_idx):
-        return Matrix(len(row_idx), len(col_idx),
-                      tuple(tuple(self.data[i][j] for j in col_idx) for i in row_idx))
+        where = {}
+        for new, j in enumerate(col_idx):
+            if not 0 <= j < self.cols:
+                raise IndexError("matrix column out of range")
+            where.setdefault(j, []).append(new)
+        return Matrix._trusted(len(row_idx), len(col_idx), tuple(
+            tuple(sorted((new, x) for j, x in self.sparse[i] if j in where
+                         for new in where[j]))
+            for i in row_idx))
 
     def to_lists(self):
         return [list(row) for row in self.data]
@@ -188,18 +262,20 @@ class Matrix:
 
 def block_matrix(blocks):
     """Assemble a matrix from a 2d list of Matrix blocks (shapes must agree)."""
+    widths = {sum(b.cols for b in brow) for brow in blocks if brow[0].rows}
+    if len(widths) > 1:
+        raise ValueError("inconsistent block widths")
     rows = []
     for brow in blocks:
         height = brow[0].rows
         if any(b.rows != height for b in brow):
             raise ValueError("inconsistent block heights")
+        offsets = list(accumulate((b.cols for b in brow[:-1]), initial=0))
         for i in range(height):
-            row = []
-            for b in brow:
-                row.extend(b.data[i])
-            rows.append(tuple(row))
-    ncols = len(rows[0]) if rows else sum(b.cols for b in blocks[0])
-    return Matrix(len(rows), ncols, rows)
+            rows.append(tuple((j + off, x) for b, off in zip(brow, offsets)
+                              for j, x in b.sparse[i]))
+    ncols = widths.pop() if widths else sum(b.cols for b in blocks[0])
+    return Matrix._trusted(len(rows), ncols, tuple(rows))
 
 
 def rref(m: Matrix):
@@ -208,7 +284,7 @@ def rref(m: Matrix):
     pivot comes from the shortest row holding its column (R is unique, so
     the choice is free) and clears only the rows that hold that column.
     """
-    pending = [{j: x for j, x in enumerate(r) if x} for r in m.data]
+    pending = [dict(r) for r in m.sparse if r]
     done = {}  # pivot column -> its row, kept without the pivot entry 1
     for c in range(m.cols):
         holders = [row for row in pending if c in row]
@@ -231,9 +307,9 @@ def rref(m: Matrix):
         pending = [row for row in pending if row and row is not prow]
     for c, row in done.items():
         row[c] = F1
-    data = [[row.get(j, F0) for j in range(m.cols)] for row in done.values()]
-    data += [[F0] * m.cols] * (m.rows - len(done))
-    return Matrix(m.rows, m.cols, data), tuple(done), len(done)
+    sparse = tuple(sparse_row(row) for row in done.values())
+    sparse += ((),) * (m.rows - len(done))
+    return Matrix._trusted(m.rows, m.cols, sparse), tuple(done), len(done)
 
 
 def rank(m: Matrix) -> int:
@@ -259,29 +335,25 @@ class Subspace:
     def __post_init__(self):
         if self.basis.rows != self.ambient_dim:
             raise ValueError("basis rows do not match the ambient dimension")
-        pivots, entries = [], []
-        for col in self.basis.columns():
-            nonzero = tuple((r, x) for r, x in enumerate(col) if x != 0)
+        entries = self.basis.transpose().sparse
+        pivots = []
+        for nonzero in entries:
             if not nonzero or nonzero[0][1] != 1 \
                     or (pivots and nonzero[0][0] <= pivots[-1]):
                 raise ValueError("subspace basis is not in reduced echelon form")
             pivots.append(nonzero[0][0])
-            entries.append(nonzero)
-        for p in pivots:
-            if sum(1 for x in self.basis.data[p] if x != 0) != 1:
-                raise ValueError("subspace basis is not in reduced echelon form")
+        if any(len(self.basis.sparse[p]) != 1 for p in pivots):
+            raise ValueError("subspace basis is not in reduced echelon form")
         object.__setattr__(self, "pivots", tuple(pivots))
-        object.__setattr__(self, "_entries", tuple(entries))
+        object.__setattr__(self, "_entries", entries)
 
     @classmethod
     def from_spanning(cls, ambient_dim, vectors):
         """Canonicalize a spanning set (an iterable of length-n vectors)."""
         vecs = [tuple(v) for v in vectors]
-        if not vecs:
-            return cls(ambient_dim, Matrix.zeros(ambient_dim, 0))
-        red, pivots, rk = rref(Matrix.from_rows(vecs))
-        cols = [tuple(red.data[i][j] for j in range(ambient_dim)) for i in range(rk)]
-        return cls(ambient_dim, Matrix.from_cols(cols, rows=ambient_dim))
+        if any(len(v) != ambient_dim for v in vecs):
+            raise ValueError("vector length mismatch")
+        return _span(ambient_dim, Matrix(len(vecs), ambient_dim, vecs))
 
     @classmethod
     def zero(cls, ambient_dim):
@@ -328,15 +400,13 @@ class Subspace:
         if lead is None:
             return self, False
         inv = F1 / residual[lead]
-        new = [x * inv for x in residual]
+        new = tuple((r, x * inv) for r, x in enumerate(residual) if x)
         cols = []
-        for col in self.basis.columns():
-            c = col[lead]
-            cols.append([a - c * b for a, b in zip(col, new)] if c != 0 else col)
-        at = sum(1 for p in self.pivots if p < lead)
-        cols.insert(at, new)
-        return Subspace(self.ambient_dim,
-                        Matrix.from_cols(cols, rows=self.ambient_dim)), True
+        for col in self._entries:
+            c = next((x for r, x in col if r == lead), None)
+            cols.append(_combine(col, new, -c) if c else col)
+        cols.insert(bisect_left(self.pivots, lead), new)
+        return _from_columns(self.ambient_dim, cols), True
 
     def complement_projection(self):
         """``(proj, section)`` for the complement spanned by the unit
@@ -345,41 +415,56 @@ class Subspace:
         n = self.ambient_dim
         pivot_set = set(self.pivots)
         free = [r for r in range(n) if r not in pivot_set]
-        section = [[F1 if r == f else F0 for f in free] for r in range(n)]
-        proj = [[F1 if r == f else F0 for r in range(n)] for f in free]
-        # e_p is its basis column minus that column's entries off p
         where = {f: j for j, f in enumerate(free)}
+        section = tuple(((where[r], F1),) if r in where else ()
+                        for r in range(n))
+        proj = [{f: F1} for f in free]
+        # e_p is its basis column minus that column's entries off p
         for p, nonzero in zip(self.pivots, self._entries):
             for r, x in nonzero:
                 if r != p:
                     proj[where[r]][p] = -x
-        return Matrix(len(free), n, proj), Matrix(n, len(free), section)
+        return (Matrix._trusted(len(free), n, tuple(map(sparse_row, proj))),
+                Matrix._trusted(n, len(free), section))
 
     def sum(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Subspace.from_spanning(
-            self.ambient_dim, self.basis.columns() + other.basis.columns())
+        return image(self.basis.hstack(other.basis))
+
+
+def _from_columns(ambient_dim, cols):
+    """The Subspace whose basis has the sparse columns ``cols``."""
+    return Subspace(ambient_dim, Matrix._trusted(
+        len(cols), ambient_dim, tuple(cols)).transpose())
+
+
+def _span(ambient_dim, m: Matrix) -> Subspace:
+    """The span of the rows of m, with canonical basis; no elimination
+    runs when m has no rows."""
+    if not m.rows:
+        return Subspace.zero(ambient_dim)
+    red, pivots, rk = rref(m)
+    return _from_columns(ambient_dim, red.sparse[:rk])
 
 
 def kernel(m: Matrix) -> Subspace:
     """Null space of m, with canonical basis."""
     red, pivots, rk = rref(m)
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    vecs = []
-    for fcol in free:
-        v = [F0] * m.cols
-        v[fcol] = F1
-        for r, pcol in enumerate(pivots):
-            v[pcol] = -red.data[r][fcol]
-        vecs.append(tuple(v))
-    return Subspace.from_spanning(m.cols, vecs)
+    vecs = {j: [(j, F1)] for j in range(m.cols) if j not in pivot_set}
+    # off its pivot, a row of R has entries only in free columns
+    for pcol, row in zip(pivots, red.sparse):
+        for j, x in row:
+            if j != pcol:
+                vecs[j].append((pcol, -x))
+    return _span(m.cols, Matrix._trusted(
+        len(vecs), m.cols, tuple(tuple(sorted(v)) for v in vecs.values())))
 
 
 def image(m: Matrix) -> Subspace:
     """Column space of m, with canonical basis."""
-    return Subspace.from_spanning(m.rows, m.columns())
+    return _span(m.rows, m.transpose())
 
 
 def solve(m: Matrix, b):
@@ -403,13 +488,11 @@ def solve_matrix(m: Matrix, b: Matrix):
     # a pivot beyond m.cols signals inconsistency
     if pivots and pivots[-1] >= m.cols:
         return None
-    cols = []
-    for j in range(b.cols):
-        x = [F0] * m.cols
-        for r, pcol in enumerate(pivots):
-            x[pcol] = red.data[r][m.cols + j]
-        cols.append(tuple(x))
-    return Matrix.from_cols(cols, rows=m.cols)
+    n = m.cols
+    rows = [()] * n
+    for pcol, row in zip(pivots, red.sparse):
+        rows[pcol] = tuple((j - n, x) for j, x in row if j >= n)
+    return Matrix._trusted(n, b.cols, tuple(rows))
 
 
 # -- characteristic polynomial and primary decomposition -------------------
@@ -431,7 +514,7 @@ def char_poly(m: Matrix):
     for k in range(1, n + 1):
         mk = m * mk + ident.scale(coeffs[n - k + 1])
         am = m * mk
-        tr = sum((am.data[i][i] for i in range(n)), F0)
+        tr = sum((am[i, i] for i in range(n)), F0)
         coeffs[n - k] = -tr / k
     return tuple(coeffs)
 

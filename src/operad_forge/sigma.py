@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chain import ChainComplex, ChainMap, subcomplex
-from .qlinalg import F0, F1, Matrix, image, solve_matrix
+from .qlinalg import F1, Matrix, image, solve_matrix
 
 
 @dataclass(frozen=True)
@@ -116,11 +116,8 @@ def permutation_matrix(p: Permutation) -> Matrix:
 
     Chosen so that word evaluation matches R(p o q) = R(q) R(p).
     """
-    n = p.n
-    grid = [[F0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        grid[k - 1][p(k) - 1] = F1
-    return Matrix(n, n, grid)
+    return Matrix._trusted(p.n, p.n, tuple(((p(k) - 1, F1),)
+                                           for k in range(1, p.n + 1)))
 
 
 class GroupAction:

@@ -164,6 +164,23 @@ def test_malformed_tables_exit_2_without_traceback(name, mutate, tmp_path):
         assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("cell", ["0.0", "", "1/0", "+1", 0],
+                         ids=["decimal-zero", "empty", "zero-denominator",
+                              "plus-sign", "integer-zero"])
+def test_bad_matrix_cell_exit_2_without_traceback(cell, tmp_path):
+    with open(fx("binary_generator.json")) as fh:
+        payload = json.load(fh)
+    payload["components"]["2"]["action"][0]["0"][0][0] = cell
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    for command in ("validate", "homology"):
+        run = run_cli(command, str(bad))
+        stderr = run.stderr.decode()
+        assert run.returncode == 2, (command, stderr)
+        assert "malformed input" in stderr
+        assert "Traceback" not in stderr
+
+
 @pytest.mark.parametrize("args", [
     ["alt-check", "--dim", "-1"],
     ["alt-check", "--dim", "0"],

@@ -42,6 +42,25 @@ class TestRationals:
             doc.rational_from_str(3)
 
 
+BAD_CELLS = ["0.0", "", "1/0", "+1", 0]
+BAD_CELL_IDS = ["decimal-zero", "empty", "zero-denominator", "plus-sign",
+                "integer-zero"]
+
+
+class TestMatrixCells:
+    @pytest.mark.parametrize("cell", BAD_CELLS, ids=BAD_CELL_IDS)
+    def test_bad_cells_raise(self, cell):
+        # only the exact string "0" skips the parser
+        with pytest.raises(DocumentError):
+            doc.matrix_from_lists([["1", cell]], 1, 2)
+
+    def test_other_zero_spellings_store_no_entry(self):
+        m = doc.matrix_from_lists([["0", "-0", "0/3", "-3/2"], ["00"] * 4],
+                                  2, 4)
+        assert m.sparse == (((3, Fraction(-3, 2)),), ())
+        assert doc.matrix_to_lists(m) == [["0", "0", "0", "-3/2"], ["0"] * 4]
+
+
 class TestRoundTrip:
     def test_golden_fixtures_byte_identical(self):
         assert fixture_files(), "golden fixtures missing"

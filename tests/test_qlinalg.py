@@ -8,6 +8,7 @@ from operad_forge.qlinalg import (
     EigenSplit,
     Matrix,
     Subspace,
+    block_matrix,
     char_poly,
     image,
     kernel,
@@ -352,6 +353,130 @@ class TestProduct:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             Matrix.zeros(2, 3) * Matrix.zeros(2, 3)
+
+
+# -- every sparse-row operation against a dense reference --------------------
+
+
+def assert_sparse_invariants(m):
+    """Rows sorted by column, in range, no stored zero, only Fractions."""
+    assert len(m.sparse) == m.rows
+    for row in m.sparse:
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols))
+        assert all(0 <= j < m.cols for j in cols)
+        assert all(type(x) is Fraction and x != 0 for _, x in row)
+
+
+def dense(grid):
+    return tuple(tuple(Fraction(x) for x in row) for row in grid)
+
+
+def dense_product(a, b, cols):
+    return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(len(b))),
+                           Fraction(0)) for j in range(cols))
+                 for i in range(len(a)))
+
+
+def dense_transpose(a, cols):
+    return tuple(tuple(row[j] for row in a) for j in range(cols))
+
+
+@st.composite
+def mostly_zero_operands(draw):
+    """Grids (lists of int and Fraction entries, about three quarters
+    zero) of shapes a: r x k, b: k x c, same: r x k, below: s x k,
+    right: r x c, corner: s x c; a length-k vector and a scalar."""
+    r, k, c, s = (draw(st.integers(0, 5)) for _ in range(4))
+    entries = st.one_of(st.just(0), st.just(Fraction(0)), st.just(0),
+                        st.integers(-2, 2), rationals)
+
+    def grid(rows, cols):
+        return _grid(draw, rows, cols, entries)
+
+    shapes = {"a": (r, k), "b": (k, c), "same": (r, k), "below": (s, k),
+              "right": (r, c), "corner": (s, c)}
+    grids = {name: grid(*shape) for name, shape in shapes.items()}
+    vec = draw(st.lists(entries, min_size=k, max_size=k))
+    return shapes, grids, vec, draw(st.one_of(st.just(0), rationals))
+
+
+class TestSparseAgainstDense:
+    @given(mostly_zero_operands())
+    @settings(max_examples=150, deadline=None)
+    def test_every_operation_matches_dense(self, case):
+        shapes, grids, vec, scalar = case
+        m = {name: Matrix(*shapes[name], grids[name]) for name in shapes}
+        d = {name: dense(g) for name, g in grids.items()}
+        a, da = m["a"], d["a"]
+        (r, k), c = shapes["a"], shapes["b"][1]
+        zero = Fraction(0)
+        odd = list(range(1, k, 2))
+        results = {
+            "data": (a, da),
+            "mul": (a * m["b"], dense_product(da, d["b"], c)),
+            "add": (a + m["same"], tuple(
+                tuple(x + y for x, y in zip(u, v))
+                for u, v in zip(da, d["same"]))),
+            "sub": (a - m["same"], tuple(
+                tuple(x - y for x, y in zip(u, v))
+                for u, v in zip(da, d["same"]))),
+            "neg": (-a, tuple(tuple(-x for x in u) for u in da)),
+            "scale": (a.scale(scalar), tuple(
+                tuple(Fraction(scalar) * x for x in u) for u in da)),
+            "transpose": (a.transpose(), dense_transpose(da, k)),
+            "hstack": (a.hstack(m["right"]),
+                       tuple(u + v for u, v in zip(da, d["right"]))),
+            "vstack": (a.vstack(m["below"]), da + d["below"]),
+            "block": (block_matrix([[a, m["right"]],
+                                    [m["below"], m["corner"]]]),
+                      tuple(u + v for u, v in zip(da, d["right"]))
+                      + tuple(u + v for u, v in zip(d["below"],
+                                                    d["corner"]))),
+            "identity": (Matrix.identity(k), tuple(
+                tuple(Fraction(int(i == j)) for j in range(k))
+                for i in range(k))),
+            "zeros": (Matrix.zeros(r, k), ((zero,) * k,) * r),
+            "diagonal": (Matrix.diagonal(vec), tuple(
+                tuple(Fraction(vec[i]) if i == j else zero
+                      for j in range(k)) for i in range(k))),
+            "from_cols": (Matrix.from_cols(da, rows=k),
+                          dense_transpose(da, k)),
+            # rows reversed, odd columns twice over
+            "submatrix": (a.submatrix(range(r)[::-1], odd * 2),
+                          tuple(tuple(u[j] for j in odd * 2)
+                                for u in da[::-1])),
+        }
+        for name, (got, want) in results.items():
+            assert_sparse_invariants(got)
+            assert got.data == want, name
+            assert all(type(x) is Fraction for row in got.data for x in row)
+            assert got.is_zero() == all(x == 0 for row in want for x in row)
+            # equal matrices, however built, are equal and hash equally
+            again = Matrix(got.rows, got.cols, want)
+            assert got == again and hash(got) == hash(again), name
+        assert a.apply(vec) == tuple(
+            sum((x * Fraction(y) for x, y in zip(u, vec)), zero) for u in da)
+        assert all(type(x) is Fraction for x in a.apply(vec))
+        assert a.columns() == list(dense_transpose(da, k))
+        assert [a.col(j) for j in range(k)] == a.columns()
+        assert [a.row(i) for i in range(r)] == list(da)
+        assert all(a[i, j] == da[i][j] for i in range(r) for j in range(k))
+        assert a.to_lists() == [list(u) for u in da]
+        assert (a == m["same"]) == (da == d["same"])
+        assert a - a == Matrix.zeros(r, k) and (a - a).is_zero()
+
+    def test_constructor_checks(self):
+        with pytest.raises(ValueError):
+            Matrix(2, 2, [[1, 0]])
+        with pytest.raises(ValueError):
+            Matrix(1, 2, [[1, 0, 0]])
+        with pytest.raises(ValueError):
+            Matrix(-1, 0, [])
+        with pytest.raises(TypeError):
+            Matrix(1, 2, [[None, 1]])
+        with pytest.raises(ValueError):
+            Matrix.zeros(1, 2) + Matrix.zeros(2, 1)
 
 
 # -- the sparse-row elimination against the dense one it replaced -----------
