@@ -55,6 +55,14 @@ def _load(path):
     return doc_mod.load(_resolve_input(path))
 
 
+def _at_least(*checks):
+    """Reject the first (flag, value, least) whose value is below least;
+    an omitted value (None) passes."""
+    for flag, value, least in checks:
+        if value is not None and value < least:
+            raise MalformedArgument(f"{flag} {value} is below {least}")
+
+
 def _emit(text, out):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -93,6 +101,7 @@ def cmd_homology(args):
 
 
 def cmd_free(args):
+    _at_least(("--max-arity", args.max_arity, 0), ("--max-dim", args.max_dim, 0))
     obj, meta = _load(args.file)
     if isinstance(obj, ModularSigmaModule):
         if args.max_dim is None:
@@ -111,6 +120,7 @@ def cmd_free(args):
 
 
 def cmd_minimal_model(args):
+    _at_least(("--max", args.max, 0))
     obj, meta = _load(args.file)
     if isinstance(obj, (SigmaModule, ModularSigmaModule)):
         raise SystemExit2("minimal-model expects an operad document")
@@ -139,6 +149,7 @@ def cmd_check_formality(args):
     except (ValueError, ZeroDivisionError):
         raise MalformedArgument(
             f"--alpha {args.alpha!r} is not a rational number") from None
+    _at_least(("--max", args.max, 0))
     obj, meta = _load(args.file)
     if isinstance(obj, (SigmaModule, ModularSigmaModule)):
         raise SystemExit2("check-formality expects an operad document")
@@ -160,6 +171,9 @@ def _tree_to_text(tree):
 
 
 def cmd_enumerate(args):
+    g, l = args.stable_graphs or (None, None)
+    _at_least(("--trees", args.trees, 0), ("--stable-graphs G", g, 0),
+              ("--stable-graphs L", l, 0))
     if args.trees is not None:
         trees = enumerate_trees(args.trees)
         if args.json:
@@ -172,7 +186,6 @@ def cmd_enumerate(args):
             lines.extend(_tree_to_text(t) for t in trees)
             _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
-    g, l = args.stable_graphs
     graphs = enumerate_stable_graphs(g, l)
     if args.json:
         payload = []
@@ -195,10 +208,7 @@ def cmd_alt_check(args):
     from .cubical import (CubicChain, alt, boundary, interval_power,
                           sigma_tau_r_i, compose_maps, perm_map, delta_map)
     from .sigma import all_permutations
-    for flag, value, least in (("--dim", args.dim, 1),
-                               ("--trials", args.trials, 0)):
-        if value < least:
-            raise MalformedArgument(f"{flag} {value} is below {least}")
+    _at_least(("--dim", args.dim, 1), ("--trials", args.trials, 0))
     rng = random.Random(args.seed)
     failures = []
     space = interval_power(args.dim)

@@ -14,7 +14,6 @@ machinery.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .chain import (
@@ -49,37 +48,38 @@ from . import trees as T
 # -- shared assembly ----------------------------------------------------------
 
 
-def push_label(factor_actions, sigmas, label, perm_images, target_td, scale, out):
-    """Push one basis label of a factor sequence into a target tensor.
+def push_labels(factor_actions, sigmas, perm_images, target_td, labels, out):
+    """Push basis labels [(label, coeff)] of a factor sequence into a
+    target tensor.
 
-    Each factor is first twisted by its slot permutation (as a right
-    action), then the factors are reordered into the target order with
-    the Koszul sign; contributions accumulate in ``out`` keyed by
-    (degree, target index).
+    Factor p is first twisted by its slot permutation ``sigmas[p]`` (as
+    a right action), then moved to position ``perm_images[p]`` of the
+    target, with the Koszul sign of the reordering; contributions
+    accumulate in ``out`` keyed by (degree, target index).
     """
-    degs = [d for d, _ in label]
-    sign = koszul_reorder_sign(degs, perm_images)
-    per_factor = []
-    for ga, sig, (d, k) in zip(factor_actions, sigmas, label):
-        if sig.is_identity():
-            per_factor.append(((k, F1),))
-        else:
-            col = ga.action(sig).block(d).col(k)
-            per_factor.append(tuple((r, c) for r, c in enumerate(col) if c != 0))
-    base = scale * sign
-    m = len(label)
-    for combo in itertools.product(*per_factor):
-        coeff = base
-        for (_, c) in combo:
-            coeff = coeff * c
-        newlabel = [None] * m
-        for p in range(m):
-            newlabel[perm_images[p]] = (degs[p], combo[p][0])
-        tdeg, pos = target_td.index(tuple(newlabel))
-        key = (tdeg, pos)
-        out[key] = out.get(key, F0) + coeff
-        if out[key] == 0:
-            del out[key]
+    m = len(perm_images)
+    inversions = [(p, q) for p in range(m) for q in range(p + 1, m)
+                  if perm_images[p] > perm_images[q]]
+    twisted = [(p, factor_actions[p].action(sig))
+               for p, sig in enumerate(sigmas) if not sig.is_identity()]
+    for label, coeff in labels:
+        if sum(label[p][0] * label[q][0] for p, q in inversions) % 2:
+            coeff = -coeff
+        moved = [None] * m
+        for p, entry in enumerate(label):
+            moved[perm_images[p]] = entry
+        terms = [(moved, coeff)]
+        for p, action in twisted:
+            d, k = label[p]
+            pos, col = perm_images[p], action.block(d).col(k)
+            terms = [(t[:pos] + [(d, r)] + t[pos + 1:], c * x)
+                     for t, c in terms for r, x in enumerate(col) if x]
+        for t, c in terms:
+            key = target_td.index(tuple(t))
+            if key in out:
+                c += out.pop(key)
+            if c:
+                out[key] = c
 
 
 def _assemble(rows, cols, entries):
@@ -140,17 +140,18 @@ class _FreeBuilder:
     tuple with the object first and, last, what carries the summand's
     complex (the tensor data, or the coinvariants); ``layouts[key]``
     places those complexes.
-    Every structure map takes one route: lift a basis vector of a
-    summand to tensor labels, rearrange the object (relabel its legs,
-    graft, expand a vertex), match the result onto its summand and push
-    the labels there.
+    Every structure map takes one route: rearrange the object (relabel
+    its legs, graft, expand a vertex), match the result once onto its
+    summand, then lift each basis vector to tensor labels and push the
+    labels there.
 
     Subclasses say what a summand is: the catalogue at a key, the
     generator key of each vertex (``_types``), the summand tuple
     (``_summand``, None when it vanishes), the lift of a basis vector
     (``_lift``), the match of a rearranged object (``_match``) with the
-    projection back onto the summand (``_project``), and the
-    rearrangements ``_relabelled``, ``_grafted`` and ``_expanded``.
+    projection back onto the summand (``_project``), the image of a
+    summand under an adjacent transposition (``_image``), and the
+    rearrangements ``_grafted`` and ``_expanded``.
     """
 
     def __init__(self, gens, shape):
@@ -159,15 +160,22 @@ class _FreeBuilder:
         self.summands = {}
         self.layouts = {}
         self._summand_of = {}
+        self._types_of = {}
+        self._actions_of = {}
         for key in shape.keys():
             items = []
+            types_of = []
             for obj in self._catalogue(key):
-                td = TensorData(tuple(self._gen_complex(t)
-                                      for t in self._types(obj)))
+                types = self._types(obj)
+                td = TensorData(tuple(self._gen_complex(t) for t in types))
                 item = None if td.complex.is_zero() else self._summand(obj, td)
                 if item is not None:
                     items.append(item)
+                    types_of.append(types)
             self.summands[key] = items
+            self._types_of[key] = types_of
+            self._actions_of[key] = [[self._gen_action(t) for t in types]
+                                     for types in types_of]
             self._summand_of[key] = {item[0]: s for s, item in enumerate(items)}
             self.layouts[key] = Layout([item[-1].complex for item in items])
 
@@ -176,13 +184,7 @@ class _FreeBuilder:
         return ga.complex if ga else ChainComplex.zero()
 
     def _gen_action(self, key):
-        ga = self.gens.get(key)
-        if ga is None:
-            raise KeyError(f"no generators at {key}")
-        return ga
-
-    def _actions(self, obj):
-        return [self._gen_action(t) for t in self._types(obj)]
+        return self.gens[key]
 
     def summand_index(self, key, obj):
         try:
@@ -191,7 +193,7 @@ class _FreeBuilder:
             raise KeyError("summand not present") from None
 
     def vertex_types(self, key, s):
-        return self._types(self.summands[key][s][0])
+        return self._types_of[key][s]
 
     def corolla_summand(self, key):
         """The summand of a component holding its own generators (one
@@ -211,19 +213,17 @@ class _FreeBuilder:
             for col in range(dim):
                 yield deg, col, off + col
 
-    def _push(self, key, obj, actions, labels, scale):
+    def _push(self, key, found, actions, labels):
         """Component coordinates {(degree, row): coeff} of the tensor
-        labels [(label, coeff)] of a rearranged object; an object whose
-        summand vanished gives nothing."""
-        found = self._match(key, obj)
+        labels [(label, coeff)] of a rearranged object, matched onto its
+        summand as ``found`` (``_match``); an object whose summand
+        vanished (``found`` None) gives nothing."""
         if found is None:
             return {}
         s, sigmas, perm_images = found
-        td = self.summands[key][s][1]
         local = {}
-        for label, coeff in labels:
-            push_label(actions, sigmas, label, perm_images, td, scale * coeff,
-                       local)
+        push_labels(actions, sigmas, perm_images, self.summands[key][s][1],
+                    labels, local)
         layout = self.layouts[key]
         return {(deg, layout.offset(s, deg) + pos): coeff
                 for (deg, pos), coeff in self._project(key, s, local)}
@@ -238,6 +238,7 @@ class _FreeBuilder:
         att_cols = {k: {d: m.transpose().sparse for d, m in v.items()}
                     for k, v in (attachments or {}).items()}
         cols = {deg: {} for deg in layout.dims}
+        matches = {}
         for s, cc in enumerate(layout.complexes):
             dcols = {d: m.transpose().sparse for d, m in cc.diff.items()}
             for deg, col, gcol in self._columns(key, s):
@@ -247,21 +248,23 @@ class _FreeBuilder:
                     for r, c in dcols[deg][col]:
                         column[off + r] = column.get(off + r, F0) + c
                 if att_cols:
-                    self._derivation(key, s, deg, col, att_cols, column)
+                    self._derivation(key, s, deg, col, att_cols, column,
+                                     matches)
         diff = {deg: _assemble(layout.dim(deg - 1), layout.dim(deg), entries)
                 for deg, entries in cols.items()
                 if any(c != 0 for column in entries.values()
                        for c in column.values())}
         return ChainComplex(dict(layout.dims), diff)
 
-    def _derivation(self, key, s, deg, col, att_cols, column):
+    def _derivation(self, key, s, deg, col, att_cols, column, matches):
         """Add to ``column`` the attachment terms of d on one basis
         vector: each vertex in turn expanded into the attachment image of
         its generator, with the Koszul sign of the vertices before it.
-        ``att_cols[vkey][degree]`` holds the attachment's columns."""
+        ``att_cols[vkey][degree]`` holds the attachment's columns;
+        ``matches`` keeps the match of each expanded object."""
         obj = self.summands[key][s][0]
-        types = self._types(obj)
-        actions = [self._gen_action(t) for t in types]
+        types = self._types_of[key][s]
+        actions = self._actions_of[key][s]
         lifted = self._lift(key, s, deg, col)
         for v, vkey in enumerate(types):
             att = att_cols.get(vkey)
@@ -274,26 +277,30 @@ class _FreeBuilder:
                 sign = -F1 if sum(d for d, _ in label[:v]) % 2 else F1
                 for row, coeff in att[dv][kk]:
                     ssub, local = self.layouts[vkey].locate(dv - 1, row)
-                    sub = self.summands[vkey][ssub][0]
-                    labels = [(label[:v] + tuple(sl) + label[v + 1:], c)
+                    if (s, v, ssub) not in matches:
+                        matches[s, v, ssub] = self._match(key, self._expanded(
+                            obj, v, self.summands[vkey][ssub][0]))
+                    scale = sign * lcoeff * coeff
+                    labels = [(label[:v] + tuple(sl) + label[v + 1:], c * scale)
                               for sl, c in self._lift(vkey, ssub, dv - 1, local)]
                     out = self._push(
-                        key, self._expanded(obj, v, sub),
-                        actions[:v] + self._actions(sub) + actions[v + 1:],
-                        labels, sign * lcoeff * coeff)
+                        key, matches[s, v, ssub],
+                        actions[:v] + self._actions_of[vkey][ssub]
+                        + actions[v + 1:], labels)
                     for (_, r), c in out.items():
                         column[r] = column.get(r, F0) + c
 
     def action_generator(self, key, j, component):
-        """ChainMap of the adjacent transposition s_j on the component."""
-        sigma = Permutation.transposition(self.shape.legs(key), j)
+        """ChainMap of the adjacent transposition s_j on the component:
+        each summand's columns pushed through its one image
+        (``_image``)."""
         cols = {}
-        for s, (obj, *_) in enumerate(self.summands[key]):
-            moved = self._relabelled(obj, sigma)
-            actions = self._actions(obj)
+        for s in range(len(self.summands[key])):
+            found = self._image(key, s, j)
+            actions = self._actions_of[key][s]
             for deg, col, gcol in self._columns(key, s):
-                out = self._push(key, moved, actions,
-                                 self._lift(key, s, deg, col), F1)
+                out = self._push(key, found, actions,
+                                 self._lift(key, s, deg, col))
                 for (tdeg, row), c in out.items():
                     cols.setdefault(tdeg, {}).setdefault(gcol, {})[row] = c
         layout = self.layouts[key]
@@ -310,13 +317,13 @@ class _FreeBuilder:
             for s2, (obj2, *_) in enumerate(self.summands[key2]):
                 lifts2 = [(deg, k, self._lift(key2, s2, deg, c))
                           for deg, c, k in self._columns(key2, s2)]
-                grafted = self._grafted(obj1, i, obj2)
-                actions = self._actions(obj1) + self._actions(obj2)
+                found = self._match(tkey, self._grafted(obj1, i, obj2))
+                actions = self._actions_of[key1][s1] + self._actions_of[key2][s2]
                 for deg1, k1, lift1 in lifts1:
                     for deg2, k2, lift2 in lifts2:
                         labels = [(l1 + l2, a * b) for l1, a in lift1
                                   for l2, b in lift2]
-                        out = self._push(tkey, grafted, actions, labels, F1)
+                        out = self._push(tkey, found, actions, labels)
                         for (_, row), c in out.items():
                             table.add(deg1, k1, deg2, k2, row, c)
         return table
@@ -401,6 +408,17 @@ class FreeOperadBuilder(_FreeBuilder):
 
     def __init__(self, gens, max_arity):
         super().__init__(gens, DGOperad(SigmaModule({}), {}, max_arity))
+        # per summand: the preorder position of each clade of its tree,
+        # its identity slot permutations and the vertex whose slots each
+        # s_j swaps; and per arity, the summand of each clade set
+        self._shapes = {n: [({c: p for p, c in enumerate(tree.clades())},
+                             [Permutation.identity(k) for k in types],
+                             tree.adjacent_children())
+                            for (tree, _), types in zip(items, self._types_of[n])]
+                        for n, items in self.summands.items()}
+        self._by_clades = {n: {frozenset(shape[0]): s
+                               for s, shape in enumerate(shapes)}
+                           for n, shapes in self._shapes.items()}
 
     def _catalogue(self, n):
         return T.enumerate_trees(n)
@@ -425,17 +443,26 @@ class FreeOperadBuilder(_FreeBuilder):
     def _project(self, n, s, local):
         return local.items()
 
-    def _relabelled(self, tree, sigma):
-        inv = sigma.inverse()
-        return T.planar_relabel(T.tree_to_planar(tree),
-                                {lbl: inv(lbl) for lbl in range(1, sigma.n + 1)})
+    def _image(self, n, s, j):
+        """s_j on summand s: swap leaves j and j + 1 in every clade and
+        look the new clade set up.  The factors move to the preorder
+        positions of their new clades; only the vertex whose children
+        have minimal leaves j and j + 1 has its slots moved."""
+        pair = 3 << (j - 1)
+        clades, sigmas, swaps = self._shapes[n][s]
+        moved = [c ^ pair if c & pair not in (0, pair) else c for c in clades]
+        t = self._by_clades[n][frozenset(moved)]
+        if j in swaps:
+            p, i = swaps[j]
+            sigmas = list(sigmas)
+            sigmas[p] = Permutation.transposition(sigmas[p].n, i + 1)
+        return t, sigmas, [self._shapes[n][t][0][c] for c in moved]
 
     def _grafted(self, t1, i, t2):
         l, m = t1.arity, t2.arity
-        first = T.planar_relabel(
-            T.tree_to_planar(t1),
-            {j: (j if j < i else (i if j == i else j + m - 1))
-             for j in range(1, l + 1)})
+        first = T.tree_to_planar(
+            t1, relabel={j: (j if j < i else (i if j == i else j + m - 1))
+                         for j in range(1, l + 1)})
         second = T.tree_to_planar(t2, factor_offset=len(t1.vertices()),
                                   relabel={p: p + i - 1 for p in range(1, m + 1)})
         return T.planar_substitute_leaf(first, i, second)
@@ -531,7 +558,8 @@ class FreeModularBuilder(_FreeBuilder):
             cols = {}
             for col, label in enumerate(td1.basis(deg)):
                 out = {}
-                push_label(factor_actions, sigmas, label, vperm, td2, F1, out)
+                push_labels(factor_actions, sigmas, vperm, td2, [(label, F1)],
+                            out)
                 cols[col] = {row: c for (_, row), c in out.items()}
             blocks[deg] = _assemble(td2.complex.dim(deg),
                                     td1.complex.dim(deg), cols)
@@ -564,8 +592,12 @@ class FreeModularBuilder(_FreeBuilder):
                 if c != 0:
                     yield (deg, row), c
 
-    def _relabelled(self, graph, sigma):
-        return T.relabel_legs(T.concrete_from_canonical(graph), sigma)
+    def _image(self, key, s, j):
+        """s_j on summand s: its graph with legs j and j + 1 swapped,
+        matched once."""
+        sigma = Permutation.transposition(key[1], j)
+        return self._match(key, T.relabel_legs(
+            T.concrete_from_canonical(self.summands[key][s][0]), sigma))
 
     def _grafted(self, g1, i, g2):
         return T.graft_graphs(T.concrete_from_canonical(g1), i,
@@ -579,11 +611,12 @@ class FreeModularBuilder(_FreeBuilder):
         table = ContrTable()
         tkey = self.shape.contr_target(key)
         for s, (graph, _, _) in enumerate(self.summands[key]):
-            glued = T.self_glue(T.concrete_from_canonical(graph), i, j)
-            actions = self._actions(graph)
+            found = self._match(
+                tkey, T.self_glue(T.concrete_from_canonical(graph), i, j))
+            actions = self._actions_of[key][s]
             for deg, col, k in self._columns(key, s):
-                out = self._push(tkey, glued, actions,
-                                 self._lift(key, s, deg, col), F1)
+                out = self._push(tkey, found, actions,
+                                 self._lift(key, s, deg, col))
                 for (_, row), c in out.items():
                     table.add(deg, k, row, c)
         return table

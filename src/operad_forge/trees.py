@@ -72,6 +72,23 @@ class Tree:
             return (0, self.label)
         return (1, len(self.children), tuple(c.sort_key() for c in self.children))
 
+    def clades(self):
+        """Leaf set of each vertex in preorder, as a bitmask (leaf j is
+        bit j - 1).  A tree is determined by its set of clades."""
+        return [sum(1 << (j - 1) for j in v.leaves()) for v in self.vertices()]
+
+    def adjacent_children(self):
+        """{j: (p, i)}: the vertex at preorder position p whose children i
+        and i + 1 have minimal leaves j and j + 1.  Swapping leaves j and
+        j + 1 reorders the children of that vertex and of no other."""
+        out = {}
+        for p, v in enumerate(self.vertices()):
+            mins = [c.min_leaf for c in v.children]
+            for i in range(len(mins) - 1):
+                if mins[i + 1] == mins[i] + 1:
+                    out[mins[i]] = (p, i)
+        return out
+
 
 def leaf(label: int) -> Tree:
     return Tree(label, ())
@@ -160,13 +177,6 @@ def planar_substitute_leaf(pnode, target_label, replacement):
                             for c in pnode.children))
 
 
-def planar_relabel(pnode, mapping):
-    if isinstance(pnode, int):
-        return mapping[pnode]
-    return PlanarNode(pnode.factor,
-                      tuple(planar_relabel(c, mapping) for c in pnode.children))
-
-
 @dataclass
 class TreeMatch:
     """Normalization data of a planar tree against its canonical form.
@@ -239,10 +249,8 @@ class StableGraph:
         return sum(self.genera) + len(self.edges) - self.n_vertices + 1
 
     def valence(self, v):
-        val = sum(1 for x in self.legs if x == v)
-        for (a, b) in self.edges:
-            val += (a == v) + (b == v)
-        return val
+        return self.legs.count(v) + sum((a == v) + (b == v)
+                                        for a, b in self.edges)
 
     def leg_order(self, v):
         """Slots at v: external legs by label, then edge halves in edge
@@ -259,24 +267,15 @@ class StableGraph:
         return (self.genera[v], self.valence(v))
 
     def is_connected(self):
-        n = self.n_vertices
-        if n == 0:
-            return False
-        seen = {0}
-        frontier = [0]
-        adj = {v: set() for v in range(n)}
-        for (a, b) in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        while frontier:
-            new = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        new.append(w)
-            frontier = new
-        return len(seen) == n
+        seen = {0} if self.n_vertices else set()
+        grew = True
+        while grew:
+            grew = False
+            for a, b in self.edges:
+                if (a in seen) != (b in seen):
+                    seen |= {a, b}
+                    grew = True
+        return bool(seen) and len(seen) == self.n_vertices
 
     def is_stable(self):
         return all(2 * self.genera[v] - 2 + self.valence(v) > 0
@@ -293,13 +292,8 @@ class StableGraph:
         return StableGraph(tuple(genera), legs, tuple(edges))
 
     def canonical_key(self):
-        best = None
-        for perm in itertools.permutations(range(self.n_vertices)):
-            cand = self.permuted(perm)
-            key = (cand.genera, cand.legs, cand.edges)
-            if best is None or key < best:
-                best = key
-        return best
+        return min((c.genera, c.legs, c.edges) for c in map(
+            self.permuted, itertools.permutations(range(self.n_vertices))))
 
     def canonical(self):
         g, l, e = self.canonical_key()
@@ -397,14 +391,16 @@ def enumerate_stable_graphs(g: int, l: int):
                 continue
             pairs = [(a, b) for a in range(nv) for b in range(a, nv)]
             for edges in itertools.combinations_with_replacement(pairs, n_edges):
-                # connectivity does not depend on the legs
-                if not StableGraph(genera, (), edges).is_connected():
+                # connectivity and edge valences do not depend on the legs
+                bare = StableGraph(genera, (), edges)
+                if not bare.is_connected():
                     continue
+                # vertex v is stable when 2 g_v - 2 + valence > 0
+                need = [3 - 2 * genera[v] - bare.valence(v) for v in range(nv)]
                 for legs in itertools.product(range(nv), repeat=l):
-                    cand = StableGraph(genera, legs, edges)
-                    if not cand.is_stable():
+                    if any(legs.count(v) < need[v] for v in range(nv)):
                         continue
-                    key = cand.canonical_key()
+                    key = StableGraph(genera, legs, edges).canonical_key()
                     if key not in found:
                         found[key] = StableGraph(*key)
     return tuple(found[k] for k in sorted(found))

@@ -188,8 +188,15 @@ def test_bad_matrix_cell_exit_2_without_traceback(cell, tmp_path):
     ["check-formality", fx("commutative_window3.json"), "--alpha", "1/0"],
     ["check-formality", fx("commutative_window3.json"), "--alpha", "two"],
     ["validate", FIXTURES],
+    ["free", fx("binary_generator.json"), "--max-arity", "-3"],
+    ["free", fx("modular_generator_03.json"), "--max-dim", "-1"],
+    ["minimal-model", fx("commutative_window3.json"), "--max", "-2"],
+    ["enumerate", "--trees", "-2"],
+    ["enumerate", "--stable-graphs", "-1", "2"],
 ], ids=["negative-dim", "zero-dim", "negative-trials", "alpha-zero-denominator",
-        "alpha-not-rational", "directory"])
+        "alpha-not-rational", "directory", "free-negative-arity",
+        "free-negative-dim", "model-negative-window", "negative-trees",
+        "negative-genus"])
 def test_malformed_argument_exit_2_without_traceback(args):
     run = run_cli(*args)
     stderr = run.stderr.decode()

@@ -517,6 +517,14 @@ class TestHypercommutative:
                                      4: {2: 6, 3: 5, 4: 1}}
         assert is_minimal(mm.operad) == (True, None)
 
+    def test_minimal_model_generators_window_5(self):
+        # arity 5: the coefficients of (1 + 2t)(1 + 3t)(1 + 4t)
+        mm = minimal_model(hypercommutative(5), 5)
+        assert mm.generator_dims == {2: {0: 1}, 3: {1: 2, 2: 1},
+                                     4: {2: 6, 3: 5, 4: 1},
+                                     5: {3: 24, 4: 26, 5: 9, 6: 1}}
+        assert is_minimal(mm.operad) == (True, None)
+
     def test_formality_witness(self):
         # the operad has zero differential, so it is formal; arity 4 has
         # generators in the adjacent degrees 2 and 3

@@ -6,9 +6,16 @@ from fractions import Fraction
 import pytest
 
 from operad_forge import document
-from operad_forge.chain import ChainComplex, ChainMap, homology_dims
+from operad_forge.chain import (
+    ChainComplex,
+    ChainMap,
+    homology_dims,
+    koszul_reorder_sign,
+)
 from operad_forge.free import (
+    FreeModularBuilder,
     FreeOperadBuilder,
+    _assemble,
     endomorphism_modular_operad,
     extend_freely,
     free_modular_operad,
@@ -31,7 +38,7 @@ from operad_forge.operad import (
     validate_ideal,
     weak_equivalence_test,
 )
-from operad_forge.qlinalg import Matrix, Subspace
+from operad_forge.qlinalg import F0, F1, Matrix, Subspace
 from operad_forge.sigma import (
     GroupAction,
     ModularSigmaModule,
@@ -40,11 +47,17 @@ from operad_forge.sigma import (
     coinvariants,
 )
 from operad_forge.trees import (
+    PlanarNode,
+    concrete_from_canonical,
     enumerate_stable_graphs,
     enumerate_trees,
     graph_automorphisms,
     graph_space,
+    match_graph,
+    normalize_planar,
+    relabel_legs,
     tree_space,
+    tree_to_planar,
 )
 from operad_forge.weight import formality_check
 
@@ -105,6 +118,178 @@ class TestFreeOperad:
         tampered[(2, 1, 2)] = bad
         broken = DGOperad(op.module, tampered, op.max_arity)
         assert validate(broken)
+
+
+def sign_module(arity, degree):
+    c = ChainComplex({degree: 1})
+    neg = ChainMap(c, c, {degree: Matrix.from_rows([[-1]])})
+    return SigmaModule({arity: GroupAction(arity, c, [neg] * (arity - 1))})
+
+
+def permutation_module(arity):
+    """Sigma_n permuting the basis of a complex of dimension n."""
+    c = ChainComplex({0: arity})
+    gens = [ChainMap(c, c, {0: Matrix.from_rows(
+        [[int(Permutation.transposition(arity, j)(col + 1) == row + 1)
+          for col in range(arity)] for row in range(arity)])})
+        for j in range(1, arity)]
+    return SigmaModule({arity: GroupAction(arity, c, gens)})
+
+
+# The per-column action generator the summand images replaced: each basis
+# column relabels its object, re-normalises (trees) or re-matches
+# (graphs) it and pushes its labels one at a time.
+
+def _reference_push_label(factor_actions, sigmas, label, perm_images,
+                          target_td, scale, out):
+    degs = [d for d, _ in label]
+    sign = koszul_reorder_sign(degs, perm_images)
+    per_factor = []
+    for ga, sig, (d, k) in zip(factor_actions, sigmas, label):
+        if sig.is_identity():
+            per_factor.append(((k, F1),))
+        else:
+            col = ga.action(sig).block(d).col(k)
+            per_factor.append(tuple((r, c) for r, c in enumerate(col) if c != 0))
+    base = scale * sign
+    m = len(label)
+    for combo in itertools.product(*per_factor):
+        coeff = base
+        for (_, c) in combo:
+            coeff = coeff * c
+        newlabel = [None] * m
+        for p in range(m):
+            newlabel[perm_images[p]] = (degs[p], combo[p][0])
+        tdeg, pos = target_td.index(tuple(newlabel))
+        key = (tdeg, pos)
+        out[key] = out.get(key, F0) + coeff
+        if out[key] == 0:
+            del out[key]
+
+
+def _reference_match(builder, key, obj):
+    objects = [item[0] for item in builder.summands[key]]
+    if isinstance(builder, FreeOperadBuilder):
+        match = normalize_planar(obj)
+        perm_images = [0] * len(match.factor_order)
+        for pos, fid in enumerate(match.factor_order):
+            perm_images[fid] = pos
+        sigmas = [match.input_perms[fid] for fid in range(len(perm_images))]
+        return objects.index(match.tree), sigmas, perm_images
+    match = match_graph(obj)
+    graph = enumerate_stable_graphs(*key)[match.index]
+    if graph not in objects:
+        return None
+    sigmas = [match.slot_perms[v] for v in range(len(match.vertex_map))]
+    return objects.index(graph), sigmas, match.vertex_map
+
+
+def _reference_push(builder, key, obj, actions, labels, scale):
+    found = _reference_match(builder, key, obj)
+    if found is None:
+        return {}
+    s, sigmas, perm_images = found
+    td = builder.summands[key][s][1]
+    local = {}
+    for label, coeff in labels:
+        _reference_push_label(actions, sigmas, label, perm_images, td,
+                              scale * coeff, local)
+    layout = builder.layouts[key]
+    return {(deg, layout.offset(s, deg) + pos): coeff
+            for (deg, pos), coeff in builder._project(key, s, local)}
+
+
+def _reference_planar_relabel(pnode, mapping):
+    if isinstance(pnode, int):
+        return mapping[pnode]
+    return PlanarNode(pnode.factor, tuple(_reference_planar_relabel(c, mapping)
+                                          for c in pnode.children))
+
+
+def _reference_relabelled(builder, obj, sigma):
+    if isinstance(builder, FreeOperadBuilder):
+        inv = sigma.inverse()
+        return _reference_planar_relabel(
+            tree_to_planar(obj), {lbl: inv(lbl) for lbl in range(1, sigma.n + 1)})
+    return relabel_legs(concrete_from_canonical(obj), sigma)
+
+
+def _reference_action_generator(builder, key, j, component):
+    sigma = Permutation.transposition(builder.shape.legs(key), j)
+    cols = {}
+    for s, (obj, *_) in enumerate(builder.summands[key]):
+        moved = _reference_relabelled(builder, obj, sigma)
+        actions = [builder.gens[t] for t in builder._types(obj)]
+        for deg, col, gcol in builder._columns(key, s):
+            out = _reference_push(builder, key, moved, actions,
+                                  builder._lift(key, s, deg, col), F1)
+            for (tdeg, row), c in out.items():
+                cols.setdefault(tdeg, {}).setdefault(gcol, {})[row] = c
+    layout = builder.layouts[key]
+    return ChainMap(component, component,
+                    {deg: _assemble(layout.dim(deg), layout.dim(deg), e)
+                     for deg, e in cols.items()}, check=False)
+
+
+def _endomorphism_dim1_module(window):
+    E = endomorphism_modular_operad(ChainComplex({0: 1}),
+                                    Matrix.from_rows([[1]]), window)
+    return dict(E.module.components)
+
+
+class TestActionGeneratorsAgainstParent:
+    """Each action generator, read off one image per (summand, s_j),
+    equals the per-column reference above on every key and j."""
+
+    @staticmethod
+    def _assert_same_generators(builder):
+        checked = 0
+        for key in builder.shape.keys():
+            comp = builder.component_complex(key)
+            if comp.is_zero():
+                continue
+            for j in range(1, builder.shape.legs(key)):
+                got = builder.action_generator(key, j, comp)
+                want = _reference_action_generator(builder, key, j, comp)
+                assert got.blocks == want.blocks, (key, j)
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("module,max_arity", [
+        (trivial_module({2: {0: 1}}), 6),
+        (sign_module(2, 0), 6),
+        (trivial_module({3: {1: 1}}), 6),
+        (sign_module(3, 1), 6),
+        (mixed_module(), 5),
+        (regular2_module(), 5),
+        (permutation_module(3), 5),
+        (SigmaModule({**sign_module(2, 1).components,
+                      **sign_module(3, 1).components}), 5),
+    ], ids=["binary-trivial", "binary-sign", "ternary-trivial",
+            "ternary-sign", "mixed-degree", "regular-dim-2",
+            "ternary-permutation", "binary-ternary-odd"])
+    def test_free_operad(self, module, max_arity):
+        self._assert_same_generators(
+            FreeOperadBuilder(dict(module.components), max_arity))
+
+    @pytest.mark.parametrize("gens,max_dim", [
+        (lambda: dict(_fixture("modular_generator_03.json").components), 3),
+        (lambda: _endomorphism_dim1_module(2), 2),
+    ], ids=["modular-generator-03", "endomorphism-dim1"])
+    def test_free_modular_operad(self, gens, max_dim):
+        self._assert_same_generators(FreeModularBuilder(gens(), max_dim))
+
+    @pytest.mark.parametrize("module,digest", [
+        (sign_module(2, 0),
+         "2169ed90ecc26a313975798365d48f8b25f36385e37f09eeaa5c250f0927f958"),
+        (mixed_module(),
+         "ad58aabc9310643c7b888515fa4f9faf203bff197ad7b2b9dd608f10a7630847"),
+        (sign_module(3, 1),
+         "6d8700a49dfea3955c178baccab707e8645b4296d4a74a1c0d8da092e63c1087"),
+    ], ids=["binary-sign", "mixed-degree", "ternary-sign"])
+    def test_free_operad_bytes_pinned(self, module, digest):
+        # sha256 as written by the per-column route
+        assert _digest(document.to_document(free_operad(module, 5))) == digest
 
 
 class TestFreeModular:
