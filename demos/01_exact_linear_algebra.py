@@ -2,8 +2,11 @@
 """Exact rational linear algebra: the kernel everything else runs on.
 
 Echelon forms, kernels, exact solving, characteristic polynomials and
-the primary decomposition over Q.  Irreducible factors of degree >= 2
-are never split; their primary components are pooled into a residual.
+the primary decomposition over Q at given eigenvalues.  No roots are
+searched: the caller lists the eigenvalues it asks about (the weights
+ask only for the powers of the base alpha), and the primary components
+of every other factor of the characteristic polynomial are pooled into
+a residual.
 """
 
 from fractions import Fraction
@@ -21,18 +24,16 @@ print("solve 2x = 3 exactly:", solve(Matrix.from_rows([[2]]), (3,)))
 
 rot = Matrix.from_rows([[0, -1], [1, 0]])
 print("\ncharacteristic polynomial of a rotation:", char_poly(rot))
-split = rational_eigen_split(rot)
-print("rational eigenvalues:", [(str(lam), s.dim) for lam, s in split.pairs])
-print("residual dimension (t^2 + 1 has no rational root):",
-      split.residual.dim)
+split = rational_eigen_split(rot, [])
+print("residual dimension (no eigenvalue asked about):", split.residual.dim)
 
 jordan = Matrix.from_rows([[3, 1], [0, 3]])
-split = rational_eigen_split(jordan)
+split = rational_eigen_split(jordan, [3])
 print("\nJordan block J_2(3): generalized eigenspace dims:",
       [(str(lam), s.dim) for lam, s in split.pairs])
 
 mixed = Matrix.from_rows([[2, 0, 0], [0, 0, -1], [0, 1, 0]])
-split = rational_eigen_split(mixed)
-print("mixed matrix: rational part",
+split = rational_eigen_split(mixed, [2])
+print("mixed matrix: eigenvalue 2",
       [(str(lam), s.dim) for lam, s in split.pairs],
       "residual dim", split.residual.dim)

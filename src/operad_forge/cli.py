@@ -25,7 +25,7 @@ from .operad import validate
 from .sigma import ModularSigmaModule, SigmaModule, validate_action
 from .trees import (enumerate_stable_graphs, enumerate_trees,
                     graph_automorphisms)
-from .weight import formality_check
+from .weight import WeightFunction, formality_check
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -149,6 +149,10 @@ def cmd_check_formality(args):
     except (ValueError, ZeroDivisionError):
         raise MalformedArgument(
             f"--alpha {args.alpha!r} is not a rational number") from None
+    try:
+        WeightFunction(alpha)
+    except ValueError as exc:
+        raise MalformedArgument(f"--alpha {args.alpha}: {exc}") from None
     _at_least(("--max", args.max, 0))
     obj, meta = _load(args.file)
     if isinstance(obj, (SigmaModule, ModularSigmaModule)):

@@ -17,7 +17,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -549,59 +548,13 @@ def _poly_divide_linear(coeffs, root):
     return out
 
 
-def _divisors(n):
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
-def rational_roots(coeffs):
-    """All rational roots of the polynomial with multiplicities.
-
-    Classical p/q divisor test on the cleared-denominator polynomial.
-    Returns a dict root -> multiplicity.
-    """
-    coeffs = [(_frac(c)) for c in coeffs]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    roots = {}
-    # strip t^e
-    zero_mult = 0
-    while coeffs and coeffs[0] == 0 and len(coeffs) > 1:
-        coeffs.pop(0)
-        zero_mult += 1
-    if zero_mult:
-        roots[F0] = zero_mult
-    if len(coeffs) <= 1:
-        return roots
-    denom = lcm(*[c.denominator for c in coeffs]) if len(coeffs) > 1 else 1
-    ints = [int(c * denom) for c in coeffs]
-    candidates = set()
-    lead = ints[-1]
-    const = ints[0]
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            candidates.add(Fraction(p, q))
-            candidates.add(Fraction(-p, q))
-    for cand in sorted(candidates):
-        while len(coeffs) > 1 and poly_eval(coeffs, cand) == 0:
-            coeffs = _poly_divide_linear(coeffs, cand)
-            roots[cand] = roots.get(cand, 0) + 1
-    return roots
-
-
 @dataclass(frozen=True)
 class EigenSplit:
-    """Primary decomposition over Q.
+    """Primary decomposition over Q at given eigenvalues.
 
-    ``pairs`` lists (rational eigenvalue, generalized eigenspace); the
-    primary components of irreducible factors of degree >= 2 are pooled
+    ``pairs`` lists (eigenvalue, generalized eigenspace) for each given
+    eigenvalue that occurs, in increasing order; the primary components
+    of every other factor of the characteristic polynomial are pooled
     into ``residual``.
     """
 
@@ -609,25 +562,30 @@ class EigenSplit:
     residual: Subspace
 
 
-def rational_eigen_split(m: Matrix) -> EigenSplit:
+def rational_eigen_split(m: Matrix, eigenvalues) -> EigenSplit:
+    """Split off the generalized eigenspaces of the given eigenvalues.
+
+    Each multiplicity is the number of exact divisions of the
+    characteristic polynomial by (t - eigenvalue); no roots are searched.
+    """
     if m.rows != m.cols:
         raise ValueError("eigen split of a non-square matrix")
     n = m.rows
-    poly = list(char_poly(m))
-    roots = rational_roots(poly)
     ident = Matrix.identity(n)
     pairs = []
-    remaining = list(poly)
-    for lam in sorted(roots):
-        mult = roots[lam]
+    remaining = list(char_poly(m))
+    for lam in sorted({_frac(x) for x in eigenvalues}):
+        mult = 0
+        while len(remaining) > 1 and poly_eval(remaining, lam) == 0:
+            remaining = _poly_divide_linear(remaining, lam)
+            mult += 1
+        if not mult:
+            continue
         shifted = m - ident.scale(lam)
         power = ident
         for _ in range(mult):
             power = power * shifted
-        space = kernel(power)
-        pairs.append((lam, space))
-        for _ in range(mult):
-            remaining = _poly_divide_linear(remaining, lam)
+        pairs.append((lam, kernel(power)))
     if len(remaining) == 1:
         residual = Subspace.zero(n)
     else:

@@ -43,6 +43,7 @@ from .qlinalg import (
     F0,
     Matrix,
     Subspace,
+    char_poly,
     rational_eigen_split,
     solve_matrix,
 )
@@ -68,24 +69,6 @@ class WeightFunction:
         object.__setattr__(self, "base", alpha)
         if alpha in (0, 1, -1):
             raise ValueError("weight base must not be 0 or a root of unity")
-
-    def weight_of(self, value, bound):
-        """The integer n with alpha^n = value, or None."""
-        value = Fraction(value)
-        if value == 0:
-            return None
-        for n in range(-bound, bound + 1):
-            if self.base ** n == value:
-                return n
-        return None
-
-
-def _degree_bound(complexes):
-    span = 0
-    for c in complexes:
-        for d in c.dims:
-            span = max(span, abs(d))
-    return span + 4
 
 
 @dataclass
@@ -124,26 +107,22 @@ def weight_decompose(c: ChainComplex, f: ChainMap,
                      w: WeightFunction) -> WeightDecomposition:
     """Primary decomposition of each degree, bucketed by weight.
 
-    Eigenvalues alpha^n land in the weight-n part; all other rational
-    eigenvalues and the irrational residual are pooled into the
-    non-pure part C.  Both are subcomplexes (checked).
+    Eigenvalues alpha^n land in the weight-n part; all other eigenvalues,
+    rational or not, are pooled into the non-pure part C.  Both are
+    subcomplexes (checked).
     """
     if f.src is not c and f.src != c:
         raise ValueError("endomorphism must live on the complex")
-    bound = _degree_bound([c])
+    bound = max((abs(d) for d in c.dims), default=0) + 4
+    weight_of = {w.base ** n: n for n in range(-bound, bound + 1)}
     pure = {}
     residual = {}
     for d in c.support:
-        split = rational_eigen_split(f.block(d))
-        res_cols = list(split.residual.basis.columns())
+        split = rational_eigen_split(f.block(d), weight_of)
         for lam, space in split.pairs:
-            n = w.weight_of(lam, bound)
-            if n is None:
-                res_cols.extend(space.basis.columns())
-            else:
-                pure.setdefault(n, {})[d] = space.basis
-        if res_cols:
-            residual[d] = Subspace.from_spanning(c.dim(d), res_cols).basis
+            pure.setdefault(weight_of[lam], {})[d] = space.basis
+        if split.residual.dim:
+            residual[d] = split.residual.basis
     decomp = WeightDecomposition(c, f, w, pure, residual)
     # the parts must be subcomplexes; building them verifies it
     for n in decomp.weights():
@@ -190,12 +169,28 @@ def _component_items(p, f):
             if not p.component(key).is_zero()]
 
 
+def _poly_text(coeffs):
+    """Coefficients (lowest degree first) as a polynomial in t."""
+    text = ""
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        mono = "t" if k == 1 else f"t^{k}" if k else ""
+        text += (" - " if c < 0 else " + ") if text else ("-" if c < 0 else "")
+        if abs(c) != 1 or not mono:
+            text += str(abs(c)) + ("*" if mono else "")
+        text += mono
+    return text
+
+
 def purity_check(p, f, w: WeightFunction) -> PureEndomorphism:
     """Verify H_i(f) has all eigenvalues equal to alpha^i, exactly.
 
     ``p`` is a complex or an operad, ``f`` a matching endomorphism.
     Raises PurityError with a report naming component, degree and the
-    offending eigenvalue or irrational factor.
+    characteristic polynomial of H_i(f), which pins down every
+    eigenvalue that is not alpha^i.
     """
     if isinstance(f, OperadMorphism):
         bad = f.validate()
@@ -208,19 +203,16 @@ def purity_check(p, f, w: WeightFunction) -> PureEndomorphism:
         where = f"component {key}: " if key is not None else ""
         hrec = homology(comp)
         ind = induced_map(block, hrec, hrec)
-        bound = _degree_bound([comp])
         for d, m in ind.items():
             if m.rows == 0:
                 continue
-            split = rational_eigen_split(m)
-            if split.residual.dim:
-                failures.append(f"{where}degree {d}: irrational eigenvalue "
-                                "factor on homology")
             expected = w.base ** d
-            for lam, space in split.pairs:
-                if lam != expected:
-                    failures.append(f"{where}degree {d}: eigenvalue {lam} "
-                                    f"is not {w.base}^{d}")
+            split = rational_eigen_split(m, [expected])
+            if split.residual.dim:
+                failures.append(
+                    f"{where}degree {d}: H_{d}(f) has characteristic "
+                    f"polynomial {_poly_text(char_poly(m))}, not "
+                    f"(t - {expected})^{m.rows}")
             eigen_table.setdefault(key, {})[d] = [lam for lam, _ in split.pairs]
     if failures:
         raise PurityError(failures)

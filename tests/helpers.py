@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from operad_forge.chain import ChainComplex, ChainMap
-from operad_forge.qlinalg import F0, F1, Matrix
+from operad_forge.qlinalg import F0, F1, Matrix, _poly_divide_linear, poly_eval
 
 
 def random_invertible(rng, n, bound=2):
@@ -93,3 +94,55 @@ def random_chain_map(rng, src, dst, bound=2):
             acc = acc + blocks[i - 1] * src.d(i)
         out[i] = acc
     return ChainMap(src, dst, out)
+
+
+# -- reference root search --------------------------------------------------
+# The engine splits only at the eigenvalues it is given; these find every
+# rational root, so tests can hand rational_eigen_split all of them.
+
+
+def _divisors(n):
+    n = abs(n)
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+        d += 1
+    return sorted(out)
+
+
+def rational_roots(coeffs):
+    """All rational roots of the polynomial with multiplicities.
+
+    Classical p/q divisor test on the cleared-denominator polynomial.
+    Returns a dict root -> multiplicity.
+    """
+    coeffs = [Fraction(c) for c in coeffs]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    roots = {}
+    # strip t^e
+    zero_mult = 0
+    while coeffs and coeffs[0] == 0 and len(coeffs) > 1:
+        coeffs.pop(0)
+        zero_mult += 1
+    if zero_mult:
+        roots[F0] = zero_mult
+    if len(coeffs) <= 1:
+        return roots
+    denom = lcm(*[c.denominator for c in coeffs])
+    ints = [int(c * denom) for c in coeffs]
+    candidates = set()
+    lead = ints[-1]
+    const = ints[0]
+    for p in _divisors(const):
+        for q in _divisors(lead):
+            candidates.add(Fraction(p, q))
+            candidates.add(Fraction(-p, q))
+    for cand in sorted(candidates):
+        while len(coeffs) > 1 and poly_eval(coeffs, cand) == 0:
+            coeffs = _poly_divide_linear(coeffs, cand)
+            roots[cand] = roots.get(cand, 0) + 1
+    return roots

@@ -187,6 +187,9 @@ def test_bad_matrix_cell_exit_2_without_traceback(cell, tmp_path):
     ["alt-check", "--dim", "2", "--trials", "-3"],
     ["check-formality", fx("commutative_window3.json"), "--alpha", "1/0"],
     ["check-formality", fx("commutative_window3.json"), "--alpha", "two"],
+    ["check-formality", fx("commutative_window3.json"), "--alpha", "0"],
+    ["check-formality", fx("commutative_window3.json"), "--alpha", "1"],
+    ["check-formality", fx("commutative_window3.json"), "--alpha", "-1"],
     ["validate", FIXTURES],
     ["free", fx("binary_generator.json"), "--max-arity", "-3"],
     ["free", fx("modular_generator_03.json"), "--max-dim", "-1"],
@@ -194,7 +197,8 @@ def test_bad_matrix_cell_exit_2_without_traceback(cell, tmp_path):
     ["enumerate", "--trees", "-2"],
     ["enumerate", "--stable-graphs", "-1", "2"],
 ], ids=["negative-dim", "zero-dim", "negative-trials", "alpha-zero-denominator",
-        "alpha-not-rational", "directory", "free-negative-arity",
+        "alpha-not-rational", "alpha-zero", "alpha-one", "alpha-minus-one",
+        "directory", "free-negative-arity",
         "free-negative-dim", "model-negative-window", "negative-trees",
         "negative-genus"])
 def test_malformed_argument_exit_2_without_traceback(args):

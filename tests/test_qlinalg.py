@@ -15,11 +15,12 @@ from operad_forge.qlinalg import (
     poly_eval_matrix,
     rank,
     rational_eigen_split,
-    rational_roots,
     rref,
     solve,
     solve_matrix,
 )
+
+from helpers import rational_roots
 
 
 def M(rows):
@@ -135,6 +136,8 @@ class TestCharPoly:
 
 
 class TestRationalRoots:
+    """The test-side reference root search (helpers.rational_roots)."""
+
     def test_simple(self):
         # (t-2)(t-3)
         assert rational_roots((6, -5, 1)) == {Fraction(2): 1, Fraction(3): 1}
@@ -147,26 +150,30 @@ class TestRationalRoots:
         assert rational_roots((1, 0, 1)) == {}
 
 
+def split_at_roots(m):
+    return rational_eigen_split(m, rational_roots(char_poly(m)))
+
+
 class TestEigenSplit:
     def test_diagonal(self):
-        split = rational_eigen_split(Matrix.diagonal([2, 2, 5]))
+        split = split_at_roots(Matrix.diagonal([2, 2, 5]))
         assert [(lam, s.dim) for lam, s in split.pairs] == [(2, 2), (5, 1)]
         assert split.residual.dim == 0
 
     def test_rotation_all_residual(self):
-        split = rational_eigen_split(M([[0, -1], [1, 0]]))
+        split = split_at_roots(M([[0, -1], [1, 0]]))
         assert split.pairs == ()
         assert split.residual == Subspace.full(2)
 
     def test_jordan_block(self):
-        split = rational_eigen_split(M([[3, 1], [0, 3]]))
+        split = split_at_roots(M([[3, 1], [0, 3]]))
         assert [(lam, s.dim) for lam, s in split.pairs] == [(3, 2)]
         assert split.residual.dim == 0
 
     @given(matrices(max_dim=4).filter(lambda m: m.rows == m.cols))
     @settings(max_examples=40, deadline=None)
     def test_direct_sum_and_invariance(self, m):
-        split = rational_eigen_split(m)
+        split = split_at_roots(m)
         spaces = [s for _, s in split.pairs] + [split.residual]
         # dimensions fill the ambient and stack to full rank
         vectors = [s.basis.col(j) for s in spaces for j in range(s.dim)]
@@ -177,6 +184,19 @@ class TestEigenSplit:
         for _, s in split.pairs:
             for j in range(s.dim):
                 assert s.contains(m.apply(s.basis.col(j)))
+
+    @given(matrices(max_dim=4).filter(lambda m: m.rows == m.cols),
+           st.lists(st.fractions(min_value=-6, max_value=6,
+                                 max_denominator=3), max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_non_roots_change_nothing(self, m, extra):
+        roots = rational_roots(char_poly(m))
+        split = rational_eigen_split(m, roots)
+        assert [(lam, s.dim) for lam, s in split.pairs] == \
+            sorted(roots.items())
+        padded = rational_eigen_split(
+            m, list(roots) + [x for x in extra if x not in roots])
+        assert padded == split
 
 
 class TestSubspace:

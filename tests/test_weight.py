@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,20 @@ from test_minimal import massey_minimal_operad
 W2 = WeightFunction(Fraction(2))
 
 
+@contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, when the body runs past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestWeightFunction:
     def test_rejects_roots_of_unity(self):
         for bad in (0, 1, -1):
@@ -36,15 +52,23 @@ class TestWeightFunction:
                 WeightFunction(Fraction(bad))
 
     def test_weight_of(self):
-        assert W2.weight_of(Fraction(8), 10) == 3
-        assert W2.weight_of(Fraction(1, 4), 10) == -2
-        assert W2.weight_of(Fraction(1), 10) == 0
-        assert W2.weight_of(Fraction(3), 10) is None
-        assert W2.weight_of(Fraction(0), 10) is None
+        # eigenvalue alpha^n lands in weight n; 3 and 0 are no powers of 2
+        c = ChainComplex({0: 5})
+        f = ChainMap(c, c, {0: Matrix.diagonal([8, Fraction(1, 4), 1, 3, 0])})
+        d = weight_decompose(c, f, W2)
+        assert d.weights() == [-2, 0, 3]
+        assert d.pure[3][0] == Matrix.from_cols([(1, 0, 0, 0, 0)])
+        assert d.pure[-2][0] == Matrix.from_cols([(0, 1, 0, 0, 0)])
+        assert d.pure[0][0] == Matrix.from_cols([(0, 0, 1, 0, 0)])
+        assert d.residual[0] == Matrix.from_cols([(0, 0, 0, 1, 0),
+                                                  (0, 0, 0, 0, 1)])
 
     def test_fractional_base(self):
         w = WeightFunction(Fraction(3, 2))
-        assert w.weight_of(Fraction(9, 4), 10) == 2
+        c = ChainComplex({0: 1})
+        f = ChainMap(c, c, {0: Matrix.diagonal([Fraction(9, 4)])})
+        d = weight_decompose(c, f, w)
+        assert d.weights() == [2] and d.pure_dim(2, 0) == 1
 
 
 class TestWeightDecompose:
@@ -72,6 +96,18 @@ class TestWeightDecompose:
         assert d.residual_dim(0) == 1
         assert d.pure_dim(1, 0) == 1
 
+    def test_large_constant_term_splits_at_once(self):
+        # H_6(f) = 2^6 id on Q^16: the characteristic polynomial's
+        # constant term is 2^96, far past any divisor search
+        c = ChainComplex({6: 16})
+        f = grading_automorphism(c, 2)
+        with time_limit(10):
+            cert = purity_check(c, f, W2)
+            d = weight_decompose(c, f, W2)
+        assert cert.homology_eigenvalues == {None: {6: [64]}}
+        assert d.weights() == [6] and d.pure_dim(6, 6) == 16
+        assert d.residual == {}
+
     def test_parts_are_subcomplexes(self):
         # nontrivial differential: acyclic pair with compatible weights
         c = ChainComplex({1: 1, 0: 1}, {1: Matrix.from_rows([[1]])})
@@ -96,6 +132,22 @@ class TestPurity:
         with pytest.raises(PurityError) as err:
             purity_check(c, f, W2)
         assert "degree 1" in str(err.value)
+
+    def test_failure_gives_characteristic_polynomial(self):
+        c = ChainComplex({1: 1})
+        f = ChainMap(c, c, {1: Matrix.from_rows([[3]])})
+        with pytest.raises(PurityError) as err:
+            purity_check(c, f, W2)
+        assert err.value.failures == [
+            "degree 1: H_1(f) has characteristic polynomial t - 3, "
+            "not (t - 2)^1"]
+
+    def test_failure_names_irrational_factor(self):
+        c = ChainComplex({0: 2})
+        f = ChainMap(c, c, {0: Matrix.from_rows([[0, 2], [1, 0]])})
+        with pytest.raises(PurityError) as err:
+            purity_check(c, f, W2)
+        assert "t^2 - 2," in str(err.value)
 
     def test_acyclic_mixing_is_ignored(self):
         # mixing weights across an acyclic summand is invisible to H:
