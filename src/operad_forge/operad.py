@@ -3,14 +3,30 @@
 Structure maps are stored as sparse tables: for each composition
 (l, i, m) (resp. ((g,l), i, (h,m))) a table keyed by degree pairs and
 basis pairs, and for each contraction ((g,l), i, j) a table keyed by
-degree and basis index.  Validation checks the axioms on all basis
-instances whose targets stay inside the finite support window.
+degree and basis index.
 
-Composition convention (modular case): ``a o_i b`` glues leg i of a to
-leg 1 of b; the output legs are ordered a(1..i-1), b(2..m), a(i+1..l).
-Contractions xi_{ij} glue legs i and j of the same element and keep the
-remaining legs in order.  Signs come from Koszul-reordering the glued
-slots to adjacency; alternate conventions give isomorphic operads.
+Composition convention: ``a o_i b`` glues leg i of a to b, and its legs
+are a(1..i-1), the legs b keeps, a(i+1..l).  ``glue`` is the number of
+b's legs the gluing uses up: 0 for an operad, where b's output is glued
+and b keeps legs 1..m, and 1 for a modular operad, where b's leg 1 is
+glued and b keeps legs 2..m.  Contractions xi_{ij} glue legs i and j of
+the same element and keep the remaining legs in order.  Leg x of a.sigma
+is leg sigma(x) of a.  Signs come from Koszul-reordering the glued slots
+to adjacency; alternate conventions give isomorphic operads.
+
+``validate`` states each axiom once for both kinds and checks it on
+every basis instance whose targets stay inside the finite window:
+- the Sigma-action of each component;
+- each o_i is a chain map, equivariant in a and in the legs b keeps;
+- nested and disjoint associativity;
+- commutation, a o_i b = +-(b o_1 a.c_i).rho (modular operads only);
+- each xi_{ij} is a chain map and equivariant, and two contractions
+  commute;
+- xi after o_i, with both contracted legs on a, both on b, or one on
+  each (the two-edge axiom).  These are the o/xi axioms of
+  Getzler-Kapranov, "Modular operads" (1998).
+An operad has no contractions, so the last two items are empty for it.
+Ideals are closed and checked under one list of images (``_Images``).
 """
 
 from __future__ import annotations
@@ -135,56 +151,31 @@ class ContrTable:
                                tuple(map(sparse_row, rows)))
 
 
-# -- block permutations for equivariance axioms -------------------------------
+# -- leg relabels for the axioms ----------------------------------------------
 
 
-def operadic_block_perm(sigma: Permutation, i: int, tau: Permutation) -> Permutation:
-    """The permutation by which (a.sigma) o_i (b.tau) differs from
-    a o_{sigma(i)} b; inputs i..i+m-1 form the tau-permuted block."""
+def _comp_legs(l: int, i: int, m: int, glue: int) -> list:
+    """The legs of a o_i b in order: ``(0, x)`` is a's leg x and ``(1, y)``
+    b's leg y.  a's leg i and b's first ``glue`` legs are glued away."""
+    return ([(0, x) for x in range(1, i)]
+            + [(1, y) for y in range(glue + 1, m + 1)]
+            + [(0, x) for x in range(i + 1, l + 1)])
+
+
+def _relabel(legs, target) -> Permutation:
+    """The permutation sending the position of each leg in ``legs`` to its
+    position in ``target``."""
+    return Permutation(tuple(target.index(leg) + 1 for leg in legs))
+
+
+def comp_relabel(sigma: Permutation, i: int, tau: Permutation,
+                 glue: int) -> Permutation:
+    """(a.sigma) o_i (b.tau) = (a o_{sigma(i)} b) . (this permutation);
+    tau fixes b's glued legs.  Leg x of a.sigma is leg sigma(x) of a."""
     l, m = sigma.n, tau.n
-    images = []
-    for x in range(1, l + m):
-        if x < i or x >= i + m:
-            j = x if x < i else x - m + 1
-            t = sigma(j)
-            images.append(t + (m - 1 if t > sigma(i) else 0))
-        else:
-            p = x - i + 1
-            images.append(sigma(i) - 1 + tau(p))
-    return Permutation(tuple(images))
-
-
-def modular_first_relabel(sigma: Permutation, i: int, m: int) -> Permutation:
-    """(a.sigma) o_i b = (a o_{sigma(i)} b) . (this permutation)."""
-    l = sigma.n
-    si = sigma(i)
-
-    def pos_a(j):
-        return j if j < si else j + m - 2
-
-    images = []
-    for p in range(1, l + m - 1):
-        if p < i:
-            images.append(pos_a(sigma(p)))
-        elif p <= i + m - 2:
-            images.append(si + p - i)
-        else:
-            images.append(pos_a(sigma(p - m + 2)))
-    return Permutation(tuple(images))
-
-
-def modular_second_relabel(i: int, l: int, tau: Permutation) -> Permutation:
-    """a o_i (b.tau) = (a o_i b) . (this permutation); tau must fix 1."""
-    m = tau.n
-    if tau(1) != 1:
-        raise ValueError("second-factor relabel requires tau(1) = 1")
-    images = []
-    for p in range(1, l + m - 1):
-        if i <= p <= i + m - 2:
-            images.append(i + tau(p - i + 2) - 2)
-        else:
-            images.append(p)
-    return Permutation(tuple(images))
+    moved = [(f, sigma(x) if f == 0 else tau(x))
+             for f, x in _comp_legs(l, i, m, glue)]
+    return _relabel(moved, _comp_legs(l, sigma(i), m, glue))
 
 
 def modular_contr_relabel(sigma: Permutation, i: int, j: int):
@@ -223,6 +214,9 @@ class _OperadCore:
     at, ``window`` is the top level, and ``remake`` builds an operad of
     the same kind.  An operad has no contractions (``contr_keys()`` is
     empty), so code written against this interface serves both kinds.
+    ``glue`` is the number of legs of the second factor that a
+    composition uses up: 0 for an operad (b's output is glued to a's
+    input i), 1 for a modular operad (b's leg 1 is glued to a's leg i).
     """
 
     def __init__(self, module, comp, contr, cut=None):
@@ -273,6 +267,7 @@ class DGOperad(_OperadCore):
     """dg pseudo-operad with P(1) = 0, stored on arities 2..max_arity."""
 
     kind = "operad"
+    glue = 0
 
     def __init__(self, module: SigmaModule, comp, max_arity, cut=None):
         super().__init__(module, comp, {}, cut)
@@ -322,6 +317,7 @@ class ModularOperad(_OperadCore):
     """dg modular operad on the window of modular dimension <= max_dim."""
 
     kind = "modular"
+    glue = 1
 
     def __init__(self, module: ModularSigmaModule, comp, contr, max_dim, cut=None):
         super().__init__(module, comp, contr, cut)
@@ -407,35 +403,51 @@ class ModularOperad(_OperadCore):
 # -- validation ---------------------------------------------------------------
 
 
-def _basis_elements(c: ChainComplex):
+def _units(c: ChainComplex) -> list:
+    """(degree, unit vector) for each basis element of c."""
+    out = []
     for d in c.support:
-        for k in range(c.dim(d)):
-            yield d, k
-
-
-def _unit_vec(dim, k):
-    v = [F0] * dim
-    v[k] = F1
-    return tuple(v)
-
-
-def _vec_eq(v1, v2):
-    return tuple(v1) == tuple(v2)
-
-
-def _scale_vec(v, c):
-    return tuple(c * x for x in v)
+        n = c.dim(d)
+        for k in range(n):
+            out.append((d, tuple(F1 if r == k else F0 for r in range(n))))
+    return out
 
 
 def _add_vec(v1, v2):
     return tuple(a + b for a, b in zip(v1, v2))
 
 
+def _koszul(v, d1, d2):
+    """(-1)^(d1 d2) v."""
+    return tuple(-x for x in v) if d1 % 2 and d2 % 2 else v
+
+
+def _collapse(p, a, b):
+    """The position of leg p once legs a and b are contracted away."""
+    return p - sum(1 for x in (a, b) if x < p)
+
+
 class _Validator:
-    def __init__(self, op, max_report=25):
+    """Each axiom stated once, checked on every in-window basis instance.
+
+    Compositions read ``op.glue`` (the legs of b that a o_i b uses up);
+    contractions, compatibility and the two-edge axiom run over
+    ``op.contr_keys()``, which is empty for an operad; commutation needs
+    b's glued leg to be an ordinary leg, so it runs only when glue is 1.
+    """
+
+    def __init__(self, op, max_report):
         self.op = op
+        self.glue = op.glue
         self.report = []
         self.max_report = max_report
+        comps = op.comp_keys()
+        # composable (key1, key2), in the order of comp_keys
+        self.pairs = dict.fromkeys((key1, key2) for key1, _, key2 in comps)
+        self.contracted = {key for key, _, _ in op.contr_keys()}
+        factors = {key for pair in self.pairs for key in pair}
+        self.units = {key: _units(op.component(key))
+                      for key in factors | self.contracted}
 
     def fail(self, msg):
         if len(self.report) < self.max_report:
@@ -444,378 +456,268 @@ class _Validator:
     def done(self):
         return len(self.report) >= self.max_report
 
-    # shared checks ---------------------------------------------------------
+    # compositions ------------------------------------------------------------
 
-    def check_chain_comp(self, key1, i, key2):
+    def compositions(self, key1, key2):
+        """Every axiom about a o_i b, for each leg i of a."""
         op = self.op
-        tkey = op.comp_target(key1, i, key2)
-        c1, c2, ct = op.component(key1), op.component(key2), op.component(tkey)
-        for d1, k1 in _basis_elements(c1):
-            v1 = _unit_vec(c1.dim(d1), k1)
-            dv1 = c1.d(d1).apply(v1)
-            for d2, k2 in _basis_elements(c2):
-                v2 = _unit_vec(c2.dim(d2), k2)
-                dv2 = c2.d(d2).apply(v2)
-                lhs = ct.d(d1 + d2).apply(
-                    op.compose(key1, i, key2, d1, v1, d2, v2))
-                rhs = op.compose(key1, i, key2, d1 - 1, dv1, d2, v2)
-                term2 = op.compose(key1, i, key2, d1, v1, d2 - 1, dv2)
-                if d1 % 2:
-                    term2 = _scale_vec(term2, -1)
-                rhs = _add_vec(rhs, term2)
-                if not _vec_eq(lhs, rhs):
-                    self.fail(f"composition {key1} o_{i} {key2} is not a chain map "
-                              f"at degrees ({d1},{d2})")
+        units1, units2 = self.units[key1], self.units[key2]
+        if not units1 or not units2:
+            return
+        # (d1, a, d2, b, a o_i b) over the basis pairs, by i
+        prods = {i: [(d1, a, d2, b, op.compose(key1, i, key2, d1, a, d2, b))
+                     for d1, a in units1 for d2, b in units2]
+                 for i in range(1, op.legs(key1) + 1)}
+        for i in prods:
+            self.chain_map(key1, i, key2, prods[i])
+            for j in range(1, op.legs(key1)):
+                self.equivariance(key1, i, key2, 0, j, prods)
+            for j in range(self.glue + 1, op.legs(key2)):
+                self.equivariance(key1, i, key2, 1, j, prods)
+            if self.glue:
+                self.commutation(key1, i, key2, prods[i])
+            mid = op.comp_target(key1, i, key2)
+            for key3 in op.keys():
+                if self.done():
                     return
+                if (mid, key3) in self.pairs and self.units[key3]:
+                    self.nested_associativity(key1, i, key2, key3, prods[i])
+                    self.disjoint_associativity(key1, i, key2, key3, prods[i])
+            if mid in self.contracted:
+                if key1 in self.contracted:
+                    self.compatibility_first(key1, i, key2, prods[i])
+                if key2 in self.contracted:
+                    self.compatibility_second(key1, i, key2, prods[i])
+                self.two_edge(key1, i, key2, prods[i])
 
-    def check_comp_equivariance_first(self, key1, i, key2, gen_index,
-                                      relabel_fn):
+    def chain_map(self, key1, i, key2, prods):
+        """d(a o_i b) = da o_i b + (-1)^|a| a o_i db."""
         op = self.op
-        sigma = Permutation.transposition(op.legs(key1), gen_index)
-        tkey = op.comp_target(key1, i, key2)
-        c1, c2, ct = op.component(key1), op.component(key2), op.component(tkey)
-        rho = relabel_fn(sigma, i)
-        act1 = op.action(key1, sigma)
-        act_t = op.action(tkey, rho)
-        si = sigma(i)
-        for d1, k1 in _basis_elements(c1):
-            v1s = act1.block(d1).apply(_unit_vec(c1.dim(d1), k1))
-            for d2, k2 in _basis_elements(c2):
-                v2 = _unit_vec(c2.dim(d2), k2)
-                lhs = op.compose(key1, i, key2, d1, v1s, d2, v2)
-                inner = op.compose(key1, si, key2, d1,
-                                   _unit_vec(c1.dim(d1), k1), d2, v2)
-                rhs = act_t.block(d1 + d2).apply(inner)
-                if not _vec_eq(lhs, rhs):
-                    self.fail(f"equivariance (first factor, s_{gen_index}) fails "
-                              f"for {key1} o_{i} {key2}")
-                    return
-
-    def check_comp_equivariance_second(self, key1, i, key2, gen_index,
-                                       relabel_fn):
-        op = self.op
-        tau = Permutation.transposition(op.legs(key2), gen_index)
-        tkey = op.comp_target(key1, i, key2)
         c1, c2 = op.component(key1), op.component(key2)
-        rho = relabel_fn(i, tau)
-        act2 = op.action(key2, tau)
-        act_t = op.action(tkey, rho)
-        for d1, k1 in _basis_elements(c1):
-            v1 = _unit_vec(c1.dim(d1), k1)
-            for d2, k2 in _basis_elements(c2):
-                v2t = act2.block(d2).apply(_unit_vec(c2.dim(d2), k2))
-                lhs = op.compose(key1, i, key2, d1, v1, d2, v2t)
-                inner = op.compose(key1, i, key2, d1, v1, d2,
-                                   _unit_vec(c2.dim(d2), k2))
-                rhs = act_t.block(d1 + d2).apply(inner)
-                if not _vec_eq(lhs, rhs):
-                    self.fail(f"equivariance (second factor, s_{gen_index}) fails "
-                              f"for {key1} o_{i} {key2}")
-                    return
-
-
-def validate_operad(op: DGOperad, max_report=25) -> list:
-    """Axioms of a dg pseudo-operad on all in-window basis instances."""
-    v = _Validator(op, max_report)
-    report = v.report
-    report.extend(f"underlying module: {m}" for m in op.module.validate_action())
-    for (l, i, m) in op.comp_keys():
-        if v.done():
-            return report
-        v.check_chain_comp(l, i, m)
-        for j in range(1, l):
-            v.check_comp_equivariance_first(
-                l, i, m, j,
-                lambda sigma, ii: operadic_block_perm(
-                    sigma, ii, Permutation.identity(m)))
-        for j in range(1, m):
-            v.check_comp_equivariance_second(
-                l, i, m, j,
-                lambda ii, tau: operadic_block_perm(
-                    Permutation.identity(l), ii, tau))
-    # associativity
-    for l in range(2, op.max_arity + 1):
-        for m in range(2, op.max_arity + 1):
-            for n in range(2, op.max_arity + 1):
-                if l + m + n - 2 > op.max_arity:
-                    continue
-                _check_operadic_associativity(v, l, m, n)
-                if v.done():
-                    return report
-    return report
-
-
-def _check_operadic_associativity(v, l, m, n):
-    op = v.op
-    cl, cm, cn = op.component(l), op.component(m), op.component(n)
-    if cl.is_zero() or cm.is_zero() or cn.is_zero():
-        return
-    for i in range(1, l + 1):
-        # nested: (a o_i b) o_{i+q-1} c = a o_i (b o_q c)
-        for q in range(1, m + 1):
-            for (d1, k1), (d2, k2), (d3, k3) in itertools.product(
-                    _basis_elements(cl), _basis_elements(cm), _basis_elements(cn)):
-                a = _unit_vec(cl.dim(d1), k1)
-                b = _unit_vec(cm.dim(d2), k2)
-                c = _unit_vec(cn.dim(d3), k3)
-                ab = op.compose(l, i, m, d1, a, d2, b)
-                lhs = op.compose(l + m - 1, i + q - 1, n, d1 + d2, ab, d3, c)
-                bc = op.compose(m, q, n, d2, b, d3, c)
-                rhs = op.compose(l, i, m + n - 1, d1, a, d2 + d3, bc)
-                if not _vec_eq(lhs, rhs):
-                    v.fail(f"nested associativity fails: arities ({l},{m},{n}), "
-                           f"slots (i={i}, q={q})")
-                    return
-        # disjoint: p < i: (a o_i b) o_p c = (-1)^{|b||c|} (a o_p c) o_{i+n-1} b
-        for p in range(1, i):
-            for (d1, k1), (d2, k2), (d3, k3) in itertools.product(
-                    _basis_elements(cl), _basis_elements(cm), _basis_elements(cn)):
-                a = _unit_vec(cl.dim(d1), k1)
-                b = _unit_vec(cm.dim(d2), k2)
-                c = _unit_vec(cn.dim(d3), k3)
-                ab = op.compose(l, i, m, d1, a, d2, b)
-                lhs = op.compose(l + m - 1, p, n, d1 + d2, ab, d3, c)
-                ac = op.compose(l, p, n, d1, a, d3, c)
-                rhs = op.compose(l + n - 1, i + n - 1, m, d1 + d3, ac, d2, b)
-                if (d2 % 2) and (d3 % 2):
-                    rhs = _scale_vec(rhs, -1)
-                if not _vec_eq(lhs, rhs):
-                    v.fail(f"disjoint associativity fails: arities ({l},{m},{n}), "
-                           f"slots (i={i}, p={p})")
-                    return
-
-
-def validate_modular_operad(op: ModularOperad, max_report=25) -> list:
-    """Axioms of a dg modular operad on all in-window basis instances."""
-    v = _Validator(op, max_report)
-    report = v.report
-    report.extend(f"underlying module: {m}" for m in op.module.validate_action())
-    for (key1, i, key2) in op.comp_keys():
-        if v.done():
-            return report
-        l, m = key1[1], key2[1]
-        v.check_chain_comp(key1, i, key2)
-        for j in range(1, l):
-            v.check_comp_equivariance_first(
-                key1, i, key2, j,
-                lambda sigma, ii: modular_first_relabel(sigma, ii, m))
-        for j in range(2, m):
-            v.check_comp_equivariance_second(
-                key1, i, key2, j,
-                lambda ii, tau: modular_second_relabel(ii, l, tau))
-    _check_modular_contractions(v)
-    _check_modular_associativity(v)
-    _check_modular_commutation(v)
-    _check_modular_compatibility(v)
-    return report
-
-
-def _check_modular_contractions(v):
-    op = v.op
-    for (key, i, j) in op.contr_keys():
-        g, l = key
-        tkey = op.contr_target(key)
-        c, ct = op.component(key), op.component(tkey)
-        # chain map
-        for d, k in _basis_elements(c):
-            vec = _unit_vec(c.dim(d), k)
-            lhs = ct.d(d).apply(op.contract(key, i, j, d, vec))
-            rhs = op.contract(key, i, j, d - 1, c.d(d).apply(vec))
-            if not _vec_eq(lhs, rhs):
-                v.fail(f"contraction xi_({i},{j}) on {key} is not a chain map")
-                break
-        # equivariance on generators
-        for gidx in range(1, l):
-            sigma = Permutation.transposition(l, gidx)
-            si, sj, rho = modular_contr_relabel(sigma, i, j)
-            act = op.action(key, sigma)
-            act_t = op.action(tkey, rho)
-            ok = True
-            for d, k in _basis_elements(c):
-                vec = act.block(d).apply(_unit_vec(c.dim(d), k))
-                lhs = op.contract(key, i, j, d, vec)
-                inner = op.contract(key, min(si, sj), max(si, sj), d,
-                                    _unit_vec(c.dim(d), k))
-                rhs = act_t.block(d).apply(inner)
-                if not _vec_eq(lhs, rhs):
-                    v.fail(f"contraction equivariance fails: {key}, "
-                           f"xi_({i},{j}), s_{gidx}")
-                    ok = False
-                    break
-            if not ok:
-                break
-        # double contractions commute (with index shifts)
-        for (i2, j2) in itertools.combinations(
-                [p for p in range(1, l + 1) if p not in (i, j)], 2):
-            tg, tl = g + 1, l - 2
-            if tl < 2 or modular_dimension(g + 2, l - 4) > op.max_dim \
-                    or not is_stable(g + 2, l - 4):
-                continue
-
-            def collapse(p, a, b):
-                return p - sum(1 for q in (a, b) if q < p)
-
-            for d, k in _basis_elements(c):
-                vec = _unit_vec(c.dim(d), k)
-                first = op.contract(key, i, j, d, vec)
-                lhs = op.contract((g + 1, l - 2), collapse(i2, i, j),
-                                  collapse(j2, i, j), d, first)
-                second = op.contract(key, i2, j2, d, vec)
-                rhs = op.contract((g + 1, l - 2), collapse(i, i2, j2),
-                                  collapse(j, i2, j2), d, second)
-                if not _vec_eq(lhs, rhs):
-                    v.fail(f"double contractions disagree on {key}: "
-                           f"({i},{j}) vs ({i2},{j2})")
-                    break
-
-
-def _check_modular_associativity(v):
-    op = v.op
-    for (key1, i, key2) in op.comp_keys():
-        g1, l = key1
-        g2, m = key2
-        mid = op.comp_target(key1, i, key2)
-        for key3 in op.indices:
-            g3, n = key3
-            if n < 1:
-                continue
-            final_g, final_l = g1 + g2 + g3, l + m + n - 4
-            if not is_stable(final_g, final_l) \
-                    or modular_dimension(final_g, final_l) > op.max_dim:
-                continue
-            c1, c2, c3 = (op.component(key1), op.component(key2),
-                          op.component(key3))
-            if c1.is_zero() or c2.is_zero() or c3.is_zero():
-                continue
-            # nested: q >= 2
-            for q in range(2, m + 1):
-                for (d1, k1), (d2, k2), (d3, k3) in itertools.product(
-                        _basis_elements(c1), _basis_elements(c2),
-                        _basis_elements(c3)):
-                    a = _unit_vec(c1.dim(d1), k1)
-                    b = _unit_vec(c2.dim(d2), k2)
-                    c = _unit_vec(c3.dim(d3), k3)
-                    ab = op.compose(key1, i, key2, d1, a, d2, b)
-                    lhs = op.compose(mid, i + q - 2, key3, d1 + d2, ab, d3, c)
-                    bc = op.compose(key2, q, key3, d2, b, d3, c)
-                    rhs = op.compose(key1, i, (g2 + g3, m + n - 2),
-                                     d1, a, d2 + d3, bc)
-                    if not _vec_eq(lhs, rhs):
-                        v.fail(f"modular nested associativity fails "
-                               f"{key1} o_{i} {key2} o_q={q} {key3}")
-                        return
-            # disjoint p != i (legs of a)
-            for p in range(1, l + 1):
-                if p == i:
-                    continue
-                pos = p if p < i else p + m - 2
-                tgt_i = i if p > i else i + n - 2
-                for (d1, k1), (d2, k2), (d3, k3) in itertools.product(
-                        _basis_elements(c1), _basis_elements(c2),
-                        _basis_elements(c3)):
-                    a = _unit_vec(c1.dim(d1), k1)
-                    b = _unit_vec(c2.dim(d2), k2)
-                    c = _unit_vec(c3.dim(d3), k3)
-                    ab = op.compose(key1, i, key2, d1, a, d2, b)
-                    lhs = op.compose(mid, pos, key3, d1 + d2, ab, d3, c)
-                    ac = op.compose(key1, p, key3, d1, a, d3, c)
-                    rhs = op.compose((g1 + g3, l + n - 2), tgt_i, key2,
-                                     d1 + d3, ac, d2, b)
-                    if (d2 % 2) and (d3 % 2):
-                        rhs = _scale_vec(rhs, -1)
-                    if not _vec_eq(lhs, rhs):
-                        v.fail(f"modular disjoint associativity fails "
-                               f"{key1} o_{i} {key2}, p={p}, {key3}")
-                        return
-
-
-def _check_modular_commutation(v):
-    op = v.op
-    for (key1, i, key2) in op.comp_keys():
-        g1, l = key1
-        g2, m = key2
-        c1, c2 = op.component(key1), op.component(key2)
-        if c1.is_zero() or c2.is_zero():
-            continue
-        tkey = op.comp_target(key1, i, key2)
-        rho = modular_commutation_relabel(i, l, m)
-        cyc = Permutation.cycle_to_front(l, i)
-        act1 = op.action(key1, cyc)
-        act_t = op.action(tkey, rho)
-        for (d1, k1), (d2, k2) in itertools.product(
-                _basis_elements(c1), _basis_elements(c2)):
-            a = _unit_vec(c1.dim(d1), k1)
-            b = _unit_vec(c2.dim(d2), k2)
-            lhs = op.compose(key1, i, key2, d1, a, d2, b)
-            a_cyc = act1.block(d1).apply(a)
-            ba = op.compose(key2, 1, key1, d2, b, d1, a_cyc)
-            rhs = act_t.block(d1 + d2).apply(ba)
-            if (d1 % 2) and (d2 % 2):
-                rhs = _scale_vec(rhs, -1)
-            if not _vec_eq(lhs, rhs):
-                v.fail(f"commutation fails for {key1} o_{i} {key2} "
-                       f"at degrees ({d1},{d2})")
+        ct = op.component(op.comp_target(key1, i, key2))
+        for d1, a, d2, b, ab in prods:
+            rhs = _add_vec(
+                op.compose(key1, i, key2, d1 - 1, c1.d(d1).apply(a), d2, b),
+                _koszul(op.compose(key1, i, key2, d1, a, d2 - 1,
+                                   c2.d(d2).apply(b)), d1, 1))
+            if ct.d(d1 + d2).apply(ab) != rhs:
+                self.fail(f"composition {key1} o_{i} {key2} is not a chain map "
+                          f"at degrees ({d1},{d2})")
                 return
 
+    def equivariance(self, key1, i, key2, factor, j, prods):
+        """(a.sigma) o_i (b.tau) = (a o_{sigma(i)} b).rho with s_j as sigma
+        (factor 0) or as tau (factor 1, j > glue)."""
+        op = self.op
+        keys = (key1, key2)
+        perms = [Permutation.identity(op.legs(key)) for key in keys]
+        perms[factor] = Permutation.transposition(op.legs(keys[factor]), j)
+        sigma, tau = perms
+        act = op.action(keys[factor], perms[factor])
+        act_t = op.action(op.comp_target(key1, i, key2),
+                          comp_relabel(sigma, i, tau, self.glue))
+        vectors = [[u for _, u in self.units[key]] for key in keys]
+        vectors[factor] = [act.block(d).apply(u)
+                           for d, u in self.units[keys[factor]]]
+        for (a, b), (d1, _, d2, _, ab) in zip(itertools.product(*vectors),
+                                              prods[sigma(i)]):
+            if op.compose(key1, i, key2, d1, a, d2, b) \
+                    != act_t.block(d1 + d2).apply(ab):
+                self.fail(f"equivariance ({('first', 'second')[factor]} "
+                          f"factor, s_{j}) fails for {key1} o_{i} {key2}")
+                return
 
-def _check_modular_compatibility(v):
-    """xi after o equals o after xi (contracted legs on one factor)."""
-    op = v.op
-    for (key1, i, key2) in op.comp_keys():
-        g1, l = key1
-        g2, m = key2
+    def commutation(self, key1, i, key2, prods):
+        """a o_i b = (-1)^{|a||b|} (b o_1 (a.cycle_to_front(i))).rho."""
+        op = self.op
+        l, m = op.legs(key1), op.legs(key2)
+        act = op.action(key1, Permutation.cycle_to_front(l, i))
+        act_t = op.action(op.comp_target(key1, i, key2),
+                          modular_commutation_relabel(i, l, m))
+        for d1, a, d2, b, ab in prods:
+            ba = op.compose(key2, 1, key1, d2, b, d1, act.block(d1).apply(a))
+            if ab != _koszul(act_t.block(d1 + d2).apply(ba), d1, d2):
+                self.fail(f"commutation fails for {key1} o_{i} {key2} "
+                          f"at degrees ({d1},{d2})")
+                return
+
+    def nested_associativity(self, key1, i, key2, key3, prods):
+        """(a o_i b) o_{i+q-1-glue} c = a o_i (b o_q c) for each leg q
+        that b keeps."""
+        op, glue = self.op, self.glue
         mid = op.comp_target(key1, i, key2)
-        gm, lm = mid
-        c1, c2 = op.component(key1), op.component(key2)
-        if c1.is_zero() or c2.is_zero():
-            continue
-        tkey = (gm + 1, lm - 2)
-        if not is_stable(*tkey) or modular_dimension(*tkey) > op.max_dim:
-            continue
-        # both contracted legs from a
-        for (p, q) in itertools.combinations(
-                [x for x in range(1, l + 1) if x != i], 2):
-            if not is_stable(g1 + 1, l - 2):
-                continue
-            pos_p = p if p < i else p + m - 2
-            pos_q = q if q < i else q + m - 2
-            new_i = i - sum(1 for x in (p, q) if x < i)
-            for (d1, k1), (d2, k2) in itertools.product(
-                    _basis_elements(c1), _basis_elements(c2)):
-                a = _unit_vec(c1.dim(d1), k1)
-                b = _unit_vec(c2.dim(d2), k2)
-                ab = op.compose(key1, i, key2, d1, a, d2, b)
-                lhs = op.contract(mid, pos_p, pos_q, d1 + d2, ab)
-                xa = op.contract(key1, p, q, d1, a)
-                rhs = op.compose((g1 + 1, l - 2), new_i, key2, d1, xa, d2, b)
-                if not _vec_eq(lhs, rhs):
-                    v.fail(f"compatibility (xi on first factor) fails "
-                           f"{key1} o_{i} {key2}, pair ({p},{q})")
+        for q in range(glue + 1, op.legs(key2) + 1):
+            bc_key = op.comp_target(key2, q, key3)
+            for (d1, a, d2, b, ab), (d3, c) in itertools.product(
+                    prods, self.units[key3]):
+                lhs = op.compose(mid, i + q - 1 - glue, key3, d1 + d2, ab,
+                                 d3, c)
+                bc = op.compose(key2, q, key3, d2, b, d3, c)
+                if lhs != op.compose(key1, i, bc_key, d1, a, d2 + d3, bc):
+                    self.fail(f"nested associativity fails: {key1} o_{i} "
+                              f"{key2}, q={q}, {key3}")
                     return
-        # both contracted legs from b
-        for (p, q) in itertools.combinations(range(2, m + 1), 2):
-            if not is_stable(g2 + 1, m - 2):
-                continue
-            pos_p, pos_q = i + p - 2, i + q - 2
-            for (d1, k1), (d2, k2) in itertools.product(
-                    _basis_elements(c1), _basis_elements(c2)):
-                a = _unit_vec(c1.dim(d1), k1)
-                b = _unit_vec(c2.dim(d2), k2)
-                ab = op.compose(key1, i, key2, d1, a, d2, b)
-                lhs = op.contract(mid, pos_p, pos_q, d1 + d2, ab)
+
+    def disjoint_associativity(self, key1, i, key2, key3, prods):
+        """(a o_i b) o_p c = (-1)^{|b||c|} (a o_p c) o_{i+n-1-glue} b for
+        a's leg p < i, with n the legs of c.  The case p > i is this one
+        with b and c swapped."""
+        op, glue = self.op, self.glue
+        mid = op.comp_target(key1, i, key2)
+        n = op.legs(key3)
+        for p in range(1, i):
+            ac_key = op.comp_target(key1, p, key3)
+            for (d1, a, d2, b, ab), (d3, c) in itertools.product(
+                    prods, self.units[key3]):
+                lhs = op.compose(mid, p, key3, d1 + d2, ab, d3, c)
+                ac = op.compose(key1, p, key3, d1, a, d3, c)
+                rhs = op.compose(ac_key, i + n - 1 - glue, key2, d1 + d3, ac,
+                                 d2, b)
+                if lhs != _koszul(rhs, d2, d3):
+                    self.fail(f"disjoint associativity fails: {key1} o_{i} "
+                              f"{key2}, p={p}, {key3}")
+                    return
+
+    def compatibility_first(self, key1, i, key2, prods):
+        """xi_{P,Q}(a o_i b) = xi_{pq}(a) o_{i'} b for a's legs p and q at
+        positions P and Q in a o_i b, with i' the position of leg i once
+        p and q are gone."""
+        op = self.op
+        mid = op.comp_target(key1, i, key2)
+        xkey = op.contr_target(key1)
+        legs = _comp_legs(op.legs(key1), i, op.legs(key2), self.glue)
+        free = [x for f, x in legs if f == 0]
+        for p, q in itertools.combinations(free, 2):
+            P, Q = legs.index((0, p)) + 1, legs.index((0, q)) + 1
+            for d1, a, d2, b, ab in prods:
+                xa = op.contract(key1, p, q, d1, a)
+                if op.contract(mid, P, Q, d1 + d2, ab) != op.compose(
+                        xkey, _collapse(i, p, q), key2, d1, xa, d2, b):
+                    self.fail(f"compatibility (xi on first factor) fails "
+                              f"{key1} o_{i} {key2}, pair ({p},{q})")
+                    return
+
+    def compatibility_second(self, key1, i, key2, prods):
+        """xi_{P,Q}(a o_i b) = a o_i xi_{pq}(b) for b's legs p and q at
+        positions P and Q in a o_i b."""
+        op = self.op
+        mid = op.comp_target(key1, i, key2)
+        xkey = op.contr_target(key2)
+        legs = _comp_legs(op.legs(key1), i, op.legs(key2), self.glue)
+        free = [y for f, y in legs if f == 1]
+        for p, q in itertools.combinations(free, 2):
+            P, Q = legs.index((1, p)) + 1, legs.index((1, q)) + 1
+            for d1, a, d2, b, ab in prods:
                 xb = op.contract(key2, p, q, d2, b)
-                rhs = op.compose(key1, i, (g2 + 1, m - 2), d1, a, d2, xb)
-                if not _vec_eq(lhs, rhs):
-                    v.fail(f"compatibility (xi on second factor) fails "
-                           f"{key1} o_{i} {key2}, pair ({p},{q})")
+                if op.contract(mid, P, Q, d1 + d2, ab) != op.compose(
+                        key1, i, xkey, d1, a, d2, xb):
+                    self.fail(f"compatibility (xi on second factor) fails "
+                              f"{key1} o_{i} {key2}, pair ({p},{q})")
+                    return
+
+    def two_edge(self, key1, i, key2, prods):
+        """xi_{P,Q}(a o_i b) = xi_{I,J}(a o_p (b.c_q)).rho for a's leg p
+        and b's leg q (at positions P and Q), with c_q = cycle_to_front(q):
+        on the right b's leg q is glued to a's leg p, and a's leg i (at I)
+        is contracted with b's leg 1 (at J); rho sends the position of each
+        remaining leg on the left to its position on the right.  Only
+        modular operads contract, so b's glued leg is its leg 1."""
+        op = self.op
+        l, m = op.legs(key1), op.legs(key2)
+        mid = op.comp_target(key1, i, key2)
+        left = _comp_legs(l, i, m, 1)
+        for p, q in itertools.product(range(1, l + 1), range(2, m + 1)):
+            if p == i:
+                continue
+            cyc = Permutation.cycle_to_front(m, q)
+            right = [(f, cyc(x) if f else x) for f, x in _comp_legs(l, p, m, 1)]
+            P, Q = left.index((0, p)) + 1, left.index((1, q)) + 1
+            I, J = right.index((0, i)) + 1, right.index((1, 1)) + 1
+            rho = _relabel([leg for leg in left if leg not in ((0, p), (1, q))],
+                           [leg for leg in right
+                            if leg not in ((0, i), (1, 1))])
+            act = op.action(key2, cyc)
+            act_t = op.action(op.contr_target(mid), rho)
+            for d1, a, d2, b, ab in prods:
+                inner = op.compose(key1, p, key2, d1, a, d2,
+                                   act.block(d2).apply(b))
+                rhs = act_t.block(d1 + d2).apply(
+                    op.contract(mid, I, J, d1 + d2, inner))
+                if op.contract(mid, P, Q, d1 + d2, ab) != rhs:
+                    self.fail(f"two-edge axiom fails: {key1} o_{i} {key2}, "
+                              f"legs ({p},{q})")
+                    return
+
+    # contractions ------------------------------------------------------------
+
+    def contractions(self, key, i, j):
+        """Every axiom about xi_{ij} alone."""
+        if self.units[key]:
+            self.contraction_chain_map(key, i, j)
+            self.contraction_equivariance(key, i, j)
+            if self.op.contr_target(key) in self.contracted:
+                self.double_contractions(key, i, j)
+
+    def contraction_chain_map(self, key, i, j):
+        """d xi_{ij} = xi_{ij} d."""
+        op = self.op
+        c = op.component(key)
+        ct = op.component(op.contr_target(key))
+        for d, v in self.units[key]:
+            if ct.d(d).apply(op.contract(key, i, j, d, v)) \
+                    != op.contract(key, i, j, d - 1, c.d(d).apply(v)):
+                self.fail(f"contraction xi_({i},{j}) on {key} is not a chain map")
+                return
+
+    def contraction_equivariance(self, key, i, j):
+        """xi_{ij}(v.sigma) = xi_{sigma(i) sigma(j)}(v).rho for sigma = s_g."""
+        op = self.op
+        l = op.legs(key)
+        for g in range(1, l):
+            sigma = Permutation.transposition(l, g)
+            si, sj, rho = modular_contr_relabel(sigma, i, j)
+            act = op.action(key, sigma)
+            act_t = op.action(op.contr_target(key), rho)
+            for d, v in self.units[key]:
+                if op.contract(key, i, j, d, act.block(d).apply(v)) \
+                        != act_t.block(d).apply(op.contract(key, si, sj, d, v)):
+                    self.fail(f"contraction equivariance fails: {key}, "
+                              f"xi_({i},{j}), s_{g}")
+                    return
+
+    def double_contractions(self, key, i, j):
+        """Contracting (i, j) then (i2, j2) equals the other order."""
+        op = self.op
+        tkey = op.contr_target(key)
+        rest = [p for p in range(1, op.legs(key) + 1) if p not in (i, j)]
+        for i2, j2 in itertools.combinations(rest, 2):
+            for d, v in self.units[key]:
+                lhs = op.contract(tkey, _collapse(i2, i, j), _collapse(j2, i, j),
+                                  d, op.contract(key, i, j, d, v))
+                rhs = op.contract(tkey, _collapse(i, i2, j2),
+                                  _collapse(j, i2, j2), d,
+                                  op.contract(key, i2, j2, d, v))
+                if lhs != rhs:
+                    self.fail(f"double contractions disagree on {key}: "
+                              f"({i},{j}) vs ({i2},{j2})")
                     return
 
 
 def validate(op, max_report=25) -> list:
-    """Dispatch to the right axiom checker; empty report = ok."""
-    if isinstance(op, ModularOperad):
-        return validate_modular_operad(op, max_report)
-    return validate_operad(op, max_report)
+    """The axioms of op's kind on every in-window basis instance; an empty
+    report means op is valid."""
+    v = _Validator(op, max_report)
+    v.report.extend(f"underlying module: {m}"
+                    for m in op.module.validate_action())
+    for key1, key2 in v.pairs:
+        if v.done():
+            return v.report
+        v.compositions(key1, key2)
+    for trip in op.contr_keys():
+        if v.done():
+            return v.report
+        v.contractions(*trip)
+    return v.report
 
 
 # -- morphisms ----------------------------------------------------------------
@@ -871,17 +773,14 @@ class OperadMorphism:
         for (key1, i, key2) in src.comp_keys():
             tkey = src.comp_target(key1, i, key2)
             f1, f2, ft = self.block(key1), self.block(key2), self.block(tkey)
-            c1, c2 = src.component(key1), src.component(key2)
-            for (d1, k1), (d2, k2) in itertools.product(
-                    _basis_elements(c1), _basis_elements(c2)):
-                a = _unit_vec(c1.dim(d1), k1)
-                b = _unit_vec(c2.dim(d2), k2)
+            for (d1, a), (d2, b) in itertools.product(
+                    _units(src.component(key1)), _units(src.component(key2))):
                 lhs = ft.block(d1 + d2).apply(
                     src.compose(key1, i, key2, d1, a, d2, b))
                 rhs = dst.compose(key1, i, key2,
                                   d1, f1.block(d1).apply(a),
                                   d2, f2.block(d2).apply(b))
-                if not _vec_eq(lhs, rhs):
+                if lhs != rhs:
                     report.append(
                         f"does not commute with composition {key1} o_{i} {key2}")
                     break
@@ -889,12 +788,10 @@ class OperadMorphism:
                 return report
         for (key, i, j) in src.contr_keys():
             f, ft = self.block(key), self.block(src.contr_target(key))
-            c = src.component(key)
-            for d, k in _basis_elements(c):
-                vec = _unit_vec(c.dim(d), k)
+            for d, vec in _units(src.component(key)):
                 lhs = ft.block(d).apply(src.contract(key, i, j, d, vec))
                 rhs = dst.contract(key, i, j, d, f.block(d).apply(vec))
-                if not _vec_eq(lhs, rhs):
+                if lhs != rhs:
                     report.append(
                         f"does not commute with contraction {key} xi_({i},{j})")
                     break
@@ -1088,113 +985,83 @@ class OperadIdeal:
         return grew
 
 
+class _Images:
+    """The images that an ideal holding a vector must also hold: its d,
+    each s_j, its composition with every basis element on either side,
+    and each contraction.  Each comes as (phrase, where, key, degree,
+    vector); the phrase and place name the image in a report."""
+
+    def __init__(self, op):
+        self.op = op
+        self.as_first, self.as_second, self.contr = {}, {}, {}
+        for trip in op.comp_keys():
+            self.as_first.setdefault(trip[0], []).append(trip)
+            self.as_second.setdefault(trip[2], []).append(trip)
+        for trip in op.contr_keys():
+            self.contr.setdefault(trip[0], []).append(trip)
+        self.units = {key: _units(op.component(key))
+                      for key in set(self.as_first) | set(self.as_second)}
+
+    def __call__(self, key, degree, vec):
+        op = self.op
+        n = op.legs(key)
+        yield ("closed under d", key, key, degree - 1,
+               op.component(key).d(degree).apply(vec))
+        for j in range(1, n):
+            act = op.action(key, Permutation.transposition(n, j))
+            yield "action-stable", key, key, degree, act.block(degree).apply(vec)
+        for trip in self.as_first.get(key, ()):
+            tkey = op.comp_target(*trip)
+            for d2, e in self.units[trip[2]]:
+                yield ("closed under o_i", trip, tkey, degree + d2,
+                       op.compose(*trip, degree, vec, d2, e))
+        for trip in self.as_second.get(key, ()):
+            tkey = op.comp_target(*trip)
+            for d1, e in self.units[trip[0]]:
+                yield ("closed under o_i", trip, tkey, d1 + degree,
+                       op.compose(*trip, d1, e, degree, vec))
+        for trip in self.contr.get(key, ()):
+            yield ("xi-stable", key, op.contr_target(key), degree,
+                   op.contract(*trip, degree, vec))
+
+
 def ideal_closure(op, seeds) -> OperadIdeal:
     """Smallest ideal containing the seed vectors.
 
     ``seeds``: dict key -> dict degree -> list of vectors.  Saturates
-    under the differential, the symmetric-group action, compositions on
-    both sides and (modular case) contractions, until ranks stabilize.
+    under the images of ``_Images`` until ranks stabilize.
     """
     ideal = OperadIdeal(op, {})
+    images = _Images(op)
     frontier = []
     for key, per_degree in seeds.items():
         for degree, vecs in per_degree.items():
             for vec in vecs:
                 if ideal.insert(key, degree, tuple(vec)):
                     frontier.append((key, degree, tuple(vec)))
-    comp_by_source = {}
-    for trip in op.comp_keys():
-        comp_by_source.setdefault(trip[0], []).append(trip)
-        comp_by_source.setdefault(trip[2], []).append(trip)
     while frontier:
-        key, degree, vec = frontier.pop()
-        c = op.component(key)
-        n = op.legs(key)
-        produced = []
-        dvec = c.d(degree).apply(vec)
-        produced.append((key, degree - 1, dvec))
-        for j in range(1, n):
-            sigma = Permutation.transposition(n, j)
-            produced.append((key, degree,
-                             op.action(key, sigma).block(degree).apply(vec)))
-        for trip in comp_by_source.get(key, []):
-            key1, i, key2 = trip
-            tkey = op.comp_target(key1, i, key2)
-            if key1 == key:
-                other = op.component(key2)
-                for d2, k2 in _basis_elements(other):
-                    e2 = _unit_vec(other.dim(d2), k2)
-                    produced.append((tkey, degree + d2,
-                                     op.compose(key1, i, key2, degree, vec,
-                                                d2, e2)))
-            if key2 == key:
-                other = op.component(key1)
-                for d1, k1 in _basis_elements(other):
-                    e1 = _unit_vec(other.dim(d1), k1)
-                    produced.append((tkey, degree + d1,
-                                     op.compose(key1, i, key2, d1, e1,
-                                                degree, vec)))
-        for (ckey, i, j) in op.contr_keys():
-            if ckey == key:
-                produced.append((op.contr_target(key), degree,
-                                 op.contract(key, i, j, degree, vec)))
-        for (tkey, tdeg, tvec) in produced:
-            if not tvec or all(x == 0 for x in tvec):
-                continue
-            if ideal.insert(tkey, tdeg, tuple(tvec)):
-                frontier.append((tkey, tdeg, tuple(tvec)))
+        for _, _, key, degree, vec in images(*frontier.pop()):
+            if any(vec) and ideal.insert(key, degree, vec):
+                frontier.append((key, degree, vec))
     return ideal
 
 
 def validate_ideal(ideal: OperadIdeal, max_report=25) -> list:
-    """Closure of the spans under d, the action, products and xi."""
+    """Each image (``_Images``) of each spanning vector lies in the spans."""
     op = ideal.operad
+    images = _Images(op)
     report = []
-
-    def inside(key, degree, vec):
-        sub = ideal.spans.get(key, {}).get(degree)
-        return not any(vec) or (sub is not None and sub.contains(vec))
-
-    def spanned(key):
-        """(degree, basis vector) over the spans of key, by degree."""
+    for key in op.keys():
         for degree, sub in sorted(ideal.spans.get(key, {}).items()):
             for vec in sub.basis.columns():
-                yield degree, vec
-
-    for key in op.keys():
-        c = op.component(key)
-        n = op.legs(key)
-        for degree, vec in spanned(key):
-            if not inside(key, degree - 1, c.d(degree).apply(vec)):
-                report.append(f"ideal not closed under d at {key}")
-            for j in range(1, n):
-                sigma = Permutation.transposition(n, j)
-                if not inside(key, degree,
-                              op.action(key, sigma).block(degree).apply(vec)):
-                    report.append(f"ideal not action-stable at {key}")
-    for trip in op.comp_keys():
-        key1, i, key2 = trip
-        tkey = op.comp_target(*trip)
-        c1, c2 = op.component(key1), op.component(key2)
-        for d1, vec in spanned(key1):
-            for d2, k2 in _basis_elements(c2):
-                img = op.compose(key1, i, key2, d1, vec, d2,
-                                 _unit_vec(c2.dim(d2), k2))
-                if not inside(tkey, d1 + d2, img):
-                    report.append(f"ideal not closed under o_i at {trip}")
-        for d2, vec in spanned(key2):
-            for d1, k1 in _basis_elements(c1):
-                img = op.compose(key1, i, key2, d1,
-                                 _unit_vec(c1.dim(d1), k1), d2, vec)
-                if not inside(tkey, d1 + d2, img):
-                    report.append(f"ideal not closed under o_i at {trip}")
-        if len(report) >= max_report:
-            return report
-    for (key, i, j) in op.contr_keys():
-        tkey = op.contr_target(key)
-        for degree, vec in spanned(key):
-            if not inside(tkey, degree, op.contract(key, i, j, degree, vec)):
-                report.append(f"ideal not xi-stable at {key}")
+                for phrase, where, tkey, tdeg, img in images(key, degree, vec):
+                    if not any(img) or ideal.subspace(tkey, tdeg).contains(img):
+                        continue
+                    msg = f"ideal not {phrase} at {where}"
+                    if msg not in report:
+                        report.append(msg)
+                        if len(report) >= max_report:
+                            return report
     return report
 
 

@@ -54,9 +54,17 @@ def hypercommutative(max_arity):
     2(n - 2) with trivial action in each arity n >= 2, divided by the
     ideal of the relations
         sum nu(nu(a, b, x_S1), c, x_S2) = sum nu(a, nu(b, c, x_S1), x_S2).
-    Each term is a two-vertex tree fixed by the leaf set T of its inner
-    vertex, so one seed per arity n >= 3 (a, b, c = 1, 2, 3) is enough:
-    the ideal closure adds the permuted copies.
+    """
+    free, seeds = hypercommutative_presentation(max_arity)
+    return quotient(free, ideal_closure(free, seeds))[0]
+
+
+def hypercommutative_presentation(max_arity):
+    """(free operad, ideal seeds) of ``hypercommutative``.
+
+    Each term of a relation is a two-vertex tree fixed by the leaf set T
+    of its inner vertex, so one seed per arity n >= 3 (a, b, c = 1, 2, 3)
+    is enough: the ideal closure adds the permuted copies.
     """
     module = SigmaModule({
         n: GroupAction.trivial(n, ChainComplex({2 * (n - 2): 1}))
@@ -77,4 +85,4 @@ def hypercommutative(max_arity):
             if {2, 3} <= inner and 1 not in inner:
                 vec[layout.offset(s, deg)] -= 1
         seeds[n] = {deg: [vec]}
-    return quotient(free, ideal_closure(free, seeds))[0]
+    return free, seeds

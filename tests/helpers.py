@@ -6,6 +6,7 @@ from math import lcm
 
 from operad_forge.chain import ChainComplex, ChainMap
 from operad_forge.qlinalg import F0, F1, Matrix, _poly_divide_linear, poly_eval
+from operad_forge.sigma import Permutation
 
 
 def random_invertible(rng, n, bound=2):
@@ -146,3 +147,58 @@ def rational_roots(coeffs):
             coeffs = _poly_divide_linear(coeffs, cand)
             roots[cand] = roots.get(cand, 0) + 1
     return roots
+
+
+# -- reference leg relabels ---------------------------------------------------
+# The three relabels the axiom checker used before one comp_relabel served
+# operads and modular operads: the permutation by which a composite of
+# permuted factors differs from the composite of the unpermuted ones.
+
+
+def operadic_block_perm(sigma, i, tau):
+    """The permutation by which (a.sigma) o_i (b.tau) differs from
+    a o_{sigma(i)} b; inputs i..i+m-1 form the tau-permuted block."""
+    l, m = sigma.n, tau.n
+    images = []
+    for x in range(1, l + m):
+        if x < i or x >= i + m:
+            j = x if x < i else x - m + 1
+            t = sigma(j)
+            images.append(t + (m - 1 if t > sigma(i) else 0))
+        else:
+            p = x - i + 1
+            images.append(sigma(i) - 1 + tau(p))
+    return Permutation(tuple(images))
+
+
+def modular_first_relabel(sigma, i, m):
+    """(a.sigma) o_i b = (a o_{sigma(i)} b) . (this permutation)."""
+    l = sigma.n
+    si = sigma(i)
+
+    def pos_a(j):
+        return j if j < si else j + m - 2
+
+    images = []
+    for p in range(1, l + m - 1):
+        if p < i:
+            images.append(pos_a(sigma(p)))
+        elif p <= i + m - 2:
+            images.append(si + p - i)
+        else:
+            images.append(pos_a(sigma(p - m + 2)))
+    return Permutation(tuple(images))
+
+
+def modular_second_relabel(i, l, tau):
+    """a o_i (b.tau) = (a o_i b) . (this permutation); tau must fix 1."""
+    m = tau.n
+    if tau(1) != 1:
+        raise ValueError("second-factor relabel requires tau(1) = 1")
+    images = []
+    for p in range(1, l + m - 1):
+        if i <= p <= i + m - 2:
+            images.append(i + tau(p - i + 2) - 2)
+        else:
+            images.append(p)
+    return Permutation(tuple(images))
