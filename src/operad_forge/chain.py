@@ -19,6 +19,7 @@ from .qlinalg import (
     image,
     kernel,
     rank,
+    rref,
     solve,
     solve_matrix,
     sparse_row,
@@ -195,16 +196,15 @@ class ChainMap:
 class HomologyRecord:
     """Homology of a complex with chosen cycle data.
 
-    Per degree: the cycle and boundary subspaces, a canonical list of
-    representative cycles (the reduced-echelon lift of a basis of
-    Z/B), and the projection matrix sending cycle-basis coordinates to
-    homology coordinates.
+    Per degree: the cycle subspace, a canonical list of representative
+    cycles (the reduced-echelon lift of a basis of Z/B), and the
+    projection matrix sending cycle-basis coordinates to homology
+    coordinates.
     """
 
     complex: ChainComplex
     dims: dict
     cycles: dict
-    boundaries: dict
     representatives: dict
     projections: dict
 
@@ -232,36 +232,26 @@ class HomologyRecord:
 
 
 def homology(c: ChainComplex) -> HomologyRecord:
-    dims, cycles, boundaries, reps, projections = {}, {}, {}, {}, {}
+    dims, cycles, reps, projections = {}, {}, {}, {}
     for i in c.support:
         z = kernel(c.d(i))
         b = image(c.d(i + 1)) if c.dim(i + 1) else Subspace.zero(c.dim(i))
         cycles[i] = z
-        boundaries[i] = b
         h = z.dim - b.dim
         if h < 0:
             raise AssertionError("boundaries exceed cycles")
         dims[i] = h
         if h == 0:
             continue
-        # representatives: the cycle basis vectors, in order, that are
-        # independent modulo B and the earlier choices
-        chosen = []
-        span = b
-        for j in range(z.dim):
-            cand = z.basis.col(j)
-            span, grew = span.insert(cand)
-            if grew:
-                chosen.append(cand)
-                if len(chosen) == h:
-                    break
-        reps[i] = chosen
-        # projection on cycle coordinates: solve [B | R] (X, Y) = Z
-        br = b.basis.hstack(Matrix.from_cols(chosen, rows=c.dim(i)))
-        projections[i] = solve_matrix(br, z.basis).submatrix(
-            range(b.dim, z.dim), range(z.dim))
+        # in the echelon of [B | Z] the pivots past B are the cycle basis
+        # vectors, in order, that are independent modulo B and the earlier
+        # ones; their rows hold each cycle's coordinates along them
+        red, pivots, _ = rref(b.basis.hstack(z.basis))
+        reps[i] = [z.basis.col(p - b.dim) for p in pivots[b.dim:]]
+        projections[i] = red.submatrix(range(b.dim, z.dim),
+                                       range(b.dim, b.dim + z.dim))
     dims = {i: d for i, d in dims.items() if d}
-    return HomologyRecord(c, dims, cycles, boundaries, reps, projections)
+    return HomologyRecord(c, dims, cycles, reps, projections)
 
 
 def homology_dims(c: ChainComplex) -> dict:

@@ -272,7 +272,7 @@ def _contr_tables_from_doc(entries):
     return contr
 
 
-def to_document(obj, name="", seed=0, endomorphism=None, tower=None) -> dict:
+def to_document(obj, name="", seed=0, tower=None) -> dict:
     """Serialize an operad, modular operad or (modular) Sigma-module."""
     doc = {"format": FORMAT_VERSION,
            "metadata": {"name": name, "seed": seed}}
@@ -311,11 +311,6 @@ def to_document(obj, name="", seed=0, endomorphism=None, tower=None) -> dict:
             for k, ga in sorted(obj.components.items())}
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    if endomorphism:
-        doc["endomorphism"] = {
-            _key_to_str(k): {str(d): matrix_to_lists(m)
-                             for d, m in sorted(blocks.items())}
-            for k, blocks in endomorphism.items()}
     if tower:
         doc["tower"] = tower
     return doc

@@ -40,7 +40,6 @@ from .operad import (
     OperadMorphism,
     ideal_closure,
     quotient,
-    validate,
 )
 from . import trees as T
 
@@ -328,7 +327,7 @@ class _FreeBuilder:
                             table.add(deg1, k1, deg2, k2, row, c)
         return table
 
-    def finish(self, attachments=None, check_actions=False):
+    def finish(self, attachments=None):
         """The operad on the window, its differential extended by the
         attachment maps (generator key -> degree -> Matrix)."""
         attachments = attachments or {}
@@ -340,7 +339,7 @@ class _FreeBuilder:
                 continue
             legs = shape.legs(key)
             gens = [self.action_generator(key, j, comp) for j in range(1, legs)]
-            actions[key] = GroupAction(legs, comp, gens, check=check_actions)
+            actions[key] = GroupAction(legs, comp, gens, check=False)
         comp_tables = {}
         for trip in shape.comp_keys():
             if {trip[0], trip[2], shape.comp_target(*trip)} <= actions.keys():
@@ -383,15 +382,6 @@ class _FreeBuilder:
                     cols[d][gcol] = dict(enumerate(vec))
         return {d: _assemble(target.dim(d), layout.dim(d), c)
                 for d, c in cols.items()}
-
-
-def _checked(op, run_validation, what):
-    if run_validation:
-        report = validate(op)
-        if report:
-            raise AssertionError(f"{what} failed validation: "
-                                 + "; ".join(report[:3]))
-    return op
 
 
 # -- free operads on trees ----------------------------------------------------
@@ -496,14 +486,12 @@ class FreeOperadBuilder(_FreeBuilder):
         return {d: vec}
 
 
-def free_operad(module: SigmaModule, max_arity: int,
-                run_validation=False) -> DGOperad:
+def free_operad(module: SigmaModule, max_arity: int) -> DGOperad:
     """Free dg operad on an arity-indexed module with V(1) = 0."""
     if 1 in module.components and not module.component(1).is_zero():
         raise ValueError("free operad requires V(1) = 0")
     gens = {l: ga for l, ga in module.components.items() if l >= 2}
-    return _checked(FreeOperadBuilder(gens, max_arity).finish(),
-                    run_validation, "free operad")
+    return FreeOperadBuilder(gens, max_arity).finish()
 
 
 # -- free modular operads on stable graphs ------------------------------------
@@ -626,11 +614,10 @@ class FreeModularBuilder(_FreeBuilder):
                                     self._lift(key, s, deg, col))
 
 
-def free_modular_operad(module: ModularSigmaModule, max_dim: int,
-                        run_validation=False) -> ModularOperad:
+def free_modular_operad(module: ModularSigmaModule,
+                        max_dim: int) -> ModularOperad:
     """Free dg modular operad on a modular module, within the window."""
-    return _checked(FreeModularBuilder(dict(module.components), max_dim).finish(),
-                    run_validation, "free modular operad")
+    return FreeModularBuilder(dict(module.components), max_dim).finish()
 
 
 # -- endomorphism modular operad ----------------------------------------------
@@ -929,7 +916,7 @@ def evaluate_graph_basis(dst, graph, images, vlevel_entries):
     return out
 
 
-def morphism_from_generators(src, dst, images, check=True) -> OperadMorphism:
+def morphism_from_generators(src, dst, images) -> OperadMorphism:
     """The operad morphism out of a free-based operad determined by
     generator images.
 
@@ -944,15 +931,14 @@ def morphism_from_generators(src, dst, images, check=True) -> OperadMorphism:
         comp = src.component(key)
         if not comp.is_zero():
             maps[key] = ChainMap(comp, dst.component(key),
-                                 builder.evaluation(dst, images, key),
-                                 check=check)
+                                 builder.evaluation(dst, images, key))
     return OperadMorphism(src, dst, maps)
 
 
 # -- free extension of a truncated operad (t_!) -------------------------------
 
 
-def extend_freely(op, up_to: int, strict=True):
+def extend_freely(op, up_to: int):
     """t_!: extend a truncated operad freely up to the given level.
 
     Builds the free operad on all components of the truncation, divides
@@ -984,10 +970,9 @@ def extend_freely(op, up_to: int, strict=True):
                     ker.basis.columns())
     ideal = ideal_closure(free_op, seeds)
     q, proj = quotient(free_op, ideal)
-    if strict:
-        for key in keys_in_cut:
-            if q.component(key).dims != op.component(key).dims:
-                raise AssertionError(
-                    f"free extension does not restrict to the input at {key}")
+    for key in keys_in_cut:
+        if q.component(key).dims != op.component(key).dims:
+            raise AssertionError(
+                f"free extension does not restrict to the input at {key}")
     q.presentation = {"free": free_op, "ideal": ideal, "projection": proj}
     return q

@@ -44,6 +44,7 @@ from .qlinalg import (
     Matrix,
     block_matrix,
     kernel,
+    rref,
     solve,
     solve_matrix,
     sparse_row,
@@ -90,10 +91,10 @@ def _diagonal_action(n, cone, a_action, b_action, a_complex, b_complex):
     return GroupAction(n, cone, gens, check=False)
 
 
-def _random_unimodular(rng, n, bound=1):
-    upper = [[F1 if i == j else (Fraction(rng.randint(-bound, bound)) if j > i
+def _random_unimodular(rng, n):
+    upper = [[F1 if i == j else (Fraction(rng.randint(-1, 1)) if j > i
                                  else F0) for j in range(n)] for i in range(n)]
-    lower = [[F1 if i == j else (Fraction(rng.randint(-bound, bound)) if j < i
+    lower = [[F1 if i == j else (Fraction(rng.randint(-1, 1)) if j < i
                                  else F0) for j in range(n)] for i in range(n)]
     return Matrix(n, n, upper) * Matrix(n, n, lower)
 
@@ -210,8 +211,8 @@ def _truncated_with_cone(p, level, generators, xi):
     return tr.remake(actions, dict(tr.comp), dict(tr.contr), level, level)
 
 
-def principal_extension(p, level, generators, xi, window=None,
-                        strict=True) -> PrincipalExtension:
+def principal_extension(p, level, generators, xi,
+                        window=None) -> PrincipalExtension:
     """Attach generators at the given level along xi and complete freely.
 
     ``generators``: dict key -> GroupAction concentrated at the level
@@ -244,19 +245,18 @@ def principal_extension(p, level, generators, xi, window=None,
                 if lhs != rhs:
                     raise ValueError("attachment is not equivariant")
     x = _truncated_with_cone(p, level, generators, xi)
-    result = extend_freely(x, window, strict=strict)
-    if strict:
-        if any(p.level(k) < level for k in p.keys()):
-            lower = truncate(p, level - 1)
-            got = truncate(result, level - 1)
-            if got.total_dims() != lower.total_dims():
-                raise AssertionError("principal extension changed the "
-                                     "lower truncation")
-        for key, v_act in generators.items():
-            pc, rc = p.component(key), result.component(key)
-            for d in set(pc.dims) | set(v_act.complex.dims):
-                if rc.dim(d) != pc.dim(d) + v_act.complex.dim(d):
-                    raise AssertionError("cone dimensions violated at the level")
+    result = extend_freely(x, window)
+    if any(p.level(k) < level for k in p.keys()):
+        lower = truncate(p, level - 1)
+        got = truncate(result, level - 1)
+        if got.total_dims() != lower.total_dims():
+            raise AssertionError("principal extension changed the "
+                                 "lower truncation")
+    for key, v_act in generators.items():
+        pc, rc = p.component(key), result.component(key)
+        for d in set(pc.dims) | set(v_act.complex.dims):
+            if rc.dim(d) != pc.dim(d) + v_act.complex.dim(d):
+                raise AssertionError("cone dimensions violated at the level")
     return PrincipalExtension(p, level, generators, xi, result)
 
 
@@ -409,7 +409,7 @@ def minimal_model(p, up_to=None, seed=0) -> MinimalModel:
         tower.append(rec)
     final_builder = _make_builder(p, gens, up_to)
     m_op = final_builder.finish(attachments)
-    rho = morphism_from_generators(m_op, p, images, check=True)
+    rho = morphism_from_generators(m_op, p, images)
     return MinimalModel(m_op, rho, tower, seed)
 
 
@@ -453,18 +453,11 @@ def _extended_classify(hrec, degree):
     if h == 0 or n == 0:
         return Matrix.zeros(h, n)
     z = hrec.cycles[degree]
-    # complement of Z: the unit vectors, in index order, outside the span
-    # of Z and the earlier choices
-    ident = Matrix.identity(n)
-    chosen = []
-    span = z
-    for j in range(n):
-        span, grew = span.insert(ident.col(j))
-        if grew:
-            chosen.append(j)
-    stacked = z.basis.hstack(ident.submatrix(range(n), chosen))
-    inv = solve_matrix(stacked, ident)
-    return hrec.projections[degree] * inv.submatrix(range(z.dim), range(n))
+    # the echelon of [Z | I] is E [Z | I] with E = [Z | U]^-1, U the unit
+    # vectors, in index order, outside the span of Z and the earlier ones
+    red = rref(z.basis.hstack(Matrix.identity(n)))[0]
+    inv = red.submatrix(range(z.dim), range(z.dim, z.dim + n))
+    return hrec.projections[degree] * inv
 
 
 def _count_type_vertices(builder, ckey, gen_key):
@@ -657,7 +650,7 @@ def _linear_c_keys(op, gen_key, candidates):
 
 
 def lift(rho: OperadMorphism, psi: OperadMorphism, mm: MinimalModel,
-         seed=0, certify=True):
+         seed=0):
     """Lift psi: M -> R through the weak equivalence rho: Q -> R.
 
     Returns (phi: M -> Q, certificates) with rho o phi componentwise
@@ -684,19 +677,18 @@ def lift(rho: OperadMorphism, psi: OperadMorphism, mm: MinimalModel,
         c_keys = _linear_c_keys(op, key, assignments[key])
         images[key] = _solve_level(mm, q_operad, rho.maps, prescribed,
                                    key, images, r_hom, c_keys, seed=seed)
-    phi = morphism_from_generators(op, q_operad, images, check=True)
+    phi = morphism_from_generators(op, q_operad, images)
     certificates = {}
-    if certify:
-        comp = rho.compose(phi)
-        for key in op.keys():
-            f = comp.block(key)
-            g = psi.block(key)
-            h = homotopy_solve(f, g)
-            if h is None:
-                raise ObstructionError(
-                    f"lift certificate failed at {key}: composite is not "
-                    "homotopic to psi (is rho a weak equivalence?)")
-            certificates[key] = h
+    comp = rho.compose(phi)
+    for key in op.keys():
+        f = comp.block(key)
+        g = psi.block(key)
+        h = homotopy_solve(f, g)
+        if h is None:
+            raise ObstructionError(
+                f"lift certificate failed at {key}: composite is not "
+                "homotopic to psi (is rho a weak equivalence?)")
+        certificates[key] = h
     return phi, certificates
 
 
@@ -722,7 +714,7 @@ def endomorphism_with_prescribed_homology(mm: MinimalModel, h_target,
         c_keys = _linear_c_keys(op, key, assignments[key])
         images[key] = _solve_level(mm, op, post_maps, prescribed, key,
                                    images, r_hom, c_keys, seed=seed)
-    f = morphism_from_generators(op, op, images, check=True)
+    f = morphism_from_generators(op, op, images)
     return f
 
 

@@ -40,7 +40,7 @@ from .chain import (
     homology,
     induced_map,
 )
-from .qlinalg import F0, F1, Matrix, Subspace, rank, sparse_row
+from .qlinalg import F0, F1, Matrix, Subspace, _span, rank, sparse_row
 from .sigma import (
     GroupAction,
     ModularSigmaModule,
@@ -907,12 +907,6 @@ class HomologyTransfer:
     operad: _OperadCore
     records: dict
 
-    def classify(self, key, degree, vec):
-        return self.records[key].classify(degree, vec)
-
-    def representative(self, key, degree, h_index):
-        return self.records[key].rep_matrix(degree).col(h_index)
-
 
 def homology_operad(op) -> HomologyTransfer:
     """The operad H(P): zero differentials, induced structure maps.
@@ -977,13 +971,6 @@ class OperadIdeal:
     def dim(self, key, degree):
         return self.subspace(key, degree).dim
 
-    def insert(self, key, degree, vec):
-        """Add vec to the span at (key, degree); True if it grew."""
-        sub, grew = self.subspace(key, degree).insert(vec)
-        if grew:
-            self.spans.setdefault(key, {})[degree] = sub
-        return grew
-
 
 class _Images:
     """The images that an ideal holding a vector must also hold: its d,
@@ -1028,21 +1015,40 @@ class _Images:
 def ideal_closure(op, seeds) -> OperadIdeal:
     """Smallest ideal containing the seed vectors.
 
-    ``seeds``: dict key -> dict degree -> list of vectors.  Saturates
-    under the images of ``_Images`` until ranks stabilize.
+    ``seeds``: dict key -> dict degree -> list of vectors.  Works in
+    rounds: per (key, degree), one elimination spans the old echelon
+    rows with the round's new vectors, and the next round takes the
+    images (``_Images``) of the new rows at pivots the old span lacked,
+    until no span grows.  Pivot sets of nested spans are nested, so
+    those rows are independent modulo the old span and, with it, span
+    the new one.  A seed of the wrong length raises ValueError.
     """
     ideal = OperadIdeal(op, {})
     images = _Images(op)
-    frontier = []
+    new = {}
     for key, per_degree in seeds.items():
         for degree, vecs in per_degree.items():
-            for vec in vecs:
-                if ideal.insert(key, degree, tuple(vec)):
-                    frontier.append((key, degree, tuple(vec)))
-    while frontier:
-        for _, _, key, degree, vec in images(*frontier.pop()):
-            if any(vec) and ideal.insert(key, degree, vec):
-                frontier.append((key, degree, vec))
+            new.setdefault((key, degree), []).extend(vecs)
+    while new:
+        grown = []
+        for (key, degree), vecs in new.items():
+            old = ideal.subspace(key, degree)
+            n = old.ambient_dim
+            sub = _span(n, Matrix._trusted(old.dim, n, old._entries).vstack(
+                Matrix(len(vecs), n, vecs)))
+            if sub.dim == old.dim:
+                continue
+            ideal.spans.setdefault(key, {})[degree] = sub
+            old_pivots = set(old.pivots)
+            fresh = tuple(row for p, row in zip(sub.pivots, sub._entries)
+                          if p not in old_pivots)
+            grown += [(key, degree, vec) for vec
+                      in Matrix._trusted(len(fresh), n, fresh).data]
+        new = {}
+        for key, degree, vec in grown:
+            for _, _, tkey, tdeg, img in images(key, degree, vec):
+                if any(img):
+                    new.setdefault((tkey, tdeg), []).append(img)
     return ideal
 
 

@@ -13,7 +13,6 @@ of subspaces is syntactic.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -322,8 +321,8 @@ class Subspace:
     ``basis`` is an ``ambient_dim x dim`` matrix whose columns are the
     rows of a reduced row echelon form, ordered by pivot; two equal
     subspaces have identical bases.  ``pivots`` holds the pivot index of
-    each column.  Membership, coordinates, insertion and the complement
-    projection are read off the pivots, with no new elimination.
+    each column.  Membership, coordinates and the complement projection
+    are read off the pivots, with no new elimination.
     """
 
     ambient_dim: int
@@ -345,6 +344,17 @@ class Subspace:
             raise ValueError("subspace basis is not in reduced echelon form")
         object.__setattr__(self, "pivots", tuple(pivots))
         object.__setattr__(self, "_entries", entries)
+
+    @classmethod
+    def _trusted(cls, ambient_dim, entries, pivots):
+        """From the nonzero rows of a reduced row echelon form and their
+        pivot columns; nothing is checked."""
+        sub = object.__new__(cls)
+        basis = Matrix._trusted(len(entries), ambient_dim, entries).transpose()
+        for name, value in (("ambient_dim", ambient_dim), ("basis", basis),
+                            ("pivots", pivots), ("_entries", entries)):
+            object.__setattr__(sub, name, value)
+        return sub
 
     @classmethod
     def from_spanning(cls, ambient_dim, vectors):
@@ -391,22 +401,6 @@ class Subspace:
         coords, residual = self._split(vec)
         return None if any(residual) else coords
 
-    def insert(self, vec):
-        """``(span of self and vec, whether the dimension grew)``; the
-        basis is the canonical one ``from_spanning`` would give."""
-        residual = self._split(vec)[1]
-        lead = next((r for r, x in enumerate(residual) if x != 0), None)
-        if lead is None:
-            return self, False
-        inv = F1 / residual[lead]
-        new = tuple((r, x * inv) for r, x in enumerate(residual) if x)
-        cols = []
-        for col in self._entries:
-            c = next((x for r, x in col if r == lead), None)
-            cols.append(_combine(col, new, -c) if c else col)
-        cols.insert(bisect_left(self.pivots, lead), new)
-        return _from_columns(self.ambient_dim, cols), True
-
     def complement_projection(self):
         """``(proj, section)`` for the complement spanned by the unit
         vectors off the pivots: section (n x c) includes it, proj (c x n)
@@ -432,19 +426,13 @@ class Subspace:
         return image(self.basis.hstack(other.basis))
 
 
-def _from_columns(ambient_dim, cols):
-    """The Subspace whose basis has the sparse columns ``cols``."""
-    return Subspace(ambient_dim, Matrix._trusted(
-        len(cols), ambient_dim, tuple(cols)).transpose())
-
-
 def _span(ambient_dim, m: Matrix) -> Subspace:
     """The span of the rows of m, with canonical basis; no elimination
     runs when m has no rows."""
     if not m.rows:
         return Subspace.zero(ambient_dim)
     red, pivots, rk = rref(m)
-    return _from_columns(ambient_dim, red.sparse[:rk])
+    return Subspace._trusted(ambient_dim, red.sparse[:rk], pivots)
 
 
 def kernel(m: Matrix) -> Subspace:

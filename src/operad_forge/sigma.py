@@ -336,8 +336,12 @@ class Coinvariants:
     inclusion: ChainMap
 
 
-def close_group(generators, max_size=100000):
-    """Multiplicative closure of a list of chain maps (finite groups only)."""
+MAX_GROUP_SIZE = 100000
+
+
+def close_group(generators):
+    """Multiplicative closure of a list of chain maps (finite groups only);
+    more than ``MAX_GROUP_SIZE`` elements raises ValueError."""
     if not generators:
         return []
     ident = ChainMap.identity(generators[0].src)
@@ -351,7 +355,7 @@ def close_group(generators, max_size=100000):
                 if prod not in elements:
                     elements[prod] = True
                     new.append(prod)
-                    if len(elements) > max_size:
+                    if len(elements) > MAX_GROUP_SIZE:
                         raise ValueError("group closure exceeded bound")
         frontier = new
     return list(elements)

@@ -1,11 +1,24 @@
 """Shared test utilities: random complexes and small oracles."""
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 
 from operad_forge.chain import ChainComplex, ChainMap
-from operad_forge.qlinalg import F0, F1, Matrix, _poly_divide_linear, poly_eval
+from operad_forge.operad import _Images
+from operad_forge.qlinalg import (
+    F0,
+    F1,
+    Matrix,
+    Subspace,
+    _combine,
+    _poly_divide_linear,
+    image,
+    kernel,
+    poly_eval,
+    solve_matrix,
+)
 from operad_forge.sigma import Permutation
 
 
@@ -66,7 +79,6 @@ def random_complex(rng, degree_span=(0, 3), max_cells=3):
 
 
 def invert(m):
-    from operad_forge.qlinalg import solve_matrix
     out = solve_matrix(m, Matrix.identity(m.rows))
     if out is None:
         raise ValueError("matrix not invertible")
@@ -202,3 +214,112 @@ def modular_second_relabel(i, l, tau):
         else:
             images.append(p)
     return Permutation(tuple(images))
+
+
+# -- reference spans grown one vector at a time --------------------------------
+# The engine takes every span from one elimination; these are the routines
+# it replaced, which grew a Subspace one inserted vector at a time.  Spans,
+# representatives and projections are unique, so both must agree exactly.
+
+
+def insert(sub, vec):
+    """``(span of sub and vec, whether the dimension grew)``; the
+    basis is the canonical one ``from_spanning`` would give."""
+    residual = sub._split(vec)[1]
+    lead = next((r for r, x in enumerate(residual) if x != 0), None)
+    if lead is None:
+        return sub, False
+    inv = F1 / residual[lead]
+    new = tuple((r, x * inv) for r, x in enumerate(residual) if x)
+    cols = []
+    for col in sub._entries:
+        c = next((x for r, x in col if r == lead), None)
+        cols.append(_combine(col, new, -c) if c else col)
+    cols.insert(bisect_left(sub.pivots, lead), new)
+    return _from_columns(sub.ambient_dim, cols), True
+
+
+def _from_columns(ambient_dim, cols):
+    """The Subspace whose basis has the sparse columns ``cols``."""
+    return Subspace(ambient_dim, Matrix._trusted(
+        len(cols), ambient_dim, tuple(cols)).transpose())
+
+
+def greedy_homology(c):
+    """(representatives, projections) of ``chain.homology``, per degree."""
+    reps, projections = {}, {}
+    for i in c.support:
+        z = kernel(c.d(i))
+        b = image(c.d(i + 1)) if c.dim(i + 1) else Subspace.zero(c.dim(i))
+        h = z.dim - b.dim
+        if h < 0:
+            raise AssertionError("boundaries exceed cycles")
+        if h == 0:
+            continue
+        # representatives: the cycle basis vectors, in order, that are
+        # independent modulo B and the earlier choices
+        chosen = []
+        span = b
+        for j in range(z.dim):
+            cand = z.basis.col(j)
+            span, grew = insert(span, cand)
+            if grew:
+                chosen.append(cand)
+                if len(chosen) == h:
+                    break
+        reps[i] = chosen
+        # projection on cycle coordinates: solve [B | R] (X, Y) = Z
+        br = b.basis.hstack(Matrix.from_cols(chosen, rows=c.dim(i)))
+        projections[i] = solve_matrix(br, z.basis).submatrix(
+            range(b.dim, z.dim), range(z.dim))
+    return reps, projections
+
+
+def greedy_extended_classify(hrec, degree):
+    """Linear extension of the cycle-classifying map to the whole space."""
+    c = hrec.complex
+    n = c.dim(degree)
+    h = hrec.dim(degree)
+    if h == 0 or n == 0:
+        return Matrix.zeros(h, n)
+    z = hrec.cycles[degree]
+    # complement of Z: the unit vectors, in index order, outside the span
+    # of Z and the earlier choices
+    ident = Matrix.identity(n)
+    chosen = []
+    span = z
+    for j in range(n):
+        span, grew = insert(span, ident.col(j))
+        if grew:
+            chosen.append(j)
+    stacked = z.basis.hstack(ident.submatrix(range(n), chosen))
+    inv = solve_matrix(stacked, ident)
+    return hrec.projections[degree] * inv.submatrix(range(z.dim), range(n))
+
+
+def one_vector_closure(op, seeds):
+    """The spans (key -> degree -> Subspace) of ``ideal_closure``, each
+    image inserted on its own and expanded as soon as it grows a span."""
+    spans = {}
+
+    def add(key, degree, vec):
+        sub = spans.get(key, {}).get(degree)
+        if sub is None:
+            sub = Subspace.zero(op.component(key).dim(degree))
+        sub, grew = insert(sub, vec)
+        if grew:
+            spans.setdefault(key, {})[degree] = sub
+        return grew
+
+    images = _Images(op)
+    frontier = []
+    for key, per_degree in seeds.items():
+        for degree, vecs in per_degree.items():
+            for vec in vecs:
+                if add(key, degree, tuple(vec)):
+                    frontier.append((key, degree, tuple(vec)))
+    while frontier:
+        for _, _, key, degree, vec in images(*frontier.pop()):
+            if any(vec) and add(key, degree, vec):
+                frontier.append((key, degree, vec))
+    return spans

@@ -1,8 +1,11 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from operad_forge import document
 from operad_forge.chain import (
     ChainComplex,
     ChainMap,
@@ -22,9 +25,15 @@ from operad_forge.chain import (
     tensor_data,
     tensor_symmetry,
 )
+from operad_forge.minimal import _extended_classify
 from operad_forge.qlinalg import F0, F1, Matrix, image, kernel, solve_matrix
 
-from helpers import random_complex, random_chain_map
+from helpers import (
+    greedy_extended_classify,
+    greedy_homology,
+    random_chain_map,
+    random_complex,
+)
 
 Q = ChainComplex.concentrated(0, 1)
 
@@ -307,3 +316,69 @@ class TestHomotopySolve:
             hg = induced_map(g)
             same = all(hf[i] == hg[i] for i in hf)
             assert (homotopy_solve(f, g) is not None) == same
+
+
+# -- homology from one elimination against the greedy insert loops ------------
+
+
+@st.composite
+def complexes(draw):
+    """Conjugated spheres and disks; three-term complexes whose
+    differentials are products of thin factors, so often rank-deficient;
+    and zero-width ones, with zero differentials or empty degrees."""
+    kind = draw(st.sampled_from(("cells", "thin", "zero-width")))
+    if kind == "cells":
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        return random_complex(rng, (0, draw(st.integers(1, 3))),
+                              draw(st.integers(1, 5)))
+    if kind == "zero-width":
+        return ChainComplex(draw(st.dictionaries(
+            st.integers(-1, 2), st.integers(0, 3), max_size=3)))
+    entries = st.integers(-2, 2)
+
+    def grid(rows, cols):
+        return Matrix(rows, cols, draw(st.lists(
+            st.lists(entries, min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)))
+
+    a, b, c, r = (draw(st.integers(0, 4)) for _ in range(4))
+    d2 = grid(b, r) * grid(r, c)
+    # d1 = W A, the rows of A spanning the vectors that kill im d2
+    ann = kernel(d2.transpose()).basis.transpose()
+    d1 = grid(a, ann.rows) * ann
+    return ChainComplex({0: a, 1: b, 2: c}, {1: d1, 2: d2})
+
+
+def _fixture_components():
+    """Every component complex of every golden fixture."""
+    folder = os.path.join(os.path.dirname(__file__), "fixtures")
+    out = []
+    for name in sorted(os.listdir(folder)):
+        obj = document.load(os.path.join(folder, name))[0]
+        module = getattr(obj, "module", obj)
+        out += [pytest.param(ga.complex, id=f"{name}-{key}")
+                for key, ga in sorted(module.components.items())]
+    return out
+
+
+def _assert_matches_greedy(c):
+    rec = homology(c)
+    reps, projections = greedy_homology(c)
+    assert rec.representatives == reps
+    assert rec.projections == projections
+    for d in c.support:
+        assert _extended_classify(rec, d) == greedy_extended_classify(rec, d)
+
+
+class TestHomologyAgainstGreedy:
+    """Representatives, projections and the extended classifying map are
+    unique, so one elimination must give the insert loops' bytes."""
+
+    @given(complexes())
+    @settings(max_examples=150, deadline=None)
+    def test_random_complexes(self, c):
+        _assert_matches_greedy(c)
+
+    @pytest.mark.parametrize("c", _fixture_components())
+    def test_golden_fixture_components(self, c):
+        _assert_matches_greedy(c)

@@ -64,8 +64,10 @@ from operad_forge.weight import formality_check
 from fixtures_ops import (
     acyclic_operad,
     commutative_style_operad,
+    hypercommutative_presentation,
     one_dim_operad_with_acyclic_component,
 )
+from helpers import one_vector_closure
 
 
 def trivial_module(dims_by_arity):
@@ -707,3 +709,73 @@ class TestCorollaSummand:
         assert builder.corolla_summand((1, 1)) == 1
         assert builder.corolla_summand((0, 3)) == 0
         assert builder.corolla_summand((0, 4)) is None
+
+
+# -- the closure in rounds against the one-vector closure ---------------------
+
+
+def _flat(spans):
+    return {(key, degree): sub for key, per in spans.items()
+            for degree, sub in per.items()}
+
+
+def _assert_closure_matches(op, seeds):
+    got = _flat(ideal_closure(op, seeds).spans)
+    want = _flat(one_vector_closure(op, seeds))
+    assert got == want
+    assert all(got[k].pivots == want[k].pivots for k in got)
+
+
+def _fixture_operads():
+    return [name for name in sorted(os.listdir(FIXTURES))
+            if isinstance(_fixture(name), (DGOperad, ModularOperad))]
+
+
+class TestClosureAgainstOneVector:
+    """An ideal's spans are unique, so the closure in rounds must give the
+    spans of the closure that inserts and expands one vector at a time."""
+
+    @pytest.mark.parametrize("name", _fixture_operads())
+    def test_golden_fixtures_unit_seeds(self, name):
+        op = _fixture(name)
+        for key in op.keys():
+            c = op.component(key)
+            for degree in c.dims:
+                for k in range(c.dim(degree)):
+                    unit = [F1 if r == k else F0 for r in range(c.dim(degree))]
+                    _assert_closure_matches(op, {key: {degree: [unit]}})
+
+    @pytest.mark.parametrize("make,cut,window", [
+        (lambda: commutative_style_operad(5), 3, 5),
+        (lambda: commutative_style_operad(5), 4, 5),
+        (lambda: free_operad(trivial_module({2: {2: 1}}), 4), 3, 4),
+        (lambda: free_operad(sign_module(2, 0), 4), 3, 4),
+        (lambda: free_operad(mixed_module(), 4), 3, 4),
+        (lambda: _fixture("free_binary_window3.json"), 3, 4),
+        (lambda: _fixture("commutative_window3.json"), 3, 4),
+        (lambda: _fixture("endomorphism_dim1.json"), 1, 2),
+    ], ids=["commutative-3-5", "commutative-4-5", "trivial-3-4", "sign-3-4",
+            "mixed-3-4", "free-binary-3-4", "commutative-window3-3-4",
+            "endomorphism-1-2"])
+    def test_extension_ideals(self, monkeypatch, make, cut, window):
+        calls = []
+
+        def recorded(free_op, seeds):
+            calls.append((free_op, seeds))
+            return ideal_closure(free_op, seeds)
+
+        monkeypatch.setattr("operad_forge.free.ideal_closure", recorded)
+        extend_freely(truncate(make(), cut), window)
+        (free_op, seeds), = calls
+        assert any(vecs for per in seeds.values() for vecs in per.values())
+        _assert_closure_matches(free_op, seeds)
+
+    def test_hypercommutative_5(self):
+        _assert_closure_matches(*hypercommutative_presentation(5))
+
+    def test_seed_of_wrong_length_rejected(self):
+        fr = free_operad(regular2_module(), 3)
+        with pytest.raises(ValueError):
+            ideal_closure(fr, {2: {0: [(F1, F0), (F1, F0, F0)]}})
+        with pytest.raises(ValueError):
+            ideal_closure(fr, {2: {0: [(F0,)]}})

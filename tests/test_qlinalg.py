@@ -278,13 +278,13 @@ class TestSubspaceFastPaths:
 
     @given(spans_and_vector())
     @settings(max_examples=100, deadline=None)
-    def test_insert_matches_from_spanning(self, case):
-        n, vecs, v = case
+    def test_unchecked_span_matches_checked(self, case):
+        n, vecs, _ = case
         sub = Subspace.from_spanning(n, vecs)
-        grown, grew = sub.insert(v)
-        assert grown == Subspace.from_spanning(n, vecs + [v])
-        assert grown.pivots == rref(Matrix.from_rows(vecs + [v]))[1]
-        assert grew == (grown.dim == sub.dim + 1)
+        checked = Subspace(n, sub.basis)
+        assert sub == checked
+        assert sub.pivots == checked.pivots
+        assert sub._entries == checked._entries
 
     @given(spans_and_vector())
     @settings(max_examples=100, deadline=None)
