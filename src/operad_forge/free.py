@@ -15,6 +15,7 @@ machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .chain import (
     ChainComplex,
@@ -370,12 +371,14 @@ class _FreeBuilder:
         """
         layout = self.layouts[key]
         target = dst.component(key)
+        # the generator images by column, one transpose per (key, degree)
+        columns = cache(lambda k, d: images[k].block(d).columns())
         cols = {deg: {} for deg in layout.dims}
         for s in range(len(self.summands[key])):
             if select is not None and not select(s):
                 continue
             for deg, col, gcol in self._columns(key, s):
-                res = self.evaluate_basis(dst, images, key, s, deg, col)
+                res = self.evaluate_basis(dst, columns, key, s, deg, col)
                 for d, vec in res.items():
                     if d != deg:
                         raise AssertionError("degree drift in evaluation")
@@ -480,9 +483,9 @@ class FreeOperadBuilder(_FreeBuilder):
 
         return walk(T.tree_to_planar(tree))
 
-    def evaluate_basis(self, dst, images, n, s, deg, col):
+    def evaluate_basis(self, dst, columns, n, s, deg, col):
         tree, td = self.summands[n][s]
-        d, vec = evaluate_tree_basis(dst, tree, images, td.basis(deg)[col])
+        d, vec = evaluate_tree_basis(dst, tree, columns, td.basis(deg)[col])
         return {d: vec}
 
 
@@ -609,8 +612,8 @@ class FreeModularBuilder(_FreeBuilder):
                     table.add(deg, k, row, c)
         return table
 
-    def evaluate_basis(self, dst, images, key, s, deg, col):
-        return evaluate_graph_basis(dst, self.summands[key][s][0], images,
+    def evaluate_basis(self, dst, columns, key, s, deg, col):
+        return evaluate_graph_basis(dst, self.summands[key][s][0], columns,
                                     self._lift(key, s, deg, col))
 
 
@@ -786,19 +789,15 @@ def _eval_tree(dst, tree, elements):
     return walk(tree)
 
 
-def evaluate_tree_basis(dst, tree, images, label):
+def evaluate_tree_basis(dst, tree, columns, label):
     """Image in dst of one summand basis label of the free operad.
 
-    ``images``: dict arity -> ChainMap from the generator complex into
-    dst.component(arity).  Returns (degree, vector).
+    ``columns(arity, d)``: the columns, as tuples, of the degree-d block
+    of the ChainMap from the generator complex into dst.component(arity).
+    Returns (degree, vector).
     """
-    verts = tree.vertices()
-    pieces = []
-    for (d, k), vert in zip(label, verts):
-        arity = len(vert.children)
-        img = images[arity].block(d)
-        col = img.col(k) if img.cols else ()
-        pieces.append((d, tuple(col)))
+    pieces = [(d, columns(len(vert.children), d)[k])
+              for (d, k), vert in zip(label, tree.vertices())]
     n = tree.arity
     ar, deg, vec = _eval_tree(dst, tree, iter(pieces))
     lam = Permutation(tuple(tree.leaves()))
@@ -881,22 +880,20 @@ def _eval_graph(dst, graph, elements_by_vertex):
     return g_cur, slots, deg, vec
 
 
-def evaluate_graph_basis(dst, graph, images, vlevel_entries):
+def evaluate_graph_basis(dst, graph, columns, vlevel_entries):
     """Image in dst of a graph-space vector given per-vertex images.
 
     ``vlevel_entries``: list of (label, coeff) in the graph-space basis;
-    ``images``: dict (g,l) -> ChainMap into dst components.  Returns a
-    dict (degree -> vector) accumulated over the entries.
+    ``columns((g, l), d)``: the columns, as tuples, of the degree-d block
+    of the ChainMap into dst.component((g, l)).  Returns a dict
+    (degree -> vector) accumulated over the entries.
     """
     out = {}
     key = (graph.genus, graph.n_legs)
     target = dst.component(key)
     for label, lcoeff in vlevel_entries:
-        pieces = []
-        for v in range(graph.n_vertices):
-            d, k = label[v]
-            img = images[graph.vertex_type(v)].block(d)
-            pieces.append((d, tuple(img.col(k))))
+        pieces = [(d, columns(graph.vertex_type(v), d)[k])
+                  for v, (d, k) in enumerate(label)]
         g_cur, slots, deg, vec = _eval_graph(dst, graph, pieces)
         if g_cur != key[0] or len(slots) != key[1]:
             raise AssertionError("graph evaluation lost track of the type")

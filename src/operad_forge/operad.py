@@ -88,8 +88,8 @@ class CompTable:
         block = self.entries.get((d1, d2))
         if not block:
             return tuple(out)
-        nz1 = [(k, c) for k, c in enumerate(v1) if c != 0]
-        nz2 = [(k, c) for k, c in enumerate(v2) if c != 0]
+        nz1 = [(k, c) for k, c in enumerate(v1) if c]
+        nz2 = [(k, c) for k, c in enumerate(v2) if c]
         for k1, c1 in nz1:
             for k2, c2 in nz2:
                 cell = block.get((k1, k2))
@@ -134,7 +134,7 @@ class ContrTable:
         if not block:
             return tuple(out)
         for k, c in enumerate(v):
-            if c == 0:
+            if not c:
                 continue
             cell = block.get(k)
             if cell:

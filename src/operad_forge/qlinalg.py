@@ -9,6 +9,8 @@ Matrices are immutable and hashable, and stored as sparse rows: each
 row is the tuple of its nonzero ``(col, Fraction)`` pairs, sorted by
 column.  Subspaces carry a canonical reduced-echelon basis so equality
 of subspaces is syntactic.
+``rref`` and ``Matrix.__mul__`` compute on Python integers and make one
+``Fraction`` per nonzero entry they return.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -200,19 +203,24 @@ class Matrix:
         brows = other.sparse
         out = []
         for row in self.sparse:
-            if len(row) == 1:
-                # one term: a scaled row of other, already sorted and nonzero
+            if len(row) == 1 and row[0][1] in (1, -1):
+                # a signed row of other, already sorted and nonzero
                 k, a = row[0]
-                out.append(tuple((j, a * b) for j, b in brows[k]))
+                out.append(brows[k] if a == 1
+                           else tuple((j, -b) for j, b in brows[k]))
                 continue
-            acc = {}
+            acc = {}  # col -> (numerator, denominator), not reduced
             for k, a in row:
+                an, ad = a.numerator, a.denominator
                 for j, b in brows[k]:
-                    if j in acc:
-                        acc[j] += a * b
-                    else:
-                        acc[j] = a * b
-            out.append(sparse_row(acc))
+                    n, d = an * b.numerator, ad * b.denominator
+                    v = acc.get(j)
+                    if v is not None:
+                        n, d = (v[0] + n, d) if v[1] == d else \
+                            (v[0] * d + n * v[1], v[1] * d)
+                    acc[j] = n, d
+            out.append(tuple((j, Fraction(n, d))
+                             for j, (n, d) in sorted(acc.items()) if n))
         return Matrix._trusted(self.rows, other.cols, tuple(out))
 
     __rmul__ = scale
@@ -276,36 +284,61 @@ def block_matrix(blocks):
     return Matrix._trusted(len(rows), ncols, tuple(rows))
 
 
+def _clear(row, prow, c):
+    """row = (p/g) row - (f/g) prow, p and f the entries of prow and row
+    at c and g = gcd(p, f), then row divided by the gcd of its entries."""
+    p, f = prow[c], row[c]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, x in prow.items():
+        v = row.get(k, 0) - b * x
+        if v:
+            row[k] = v
+        else:
+            del row[k]
+    g = gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
+
+
 def rref(m: Matrix):
     """Reduced row echelon form ``(R, pivots, rank)``, ``pivots`` the tuple
-    of pivot columns.  Gauss-Jordan on sparse ``{col: value}`` rows: each
-    pivot comes from the shortest row holding its column (R is unique, so
-    the choice is free) and clears only the rows that hold that column.
+    of pivot columns.  Fraction-free Gauss-Jordan (Bareiss 1968) on sparse
+    ``{col: int}`` rows, each input row scaled by the lcm of its
+    denominators: each pivot comes from the shortest row holding its
+    column (R is unique, so the choice is free) and clears (``_clear``)
+    only the rows that hold it.  At the end each pivot row is divided by
+    its pivot, the only ``Fraction``s made: one per nonzero entry of R.
     """
-    pending = [dict(r) for r in m.sparse if r]
-    done = {}  # pivot column -> its row, kept without the pivot entry 1
+    lead = {}  # column -> the pending rows whose first entry is there
+    for r in m.sparse:
+        if r:
+            den = lcm(*(x.denominator for _, x in r))
+            lead.setdefault(r[0][0], []).append(
+                {j: x.numerator * (den // x.denominator) for j, x in r})
+    done = {}  # pivot column -> its integer row
     for c in range(m.cols):
-        holders = [row for row in pending if c in row]
+        # the pending rows hold no column before c: the holders of c lead
+        holders = lead.pop(c, None)
         if not holders:
             continue
         prow = min(holders, key=len)
-        inv = F1 / prow.pop(c)
-        for k in prow:
-            prow[k] *= inv
-        for row in holders + [row for row in done.values() if c in row]:
+        for row in holders:
             if row is not prow:
-                f = row.pop(c)
-                for k, x in prow.items():
-                    v = row.get(k, F0) - f * x
-                    if v:
-                        row[k] = v
-                    else:
-                        del row[k]
+                _clear(row, prow, c)
+                if row:
+                    lead.setdefault(min(row), []).append(row)
+        for row in done.values():
+            if c in row:
+                _clear(row, prow, c)
         done[c] = prow
-        pending = [row for row in pending if row and row is not prow]
-    for c, row in done.items():
-        row[c] = F1
-    sparse = tuple(sparse_row(row) for row in done.values())
+    sparse = tuple(tuple((j, F1 if j == c else Fraction(x, row[c]))
+                         for j, x in sorted(row.items()))
+                   for c, row in done.items())
     sparse += ((),) * (m.rows - len(done))
     return Matrix._trusted(m.rows, m.cols, sparse), tuple(done), len(done)
 

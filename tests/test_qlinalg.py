@@ -553,17 +553,39 @@ def _grid(draw, rows, cols, entries):
                          min_size=rows, max_size=rows))
 
 
+# entries of large height: numerators and denominators up to 2^70, drawn
+# independently, so one row mixes denominators
+large = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
+                  st.integers(1, 2 ** 70))
+# integers with no unit among them: every pivot is non-unit, some are
+# negative, and pivot and entry often share a factor
+non_units = st.sampled_from([0, 0, 0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -12])
+
+
 @st.composite
 def elimination_inputs(draw):
     """Matrices of the kinds the kernel meets: dense rationals,
     rank-deficient (rows that are sums of other rows), wide, tall, with
-    no rows or no columns, and sparse Kronecker systems
-    (I_p x A) + (B^T x I_a) like the ones ``homotopy_solve`` builds."""
+    no rows or no columns, sparse Kronecker systems
+    (I_p x A) + (B^T x I_a) like the ones ``homotopy_solve`` builds,
+    entries of large height, and integers with non-unit pivots."""
     kind = draw(st.sampled_from(["dense", "rank-deficient", "wide", "tall",
-                                 "empty", "kronecker"]))
+                                 "empty", "kronecker", "large-height",
+                                 "integer"]))
     sparse = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
                        st.sampled_from([Fraction(1), Fraction(-1)]),
                        rationals)
+    if kind in ("large-height", "integer"):
+        r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        entries = (st.one_of(st.just(0), large) if kind == "large-height"
+                   else non_units)
+        rows = _grid(draw, r, c, entries)
+        if draw(st.booleans()):
+            # a combination of two rows, so the rank drops
+            i, j = (draw(st.integers(0, r - 1)) for _ in range(2))
+            x, y = draw(entries), draw(entries)
+            rows.append([x * u + y * v for u, v in zip(rows[i], rows[j])])
+        return Matrix(len(rows), c, rows)
     if kind == "empty":
         n = draw(st.integers(0, 6))
         return draw(st.sampled_from([Matrix.zeros(0, n), Matrix.zeros(n, 0)]))
@@ -598,7 +620,7 @@ class TestRrefAgainstDense:
     def test_identical_to_dense(self, m):
         red, pivots, rk = rref(m)
         assert (red, pivots, rk) == dense_rref(m)
-        assert all(type(x) is Fraction for row in red.data for x in row)
+        assert_sparse_invariants(red)
 
     @given(elimination_inputs(), st.data())
     @settings(max_examples=120, deadline=None)
@@ -614,7 +636,10 @@ class TestRrefAgainstDense:
             b = Matrix(m.rows, k, data.draw(st.lists(
                 st.lists(rationals, min_size=k, max_size=k),
                 min_size=m.rows, max_size=m.rows)))
-        assert solve_matrix(m, b) == dense_solve_matrix(m, b)
+        x = solve_matrix(m, b)
+        assert x == dense_solve_matrix(m, b)
+        if x is not None:
+            assert_sparse_invariants(x)
 
     def test_homotopy_sized_system(self):
         # a 72 x 72 Kronecker system with about 5% nonzeros, rank 65
@@ -629,3 +654,29 @@ class TestRrefAgainstDense:
                 for j in range(p) for i in range(a)]
         m = Matrix(a * p, a * p, rows)
         assert rref(m) == dense_rref(m)
+
+
+@st.composite
+def large_product_operands(draw):
+    """Grids a: r x k and b: k x c of entries of large height or non-unit
+    integers; some rows of a hold one +1 or -1 entry, the rows the
+    product copies or negates."""
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    entries = st.one_of(st.just(0), large, non_units)
+    a = _grid(draw, r, k, entries)
+    if k:
+        for i in draw(st.lists(st.integers(0, r - 1), max_size=r)
+                      if r else st.just([])):
+            a[i] = [0] * k
+            a[i][draw(st.integers(0, k - 1))] = draw(st.sampled_from([1, -1]))
+    return (r, k, c), a, _grid(draw, k, c, entries)
+
+
+class TestLargeHeightProduct:
+    @given(large_product_operands())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense(self, case):
+        (r, k, c), a, b = case
+        prod = Matrix(r, k, a) * Matrix(k, c, b)
+        assert_sparse_invariants(prod)
+        assert prod.data == dense_product(dense(a), dense(b), c)
