@@ -20,7 +20,10 @@ print("rref:", red.to_lists())
 print("pivots:", pivots, "rank:", rk)
 
 print("\nkernel of [[1, 1]]:", kernel(Matrix.from_rows([[1, 1]])).basis.to_lists())
-print("solve 2x = 3 exactly:", solve(Matrix.from_rows([[2]]), (3,)))
+print("solve 2x = 3 exactly:",
+      solve(Matrix.from_rows([[2]]), ((0, Fraction(3)),)))
+print("  (a vector is a sparse row: its nonzero (index, value) pairs; "
+      "() is zero)")
 
 rot = Matrix.from_rows([[0, -1], [1, 0]])
 print("\ncharacteristic polynomial of a rotation:", char_poly(rot))

@@ -61,10 +61,9 @@ ga2 = GroupAction.trivial(2, ChainComplex({1: 1}))
 ga3 = GroupAction.trivial(3, ChainComplex({3: 1}))
 builder = FreeOperadBuilder({2: ga2, 3: ga3}, 4)
 layout = builder.layouts[3]
-col = [Fraction(0)] * layout.dim(2)
-for s, (tree, td) in enumerate(builder.summands[3]):
-    if len(tree.vertices()) == 2:
-        col[layout.offset(s, 2)] = Fraction(1)
+col = tuple((layout.offset(s, 2), Fraction(1))
+            for s, (tree, td) in enumerate(builder.summands[3])
+            if len(tree.vertices()) == 2)
 obstructed = builder.finish({3: {3: Matrix.from_cols([col],
                                                      rows=layout.dim(2))}})
 print("\nobstructed fixture:",

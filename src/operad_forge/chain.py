@@ -23,6 +23,7 @@ from .qlinalg import (
     solve,
     solve_matrix,
     sparse_row,
+    unflatten,
 )
 
 
@@ -197,9 +198,9 @@ class HomologyRecord:
     """Homology of a complex with chosen cycle data.
 
     Per degree: the cycle subspace, a canonical list of representative
-    cycles (the reduced-echelon lift of a basis of Z/B), and the
-    projection matrix sending cycle-basis coordinates to homology
-    coordinates.
+    cycles (the reduced-echelon lift of a basis of Z/B, as sparse
+    vectors), and the projection matrix sending cycle-basis coordinates
+    to homology coordinates.
     """
 
     complex: ChainComplex
@@ -217,7 +218,8 @@ class HomologyRecord:
         return Matrix.from_cols(reps, rows=self.complex.dim(i))
 
     def classify(self, i, vec):
-        """Homology coordinates of an ambient cycle; None if not a cycle."""
+        """Homology coordinates of an ambient cycle, both sparse vectors;
+        None if not a cycle."""
         z = self.cycles.get(i) or Subspace.zero(self.complex.dim(i))
         coords = z.coordinates(vec)
         if coords is None:
@@ -247,7 +249,7 @@ def homology(c: ChainComplex) -> HomologyRecord:
         # vectors, in order, that are independent modulo B and the earlier
         # ones; their rows hold each cycle's coordinates along them
         red, pivots, _ = rref(b.basis.hstack(z.basis))
-        reps[i] = [z.basis.col(p - b.dim) for p in pivots[b.dim:]]
+        reps[i] = [z._entries[p - b.dim] for p in pivots[b.dim:]]
         projections[i] = red.submatrix(range(b.dim, z.dim),
                                        range(b.dim, b.dim + z.dim))
     dims = {i: d for i, d in dims.items() if d}
@@ -545,7 +547,7 @@ def homotopy_solve(f: ChainMap, g: ChainMap):
         hoffsets[i] = total
         total += x.dim(i) * y.dim(i + 1)
     rows = []
-    rhs = []
+    rhs = []  # the sparse right-hand side
     for i in set(x.dims) | set(y.dims):
         target = f.block(i) - g.block(i)
         ni, mi = y.dim(i), x.dim(i)
@@ -556,7 +558,7 @@ def homotopy_solve(f: ChainMap, g: ChainMap):
         dy = y.d(i + 1).sparse
         dxt = x.d(i).transpose().sparse
         for r in range(ni):
-            trow = target.row(r)
+            rhs += [(len(rows) + c, v) for c, v in target.sparse[r]]
             for c in range(mi):
                 row = []
                 # (h_{i-1} d)[r, c] = sum_k h_{i-1}[r, k] dx[k, c]
@@ -569,18 +571,14 @@ def homotopy_solve(f: ChainMap, g: ChainMap):
                     base = hoffsets[i] + c
                     row += [(base + k * mi, v) for k, v in dy[r]]
                 rows.append(tuple(row))
-                rhs.append(trow[c])
     if total == 0:
-        return {} if all(v == 0 for v in rhs) else None
-    sol = solve(Matrix._trusted(len(rows), total, tuple(rows)), rhs)
+        return None if rhs else {}
+    sol = solve(Matrix._trusted(len(rows), total, tuple(rows)), tuple(rhs))
     if sol is None:
         return None
     h = {}
     for i in hdegrees:
-        base = hoffsets[i]
-        mi, ni1 = x.dim(i), y.dim(i + 1)
-        grid = [[sol[base + r * mi + c] for c in range(mi)] for r in range(ni1)]
-        m = Matrix(ni1, mi, grid)
+        m = unflatten(sol, hoffsets[i], y.dim(i + 1), x.dim(i))
         if not m.is_zero():
             h[i] = m
     return h

@@ -24,7 +24,7 @@ from .chain import (
     koszul_reorder_sign,
     reorder_map,
 )
-from .qlinalg import F0, F1, Matrix, kernel, rank, sparse_row
+from .qlinalg import F0, F1, Matrix, _combine, kernel, rank, sparse_row
 from .sigma import (
     GroupAction,
     ModularSigmaModule,
@@ -62,6 +62,7 @@ def push_labels(factor_actions, sigmas, perm_images, target_td, labels, out):
                   if perm_images[p] > perm_images[q]]
     twisted = [(p, factor_actions[p].action(sig))
                for p, sig in enumerate(sigmas) if not sig.is_identity()]
+    columns = {}  # (p, degree) -> the columns of factor p's twist
     for label, coeff in labels:
         if sum(label[p][0] * label[q][0] for p, q in inversions) % 2:
             coeff = -coeff
@@ -71,9 +72,11 @@ def push_labels(factor_actions, sigmas, perm_images, target_td, labels, out):
         terms = [(moved, coeff)]
         for p, action in twisted:
             d, k = label[p]
-            pos, col = perm_images[p], action.block(d).col(k)
+            if (p, d) not in columns:
+                columns[p, d] = action.block(d).columns()
+            pos = perm_images[p]
             terms = [(t[:pos] + [(d, r)] + t[pos + 1:], c * x)
-                     for t, c in terms for r, x in enumerate(col) if x]
+                     for t, c in terms for r, x in columns[p, d][k]]
         for t, c in terms:
             key = target_td.index(tuple(t))
             if key in out:
@@ -83,13 +86,12 @@ def push_labels(factor_actions, sigmas, perm_images, target_td, labels, out):
 
 
 def _assemble(rows, cols, entries):
-    """The rows x cols Matrix of the sparse columns {col: {row: coeff}}."""
-    out = [{} for _ in range(rows)]
+    """The rows x cols Matrix of the sparse columns {col: sparse vector};
+    the columns not given are zero."""
+    columns = [()] * cols
     for col, column in entries.items():
-        for row, coeff in column.items():
-            if coeff:
-                out[row][col] = coeff
-    return Matrix._trusted(rows, cols, tuple(map(sparse_row, out)))
+        columns[col] = column
+    return Matrix._trusted(cols, rows, tuple(columns)).transpose()
 
 
 @dataclass
@@ -250,10 +252,10 @@ class _FreeBuilder:
                 if att_cols:
                     self._derivation(key, s, deg, col, att_cols, column,
                                      matches)
-        diff = {deg: _assemble(layout.dim(deg - 1), layout.dim(deg), entries)
-                for deg, entries in cols.items()
-                if any(c != 0 for column in entries.values()
-                       for c in column.values())}
+        # ChainComplex drops the zero ones
+        diff = {deg: _assemble(layout.dim(deg - 1), layout.dim(deg), {
+            gcol: sparse_row(column) for gcol, column in entries.items()})
+            for deg, entries in cols.items()}
         return ChainComplex(dict(layout.dims), diff)
 
     def _derivation(self, key, s, deg, col, att_cols, column, matches):
@@ -304,9 +306,10 @@ class _FreeBuilder:
                 for (tdeg, row), c in out.items():
                     cols.setdefault(tdeg, {}).setdefault(gcol, {})[row] = c
         layout = self.layouts[key]
-        return ChainMap(component, component,
-                        {deg: _assemble(layout.dim(deg), layout.dim(deg), e)
-                         for deg, e in cols.items()}, check=False)
+        return ChainMap(component, component, {
+            deg: _assemble(layout.dim(deg), layout.dim(deg),
+                           {gcol: sparse_row(c) for gcol, c in e.items()})
+            for deg, e in cols.items()}, check=False)
 
     def composition_table(self, key1, i, key2):
         table = CompTable()
@@ -382,7 +385,7 @@ class _FreeBuilder:
                 for d, vec in res.items():
                     if d != deg:
                         raise AssertionError("degree drift in evaluation")
-                    cols[d][gcol] = dict(enumerate(vec))
+                    cols[d][gcol] = vec
         return {d: _assemble(target.dim(d), layout.dim(d), c)
                 for d, c in cols.items()}
 
@@ -412,6 +415,7 @@ class FreeOperadBuilder(_FreeBuilder):
         self._by_clades = {n: {frozenset(shape[0]): s
                                for s, shape in enumerate(shapes)}
                            for n, shapes in self._shapes.items()}
+        self._relabels = {}  # (n, s) -> _leaf_relabel of summand s's tree
 
     def _catalogue(self, n):
         return T.enumerate_trees(n)
@@ -485,7 +489,10 @@ class FreeOperadBuilder(_FreeBuilder):
 
     def evaluate_basis(self, dst, columns, n, s, deg, col):
         tree, td = self.summands[n][s]
-        d, vec = evaluate_tree_basis(dst, tree, columns, td.basis(deg)[col])
+        if (n, s) not in self._relabels:
+            self._relabels[n, s] = _leaf_relabel(tree)
+        d, vec = evaluate_tree_basis(dst, tree, self._relabels[n, s],
+                                     columns, td.basis(deg)[col])
         return {d: vec}
 
 
@@ -512,6 +519,7 @@ class FreeModularBuilder(_FreeBuilder):
     def __init__(self, gens, max_dim):
         super().__init__(gens, ModularOperad(ModularSigmaModule({}), {}, {},
                                              max_dim))
+        self._lifts = {}  # (key, s, deg) -> columns of the inclusion
 
     def _catalogue(self, key):
         return T.enumerate_stable_graphs(*key)
@@ -551,17 +559,17 @@ class FreeModularBuilder(_FreeBuilder):
                 out = {}
                 push_labels(factor_actions, sigmas, vperm, td2, [(label, F1)],
                             out)
-                cols[col] = {row: c for (_, row), c in out.items()}
+                cols[col] = sparse_row({row: c for (_, row), c in out.items()})
             blocks[deg] = _assemble(td2.complex.dim(deg),
                                     td1.complex.dim(deg), cols)
         return ChainMap(td1.complex, td2.complex, blocks, check=False)
 
     def _lift(self, key, s, deg, col):
         _, td, coin = self.summands[key][s]
+        if (key, s, deg) not in self._lifts:
+            self._lifts[key, s, deg] = coin.inclusion.block(deg).columns()
         basis = td.basis(deg)
-        return [(basis[r], c)
-                for r, c in enumerate(coin.inclusion.block(deg).col(col))
-                if c != 0]
+        return [(basis[r], c) for r, c in self._lifts[key, s, deg][col]]
 
     def _match(self, key, concrete):
         match = T.match_graph(concrete)
@@ -573,15 +581,12 @@ class FreeModularBuilder(_FreeBuilder):
         return s, sigmas, match.vertex_map
 
     def _project(self, key, s, local):
-        _, td, coin = self.summands[key][s]
+        coin = self.summands[key][s][2]
         for deg in set(d for d, _ in local):
-            vec = [F0] * td.complex.dim(deg)
-            for (d, pos), c in local.items():
-                if d == deg:
-                    vec[pos] = c
-            for row, c in enumerate(coin.projection.block(deg).apply(vec)):
-                if c != 0:
-                    yield (deg, row), c
+            vec = sparse_row({pos: c for (d, pos), c in local.items()
+                              if d == deg})
+            for row, c in coin.projection.block(deg).apply(vec):
+                yield (deg, row), c
 
     def _image(self, key, s, j):
         """s_j on summand s: its graph with legs j and j + 1 swapped,
@@ -789,21 +794,27 @@ def _eval_tree(dst, tree, elements):
     return walk(tree)
 
 
-def evaluate_tree_basis(dst, tree, columns, label):
+def _leaf_relabel(tree):
+    """The permutation taking the composite along tree to the tree's leaf
+    labels (the inverse of its leaves in preorder), or None when it is
+    the identity."""
+    sigma = Permutation(tuple(tree.leaves())).inverse()
+    return None if sigma.is_identity() else sigma
+
+
+def evaluate_tree_basis(dst, tree, relabel, columns, label):
     """Image in dst of one summand basis label of the free operad.
 
-    ``columns(arity, d)``: the columns, as tuples, of the degree-d block
-    of the ChainMap from the generator complex into dst.component(arity).
-    Returns (degree, vector).
+    ``relabel`` is ``_leaf_relabel(tree)``; ``columns(arity, d)``: the
+    columns, as sparse vectors, of the degree-d block of the ChainMap
+    from the generator complex into dst.component(arity).  Returns
+    (degree, sparse vector).
     """
     pieces = [(d, columns(len(vert.children), d)[k])
               for (d, k), vert in zip(label, tree.vertices())]
-    n = tree.arity
     ar, deg, vec = _eval_tree(dst, tree, iter(pieces))
-    lam = Permutation(tuple(tree.leaves()))
-    sigma = lam.inverse()
-    if not sigma.is_identity():
-        vec = dst.action(n, sigma).block(deg).apply(vec)
+    if relabel is not None:
+        vec = dst.action(tree.arity, relabel).block(deg).apply(vec)
     return deg, vec
 
 
@@ -843,7 +854,7 @@ def _eval_graph(dst, graph, elements_by_vertex):
     v0 = visit_order[0]
     g_cur = graph.genera[v0]
     deg, vec = elements_by_vertex[v0]
-    vec = tuple(sign * x for x in vec)
+    vec = tuple((j, sign * x) for j, x in vec)
     slots = list(graph.leg_order(v0))
     glued = set()
     for e in tree_edges:
@@ -884,13 +895,12 @@ def evaluate_graph_basis(dst, graph, columns, vlevel_entries):
     """Image in dst of a graph-space vector given per-vertex images.
 
     ``vlevel_entries``: list of (label, coeff) in the graph-space basis;
-    ``columns((g, l), d)``: the columns, as tuples, of the degree-d block
-    of the ChainMap into dst.component((g, l)).  Returns a dict
-    (degree -> vector) accumulated over the entries.
+    ``columns((g, l), d)``: the columns, as sparse vectors, of the
+    degree-d block of the ChainMap into dst.component((g, l)).  Returns a
+    dict (degree -> sparse vector) accumulated over the entries.
     """
     out = {}
     key = (graph.genus, graph.n_legs)
-    target = dst.component(key)
     for label, lcoeff in vlevel_entries:
         pieces = [(d, columns(graph.vertex_type(v), d)[k])
                   for v, (d, k) in enumerate(label)]
@@ -901,15 +911,8 @@ def evaluate_graph_basis(dst, graph, columns, vlevel_entries):
                                   for q in range(1, key[1] + 1)))
         if not sigma.is_identity():
             vec = dst.action(key, sigma).block(deg).apply(vec)
-        if any(x != 0 for x in vec):
-            cur = out.get(deg)
-            if cur is None:
-                cur = [F0] * target.dim(deg)
-            else:
-                cur = list(cur)
-            for r, x in enumerate(vec):
-                cur[r] += lcoeff * x
-            out[deg] = tuple(cur)
+        if vec:
+            out[deg] = _combine(out.get(deg, ()), vec, lcoeff)
     return out
 
 

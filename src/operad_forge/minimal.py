@@ -42,12 +42,14 @@ from .qlinalg import (
     F0,
     F1,
     Matrix,
+    _combine,
     block_matrix,
     kernel,
     rref,
     solve,
     solve_matrix,
     sparse_row,
+    unflatten,
 )
 from .sigma import GroupAction, Permutation
 
@@ -157,9 +159,8 @@ def _equivariant_section(cone_action: GroupAction, hrec, rng=None):
         if not (cone.d(d) * section[d]).is_zero():
             raise AssertionError("section does not land in cycles")
         expected = mix[d] if mix is not None else Matrix.identity(h)
-        for col in range(h):
-            cls = hrec.classify(d, section[d].col(col))
-            if cls is None or list(cls) != list(expected.col(col)):
+        for col, want in zip(section[d].columns(), expected.columns()):
+            if hrec.classify(d, col) != want:
                 raise AssertionError("section is not a section")
         for j in range(1, n):
             sigma = Permutation.transposition(n, j)
@@ -523,7 +524,7 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
     def var(d, r, k):
         return offsets[d] + r * vc.dim(d) + k
 
-    rows, rhs = [], []
+    rows, rhs = [], []  # rhs: the sparse right-hand side
     xi = op.tower.attachments.get(key, {})
     # (a) d_Q g = phi_prev o xi
     for d in sorted(vc.dims):
@@ -535,11 +536,10 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
             if d in xi and d - 1 in prev_eval \
             else Matrix.zeros(qc.dim(d - 1), nv)
         for r in range(qc.dim(d - 1)):
-            trow = target.row(r)
+            rhs += [(len(rows) + k, x) for k, x in target.sparse[r]]
             for k in range(nv):
                 rows.append(tuple((var(d, rr, k), x)
                                   for rr, x in dq.sparse[r]))
-                rhs.append(trow[k])
     # (b) equivariance: g R_V(s) = R_Q(s) g
     q_ga = q_operad.group_action(key)
     for j in range(1, arity):
@@ -557,7 +557,6 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
                         v = var(d, rr, k)
                         row[v] = row.get(v, F0) - x
                     rows.append(sparse_row(row))
-                    rhs.append(F0)
     # (c) homology conditions
     for ckey in c_keys:
         mc = op.component(ckey)
@@ -573,36 +572,37 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
         presc = prescribed.get(ckey, {})
         qcc = q_operad.component(ckey)
         for d in sorted(hm.dims):
-            reps = hm.rep_matrix(d)
             ext = _extended_classify(hr, d)
             post_block = post.block(d) if post else Matrix.identity(qcc.dim(d))
             lam = ext * post_block
-            for col in range(hm.dim(d)):
-                z = reps.col(col)
+            wants = presc[d].columns() if d in presc else None
+            for col, z in enumerate(hm.representatives[d]):
                 fixed = lam.apply(base_eval[d].apply(z))
-                want = presc[d].col(col) if d in presc else (F0,) * hr.dim(d)
-                contribs = {var(*u): lam.apply(dmat[d].apply(z))
-                            for u, dmat in deltas.items() if d in dmat}
-                for hrow in range(hr.dim(d)):
-                    rows.append(sparse_row({v: c_vec[hrow] for v, c_vec
-                                            in contribs.items()}))
-                    rhs.append(want[hrow] - fixed[hrow])
+                want = wants[col] if wants is not None else ()
+                # each unknown's contribution to each homology coordinate
+                cond = [{} for _ in range(hr.dim(d))]
+                for u, dmat in deltas.items():
+                    if d in dmat:
+                        for hrow, c in lam.apply(dmat[d].apply(z)):
+                            cond[hrow][var(*u)] = c
+                rhs += [(len(rows) + hrow, c)
+                        for hrow, c in _combine(want, fixed, -F1)]
+                rows += map(sparse_row, cond)
     system = Matrix._trusted(len(rows), total, tuple(rows))
-    sol = solve(system, rhs) if rows else (F0,) * total
+    sol = solve(system, tuple(rhs)) if rows else ()
     if sol is None:
         raise ObstructionError(f"obstruction system unsolvable at {key}")
     if seed:
         rng = random.Random(f"{seed}:lift:{key}")
         ker = kernel(system)
         if ker.dim:
-            extra = ker.basis.apply([rng.randint(-1, 1)
-                                     for _ in range(ker.dim)])
-            sol = tuple(a + b for a, b in zip(sol, extra))
+            # ker.dim draws in index order, the zeros then dropped
+            draws = sparse_row({i: Fraction(rng.randint(-1, 1))
+                                for i in range(ker.dim)})
+            sol = _combine(sol, ker.basis.apply(draws), F1)
     blocks = {}
     for d in sorted(vc.dims):
-        nv, nq = vc.dim(d), qc.dim(d)
-        grid = [[sol[var(d, r, k)] for k in range(nv)] for r in range(nq)]
-        m = Matrix(nq, nv, grid)
+        m = unflatten(sol, offsets[d], qc.dim(d), vc.dim(d))
         if not m.is_zero():
             blocks[d] = m
     return ChainMap(vc, qc, blocks, check=False)

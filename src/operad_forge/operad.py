@@ -40,7 +40,7 @@ from .chain import (
     homology,
     induced_map,
 )
-from .qlinalg import F0, F1, Matrix, Subspace, _span, rank, sparse_row
+from .qlinalg import F0, F1, Matrix, Subspace, _combine, rank, sparse_row
 from .sigma import (
     GroupAction,
     ModularSigmaModule,
@@ -58,8 +58,8 @@ from .sigma import (
 class CompTable:
     """Sparse bilinear map tensor(X, Y) -> Z between graded spaces.
 
-    ``entries[(d1, d2)][(k1, k2)]`` is a tuple of (row, coefficient)
-    pairs describing the image of the basis pair in degree d1 + d2.
+    ``entries[(d1, d2)][(k1, k2)]`` is a dict row -> coefficient, the
+    image of the basis pair in degree d1 + d2.
     """
 
     __slots__ = ("entries",)
@@ -82,22 +82,20 @@ class CompTable:
         """Image of a basis pair as a dict row -> coeff."""
         return self.entries.get((d1, d2), {}).get((k1, k2), {})
 
-    def apply(self, d1, v1, d2, v2, target_dim):
-        """Image of a pair of vectors (tuples) as a dense tuple."""
-        out = [F0] * target_dim
+    def apply(self, d1, v1, d2, v2):
+        """Image of a pair of sparse vectors, as a sparse vector."""
         block = self.entries.get((d1, d2))
         if not block:
-            return tuple(out)
-        nz1 = [(k, c) for k, c in enumerate(v1) if c]
-        nz2 = [(k, c) for k, c in enumerate(v2) if c]
-        for k1, c1 in nz1:
-            for k2, c2 in nz2:
+            return ()
+        out = {}
+        for k1, c1 in v1:
+            for k2, c2 in v2:
                 cell = block.get((k1, k2))
                 if cell:
                     c12 = c1 * c2
                     for row, coeff in cell.items():
-                        out[row] += c12 * coeff
-        return tuple(out)
+                        out[row] = out.get(row, F0) + c12 * coeff
+        return sparse_row(out)
 
     def is_zero(self):
         return not any(self.entries.values())
@@ -128,19 +126,18 @@ class ContrTable:
     def is_zero(self):
         return not any(self.entries.values())
 
-    def apply(self, d, v, target_dim):
-        out = [F0] * target_dim
+    def apply(self, d, v):
+        """Image of a sparse vector, as a sparse vector."""
         block = self.entries.get(d)
         if not block:
-            return tuple(out)
-        for k, c in enumerate(v):
-            if not c:
-                continue
+            return ()
+        out = {}
+        for k, c in v:
             cell = block.get(k)
             if cell:
                 for row, coeff in cell.items():
-                    out[row] += c * coeff
-        return tuple(out)
+                    out[row] = out.get(row, F0) + c * coeff
+        return sparse_row(out)
 
     def matrix(self, d, target_dim, source_dim):
         rows = [{} for _ in range(target_dim)]
@@ -243,10 +240,8 @@ class _OperadCore:
         return self.comp.get((key1, i, key2), _EMPTY_COMP)
 
     def compose(self, key1, i, key2, d1, v1, d2, v2):
-        """Vector-level composition; target component inferred by caller."""
-        tkey = self.comp_target(key1, i, key2)
-        dim = self.component(tkey).dim(d1 + d2)
-        return self.comp_table(key1, i, key2).apply(d1, v1, d2, v2, dim)
+        """Vector-level composition of sparse vectors."""
+        return self.comp_table(key1, i, key2).apply(d1, v1, d2, v2)
 
     def basis_compose(self, key1, i, key2, d1, k1, d2, k2):
         return self.comp_table(key1, i, key2).pair_image(d1, k1, d2, k2)
@@ -393,8 +388,7 @@ class ModularOperad(_OperadCore):
         return self.contr.get((key, i, j), _EMPTY_CONTR)
 
     def contract(self, key, i, j, d, v):
-        dim = self.component(self.contr_target(key)).dim(d)
-        return self.contr_table(key, i, j).apply(d, v, dim)
+        return self.contr_table(key, i, j).apply(d, v)
 
     def basis_contract(self, key, i, j, d, k):
         return self.contr_table(key, i, j).basis_image(d, k)
@@ -405,21 +399,12 @@ class ModularOperad(_OperadCore):
 
 def _units(c: ChainComplex) -> list:
     """(degree, unit vector) for each basis element of c."""
-    out = []
-    for d in c.support:
-        n = c.dim(d)
-        for k in range(n):
-            out.append((d, tuple(F1 if r == k else F0 for r in range(n))))
-    return out
-
-
-def _add_vec(v1, v2):
-    return tuple(a + b for a, b in zip(v1, v2))
+    return [(d, ((k, F1),)) for d in c.support for k in range(c.dim(d))]
 
 
 def _koszul(v, d1, d2):
     """(-1)^(d1 d2) v."""
-    return tuple(-x for x in v) if d1 % 2 and d2 % 2 else v
+    return tuple((j, -x) for j, x in v) if d1 % 2 and d2 % 2 else v
 
 
 def _collapse(p, a, b):
@@ -496,10 +481,10 @@ class _Validator:
         c1, c2 = op.component(key1), op.component(key2)
         ct = op.component(op.comp_target(key1, i, key2))
         for d1, a, d2, b, ab in prods:
-            rhs = _add_vec(
+            rhs = _combine(
                 op.compose(key1, i, key2, d1 - 1, c1.d(d1).apply(a), d2, b),
                 _koszul(op.compose(key1, i, key2, d1, a, d2 - 1,
-                                   c2.d(d2).apply(b)), d1, 1))
+                                   c2.d(d2).apply(b)), d1, 1), F1)
             if ct.d(d1 + d2).apply(ab) != rhs:
                 self.fail(f"composition {key1} o_{i} {key2} is not a chain map "
                           f"at degrees ({d1},{d2})")
@@ -828,9 +813,10 @@ def transfer(op, complexes, section, project):
 
     ``complexes``: key -> ChainComplex, the nonzero new components;
     ``section(key, d)``: the matrix whose columns are the new basis of
-    degree d inside op's component; ``project(key, d, m)``: the
-    coordinates in the new basis of the columns of m (vectors of op's
-    component), or None when a column lies outside that basis.  It is
+    degree d inside op's component; ``project(key, d, m)``: the matrix
+    of coordinates in the new basis of the columns of m (the sparse
+    images of the new basis vectors under a structure map), or None
+    when a column lies outside that basis.  It is
     also called for target keys and degrees outside ``complexes``, where
     the new basis is empty, so every image is checked.  Raises
     AssertionError when the action, a composition or a contraction
@@ -1015,13 +1001,14 @@ class _Images:
 def ideal_closure(op, seeds) -> OperadIdeal:
     """Smallest ideal containing the seed vectors.
 
-    ``seeds``: dict key -> dict degree -> list of vectors.  Works in
-    rounds: per (key, degree), one elimination spans the old echelon
+    ``seeds``: dict key -> dict degree -> list of sparse vectors.  Works
+    in rounds: per (key, degree), one elimination spans the old echelon
     rows with the round's new vectors, and the next round takes the
     images (``_Images``) of the new rows at pivots the old span lacked,
     until no span grows.  Pivot sets of nested spans are nested, so
     those rows are independent modulo the old span and, with it, span
-    the new one.  A seed of the wrong length raises ValueError.
+    the new one.  A seed with an index at or past the dimension of its
+    component raises ValueError.
     """
     ideal = OperadIdeal(op, {})
     images = _Images(op)
@@ -1033,21 +1020,19 @@ def ideal_closure(op, seeds) -> OperadIdeal:
         grown = []
         for (key, degree), vecs in new.items():
             old = ideal.subspace(key, degree)
-            n = old.ambient_dim
-            sub = _span(n, Matrix._trusted(old.dim, n, old._entries).vstack(
-                Matrix(len(vecs), n, vecs)))
+            sub = Subspace.from_spanning(old.ambient_dim,
+                                         old._entries + tuple(vecs))
             if sub.dim == old.dim:
                 continue
             ideal.spans.setdefault(key, {})[degree] = sub
             old_pivots = set(old.pivots)
-            fresh = tuple(row for p, row in zip(sub.pivots, sub._entries)
-                          if p not in old_pivots)
-            grown += [(key, degree, vec) for vec
-                      in Matrix._trusted(len(fresh), n, fresh).data]
+            grown += [(key, degree, row)
+                      for p, row in zip(sub.pivots, sub._entries)
+                      if p not in old_pivots]
         new = {}
         for key, degree, vec in grown:
             for _, _, tkey, tdeg, img in images(key, degree, vec):
-                if any(img):
+                if img:
                     new.setdefault((tkey, tdeg), []).append(img)
     return ideal
 
@@ -1059,9 +1044,9 @@ def validate_ideal(ideal: OperadIdeal, max_report=25) -> list:
     report = []
     for key in op.keys():
         for degree, sub in sorted(ideal.spans.get(key, {}).items()):
-            for vec in sub.basis.columns():
+            for vec in sub._entries:
                 for phrase, where, tkey, tdeg, img in images(key, degree, vec):
-                    if not any(img) or ideal.subspace(tkey, tdeg).contains(img):
+                    if not img or ideal.subspace(tkey, tdeg).contains(img):
                         continue
                     msg = f"ideal not {phrase} at {where}"
                     if msg not in report:

@@ -7,14 +7,17 @@ arithmetic is exact; no floating point is ever introduced.
 
 Matrices are immutable and hashable, and stored as sparse rows: each
 row is the tuple of its nonzero ``(col, Fraction)`` pairs, sorted by
-column.  Subspaces carry a canonical reduced-echelon basis so equality
-of subspaces is syntactic.
+column.  A vector is one such row, ``()`` the zero vector, wherever
+one is passed, here and in every caller; ``Matrix.data`` is only a
+dense view.  Subspaces carry a canonical reduced-echelon basis so
+equality of subspaces is syntactic.
 ``rref`` and ``Matrix.__mul__`` compute on Python integers and make one
 ``Fraction`` per nonzero entry they return.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -32,8 +35,15 @@ def _frac(x) -> Fraction:
 
 def sparse_row(entries) -> tuple:
     """The sorted nonzero ``(col, value)`` pairs of a ``{col: value}``
-    dict of ``Fraction``s: one row of ``Matrix.sparse``."""
+    dict of ``Fraction``s: a vector, or one row of ``Matrix.sparse``."""
     return tuple(sorted((j, x) for j, x in entries.items() if x))
+
+
+def _check_indices(vec, n):
+    """Raise ValueError unless every index of the sparse vector vec lies
+    in range(n)."""
+    if vec and (vec[0][0] < 0 or vec[-1][0] >= n):
+        raise ValueError(f"vector index out of range for dimension {n}")
 
 
 def _combine(a, b, c):
@@ -52,8 +62,8 @@ class Matrix:
 
     ``sparse[i]`` is row i as its nonzero ``(col, Fraction)`` pairs,
     sorted by column; that is the only storage, and every operation
-    reads only nonzeros.  ``data`` is a dense tuple-of-rows view, built
-    on each read.
+    reads only nonzeros.  Vectors are sparse rows too.  ``data`` is a
+    dense tuple-of-rows view, built on each read, for display.
     """
 
     __slots__ = ("rows", "cols", "sparse")
@@ -112,23 +122,20 @@ class Matrix:
         return cls(len(rows), ncols, rows)
 
     @classmethod
-    def from_cols(cls, cols, rows=None):
-        cols = [list(c) for c in cols]
-        if rows is None:
-            if not cols:
-                raise ValueError("from_cols with no columns needs explicit row count")
-            rows = len(cols[0])
-        return cls(len(cols), rows, cols).transpose()
-
-    @classmethod
-    def column(cls, vec):
-        return cls(len(vec), 1, [[x] for x in vec])
+    def from_cols(cls, cols, rows):
+        """From sparse columns, as ``columns()`` returns them."""
+        cols = tuple(cols)
+        for col in cols:
+            _check_indices(col, rows)
+        return cls._trusted(len(cols), rows, cols).transpose()
 
     # -- basics -----------------------------------------------------------
 
     @property
     def data(self):
-        return tuple(self.row(i) for i in range(self.rows))
+        rows = [dict(row) for row in self.sparse]
+        return tuple(tuple(r.get(j, F0) for j in range(self.cols))
+                     for r in rows)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
@@ -152,17 +159,9 @@ class Matrix:
     def is_zero(self):
         return not any(self.sparse)
 
-    def col(self, j):
-        return tuple(self[i, j] for i in range(self.rows))
-
-    def row(self, i):
-        out = [F0] * self.cols
-        for j, x in self.sparse[i]:
-            out[j] = x
-        return tuple(out)
-
     def columns(self):
-        return list(self.transpose().data)
+        """The columns, as sparse vectors."""
+        return self.transpose().sparse
 
     def transpose(self):
         cols = [[] for _ in range(self.cols)]
@@ -226,18 +225,20 @@ class Matrix:
     __rmul__ = scale
 
     def apply(self, vec):
-        """Matrix times column vector, as a tuple."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        vec = [x if type(x) is Fraction else Fraction(x) for x in vec]
+        """Matrix times a sparse column vector, as a sparse vector."""
+        _check_indices(vec, self.cols)
+        if not vec:
+            return ()
+        entries = dict(vec)
         out = []
-        for row in self.sparse:
-            acc = F0
+        for i, row in enumerate(self.sparse):
+            acc = None  # rows that meet no entry of vec test nothing
             for k, a in row:
-                x = vec[k]
-                if x:
-                    acc += a * x
-            out.append(acc)
+                x = entries.get(k)
+                if x is not None:
+                    acc = a * x if acc is None else acc + a * x
+            if acc:
+                out.append((i, acc))
         return tuple(out)
 
     def hstack(self, other):
@@ -282,6 +283,19 @@ def block_matrix(blocks):
                               for j, x in b.sparse[i]))
     ncols = widths.pop() if widths else sum(b.cols for b in blocks[0])
     return Matrix._trusted(len(rows), ncols, tuple(rows))
+
+
+def unflatten(vec, offset, rows, cols) -> Matrix:
+    """The rows x cols Matrix whose entries, row by row, are those of the
+    sparse vector vec from index offset on."""
+    out = [[] for _ in range(rows)]
+    end = offset + rows * cols
+    for j, x in vec[bisect_left(vec, (offset,)):]:
+        if j >= end:
+            break
+        r, k = divmod(j - offset, cols)
+        out[r].append((k, x))
+    return Matrix._trusted(rows, cols, tuple(map(tuple, out)))
 
 
 def _clear(row, prow, c):
@@ -391,11 +405,11 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, ambient_dim, vectors):
-        """Canonicalize a spanning set (an iterable of length-n vectors)."""
-        vecs = [tuple(v) for v in vectors]
-        if any(len(v) != ambient_dim for v in vecs):
-            raise ValueError("vector length mismatch")
-        return _span(ambient_dim, Matrix(len(vecs), ambient_dim, vecs))
+        """Canonicalize a spanning set (an iterable of sparse vectors)."""
+        vecs = tuple(vectors)
+        for vec in vecs:
+            _check_indices(vec, ambient_dim)
+        return _span(ambient_dim, Matrix._trusted(len(vecs), ambient_dim, vecs))
 
     @classmethod
     def zero(cls, ambient_dim):
@@ -410,29 +424,34 @@ class Subspace:
         return self.basis.cols
 
     def _split(self, vec):
-        """(coordinates along the basis, residual) of vec."""
-        v = [_frac(x) for x in vec]
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length mismatch")
-        coords = tuple(v[p] for p in self.pivots)
-        for c, nonzero in zip(coords, self._entries):
-            if c != 0:
-                for r, x in nonzero:
-                    v[r] -= c * x
-        return coords, v
+        """(coordinates along the basis, residual) of the sparse vector
+        vec, both sparse.  Basis column i is zero at every pivot but its
+        own, so its coordinate is vec's entry at pivot i."""
+        _check_indices(vec, self.ambient_dim)
+        pivots = self.pivots
+        coords = []
+        residual = dict(vec)
+        for r, c in vec:
+            i = bisect_left(pivots, r)
+            if i < len(pivots) and pivots[i] == r:
+                coords.append((i, c))
+                for q, x in self._entries[i]:
+                    v = residual.get(q)
+                    residual[q] = -c * x if v is None else v - c * x
+        return tuple(coords), sparse_row(residual)
 
     def reduce(self, vec):
         """Residual of vec against the pivots: zero at every pivot, and
         zero everywhere exactly when vec lies in the subspace."""
-        return tuple(self._split(vec)[1])
+        return self._split(vec)[1]
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return not self.reduce(vec)
 
     def coordinates(self, vec):
         """Coordinates of vec in the basis, or None if vec is outside."""
         coords, residual = self._split(vec)
-        return None if any(residual) else coords
+        return None if residual else coords
 
     def complement_projection(self):
         """``(proj, section)`` for the complement spanned by the unit
@@ -488,16 +507,14 @@ def image(m: Matrix) -> Subspace:
 
 
 def solve(m: Matrix, b):
-    """Solve m x = b exactly; return a solution tuple or None.
+    """Solve m x = b exactly; return a solution or None.
 
-    ``None`` means b is not in the image of m (used upstream as the
-    "obstruction is nonzero" signal).
+    ``b`` and the solution are sparse vectors.  ``None`` means b is not
+    in the image of m (used upstream as the "obstruction is nonzero"
+    signal).
     """
-    b = tuple(b)
-    if len(b) != m.rows:
-        raise ValueError("right-hand side has wrong length")
-    x = solve_matrix(m, Matrix.column(b))
-    return None if x is None else x.col(0)
+    x = solve_matrix(m, Matrix.from_cols((b,), m.rows))
+    return None if x is None else x.columns()[0]
 
 
 def solve_matrix(m: Matrix, b: Matrix):

@@ -40,12 +40,12 @@ from .operad import (
     weak_equivalence_test,
 )
 from .qlinalg import (
-    F0,
     Matrix,
     Subspace,
     char_poly,
     rational_eigen_split,
     solve_matrix,
+    sparse_row,
 )
 
 
@@ -256,17 +256,24 @@ def t_functor(c: ChainComplex, f: ChainMap, w: WeightFunction) -> TFunctorResult
     proj_blocks = {}
     for d in tp.dims:
         cols = []
-        for col in range(tp.dims[d]):
-            if tags[d][col] == d:
-                cls = hrec.classify(d, mats[d].col(col))
+        for vec, tag in zip(basis[d], tags[d]):
+            if tag == d:
+                cls = hrec.classify(d, vec)
                 if cls is None:
                     raise AssertionError("truncation vector is not a cycle")
                 cols.append(cls)
             else:
-                cols.append((F0,) * hcomplex.dim(d))
+                cols.append(())
         proj_blocks[d] = Matrix.from_cols(cols, rows=hcomplex.dim(d))
     projection = ChainMap(tp, hcomplex, proj_blocks)
     return TFunctorResult(tp, inclusion, projection, hrec, tags)
+
+
+def _tensor_vec(td, d1, v1, d2, v2):
+    """The sparse vector v1 (x) v2 of td, for sparse vectors v1 and v2 of
+    its two factors in degrees d1 and d2."""
+    return sparse_row({td.index(((d1, r1), (d2, r2)))[1]: a * b
+                       for r1, a in v1 for r2, b in v2})
 
 
 def leibniz_containment(cx, fx, cy, fy, w) -> bool:
@@ -274,23 +281,16 @@ def leibniz_containment(cx, fx, cy, fy, w) -> bool:
     tensor product (the monoidality containment), checked exactly."""
     tx, ty = t_functor(cx, fx, w), t_functor(cy, fy, w)
     td = TensorData((cx, cy))
+    fx_cols = {d: m.columns() for d, m in fx.blocks.items()}
+    fy_cols = {d: m.columns() for d, m in fy.blocks.items()}
     tensor_f_blocks = {}
     for n in td.complex.dims:
-        dim = td.complex.dim(n)
-        grid = [[F0] * dim for _ in range(dim)]
-        for col, label in enumerate(td.basis(n)):
-            (d1, k1), (d2, k2) = label
-            colx = fx.block(d1).col(k1)
-            coly = fy.block(d2).col(k2)
-            for r1, a in enumerate(colx):
-                if a == 0:
-                    continue
-                for r2, b in enumerate(coly):
-                    if b == 0:
-                        continue
-                    row = td.index(((d1, r1), (d2, r2)))[1]
-                    grid[row][col] += a * b
-        tensor_f_blocks[n] = Matrix(dim, dim, grid)
+        cols = []
+        for (d1, k1), (d2, k2) in td.basis(n):
+            cols.append(_tensor_vec(td, d1, fx_cols[d1][k1], d2,
+                                    fy_cols[d2][k2])
+                        if d1 in fx_cols and d2 in fy_cols else ())
+        tensor_f_blocks[n] = Matrix.from_cols(cols, td.complex.dim(n))
     tensor_f = ChainMap(td.complex, td.complex, tensor_f_blocks)
     tt = t_functor(td.complex, tensor_f, w)
     for n in td.complex.dims:
@@ -302,19 +302,10 @@ def leibniz_containment(cx, fx, cy, fy, w) -> bool:
             d2 = n - d1
             if ty.complex.dim(d2) == 0:
                 continue
-            for k1 in range(tx.complex.dim(d1)):
-                v1 = tx.inclusion.block(d1).col(k1)
-                for k2 in range(ty.complex.dim(d2)):
-                    v2 = ty.inclusion.block(d2).col(k2)
-                    prod = [F0] * td.complex.dim(n)
-                    for r1, a in enumerate(v1):
-                        if a == 0:
-                            continue
-                        for r2, b in enumerate(v2):
-                            if b == 0:
-                                continue
-                            prod[td.index(((d1, r1), (d2, r2)))[1]] += a * b
-                    if any(x != 0 for x in prod) and not span.contains(prod):
+            for v1 in tx.inclusion.block(d1).columns():
+                for v2 in ty.inclusion.block(d2).columns():
+                    prod = _tensor_vec(td, d1, v1, d2, v2)
+                    if prod and not span.contains(prod):
                         return False
     return True
 

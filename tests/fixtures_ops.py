@@ -5,7 +5,7 @@ from fractions import Fraction
 from operad_forge.chain import ChainComplex, ChainMap
 from operad_forge.free import free_operad
 from operad_forge.operad import CompTable, DGOperad, ideal_closure, quotient
-from operad_forge.qlinalg import Matrix
+from operad_forge.qlinalg import Matrix, sparse_row
 from operad_forge.sigma import GroupAction, SigmaModule
 
 
@@ -84,5 +84,5 @@ def hypercommutative_presentation(max_arity):
                 vec[layout.offset(s, deg)] += 1
             if {2, 3} <= inner and 1 not in inner:
                 vec[layout.offset(s, deg)] -= 1
-        seeds[n] = {deg: [vec]}
+        seeds[n] = {deg: [sparse_row(dict(enumerate(vec)))]}
     return free, seeds

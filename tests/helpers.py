@@ -18,8 +18,121 @@ from operad_forge.qlinalg import (
     kernel,
     poly_eval,
     solve_matrix,
+    sparse_row,
 )
 from operad_forge.sigma import Permutation
+
+
+# -- dense vectors --------------------------------------------------------
+# The engine passes every vector as a sparse row (sorted nonzero
+# ``(index, Fraction)`` pairs); tests that state a vector densely convert
+# it with these.
+
+
+def to_sparse(vec):
+    """The sparse vector of a dense one."""
+    return sparse_row({j: Fraction(x) for j, x in enumerate(vec)})
+
+
+def to_dense(vec, n):
+    """The length-n dense tuple of a sparse vector."""
+    out = [F0] * n
+    for j, x in vec:
+        out[j] = x
+    return tuple(out)
+
+
+def dense_col(m, j):
+    """Column j of m as a dense tuple."""
+    return tuple(r[j] for r in m.data)
+
+
+def dense_row(m, i):
+    """Row i of m as a dense tuple."""
+    return m.data[i]
+
+
+def dense_cols(cols):
+    """The matrix with the given dense columns (at least one)."""
+    return Matrix.from_rows(cols).transpose()
+
+
+# -- dense references -----------------------------------------------------
+# The vector routines as they were before every vector became a sparse row;
+# the engine's sparse ones must agree with them exactly.
+
+
+def dense_apply(m, vec):
+    """Matrix times a dense column vector, as a dense tuple."""
+    if len(vec) != m.cols:
+        raise ValueError("vector length mismatch")
+    vec = [x if type(x) is Fraction else Fraction(x) for x in vec]
+    out = []
+    for r in m.sparse:
+        acc = F0
+        for k, a in r:
+            x = vec[k]
+            if x:
+                acc += a * x
+        out.append(acc)
+    return tuple(out)
+
+
+def dense_comp_apply(table, d1, v1, d2, v2, target_dim):
+    """``CompTable.apply`` on dense vectors, as a dense tuple."""
+    out = [F0] * target_dim
+    block = table.entries.get((d1, d2))
+    if not block:
+        return tuple(out)
+    nz1 = [(k, c) for k, c in enumerate(v1) if c]
+    nz2 = [(k, c) for k, c in enumerate(v2) if c]
+    for k1, c1 in nz1:
+        for k2, c2 in nz2:
+            cell = block.get((k1, k2))
+            if cell:
+                c12 = c1 * c2
+                for r, coeff in cell.items():
+                    out[r] += c12 * coeff
+    return tuple(out)
+
+
+def dense_contr_apply(table, d, v, target_dim):
+    """``ContrTable.apply`` on a dense vector, as a dense tuple."""
+    out = [F0] * target_dim
+    block = table.entries.get(d)
+    if not block:
+        return tuple(out)
+    for k, c in enumerate(v):
+        if not c:
+            continue
+        cell = block.get(k)
+        if cell:
+            for r, coeff in cell.items():
+                out[r] += c * coeff
+    return tuple(out)
+
+
+def dense_split(sub, vec):
+    """``Subspace._split`` on a dense vector: (dense coordinates, dense
+    residual)."""
+    v = [Fraction(x) for x in vec]
+    if len(v) != sub.ambient_dim:
+        raise ValueError("vector length mismatch")
+    coords = tuple(v[p] for p in sub.pivots)
+    for c, nonzero in zip(coords, sub._entries):
+        if c != 0:
+            for r, x in nonzero:
+                v[r] -= c * x
+    return coords, tuple(v)
+
+
+def dense_solve(m, b):
+    """``solve`` on a dense right-hand side: a dense solution or None."""
+    b = tuple(b)
+    if len(b) != m.rows:
+        raise ValueError("right-hand side has wrong length")
+    x = solve_matrix(m, Matrix(len(b), 1, [[v] for v in b]))
+    return None if x is None else dense_col(x, 0)
 
 
 def random_invertible(rng, n, bound=2):
@@ -226,11 +339,11 @@ def insert(sub, vec):
     """``(span of sub and vec, whether the dimension grew)``; the
     basis is the canonical one ``from_spanning`` would give."""
     residual = sub._split(vec)[1]
-    lead = next((r for r, x in enumerate(residual) if x != 0), None)
-    if lead is None:
+    if not residual:
         return sub, False
-    inv = F1 / residual[lead]
-    new = tuple((r, x * inv) for r, x in enumerate(residual) if x)
+    lead, x = residual[0]
+    inv = F1 / x
+    new = tuple((r, x * inv) for r, x in residual)
     cols = []
     for col in sub._entries:
         c = next((x for r, x in col if r == lead), None)
@@ -261,7 +374,7 @@ def greedy_homology(c):
         chosen = []
         span = b
         for j in range(z.dim):
-            cand = z.basis.col(j)
+            cand = z._entries[j]
             span, grew = insert(span, cand)
             if grew:
                 chosen.append(cand)
@@ -289,7 +402,7 @@ def greedy_extended_classify(hrec, degree):
     chosen = []
     span = z
     for j in range(n):
-        span, grew = insert(span, ident.col(j))
+        span, grew = insert(span, ((j, F1),))
         if grew:
             chosen.append(j)
     stacked = z.basis.hstack(ident.submatrix(range(n), chosen))
@@ -316,10 +429,10 @@ def one_vector_closure(op, seeds):
     for key, per_degree in seeds.items():
         for degree, vecs in per_degree.items():
             for vec in vecs:
-                if add(key, degree, tuple(vec)):
-                    frontier.append((key, degree, tuple(vec)))
+                if add(key, degree, vec):
+                    frontier.append((key, degree, vec))
     while frontier:
         for _, _, key, degree, vec in images(*frontier.pop()):
-            if any(vec) and add(key, degree, vec):
+            if vec and add(key, degree, vec):
                 frontier.append((key, degree, vec))
     return spans

@@ -51,7 +51,7 @@ from fixtures_ops import (
     commutative_style_operad,
     hypercommutative,
 )
-from helpers import random_complex, random_chain_map
+from helpers import random_complex, random_chain_map, to_sparse
 
 
 def binary_module(dims={0: 1}):
@@ -70,7 +70,8 @@ def massey_minimal_operad():
     for s, (tree, td) in enumerate(builder.summands[3]):
         if len(tree.vertices()) == 2:
             col[layout.offset(s, 2)] = Fraction(1)
-    att = {3: {3: Matrix.from_cols([col], rows=layout.dim(2))}}
+    att = {3: {3: Matrix.from_cols([to_sparse(col)],
+                                   rows=layout.dim(2))}}
     return builder.finish(att)
 
 
@@ -109,9 +110,8 @@ class TestPrincipalExtension:
         pc = P.component(3)
         target = None
         for col in range(pc.dim(2)):
-            e = [Fraction(0)] * pc.dim(2)
-            e[col] = Fraction(1)
-            if any(x != 0 for x in pc.d(2).apply(e)):
+            e = ((col, Fraction(1)),)
+            if pc.d(2).apply(e):
                 target = e
                 break
         xi = {3: {3: Matrix.from_cols([target], rows=pc.dim(2))}}

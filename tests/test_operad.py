@@ -38,7 +38,7 @@ from operad_forge.operad import (
     validate_ideal,
     weak_equivalence_test,
 )
-from operad_forge.qlinalg import F0, F1, Matrix, Subspace
+from operad_forge.qlinalg import F0, F1, Matrix, Subspace, sparse_row
 from operad_forge.sigma import (
     GroupAction,
     ModularSigmaModule,
@@ -67,7 +67,7 @@ from fixtures_ops import (
     hypercommutative_presentation,
     one_dim_operad_with_acyclic_component,
 )
-from helpers import one_vector_closure
+from helpers import dense_col, one_vector_closure, to_sparse
 
 
 def trivial_module(dims_by_arity):
@@ -151,7 +151,7 @@ def _reference_push_label(factor_actions, sigmas, label, perm_images,
         if sig.is_identity():
             per_factor.append(((k, F1),))
         else:
-            col = ga.action(sig).block(d).col(k)
+            col = dense_col(ga.action(sig).block(d), k)
             per_factor.append(tuple((r, c) for r, c in enumerate(col) if c != 0))
     base = scale * sign
     m = len(label)
@@ -228,9 +228,10 @@ def _reference_action_generator(builder, key, j, component):
             for (tdeg, row), c in out.items():
                 cols.setdefault(tdeg, {}).setdefault(gcol, {})[row] = c
     layout = builder.layouts[key]
-    return ChainMap(component, component,
-                    {deg: _assemble(layout.dim(deg), layout.dim(deg), e)
-                     for deg, e in cols.items()}, check=False)
+    return ChainMap(component, component, {
+        deg: _assemble(layout.dim(deg), layout.dim(deg),
+                       {gcol: sparse_row(c) for gcol, c in e.items()})
+        for deg, e in cols.items()}, check=False)
 
 
 def _endomorphism_dim1_module(window):
@@ -469,7 +470,7 @@ class TestQuotient:
 
     def test_full_ideal_zero(self):
         com = commutative_style_operad(3)
-        seeds = {l: {0: [(Fraction(1),)]} for l in (2, 3)}
+        seeds = {l: {0: [to_sparse((Fraction(1),))]} for l in (2, 3)}
         ideal = ideal_closure(com, seeds)
         q, _ = quotient(com, ideal)
         assert q.is_zero()
@@ -477,7 +478,7 @@ class TestQuotient:
     def test_ideal_generated_in_arity_two(self):
         module = trivial_module({2: {0: 1}})
         fr = free_operad(module, 4)
-        seeds = {2: {0: [(Fraction(1),)]}}
+        seeds = {2: {0: [to_sparse((Fraction(1),))]}}
         ideal = ideal_closure(fr, seeds)
         assert validate_ideal(ideal) == []
         # closure oracle: everything is generated by the arity-2 element,
@@ -490,7 +491,7 @@ class TestQuotient:
         module = regular2_module()
         fr = free_operad(module, 3)
         # the line e1 - e2 is Sigma_2-stable
-        seeds = {2: {0: [(Fraction(1), Fraction(-1))]}}
+        seeds = {2: {0: [to_sparse((Fraction(1), Fraction(-1)))]}}
         ideal = ideal_closure(fr, seeds)
         assert validate_ideal(ideal) == []
         q, proj = quotient(fr, ideal)
@@ -526,8 +527,8 @@ class TestWeakEquivalence:
 
     def test_projection_by_acyclic_ideal_yes(self):
         op = one_dim_operad_with_acyclic_component()
-        seeds = {2: {0: [(Fraction(0), Fraction(1))],
-                     1: [(Fraction(1),)]}}
+        seeds = {2: {0: [to_sparse((Fraction(0), Fraction(1)))],
+                     1: [to_sparse((Fraction(1),))]}}
         ideal = ideal_closure(op, seeds)
         assert validate_ideal(ideal) == []
         q, proj = quotient(op, ideal)
@@ -742,7 +743,8 @@ class TestClosureAgainstOneVector:
             c = op.component(key)
             for degree in c.dims:
                 for k in range(c.dim(degree)):
-                    unit = [F1 if r == k else F0 for r in range(c.dim(degree))]
+                    unit = to_sparse([F1 if r == k else F0
+                                   for r in range(c.dim(degree))])
                     _assert_closure_matches(op, {key: {degree: [unit]}})
 
     @pytest.mark.parametrize("make,cut,window", [
@@ -774,8 +776,9 @@ class TestClosureAgainstOneVector:
         _assert_closure_matches(*hypercommutative_presentation(5))
 
     def test_seed_of_wrong_length_rejected(self):
+        # a seed's indices must lie below its component's dimension (2)
         fr = free_operad(regular2_module(), 3)
         with pytest.raises(ValueError):
-            ideal_closure(fr, {2: {0: [(F1, F0), (F1, F0, F0)]}})
+            ideal_closure(fr, {2: {0: [((0, F1),), ((0, F1), (2, F1))]}})
         with pytest.raises(ValueError):
-            ideal_closure(fr, {2: {0: [(F0,)]}})
+            ideal_closure(fr, {2: {0: [((-1, F1),)]}})

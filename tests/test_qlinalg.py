@@ -20,7 +20,21 @@ from operad_forge.qlinalg import (
     solve_matrix,
 )
 
-from helpers import rational_roots
+from operad_forge.operad import CompTable, ContrTable
+
+from helpers import (
+    dense_apply,
+    dense_col,
+    dense_cols,
+    dense_comp_apply,
+    dense_contr_apply,
+    dense_row,
+    dense_solve,
+    dense_split,
+    rational_roots,
+    to_dense,
+    to_sparse,
+)
 
 
 def M(rows):
@@ -69,7 +83,8 @@ class TestRref:
     def test_kernel_vectors_annihilated(self, m):
         ker = kernel(m)
         for j in range(ker.dim):
-            assert all(x == 0 for x in m.apply(ker.basis.col(j)))
+            assert all(x == 0 for x in to_dense(
+                m.apply(ker.basis.columns()[j]), m.rows))
 
 
 class TestKernel:
@@ -84,20 +99,22 @@ class TestKernel:
         # x + y = 0 has solution line spanned by (1, -1)
         k = kernel(M([[1, 1]]))
         assert k.dim == 1
-        assert k.contains((1, -1))
-        assert k.contains((Fraction(-3), Fraction(3)))
-        assert not k.contains((1, 1))
+        assert k.contains(to_sparse((1, -1)))
+        assert k.contains(to_sparse((Fraction(-3), Fraction(3))))
+        assert not k.contains(to_sparse((1, 1)))
 
 
 class TestSolve:
     def test_identity(self):
-        assert solve(Matrix.identity(3), (1, 2, 3)) == (1, 2, 3)
+        assert to_dense(solve(Matrix.identity(3), to_sparse((1, 2, 3))),
+                        3) == (1, 2, 3)
 
     def test_zero_map_inconsistent(self):
-        assert solve(Matrix.zeros(2, 2), (1, 0)) is None
+        assert solve(Matrix.zeros(2, 2), to_sparse((1, 0))) is None
 
     def test_one_dimensional(self):
-        assert solve(M([[2]]), (3,)) == (Fraction(3, 2),)
+        assert to_dense(solve(M([[2]]), to_sparse((3,))), 1) \
+            == (Fraction(3, 2),)
 
     def test_solve_matrix_roundtrip(self):
         m = M([[1, 2], [0, 1]])
@@ -111,7 +128,7 @@ class TestSolve:
     @given(matrices())
     @settings(max_examples=40, deadline=None)
     def test_solution_exact(self, m):
-        b = m.apply(tuple(Fraction(1) for _ in range(m.cols)))
+        b = m.apply(to_sparse(Fraction(1) for _ in range(m.cols)))
         x = solve(m, b)
         assert x is not None
         assert m.apply(x) == tuple(b)
@@ -176,14 +193,14 @@ class TestEigenSplit:
         split = split_at_roots(m)
         spaces = [s for _, s in split.pairs] + [split.residual]
         # dimensions fill the ambient and stack to full rank
-        vectors = [s.basis.col(j) for s in spaces for j in range(s.dim)]
+        vectors = [v for s in spaces for v in s.basis.columns()]
         assert len(vectors) == m.rows
         if vectors:
             assert rank(Matrix.from_cols(vectors, rows=m.rows)) == m.rows
         # each generalized eigenspace is m-invariant
         for _, s in split.pairs:
-            for j in range(s.dim):
-                assert s.contains(m.apply(s.basis.col(j)))
+            for v in s.basis.columns():
+                assert s.contains(m.apply(v))
 
     @given(matrices(max_dim=4).filter(lambda m: m.rows == m.cols),
            st.lists(st.fractions(min_value=-6, max_value=6,
@@ -201,19 +218,20 @@ class TestEigenSplit:
 
 class TestSubspace:
     def test_canonical_equality(self):
-        a = Subspace.from_spanning(3, [(1, 0, 1), (0, 1, 1)])
-        b = Subspace.from_spanning(3, [(1, 1, 2), (1, -1, 0)])
+        a = Subspace.from_spanning(3, map(to_sparse, [(1, 0, 1), (0, 1, 1)]))
+        b = Subspace.from_spanning(3, map(to_sparse, [(1, 1, 2), (1, -1, 0)]))
         assert a == b
         assert a.basis == b.basis
 
     def test_sum(self):
-        a = Subspace.from_spanning(3, [(1, 0, 0)])
-        b = Subspace.from_spanning(3, [(0, 1, 0)])
+        a = Subspace.from_spanning(3, [to_sparse((1, 0, 0))])
+        b = Subspace.from_spanning(3, [to_sparse((0, 1, 0))])
         assert a.sum(b).dim == 2
 
     def test_rationals_stay_exact(self):
-        s = Subspace.from_spanning(2, [(Fraction(1, 3), Fraction(1, 7))])
-        v = (Fraction(1), Fraction(3, 7))
+        s = Subspace.from_spanning(
+            2, [to_sparse((Fraction(1, 3), Fraction(1, 7)))])
+        v = to_sparse((Fraction(1), Fraction(3, 7)))
         assert s.contains(v)
 
 
@@ -259,8 +277,8 @@ def complement_projection_by_solves(sub):
     section = Matrix(n, len(free), [[int(r == f) for f in free]
                                     for r in range(n)])
     stacked = span.hstack(section)
-    cols = [solve(stacked, _unit(n, r))[span.cols:] for r in range(n)]
-    return Matrix.from_cols(cols, rows=len(free)), section
+    cols = [dense_solve(stacked, _unit(n, r))[span.cols:] for r in range(n)]
+    return dense_cols(cols), section
 
 
 class TestSubspaceFastPaths:
@@ -268,11 +286,12 @@ class TestSubspaceFastPaths:
     @settings(max_examples=100, deadline=None)
     def test_contains_and_coordinates_match_solve(self, case):
         n, vecs, v = case
-        sub = Subspace.from_spanning(n, vecs)
+        sub = Subspace.from_spanning(n, map(to_sparse, vecs))
+        v = to_sparse(v)
         expected = solve(sub.basis, v)
         assert sub.coordinates(v) == expected
         assert sub.contains(v) == (expected is not None)
-        residual = sub.reduce(v)
+        residual = to_dense(sub.reduce(v), n)
         assert all(residual[p] == 0 for p in sub.pivots)
         assert any(residual) == (expected is None)
 
@@ -280,7 +299,7 @@ class TestSubspaceFastPaths:
     @settings(max_examples=100, deadline=None)
     def test_unchecked_span_matches_checked(self, case):
         n, vecs, _ = case
-        sub = Subspace.from_spanning(n, vecs)
+        sub = Subspace.from_spanning(n, map(to_sparse, vecs))
         checked = Subspace(n, sub.basis)
         assert sub == checked
         assert sub.pivots == checked.pivots
@@ -290,7 +309,7 @@ class TestSubspaceFastPaths:
     @settings(max_examples=100, deadline=None)
     def test_complement_projection_matches_solves(self, case):
         n, vecs, _ = case
-        sub = Subspace.from_spanning(n, vecs)
+        sub = Subspace.from_spanning(n, map(to_sparse, vecs))
         proj, section = sub.complement_projection()
         assert (proj, section) == complement_projection_by_solves(sub)
         assert proj * section == Matrix.identity(n - sub.dim)
@@ -310,7 +329,7 @@ class TestSubspaceFastPaths:
         for cols in ([(2, 0)], [(0, 1), (1, 0)], [(1, 1), (0, 1)],
                      [(0, 0)]):
             with pytest.raises(ValueError):
-                Subspace(2, Matrix.from_cols(cols, rows=2))
+                Subspace(2, dense_cols(cols))
 
 
 # -- the sparse-row product against the triple loop -------------------------
@@ -460,7 +479,7 @@ class TestSparseAgainstDense:
             "diagonal": (Matrix.diagonal(vec), tuple(
                 tuple(Fraction(vec[i]) if i == j else zero
                       for j in range(k)) for i in range(k))),
-            "from_cols": (Matrix.from_cols(da, rows=k),
+            "from_cols": (Matrix.from_cols(map(to_sparse, da), rows=k),
                           dense_transpose(da, k)),
             # rows reversed, odd columns twice over
             "submatrix": (a.submatrix(range(r)[::-1], odd * 2),
@@ -475,12 +494,13 @@ class TestSparseAgainstDense:
             # equal matrices, however built, are equal and hash equally
             again = Matrix(got.rows, got.cols, want)
             assert got == again and hash(got) == hash(again), name
-        assert a.apply(vec) == tuple(
+        assert to_dense(a.apply(to_sparse(vec)), r) == tuple(
             sum((x * Fraction(y) for x, y in zip(u, vec)), zero) for u in da)
-        assert all(type(x) is Fraction for x in a.apply(vec))
-        assert a.columns() == list(dense_transpose(da, k))
-        assert [a.col(j) for j in range(k)] == a.columns()
-        assert [a.row(i) for i in range(r)] == list(da)
+        assert all(type(x) is Fraction for _, x in a.apply(to_sparse(vec)))
+        columns = [to_dense(v, r) for v in a.columns()]
+        assert columns == list(dense_transpose(da, k))
+        assert [dense_col(a, j) for j in range(k)] == columns
+        assert [dense_row(a, i) for i in range(r)] == list(da)
         assert all(a[i, j] == da[i][j] for i in range(r) for j in range(k))
         assert a.to_lists() == [list(u) for u in da]
         assert (a == m["same"]) == (da == d["same"])
@@ -545,7 +565,7 @@ def dense_solve_matrix(m: Matrix, b: Matrix):
         for r, pcol in enumerate(pivots):
             x[pcol] = red.data[r][m.cols + j]
         cols.append(tuple(x))
-    return Matrix.from_cols(cols, rows=m.cols)
+    return dense_cols(cols)
 
 
 def _grid(draw, rows, cols, entries):
@@ -631,7 +651,7 @@ class TestRrefAgainstDense:
             xs = data.draw(st.lists(st.lists(rationals, min_size=m.cols,
                                              max_size=m.cols),
                                     min_size=k, max_size=k))
-            b = m * Matrix.from_cols(xs, rows=m.cols)
+            b = m * dense_cols(xs)
         else:
             b = Matrix(m.rows, k, data.draw(st.lists(
                 st.lists(rationals, min_size=k, max_size=k),
@@ -680,3 +700,106 @@ class TestLargeHeightProduct:
         prod = Matrix(r, k, a) * Matrix(k, c, b)
         assert_sparse_invariants(prod)
         assert prod.data == dense_product(dense(a), dense(b), c)
+
+
+# -- sparse vectors against the dense references -----------------------------
+
+vector_entries = st.one_of(st.just(0), st.just(0), non_units, rationals)
+
+
+@st.composite
+def matrix_and_vector(draw):
+    """(m, dense vector of length m.cols): m holds zero rows, non-unit
+    integers and fractions; the vector is often all zero."""
+    r, k = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rows = _grid(draw, r, k, vector_entries)
+    for i in draw(st.lists(st.integers(0, r - 1), max_size=r)
+                  if r else st.just([])):
+        rows[i] = [0] * k
+    return Matrix(r, k, rows), draw(dense_vectors(k))
+
+
+def dense_vectors(n):
+    return st.one_of(st.just([0] * n),
+                     st.lists(vector_entries, min_size=n, max_size=n))
+
+
+@st.composite
+def tables_and_vectors(draw):
+    """(CompTable, ContrTable, target dimension, v1, v2): both tables
+    have cells in degree 0 only, v1 and v2 are dense vectors of the two
+    source dimensions."""
+    n1, n2, nt = (draw(st.integers(1, 4)) for _ in range(3))
+    comp, contr = CompTable(), ContrTable()
+    for _ in range(draw(st.integers(0, 8))):
+        comp.add(0, draw(st.integers(0, n1 - 1)), 0,
+                 draw(st.integers(0, n2 - 1)), draw(st.integers(0, nt - 1)),
+                 draw(vector_entries))
+    for _ in range(draw(st.integers(0, 8))):
+        contr.add(0, draw(st.integers(0, n1 - 1)),
+                  draw(st.integers(0, nt - 1)), draw(vector_entries))
+    return comp, contr, nt, draw(dense_vectors(n1)), draw(dense_vectors(n2))
+
+
+class TestSparseVectorsAgainstDense:
+    """Each vector routine equals the sparse row of its dense reference."""
+
+    @given(matrix_and_vector())
+    @settings(max_examples=150, deadline=None)
+    def test_apply(self, case):
+        m, vec = case
+        got = m.apply(to_sparse(vec))
+        assert got == to_sparse(dense_apply(m, vec))
+        assert all(type(x) is Fraction for _, x in got)
+
+    @given(tables_and_vectors(), st.integers(0, 1))
+    @settings(max_examples=150, deadline=None)
+    def test_tables(self, case, d):
+        # degree d = 1 holds no cells, so both images are zero there
+        comp, contr, nt, v1, v2 = case
+        assert comp.apply(0, to_sparse(v1), d, to_sparse(v2)) \
+            == to_sparse(dense_comp_apply(comp, 0, v1, d, v2, nt))
+        assert contr.apply(d, to_sparse(v1)) \
+            == to_sparse(dense_contr_apply(contr, d, v1, nt))
+
+    @given(spans_and_vector())
+    @settings(max_examples=150, deadline=None)
+    def test_split(self, case):
+        n, vecs, v = case
+        sub = Subspace.from_spanning(n, map(to_sparse, vecs))
+        coords, residual = dense_split(sub, v)
+        assert sub._split(to_sparse(v)) == (to_sparse(coords),
+                                            to_sparse(residual))
+
+    @given(matrix_and_vector(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_solve(self, case, data):
+        m, x = case
+        # consistent (m times a vector) or drawn right-hand sides
+        b = dense_apply(m, x) if data.draw(st.booleans()) \
+            else data.draw(dense_vectors(m.rows))
+        want = dense_solve(m, b)
+        got = solve(m, to_sparse(b))
+        assert got == (None if want is None else to_sparse(want))
+
+    def test_zero_vector(self):
+        m = M([[2, 0, 3], [0, 0, 0]])
+        assert m.apply(()) == ()
+        assert Subspace.full(3)._split(()) == ((), ())
+        assert solve(m, ()) == ()
+
+    def test_index_past_dimension_rejected(self):
+        m = M([[1, 2], [3, 4], [5, 6]])
+        sub = Subspace.from_spanning(2, [to_sparse((1, 1))])
+        one = Fraction(1)
+        for bad in (((2, one),), ((0, one), (5, one)), ((-1, one),)):
+            with pytest.raises(ValueError):
+                m.apply(bad)
+            with pytest.raises(ValueError):
+                sub._split(bad)
+        for bad in (((3, one),), ((-1, one),)):
+            with pytest.raises(ValueError):
+                solve(m, bad)
+        # the last index is in range
+        assert m.apply(((1, one),)) == to_sparse((2, 4, 6))
+        assert solve(m, ((2, one),)) is None

@@ -35,6 +35,8 @@ from helpers import (
     modular_first_relabel,
     modular_second_relabel,
     operadic_block_perm,
+    to_dense,
+    to_sparse,
 )
 
 
@@ -198,19 +200,18 @@ class TestCompRelabel:
 
 
 def _span(n, vectors):
-    return Subspace.from_spanning(n, [tuple(map(Fraction, v))
-                                      for v in vectors])
+    return Subspace.from_spanning(n, [to_sparse(v) for v in vectors])
 
 
 def _products(op, x, side):
     """The Sigma_3-stable span in arity 3 of x o_i e (side 0) or e o_i x
     (side 1) over every arity-2 basis vector e and slot i."""
-    units = [tuple(Fraction(int(r == k)) for r in range(2)) for k in range(2)]
+    units = [((k, Fraction(1)),) for k in range(2)]
     out = []
     for i, e, sigma in itertools.product((1, 2), units, _permutations(3)):
-        a, b = (x, e) if side == 0 else (e, x)
-        out.append(op.action(3, sigma).block(0).apply(
-            op.compose(2, i, 2, 0, a, 0, b)))
+        a, b = (to_sparse(x), e) if side == 0 else (e, to_sparse(x))
+        out.append(to_dense(op.action(3, sigma).block(0).apply(
+            op.compose(2, i, 2, 0, a, 0, b)), op.component(3).dim(0)))
     return out
 
 
@@ -221,7 +222,9 @@ class TestIdealRejects:
     @staticmethod
     def _cut(name, seeds, key, degree, keep):
         op = _operad(name)
-        ideal = ideal_closure(op, seeds)
+        ideal = ideal_closure(op, {
+            k: {d: [to_sparse(v) for v in vecs] for d, vecs in per.items()}
+            for k, per in seeds.items()})
         assert validate_ideal(ideal) == []
         if keep is None:
             del ideal.spans[key][degree]
@@ -260,7 +263,7 @@ class TestIdealRejects:
         free, seeds = hypercommutative_presentation(5)
         ideal = ideal_closure(free, seeds)
         text = repr(sorted(
-            (key, degree, [tuple(map(str, col))
+            (key, degree, [tuple(map(str, to_dense(col, sub.ambient_dim)))
                            for col in sub.basis.columns()])
             for key, per in ideal.spans.items()
             for degree, sub in per.items()))

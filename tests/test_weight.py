@@ -26,6 +26,7 @@ from operad_forge.weight import (
 )
 
 from fixtures_ops import commutative_style_operad
+from helpers import dense_cols
 from test_minimal import massey_minimal_operad
 
 W2 = WeightFunction(Fraction(2))
@@ -57,11 +58,11 @@ class TestWeightFunction:
         f = ChainMap(c, c, {0: Matrix.diagonal([8, Fraction(1, 4), 1, 3, 0])})
         d = weight_decompose(c, f, W2)
         assert d.weights() == [-2, 0, 3]
-        assert d.pure[3][0] == Matrix.from_cols([(1, 0, 0, 0, 0)])
-        assert d.pure[-2][0] == Matrix.from_cols([(0, 1, 0, 0, 0)])
-        assert d.pure[0][0] == Matrix.from_cols([(0, 0, 1, 0, 0)])
-        assert d.residual[0] == Matrix.from_cols([(0, 0, 0, 1, 0),
-                                                  (0, 0, 0, 0, 1)])
+        assert d.pure[3][0] == dense_cols([(1, 0, 0, 0, 0)])
+        assert d.pure[-2][0] == dense_cols([(0, 1, 0, 0, 0)])
+        assert d.pure[0][0] == dense_cols([(0, 0, 1, 0, 0)])
+        assert d.residual[0] == dense_cols([(0, 0, 0, 1, 0),
+                                            (0, 0, 0, 0, 1)])
 
     def test_fractional_base(self):
         w = WeightFunction(Fraction(3, 2))
