@@ -492,7 +492,8 @@ class FreeOperadBuilder(_FreeBuilder):
         if (n, s) not in self._relabels:
             self._relabels[n, s] = _leaf_relabel(tree)
         d, vec = evaluate_tree_basis(dst, tree, self._relabels[n, s],
-                                     columns, td.basis(deg)[col])
+                                     self._types_of[n][s], columns,
+                                     td.basis(deg)[col])
         return {d: vec}
 
 
@@ -802,16 +803,16 @@ def _leaf_relabel(tree):
     return None if sigma.is_identity() else sigma
 
 
-def evaluate_tree_basis(dst, tree, relabel, columns, label):
+def evaluate_tree_basis(dst, tree, relabel, arities, columns, label):
     """Image in dst of one summand basis label of the free operad.
 
-    ``relabel`` is ``_leaf_relabel(tree)``; ``columns(arity, d)``: the
-    columns, as sparse vectors, of the degree-d block of the ChainMap
-    from the generator complex into dst.component(arity).  Returns
-    (degree, sparse vector).
+    ``relabel`` is ``_leaf_relabel(tree)`` and ``arities`` the arity of
+    each vertex of tree in preorder; ``columns(arity, d)``: the columns,
+    as sparse vectors, of the degree-d block of the ChainMap from the
+    generator complex into dst.component(arity).  Returns (degree, sparse
+    vector).
     """
-    pieces = [(d, columns(len(vert.children), d)[k])
-              for (d, k), vert in zip(label, tree.vertices())]
+    pieces = [(d, columns(ar, d)[k]) for (d, k), ar in zip(label, arities)]
     ar, deg, vec = _eval_tree(dst, tree, iter(pieces))
     if relabel is not None:
         vec = dst.action(tree.arity, relabel).block(deg).apply(vec)

@@ -407,6 +407,16 @@ def _koszul(v, d1, d2):
     return tuple((j, -x) for j, x in v) if d1 % 2 and d2 % 2 else v
 
 
+def _apply_all(block, items):
+    """``[block(d).apply(v) for d, v in items]``, with one
+    ``Matrix.images`` call per degree."""
+    by_degree = {}
+    for d, v in items:
+        by_degree.setdefault(d, []).append(v)
+    images = {d: iter(block(d).images(vs)) for d, vs in by_degree.items()}
+    return [next(images[d]) for d, _ in items]
+
+
 def _collapse(p, a, b):
     """The position of leg p once legs a and b are contracted away."""
     return p - sum(1 for x in (a, b) if x < p)
@@ -480,12 +490,15 @@ class _Validator:
         op = self.op
         c1, c2 = op.component(key1), op.component(key2)
         ct = op.component(op.comp_target(key1, i, key2))
-        for d1, a, d2, b, ab in prods:
+        das = _apply_all(c1.d, [(d1, a) for d1, a, _, _, _ in prods])
+        dbs = _apply_all(c2.d, [(d2, b) for _, _, d2, b, _ in prods])
+        dabs = _apply_all(ct.d, [(d1 + d2, ab) for d1, _, d2, _, ab in prods])
+        for (d1, a, d2, b, ab), da, db, dab in zip(prods, das, dbs, dabs):
             rhs = _combine(
-                op.compose(key1, i, key2, d1 - 1, c1.d(d1).apply(a), d2, b),
-                _koszul(op.compose(key1, i, key2, d1, a, d2 - 1,
-                                   c2.d(d2).apply(b)), d1, 1), F1)
-            if ct.d(d1 + d2).apply(ab) != rhs:
+                op.compose(key1, i, key2, d1 - 1, da, d2, b),
+                _koszul(op.compose(key1, i, key2, d1, a, d2 - 1, db), d1, 1),
+                F1)
+            if dab != rhs:
                 self.fail(f"composition {key1} o_{i} {key2} is not a chain map "
                           f"at degrees ({d1},{d2})")
                 return
@@ -502,12 +515,12 @@ class _Validator:
         act_t = op.action(op.comp_target(key1, i, key2),
                           comp_relabel(sigma, i, tau, self.glue))
         vectors = [[u for _, u in self.units[key]] for key in keys]
-        vectors[factor] = [act.block(d).apply(u)
-                           for d, u in self.units[keys[factor]]]
-        for (a, b), (d1, _, d2, _, ab) in zip(itertools.product(*vectors),
-                                              prods[sigma(i)]):
-            if op.compose(key1, i, key2, d1, a, d2, b) \
-                    != act_t.block(d1 + d2).apply(ab):
+        vectors[factor] = _apply_all(act.block, self.units[keys[factor]])
+        rhs = _apply_all(act_t.block, [
+            (d1 + d2, ab) for d1, _, d2, _, ab in prods[sigma(i)]])
+        for (a, b), (d1, _, d2, _, _), ab in zip(itertools.product(*vectors),
+                                                 prods[sigma(i)], rhs):
+            if op.compose(key1, i, key2, d1, a, d2, b) != ab:
                 self.fail(f"equivariance ({('first', 'second')[factor]} "
                           f"factor, s_{j}) fails for {key1} o_{i} {key2}")
                 return
@@ -519,9 +532,12 @@ class _Validator:
         act = op.action(key1, Permutation.cycle_to_front(l, i))
         act_t = op.action(op.comp_target(key1, i, key2),
                           modular_commutation_relabel(i, l, m))
-        for d1, a, d2, b, ab in prods:
-            ba = op.compose(key2, 1, key1, d2, b, d1, act.block(d1).apply(a))
-            if ab != _koszul(act_t.block(d1 + d2).apply(ba), d1, d2):
+        acted = _apply_all(act.block, [(d1, a) for d1, a, _, _, _ in prods])
+        rhs = _apply_all(act_t.block, [
+            (d1 + d2, op.compose(key2, 1, key1, d2, b, d1, a_c))
+            for (d1, _, d2, b, _), a_c in zip(prods, acted)])
+        for (d1, _, d2, _, ab), ba in zip(prods, rhs):
+            if ab != _koszul(ba, d1, d2):
                 self.fail(f"commutation fails for {key1} o_{i} {key2} "
                           f"at degrees ({d1},{d2})")
                 return
@@ -623,12 +639,14 @@ class _Validator:
                             if leg not in ((0, i), (1, 1))])
             act = op.action(key2, cyc)
             act_t = op.action(op.contr_target(mid), rho)
-            for d1, a, d2, b, ab in prods:
-                inner = op.compose(key1, p, key2, d1, a, d2,
-                                   act.block(d2).apply(b))
-                rhs = act_t.block(d1 + d2).apply(
-                    op.contract(mid, I, J, d1 + d2, inner))
-                if op.contract(mid, P, Q, d1 + d2, ab) != rhs:
+            acted = _apply_all(act.block,
+                               [(d2, b) for _, _, d2, b, _ in prods])
+            rhs = _apply_all(act_t.block, [
+                (d1 + d2, op.contract(mid, I, J, d1 + d2, op.compose(
+                    key1, p, key2, d1, a, d2, b_c)))
+                for (d1, a, d2, _, _), b_c in zip(prods, acted)])
+            for (d1, _, d2, _, ab), xi in zip(prods, rhs):
+                if op.contract(mid, P, Q, d1 + d2, ab) != xi:
                     self.fail(f"two-edge axiom fails: {key1} o_{i} {key2}, "
                               f"legs ({p},{q})")
                     return
@@ -648,9 +666,11 @@ class _Validator:
         op = self.op
         c = op.component(key)
         ct = op.component(op.contr_target(key))
-        for d, v in self.units[key]:
-            if ct.d(d).apply(op.contract(key, i, j, d, v)) \
-                    != op.contract(key, i, j, d - 1, c.d(d).apply(v)):
+        units = self.units[key]
+        lhs = _apply_all(ct.d, [(d, op.contract(key, i, j, d, v))
+                                for d, v in units])
+        for (d, _), x, dv in zip(units, lhs, _apply_all(c.d, units)):
+            if x != op.contract(key, i, j, d - 1, dv):
                 self.fail(f"contraction xi_({i},{j}) on {key} is not a chain map")
                 return
 
@@ -663,9 +683,12 @@ class _Validator:
             si, sj, rho = modular_contr_relabel(sigma, i, j)
             act = op.action(key, sigma)
             act_t = op.action(op.contr_target(key), rho)
-            for d, v in self.units[key]:
-                if op.contract(key, i, j, d, act.block(d).apply(v)) \
-                        != act_t.block(d).apply(op.contract(key, si, sj, d, v)):
+            units = self.units[key]
+            rhs = _apply_all(act_t.block, [
+                (d, op.contract(key, si, sj, d, v)) for d, v in units])
+            acted = _apply_all(act.block, units)
+            for (d, _), v_s, x in zip(units, acted, rhs):
+                if op.contract(key, i, j, d, v_s) != x:
                     self.fail(f"contraction equivariance fails: {key}, "
                               f"xi_({i},{j}), s_{g}")
                     return
@@ -975,27 +998,31 @@ class _Images:
         self.units = {key: _units(op.component(key))
                       for key in set(self.as_first) | set(self.as_second)}
 
-    def __call__(self, key, degree, vec):
+    def __call__(self, key, degree, vecs):
+        """The images of each vector of vecs in turn; the d and s_j
+        images of all of them come from one ``Matrix.images`` per block."""
         op = self.op
         n = op.legs(key)
-        yield ("closed under d", key, key, degree - 1,
-               op.component(key).d(degree).apply(vec))
-        for j in range(1, n):
-            act = op.action(key, Permutation.transposition(n, j))
-            yield "action-stable", key, key, degree, act.block(degree).apply(vec)
-        for trip in self.as_first.get(key, ()):
-            tkey = op.comp_target(*trip)
-            for d2, e in self.units[trip[2]]:
-                yield ("closed under o_i", trip, tkey, degree + d2,
-                       op.compose(*trip, degree, vec, d2, e))
-        for trip in self.as_second.get(key, ()):
-            tkey = op.comp_target(*trip)
-            for d1, e in self.units[trip[0]]:
-                yield ("closed under o_i", trip, tkey, d1 + degree,
-                       op.compose(*trip, d1, e, degree, vec))
-        for trip in self.contr.get(key, ()):
-            yield ("xi-stable", key, op.contr_target(key), degree,
-                   op.contract(*trip, degree, vec))
+        blocks = [op.component(key).d(degree)] + [
+            op.action(key, Permutation.transposition(n, j)).block(degree)
+            for j in range(1, n)]
+        for vec, dv, *acted in zip(vecs, *(m.images(vecs) for m in blocks)):
+            yield "closed under d", key, key, degree - 1, dv
+            for img in acted:
+                yield "action-stable", key, key, degree, img
+            for trip in self.as_first.get(key, ()):
+                tkey = op.comp_target(*trip)
+                for d2, e in self.units[trip[2]]:
+                    yield ("closed under o_i", trip, tkey, degree + d2,
+                           op.compose(*trip, degree, vec, d2, e))
+            for trip in self.as_second.get(key, ()):
+                tkey = op.comp_target(*trip)
+                for d1, e in self.units[trip[0]]:
+                    yield ("closed under o_i", trip, tkey, d1 + degree,
+                           op.compose(*trip, d1, e, degree, vec))
+            for trip in self.contr.get(key, ()):
+                yield ("xi-stable", key, op.contr_target(key), degree,
+                       op.contract(*trip, degree, vec))
 
 
 def ideal_closure(op, seeds) -> OperadIdeal:
@@ -1026,12 +1053,12 @@ def ideal_closure(op, seeds) -> OperadIdeal:
                 continue
             ideal.spans.setdefault(key, {})[degree] = sub
             old_pivots = set(old.pivots)
-            grown += [(key, degree, row)
-                      for p, row in zip(sub.pivots, sub._entries)
-                      if p not in old_pivots]
+            grown.append((key, degree, [
+                row for p, row in zip(sub.pivots, sub._entries)
+                if p not in old_pivots]))
         new = {}
-        for key, degree, vec in grown:
-            for _, _, tkey, tdeg, img in images(key, degree, vec):
+        for key, degree, vecs in grown:
+            for _, _, tkey, tdeg, img in images(key, degree, vecs):
                 if img:
                     new.setdefault((tkey, tdeg), []).append(img)
     return ideal
@@ -1044,15 +1071,15 @@ def validate_ideal(ideal: OperadIdeal, max_report=25) -> list:
     report = []
     for key in op.keys():
         for degree, sub in sorted(ideal.spans.get(key, {}).items()):
-            for vec in sub._entries:
-                for phrase, where, tkey, tdeg, img in images(key, degree, vec):
-                    if not img or ideal.subspace(tkey, tdeg).contains(img):
-                        continue
-                    msg = f"ideal not {phrase} at {where}"
-                    if msg not in report:
-                        report.append(msg)
-                        if len(report) >= max_report:
-                            return report
+            for phrase, where, tkey, tdeg, img in images(key, degree,
+                                                         sub._entries):
+                if not img or ideal.subspace(tkey, tdeg).contains(img):
+                    continue
+                msg = f"ideal not {phrase} at {where}"
+                if msg not in report:
+                    report.append(msg)
+                    if len(report) >= max_report:
+                        return report
     return report
 
 

@@ -9,8 +9,10 @@ Matrices are immutable and hashable, and stored as sparse rows: each
 row is the tuple of its nonzero ``(col, Fraction)`` pairs, sorted by
 column.  A vector is one such row, ``()`` the zero vector, wherever
 one is passed, here and in every caller; ``Matrix.data`` is only a
-dense view.  Subspaces carry a canonical reduced-echelon basis so
-equality of subspaces is syntactic.
+dense view.  ``Matrix.apply`` walks the rows once for one vector;
+``Matrix.images`` applies a block to many vectors from one transpose,
+reading each image as a sum of columns.  Subspaces carry a canonical
+reduced-echelon basis so equality of subspaces is syntactic.
 ``rref`` and ``Matrix.__mul__`` compute on Python integers and make one
 ``Fraction`` per nonzero entry they return.
 """
@@ -240,6 +242,25 @@ class Matrix:
             if acc:
                 out.append((i, acc))
         return tuple(out)
+
+    def images(self, vecs):
+        """``[self.apply(v) for v in vecs]``, read off one transpose: each
+        image is the sum of the columns its vector meets, and a unit
+        vector with coefficient 1 gives the column itself."""
+        cols = self.transpose().sparse
+        out = []
+        for vec in vecs:
+            _check_indices(vec, self.cols)
+            if len(vec) == 1 and vec[0][1] == 1:
+                out.append(cols[vec[0][0]])
+                continue
+            acc = {}
+            for k, x in vec:
+                for i, a in cols[k]:
+                    v = acc.get(i)
+                    acc[i] = a * x if v is None else v + a * x
+            out.append(sparse_row(acc))
+        return out
 
     def hstack(self, other):
         if self.rows != other.rows:

@@ -1,9 +1,10 @@
 """Symmetric groups acting on chain complexes.
 
 Actions are stored on adjacent transpositions only; the defining
-relations are validated once and arbitrary permutations act through a
-cached word decomposition.  Right-action convention: matrices satisfy
-R(p o q) = R(q) * R(p).
+relations are validated once.  Every longer permutation p acts through
+one product, R(p) = R(s o p) R(s) with s the first letter of its
+adjacent word: s o p is shorter, and its map is cached.  Right-action
+convention: matrices satisfy R(p o q) = R(q) * R(p).
 
 Coinvariants are computed with the averaging idempotent (1/|G|) sum(g),
 legitimate because the ground field has characteristic zero.
@@ -84,7 +85,7 @@ class Permutation:
         return sign
 
     def is_identity(self):
-        return all(self(k) == k for k in range(1, self.n + 1))
+        return self.images == tuple(range(1, len(self.images) + 1))
 
     def adjacent_word(self):
         """Indices j with self = s_{j1} o s_{j2} o ... (function composition)."""
@@ -159,7 +160,8 @@ class GroupAction:
                 violations.append(f"s_{j + 1} squared is not the identity")
         for j in range(len(gens) - 1):
             a, b = gens[j], gens[j + 1]
-            if a.compose(b).compose(a) != b.compose(a).compose(b):
+            ab = a.compose(b)
+            if ab.compose(a) != b.compose(ab):
                 violations.append(f"braid relation fails at s_{j + 1}, s_{j + 2}")
         for j in range(len(gens)):
             for k in range(j + 2, len(gens)):
@@ -173,15 +175,19 @@ class GroupAction:
         """Chain map by which ``perm`` acts; R(p o q) = R(q) R(p)."""
         if perm.n != self.n:
             raise ValueError("permutation arity mismatch")
-        key = perm.images
-        if key in self._cache:
-            return self._cache[key]
-        word = perm.adjacent_word()
-        acc = ChainMap.identity(self.complex)
-        # perm = s_{w0} o s_{w1} o ...  =>  R(perm) = R(s_{w_last}) ... R(s_{w0})
-        for j in word:
-            acc = self.generators[j - 1].compose(acc)
-        self._cache[key] = acc
+        acc = self._cache.get(perm.images)
+        if acc is None:
+            word = perm.adjacent_word()
+            if not word:
+                acc = ChainMap.identity(self.complex)
+            elif len(word) == 1:
+                acc = self.generators[word[0] - 1]
+            else:
+                # perm = s_{w0} o rest  =>  R(perm) = R(rest) R(s_{w0})
+                s = Permutation.transposition(self.n, word[0])
+                acc = self.action(s.compose(perm)).compose(
+                    self.generators[word[0] - 1])
+            self._cache[perm.images] = acc
         return acc
 
     def average(self) -> ChainMap:

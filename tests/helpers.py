@@ -274,6 +274,18 @@ def rational_roots(coeffs):
     return roots
 
 
+# -- reference group action ---------------------------------------------------
+
+
+def word_action(ga, perm):
+    """The map by which perm acts, as the product of the generators along
+    its whole adjacent word: R(perm) = R(s_{w_last}) ... R(s_{w_0})."""
+    acc = ChainMap.identity(ga.complex)
+    for j in perm.adjacent_word():
+        acc = ga.generators[j - 1].compose(acc)
+    return acc
+
+
 # -- reference leg relabels ---------------------------------------------------
 # The three relabels the axiom checker used before one comp_relabel served
 # operads and modular operads: the permutation by which a composite of
@@ -432,7 +444,8 @@ def one_vector_closure(op, seeds):
                 if add(key, degree, vec):
                     frontier.append((key, degree, vec))
     while frontier:
-        for _, _, key, degree, vec in images(*frontier.pop()):
-            if vec and add(key, degree, vec):
-                frontier.append((key, degree, vec))
+        key, degree, vec = frontier.pop()
+        for _, _, tkey, tdeg, img in images(key, degree, [vec]):
+            if img and add(tkey, tdeg, img):
+                frontier.append((tkey, tdeg, img))
     return spans

@@ -752,6 +752,30 @@ class TestSparseVectorsAgainstDense:
         assert got == to_sparse(dense_apply(m, vec))
         assert all(type(x) is Fraction for _, x in got)
 
+    @given(matrix_and_vector(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_images(self, case, data):
+        # zero, unit, non-unit and repeated vectors, or none at all
+        m, vec = case
+        k = m.cols
+        units = [((j, Fraction(c)),) for j in range(k) for c in (1, -1, 3)]
+        pool = [(), to_sparse(vec)] + units
+        vecs = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+        vecs += data.draw(st.lists(dense_vectors(k), max_size=3).map(
+            lambda vs: [to_sparse(v) for v in vs]))
+        assert m.images(vecs) == [m.apply(v) for v in vecs]
+        assert m.images([]) == []
+
+    def test_images_index_out_of_range(self):
+        m = M([[1, 2], [3, 4], [5, 6]])
+        one = Fraction(1)
+        for bad in (((2, one),), ((0, one), (5, one)), ((-1, one),),
+                    ((-1, Fraction(2)), (0, one))):
+            with pytest.raises(ValueError):
+                m.images([((0, one),), bad])
+        assert m.images([((1, one),), ((1, one),)]) \
+            == [to_sparse((2, 4, 6))] * 2
+
     @given(tables_and_vectors(), st.integers(0, 1))
     @settings(max_examples=150, deadline=None)
     def test_tables(self, case, d):

@@ -22,7 +22,7 @@ from operad_forge.sigma import (
     validate_action,
 )
 
-from helpers import dense_col
+from helpers import dense_col, word_action
 
 
 class TestPermutation:
@@ -118,6 +118,41 @@ class TestGroupAction:
                 for i, p in enumerate(perms):
                     target = index[p.compose(evaluated).images]
                     assert m.data[target][i] == 1
+
+
+def standard_over_permutation_rep():
+    """Sigma_4 on Q^4 in degree 1 and on its standard quotient Q^4 / (1,1,1,1)
+    in degree 0 (basis e_1, e_2, e_3, so e_4 = -e_1 - e_2 - e_3), with
+    the quotient map as differential: s_3 is not monomial in degree 0."""
+    c = ChainComplex({0: 3, 1: 4}, {1: Matrix.from_rows(
+        [[1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]])})
+    standard = ([[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+                [[1, 0, -1], [0, 1, -1], [0, 0, -1]])
+    gens = []
+    for j, rows in enumerate(standard):
+        swap = Permutation.transposition(4, j + 1)
+        gens.append(ChainMap(c, c, {0: Matrix.from_rows(rows),
+                                    1: permutation_matrix(swap)}))
+    return GroupAction(4, c, gens)
+
+
+class TestActionAgainstWordProduct:
+    """One product per permutation equals the product along its word."""
+
+    @pytest.mark.parametrize("build", [lambda: regular_rep(4),
+                                       standard_over_permutation_rep],
+                             ids=["regular", "standard-over-permutation"])
+    def test_every_permutation_of_s4(self, build):
+        for order in (1, -1):
+            ga = build()
+            for p in all_permutations(4)[::order]:
+                assert ga.action(p) == word_action(ga, p), p
+
+    def test_non_monomial(self):
+        ga = standard_over_permutation_rep()
+        s3 = ga.action(Permutation.transposition(4, 3)).block(0)
+        assert any(len(row) > 1 for row in s3.sparse)
 
 
 class TestCoinvariants:

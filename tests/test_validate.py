@@ -173,6 +173,34 @@ class TestEachAxiomRejects:
         assert all("two-edge" in line for line in report), report
 
 
+class TestTamperedActionRejected:
+    """One wrong entry in one action generator of a built free operad is
+    reported as an equivariance failure: each image of a batch is paired
+    with the instance it belongs to."""
+
+    @pytest.mark.parametrize("name,key,j,entry", [
+        ("free-binary", 3, 1, (0, 0, 0)),
+        ("free-swap", 3, 2, (0, 5, 7)),
+        ("free-modular-standard", (0, 4), 3, (0, 11, 0)),
+        ("free-modular-cone", (0, 4), 2, (1, 0, 5)),
+    ], ids=["operad", "operad-swap", "modular", "modular-degree-1"])
+    def test_reported_as_equivariance(self, name, key, j, entry):
+        op = _operad(name)
+        assert validate(op) == []
+        ga = op.group_action(key)
+        d, row, col = entry
+        grid = [list(r) for r in ga.generators[j - 1].block(d).data]
+        grid[row][col] += 1
+        gens = list(ga.generators)
+        gens[j - 1] = ChainMap(ga.complex, ga.complex, {
+            **gens[j - 1].blocks, d: Matrix.from_rows(grid)}, check=False)
+        actions = {**op.module.components,
+                   key: GroupAction(ga.n, ga.complex, gens, check=False)}
+        bad = op.remake(actions, op.comp, op.contr, op.window, op.cut)
+        report = validate(bad, max_report=10 ** 6)
+        assert any(line.startswith("equivariance") for line in report), report
+
+
 def _permutations(n):
     return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
 
