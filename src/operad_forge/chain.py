@@ -8,7 +8,6 @@ sign rule, and mapping cones use d(a, b) = (d a + eta b, -d b).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .qlinalg import (
     F0,
@@ -193,7 +192,6 @@ class ChainMap:
 # -- homology ---------------------------------------------------------------
 
 
-@dataclass
 class HomologyRecord:
     """Homology of a complex with chosen cycle data.
 
@@ -203,11 +201,12 @@ class HomologyRecord:
     to homology coordinates.
     """
 
-    complex: ChainComplex
-    dims: dict
-    cycles: dict
-    representatives: dict
-    projections: dict
+    def __init__(self, complex, dims, cycles, representatives, projections):
+        self.complex = complex
+        self.dims = dims
+        self.cycles = cycles
+        self.representatives = representatives
+        self.projections = projections
 
     def dim(self, i):
         return self.dims.get(i, 0)

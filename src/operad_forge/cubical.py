@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -282,23 +281,20 @@ def interval_power(n: int):
 # -- cubic chains --------------------------------------------------------------
 
 
-@dataclass
 class CubicChain:
     """Formal rational combination of cubes of one dimension.
 
     Degenerate cubes are identified with zero; normalization happens on
     construction."""
 
-    space: object
-    dim: int
-    coeffs: dict
-
-    def __post_init__(self):
+    def __init__(self, space, dim, coeffs):
+        self.space = space
+        self.dim = dim
         clean = {}
-        for cube, coeff in self.coeffs.items():
+        for cube, coeff in coeffs.items():
             if type(coeff) is not Fraction:
                 coeff = Fraction(coeff)
-            if coeff and not self.space.is_degenerate(cube):
+            if coeff and not space.is_degenerate(cube):
                 clean[cube] = coeff
         self.coeffs = clean
 

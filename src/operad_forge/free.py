@@ -14,7 +14,6 @@ machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .chain import (
@@ -94,13 +93,11 @@ def _assemble(rows, cols, entries):
     return Matrix._trusted(cols, rows, tuple(columns)).transpose()
 
 
-@dataclass
 class Layout:
     """Offsets of a direct sum of complexes, per degree."""
 
-    complexes: list
-
-    def __post_init__(self):
+    def __init__(self, complexes):
+        self.complexes = complexes
         self.offsets = {}
         self.dims = {}
         for s, c in enumerate(self.complexes):
@@ -123,13 +120,15 @@ class Layout:
         raise IndexError("index outside layout")
 
 
-@dataclass
 class TowerData:
     """Generator levels and attachment maps of a free-based operad."""
 
-    levels: tuple
-    gen_actions: dict    # level key(s) -> GroupAction of the generators
-    attachments: dict    # level key(s) -> dict degree -> Matrix (component coords)
+    def __init__(self, levels, gen_actions, attachments):
+        self.levels = levels
+        # level key(s) -> GroupAction of the generators
+        self.gen_actions = gen_actions
+        # level key(s) -> dict degree -> Matrix (component coords)
+        self.attachments = attachments
 
 
 class _FreeBuilder:

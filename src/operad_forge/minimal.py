@@ -19,7 +19,6 @@ whenever the system was solvable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chain import (
@@ -174,15 +173,15 @@ def _equivariant_section(cone_action: GroupAction, hrec, rng=None):
 # -- principal extensions ------------------------------------------------------
 
 
-@dataclass
 class PrincipalExtension:
     """Result of attaching generators V along xi: V[-1] -> P_level."""
 
-    base: object
-    level: int
-    generators: dict          # key -> GroupAction (zero differential)
-    attachment: dict          # key -> dict degree -> Matrix into base component
-    result: object
+    def __init__(self, base, level, generators, attachment, result):
+        self.base = base
+        self.level = level
+        self.generators = generators    # key -> GroupAction (zero differential)
+        self.attachment = attachment    # key -> dict degree -> Matrix into base component
+        self.result = result
 
 
 def _truncated_with_cone(p, level, generators, xi):
@@ -320,19 +319,19 @@ def cone_completion(lam: ChainMap, mu: ChainMap, eta: ChainMap,
 # -- minimal models -----------------------------------------------------------
 
 
-@dataclass
 class LevelRecord:
-    level: int
-    generator_dims: dict     # key -> dict degree -> dim
-    attachments: dict        # key -> dict degree -> Matrix
+    def __init__(self, level, generator_dims, attachments):
+        self.level = level
+        self.generator_dims = generator_dims    # key -> dict degree -> dim
+        self.attachments = attachments          # key -> dict degree -> Matrix
 
 
-@dataclass
 class MinimalModel:
-    operad: object
-    morphism: OperadMorphism
-    tower: list
-    seed: int
+    def __init__(self, operad, morphism, tower, seed):
+        self.operad = operad
+        self.morphism = morphism
+        self.tower = tower
+        self.seed = seed
 
     @property
     def generator_dims(self):

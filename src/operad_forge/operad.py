@@ -32,7 +32,6 @@ Ideals are closed and checked under one list of images (``_Images``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .chain import (
     ChainComplex,
@@ -731,13 +730,13 @@ def validate(op, max_report=25) -> list:
 # -- morphisms ----------------------------------------------------------------
 
 
-@dataclass
 class OperadMorphism:
     """Componentwise chain maps commuting with all structure maps."""
 
-    src: _OperadCore
-    dst: _OperadCore
-    maps: dict
+    def __init__(self, src, dst, maps):
+        self.src = src
+        self.dst = dst
+        self.maps = maps
 
     def block(self, key) -> ChainMap:
         if key in self.maps:
@@ -908,13 +907,13 @@ def transfer(op, complexes, section, project):
 # -- homology operad ----------------------------------------------------------
 
 
-@dataclass
 class HomologyTransfer:
     """The homology operad together with the cycle bookkeeping used to
     transfer elements and morphisms."""
 
-    operad: _OperadCore
-    records: dict
+    def __init__(self, operad, records):
+        self.operad = operad
+        self.records = records
 
 
 def homology_operad(op) -> HomologyTransfer:
@@ -964,12 +963,12 @@ def extend_by_zero(op, window=None):
 # -- ideals and quotients -----------------------------------------------------
 
 
-@dataclass
 class OperadIdeal:
     """Per-component, per-degree spans, each kept as its echelon."""
 
-    operad: _OperadCore
-    spans: dict  # key -> dict degree -> Subspace of the component
+    def __init__(self, operad, spans):
+        self.operad = operad
+        self.spans = spans  # key -> dict degree -> Subspace of the component
 
     def subspace(self, key, degree) -> Subspace:
         sub = self.spans.get(key, {}).get(degree)

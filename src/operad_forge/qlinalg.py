@@ -20,7 +20,6 @@ reduced-echelon basis so equality of subspaces is syntactic.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -382,26 +381,41 @@ def rank(m: Matrix) -> int:
     return rref(m)[2]
 
 
-@dataclass(frozen=True)
-class Subspace:
+class _Frozen:
+    """Base of the immutable value classes: ``__init__`` sets each field
+    once with ``_setfield``; assigning or deleting an attribute
+    afterwards raises ``AttributeError``."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# sets one field of a _Frozen instance in its __init__; bound once here,
+# since looking up object.__setattr__ on each call costs about as much as
+# the rest of a small __init__ such as Tree's
+_setfield = object.__setattr__
+
+
+class Subspace(_Frozen):
     """Subspace of Q^n with a canonical reduced-echelon basis.
 
     ``basis`` is an ``ambient_dim x dim`` matrix whose columns are the
     rows of a reduced row echelon form, ordered by pivot; two equal
     subspaces have identical bases.  ``pivots`` holds the pivot index of
     each column.  Membership, coordinates and the complement projection
-    are read off the pivots, with no new elimination.
+    are read off the pivots, with no new elimination.  Equality and the
+    hash read only ``ambient_dim`` and ``basis``.
     """
 
-    ambient_dim: int
-    basis: Matrix
-    pivots: tuple = field(init=False, repr=False, compare=False)
-    _entries: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.basis.rows != self.ambient_dim:
+    def __init__(self, ambient_dim, basis):
+        if basis.rows != ambient_dim:
             raise ValueError("basis rows do not match the ambient dimension")
-        entries = self.basis.transpose().sparse
+        _setfield(self, "ambient_dim", ambient_dim)
+        _setfield(self, "basis", basis)
+        entries = basis.transpose().sparse
         pivots = []
         for nonzero in entries:
             if not nonzero or nonzero[0][1] != 1 \
@@ -410,8 +424,20 @@ class Subspace:
             pivots.append(nonzero[0][0])
         if any(len(self.basis.sparse[p]) != 1 for p in pivots):
             raise ValueError("subspace basis is not in reduced echelon form")
-        object.__setattr__(self, "pivots", tuple(pivots))
-        object.__setattr__(self, "_entries", entries)
+        _setfield(self, "pivots", tuple(pivots))
+        _setfield(self, "_entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ambient_dim == other.ambient_dim
+                    and self.basis == other.basis)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.basis))
+
+    def __repr__(self):
+        return f"Subspace(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
 
     @classmethod
     def _trusted(cls, ambient_dim, entries, pivots):
@@ -421,7 +447,7 @@ class Subspace:
         basis = Matrix._trusted(len(entries), ambient_dim, entries).transpose()
         for name, value in (("ambient_dim", ambient_dim), ("basis", basis),
                             ("pivots", pivots), ("_entries", entries)):
-            object.__setattr__(sub, name, value)
+            _setfield(sub, name, value)
         return sub
 
     @classmethod
@@ -607,8 +633,7 @@ def _poly_divide_linear(coeffs, root):
     return out
 
 
-@dataclass(frozen=True)
-class EigenSplit:
+class EigenSplit(_Frozen):
     """Primary decomposition over Q at given eigenvalues.
 
     ``pairs`` lists (eigenvalue, generalized eigenspace) for each given
@@ -617,8 +642,20 @@ class EigenSplit:
     into ``residual``.
     """
 
-    pairs: tuple
-    residual: Subspace
+    def __init__(self, pairs, residual):
+        _setfield(self, "pairs", pairs)
+        _setfield(self, "residual", residual)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pairs == other.pairs and self.residual == other.residual
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pairs, self.residual))
+
+    def __repr__(self):
+        return f"EigenSplit(pairs={self.pairs!r}, residual={self.residual!r})"
 
 
 def rational_eigen_split(m: Matrix, eigenvalues) -> EigenSplit:

@@ -13,22 +13,30 @@ legitimate because the ground field has characteristic zero.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chain import ChainComplex, ChainMap, subcomplex
-from .qlinalg import F1, Matrix, image, solve_matrix
+from .qlinalg import F1, Matrix, _Frozen, _setfield, image, solve_matrix
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Frozen):
     """Bijection of {1..n}; images[k] is the image of k+1."""
 
-    images: tuple
+    def __init__(self, images):
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
+        _setfield(self, "images", images)
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images == other.images
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.images,))
+
+    def __repr__(self):
+        return f"Permutation(images={self.images!r})"
 
     @classmethod
     def identity(cls, n):
@@ -333,13 +341,13 @@ def equivariance_report(src, dst, maps) -> list:
     return report
 
 
-@dataclass
 class Coinvariants:
     """Coinvariant complex with the projection and a canonical inclusion."""
 
-    complex: ChainComplex
-    projection: ChainMap
-    inclusion: ChainMap
+    def __init__(self, complex, projection, inclusion):
+        self.complex = complex
+        self.projection = projection
+        self.inclusion = inclusion
 
 
 MAX_GROUP_SIZE = 100000

@@ -15,23 +15,34 @@ ordered by minimal leaf label (trees) or legs-then-edges (graphs).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .chain import ChainComplex, TensorData
+from .qlinalg import _Frozen, _setfield
 from .sigma import Permutation, is_stable
 
 
 # -- labelled reduced trees ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(_Frozen):
     """Canonical reduced tree; leaves carry labels, children are sorted
     by minimal leaf label."""
 
-    label: int | None
-    children: tuple
+    def __init__(self, label, children):
+        _setfield(self, "label", label)
+        _setfield(self, "children", children)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.label == other.label and self.children == other.children
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.label, self.children))
+
+    def __repr__(self):
+        return f"Tree(label={self.label!r}, children={self.children!r})"
 
     @property
     def is_leaf(self):
@@ -144,13 +155,24 @@ def enumerate_trees(n: int):
 # -- planar trees and normalization ------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlanarNode:
+class PlanarNode(_Frozen):
     """Planar rooted tree with factor-tagged vertices; children are
     PlanarNode or int leaf labels."""
 
-    factor: int
-    children: tuple
+    def __init__(self, factor, children):
+        _setfield(self, "factor", factor)
+        _setfield(self, "children", children)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.factor == other.factor and self.children == other.children
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.factor, self.children))
+
+    def __repr__(self):
+        return f"PlanarNode(factor={self.factor!r}, children={self.children!r})"
 
 
 def tree_to_planar(tree: Tree, factor_offset=0, relabel=None):
@@ -177,7 +199,6 @@ def planar_substitute_leaf(pnode, target_label, replacement):
                             for c in pnode.children))
 
 
-@dataclass
 class TreeMatch:
     """Normalization data of a planar tree against its canonical form.
 
@@ -186,9 +207,10 @@ class TreeMatch:
     planar slot it came from.
     """
 
-    tree: Tree
-    factor_order: tuple
-    input_perms: dict
+    def __init__(self, tree, factor_order, input_perms):
+        self.tree = tree
+        self.factor_order = factor_order
+        self.input_perms = input_perms
 
 
 def normalize_planar(pnode) -> TreeMatch:
@@ -223,8 +245,7 @@ def tree_space(tree: Tree, module) -> ChainComplex:
 # -- stable graphs ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StableGraph:
+class StableGraph(_Frozen):
     """Connected genus-decorated graph with labelled external legs.
 
     ``legs[j-1]`` is the vertex carrying leg j; ``edges`` are ordered
@@ -232,9 +253,23 @@ class StableGraph:
     allowed).  Total genus = sum of vertex genera + first Betti number.
     """
 
-    genera: tuple
-    legs: tuple
-    edges: tuple
+    def __init__(self, genera, legs, edges):
+        _setfield(self, "genera", genera)
+        _setfield(self, "legs", legs)
+        _setfield(self, "edges", edges)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.genera == other.genera and self.legs == other.legs
+                    and self.edges == other.edges)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.genera, self.legs, self.edges))
+
+    def __repr__(self):
+        return (f"StableGraph(genera={self.genera!r}, legs={self.legs!r}, "
+                f"edges={self.edges!r})")
 
     @property
     def n_vertices(self):
@@ -428,7 +463,6 @@ def graph_space(graph: StableGraph, module) -> ChainComplex:
 # -- concrete graphs (intermediate states of structure maps) -----------------
 
 
-@dataclass
 class ConcreteGraph:
     """Graph produced mid-computation, before matching to the catalog.
 
@@ -436,10 +470,11 @@ class ConcreteGraph:
     element sitting at v, the descriptors those slots currently occupy.
     """
 
-    genera: tuple
-    legs: tuple
-    edges: tuple
-    slot_orders: tuple
+    def __init__(self, genera, legs, edges, slot_orders):
+        self.genera = genera
+        self.legs = legs
+        self.edges = edges
+        self.slot_orders = slot_orders
 
     def as_stable_graph(self):
         return StableGraph(self.genera, self.legs, self.edges)
@@ -601,13 +636,14 @@ def expand_vertex(c: ConcreteGraph, v: int, sub: ConcreteGraph) -> ConcreteGraph
     return ConcreteGraph(genera, tuple(legs), tuple(edges), tuple(slot_orders))
 
 
-@dataclass
 class GraphMatch:
     """Result of matching a concrete graph against the catalog."""
 
-    index: int
-    vertex_map: tuple
-    slot_perms: dict      # concrete vertex -> Permutation (canonical slot -> factor slot)
+    def __init__(self, index, vertex_map, slot_perms):
+        self.index = index
+        self.vertex_map = vertex_map
+        # concrete vertex -> Permutation (canonical slot -> factor slot)
+        self.slot_perms = slot_perms
 
 
 def match_graph(c: ConcreteGraph) -> GraphMatch:

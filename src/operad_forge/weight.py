@@ -15,13 +15,11 @@ reports Inconclusive when some obstruction system has no solution
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chain import (
     ChainComplex,
     ChainMap,
-    HomologyRecord,
     TensorData,
     canonical_truncation,
     homology,
@@ -42,6 +40,8 @@ from .operad import (
 from .qlinalg import (
     Matrix,
     Subspace,
+    _Frozen,
+    _setfield,
     char_poly,
     rational_eigen_split,
     solve_matrix,
@@ -58,20 +58,27 @@ class PurityError(ValueError):
         self.failures = failures
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(_Frozen):
     """w(alpha^n) = n on the cyclic group generated by alpha."""
 
-    base: Fraction
-
-    def __post_init__(self):
-        alpha = Fraction(self.base)
-        object.__setattr__(self, "base", alpha)
+    def __init__(self, base):
+        alpha = Fraction(base)
+        _setfield(self, "base", alpha)
         if alpha in (0, 1, -1):
             raise ValueError("weight base must not be 0 or a root of unity")
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.base == other.base
+        return NotImplemented
 
-@dataclass
+    def __hash__(self):
+        return hash((self.base,))
+
+    def __repr__(self):
+        return f"WeightFunction(base={self.base!r})"
+
+
 class WeightDecomposition:
     """Per-degree splitting into pure weight subspaces and a residual.
 
@@ -79,11 +86,12 @@ class WeightDecomposition:
     matrices; each weight part and the residual are subcomplexes.
     """
 
-    complex: ChainComplex
-    endomorphism: ChainMap
-    weight_function: WeightFunction
-    pure: dict
-    residual: dict
+    def __init__(self, complex, endomorphism, weight_function, pure, residual):
+        self.complex = complex
+        self.endomorphism = endomorphism
+        self.weight_function = weight_function
+        self.pure = pure
+        self.residual = residual
 
     def weights(self):
         return sorted(self.pure)
@@ -152,14 +160,15 @@ def operad_grading_automorphism(op, alpha) -> OperadMorphism:
     return OperadMorphism(op, op, maps)
 
 
-@dataclass
 class PureEndomorphism:
     """Certificate that H_i(f) is pure of weight i in every component."""
 
-    subject: object
-    endomorphism: object
-    weight_function: WeightFunction
-    homology_eigenvalues: dict
+    def __init__(self, subject, endomorphism, weight_function,
+                 homology_eigenvalues):
+        self.subject = subject
+        self.endomorphism = endomorphism
+        self.weight_function = weight_function
+        self.homology_eigenvalues = homology_eigenvalues
 
 
 def _component_items(p, f):
@@ -219,15 +228,15 @@ def purity_check(p, f, w: WeightFunction) -> PureEndomorphism:
     return PureEndomorphism(p, f, w, eigen_table)
 
 
-@dataclass
 class TFunctorResult:
     """The weight-truncation subcomplex with its two weak equivalences."""
 
-    complex: ChainComplex
-    inclusion: ChainMap
-    projection: ChainMap       # onto the homology complex (zero differential)
-    homology: HomologyRecord
-    weight_tags: dict          # degree -> tuple of weights per basis column
+    def __init__(self, complex, inclusion, projection, homology, weight_tags):
+        self.complex = complex
+        self.inclusion = inclusion
+        self.projection = projection    # onto the homology complex (zero differential)
+        self.homology = homology
+        self.weight_tags = weight_tags  # degree -> tuple of weights per basis column
 
 
 def t_functor(c: ChainComplex, f: ChainMap, w: WeightFunction) -> TFunctorResult:
@@ -310,14 +319,14 @@ def leibniz_containment(cx, fx, cy, fy, w) -> bool:
     return True
 
 
-@dataclass
 class FormalityWitness:
     """A zigzag of weak equivalences connecting an operad to its
     homology, optionally with the lifted automorphism that produced it."""
 
-    arrows: list               # list of (label, OperadMorphism)
-    t_operad: object
-    automorphism: object = None
+    def __init__(self, arrows, t_operad, automorphism=None):
+        self.arrows = arrows    # list of (label, OperadMorphism)
+        self.t_operad = t_operad
+        self.automorphism = automorphism
 
     def verify(self):
         for label, arrow in self.arrows:

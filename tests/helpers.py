@@ -5,6 +5,8 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 
+import pytest
+
 from operad_forge.chain import ChainComplex, ChainMap
 from operad_forge.operad import _Images
 from operad_forge.qlinalg import (
@@ -449,3 +451,27 @@ def one_vector_closure(op, seeds):
             if img and add(tkey, tdeg, img):
                 frontier.append((tkey, tdeg, img))
     return spans
+
+
+# -- value semantics -------------------------------------------------------
+
+
+def assert_value_semantics(make, make_other, text):
+    """``make()`` builds a frozen value: two calls give equal objects
+    with equal hashes, ``make_other()`` differs, another class compares
+    unequal, no attribute can be set or deleted, and the repr is
+    ``text``."""
+    a, b, other = make(), make(), make_other()
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a != other and len({a, b, other}) == 2
+    assert a.__eq__(object()) is NotImplemented
+    assert a != tuple(vars(a).values())
+    for name, value in list(vars(a).items()):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert getattr(a, name) is value
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert repr(a) == text

@@ -15,14 +15,18 @@ def fx(name):
     return os.path.join(FIXTURES, name)
 
 
-def run_cli(*args, **env):
-    """Run the CLI in a fresh interpreter that imports the package from
-    this checkout's src/; extra keyword arguments go to its environment."""
+def run_python(*args, **env):
+    """Run a fresh interpreter that imports the package from this
+    checkout's src/; extra keyword arguments go to its environment."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "operad_forge.cli", *args],
-                          capture_output=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=env)
+
+
+def run_cli(*args, **env):
+    return run_python("-m", "operad_forge.cli", *args, **env)
 
 
 class TestValidate:
@@ -357,3 +361,15 @@ class TestFixtureDirOverride:
     def test_env_var_resolution(self, monkeypatch, capsys):
         monkeypatch.setenv("OPERAD_FORGE_FIXTURES", FIXTURES)
         assert main(["validate", "commutative_window3.json"]) == 0
+
+
+class TestColdStart:
+    def test_cli_import_loads_no_dataclasses(self):
+        """Each CLI call is a fresh process; importing the CLI must not
+        load dataclasses or inspect, which only cost start-up time."""
+        proc = run_python("-c", "import sys, operad_forge.cli; print(sorted("
+                          "m for m in ('dataclasses', 'inspect') "
+                          "if m in sys.modules))",
+                          PYTHONDONTWRITEBYTECODE="1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"[]\n"

@@ -20,9 +20,27 @@ from operad_forge.qlinalg import (
     solve_matrix,
 )
 
-from operad_forge.operad import CompTable, ContrTable
+from operad_forge.chain import ChainComplex, HomologyRecord
+from operad_forge.cubical import CubicChain, interval
+from operad_forge.free import Layout, TowerData
+from operad_forge.minimal import LevelRecord, MinimalModel, PrincipalExtension
+from operad_forge.operad import (
+    CompTable,
+    ContrTable,
+    HomologyTransfer,
+    OperadIdeal,
+    OperadMorphism,
+)
+from operad_forge.weight import (
+    FormalityWitness,
+    PureEndomorphism,
+    TFunctorResult,
+    WeightDecomposition,
+    WeightFunction,
+)
 
 from helpers import (
+    assert_value_semantics,
     dense_apply,
     dense_col,
     dense_cols,
@@ -233,6 +251,107 @@ class TestSubspace:
             2, [to_sparse((Fraction(1, 3), Fraction(1, 7)))])
         v = to_sparse((Fraction(1), Fraction(3, 7)))
         assert s.contains(v)
+
+
+# -- value semantics ---------------------------------------------------------
+
+
+def _line():
+    return Subspace.from_spanning(2, [to_sparse((1, 1))])
+
+
+# one instance of each frozen value class, a second built from equal
+# fields, one that differs, and the pinned repr
+VALUES = {
+    "subspace": (_line, lambda: Subspace.full(2),
+                 "Subspace(ambient_dim=2, basis=Matrix(2x1))"),
+    "eigensplit": (lambda: EigenSplit(((Fraction(2), _line()),),
+                                      Subspace.zero(2)),
+                   lambda: EigenSplit((), Subspace.zero(2)),
+                   "EigenSplit(pairs=((Fraction(2, 1), Subspace(ambient_dim=2, "
+                   "basis=Matrix(2x1))),), residual=Subspace(ambient_dim=2, "
+                   "basis=Matrix(2x0)))"),
+    "weight": (lambda: WeightFunction(2), lambda: WeightFunction(3),
+               "WeightFunction(base=Fraction(2, 1))"),
+}
+
+
+class TestValueClasses:
+    @pytest.mark.parametrize("name", sorted(VALUES))
+    def test_value_semantics(self, name):
+        assert_value_semantics(*VALUES[name])
+
+    def test_subspace_compares_ambient_and_basis_only(self):
+        line = _line()
+        basis = Matrix.from_cols([to_sparse((1, 1))], rows=2)
+        assert Subspace(ambient_dim=2, basis=basis) == line
+        assert hash(line) == hash((2, basis))
+        assert line.pivots == (0,)
+        assert Subspace.zero(2) != Subspace.zero(3)
+
+    def test_hash_of_field_tuple(self):
+        assert hash(WeightFunction(2)) == hash((Fraction(2),))
+        split = EigenSplit((), Subspace.zero(2))
+        assert hash(split) == hash(((), Subspace.zero(2)))
+
+    def test_checks_kept(self):
+        with pytest.raises(ValueError):
+            Subspace(3, Matrix.identity(2))
+        with pytest.raises(ValueError):
+            Subspace(2, Matrix.from_rows([[2], [0]]))
+        for base in (0, 1, -1):
+            with pytest.raises(ValueError):
+                WeightFunction(base)
+        w = WeightFunction(base="1/2")
+        assert type(w.base) is Fraction and w.base == Fraction(1, 2)
+        split = EigenSplit(pairs=(), residual=Subspace.full(1))
+        assert split.residual.dim == 1
+
+
+# each former record class outside sigma and trees, with its field names
+RECORDS = [
+    (HomologyRecord, ("complex", "dims", "cycles", "representatives",
+                      "projections")),
+    (TowerData, ("levels", "gen_actions", "attachments")),
+    (PrincipalExtension, ("base", "level", "generators", "attachment",
+                          "result")),
+    (LevelRecord, ("level", "generator_dims", "attachments")),
+    (MinimalModel, ("operad", "morphism", "tower", "seed")),
+    (OperadMorphism, ("src", "dst", "maps")),
+    (HomologyTransfer, ("operad", "records")),
+    (OperadIdeal, ("operad", "spans")),
+    (WeightDecomposition, ("complex", "endomorphism", "weight_function",
+                           "pure", "residual")),
+    (PureEndomorphism, ("subject", "endomorphism", "weight_function",
+                        "homology_eigenvalues")),
+    (TFunctorResult, ("complex", "inclusion", "projection", "homology",
+                      "weight_tags")),
+    (FormalityWitness, ("arrows", "t_operad", "automorphism")),
+]
+
+
+class TestRecordClasses:
+    @pytest.mark.parametrize("cls, fields", RECORDS,
+                             ids=[cls.__name__ for cls, _ in RECORDS])
+    def test_keyword_fields(self, cls, fields):
+        values = {name: object() for name in fields}
+        rec = cls(**values)
+        for name in fields:
+            assert getattr(rec, name) is values[name]
+
+    def test_formality_witness_default(self):
+        assert FormalityWitness(arrows=[], t_operad=None).automorphism is None
+
+    def test_computed_fields(self):
+        c = ChainComplex({0: 2, 1: 1})
+        layout = Layout(complexes=[c, c])
+        assert layout.complexes == [c, c]
+        assert layout.offset(1, 0) == 2 and layout.dim(1) == 2
+        space = interval()
+        cube = space.cubes(1)[0]
+        chain = CubicChain(space=space, dim=1, coeffs={cube: 3})
+        assert (chain.space, chain.dim, chain.coeffs) == \
+            (space, 1, {cube: Fraction(3)})
 
 
 # -- Subspace fast paths against the elimination they replace ---------------

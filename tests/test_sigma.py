@@ -22,7 +22,7 @@ from operad_forge.sigma import (
     validate_action,
 )
 
-from helpers import dense_col, word_action
+from helpers import assert_value_semantics, dense_col, word_action
 
 
 class TestPermutation:
@@ -78,6 +78,29 @@ def regular_rep(n):
             grid[index[p.compose(s).images]][i] = Fraction(1)
         gens.append(ChainMap(c, c, {0: Matrix(len(perms), len(perms), grid)}))
     return GroupAction(n, c, gens)
+
+
+class TestPermutationValue:
+    def test_value_semantics(self):
+        assert_value_semantics(lambda: Permutation((2, 1, 3)),
+                               lambda: Permutation((1, 2, 3)),
+                               "Permutation(images=(2, 1, 3))")
+
+    def test_hash_of_field_tuple(self):
+        assert hash(Permutation((2, 1, 3))) == hash(((2, 1, 3),))
+
+    def test_checks_images(self):
+        with pytest.raises(ValueError):
+            Permutation((1, 1))
+        assert Permutation(images=(1, 2)).images == (1, 2)
+
+
+class TestCoinvariantsRecord:
+    def test_keyword_fields(self):
+        c = ChainComplex({0: 1})
+        ident = ChainMap.identity(c)
+        res = Coinvariants(complex=c, projection=ident, inclusion=ident)
+        assert (res.complex, res.projection, res.inclusion) == (c, ident, ident)
 
 
 class TestGroupAction:

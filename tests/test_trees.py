@@ -13,9 +13,11 @@ from operad_forge.sigma import (
 )
 from operad_forge.trees import (
     ConcreteGraph,
+    GraphMatch,
     PlanarNode,
     StableGraph,
     Tree,
+    TreeMatch,
     concrete_from_canonical,
     enumerate_stable_graphs,
     enumerate_trees,
@@ -34,6 +36,8 @@ from operad_forge.trees import (
     tree_space,
     tree_to_planar,
 )
+
+from helpers import assert_value_semantics
 
 
 # -- oracles ------------------------------------------------------------------
@@ -429,3 +433,59 @@ class TestGraphSpace:
         })
         twov = [g for g in enumerate_stable_graphs(0, 4) if g.n_vertices == 2][0]
         assert graph_space(twov, mod).dims == {0: 4}
+
+
+# -- value semantics ----------------------------------------------------------
+
+# one instance of each frozen value class, a second built from equal
+# fields, one that differs, and the pinned repr
+VALUES = {
+    "tree": (lambda: Tree(None, (Tree(1, ()), Tree(2, ()))),
+             lambda: Tree(None, (Tree(1, ()), Tree(3, ()))),
+             "Tree(label=None, children=(Tree(label=1, children=()), "
+             "Tree(label=2, children=())))"),
+    "planar": (lambda: PlanarNode(0, (2, PlanarNode(1, (1, 3)))),
+               lambda: PlanarNode(1, (2, PlanarNode(1, (1, 3)))),
+               "PlanarNode(factor=0, children=(2, PlanarNode(factor=1, "
+               "children=(1, 3))))"),
+    "graph": (lambda: StableGraph((0, 1), (0, 0, 1), ((0, 1),)),
+              lambda: StableGraph((1, 0), (0, 0, 1), ((0, 1),)),
+              "StableGraph(genera=(0, 1), legs=(0, 0, 1), edges=((0, 1),))"),
+}
+
+
+class TestValueClasses:
+    @pytest.mark.parametrize("name", sorted(VALUES))
+    def test_value_semantics(self, name):
+        assert_value_semantics(*VALUES[name])
+
+    def test_hash_of_field_tuple(self):
+        t = Tree(None, (Tree(1, ()), Tree(2, ())))
+        assert hash(t) == hash((None, t.children))
+        g = StableGraph((0,), (0, 0, 0), ())
+        assert hash(g) == hash(((0,), (0, 0, 0), ()))
+
+    def test_same_fields_other_class_unequal(self):
+        assert Tree(1, ()) != PlanarNode(1, ())
+        assert PlanarNode(1, ()) != Tree(1, ())
+
+    def test_keyword_fields(self):
+        assert Tree(label=None, children=(leaf(1), leaf(2))) \
+            == node([leaf(1), leaf(2)])
+        assert PlanarNode(factor=0, children=(1, 2)) == PlanarNode(0, (1, 2))
+        assert StableGraph(genera=(0,), legs=(0, 0, 0), edges=()) \
+            == enumerate_stable_graphs(0, 3)[0]
+
+
+class TestRecordClasses:
+    def test_keyword_fields(self):
+        t = node([leaf(1), leaf(2)])
+        perms = {0: Permutation((1, 2))}
+        m = TreeMatch(tree=t, factor_order=(0,), input_perms=perms)
+        assert (m.tree, m.factor_order, m.input_perms) == (t, (0,), perms)
+        c = ConcreteGraph(genera=(0,), legs=(0, 0, 0), edges=(),
+                          slot_orders=((("leg", 1), ("leg", 2), ("leg", 3)),))
+        assert c.as_stable_graph() == enumerate_stable_graphs(0, 3)[0]
+        assert c.slot_orders[0][2] == ("leg", 3)
+        g = GraphMatch(index=0, vertex_map=(0,), slot_perms=perms)
+        assert (g.index, g.vertex_map, g.slot_perms) == (0, (0,), perms)
