@@ -5,8 +5,9 @@ Echelon forms, kernels, exact solving, characteristic polynomials and
 the primary decomposition over Q at given eigenvalues.  No roots are
 searched: the caller lists the eigenvalues it asks about (the weights
 ask only for the powers of the base alpha), and the primary components
-of every other factor of the characteristic polynomial are pooled into
-a residual.
+of every other eigenvalue, rational or not, are pooled into a residual.
+The split builds no characteristic polynomial: each generalized
+eigenspace is where the kernels of (m - eigenvalue)^k stop growing.
 """
 
 from fractions import Fraction

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .chain import ChainComplex
-from .qlinalg import F0, F1, Matrix
+from .qlinalg import F0, F1, Matrix, sparse_row
 from .sigma import Permutation, all_permutations
 
 
@@ -404,10 +404,9 @@ def chain_complex(space, p_max=None) -> ChainComplex:
         if p - 1 not in dims:
             continue
         index = {c: k for k, c in enumerate(basis[p - 1])}
-        grid = [[F0] * dims[p] for _ in range(dims[p - 1])]
-        for col, cube in enumerate(basis[p]):
+        cols = []
+        for cube in basis[p]:
             bd = boundary(CubicChain.of_cube(space, cube))
-            for f, coeff in bd.coeffs.items():
-                grid[index[f]][col] += coeff
-        diff[p] = Matrix(dims[p - 1], dims[p], grid)
+            cols.append(sparse_row({index[f]: x for f, x in bd.coeffs.items()}))
+        diff[p] = Matrix.from_cols(cols, dims[p - 1])
     return ChainComplex(dims, diff)

@@ -579,7 +579,7 @@ def solve_matrix(m: Matrix, b: Matrix):
     return Matrix._trusted(n, b.cols, tuple(rows))
 
 
-# -- characteristic polynomial and primary decomposition -------------------
+# -- characteristic polynomial (for reports) and primary decomposition ------
 
 
 def char_poly(m: Matrix):
@@ -603,43 +603,13 @@ def char_poly(m: Matrix):
     return tuple(coeffs)
 
 
-def poly_eval(coeffs, x):
-    acc = F0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def poly_eval_matrix(coeffs, m: Matrix) -> Matrix:
-    n = m.rows
-    acc = Matrix.zeros(n, n)
-    ident = Matrix.identity(n)
-    for c in reversed(coeffs):
-        acc = m * acc + ident.scale(c)
-    return acc
-
-
-def _poly_divide_linear(coeffs, root):
-    """Divide polynomial by (t - root); requires root to be a root."""
-    n = len(coeffs) - 1
-    out = [F0] * n
-    acc = F0
-    for k in range(n, 0, -1):
-        acc = coeffs[k] + acc * root
-        out[k - 1] = acc
-    rem = coeffs[0] + acc * root
-    if rem != 0:
-        raise ValueError("not a root")
-    return out
-
-
 class EigenSplit(_Frozen):
     """Primary decomposition over Q at given eigenvalues.
 
     ``pairs`` lists (eigenvalue, generalized eigenspace) for each given
-    eigenvalue that occurs, in increasing order; the primary components
-    of every other factor of the characteristic polynomial are pooled
-    into ``residual``.
+    eigenvalue that occurs, in increasing order; ``residual`` pools the
+    primary components of every other eigenvalue, rational or not: the
+    m-invariant complement of the pairs.
     """
 
     def __init__(self, pairs, residual):
@@ -661,32 +631,46 @@ class EigenSplit(_Frozen):
 def rational_eigen_split(m: Matrix, eigenvalues) -> EigenSplit:
     """Split off the generalized eigenspaces of the given eigenvalues.
 
-    Each multiplicity is the number of exact divisions of the
-    characteristic polynomial by (t - eigenvalue); no roots are searched.
+    For each eigenvalue, in increasing order, with A = m - eigenvalue:
+    the kernels of A, A^2, ... grow until they stop, and the last one is
+    the generalized eigenspace (Fitting: Q^n = ker A^k + im A^k for the
+    stable power A^k).  An eigenvalue with ker A = 0 does not occur, and
+    probing stops once the eigenspaces fill the space.  The residual is
+    the image of the product of the stable powers, formed only when they
+    do not.  No characteristic polynomial is built and no roots are
+    searched.
     """
     if m.rows != m.cols:
         raise ValueError("eigen split of a non-square matrix")
     n = m.rows
     ident = Matrix.identity(n)
     pairs = []
-    remaining = list(char_poly(m))
+    powers = []
+    filled = 0
     for lam in sorted({_frac(x) for x in eigenvalues}):
-        mult = 0
-        while len(remaining) > 1 and poly_eval(remaining, lam) == 0:
-            remaining = _poly_divide_linear(remaining, lam)
-            mult += 1
-        if not mult:
-            continue
+        if filled == n:
+            break
         shifted = m - ident.scale(lam)
-        power = ident
-        for _ in range(mult):
-            power = power * shifted
-        pairs.append((lam, kernel(power)))
-    if len(remaining) == 1:
+        power, space = shifted, kernel(shifted)
+        if not space.dim:
+            continue
+        # the eigenspace cannot outgrow what the others leave
+        while filled + space.dim < n:
+            nxt = power * shifted
+            grown = kernel(nxt)
+            if grown.dim == space.dim:
+                break
+            power, space = nxt, grown
+        pairs.append((lam, space))
+        powers.append(power)
+        filled += space.dim
+    if filled == n:
         residual = Subspace.zero(n)
     else:
-        residual = kernel(poly_eval_matrix(remaining, m))
-    total = sum(s.dim for _, s in pairs) + residual.dim
-    if total != n:
+        product = ident
+        for power in powers:
+            product = product * power
+        residual = image(product)
+    if filled + residual.dim != n:
         raise AssertionError("primary components do not fill the ambient space")
     return EigenSplit(tuple(pairs), residual)

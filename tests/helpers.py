@@ -12,13 +12,14 @@ from operad_forge.operad import _Images
 from operad_forge.qlinalg import (
     F0,
     F1,
+    EigenSplit,
     Matrix,
     Subspace,
     _combine,
-    _poly_divide_linear,
+    _frac,
+    char_poly,
     image,
     kernel,
-    poly_eval,
     solve_matrix,
     sparse_row,
 )
@@ -222,6 +223,77 @@ def random_chain_map(rng, src, dst, bound=2):
             acc = acc + blocks[i - 1] * src.d(i)
         out[i] = acc
     return ChainMap(src, dst, out)
+
+
+# -- reference eigen split by the characteristic polynomial ----------------
+# Multiplicities by exact division of the characteristic polynomial, the
+# residual as the kernel of the leftover polynomial at m: a reference for
+# the engine's kernel-chain rational_eigen_split, with the polynomial
+# helpers the tests use.
+
+
+def poly_eval(coeffs, x):
+    acc = F0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def poly_eval_matrix(coeffs, m: Matrix) -> Matrix:
+    n = m.rows
+    acc = Matrix.zeros(n, n)
+    ident = Matrix.identity(n)
+    for c in reversed(coeffs):
+        acc = m * acc + ident.scale(c)
+    return acc
+
+
+def _poly_divide_linear(coeffs, root):
+    """Divide polynomial by (t - root); requires root to be a root."""
+    n = len(coeffs) - 1
+    out = [F0] * n
+    acc = F0
+    for k in range(n, 0, -1):
+        acc = coeffs[k] + acc * root
+        out[k - 1] = acc
+    rem = coeffs[0] + acc * root
+    if rem != 0:
+        raise ValueError("not a root")
+    return out
+
+
+def charpoly_eigen_split(m: Matrix, eigenvalues) -> EigenSplit:
+    """Split off the generalized eigenspaces of the given eigenvalues.
+
+    Each multiplicity is the number of exact divisions of the
+    characteristic polynomial by (t - eigenvalue); no roots are searched.
+    """
+    if m.rows != m.cols:
+        raise ValueError("eigen split of a non-square matrix")
+    n = m.rows
+    ident = Matrix.identity(n)
+    pairs = []
+    remaining = list(char_poly(m))
+    for lam in sorted({_frac(x) for x in eigenvalues}):
+        mult = 0
+        while len(remaining) > 1 and poly_eval(remaining, lam) == 0:
+            remaining = _poly_divide_linear(remaining, lam)
+            mult += 1
+        if not mult:
+            continue
+        shifted = m - ident.scale(lam)
+        power = ident
+        for _ in range(mult):
+            power = power * shifted
+        pairs.append((lam, kernel(power)))
+    if len(remaining) == 1:
+        residual = Subspace.zero(n)
+    else:
+        residual = kernel(poly_eval_matrix(remaining, m))
+    total = sum(s.dim for _, s in pairs) + residual.dim
+    if total != n:
+        raise AssertionError("primary components do not fill the ambient space")
+    return EigenSplit(tuple(pairs), residual)
 
 
 # -- reference root search --------------------------------------------------

@@ -57,7 +57,6 @@ from operad_forge.operad import (
 from operad_forge.qlinalg import (
     Matrix,
     char_poly,
-    poly_eval_matrix,
     rank,
 )
 from operad_forge.sigma import (
@@ -84,7 +83,7 @@ from operad_forge.weight import (
 )
 
 from fixtures_ops import acyclic_operad, commutative_style_operad
-from helpers import random_complex, random_chain_map
+from helpers import poly_eval_matrix, random_complex, random_chain_map
 
 
 def report(number, ok, detail):

@@ -26,6 +26,7 @@ from operad_forge.cubical import (
     sigma_tau_r_i,
     torus,
 )
+from operad_forge.qlinalg import Matrix
 from operad_forge.sigma import Permutation, all_permutations
 
 
@@ -342,6 +343,29 @@ class TestHomology:
         # this finite model has an extra class on top of the point
         assert homology_dims(chain_complex(interval_power(2))) \
             == {0: 1, 2: 1}
+
+    @pytest.mark.parametrize("name", ["I^1", "I^2", "I^3", "I^4", "torus"])
+    def test_sparse_columns_match_dense_grid(self, name):
+        # chain_complex assembles sparse columns; a dense grid filled
+        # entry by entry is the reference
+        space = torus() if name == "torus" else interval_power(int(name[2:]))
+        c = chain_complex(space)
+        assert c.dims
+        for p, n in c.dims.items():
+            assert n == sum(1 for cube in space.cubes(p)
+                            if not space.is_degenerate(cube))
+            if p - 1 not in c.dims:
+                continue
+            faces = [f for f in space.cubes(p - 1)
+                     if not space.is_degenerate(f)]
+            cubes = [q for q in space.cubes(p) if not space.is_degenerate(q)]
+            index = {f: k for k, f in enumerate(faces)}
+            grid = [[Fraction(0)] * len(cubes) for _ in faces]
+            for col, cube in enumerate(cubes):
+                bd = boundary(CubicChain.of_cube(space, cube))
+                for f, coeff in bd.coeffs.items():
+                    grid[index[f]][col] += coeff
+            assert c.d(p) == Matrix(len(faces), len(cubes), grid)
 
 
 # -- the flat action against the nested-Permutation path it replaced -----------

@@ -12,7 +12,6 @@ from operad_forge.qlinalg import (
     char_poly,
     image,
     kernel,
-    poly_eval_matrix,
     rank,
     rational_eigen_split,
     rref,
@@ -41,6 +40,7 @@ from operad_forge.weight import (
 
 from helpers import (
     assert_value_semantics,
+    charpoly_eigen_split,
     dense_apply,
     dense_col,
     dense_cols,
@@ -49,6 +49,7 @@ from helpers import (
     dense_row,
     dense_solve,
     dense_split,
+    poly_eval_matrix,
     rational_roots,
     to_dense,
     to_sparse,
@@ -232,6 +233,101 @@ class TestEigenSplit:
         padded = rational_eigen_split(
             m, list(roots) + [x for x in extra if x not in roots])
         assert padded == split
+
+
+# -- the kernel-chain split against the characteristic-polynomial one ------
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def square_matrices(entries, max_dim=5):
+    return st.integers(1, max_dim).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
+                           min_size=n, max_size=n).map(M))
+
+
+@st.composite
+def conjugated_blocks(draw):
+    """P J P^-1 for J block diagonal with Jordan blocks (repeated
+    eigenvalues allowed) and possibly the companion block of t^2 - 2, P
+    a lower times an upper unitriangular integer matrix."""
+    blocks = draw(st.lists(st.tuples(st.sampled_from([-2, -1, 0, 1, 2,
+                                                      Fraction(1, 2)]),
+                                     st.integers(1, 3)),
+                           min_size=1, max_size=3))
+    irrational = draw(st.booleans())
+    n = sum(size for _, size in blocks) + 2 * irrational
+    grid = [[0] * n for _ in range(n)]
+    at = 0
+    for lam, size in blocks:
+        for k in range(size):
+            grid[at + k][at + k] = lam
+            if k:
+                grid[at + k - 1][at + k] = 1
+        at += size
+    if irrational:
+        grid[at][at + 1], grid[at + 1][at] = 2, 1
+    xs = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    lower = M([[1 if i == j else xs[i * n + j] if j < i else 0
+                for j in range(n)] for i in range(n)])
+    upper = M([[1 if i == j else xs[i * n + j] if j > i else 0
+                for j in range(n)] for i in range(n)])
+    p = lower * upper
+    return p * M(grid) * solve_matrix(p, Matrix.identity(n))
+
+
+def eigenvalue_lists(m):
+    """The rational roots of m's characteristic polynomial, values that
+    are not roots, and duplicates, in any order."""
+    pool = sorted(set(rational_roots(char_poly(m)))
+                  | {Fraction(k) for k in range(-3, 4)} | {Fraction(1, 2)})
+    return st.lists(st.sampled_from(pool), max_size=8)
+
+
+def _agree(data, m):
+    eigenvalues = data.draw(eigenvalue_lists(m))
+    assert rational_eigen_split(m, eigenvalues) \
+        == charpoly_eigen_split(m, eigenvalues)
+
+
+class TestEigenSplitReference:
+    """The kernel-chain split equals the split by the characteristic
+    polynomial (helpers.charpoly_eigen_split) that it replaced: the same
+    eigenvalues, and the same canonical bases of every generalized
+    eigenspace and of the residual."""
+
+    @given(square_matrices(small_entries), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_integer_matrices(self, m, data):
+        _agree(data, m)
+
+    @given(square_matrices(small_fractions, max_dim=4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_fractional_matrices(self, m, data):
+        _agree(data, m)
+
+    @given(conjugated_blocks(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_conjugated_jordan_blocks(self, m, data):
+        _agree(data, m)
+
+    def test_zero_by_zero(self):
+        m = Matrix.zeros(0, 0)
+        for eigenvalues in ([], [1], [2, 2, 0]):
+            split = rational_eigen_split(m, eigenvalues)
+            assert split == charpoly_eigen_split(m, eigenvalues)
+            assert split == EigenSplit((), Subspace.zero(0))
+
+    def test_chain_past_the_first_kernel(self):
+        # a 3x3 Jordan block at 2 beside t^2 - 2: ker A has dimension 1,
+        # the generalized eigenspace 3, and the residual is the t^2 - 2 part
+        m = M([[2, 1, 0, 0, 0], [0, 2, 1, 0, 0], [0, 0, 2, 0, 0],
+               [0, 0, 0, 0, 2], [0, 0, 0, 1, 0]])
+        split = rational_eigen_split(m, [2, 2, 3])
+        assert split == charpoly_eigen_split(m, [2, 2, 3])
+        assert [(lam, s.dim) for lam, s in split.pairs] == [(2, 3)]
+        assert split.residual == Subspace.from_spanning(
+            5, [to_sparse((0, 0, 0, 1, 0)), to_sparse((0, 0, 0, 0, 1))])
 
 
 class TestSubspace:
