@@ -133,12 +133,10 @@ class GroupAction:
     """Right action of Sigma_n on a chain complex, stored on generators.
 
     ``generators[j]`` is the chain map by which the adjacent
-    transposition s_{j+1} = (j+1, j+2) acts.  ``validated`` records that
-    ``check=True`` ran ``validate`` and it passed; no action is changed
-    after it is built, so ``validate_action`` does not check it again.
+    transposition s_{j+1} = (j+1, j+2) acts.
     """
 
-    __slots__ = ("n", "complex", "generators", "validated", "_cache")
+    __slots__ = ("n", "complex", "generators", "_cache")
 
     def __init__(self, n, complex, generators, check=True):
         self.n = n
@@ -151,7 +149,6 @@ class GroupAction:
             report = self.validate()
             if report:
                 raise ValueError("; ".join(report))
-        self.validated = check
 
     @classmethod
     def trivial(cls, n, complex):
@@ -246,13 +243,11 @@ class _IndexedModule:
         return all(ga.complex.is_zero() for ga in self.components.values())
 
     def validate_action(self):
-        """Generator relations and chain-map property of every action
-        that was not validated when it was built."""
+        """Generator relations and chain-map property of every action."""
         report = []
         for key in self.keys():
-            ga = self.components[key]
-            if not ga.validated:
-                report.extend(f"component {key}: {v}" for v in ga.validate())
+            for v in self.components[key].validate():
+                report.append(f"component {key}: {v}")
         return report
 
 

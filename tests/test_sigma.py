@@ -233,21 +233,6 @@ class TestModules:
         assert report
         assert "component 2" in report[0]
 
-    def test_each_action_checked_once(self, monkeypatch):
-        # an action that passed its check=True validation is not checked
-        # again; one built with check=False is
-        checked = regular_rep(3)
-        unchecked = GroupAction(2, ChainComplex({0: 1}),
-                                [ChainMap.identity(ChainComplex({0: 1}))],
-                                check=False)
-        assert (checked.validated, unchecked.validated) == (True, False)
-        calls = []
-        real = GroupAction.validate
-        monkeypatch.setattr(GroupAction, "validate",
-                            lambda ga: calls.append(ga.n) or real(ga))
-        assert validate_action(SigmaModule({2: unchecked, 3: checked})) == []
-        assert calls == [2]
-
     def test_equivariance_ok_for_identity_and_zero(self):
         m = SigmaModule({2: regular_rep(2)})
         f_id = {2: ChainMap.identity(m.component(2))}
