@@ -60,12 +60,10 @@ print("all arrows are weak equivalences:", witness.verify())
 ga2 = GroupAction.trivial(2, ChainComplex({1: 1}))
 ga3 = GroupAction.trivial(3, ChainComplex({3: 1}))
 builder = FreeOperadBuilder({2: ga2, 3: ga3}, 4)
-layout = builder.layouts[3]
-col = tuple((layout.offset(s, 2), Fraction(1))
-            for s, (tree, td) in enumerate(builder.summands[3])
-            if len(tree.vertices()) == 2)
-obstructed = builder.finish({3: {3: Matrix.from_cols([col],
-                                                     rows=layout.dim(2))}})
+# the attachment in summand coordinates: 1 on each two-vertex tree
+obstructed = builder.finish({3: {3: {
+    tree: Matrix.from_rows([[1]]) for tree, _ in builder.summands[3]
+    if len(tree.vertices()) == 2}}})
 print("\nobstructed fixture:",
       "inconclusive" if formality_check(obstructed, up_to=4, alpha=2) is None
       else "witness (unexpected)")

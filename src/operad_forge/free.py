@@ -111,14 +111,6 @@ class Layout:
     def offset(self, summand, degree):
         return self.offsets.get((summand, degree), 0)
 
-    def locate(self, degree, index):
-        for s, c in enumerate(self.complexes):
-            d = c.dim(degree)
-            off = self.offset(s, degree)
-            if off <= index < off + d:
-                return s, index - off
-        raise IndexError("index outside layout")
-
 
 class TowerData:
     """Generator levels and attachment maps of a free-based operad."""
@@ -127,7 +119,7 @@ class TowerData:
         self.levels = levels
         # level key(s) -> GroupAction of the generators
         self.gen_actions = gen_actions
-        # level key(s) -> dict degree -> Matrix (component coords)
+        # level key(s) -> degree -> {summand: Matrix} in summand coordinates
         self.attachments = attachments
 
 
@@ -205,6 +197,28 @@ class _FreeBuilder:
                 return s
         return None
 
+    def summand_blocks(self, key, degree, m):
+        """The nonzero row blocks {summand object: Matrix} of m, whose
+        rows are the component at key in the given degree."""
+        layout = self.layouts[key]
+        blocks = {}
+        for s, (obj, *_) in enumerate(self.summands[key]):
+            off = layout.offset(s, degree)
+            rows = m.sparse[off:off + layout.complexes[s].dim(degree)]
+            if any(rows):
+                blocks[obj] = Matrix._trusted(len(rows), m.cols, rows)
+        return blocks
+
+    def placed(self, key, degree, blocks):
+        """One matrix on the component at key in the given degree from
+        its row blocks {summand object: Matrix}."""
+        layout = self.layouts[key]
+        rows = [()] * layout.dim(degree)
+        for obj, m in blocks.items():
+            off = layout.offset(self.summand_index(key, obj), degree)
+            rows[off:off + m.rows] = m.sparse
+        return Matrix._trusted(len(rows), m.cols, tuple(rows))
+
     def _columns(self, key, s):
         """(degree, summand column, component column) of each basis
         vector of summand s."""
@@ -235,8 +249,10 @@ class _FreeBuilder:
         """The component at key; its differential is the summands' own
         plus the derivation extending the attachment maps."""
         layout = self.layouts[key]
-        # attachment images and summand differentials by column
-        att_cols = {k: {d: m.transpose().sparse for d, m in v.items()}
+        # attachment blocks and summand differentials by column
+        att_cols = {k: {d: [(self.summand_index(k, obj), m.transpose().sparse)
+                            for obj, m in blocks.items()]
+                        for d, blocks in v.items()}
                     for k, v in (attachments or {}).items()}
         cols = {deg: {} for deg in layout.dims}
         matches = {}
@@ -261,7 +277,7 @@ class _FreeBuilder:
         """Add to ``column`` the attachment terms of d on one basis
         vector: each vertex in turn expanded into the attachment image of
         its generator, with the Koszul sign of the vertices before it.
-        ``att_cols[vkey][degree]`` holds the attachment's columns;
+        ``att_cols[vkey][degree]`` holds (summand, columns) per block;
         ``matches`` keeps the match of each expanded object."""
         obj = self.summands[key][s][0]
         types = self._types_of[key][s]
@@ -276,20 +292,22 @@ class _FreeBuilder:
                 if dv not in att:
                     continue
                 sign = -F1 if sum(d for d, _ in label[:v]) % 2 else F1
-                for row, coeff in att[dv][kk]:
-                    ssub, local = self.layouts[vkey].locate(dv - 1, row)
-                    if (s, v, ssub) not in matches:
-                        matches[s, v, ssub] = self._match(key, self._expanded(
-                            obj, v, self.summands[vkey][ssub][0]))
-                    scale = sign * lcoeff * coeff
-                    labels = [(label[:v] + tuple(sl) + label[v + 1:], c * scale)
-                              for sl, c in self._lift(vkey, ssub, dv - 1, local)]
-                    out = self._push(
-                        key, matches[s, v, ssub],
-                        actions[:v] + self._actions_of[vkey][ssub]
-                        + actions[v + 1:], labels)
-                    for (_, r), c in out.items():
-                        column[r] = column.get(r, F0) + c
+                for ssub, cols in att[dv]:
+                    for local, coeff in cols[kk]:
+                        if (s, v, ssub) not in matches:
+                            matches[s, v, ssub] = self._match(
+                                key, self._expanded(
+                                    obj, v, self.summands[vkey][ssub][0]))
+                        scale = sign * lcoeff * coeff
+                        labels = [(label[:v] + tuple(sl) + label[v + 1:],
+                                   c * scale) for sl, c in
+                                  self._lift(vkey, ssub, dv - 1, local)]
+                        out = self._push(
+                            key, matches[s, v, ssub],
+                            actions[:v] + self._actions_of[vkey][ssub]
+                            + actions[v + 1:], labels)
+                        for (_, r), c in out.items():
+                            column[r] = column.get(r, F0) + c
 
     def action_generator(self, key, j, component):
         """ChainMap of the adjacent transposition s_j on the component:
@@ -332,7 +350,8 @@ class _FreeBuilder:
 
     def finish(self, attachments=None):
         """The operad on the window, its differential extended by the
-        attachment maps (generator key -> degree -> Matrix)."""
+        attachment maps in summand coordinates (generator key -> degree d
+        -> {summand object: Matrix}, rows the summand's basis in d - 1)."""
         attachments = attachments or {}
         shape = self.shape
         actions = {}
@@ -620,6 +639,13 @@ class FreeModularBuilder(_FreeBuilder):
     def evaluate_basis(self, dst, columns, key, s, deg, col):
         return evaluate_graph_basis(dst, self.summands[key][s][0], columns,
                                     self._lift(key, s, deg, col))
+
+
+def free_builder(op, gens, window):
+    """The free builder of op's kind on gens over the window."""
+    if isinstance(op, ModularOperad):
+        return FreeModularBuilder(gens, window)
+    return FreeOperadBuilder(gens, max(window, 2))
 
 
 def free_modular_operad(module: ModularSigmaModule,
@@ -943,7 +969,7 @@ def extend_freely(op, up_to: int):
 
     Builds the free operad on all components of the truncation, divides
     by the ideal generated by the kernel of the evaluation back onto the
-    truncation, and returns the quotient with its presentation attached.
+    truncation, and returns the quotient.
     """
     if op.cut is None:
         raise ValueError("extend_freely expects a truncated operad")
@@ -952,10 +978,7 @@ def extend_freely(op, up_to: int):
         raise ValueError("extension window below the truncation cut")
     gens = {k: ga for k, ga in op.module.components.items()
             if not ga.complex.is_zero()}
-    if isinstance(op, ModularOperad):
-        builder = FreeModularBuilder(gens, up_to)
-    else:
-        builder = FreeOperadBuilder(gens, up_to)
+    builder = free_builder(op, gens, up_to)
     free_op = builder.finish()
     images = {k: ChainMap.identity(op.component(k)) for k in gens}
     seeds = {}
@@ -969,10 +992,9 @@ def extend_freely(op, up_to: int):
                 seeds.setdefault(key, {}).setdefault(deg, []).extend(
                     ker.basis.columns())
     ideal = ideal_closure(free_op, seeds)
-    q, proj = quotient(free_op, ideal)
+    q, _ = quotient(free_op, ideal)
     for key in keys_in_cut:
         if q.component(key).dims != op.component(key).dims:
             raise AssertionError(
                 f"free extension does not restrict to the input at {key}")
-    q.presentation = {"free": free_op, "ideal": ideal, "projection": proj}
     return q

@@ -30,13 +30,8 @@ from .chain import (
     induced_map,
     mapping_cone,
 )
-from .free import (
-    FreeModularBuilder,
-    FreeOperadBuilder,
-    extend_freely,
-    morphism_from_generators,
-)
-from .operad import ModularOperad, OperadMorphism, truncate
+from .free import extend_freely, free_builder, morphism_from_generators
+from .operad import OperadMorphism, truncate
 from .qlinalg import (
     F0,
     F1,
@@ -66,12 +61,6 @@ class NotIsomorphicError(RuntimeError):
 
 
 # -- helpers ------------------------------------------------------------------
-
-
-def _make_builder(op, gens, window):
-    if isinstance(op, ModularOperad):
-        return FreeModularBuilder(gens, window)
-    return FreeOperadBuilder(gens, max(window, 2))
 
 
 def _diagonal_action(n, cone, a_action, b_action, a_complex, b_complex):
@@ -359,7 +348,7 @@ def minimal_model(p, up_to=None, seed=0) -> MinimalModel:
     tower = []
     levels = sorted({p.level(k) for k in p.keys() if p.level(k) <= up_to})
     for n in levels:
-        builder = _make_builder(p, gens, n)
+        builder = free_builder(p, gens, n)
         rec = LevelRecord(n, {}, {})
         for key in [k for k in p.keys() if p.level(k) == n]:
             pc = p.component(key)
@@ -401,13 +390,14 @@ def minimal_model(p, up_to=None, seed=0) -> MinimalModel:
                     xi_blocks[d] = bottom.scale(-1)
             gens[key] = v_action
             if xi_blocks:
-                attachments[key] = xi_blocks
+                attachments[key] = {d: builder.summand_blocks(key, d - 1, m)
+                                    for d, m in xi_blocks.items()}
             images[key] = ChainMap(v_action.complex, pc, img_blocks,
                                    check=False)
             rec.generator_dims[key] = dict(hrec.dims)
             rec.attachments[key] = dict(xi_blocks)
         tower.append(rec)
-    final_builder = _make_builder(p, gens, up_to)
+    final_builder = free_builder(p, gens, up_to)
     m_op = final_builder.finish(attachments)
     rho = morphism_from_generators(m_op, p, images)
     return MinimalModel(m_op, rho, tower, seed)
@@ -426,19 +416,11 @@ def is_minimal(op):
     for key, ga in op.tower.gen_actions.items():
         if ga.complex.diff:
             return False, op.level(key)
-        att = op.tower.attachments.get(key)
-        if not att:
-            continue
         corolla = builder.corolla_summand(key)
-        if corolla is None:
-            continue
-        layout = builder.layouts[key]
-        for d, m in att.items():
-            off = layout.offset(corolla, d - 1)
-            span = layout.complexes[corolla].dim(d - 1)
-            # an attachment made before the corolla existed stops short of it
-            if any(m.sparse[off:off + span]):
-                return False, op.level(key)
+        if corolla is not None and any(
+                builder.summands[key][corolla][0] in blocks
+                for blocks in op.tower.attachments.get(key, {}).values()):
+            return False, op.level(key)
     return True, None
 
 
@@ -529,10 +511,8 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
     for d in sorted(vc.dims):
         nv, nq = vc.dim(d), qc.dim(d)
         dq = qc.d(d)
-        # row r of xi[d] is column r here, as Layout.locate reads it
-        target = prev_eval[d - 1].submatrix(
-            range(qc.dim(d - 1)), range(xi[d].rows)) * xi[d] \
-            if d in xi and d - 1 in prev_eval \
+        target = prev_eval[d - 1] * builder.placed(key, d - 1, xi[d]) \
+            if xi.get(d) and d - 1 in prev_eval \
             else Matrix.zeros(qc.dim(d - 1), nv)
         for r in range(qc.dim(d - 1)):
             rhs += [(len(rows) + k, x) for k, x in target.sparse[r]]

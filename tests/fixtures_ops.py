@@ -3,10 +3,15 @@
 from fractions import Fraction
 
 from operad_forge.chain import ChainComplex, ChainMap
-from operad_forge.free import free_operad
+from operad_forge.free import free_modular_operad, free_operad
 from operad_forge.operad import CompTable, DGOperad, ideal_closure, quotient
 from operad_forge.qlinalg import Matrix, sparse_row
-from operad_forge.sigma import GroupAction, SigmaModule
+from operad_forge.sigma import (
+    GroupAction,
+    ModularSigmaModule,
+    SigmaModule,
+    stable_pairs_up_to,
+)
 
 
 def commutative_style_operad(max_arity):
@@ -86,3 +91,36 @@ def hypercommutative_presentation(max_arity):
                 vec[layout.offset(s, deg)] -= 1
         seeds[n] = {deg: [sparse_row(dict(enumerate(vec)))]}
     return free, seeds
+
+
+def moduli_quotient(window):
+    """H_*(M-bar) of fundamental classes up to modular dimension window.
+
+    The free modular operad on one fundamental class nu_{g,l} of degree
+    2(3g - 3 + l) with trivial action per stable (g, l), divided by the
+    ideal of one WDVV seed per (0, l), l >= 4.  The seed is the relation
+    of ``hypercommutative_presentation`` with leg l as the root: each
+    two-vertex term is read off the leaf set T on the side without leg l.
+    """
+    module = ModularSigmaModule({
+        (g, l): GroupAction.trivial(l, ChainComplex({2 * (3 * g - 3 + l): 1}))
+        for g, l in stable_pairs_up_to(window)})
+    free = free_modular_operad(module, window)
+    seeds = {}
+    for (g, l), items in free.free.summands.items():
+        if g or l < 4:
+            continue
+        deg = 2 * (l - 4)
+        layout = free.free.layouts[(g, l)]
+        vec = {}
+        for s, (graph, *_) in enumerate(items):
+            if graph.n_vertices != 2:
+                continue
+            inner = {j for j, v in enumerate(graph.legs, 1)
+                     if v != graph.legs[l - 1]}
+            sign = ({1, 2} <= inner and 3 not in inner) \
+                - ({2, 3} <= inner and 1 not in inner)
+            if sign:
+                vec[layout.offset(s, deg)] = Fraction(sign)
+        seeds[(g, l)] = {deg: [sparse_row(vec)]}
+    return quotient(free, ideal_closure(free, seeds))[0]

@@ -18,6 +18,7 @@ from operad_forge import document as doc
 from operad_forge import minimal
 from operad_forge.document import matrix_to_lists
 from operad_forge.free import (
+    FreeModularBuilder,
     FreeOperadBuilder,
     endomorphism_modular_operad,
     free_operad,
@@ -36,6 +37,7 @@ from operad_forge.minimal import (
     principal_extension,
 )
 from operad_forge.operad import (
+    ModularOperad,
     OperadMorphism,
     truncate,
     validate,
@@ -50,8 +52,9 @@ from fixtures_ops import (
     acyclic_operad,
     commutative_style_operad,
     hypercommutative,
+    moduli_quotient,
 )
-from helpers import random_complex, random_chain_map, to_sparse
+from helpers import random_complex, random_chain_map
 
 
 def binary_module(dims={0: 1}):
@@ -65,14 +68,9 @@ def massey_minimal_operad():
     ga2 = GroupAction.trivial(2, ChainComplex({1: 1}))
     ga3 = GroupAction.trivial(3, ChainComplex({3: 1}))
     builder = FreeOperadBuilder({2: ga2, 3: ga3}, 4)
-    layout = builder.layouts[3]
-    col = [Fraction(0)] * layout.dim(2)
-    for s, (tree, td) in enumerate(builder.summands[3]):
-        if len(tree.vertices()) == 2:
-            col[layout.offset(s, 2)] = Fraction(1)
-    att = {3: {3: Matrix.from_cols([to_sparse(col)],
-                                   rows=layout.dim(2))}}
-    return builder.finish(att)
+    return builder.finish({3: {3: {
+        tree: Matrix.from_rows([[1]]) for tree, _ in builder.summands[3]
+        if len(tree.vertices()) == 2}}})
 
 
 class TestPrincipalExtension:
@@ -286,6 +284,16 @@ class TestIsMinimal:
     def test_minimal_model_output_passes(self):
         mm = minimal_model(commutative_style_operad(3), 3)
         assert is_minimal(mm.operad) == (True, None)
+
+    def test_attachment_onto_corolla_not_minimal(self):
+        # d sends the degree-1 generator onto the degree-0 one: a linear
+        # attachment, made by hand in summand coordinates
+        ga = GroupAction.trivial(2, ChainComplex({0: 1, 1: 1}))
+        builder = FreeOperadBuilder({2: ga}, 3)
+        corolla = builder.summands[2][builder.corolla_summand(2)][0]
+        P = builder.finish({2: {1: {corolla: Matrix.from_rows([[1]])}}})
+        assert validate(P) == []
+        assert is_minimal(P) == (False, 2)
 
 
 class TestLift:
@@ -530,3 +538,110 @@ class TestHypercommutative:
         # generators in the adjacent degrees 2 and 3
         wit = formality_check(hypercommutative(4), 4)
         assert wit is not None and wit.verify()
+
+    @pytest.mark.parametrize("alpha", [3, Fraction(1, 2), -2])
+    def test_formality_witness_any_alpha(self, alpha):
+        # the characterization of formality does not depend on alpha
+        wit = formality_check(hypercommutative(4), 4, alpha=alpha)
+        assert wit is not None and wit.verify() is True
+
+
+class CorollaFirstTrees(FreeOperadBuilder):
+    """Trees with the corolla first in each component's layout."""
+
+    def _catalogue(self, n):
+        return sorted(super()._catalogue(n),
+                      key=lambda t: len(t.vertices()) > 1)
+
+
+class CorollaLastGraphs(FreeModularBuilder):
+    """Stable graphs with the corolla last in each component's layout."""
+
+    def _catalogue(self, key):
+        return sorted(super()._catalogue(key),
+                      key=lambda g: g.n_vertices == 1 and not g.edges)
+
+
+def corolla_moved(op, gens, window):
+    if isinstance(op, ModularOperad):
+        return CorollaLastGraphs(gens, window)
+    return CorollaFirstTrees(gens, max(window, 2))
+
+
+MODULI_WINDOW_2 = {(0, 3): {0: 1}, (0, 4): {1: 2, 2: 1}, (1, 1): {2: 1},
+                   (0, 5): {2: 6, 3: 5, 4: 1}, (1, 2): {4: 1}}
+
+
+@pytest.fixture(scope="module")
+def moduli_window_3():
+    return moduli_quotient(3)
+
+
+class TestModuliQuotient:
+    """The free modular operad on fundamental classes modulo WDVV: the
+    paper's object.  Its keys have generators in adjacent degrees, and
+    each stable graph catalogue puts the corolla first."""
+
+    def test_minimal_model_window_2(self):
+        mm = minimal_model(moduli_quotient(2), 2)
+        assert mm.generator_dims == MODULI_WINDOW_2
+        assert is_minimal(mm.operad) == (True, None)
+        assert validate(mm.operad) == []
+
+    @pytest.mark.parametrize("alpha", [2, 3, Fraction(1, 2), -2])
+    def test_formality_witness_window_2(self, alpha):
+        # the characterization of formality does not depend on alpha
+        wit = formality_check(moduli_quotient(2), 2, alpha=alpha)
+        assert wit is not None and wit.verify() is True
+
+    def test_minimal_model_window_3(self, moduli_window_3):
+        # genus 0: (0, 5) is (1 + 2t)(1 + 3t), (0, 6) the arity-5
+        # hypercommutative generators
+        mm = minimal_model(moduli_window_3, 3)
+        assert mm.generator_dims == {
+            **MODULI_WINDOW_2, (0, 6): {3: 24, 4: 26, 5: 9, 6: 1},
+            (1, 3): {3: 1, 6: 1}, (2, 0): {6: 1}}
+        assert is_minimal(mm.operad) == (True, None)
+        assert validate(mm.operad) == []
+
+    def test_known_betti_numbers(self, moduli_window_3):
+        # Keel (1992) for genus 0; Petersen (2014), "The structure of the
+        # tautological ring in genus one", for (1, l); Mumford (1983),
+        # "Towards an enumerative geometry of the moduli space of
+        # curves", for (2, 0)
+        q = moduli_window_3
+        assert validate(q) == []
+        known = {(0, 3): {0: 1}, (0, 4): {0: 1, 2: 1},
+                 (0, 5): {0: 1, 2: 5, 4: 1},
+                 (0, 6): {0: 1, 2: 16, 4: 16, 6: 1},
+                 (1, 1): {0: 1, 2: 1}, (1, 2): {0: 1, 2: 2, 4: 1},
+                 (1, 3): {0: 1, 2: 5, 4: 5, 6: 1},
+                 (2, 0): {0: 1, 2: 2, 4: 2, 6: 1}}
+        assert {key: dict(q.component(key).dims) for key in q.keys()} \
+            == known
+        for (g, l), dims in known.items():
+            top = 2 * (3 * g - 3 + l)  # Poincare duality: h_k = h_{top-k}
+            assert dims == {top - k: h for k, h in dims.items()}
+
+
+class TestCatalogueOrder:
+    """The model does not depend on where a layout puts the corolla."""
+
+    def test_graph_corolla_last(self, monkeypatch):
+        monkeypatch.setattr(minimal, "free_builder", corolla_moved)
+        mm = minimal_model(moduli_quotient(2), 2)
+        assert type(mm.operad.free) is CorollaLastGraphs
+        assert mm.generator_dims == MODULI_WINDOW_2
+        assert is_minimal(mm.operad) == (True, None)
+        wit = formality_check(moduli_quotient(2), 2)
+        assert wit is not None and wit.verify() is True
+
+    def test_tree_corolla_first(self, monkeypatch):
+        expected = minimal_model(hypercommutative(4), 4).generator_dims
+        monkeypatch.setattr(minimal, "free_builder", corolla_moved)
+        mm = minimal_model(hypercommutative(4), 4)
+        assert type(mm.operad.free) is CorollaFirstTrees
+        assert mm.generator_dims == expected
+        assert is_minimal(mm.operad) == (True, None)
+        wit = formality_check(hypercommutative(4), 4)
+        assert wit is not None and wit.verify() is True
