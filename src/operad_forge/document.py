@@ -427,8 +427,10 @@ def dumps(doc) -> str:
 
     The text is exactly ``json.dumps(doc, sort_keys=True, indent=1) +
     "\\n"`` for a JSON value with string keys, written directly: the
-    standard encoder runs in pure Python whenever it indents, and a
-    matrix row of strings is joined here in one call.
+    standard encoder runs in pure Python whenever it indents.  A list of
+    strings, such as a matrix row, is written in one join: when the
+    strings together are printable ASCII without ``"`` or ``\\``, each
+    is its own JSON text between quotes, and otherwise each is encoded.
     """
     out = []
     _write(doc, "\n", out)
@@ -437,7 +439,6 @@ def dumps(doc) -> str:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_STR_ONLY = {str}
 
 
 def _write(x, nl, out):
@@ -461,9 +462,19 @@ def _write(x, nl, out):
             out.append("[]")
             return
         inner = nl + " "
-        if set(map(type, x)) == _STR_ONLY:
-            out.append("[" + inner + ("," + inner).join(map(_encode_str, x))
-                       + nl + "]")
+        try:
+            text = "".join(x)
+        except TypeError:
+            pass
+        else:
+            if (text.isascii() and text.isprintable() and '"' not in text
+                    and "\\" not in text):
+                out.append("[" + inner + '"')
+                out.append(('",' + inner + '"').join(x))
+                out.append('"' + nl + "]")
+            else:
+                out.append("[" + inner + ("," + inner).join(map(_encode_str, x))
+                           + nl + "]")
             return
         sep = "[" + inner
         for value in x:

@@ -2,10 +2,9 @@
 
 Reduced trees with distinctly labelled leaves, and stable genus-decorated
 graphs with labelled legs, both enumerated up to isomorphism by
-canonical-form deduplication (the objects are tiny; correctness over
-speed).  Trees with distinct leaf labels have no nontrivial label-fixing
-automorphisms, so their summands need no coinvariants; stable graphs
-carry explicit automorphism data.
+canonical-form deduplication.  Trees with distinct leaf labels have no
+nontrivial label-fixing automorphisms, so their summands need no
+coinvariants; stable graphs carry explicit automorphism data.
 
 Vertex ordering for tensor purposes is the canonical-form preorder
 (trees) or the vertex index order (graphs); per-vertex input slots are
@@ -327,8 +326,35 @@ class StableGraph(_Frozen):
         return StableGraph(tuple(genera), legs, tuple(edges))
 
     def canonical_key(self):
-        return min((c.genera, c.legs, c.edges) for c in map(
-            self.permuted, itertools.permutations(range(self.n_vertices))))
+        """The least (genera, legs, edges) of ``permuted(perm)`` over all
+        vertex relabellings perm, by refinement: the least genera are the
+        sorted ones, so each vertex keeps to its genus block; the least
+        legs give each leg-carrying vertex, in leg order, the smallest
+        free label of its block; only the leg-free vertices are left to
+        permute, inside their blocks, for the least edges."""
+        genera = tuple(sorted(self.genera))
+        free = {gv: genera.index(gv) for gv in genera}
+        label = [None] * self.n_vertices
+        for v in self.legs:
+            if label[v] is None:
+                label[v] = free[self.genera[v]]
+                free[self.genera[v]] += 1
+        legs = tuple(label[v] for v in self.legs)
+        rest = [[v for v in range(self.n_vertices)
+                 if label[v] is None and self.genera[v] == gv] for gv in free]
+        best = None
+        for images in itertools.product(*(
+                itertools.permutations(range(free[gv], free[gv] + len(vs)))
+                for gv, vs in zip(free, rest))):
+            for vs, labels in zip(rest, images):
+                for v, x in zip(vs, labels):
+                    label[v] = x
+            edges = tuple(sorted((label[a], label[b]) if label[a] <= label[b]
+                                 else (label[b], label[a])
+                                 for a, b in self.edges))
+            if best is None or edges < best:
+                best = edges
+        return genera, legs, best
 
     def canonical(self):
         g, l, e = self.canonical_key()
@@ -339,21 +365,31 @@ def graph_isomorphisms(g1: StableGraph, g2: StableGraph):
     """All decorated isomorphisms g1 -> g2 fixing external legs.
 
     Yields (vertex_map, slot_map) where slot_map sends each slot
-    descriptor of g1 to one of g2.
+    descriptor of g1 to one of g2, in lexicographic order of vertex_map
+    and then of the edge and orientation choices.  The legs fix the image
+    of every leg-carrying vertex; only the others are permuted.
     """
     n = g1.n_vertices
     if (n != g2.n_vertices or len(g1.edges) != len(g2.edges)
             or g1.n_legs != g2.n_legs):
         return
-    for perm in itertools.permutations(range(n)):
+    fixed = dict(zip(g1.legs, g2.legs))
+    if (len(set(fixed.values())) != len(fixed)
+            or any(fixed[a] != b for a, b in zip(g1.legs, g2.legs))):
+        return
+    rest = [v for v in range(n) if v not in fixed]
+    # group g2 edges by their endpoint pair
+    targets = {}
+    for e2, (a, b) in enumerate(g2.edges):
+        targets.setdefault(tuple(sorted((a, b))), []).append(e2)
+    for images in itertools.permutations(
+            sorted(set(range(n)) - set(fixed.values()))):
+        perm = [fixed.get(v) for v in range(n)]
+        for v, x in zip(rest, images):
+            perm[v] = x
         if any(g1.genera[v] != g2.genera[perm[v]] for v in range(n)):
             continue
-        if any(perm[g1.legs[j]] != g2.legs[j] for j in range(g1.n_legs)):
-            continue
         # group g1 edges by their image endpoint pair
-        targets = {}
-        for e2, (a, b) in enumerate(g2.edges):
-            targets.setdefault(tuple(sorted((a, b))), []).append(e2)
         groups = {}
         ok = True
         for e1, (a, b) in enumerate(g1.edges):
@@ -405,19 +441,33 @@ def graph_automorphisms(g: StableGraph):
     return list(graph_isomorphisms(g, g))
 
 
+def _leg_tuples(need, l):
+    """Every l-tuple of vertices in which vertex v occurs at least
+    need[v] times: a prefix grows while the legs it still owes its
+    vertices fit in the positions left."""
+    prefixes = [((), tuple(need), sum(k for k in need if k > 0))]
+    for left in range(l - 1, -1, -1):
+        prefixes = [(p + (v,), n[:v] + (k - 1,) + n[v + 1:], d - (k > 0))
+                    for p, n, d in prefixes for v, k in enumerate(n)
+                    if d - (k > 0) <= left]
+    return [p for p, _, d in prefixes if not d]
+
+
 @lru_cache(maxsize=None)
 def enumerate_stable_graphs(g: int, l: int):
-    """Isomorphism classes of stable l-labelled graphs of genus g.
+    """Isomorphism classes of stable l-labelled graphs of genus g, sorted
+    by canonical key; every returned graph is canonical.
 
-    Requires 2g - 2 + l > 0.  Brute-force generation with canonical-form
-    deduplication; every returned graph is canonical.
+    Requires 2g - 2 + l > 0.  Each connected edge multiset on sorted
+    genera gets every leg tuple that makes all its vertices stable, and
+    the canonical keys deduplicate them.
     """
     if not is_stable(g, l):
         raise ValueError(f"({g}, {l}) is unstable")
     found = {}
     vmax = max(1, 2 * g - 2 + l)
     for nv in range(1, vmax + 1):
-        for genera in itertools.product(range(g + 1), repeat=nv):
+        for genera in itertools.combinations_with_replacement(range(g + 1), nv):
             total_vertex_genus = sum(genera)
             if total_vertex_genus > g:
                 continue
@@ -432,9 +482,7 @@ def enumerate_stable_graphs(g: int, l: int):
                     continue
                 # vertex v is stable when 2 g_v - 2 + valence > 0
                 need = [3 - 2 * genera[v] - bare.valence(v) for v in range(nv)]
-                for legs in itertools.product(range(nv), repeat=l):
-                    if any(legs.count(v) < need[v] for v in range(nv)):
-                        continue
+                for legs in _leg_tuples(need, l):
                     key = StableGraph(genera, legs, edges).canonical_key()
                     if key not in found:
                         found[key] = StableGraph(*key)

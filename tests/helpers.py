@@ -1,5 +1,6 @@
 """Shared test utilities: random complexes and small oracles."""
 
+import itertools
 import random
 from bisect import bisect_left
 from fractions import Fraction
@@ -523,6 +524,85 @@ def one_vector_closure(op, seeds):
             if img and add(tkey, tdeg, img):
                 frontier.append((tkey, tdeg, img))
     return spans
+
+
+# -- reference stable-graph kernels ------------------------------------------
+# The canonical key and the isomorphisms as they were before refinement:
+# the least key over every vertex permutation, and every vertex
+# permutation tried in lexicographic order.  The engine's refined ones
+# must agree exactly, the isomorphisms in the same order.
+
+
+def brute_canonical_key(graph):
+    """The least (genera, legs, edges) over all vertex relabellings."""
+    return min((c.genera, c.legs, c.edges) for c in map(
+        graph.permuted, itertools.permutations(range(graph.n_vertices))))
+
+
+def brute_graph_isomorphisms(g1, g2):
+    """All decorated isomorphisms g1 -> g2 fixing external legs.
+
+    Yields (vertex_map, slot_map) where slot_map sends each slot
+    descriptor of g1 to one of g2.
+    """
+    n = g1.n_vertices
+    if (n != g2.n_vertices or len(g1.edges) != len(g2.edges)
+            or g1.n_legs != g2.n_legs):
+        return
+    for perm in itertools.permutations(range(n)):
+        if any(g1.genera[v] != g2.genera[perm[v]] for v in range(n)):
+            continue
+        if any(perm[g1.legs[j]] != g2.legs[j] for j in range(g1.n_legs)):
+            continue
+        # group g1 edges by their image endpoint pair
+        targets = {}
+        for e2, (a, b) in enumerate(g2.edges):
+            targets.setdefault(tuple(sorted((a, b))), []).append(e2)
+        groups = {}
+        ok = True
+        for e1, (a, b) in enumerate(g1.edges):
+            key = tuple(sorted((perm[a], perm[b])))
+            if key not in targets:
+                ok = False
+                break
+            groups.setdefault(key, []).append(e1)
+        if not ok:
+            continue
+        if any(len(groups[k]) != len(targets[k]) for k in groups):
+            continue
+        if set(targets) != set(groups):
+            continue
+        keys = sorted(groups)
+        assignments = [itertools.permutations(targets[k]) for k in keys]
+        for assignment in itertools.product(*assignments):
+            edge_map = {}
+            for k, images in zip(keys, assignment):
+                for e1, e2 in zip(groups[k], images):
+                    edge_map[e1] = e2
+            # orientation choices per edge
+            orientation_options = []
+            for e1, (a, b) in enumerate(g1.edges):
+                e2 = edge_map[e1]
+                a2, b2 = g2.edges[e2]
+                opts = []
+                if (perm[a], perm[b]) == (a2, b2):
+                    opts.append((0, 1))
+                if (perm[a], perm[b]) == (b2, a2):
+                    opts.append((1, 0))
+                opts = list(dict.fromkeys(opts))
+                if not opts:
+                    break
+                orientation_options.append(opts)
+            else:
+                for orient in itertools.product(*orientation_options):
+                    slot_map = {("leg", j + 1): ("leg", j + 1)
+                                for j in range(g1.n_legs)}
+                    for e1 in range(len(g1.edges)):
+                        e2 = edge_map[e1]
+                        h0, h1 = orient[e1]
+                        slot_map[("edge", e1, 0)] = ("edge", e2, h0)
+                        slot_map[("edge", e1, 1)] = ("edge", e2, h1)
+                    yield tuple(perm), slot_map
 
 
 # -- value semantics -------------------------------------------------------

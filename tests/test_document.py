@@ -184,10 +184,21 @@ class TestWriter:
                                               indent=1) + "\n"
 
     def test_edge_values(self):
+        class Cell(str):
+            pass
+
+        # string rows that pass the one-join check, and rows that fail it
+        # only at their last cell
+        rows = [["1", "0"], ["-1/2", "3", " ", "a~{}"], ["0"] * 1000,
+                ["0"] * 999 + ["\x7f"], ["0"] * 999 + ["\n"], ["0", "\x1f"],
+                ["0", "\u2028"], ["0", '"'], ["0", "\\"], ["0", "é"], ["0", ""],
+                [""], ["", ""], ("1", "0"), [Cell("1"), Cell("\t")],
+                [Cell("1"), Cell("2")]]
         for value in ({}, [], [[]], {"": {}}, {"a": [], "b": [[], {}]},
                       ["x", 1, None, True, False, ["y"]], [["1", "0"]],
                       {"ä\n\"\\": ["\u2028", "\x00"]}, "", 0, None,
-                      (1, ("a",)), {"b": 1, "a": 2, "B": 3, "é": 4}):
+                      (1, ("a",)), {"b": 1, "a": 2, "B": 3, "é": 4},
+                      *rows, {"rows": rows}, ["0", 1], [1, "0"]):
             assert doc.dumps(value) == json.dumps(value, sort_keys=True,
                                                   indent=1) + "\n"
 

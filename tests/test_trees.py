@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -37,7 +38,8 @@ from operad_forge.trees import (
     tree_to_planar,
 )
 
-from helpers import assert_value_semantics
+from helpers import (assert_value_semantics, brute_canonical_key,
+                     brute_graph_isomorphisms)
 
 
 # -- oracles ------------------------------------------------------------------
@@ -105,7 +107,8 @@ def oracle_trees(n):
 
 
 def oracle_stable_graphs(g, l):
-    """Adjacency-matrix generation + pairwise isomorphism dedup."""
+    """Adjacency-matrix generation + pairwise isomorphism dedup, by the
+    all-permutations reference isomorphisms."""
     classes = []
     vmax = max(1, 2 * g - 2 + l)
     for nv in range(1, vmax + 1):
@@ -124,7 +127,7 @@ def oracle_stable_graphs(g, l):
                     cand = StableGraph(genera, legs, tuple(edges))
                     if not cand.is_connected() or not cand.is_stable():
                         continue
-                    if not any(next(graph_isomorphisms(cand, c), None)
+                    if not any(next(brute_graph_isomorphisms(cand, c), None)
                                for c in classes):
                         classes.append(cand)
     return classes
@@ -235,10 +238,20 @@ class TestEnumerateGraphs:
             graphs = enumerate_stable_graphs(g, l)
             oracle = oracle_stable_graphs(g, l)
             assert len(graphs) == len(oracle)
-            assert ({gr.canonical_key() for gr in graphs}
-                    == {gr.canonical_key() for gr in oracle})
+            assert ({brute_canonical_key(gr) for gr in graphs}
+                    == {brute_canonical_key(gr) for gr in oracle})
         # the seven stable graphs of M_2-bar, one per boundary stratum
         assert len(enumerate_stable_graphs(2, 0)) == 7
+
+    def test_genus_zero_against_trees(self):
+        # a genus-0 stable graph with l legs is a reduced tree with l - 1
+        # leaves, rooted at leg l
+        for l in range(3, 7):
+            graphs = enumerate_stable_graphs(0, l)
+            assert len(graphs) == len(enumerate_trees(l - 1))
+            for gr in graphs:
+                assert set(gr.genera) == {0}
+                assert len(gr.edges) == gr.n_vertices - 1
 
     def test_genus_and_stability_recomputed(self):
         for (g, l) in [(0, 4), (1, 1), (1, 2), (2, 0)]:
@@ -278,6 +291,33 @@ class TestAutomorphisms:
             for gr in enumerate_stable_graphs(g, l):
                 for perm, _ in graph_automorphisms(gr):
                     assert gr.permuted(perm).canonical_key() == gr.canonical_key()
+
+
+def scrambled(gr, rng):
+    """gr with its vertices relabelled by a random permutation, its edges
+    shuffled and each edge turned round at random."""
+    perm = list(range(gr.n_vertices))
+    rng.shuffle(perm)
+    h = gr.permuted(perm)
+    edges = [e[::-1] if rng.random() < 0.5 else e for e in h.edges]
+    rng.shuffle(edges)
+    return StableGraph(h.genera, h.legs, tuple(edges))
+
+
+class TestGraphKernelsAgainstReference:
+    def test_scrambled_catalogue_up_to_dimension_three(self):
+        rng = random.Random(23)
+        for key in stable_pairs_up_to(3):
+            catalog = enumerate_stable_graphs(*key)
+            for gr in catalog:
+                h = scrambled(gr, rng)
+                key_of = (gr.genera, gr.legs, gr.edges)
+                assert h.canonical_key() == brute_canonical_key(h) == key_of
+                other = scrambled(rng.choice(catalog), rng)
+                for a, b in ((h, h), (h, gr), (gr, h), (gr, gr),
+                             (h, scrambled(gr, rng)), (h, other), (other, h)):
+                    assert (list(graph_isomorphisms(a, b))
+                            == list(brute_graph_isomorphisms(a, b)))
 
 
 class TestConcreteOperations:
@@ -325,10 +365,11 @@ class TestConcreteOperations:
 
 def linear_scan_match(c, catalog):
     """Reference: the first isomorphism onto the first catalog entry that
-    admits one, scanning the catalog in order."""
+    admits one, scanning the catalog in order with the all-permutations
+    reference isomorphisms."""
     underlying = c.as_stable_graph()
     for idx, cand in enumerate(catalog):
-        for vertex_map, slot_map in graph_isomorphisms(underlying, cand):
+        for vertex_map, slot_map in brute_graph_isomorphisms(underlying, cand):
             slot_perms = {}
             for v in range(len(c.genera)):
                 image_slots = [slot_map[s] for s in c.slot_orders[v]]
