@@ -502,11 +502,17 @@ def loads(text: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise DocumentError("not valid JSON: nested too deeply") from None
 
 
 def load(path):
-    with open(path, encoding="utf-8") as fh:
-        return from_document(loads(fh.read()))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"not UTF-8 text: {exc}") from None
+    return from_document(loads(text))
 
 
 def morphism_to_doc(morphism, label=""):

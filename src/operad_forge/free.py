@@ -6,6 +6,10 @@ under graph automorphisms.  All structure maps reduce to one routine:
 build the combinatorially grafted/expanded object, match it against the
 catalog of canonical representatives, and push basis labels through the
 induced per-vertex slot permutations and the Koszul factor reordering.
+Morphisms out of a free operad take one route too: each summand is
+composed in the target along a plan built once per summand (along the
+tree's nesting, or along the stable graph's spanning tree and then its
+other edges) and run by one executor, ``evaluate_tree_basis``.
 
 Operads built here carry ``free`` (layout bookkeeping) and ``tower``
 (generator levels and attachment maps) data used by the minimal-model
@@ -20,7 +24,6 @@ from .chain import (
     ChainComplex,
     ChainMap,
     TensorData,
-    koszul_reorder_sign,
     reorder_map,
 )
 from .qlinalg import F0, F1, Matrix, _combine, kernel, rank, sparse_row
@@ -143,8 +146,9 @@ class _FreeBuilder:
     (``_summand``, None when it vanishes), the lift of a basis vector
     (``_lift``), the match of a rearranged object (``_match``) with the
     projection back onto the summand (``_project``), the image of a
-    summand under an adjacent transposition (``_image``), and the
-    rearrangements ``_grafted`` and ``_expanded``.
+    summand under an adjacent transposition (``_image``), the
+    rearrangements ``_grafted`` and ``_expanded``, and the plan along
+    which ``evaluation`` composes a summand in a target (``_plan``).
     """
 
     def __init__(self, gens, shape):
@@ -155,6 +159,7 @@ class _FreeBuilder:
         self._summand_of = {}
         self._types_of = {}
         self._actions_of = {}
+        self._plans = {}  # (key, s) -> the evaluation plan of summand s
         for key in shape.keys():
             items = []
             types_of = []
@@ -407,6 +412,14 @@ class _FreeBuilder:
         return {d: _assemble(target.dim(d), layout.dim(d), c)
                 for d, c in cols.items()}
 
+    def evaluate_basis(self, dst, columns, key, s, deg, col):
+        """Image in dst of basis vector col of summand s in degree deg,
+        composed along the summand's plan (``_plan``), built once."""
+        if (key, s) not in self._plans:
+            self._plans[key, s] = self._plan(key, s)
+        return evaluate_tree_basis(dst, self._plans[key, s], columns,
+                                   self._lift(key, s, deg, col))
+
 
 # -- free operads on trees ----------------------------------------------------
 
@@ -433,7 +446,6 @@ class FreeOperadBuilder(_FreeBuilder):
         self._by_clades = {n: {frozenset(shape[0]): s
                                for s, shape in enumerate(shapes)}
                            for n, shapes in self._shapes.items()}
-        self._relabels = {}  # (n, s) -> _leaf_relabel of summand s's tree
 
     def _catalogue(self, n):
         return T.enumerate_trees(n)
@@ -505,14 +517,32 @@ class FreeOperadBuilder(_FreeBuilder):
 
         return walk(T.tree_to_planar(tree))
 
-    def evaluate_basis(self, dst, columns, n, s, deg, col):
-        tree, td = self.summands[n][s]
-        if (n, s) not in self._relabels:
-            self._relabels[n, s] = _leaf_relabel(tree)
-        d, vec = evaluate_tree_basis(dst, tree, self._relabels[n, s],
-                                     self._types_of[n][s], columns,
-                                     td.basis(deg)[col])
-        return {d: vec}
+    def _plan(self, n, s):
+        """Compose each child subtree into its parent as soon as it is
+        complete, the vertices pushed in preorder; the composite's legs
+        are the tree's leaves in preorder."""
+        tree = self.summands[n][s][0]
+        vertices = enumerate(self._types_of[n][s])
+        steps = []
+
+        def walk(node):
+            steps.append((*next(vertices), None))
+            arity = len(node.children)
+            pos = 1
+            for child in node.children:
+                if child.is_leaf:
+                    pos += 1
+                    continue
+                sub = walk(child)
+                steps.append(("compose", arity, pos, sub))
+                arity += sub - 1
+                pos += sub
+            return arity
+
+        walk(tree)
+        relabel = Permutation(tuple(tree.leaves())).inverse()
+        return (steps, (), n,
+                None if relabel.is_identity() else relabel)
 
 
 def free_operad(module: SigmaModule, max_arity: int) -> DGOperad:
@@ -636,9 +666,51 @@ class FreeModularBuilder(_FreeBuilder):
                     table.add(deg, k, row, c)
         return table
 
-    def evaluate_basis(self, dst, columns, key, s, deg, col):
-        return evaluate_graph_basis(dst, self.summands[key][s][0], columns,
-                                    self._lift(key, s, deg, col))
+    def _plan(self, key, s):
+        """Glue the vertices on to vertex 0 along the spanning tree that
+        always takes the least edge out of the glued set, each glued
+        slot cycled to the front of its vertex; then contract the other
+        edges in index order.  Slots are named as in ``leg_order``."""
+        graph = self.summands[key][s][0]
+        order = [0]  # the vertices in the order they are glued on
+        genus, slots = graph.genera[0], list(graph.leg_order(0))
+        steps = [(0, graph.vertex_type(0), None)]
+        while len(order) < graph.n_vertices:
+            e = min((e for e, (a, b) in enumerate(graph.edges)
+                     if (a in order) != (b in order)), default=None)
+            if e is None:
+                raise AssertionError("graph is not connected")
+            a, b = graph.edges[e]
+            if ("edge", e, 0) in slots:
+                blob, w, half = ("edge", e, 0), b, ("edge", e, 1)
+            else:
+                blob, w, half = ("edge", e, 1), a, ("edge", e, 0)
+            order.append(w)
+            worder = list(graph.leg_order(w))
+            wkey = graph.vertex_type(w)
+            cyc = Permutation.cycle_to_front(wkey[1], worder.index(half) + 1)
+            pos = slots.index(blob) + 1
+            steps.append((w, wkey, None if cyc.is_identity() else cyc))
+            steps.append(("compose", (genus, len(slots)), pos, wkey))
+            slots[pos - 1:pos] = [x for x in worder if x != half]
+            genus += wkey[0]
+        for e in range(len(graph.edges)):
+            if ("edge", e, 0) in slots:
+                p1 = slots.index(("edge", e, 0)) + 1
+                p2 = slots.index(("edge", e, 1)) + 1
+                steps.append(("contract", (genus, len(slots)), min(p1, p2),
+                              max(p1, p2)))
+                slots = [x for x in slots if x[:2] != ("edge", e)]
+                genus += 1
+        if (genus, len(slots)) != key:
+            raise AssertionError("graph evaluation lost track of the type")
+        # the pairs of vertices that the glue order reverses
+        inversions = tuple((p, q) for i, q in enumerate(order)
+                           for p in order[i + 1:] if p < q)
+        relabel = Permutation(tuple(slots.index(("leg", q)) + 1
+                                    for q in range(1, key[1] + 1)))
+        return (steps, inversions, key,
+                None if relabel.is_identity() else relabel)
 
 
 def free_builder(op, gens, window):
@@ -795,150 +867,44 @@ def endomorphism_modular_operad(v: ChainComplex, pairing,
 # -- morphisms out of free operads --------------------------------------------
 
 
-def _eval_tree(dst, tree, elements):
-    """Compose decorated-vertex elements along a tree inside dst.
-
-    ``elements``: iterator of (degree, vector) per preorder vertex;
-    returns (arity, degree, vector) before the final leg relabel.
+def evaluate_tree_basis(dst, plan, columns, labels):
+    """Image in dst of one summand vector, given by its tensor labels
+    [(label, coeff)] and composed along the summand's plan (``_plan``):
+    a tree along its nesting, a stable graph along its spanning tree and
+    then its other edges.  The steps run on a stack: ``(v, key, perm)``
+    pushes vertex v's generator image (acted on by perm unless None),
+    ``("compose", key1, i, key2)`` composes the top two entries and
+    ``("contract", key, i, j)`` contracts the top one.  The inversions
+    give the Koszul sign, the relabel moves the legs into place.
+    ``columns(key, d)``: the columns of the degree-d block of the
+    generator image at key.  Returns {degree: sparse vector}.
     """
-
-    def walk(node):
-        deg, vec = next(elements)
-        arity = len(node.children)
-        pos = 1
-        for child in node.children:
-            if child.is_leaf:
-                pos += 1
-                continue
-            sub_ar, sub_deg, sub_vec = walk(child)
-            vec = dst.compose(arity, pos, sub_ar, deg, vec, sub_deg, sub_vec)
-            arity = arity + sub_ar - 1
-            deg = deg + sub_deg
-            pos += sub_ar
-        return arity, deg, vec
-
-    return walk(tree)
-
-
-def _leaf_relabel(tree):
-    """The permutation taking the composite along tree to the tree's leaf
-    labels (the inverse of its leaves in preorder), or None when it is
-    the identity."""
-    sigma = Permutation(tuple(tree.leaves())).inverse()
-    return None if sigma.is_identity() else sigma
-
-
-def evaluate_tree_basis(dst, tree, relabel, arities, columns, label):
-    """Image in dst of one summand basis label of the free operad.
-
-    ``relabel`` is ``_leaf_relabel(tree)`` and ``arities`` the arity of
-    each vertex of tree in preorder; ``columns(arity, d)``: the columns,
-    as sparse vectors, of the degree-d block of the ChainMap from the
-    generator complex into dst.component(arity).  Returns (degree, sparse
-    vector).
-    """
-    pieces = [(d, columns(ar, d)[k]) for (d, k), ar in zip(label, arities)]
-    ar, deg, vec = _eval_tree(dst, tree, iter(pieces))
-    if relabel is not None:
-        vec = dst.action(tree.arity, relabel).block(deg).apply(vec)
-    return deg, vec
-
-
-def _eval_graph(dst, graph, elements_by_vertex):
-    """Glue decorated-vertex elements along a stable graph inside dst.
-
-    Deterministic order: vertices in index order via a BFS spanning
-    tree, then the remaining edges by index.  Returns (genus, legs
-    descriptor list, degree, vector) before the final leg relabel.
-    """
-    nv = graph.n_vertices
-    visit_order = [0]
-    visited = {0}
-    tree_edges = []
-    while len(visited) < nv:
-        found = None
-        for e, (a, bb) in enumerate(graph.edges):
-            if e in tree_edges:
-                continue
-            if (a in visited) != (bb in visited):
-                cand = (e, a, bb)
-                if found is None or cand < found:
-                    found = cand
-        if found is None:
-            raise AssertionError("graph is not connected")
-        e, a, bb = found
-        w = bb if a in visited else a
-        tree_edges.append(e)
-        visit_order.append(w)
-        visited.add(w)
-    # Koszul sign from reordering index order -> visit order
-    degs = [elements_by_vertex[v][0] for v in range(nv)]
-    perm_images = [0] * nv
-    for pos, vtx in enumerate(visit_order):
-        perm_images[vtx] = pos
-    sign = koszul_reorder_sign(degs, perm_images)
-    v0 = visit_order[0]
-    g_cur = graph.genera[v0]
-    deg, vec = elements_by_vertex[v0]
-    vec = tuple((j, sign * x) for j, x in vec)
-    slots = list(graph.leg_order(v0))
-    glued = set()
-    for e in tree_edges:
-        a, bb = graph.edges[e]
-        if ("edge", e, 0) in slots:
-            d_blob, w, d_w = ("edge", e, 0), bb, ("edge", e, 1)
-        else:
-            d_blob, w, d_w = ("edge", e, 1), a, ("edge", e, 0)
-        worder = list(graph.leg_order(w))
-        q = worder.index(d_w) + 1
-        wkey = graph.vertex_type(w)
-        wdeg, wvec = elements_by_vertex[w]
-        cyc = Permutation.cycle_to_front(wkey[1], q)
-        if not cyc.is_identity():
-            wvec = dst.action(wkey, cyc).block(wdeg).apply(wvec)
-        pos = slots.index(d_blob) + 1
-        lcur = len(slots)
-        vec = dst.compose((g_cur, lcur), pos, wkey, deg, vec, wdeg, wvec)
-        slots = (slots[:pos - 1]
-                 + [s for s in worder if s != d_w]
-                 + slots[pos:])
-        g_cur += wkey[0]
-        deg += wdeg
-        glued.add(e)
-    for e in range(len(graph.edges)):
-        if e in glued:
-            continue
-        p1 = slots.index(("edge", e, 0)) + 1
-        p2 = slots.index(("edge", e, 1)) + 1
-        vec = dst.contract((g_cur, len(slots)), min(p1, p2), max(p1, p2),
-                           deg, vec)
-        slots = [s for s in slots if s[:2] != ("edge", e)]
-        g_cur += 1
-    return g_cur, slots, deg, vec
-
-
-def evaluate_graph_basis(dst, graph, columns, vlevel_entries):
-    """Image in dst of a graph-space vector given per-vertex images.
-
-    ``vlevel_entries``: list of (label, coeff) in the graph-space basis;
-    ``columns((g, l), d)``: the columns, as sparse vectors, of the
-    degree-d block of the ChainMap into dst.component((g, l)).  Returns a
-    dict (degree -> sparse vector) accumulated over the entries.
-    """
+    steps, inversions, key, relabel = plan
     out = {}
-    key = (graph.genus, graph.n_legs)
-    for label, lcoeff in vlevel_entries:
-        pieces = [(d, columns(graph.vertex_type(v), d)[k])
-                  for v, (d, k) in enumerate(label)]
-        g_cur, slots, deg, vec = _eval_graph(dst, graph, pieces)
-        if g_cur != key[0] or len(slots) != key[1]:
-            raise AssertionError("graph evaluation lost track of the type")
-        sigma = Permutation(tuple(slots.index(("leg", q)) + 1
-                                  for q in range(1, key[1] + 1)))
-        if not sigma.is_identity():
-            vec = dst.action(key, sigma).block(deg).apply(vec)
+    for label, coeff in labels:
+        stack = []
+        for step in steps:
+            if step[0] == "compose":
+                d2, v2 = stack.pop()
+                d1, v1 = stack.pop()
+                stack.append((d1 + d2, dst.compose(*step[1:], d1, v1, d2, v2)))
+            elif step[0] == "contract":
+                d, v = stack[-1]
+                stack[-1] = d, dst.contract(*step[1:], d, v)
+            else:
+                v, vkey, perm = step
+                d, k = label[v]
+                vec = columns(vkey, d)[k]
+                if perm is not None:
+                    vec = dst.action(vkey, perm).block(d).apply(vec)
+                stack.append((d, vec))
+        (deg, vec), = stack
+        if relabel is not None:
+            vec = dst.action(key, relabel).block(deg).apply(vec)
+        if sum(label[p][0] * label[q][0] for p, q in inversions) % 2:
+            coeff = -coeff
         if vec:
-            out[deg] = _combine(out.get(deg, ()), vec, lcoeff)
+            out[deg] = _combine(out.get(deg, ()), vec, coeff)
     return out
 
 

@@ -616,16 +616,25 @@ def _unit_g_map(vc, qc, d, r, k):
                     check=False)
 
 
-def _ordered_gen_keys(op):
-    return sorted(op.tower.gen_actions, key=lambda k: (op.level(k), k))
+def _solve_generators(mm, target, post_maps, prescribed, r_hom, seed):
+    """The morphism out of mm's operad into target whose generator
+    images are solved key by key, in level order (``_solve_level``).
 
-
-def _linear_c_keys(op, gen_key, candidates):
-    """Drop components whose dependence on gen_key images is nonlinear
-    (more than one gen_key-typed vertex in some summand); their homology
-    conditions are then only checked post hoc."""
-    return [ckey for ckey in candidates
-            if _count_type_vertices(op.free, ckey, gen_key) <= 1]
+    Each key owns the homology conditions ``_assign_c_keys`` gives it,
+    less those of components that depend on its images nonlinearly
+    (more than one key-typed vertex in some summand); those are only
+    checked post hoc.
+    """
+    op = mm.operad
+    gen_keys = sorted(op.tower.gen_actions, key=lambda k: (op.level(k), k))
+    assignments = _assign_c_keys(op, gen_keys)
+    images = {}
+    for key in gen_keys:
+        c_keys = [ckey for ckey in assignments[key]
+                  if _count_type_vertices(op.free, ckey, key) <= 1]
+        images[key] = _solve_level(mm, target, post_maps, prescribed, key,
+                                   images, r_hom, c_keys, seed=seed)
+    return morphism_from_generators(op, target, images)
 
 
 def lift(rho: OperadMorphism, psi: OperadMorphism, mm: MinimalModel,
@@ -649,14 +658,7 @@ def lift(rho: OperadMorphism, psi: OperadMorphism, mm: MinimalModel,
         hm = homology(op.component(key))
         ind = induced_map(psi.block(key), hm, hr)
         prescribed[key] = ind
-    gen_keys = _ordered_gen_keys(op)
-    assignments = _assign_c_keys(op, gen_keys)
-    images = {}
-    for key in gen_keys:
-        c_keys = _linear_c_keys(op, key, assignments[key])
-        images[key] = _solve_level(mm, q_operad, rho.maps, prescribed,
-                                   key, images, r_hom, c_keys, seed=seed)
-    phi = morphism_from_generators(op, q_operad, images)
+    phi = _solve_generators(mm, q_operad, rho.maps, prescribed, r_hom, seed)
     certificates = {}
     comp = rho.compose(phi)
     for key in op.keys():
@@ -685,16 +687,7 @@ def endomorphism_with_prescribed_homology(mm: MinimalModel, h_target,
     for key, hr in r_hom.items():
         prescribed[key] = {d: h_target[key][d] for d in hr.dims} \
             if key in h_target else {}
-    gen_keys = _ordered_gen_keys(op)
-    assignments = _assign_c_keys(op, gen_keys)
-    images = {}
-    post_maps = {}
-    for key in gen_keys:
-        c_keys = _linear_c_keys(op, key, assignments[key])
-        images[key] = _solve_level(mm, op, post_maps, prescribed, key,
-                                   images, r_hom, c_keys, seed=seed)
-    f = morphism_from_generators(op, op, images)
-    return f
+    return _solve_generators(mm, op, {}, prescribed, r_hom, seed)
 
 
 def iso_between_minimal(mm1: MinimalModel, mm2: MinimalModel, seed=0):

@@ -8,7 +8,7 @@ from math import lcm
 
 import pytest
 
-from operad_forge.chain import ChainComplex, ChainMap
+from operad_forge.chain import ChainComplex, ChainMap, koszul_reorder_sign
 from operad_forge.operad import _Images
 from operad_forge.qlinalg import (
     F0,
@@ -627,3 +627,157 @@ def assert_value_semantics(make, make_other, text):
     with pytest.raises(AttributeError):
         a.extra = 1
     assert repr(a) == text
+
+
+# -- reference evaluators ---------------------------------------------------
+# The two evaluators the free builders had before both took one plan per
+# summand (``free.evaluate_tree_basis``), kept verbatim: composition along
+# a tree by recursion, along a stable graph by a spanning tree worked out
+# again for every label.
+
+
+def _eval_tree(dst, tree, elements):
+    """Compose decorated-vertex elements along a tree inside dst.
+
+    ``elements``: iterator of (degree, vector) per preorder vertex;
+    returns (arity, degree, vector) before the final leg relabel.
+    """
+
+    def walk(node):
+        deg, vec = next(elements)
+        arity = len(node.children)
+        pos = 1
+        for child in node.children:
+            if child.is_leaf:
+                pos += 1
+                continue
+            sub_ar, sub_deg, sub_vec = walk(child)
+            vec = dst.compose(arity, pos, sub_ar, deg, vec, sub_deg, sub_vec)
+            arity = arity + sub_ar - 1
+            deg = deg + sub_deg
+            pos += sub_ar
+        return arity, deg, vec
+
+    return walk(tree)
+
+
+def _leaf_relabel(tree):
+    """The permutation taking the composite along tree to the tree's leaf
+    labels (the inverse of its leaves in preorder), or None when it is
+    the identity."""
+    sigma = Permutation(tuple(tree.leaves())).inverse()
+    return None if sigma.is_identity() else sigma
+
+
+def evaluate_tree_basis(dst, tree, relabel, arities, columns, label):
+    """Image in dst of one summand basis label of the free operad.
+
+    ``relabel`` is ``_leaf_relabel(tree)`` and ``arities`` the arity of
+    each vertex of tree in preorder; ``columns(arity, d)``: the columns,
+    as sparse vectors, of the degree-d block of the ChainMap from the
+    generator complex into dst.component(arity).  Returns (degree, sparse
+    vector).
+    """
+    pieces = [(d, columns(ar, d)[k]) for (d, k), ar in zip(label, arities)]
+    ar, deg, vec = _eval_tree(dst, tree, iter(pieces))
+    if relabel is not None:
+        vec = dst.action(tree.arity, relabel).block(deg).apply(vec)
+    return deg, vec
+
+
+def _eval_graph(dst, graph, elements_by_vertex):
+    """Glue decorated-vertex elements along a stable graph inside dst.
+
+    Deterministic order: vertices in index order via a BFS spanning
+    tree, then the remaining edges by index.  Returns (genus, legs
+    descriptor list, degree, vector) before the final leg relabel.
+    """
+    nv = graph.n_vertices
+    visit_order = [0]
+    visited = {0}
+    tree_edges = []
+    while len(visited) < nv:
+        found = None
+        for e, (a, bb) in enumerate(graph.edges):
+            if e in tree_edges:
+                continue
+            if (a in visited) != (bb in visited):
+                cand = (e, a, bb)
+                if found is None or cand < found:
+                    found = cand
+        if found is None:
+            raise AssertionError("graph is not connected")
+        e, a, bb = found
+        w = bb if a in visited else a
+        tree_edges.append(e)
+        visit_order.append(w)
+        visited.add(w)
+    # Koszul sign from reordering index order -> visit order
+    degs = [elements_by_vertex[v][0] for v in range(nv)]
+    perm_images = [0] * nv
+    for pos, vtx in enumerate(visit_order):
+        perm_images[vtx] = pos
+    sign = koszul_reorder_sign(degs, perm_images)
+    v0 = visit_order[0]
+    g_cur = graph.genera[v0]
+    deg, vec = elements_by_vertex[v0]
+    vec = tuple((j, sign * x) for j, x in vec)
+    slots = list(graph.leg_order(v0))
+    glued = set()
+    for e in tree_edges:
+        a, bb = graph.edges[e]
+        if ("edge", e, 0) in slots:
+            d_blob, w, d_w = ("edge", e, 0), bb, ("edge", e, 1)
+        else:
+            d_blob, w, d_w = ("edge", e, 1), a, ("edge", e, 0)
+        worder = list(graph.leg_order(w))
+        q = worder.index(d_w) + 1
+        wkey = graph.vertex_type(w)
+        wdeg, wvec = elements_by_vertex[w]
+        cyc = Permutation.cycle_to_front(wkey[1], q)
+        if not cyc.is_identity():
+            wvec = dst.action(wkey, cyc).block(wdeg).apply(wvec)
+        pos = slots.index(d_blob) + 1
+        lcur = len(slots)
+        vec = dst.compose((g_cur, lcur), pos, wkey, deg, vec, wdeg, wvec)
+        slots = (slots[:pos - 1]
+                 + [s for s in worder if s != d_w]
+                 + slots[pos:])
+        g_cur += wkey[0]
+        deg += wdeg
+        glued.add(e)
+    for e in range(len(graph.edges)):
+        if e in glued:
+            continue
+        p1 = slots.index(("edge", e, 0)) + 1
+        p2 = slots.index(("edge", e, 1)) + 1
+        vec = dst.contract((g_cur, len(slots)), min(p1, p2), max(p1, p2),
+                           deg, vec)
+        slots = [s for s in slots if s[:2] != ("edge", e)]
+        g_cur += 1
+    return g_cur, slots, deg, vec
+
+
+def evaluate_graph_basis(dst, graph, columns, vlevel_entries):
+    """Image in dst of a graph-space vector given per-vertex images.
+
+    ``vlevel_entries``: list of (label, coeff) in the graph-space basis;
+    ``columns((g, l), d)``: the columns, as sparse vectors, of the
+    degree-d block of the ChainMap into dst.component((g, l)).  Returns a
+    dict (degree -> sparse vector) accumulated over the entries.
+    """
+    out = {}
+    key = (graph.genus, graph.n_legs)
+    for label, lcoeff in vlevel_entries:
+        pieces = [(d, columns(graph.vertex_type(v), d)[k])
+                  for v, (d, k) in enumerate(label)]
+        g_cur, slots, deg, vec = _eval_graph(dst, graph, pieces)
+        if g_cur != key[0] or len(slots) != key[1]:
+            raise AssertionError("graph evaluation lost track of the type")
+        sigma = Permutation(tuple(slots.index(("leg", q)) + 1
+                                  for q in range(1, key[1] + 1)))
+        if not sigma.is_identity():
+            vec = dst.action(key, sigma).block(deg).apply(vec)
+        if vec:
+            out[deg] = _combine(out.get(deg, ()), vec, lcoeff)
+    return out

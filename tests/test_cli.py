@@ -98,6 +98,21 @@ def test_malformed_document_exit_2_without_traceback(mutate, tmp_path):
         assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("payload", [
+    b"\xff\xfe{}",
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["not-utf-8", "nested-100000-deep"])
+def test_malformed_bytes_exit_2_without_traceback(payload, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(payload)
+    for command in ("validate", "homology"):
+        run = run_cli(command, str(bad))
+        stderr = run.stderr.decode()
+        assert run.returncode == 2, (command, stderr)
+        assert "malformed input" in stderr
+        assert "Traceback" not in stderr
+
+
 def _truncated(cut):
     """Mutation of an operad document: make it truncated at cut."""
     def mutate(payload):

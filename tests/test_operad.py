@@ -1,6 +1,9 @@
+import copy
+import functools
 import hashlib
 import itertools
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -67,7 +70,14 @@ from fixtures_ops import (
     hypercommutative_presentation,
     one_dim_operad_with_acyclic_component,
 )
-from helpers import dense_col, one_vector_closure, to_sparse
+from helpers import (
+    _leaf_relabel,
+    dense_col,
+    evaluate_graph_basis,
+    one_vector_closure,
+    to_sparse,
+)
+from helpers import evaluate_tree_basis as ref_evaluate_tree_basis
 
 
 def trivial_module(dims_by_arity):
@@ -603,6 +613,117 @@ class TestMorphismFromGenerators:
         for n in (2, 3, 4):
             block = mor.block(n).block(0)
             assert all(x == 1 for x in block.data[0])
+
+
+def _random_images(builder, dst, seed):
+    """Seeded random generator images, no entry zero: each generator
+    complex mapped into dst's component at its key (not chain maps;
+    evaluation is multilinear in them)."""
+    rng = random.Random(seed)
+    images = {}
+    for key, ga in sorted(builder.gens.items()):
+        target = dst.component(key)
+        images[key] = ChainMap(ga.complex, target, {
+            d: Matrix(target.dim(d), n, [[rng.choice((-2, -1, 1, 2))
+                                          for _ in range(n)]
+                                         for _ in range(target.dim(d))])
+            for d, n in sorted(ga.complex.dims.items())}, check=False)
+    return images
+
+
+def _scrambled(op, seed):
+    """A copy of op whose composition and contraction cells carry seeded
+    random coefficients: associativity fails, so every composition order
+    gives its own result."""
+    rng = random.Random(seed)
+
+    def coeff():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+
+    comp = {}
+    for trip, table in sorted(op.comp.items()):
+        comp[trip] = CompTable()
+        for (d1, d2), block in sorted(table.entries.items()):
+            for (k1, k2), cell in sorted(block.items()):
+                for row in sorted(cell):
+                    comp[trip].add(d1, k1, d2, k2, row, coeff())
+    contr = {}
+    for trip, table in sorted(op.contr.items()):
+        contr[trip] = ContrTable()
+        for d, block in sorted(table.entries.items()):
+            for k, cell in sorted(block.items()):
+                for row in sorted(cell):
+                    contr[trip].add(d, k, row, coeff())
+    out = copy.copy(op)
+    out.comp, out.contr = comp, contr
+    return out
+
+
+def _reference_evaluation(builder, dst, images, key):
+    """builder.evaluation(dst, images, key) by the reference evaluators."""
+    columns = functools.cache(lambda k, d: images[k].block(d).columns())
+    cols = {}
+    for s, (obj, *_) in enumerate(builder.summands[key]):
+        for deg, col, gcol in builder._columns(key, s):
+            lifted = builder._lift(key, s, deg, col)
+            if isinstance(builder, FreeOperadBuilder):
+                (label, _), = lifted
+                d, vec = ref_evaluate_tree_basis(
+                    dst, obj, _leaf_relabel(obj), builder.vertex_types(key, s),
+                    columns, label)
+                res = {d: vec}
+            else:
+                res = evaluate_graph_basis(dst, obj, columns, lifted)
+            for d, vec in res.items():
+                cols.setdefault(d, {})[gcol] = vec
+    layout, target = builder.layouts[key], dst.component(key)
+    return {d: _assemble(target.dim(d), layout.dim(d), cols.get(d, {}))
+            for d in layout.dims}
+
+
+def _odd_modular_generators():
+    """A (0,3) generator in degrees 0 and 1 and a (1,1) generator in
+    degree 1, all trivial: odd vertices reordered along a spanning tree,
+    loops, and coinvariant lifts of more than one label (a vertex swap
+    of the theta graph)."""
+    return {(0, 3): GroupAction.trivial(3, ChainComplex({0: 1, 1: 1})),
+            (1, 1): GroupAction.trivial(1, ChainComplex({1: 1}))}
+
+
+class TestEvaluationAgainstReference:
+    """Every summand composed along its plan gives what the recursive
+    tree evaluator and the per-label graph evaluator gave, on the free
+    operad itself and on a copy that is not an operad."""
+
+    @pytest.mark.parametrize("scramble", [False, True],
+                             ids=["free", "scrambled"])
+    @pytest.mark.parametrize("make", [
+        lambda: FreeOperadBuilder(
+            dict(_fixture("binary_generator.json").components), 5),
+        lambda: FreeOperadBuilder(dict(SigmaModule({
+            **sign_module(2, 1).components,
+            **trivial_module({3: {1: 1}}).components}).components), 5),
+        lambda: FreeModularBuilder(
+            dict(_fixture("modular_generator_03.json").components), 3),
+        lambda: FreeModularBuilder(_odd_modular_generators(), 3),
+    ], ids=["binary-generator", "odd-trees", "modular-generator-03",
+            "odd-graphs"])
+    def test_every_key(self, make, scramble):
+        builder = make()
+        dst = builder.finish()
+        if scramble:
+            dst = _scrambled(dst, 11)
+        images = _random_images(builder, dst, 5)
+        checked = 0
+        for key in builder.shape.keys():
+            if not builder.summands[key]:
+                continue
+            got = builder.evaluation(dst, images, key)
+            want = _reference_evaluation(builder, dst, images, key)
+            assert {d: m.sparse for d, m in got.items()} \
+                == {d: m.sparse for d, m in want.items()}, key
+            checked += any(not m.is_zero() for m in got.values())
+        assert checked > 3
 
 
 class TestGenusBearingGenerators:
