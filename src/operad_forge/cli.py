@@ -71,6 +71,24 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
+def _emit_document(doc, out):
+    """Stream a document to --out or stdout, never holding its text."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            doc_mod.dump(doc, fh)
+        return
+    try:
+        doc_mod.dump(doc, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (as `| head` does): what is
+        # still buffered goes to devnull at exit, and the command ends
+        # quietly with its own exit code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def cmd_validate(args):
     obj, meta = _load(args.file)
     if isinstance(obj, (SigmaModule, ModularSigmaModule)):
@@ -115,7 +133,7 @@ def cmd_free(args):
         raise SystemExit2("free construction expects a sigma-module document")
     out_doc = doc_mod.to_document(op, name=f"free({meta.get('name', '')})",
                                   seed=meta.get("seed", 0))
-    _emit(doc_mod.dumps(out_doc), args.out)
+    _emit_document(out_doc, args.out)
     return EXIT_OK
 
 
@@ -139,7 +157,7 @@ def cmd_minimal_model(args):
     out_doc = doc_mod.to_document(
         mm.operad, name=f"minimal-model({meta.get('name', '')})",
         seed=args.seed, tower=tower_doc)
-    _emit(doc_mod.dumps(out_doc), args.out)
+    _emit_document(out_doc, args.out)
     return EXIT_OK
 
 
@@ -164,7 +182,7 @@ def cmd_check_formality(args):
         return EXIT_OK
     out_doc = doc_mod.witness_to_document(
         witness, alpha, name=meta.get("name", ""), seed=args.seed)
-    _emit(doc_mod.dumps(out_doc), args.out)
+    _emit_document(out_doc, args.out)
     return EXIT_OK
 
 
@@ -184,7 +202,7 @@ def cmd_enumerate(args):
             payload = [{"leaves": args.trees,
                         "vertices": t.vertex_valences(),
                         "tree": _tree_to_text(t)} for t in trees]
-            _emit(doc_mod.dumps(payload), args.out)
+            _emit_document(payload, args.out)
         else:
             lines = [f"reduced trees with {args.trees} leaves: {len(trees)}"]
             lines.extend(_tree_to_text(t) for t in trees)
@@ -198,7 +216,7 @@ def cmd_enumerate(args):
                             "legs": list(gr.legs),
                             "edges": [list(e) for e in gr.edges],
                             "automorphisms": len(graph_automorphisms(gr))})
-        _emit(doc_mod.dumps(payload), args.out)
+        _emit_document(payload, args.out)
     else:
         lines = [f"stable graphs of genus {g} with {l} legs: {len(graphs)}"]
         for gr in graphs:

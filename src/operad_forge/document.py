@@ -433,33 +433,40 @@ def dumps(doc) -> str:
     is its own JSON text between quotes, and otherwise each is encoded.
     """
     out = []
-    _write(doc, "\n", out)
+    _write(doc, "\n", out.append)
     out.append("\n")
     return "".join(out)
+
+
+def dump(doc, fh):
+    """Write the text of ``dumps(doc)`` to the text stream fh piece by
+    piece, without holding the whole text."""
+    _write(doc, "\n", fh.write)
+    fh.write("\n")
 
 
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _write(x, nl, out):
-    """Append the indented JSON text of x; nl is the newline plus the
-    indentation of the line x starts on."""
+def _write(x, nl, write):
+    """Pass the indented JSON text of x, in pieces, to write; nl is the
+    newline plus the indentation of the line x starts on."""
     if isinstance(x, str):
-        out.append(_encode_str(x))
+        write(_encode_str(x))
     elif isinstance(x, dict):
         if not x:
-            out.append("{}")
+            write("{}")
             return
         inner = nl + " "
         sep = "{" + inner
         for key, value in sorted(x.items()):
-            out.append(sep + _encode_str(key) + ": ")
-            _write(value, inner, out)
+            write(sep + _encode_str(key) + ": ")
+            _write(value, inner, write)
             sep = "," + inner
-        out.append(nl + "}")
+        write(nl + "}")
     elif isinstance(x, (list, tuple)):
         if not x:
-            out.append("[]")
+            write("[]")
             return
         inner = nl + " "
         try:
@@ -469,29 +476,29 @@ def _write(x, nl, out):
         else:
             if (text.isascii() and text.isprintable() and '"' not in text
                     and "\\" not in text):
-                out.append("[" + inner + '"')
-                out.append(('",' + inner + '"').join(x))
-                out.append('"' + nl + "]")
+                write("[" + inner + '"')
+                write(('",' + inner + '"').join(x))
+                write('"' + nl + "]")
             else:
-                out.append("[" + inner + ("," + inner).join(map(_encode_str, x))
-                           + nl + "]")
+                write("[" + inner + ("," + inner).join(map(_encode_str, x))
+                      + nl + "]")
             return
         sep = "[" + inner
         for value in x:
-            out.append(sep)
-            _write(value, inner, out)
+            write(sep)
+            _write(value, inner, write)
             sep = "," + inner
-        out.append(nl + "]")
+        write(nl + "]")
     elif x is None:
-        out.append("null")
+        write("null")
     elif x is True:
-        out.append("true")
+        write("true")
     elif x is False:
-        out.append("false")
+        write("false")
     elif isinstance(x, int):
-        out.append(int.__repr__(x))
+        write(int.__repr__(x))
     elif isinstance(x, float):
-        out.append(json.dumps(x))
+        write(json.dumps(x))
     else:
         raise TypeError(f"Object of type {type(x).__name__} "
                         "is not JSON serializable")

@@ -15,14 +15,19 @@ def fx(name):
     return os.path.join(FIXTURES, name)
 
 
+def python_env(**env):
+    """The environment of a fresh interpreter that imports the package
+    from this checkout's src/, with env added."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_python(*args, **env):
     """Run a fresh interpreter that imports the package from this
     checkout's src/; extra keyword arguments go to its environment."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          env=env)
+                          env=python_env(**env))
 
 
 def run_cli(*args, **env):
@@ -293,6 +298,29 @@ class TestFree:
 
     def test_free_requires_matching_flag(self, capsys):
         assert main(["free", fx("binary_generator.json")]) == 1
+
+    def test_failed_build_leaves_no_file(self, tmp_path):
+        out = tmp_path / "free.json"
+        assert main(["free", fx("binary_generator.json"),
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_closed_stdout_pipe_ends_quietly(self):
+        """A reader that stops early (as `| head -c 20` does) ends the
+        streamed document with exit code 0 and nothing on stderr."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "operad_forge.cli", "free",
+             fx("binary_generator.json"), "--max-arity", "5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=python_env())
+        try:
+            assert proc.stdout.read(20) == b'{\n "components": {\n '
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0, err
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b""
 
     def test_free_on_operad_document_fails(self):
         assert main(["free", fx("commutative_window3.json"),

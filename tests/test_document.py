@@ -1,4 +1,5 @@
 import glob
+import io
 import json
 import os
 from fractions import Fraction
@@ -176,6 +177,13 @@ json_values = st.recursive(
     max_leaves=40)
 
 
+def dumped(value):
+    """The text that ``doc.dump`` streams for value."""
+    fh = io.StringIO()
+    doc.dump(value, fh)
+    return fh.getvalue()
+
+
 class TestWriter:
     @given(json_values)
     @settings(max_examples=300, deadline=None)
@@ -199,15 +207,17 @@ class TestWriter:
                       {"ä\n\"\\": ["\u2028", "\x00"]}, "", 0, None,
                       (1, ("a",)), {"b": 1, "a": 2, "B": 3, "é": 4},
                       *rows, {"rows": rows}, ["0", 1], [1, "0"]):
-            assert doc.dumps(value) == json.dumps(value, sort_keys=True,
-                                                  indent=1) + "\n"
+            want = json.dumps(value, sort_keys=True, indent=1) + "\n"
+            for write in (doc.dumps, dumped):
+                assert write(value) == want, write
 
     def test_golden_fixture_bytes(self):
         for path in fixture_files():
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
-            assert doc.dumps(payload) == json.dumps(
-                payload, sort_keys=True, indent=1) + "\n", path
+            want = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+            for write in (doc.dumps, dumped):
+                assert write(payload) == want, (path, write)
 
 
 class TestIndexRangeValidation:
