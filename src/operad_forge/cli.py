@@ -143,15 +143,21 @@ def cmd_minimal_model(args):
     if isinstance(obj, (SigmaModule, ModularSigmaModule)):
         raise SystemExit2("minimal-model expects an operad document")
     mm = minimal_model(obj, args.max, seed=args.seed)
+    # each attachment in the layout of its level, before its generators
+    builder = mm.operad.free
     tower_doc = []
-    for rec in mm.tower:
-        entry = {"level": rec.level, "components": {}}
-        for key, dims in rec.generator_dims.items():
+    for level in mm.tower:
+        entry = {"level": level, "components": {}}
+        for key, ga in builder.gens.items():
+            if mm.operad.level(key) != level:
+                continue
             entry["components"][doc_mod._key_to_str(key)] = {
-                "dims": {str(d): n for d, n in sorted(dims.items())},
+                "dims": {str(d): n for d, n in sorted(ga.complex.dims.items())},
                 "attachment": {
-                    str(d): doc_mod.matrix_to_lists(m)
-                    for d, m in sorted(rec.attachments.get(key, {}).items())},
+                    str(d): doc_mod.matrix_to_lists(
+                        builder.placed_without_corolla(key, d - 1, blocks))
+                    for d, blocks in sorted(
+                        builder.attachments.get(key, {}).items())},
             }
         tower_doc.append(entry)
     out_doc = doc_mod.to_document(

@@ -11,9 +11,9 @@ composed in the target along a plan built once per summand (along the
 tree's nesting, or along the stable graph's spanning tree and then its
 other edges) and run by one executor, ``evaluate_tree_basis``.
 
-Operads built here carry ``free`` (layout bookkeeping) and ``tower``
-(generator levels and attachment maps) data used by the minimal-model
-machinery.
+An operad built here carries its builder as ``free``: the one record of
+its generators (``gens``) and of the attachment maps it was finished
+with (``attachments``), which the minimal-model machinery reads.
 """
 
 from __future__ import annotations
@@ -115,17 +115,6 @@ class Layout:
         return self.offsets.get((summand, degree), 0)
 
 
-class TowerData:
-    """Generator levels and attachment maps of a free-based operad."""
-
-    def __init__(self, levels, gen_actions, attachments):
-        self.levels = levels
-        # level key(s) -> GroupAction of the generators
-        self.gen_actions = gen_actions
-        # level key(s) -> degree -> {summand: Matrix} in summand coordinates
-        self.attachments = attachments
-
-
 class _FreeBuilder:
     """The free (modular) operad on ``gens`` over the window of ``shape``.
 
@@ -154,6 +143,8 @@ class _FreeBuilder:
     def __init__(self, gens, shape):
         self.gens = dict(gens)
         self.shape = shape
+        # what finish attached: key -> degree -> {summand object: Matrix}
+        self.attachments = {}
         self.summands = {}
         self.layouts = {}
         self._summand_of = {}
@@ -223,6 +214,19 @@ class _FreeBuilder:
             off = layout.offset(self.summand_index(key, obj), degree)
             rows[off:off + m.rows] = m.sparse
         return Matrix._trusted(len(rows), m.cols, tuple(rows))
+
+    def placed_without_corolla(self, key, degree, blocks):
+        """``placed`` without the rows of the corolla (key must carry
+        generators): the matrix in the layout of the component at key
+        before its own generators were added, whose summands are these
+        but the corolla, in this order."""
+        m = self.placed(key, degree, blocks)
+        corolla = self.corolla_summand(key)
+        layout = self.layouts[key]
+        off = layout.offset(corolla, degree)
+        end = off + layout.complexes[corolla].dim(degree)
+        rows = m.sparse[:off] + m.sparse[end:]
+        return Matrix._trusted(len(rows), m.cols, rows)
 
     def _columns(self, key, s):
         """(degree, summand column, component column) of each basis
@@ -381,11 +385,8 @@ class _FreeBuilder:
                     contr_tables[trip] = tab
         op = shape.remake(actions, comp_tables, contr_tables, shape.window,
                           None)
+        self.attachments = attachments
         op.free = self
-        op.tower = TowerData(
-            levels=tuple(sorted({shape.level(k) for k in self.gens})),
-            gen_actions=dict(self.gens),
-            attachments={k: dict(v) for k, v in attachments.items()})
         return op
 
     def evaluation(self, dst, images, key, select=None):
@@ -588,8 +589,6 @@ class FreeModularBuilder(_FreeBuilder):
                 continue
             maps.append(self._iso_chain_map(graph, td, graph, td, vperm,
                                             slot_map))
-        if not maps:
-            maps.append(ChainMap.identity(td.complex))
         return maps
 
     def _iso_chain_map(self, g1, td1, g2, td2, vperm, slot_map):

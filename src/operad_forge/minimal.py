@@ -308,27 +308,19 @@ def cone_completion(lam: ChainMap, mu: ChainMap, eta: ChainMap,
 # -- minimal models -----------------------------------------------------------
 
 
-class LevelRecord:
-    def __init__(self, level, generator_dims, attachments):
-        self.level = level
-        self.generator_dims = generator_dims    # key -> dict degree -> dim
-        self.attachments = attachments          # key -> dict degree -> Matrix
-
-
 class MinimalModel:
     def __init__(self, operad, morphism, tower, seed):
         self.operad = operad
         self.morphism = morphism
+        # the levels walked, in order, those that gave no generators too;
+        # the generators and attachments are operad.free's
         self.tower = tower
         self.seed = seed
 
     @property
     def generator_dims(self):
-        out = {}
-        for rec in self.tower:
-            for key, dims in rec.generator_dims.items():
-                out[key] = dict(dims)
-        return out
+        return {key: dict(ga.complex.dims)
+                for key, ga in self.operad.free.gens.items()}
 
 
 def minimal_model(p, up_to=None, seed=0) -> MinimalModel:
@@ -345,11 +337,9 @@ def minimal_model(p, up_to=None, seed=0) -> MinimalModel:
     gens = {}
     attachments = {}
     images = {}
-    tower = []
     levels = sorted({p.level(k) for k in p.keys() if p.level(k) <= up_to})
     for n in levels:
         builder = free_builder(p, gens, n)
-        rec = LevelRecord(n, {}, {})
         for key in [k for k in p.keys() if p.level(k) == n]:
             pc = p.component(key)
             layout = builder.layouts.get(key)
@@ -394,32 +384,30 @@ def minimal_model(p, up_to=None, seed=0) -> MinimalModel:
                                     for d, m in xi_blocks.items()}
             images[key] = ChainMap(v_action.complex, pc, img_blocks,
                                    check=False)
-            rec.generator_dims[key] = dict(hrec.dims)
-            rec.attachments[key] = dict(xi_blocks)
-        tower.append(rec)
     final_builder = free_builder(p, gens, up_to)
     m_op = final_builder.finish(attachments)
     rho = morphism_from_generators(m_op, p, images)
-    return MinimalModel(m_op, rho, tower, seed)
+    return MinimalModel(m_op, rho, tuple(levels), seed)
 
 
 def is_minimal(op):
-    """Minimality via the tower: free on zero-differential generators
-    with decomposable attachment maps.
+    """Minimality read off the free builder: free on zero-differential
+    generators with decomposable attachment maps.
 
     Returns (True, None) or (False, witness level).  Requires the operad
-    to carry tower bookkeeping (built by the free constructions here).
+    to carry its free builder (``op.free``, set by the free constructions
+    here).
     """
-    if op.tower is None or op.free is None:
-        raise ValueError("operad carries no tower bookkeeping")
     builder = op.free
-    for key, ga in op.tower.gen_actions.items():
+    if builder is None:
+        raise ValueError("operad carries no free-construction data")
+    for key, ga in builder.gens.items():
         if ga.complex.diff:
             return False, op.level(key)
         corolla = builder.corolla_summand(key)
         if corolla is not None and any(
                 builder.summands[key][corolla][0] in blocks
-                for blocks in op.tower.attachments.get(key, {}).values()):
+                for blocks in builder.attachments.get(key, {}).values()):
             return False, op.level(key)
     return True, None
 
@@ -486,7 +474,7 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
     """
     op = mm.operad
     builder = op.free
-    v_act = op.tower.gen_actions[key]
+    v_act = builder.gens[key]
     vc = v_act.complex
     qc = q_operad.component(key)
     arity = op.legs(key)
@@ -506,7 +494,7 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
         return offsets[d] + r * vc.dim(d) + k
 
     rows, rhs = [], []  # rhs: the sparse right-hand side
-    xi = op.tower.attachments.get(key, {})
+    xi = builder.attachments.get(key, {})
     # (a) d_Q g = phi_prev o xi
     for d in sorted(vc.dims):
         nv, nq = vc.dim(d), qc.dim(d)
@@ -592,18 +580,17 @@ def _condition_deltas(builder, q_operad, images, key, ckey, vc, qc):
     (d, r, k) of g makes to it.  No summand has two key-typed vertices
     (checked by the caller): those with one vanish at g = 0 and are
     linear in g, the others do not depend on g."""
-    def carries(s):
-        return key in builder.vertex_types(ckey, s)
-
+    carrying = {s for s in range(len(builder.summands[ckey]))
+                if key in builder.vertex_types(ckey, s)}
     base = builder.evaluation(q_operad, images, ckey,
-                              select=lambda s: not carries(s))
+                              select=lambda s: s not in carrying)
     deltas = {}
     for d in sorted(vc.dims):
         for r in range(qc.dim(d)):
             for k in range(vc.dim(d)):
                 ev = builder.evaluation(
                     q_operad, {**images, key: _unit_g_map(vc, qc, d, r, k)},
-                    ckey, select=carries)
+                    ckey, select=carrying.__contains__)
                 delta = {deg: m for deg, m in ev.items() if not m.is_zero()}
                 if delta:
                     deltas[(d, r, k)] = delta
@@ -626,7 +613,7 @@ def _solve_generators(mm, target, post_maps, prescribed, r_hom, seed):
     checked post hoc.
     """
     op = mm.operad
-    gen_keys = sorted(op.tower.gen_actions, key=lambda k: (op.level(k), k))
+    gen_keys = sorted(op.free.gens, key=lambda k: (op.level(k), k))
     assignments = _assign_c_keys(op, gen_keys)
     images = {}
     for key in gen_keys:
@@ -651,7 +638,7 @@ def lift(rho: OperadMorphism, psi: OperadMorphism, mm: MinimalModel,
     r_hom = {}
     prescribed = {}
     for key in op.keys():
-        if key not in op.tower.gen_actions and op.component(key).is_zero():
+        if key not in op.free.gens and op.component(key).is_zero():
             continue
         hr = homology(r_operad.component(key))
         r_hom[key] = hr

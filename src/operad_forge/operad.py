@@ -220,8 +220,7 @@ class _OperadCore:
         self.comp = comp
         self.contr = contr
         self.cut = cut
-        self.free = None      # free-construction data, set by builders
-        self.tower = None     # principal-extension bookkeeping
+        self.free = None  # the free builder, set by _FreeBuilder.finish
 
     def component(self, key) -> ChainComplex:
         return self.module.component(key)

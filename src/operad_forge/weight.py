@@ -432,7 +432,6 @@ def formality_check(p, up_to=None, alpha=Fraction(2), seed=0):
     if not f.is_iso():
         # weak equivalence between minimal operads must be an iso
         raise AssertionError("lifted automorphism is not invertible")
-    purity_check(m_op, f, w)
     witness = formality_witness_from_pure(m_op, f, w)
     arrows = [("model", mm.morphism)] + witness.arrows
     return FormalityWitness(arrows, witness.t_operad, automorphism=f)

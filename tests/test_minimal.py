@@ -17,10 +17,12 @@ from operad_forge.chain import (
 from operad_forge import document as doc
 from operad_forge import minimal
 from operad_forge.document import matrix_to_lists
+from operad_forge.cli import main
 from operad_forge.free import (
     FreeModularBuilder,
     FreeOperadBuilder,
     endomorphism_modular_operad,
+    free_builder,
     free_operad,
     morphism_from_generators,
 )
@@ -294,6 +296,59 @@ class TestIsMinimal:
         P = builder.finish({2: {1: {corolla: Matrix.from_rows([[1]])}}})
         assert validate(P) == []
         assert is_minimal(P) == (False, 2)
+
+
+class TestTowerDocument:
+    """The ``minimal-model`` writer against the layout of each level's
+    builder: rebuilt on the generators below the level, its ``placed``
+    gives the attachment matrices the document must hold."""
+
+    HYCOM4 = {2: {0: 1}, 3: {1: 2, 2: 1}, 4: {2: 6, 3: 5, 4: 1}}
+    MODULI2 = {(0, 3): {0: 1}, (0, 4): {1: 2, 2: 1}, (1, 1): {2: 1},
+               (0, 5): {2: 6, 3: 5, 4: 1}, (1, 2): {4: 1}}
+
+    @pytest.mark.parametrize("make, dims", [
+        (lambda: hypercommutative(4), HYCOM4),
+        (lambda: moduli_quotient(2), MODULI2),
+        (acyclic_operad, {}),
+    ], ids=["hycom4", "moduli2", "acyclic"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_attachments_in_level_layouts(self, tmp_path, make, dims, seed):
+        src, out = tmp_path / "op.json", tmp_path / "mm.json"
+        with open(src, "w") as fh:
+            doc.dump(doc.to_document(make()), fh)
+        assert main(["minimal-model", str(src), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        written = json.loads(out.read_text())["tower"]
+        p, _ = doc.load(str(src))
+        mm = minimal_model(p, seed=seed)
+        assert mm.generator_dims == dims
+        gens = mm.operad.free.gens
+        attachments = mm.operad.free.attachments
+        levels = sorted({p.level(k) for k in p.keys()})
+        assert mm.tower == tuple(levels)
+        expected = []
+        for n in levels:
+            level_builder = free_builder(
+                p, {k: ga for k, ga in gens.items() if p.level(k) < n}, n)
+            components = {}
+            for key, ga in gens.items():
+                if p.level(key) != n:
+                    continue
+                components[doc._key_to_str(key)] = {
+                    "dims": {str(d): k for d, k in ga.complex.dims.items()},
+                    "attachment": {
+                        str(d): matrix_to_lists(
+                            level_builder.placed(key, d - 1, blocks))
+                        for d, blocks in attachments.get(key, {}).items()},
+                }
+            expected.append({"level": n, "components": components})
+        assert written == expected
+        # each level of these operads gives generators but the acyclic
+        # operad's one level
+        assert [bool(e["components"]) for e in written] == [bool(dims)] * len(
+            levels)
+        assert bool(attachments) == bool(dims)
 
 
 class TestLift:

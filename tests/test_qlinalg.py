@@ -21,8 +21,8 @@ from operad_forge.qlinalg import (
 
 from operad_forge.chain import ChainComplex, HomologyRecord
 from operad_forge.cubical import CubicChain, interval
-from operad_forge.free import Layout, TowerData
-from operad_forge.minimal import LevelRecord, MinimalModel, PrincipalExtension
+from operad_forge.free import Layout
+from operad_forge.minimal import MinimalModel, PrincipalExtension
 from operad_forge.operad import (
     CompTable,
     ContrTable,
@@ -408,10 +408,8 @@ class TestValueClasses:
 RECORDS = [
     (HomologyRecord, ("complex", "dims", "cycles", "representatives",
                       "projections")),
-    (TowerData, ("levels", "gen_actions", "attachments")),
     (PrincipalExtension, ("base", "level", "generators", "attachment",
                           "result")),
-    (LevelRecord, ("level", "generator_dims", "attachments")),
     (MinimalModel, ("operad", "morphism", "tower", "seed")),
     (OperadMorphism, ("src", "dst", "maps")),
     (HomologyTransfer, ("operad", "records")),
