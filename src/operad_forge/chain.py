@@ -13,6 +13,7 @@ from .qlinalg import (
     F0,
     F1,
     Matrix,
+    MatrixEquations,
     Subspace,
     block_matrix,
     image,
@@ -22,7 +23,6 @@ from .qlinalg import (
     solve,
     solve_matrix,
     sparse_row,
-    unflatten,
 )
 
 
@@ -539,48 +539,16 @@ def homotopy_solve(f: ChainMap, g: ChainMap):
     if f.src != g.src or f.dst != g.dst:
         raise ValueError("homotopy between maps with different endpoints")
     x, y = f.src, f.dst
-    hdegrees = sorted(i for i in x.dims if y.dim(i + 1))
-    hoffsets = {}
-    total = 0
-    for i in hdegrees:
-        hoffsets[i] = total
-        total += x.dim(i) * y.dim(i + 1)
-    rows = []
-    rhs = []  # the sparse right-hand side
+    # h_i : X_i -> Y_{i+1}, its unknowns after those of h_{i-1}
+    h = MatrixEquations({i: (y.dim(i + 1), x.dim(i)) for i in sorted(x.dims)})
     for i in set(x.dims) | set(y.dims):
-        target = f.block(i) - g.block(i)
-        ni, mi = y.dim(i), x.dim(i)
-        if ni == 0 or mi == 0:
-            if not target.is_zero():
-                return None
-            continue
-        dy = y.d(i + 1).sparse
-        dxt = x.d(i).transpose().sparse
-        for r in range(ni):
-            rhs += [(len(rows) + c, v) for c, v in target.sparse[r]]
-            for c in range(mi):
-                row = []
-                # (h_{i-1} d)[r, c] = sum_k h_{i-1}[r, k] dx[k, c]
-                if i - 1 in hoffsets:
-                    base = hoffsets[i - 1] + r * x.dim(i - 1)
-                    row += [(base + k, v) for k, v in dxt[c]]
-                # (d h_i)[r, c] = sum_k dy[r, k] h_i[k, c]; its unknowns
-                # come after those of h_{i-1}
-                if i in hoffsets:
-                    base = hoffsets[i] + c
-                    row += [(base + k * mi, v) for k, v in dy[r]]
-                rows.append(tuple(row))
-    if total == 0:
-        return None if rhs else {}
-    sol = solve(Matrix._trusted(len(rows), total, tuple(rows)), tuple(rhs))
-    if sol is None:
-        return None
-    h = {}
-    for i in hdegrees:
-        m = unflatten(sol, hoffsets[i], y.dim(i + 1), x.dim(i))
-        if not m.is_zero():
-            h[i] = m
-    return h
+        if i in x.dims:  # d h_i + h_{i-1} d = f_i - g_i; X_i = 0 has no rows
+            terms = [(y.d(i + 1), i, None)]
+            if i - 1 in x.dims:
+                terms.append((None, i - 1, x.d(i)))
+            h.add(terms, f.block(i) - g.block(i))
+    sol = solve(*h.system())
+    return None if sol is None else h.blocks(sol)
 
 
 def check_homotopy(f: ChainMap, g: ChainMap, h) -> bool:

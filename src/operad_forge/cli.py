@@ -24,7 +24,7 @@ from .minimal import minimal_model
 from .operad import validate
 from .sigma import ModularSigmaModule, SigmaModule, validate_action
 from .trees import (enumerate_stable_graphs, enumerate_trees,
-                    graph_automorphisms)
+                    graph_automorphisms, is_stable)
 from .weight import WeightFunction, formality_check
 
 EXIT_OK = 0
@@ -61,6 +61,17 @@ def _at_least(*checks):
     for flag, value, least in checks:
         if value is not None and value < least:
             raise MalformedArgument(f"{flag} {value} is below {least}")
+
+
+def _load_operad(args):
+    """The operad document args.file, with --max inside its window."""
+    obj, meta = _load(args.file)
+    if isinstance(obj, (SigmaModule, ModularSigmaModule)):
+        raise SystemExit2(f"{args.command} expects an operad document")
+    if args.max is not None and args.max > obj.window:
+        raise MalformedArgument(f"--max {args.max} exceeds the window "
+                                f"{obj.window}")
+    return obj, meta
 
 
 def _emit(text, out):
@@ -139,9 +150,7 @@ def cmd_free(args):
 
 def cmd_minimal_model(args):
     _at_least(("--max", args.max, 0))
-    obj, meta = _load(args.file)
-    if isinstance(obj, (SigmaModule, ModularSigmaModule)):
-        raise SystemExit2("minimal-model expects an operad document")
+    obj, meta = _load_operad(args)
     mm = minimal_model(obj, args.max, seed=args.seed)
     # each attachment in the layout of its level, before its generators
     builder = mm.operad.free
@@ -178,9 +187,7 @@ def cmd_check_formality(args):
     except ValueError as exc:
         raise MalformedArgument(f"--alpha {args.alpha}: {exc}") from None
     _at_least(("--max", args.max, 0))
-    obj, meta = _load(args.file)
-    if isinstance(obj, (SigmaModule, ModularSigmaModule)):
-        raise SystemExit2("check-formality expects an operad document")
+    obj, meta = _load_operad(args)
     witness = formality_check(obj, up_to=args.max, alpha=alpha,
                               seed=args.seed)
     if witness is None:
@@ -214,6 +221,8 @@ def cmd_enumerate(args):
             lines.extend(_tree_to_text(t) for t in trees)
             _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
+    if not is_stable(g, l):
+        raise MalformedArgument(f"--stable-graphs {g} {l} is unstable")
     graphs = enumerate_stable_graphs(g, l)
     if args.json:
         payload = []

@@ -36,6 +36,7 @@ from .qlinalg import (
     F0,
     F1,
     Matrix,
+    MatrixEquations,
     _combine,
     block_matrix,
     kernel,
@@ -43,7 +44,6 @@ from .qlinalg import (
     solve,
     solve_matrix,
     sparse_row,
-    unflatten,
 )
 from .sigma import GroupAction, Permutation
 
@@ -483,47 +483,25 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
         q_operad, images_so_far, key,
         select=lambda s: key not in builder.vertex_types(key, s)) \
         if images_so_far else {}
-    # unknown layout: g[deg][r][k]
-    offsets = {}
-    total = 0
-    for d in sorted(vc.dims):
-        offsets[d] = total
-        total += qc.dim(d) * vc.dim(d)
-
-    def var(d, r, k):
-        return offsets[d] + r * vc.dim(d) + k
-
-    rows, rhs = [], []  # rhs: the sparse right-hand side
+    # the unknowns: g_d : V_d -> Q_d for each degree d
+    g = MatrixEquations({d: (qc.dim(d), vc.dim(d)) for d in sorted(vc.dims)})
     xi = builder.attachments.get(key, {})
     # (a) d_Q g = phi_prev o xi
     for d in sorted(vc.dims):
-        nv, nq = vc.dim(d), qc.dim(d)
-        dq = qc.d(d)
         target = prev_eval[d - 1] * builder.placed(key, d - 1, xi[d]) \
             if xi.get(d) and d - 1 in prev_eval \
-            else Matrix.zeros(qc.dim(d - 1), nv)
-        for r in range(qc.dim(d - 1)):
-            rhs += [(len(rows) + k, x) for k, x in target.sparse[r]]
-            for k in range(nv):
-                rows.append(tuple((var(d, rr, k), x)
-                                  for rr, x in dq.sparse[r]))
-    # (b) equivariance: g R_V(s) = R_Q(s) g
+            else Matrix.zeros(qc.dim(d - 1), vc.dim(d))
+        g.add([(qc.d(d), d, None)], target)
+    # (b) equivariance: g R_V(s) - R_Q(s) g = 0
     q_ga = q_operad.group_action(key)
     for j in range(1, arity):
         sigma = Permutation.transposition(arity, j)
         rv = v_act.action(sigma)
         rq = q_ga.action(sigma) if q_ga else None
         for d in sorted(vc.dims):
-            nv, nq = vc.dim(d), qc.dim(d)
-            rv_cols = rv.block(d).transpose().sparse
-            rqb = rq.block(d) if rq else Matrix.identity(nq)
-            for r in range(nq):
-                for k in range(nv):
-                    row = {var(d, r, kk): x for kk, x in rv_cols[k]}
-                    for rr, x in rqb.sparse[r]:
-                        v = var(d, rr, k)
-                        row[v] = row.get(v, F0) - x
-                    rows.append(sparse_row(row))
+            rqb = rq.block(d) if rq else Matrix.identity(qc.dim(d))
+            g.add([(None, d, rv.block(d)), (-rqb, d, None)],
+                  Matrix.zeros(qc.dim(d), vc.dim(d)))
     # (c) homology conditions
     for ckey in c_keys:
         mc = op.component(ckey)
@@ -532,8 +510,8 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
         hm = homology(mc)
         if not hm.dims:
             continue
-        base_eval, deltas = _condition_deltas(builder, q_operad,
-                                              images_so_far, key, ckey, vc, qc)
+        base_eval, deltas = _condition_deltas(
+            builder, q_operad, images_so_far, key, ckey, g, vc, qc)
         post = post_maps.get(ckey)
         hr = r_hom[ckey]
         presc = prescribed.get(ckey, {})
@@ -551,12 +529,10 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
                 for u, dmat in deltas.items():
                     if d in dmat:
                         for hrow, c in lam.apply(dmat[d].apply(z)):
-                            cond[hrow][var(*u)] = c
-                rhs += [(len(rows) + hrow, c)
-                        for hrow, c in _combine(want, fixed, -F1)]
-                rows += map(sparse_row, cond)
-    system = Matrix._trusted(len(rows), total, tuple(rows))
-    sol = solve(system, tuple(rhs)) if rows else ()
+                            cond[hrow][u] = c
+                g.add_rows(cond, _combine(want, fixed, -F1))
+    system, rhs = g.system()
+    sol = solve(system, rhs) if system.rows else ()
     if sol is None:
         raise ObstructionError(f"obstruction system unsolvable at {key}")
     if seed:
@@ -567,40 +543,28 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
             draws = sparse_row({i: Fraction(rng.randint(-1, 1))
                                 for i in range(ker.dim)})
             sol = _combine(sol, ker.basis.apply(draws), F1)
-    blocks = {}
-    for d in sorted(vc.dims):
-        m = unflatten(sol, offsets[d], qc.dim(d), vc.dim(d))
-        if not m.is_zero():
-            blocks[d] = m
-    return ChainMap(vc, qc, blocks, check=False)
+    return ChainMap(vc, qc, g.blocks(sol), check=False)
 
 
-def _condition_deltas(builder, q_operad, images, key, ckey, vc, qc):
-    """Evaluation of component ckey at g = 0, and the change each unit
-    (d, r, k) of g makes to it.  No summand has two key-typed vertices
-    (checked by the caller): those with one vanish at g = 0 and are
-    linear in g, the others do not depend on g."""
+def _condition_deltas(builder, q_operad, images, key, ckey, g, vc, qc):
+    """Evaluation of component ckey at g = 0, and the change each unknown
+    of g: V -> Q (numbered by the level's equations g) makes to it.  No
+    summand has two key-typed vertices (checked by the caller): those
+    with one vanish at g = 0 and are linear in g, the others do not
+    depend on g."""
     carrying = {s for s in range(len(builder.summands[ckey]))
                 if key in builder.vertex_types(ckey, s)}
     base = builder.evaluation(q_operad, images, ckey,
                               select=lambda s: s not in carrying)
     deltas = {}
-    for d in sorted(vc.dims):
-        for r in range(qc.dim(d)):
-            for k in range(vc.dim(d)):
-                ev = builder.evaluation(
-                    q_operad, {**images, key: _unit_g_map(vc, qc, d, r, k)},
-                    ckey, select=carrying.__contains__)
-                delta = {deg: m for deg, m in ev.items() if not m.is_zero()}
-                if delta:
-                    deltas[(d, r, k)] = delta
+    for u in range(g.unknowns):
+        unit = ChainMap(vc, qc, g.blocks(((u, F1),)), check=False)
+        ev = builder.evaluation(q_operad, {**images, key: unit}, ckey,
+                                select=carrying.__contains__)
+        delta = {deg: m for deg, m in ev.items() if not m.is_zero()}
+        if delta:
+            deltas[u] = delta
     return base, deltas
-
-
-def _unit_g_map(vc, qc, d, r, k):
-    unit = tuple(((k, F1),) if i == r else () for i in range(qc.dim(d)))
-    return ChainMap(vc, qc, {d: Matrix._trusted(qc.dim(d), vc.dim(d), unit)},
-                    check=False)
 
 
 def _solve_generators(mm, target, post_maps, prescribed, r_hom, seed):

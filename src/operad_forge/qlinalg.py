@@ -305,17 +305,71 @@ def block_matrix(blocks):
     return Matrix._trusted(len(rows), ncols, tuple(rows))
 
 
-def unflatten(vec, offset, rows, cols) -> Matrix:
-    """The rows x cols Matrix whose entries, row by row, are those of the
-    sparse vector vec from index offset on."""
-    out = [[] for _ in range(rows)]
-    end = offset + rows * cols
-    for j, x in vec[bisect_left(vec, (offset,)):]:
-        if j >= end:
-            break
-        r, k = divmod(j - offset, cols)
-        out[r].append((k, x))
-    return Matrix._trusted(rows, cols, tuple(map(tuple, out)))
+class MatrixEquations:
+    """Linear equations in the entries of unknown matrices X_key, and the
+    one place that numbers them: row by row, key after key in the order
+    of ``shapes`` (key -> (rows, cols)).  ``system()`` is the ``Matrix``
+    of the rows added so far and its sparse right-hand side."""
+
+    def __init__(self, shapes):
+        self.layout, self.rows, self.rhs = {}, [], []
+        self.unknowns = 0
+        for key, (rows, cols) in shapes.items():
+            self.layout[key] = (self.unknowns, rows, cols)
+            self.unknowns += rows * cols
+
+    def add(self, terms, target):
+        """The rows of sum A X_key B = target, row by row of target; each
+        term ``(A, key, B)`` has one identity factor, given as None.
+        Entries go straight into the row, summed where terms share a key."""
+        parts = []  # (is A X, row step, each entry's unknown at r = c = 0)
+        for a, key, b in sorted(terms, key=lambda t: self.layout[t[1]][0]):
+            off, _, cols = self.layout[key]
+            if b is None:  # (A X)[r, c] = sum_k A[r, k] X[k, c], by r
+                parts.append((True, 0, [[(off + k * cols, x) for k, x in row]
+                                        for row in a.sparse]))
+            else:  # (X B)[r, c] = sum_k X[r, k] B[k, c], by c
+                parts.append((False, cols, [[(off + k, x) for k, x in col]
+                                            for col in b.columns()]))
+        merge = len({t[1] for t in terms}) < len(terms)
+        for r, want in enumerate(target.sparse):
+            self.rhs += [(len(self.rows) + c, x) for c, x in want]
+            for c in range(target.cols):
+                row = []
+                for left, step, entries in parts:
+                    shift, at = (c, entries[r]) if left else (r * step,
+                                                              entries[c])
+                    row += [(j + shift, x) for j, x in at]
+                if merge:
+                    acc = {}
+                    for j, x in row:
+                        acc[j] = acc[j] + x if j in acc else x
+                    row = sparse_row(acc)
+                self.rows.append(tuple(row))
+
+    def add_rows(self, rows, values):
+        """Rows given as {unknown: coefficient}, values their sparse
+        right-hand side."""
+        self.rhs += [(len(self.rows) + i, x) for i, x in values]
+        self.rows += map(sparse_row, rows)
+
+    def system(self):
+        return (Matrix._trusted(len(self.rows), self.unknowns,
+                                tuple(self.rows)), tuple(self.rhs))
+
+    def blocks(self, sol):
+        """``{key: X_key}`` of the sparse solution sol, zero ones dropped."""
+        out = {}
+        for key, (off, rows, cols) in self.layout.items():
+            lo = bisect_left(sol, (off,))
+            hi = bisect_left(sol, (off + rows * cols,), lo)
+            if lo < hi:
+                entries = [[] for _ in range(rows)]
+                for j, x in sol[lo:hi]:
+                    entries[(j - off) // cols].append(((j - off) % cols, x))
+                out[key] = Matrix._trusted(rows, cols,
+                                           tuple(map(tuple, entries)))
+        return out
 
 
 def _clear(row, prow, c):

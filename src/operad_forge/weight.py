@@ -21,7 +21,6 @@ from .chain import (
     ChainComplex,
     ChainMap,
     TensorData,
-    canonical_truncation,
     homology,
     induced_map,
     subcomplex,
@@ -43,6 +42,7 @@ from .qlinalg import (
     _Frozen,
     _setfield,
     char_poly,
+    kernel,
     rational_eigen_split,
     solve_matrix,
     sparse_row,
@@ -252,12 +252,16 @@ def t_functor(c: ChainComplex, f: ChainMap, w: WeightFunction) -> TFunctorResult
     basis = {}
     tags = {}
     for n in decomp.weights():
-        part, incl = decomp.weight_part(n)
-        trunc, tincl = canonical_truncation(part, n)
-        for d in trunc.dims:
-            cols = (incl.block(d) * tincl.block(d)).columns()
-            basis.setdefault(d, []).extend(cols)
-            tags.setdefault(d, []).extend([n] * len(cols))
+        # tau_{>= n} of the weight-n part B: B above n, B ker(d B) at n
+        part = decomp.pure[n]
+        trunc = {d: m for d, m in part.items() if d > n}
+        if n in part:
+            trunc[n] = part[n] * kernel(c.d(n) * part[n]).basis
+        for d, m in trunc.items():
+            if m.cols:
+                cols = m.columns()
+                basis.setdefault(d, []).extend(cols)
+                tags.setdefault(d, []).extend([n] * len(cols))
     mats = {d: Matrix.from_cols(cols, rows=c.dim(d))
             for d, cols in basis.items()}
     tp, inclusion = subcomplex(c, mats)

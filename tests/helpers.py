@@ -21,6 +21,7 @@ from operad_forge.qlinalg import (
     char_poly,
     image,
     kernel,
+    solve,
     solve_matrix,
     sparse_row,
 )
@@ -224,6 +225,155 @@ def random_chain_map(rng, src, dst, bound=2):
             acc = acc + blocks[i - 1] * src.d(i)
         out[i] = acc
     return ChainMap(src, dst, out)
+
+
+# -- hand-built linear systems in unknown matrices --------------------------
+# The rows homotopy_solve and the level solver of minimal built by hand
+# before qlinalg.MatrixEquations numbered their unknowns, with the
+# unflatten readback: a reference for the systems and solutions the
+# builder gives.
+
+
+def unflatten(vec, offset, rows, cols) -> Matrix:
+    """The rows x cols Matrix whose entries, row by row, are those of the
+    sparse vector vec from index offset on."""
+    out = [[] for _ in range(rows)]
+    end = offset + rows * cols
+    for j, x in vec[bisect_left(vec, (offset,)):]:
+        if j >= end:
+            break
+        r, k = divmod(j - offset, cols)
+        out[r].append((k, x))
+    return Matrix._trusted(rows, cols, tuple(map(tuple, out)))
+
+
+def reference_homotopy_system(f, g):
+    """(system, rhs, hoffsets) of f - g = d h + h d with the Kronecker
+    rows built by hand, h_i : X_i -> Y_{i+1} numbered row by row in
+    degree order; None when a block with no unknowns has a nonzero
+    target."""
+    x, y = f.src, f.dst
+    hdegrees = sorted(i for i in x.dims if y.dim(i + 1))
+    hoffsets = {}
+    total = 0
+    for i in hdegrees:
+        hoffsets[i] = total
+        total += x.dim(i) * y.dim(i + 1)
+    rows = []
+    rhs = []  # the sparse right-hand side
+    for i in set(x.dims) | set(y.dims):
+        target = f.block(i) - g.block(i)
+        ni, mi = y.dim(i), x.dim(i)
+        if ni == 0 or mi == 0:
+            if not target.is_zero():
+                return None
+            continue
+        dy = y.d(i + 1).sparse
+        dxt = x.d(i).transpose().sparse
+        for r in range(ni):
+            rhs += [(len(rows) + c, v) for c, v in target.sparse[r]]
+            for c in range(mi):
+                row = []
+                # (h_{i-1} d)[r, c] = sum_k h_{i-1}[r, k] dx[k, c]
+                if i - 1 in hoffsets:
+                    base = hoffsets[i - 1] + r * x.dim(i - 1)
+                    row += [(base + k, v) for k, v in dxt[c]]
+                # (d h_i)[r, c] = sum_k dy[r, k] h_i[k, c]; its unknowns
+                # come after those of h_{i-1}
+                if i in hoffsets:
+                    base = hoffsets[i] + c
+                    row += [(base + k * mi, v) for k, v in dy[r]]
+                rows.append(tuple(row))
+    return Matrix._trusted(len(rows), total, tuple(rows)), tuple(rhs), hoffsets
+
+
+def reference_homotopy_blocks(sol, hoffsets, x, y):
+    """The unflatten readback of homotopy_solve: {i: h_i}, zero blocks
+    dropped."""
+    h = {}
+    for i in hoffsets:
+        m = unflatten(sol, hoffsets[i], y.dim(i + 1), x.dim(i))
+        if not m.is_zero():
+            h[i] = m
+    return h
+
+
+def reference_level_rows(mm, q_operad, key, images_so_far):
+    """Rows (a) d_Q g = phi_prev o xi and (b) g R_V(s) = R_Q(s) g of the
+    level system at key, built by hand, with their sparse right-hand
+    side, the offset of each degree's block g_d : V_d -> Q_d (numbered
+    row by row in degree order) and the number of unknowns."""
+    op = mm.operad
+    builder = op.free
+    v_act = builder.gens[key]
+    vc = v_act.complex
+    qc = q_operad.component(key)
+    arity = op.legs(key)
+    prev_eval = builder.evaluation(
+        q_operad, images_so_far, key,
+        select=lambda s: key not in builder.vertex_types(key, s)) \
+        if images_so_far else {}
+    offsets = {}
+    total = 0
+    for d in sorted(vc.dims):
+        offsets[d] = total
+        total += qc.dim(d) * vc.dim(d)
+
+    def var(d, r, k):
+        return offsets[d] + r * vc.dim(d) + k
+
+    rows, rhs = [], []
+    xi = builder.attachments.get(key, {})
+    for d in sorted(vc.dims):
+        nv = vc.dim(d)
+        dq = qc.d(d)
+        target = prev_eval[d - 1] * builder.placed(key, d - 1, xi[d]) \
+            if xi.get(d) and d - 1 in prev_eval \
+            else Matrix.zeros(qc.dim(d - 1), nv)
+        for r in range(qc.dim(d - 1)):
+            rhs += [(len(rows) + k, x) for k, x in target.sparse[r]]
+            for k in range(nv):
+                rows.append(tuple((var(d, rr, k), x)
+                                  for rr, x in dq.sparse[r]))
+    q_ga = q_operad.group_action(key)
+    for j in range(1, arity):
+        sigma = Permutation.transposition(arity, j)
+        rv = v_act.action(sigma)
+        rq = q_ga.action(sigma) if q_ga else None
+        for d in sorted(vc.dims):
+            nv, nq = vc.dim(d), qc.dim(d)
+            rv_cols = rv.block(d).transpose().sparse
+            rqb = rq.block(d) if rq else Matrix.identity(nq)
+            for r in range(nq):
+                for k in range(nv):
+                    row = {var(d, r, kk): x for kk, x in rv_cols[k]}
+                    for rr, x in rqb.sparse[r]:
+                        v = var(d, rr, k)
+                        row[v] = row.get(v, F0) - x
+                    rows.append(sparse_row(row))
+    return rows, rhs, offsets, total
+
+
+def reference_level_blocks(system, rhs, offsets, vc, qc, key, seed):
+    """The level solver's solution of system x = rhs (None when there is
+    none), moved by its seeded kernel draws, read back with unflatten:
+    {d: g_d}, zero blocks dropped."""
+    sol = solve(system, rhs) if system.rows else ()
+    if sol is None:
+        return None
+    if seed:
+        rng = random.Random(f"{seed}:lift:{key}")
+        ker = kernel(system)
+        if ker.dim:
+            draws = sparse_row({i: Fraction(rng.randint(-1, 1))
+                                for i in range(ker.dim)})
+            sol = _combine(sol, ker.basis.apply(draws), F1)
+    blocks = {}
+    for d in sorted(vc.dims):
+        m = unflatten(sol, offsets[d], qc.dim(d), vc.dim(d))
+        if not m.is_zero():
+            blocks[d] = m
+    return blocks
 
 
 # -- reference eigen split by the characteristic polynomial ----------------

@@ -1,11 +1,12 @@
 import os
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from operad_forge import document
+from operad_forge import chain, document
 from operad_forge.chain import (
     ChainComplex,
     ChainMap,
@@ -26,7 +27,8 @@ from operad_forge.chain import (
     tensor_symmetry,
 )
 from operad_forge.minimal import _extended_classify
-from operad_forge.qlinalg import F0, F1, Matrix, image, kernel, solve_matrix
+from operad_forge.qlinalg import (F0, F1, Matrix, image, kernel, solve,
+                                  solve_matrix)
 
 from helpers import (
     dense_col,
@@ -34,6 +36,8 @@ from helpers import (
     greedy_homology,
     random_chain_map,
     random_complex,
+    reference_homotopy_blocks,
+    reference_homotopy_system,
     to_dense,
     to_sparse,
 )
@@ -289,10 +293,19 @@ class TestHomotopySolve:
         c = two_term(2)
         f = ChainMap.identity(c)
         h = homotopy_solve(f, f)
-        assert h is not None
+        # the system has unknowns and a zero target: its particular
+        # solution is h = 0, every block dropped
+        assert h == {}
         assert check_homotopy(f, f, h)
-        # h = 0 is admissible too
-        assert check_homotopy(f, f, {})
+
+    def test_no_unknowns(self):
+        # a complex in one degree leaves h no entries: equal maps give
+        # the empty homotopy, different ones none
+        c = ChainComplex({0: 1})
+        one = ChainMap.identity(c)
+        assert homotopy_solve(one, one) == {}
+        two = ChainMap(c, c, {0: Matrix.identity(1).scale(2)})
+        assert homotopy_solve(one, two) is None
 
     def test_null_homotopic(self):
         for seed in range(5):
@@ -351,6 +364,57 @@ def complexes(draw):
     ann = kernel(d2.transpose()).basis.transpose()
     d1 = grid(a, ann.rows) * ann
     return ChainComplex({0: a, 1: b, 2: c}, {1: d1, 2: d2})
+
+
+@st.composite
+def chain_map_pairs(draw):
+    """(f, g) between complexes from ``complexes()``: maps d h + h d for
+    random h with entries in {-1, 0, 1} (null-homotopic, often
+    rank-deficient), the zero map and, on one complex, the identity, its
+    double and the identity plus a null-homotopic map, so that some
+    pairs are homotopic and some are not."""
+    src = draw(complexes())
+    dst = src if draw(st.booleans()) else draw(complexes())
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kinds = ("null", "zero") + (("identity", "double", "identity+null")
+                                if dst is src else ())
+
+    def one():
+        kind = draw(st.sampled_from(kinds))
+        null = random_chain_map(rng, src, dst, bound=1)
+        if kind == "null":
+            return null
+        if kind == "zero":
+            return ChainMap.zero_map(src, dst)
+        scale = 2 if kind == "double" else 1
+        return ChainMap(src, src, {
+            i: Matrix.identity(n).scale(scale)
+            + (null.block(i) if kind == "identity+null" else
+               Matrix.zeros(n, n)) for i, n in src.dims.items()})
+
+    return one(), one()
+
+
+class TestHomotopySystem:
+    """homotopy_solve writes its rows through qlinalg.MatrixEquations;
+    the system, its right-hand side and the homotopy must be those of
+    the hand-built Kronecker rows and their unflatten readback."""
+
+    @given(chain_map_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_same_system_as_hand_built_rows(self, pair):
+        f, g = pair
+        with mock.patch.object(chain, "solve", wraps=chain.solve) as spy:
+            h = homotopy_solve(f, g)
+        system, rhs, hoffsets = reference_homotopy_system(f, g)
+        (call,) = spy.call_args_list
+        assert call.args == (system, rhs)
+        sol = solve(system, rhs)
+        if sol is None:
+            assert h is None
+        else:
+            assert h == reference_homotopy_blocks(sol, hoffsets, f.src, f.dst)
+            assert check_homotopy(f, g, h)
 
 
 def _fixture_components():

@@ -220,11 +220,16 @@ def test_bad_matrix_cell_exit_2_without_traceback(cell, tmp_path):
     ["minimal-model", fx("commutative_window3.json"), "--max", "-2"],
     ["enumerate", "--trees", "-2"],
     ["enumerate", "--stable-graphs", "-1", "2"],
+    ["enumerate", "--stable-graphs", "0", "2"],
+    ["enumerate", "--stable-graphs", "1", "0"],
+    ["minimal-model", fx("commutative_window3.json"), "--max", "9"],
+    ["check-formality", fx("commutative_window3.json"), "--max", "9"],
 ], ids=["negative-dim", "zero-dim", "negative-trials", "alpha-zero-denominator",
         "alpha-not-rational", "alpha-zero", "alpha-one", "alpha-minus-one",
         "directory", "free-negative-arity",
         "free-negative-dim", "model-negative-window", "negative-trees",
-        "negative-genus"])
+        "negative-genus", "unstable-genus-0", "unstable-genus-1",
+        "model-window-past-support", "formality-window-past-support"])
 def test_malformed_argument_exit_2_without_traceback(args):
     run = run_cli(*args)
     stderr = run.stderr.decode()

@@ -35,7 +35,6 @@ from operad_forge.minimal import (
     iso_between_minimal,
     lift,
     minimal_model,
-    _unit_g_map,
     principal_extension,
 )
 from operad_forge.operad import (
@@ -45,7 +44,7 @@ from operad_forge.operad import (
     validate,
     weak_equivalence_test,
 )
-from operad_forge.qlinalg import Matrix
+from operad_forge.qlinalg import F1, Matrix
 from operad_forge.sigma import GroupAction, SigmaModule
 
 from operad_forge.weight import formality_check
@@ -56,7 +55,12 @@ from fixtures_ops import (
     hypercommutative,
     moduli_quotient,
 )
-from helpers import random_complex, random_chain_map
+from helpers import (
+    random_chain_map,
+    random_complex,
+    reference_level_blocks,
+    reference_level_rows,
+)
 
 
 def binary_module(dims={0: 1}):
@@ -477,11 +481,19 @@ class TestModularLift:
             assert homotopy_solve(phi1.block(key), phi2.block(key)) is not None
 
 
+def _unit_g_map(vc, qc, d, r, k):
+    unit = tuple(((k, F1),) if i == r else () for i in range(qc.dim(d)))
+    return ChainMap(vc, qc, {d: Matrix._trusted(qc.dim(d), vc.dim(d), unit)},
+                    check=False)
+
+
 def reference_condition_deltas(builder, q_operad, images_so_far, key, ckey,
-                               vc, qc):
+                               g, vc, qc):
     """The unit-perturbation loop that _condition_deltas replaced, kept
-    verbatim as its reference: the whole component evaluated with each
-    unit of g, minus the whole component evaluated at g = 0."""
+    as its reference: the whole component evaluated with each unit
+    (d, r, k) of g, minus the whole component evaluated at g = 0.  The
+    unknowns are numbered row by row, degree after degree, so each delta
+    is keyed by the unit's place in that order."""
     units = [(d, r, k) for d in sorted(vc.dims)
              for r in range(qc.dim(d)) for k in range(vc.dim(d))]
     zero_g = ChainMap(vc, qc, {}, check=False)
@@ -489,14 +501,14 @@ def reference_condition_deltas(builder, q_operad, images_so_far, key, ckey,
     base_images[key] = zero_g
     base_eval = builder.evaluation(q_operad, base_images, ckey)
     deltas = {}
-    for (d, r, k) in units:
+    for u, (d, r, k) in enumerate(units):
         unit_images = dict(images_so_far)
         unit_images[key] = _unit_g_map(vc, qc, d, r, k)
         ev = builder.evaluation(q_operad, unit_images, ckey)
         delta = {deg: ev[deg] - base_eval[deg] for deg in ev
                  if not (ev[deg] - base_eval[deg]).is_zero()}
         if delta:
-            deltas[(d, r, k)] = delta
+            deltas[u] = delta
     return base_eval, deltas
 
 
@@ -556,6 +568,51 @@ class TestConditionDeltas:
         monkeypatch.setattr(minimal, "_condition_deltas", checked)
         assert run() is not None
         assert any(n for _, _, n in seen)
+
+
+class TestLevelSystems:
+    """The level solver writes its rows through qlinalg.MatrixEquations;
+    its (a) and (b) rows, its number of unknowns and its seeded solution
+    must be those of the hand-built rows and their unflatten readback."""
+
+    # the window-4 lift's level systems have no kernel; the seeded
+    # hypercommutative witness has one of dimension 2, so draws move g
+    @pytest.mark.parametrize("run", [
+        lift_commutative_window4,
+        lambda: formality_check(hypercommutative(4), 4, seed=5),
+    ], ids=["commutative-window4-lift", "hypercommutative-window4-seed5"])
+    def test_same_systems_as_hand_built_rows(self, run, monkeypatch):
+        fast = minimal._solve_level
+        minimal_solve = minimal.solve
+        solved = []
+        seen = []
+
+        def recording_solve(m, b):
+            solved.append((m, b))
+            return minimal_solve(m, b)
+
+        def checked(mm, q_operad, post_maps, prescribed, key, images_so_far,
+                    r_hom, c_keys, seed=0):
+            solved.clear()
+            got = fast(mm, q_operad, post_maps, prescribed, key,
+                       images_so_far, r_hom, c_keys, seed)
+            rows, rhs, offsets, total = reference_level_rows(
+                mm, q_operad, key, images_so_far)
+            (system, b), = solved
+            assert system.cols == total
+            assert system.sparse[:len(rows)] == tuple(rows)
+            assert tuple(e for e in b if e[0] < len(rows)) == tuple(rhs)
+            assert got.blocks == reference_level_blocks(
+                system, b, offsets, got.src, got.dst, key, seed)
+            seen.append((key, len(rows), system.rows, seed))
+            return got
+
+        monkeypatch.setattr(minimal, "solve", recording_solve)
+        monkeypatch.setattr(minimal, "_solve_level", checked)
+        assert run() is not None
+        # every level has (a) or (b) rows and homology rows after them,
+        # and is solved with a seed
+        assert seen and all(0 < n < m and seed for _, n, m, seed in seen)
 
 
 class TestHypercommutative:
