@@ -59,11 +59,12 @@ print("all arrows are weak equivalences:", witness.verify())
 # act by alpha^3 on a degree-4 homology class
 ga2 = GroupAction.trivial(2, ChainComplex({1: 1}))
 ga3 = GroupAction.trivial(3, ChainComplex({3: 1}))
-builder = FreeOperadBuilder({2: ga2, 3: ga3}, 4)
-# the attachment in summand coordinates: 1 on each two-vertex tree
-obstructed = builder.finish({3: {3: {
-    tree: Matrix.from_rows([[1]]) for tree, _ in builder.summands[3]
-    if len(tree.vertices()) == 2}}})
+builder = FreeOperadBuilder({2: ga2}, 4)
+# the ternary generator's attachment in summand coordinates: 1 on each
+# two-vertex tree, the summands of arity 3 before its own corolla
+builder.add({3: ga3}, {3: {3: {
+    tree: Matrix.from_rows([[1]]) for tree, _ in builder.summands[3]}}})
+obstructed = builder.finish()
 print("\nobstructed fixture:",
       "inconclusive" if formality_check(obstructed, up_to=4, alpha=2) is None
       else "witness (unexpected)")

@@ -115,6 +115,24 @@ class Layout:
         return self.offsets.get((summand, degree), 0)
 
 
+class _Summand:
+    """One summand of a component: ``item`` is the summand tuple (the
+    catalogue object first, what carries its complex last), ``pos`` the
+    object's place in the catalogue, ``types`` and ``actions`` the
+    generator key and action of each vertex, and ``s`` its place in the
+    component's current layout.  The builder keys the work done on the
+    summand, in its own coordinates, by this record."""
+
+    __slots__ = ("pos", "item", "types", "actions", "s")
+
+    def __init__(self, pos, item, types, actions):
+        self.pos = pos
+        self.item = item
+        self.types = types
+        self.actions = actions
+        self.s = None
+
+
 class _FreeBuilder:
     """The free (modular) operad on ``gens`` over the window of ``shape``.
 
@@ -130,6 +148,12 @@ class _FreeBuilder:
     summand, then lift each basis vector to tensor labels and push the
     labels there.
 
+    Generators can be added key by key (``add``), as a minimal model
+    attaches them level by level.  A key's generators and attachments
+    are set once, so the work done on a summand, in its own coordinates,
+    stays valid as later summands join the layouts; each structure map
+    places it through the current layout.
+
     Subclasses say what a summand is: the catalogue at a key, the
     generator key of each vertex (``_types``), the summand tuple
     (``_summand``, None when it vanishes), the lift of a basis vector
@@ -141,48 +165,102 @@ class _FreeBuilder:
     """
 
     def __init__(self, gens, shape):
-        self.gens = dict(gens)
+        self.gens = {}
         self.shape = shape
-        # what finish attached: key -> degree -> {summand object: Matrix}
+        # what the generators are attached along:
+        # key -> degree -> {summand object: Matrix}
         self.attachments = {}
         self.summands = {}
         self.layouts = {}
-        self._summand_of = {}
-        self._types_of = {}
-        self._actions_of = {}
-        self._plans = {}  # (key, s) -> the evaluation plan of summand s
+        self._records = {}     # key -> the _Summand of each summand, in order
+        self._summand_of = {}  # key -> {object: _Summand}
+        # key -> the catalogue entries (pos, object, types) some of whose
+        # vertices carry no generators yet
+        self._waiting = {}
+        self._plans = {}       # _Summand -> its evaluation plan
+        # until finish: the attachment blocks by column, and the work of
+        # each summand that finish uses again, in the summand's own
+        # coordinates: (_Summand, j) -> its columns under s_j, and
+        # _Summand -> the attachment terms of d on its columns
+        self._att_cols = None
+        self._images = {}
+        self._terms = {}
         for key in shape.keys():
-            items = []
-            types_of = []
-            for obj in self._catalogue(key):
-                types = self._types(obj)
-                td = TensorData(tuple(self._gen_complex(t) for t in types))
+            self._waiting[key] = [(pos, obj, self._types(obj)) for pos, obj
+                                  in enumerate(self._catalogue(key))]
+            self._records[key] = []
+            self._summand_of[key] = {}
+            self.summands[key] = []
+            self.layouts[key] = Layout([])
+        self.add(gens)
+
+    def add(self, gens, attachments=None):
+        """Add generators (key -> GroupAction) and the attachment maps of
+        their keys in summand coordinates (key -> degree d -> {summand
+        object: Matrix}, rows the summand's basis in d - 1).  Each
+        catalogue object whose vertices now all carry generators joins
+        its component, in catalogue order, unless its summand vanishes.
+        A key's generators and attachments are set once, together."""
+        attachments = attachments or {}
+        if gens.keys() & self.gens.keys() \
+                or not attachments.keys() <= gens.keys():
+            raise ValueError("a key's generators and attachments are set "
+                             "once, together")
+        self.gens.update(gens)
+        for key, waiting in self._waiting.items():
+            ready = [e for e in waiting if self.gens.keys() >= set(e[2])]
+            if not ready:
+                continue
+            self._waiting[key] = [e for e in waiting
+                                  if not self.gens.keys() >= set(e[2])]
+            records = self._records[key]
+            for pos, obj, types in ready:
+                td = TensorData(tuple(self.gens[t].complex for t in types))
                 item = None if td.complex.is_zero() else self._summand(obj, td)
                 if item is not None:
-                    items.append(item)
-                    types_of.append(types)
-            self.summands[key] = items
-            self._types_of[key] = types_of
-            self._actions_of[key] = [[self._gen_action(t) for t in types]
-                                     for types in types_of]
-            self._summand_of[key] = {item[0]: s for s, item in enumerate(items)}
-            self.layouts[key] = Layout([item[-1].complex for item in items])
+                    rec = _Summand(pos, item, types,
+                                   [self._gen_action(t) for t in types])
+                    records.append(rec)
+                    self._summand_of[key][obj] = rec
+                    self._admit(key, rec)
+            records.sort(key=lambda rec: rec.pos)
+            for s, rec in enumerate(records):
+                rec.s = s
+            self.summands[key] = [rec.item for rec in records]
+            self.layouts[key] = Layout([item[-1].complex
+                                        for item in self.summands[key]])
+        if attachments:
+            self.attachments.update(attachments)
+            self._att_cols = None
 
-    def _gen_complex(self, key):
-        ga = self.gens.get(key)
-        return ga.complex if ga else ChainComplex.zero()
+    def _attachment_columns(self):
+        """key -> degree -> [(_Summand, columns)]: the attachment blocks
+        by column, built when first needed after attachments are added."""
+        if self._att_cols is None:
+            self._att_cols = {
+                k: {d: [(self._record(k, obj), m.transpose().sparse)
+                        for obj, m in blocks.items()]
+                    for d, blocks in v.items()}
+                for k, v in self.attachments.items()}
+        return self._att_cols
+
+    def _admit(self, key, rec):
+        """Note a summand that has joined the component at key."""
 
     def _gen_action(self, key):
         return self.gens[key]
 
-    def summand_index(self, key, obj):
+    def _record(self, key, obj):
         try:
             return self._summand_of[key][obj]
         except KeyError:
             raise KeyError("summand not present") from None
 
+    def summand_index(self, key, obj):
+        return self._record(key, obj).s
+
     def vertex_types(self, key, s):
-        return self._types_of[key][s]
+        return self._records[key][s].types
 
     def corolla_summand(self, key):
         """The summand of a component holding its own generators (one
@@ -237,117 +315,163 @@ class _FreeBuilder:
             for col in range(dim):
                 yield deg, col, off + col
 
-    def _push(self, key, found, actions, labels):
-        """Component coordinates {(degree, row): coeff} of the tensor
-        labels [(label, coeff)] of a rearranged object, matched onto its
-        summand as ``found`` (``_match``); an object whose summand
-        vanished (``found`` None) gives nothing."""
+    def _local(self, key, found, actions, labels):
+        """The tensor labels [(label, coeff)] of a rearranged object,
+        matched onto its summand as ``found`` (``_match``), in that
+        summand's own coordinates: (its _Summand, [((degree, row),
+        coeff)]); an object whose summand vanished (``found`` None) gives
+        (None, [])."""
         if found is None:
-            return {}
-        s, sigmas, perm_images = found
+            return None, []
+        rec, sigmas, perm_images = found
         local = {}
-        push_labels(actions, sigmas, perm_images, self.summands[key][s][1],
-                    labels, local)
+        push_labels(actions, sigmas, perm_images, rec.item[1], labels, local)
+        return rec, list(self._project(key, rec.s, local))
+
+    def _push(self, key, found, actions, labels):
+        """``_local`` in component coordinates {(degree, row): coeff}."""
+        rec, local = self._local(key, found, actions, labels)
+        if rec is None:
+            return {}
         layout = self.layouts[key]
-        return {(deg, layout.offset(s, deg) + pos): coeff
-                for (deg, pos), coeff in self._project(key, s, local)}
+        return {(deg, layout.offset(rec.s, deg) + pos): coeff
+                for (deg, pos), coeff in local}
 
     # -- components and structure maps -----------------------------------------
 
-    def component_complex(self, key, attachments=None):
+    def component_complex(self, key):
         """The component at key; its differential is the summands' own
         plus the derivation extending the attachment maps."""
+        return self._component_complex(key, keep=True)
+
+    def _component_complex(self, key, keep):
         layout = self.layouts[key]
-        # attachment blocks and summand differentials by column
-        att_cols = {k: {d: [(self.summand_index(k, obj), m.transpose().sparse)
-                            for obj, m in blocks.items()]
-                        for d, blocks in v.items()}
-                    for k, v in (attachments or {}).items()}
         cols = {deg: {} for deg in layout.dims}
-        matches = {}
         for s, cc in enumerate(layout.complexes):
             dcols = {d: m.transpose().sparse for d, m in cc.diff.items()}
+            terms = self._kept(self._terms, self._records[key][s], keep,
+                               lambda: self._attachment_terms(key, s))
             for deg, col, gcol in self._columns(key, s):
                 column = cols[deg].setdefault(gcol, {})
                 if deg in dcols:
                     off = layout.offset(s, deg - 1)
                     for r, c in dcols[deg][col]:
                         column[off + r] = column.get(off + r, F0) + c
-                if att_cols:
-                    self._derivation(key, s, deg, col, att_cols, column,
-                                     matches)
+                for target, local in terms.get((deg, col), ()):
+                    for (d, pos), c in local:
+                        r = layout.offset(target.s, d) + pos
+                        column[r] = column.get(r, F0) + c
         # ChainComplex drops the zero ones
         diff = {deg: _assemble(layout.dim(deg - 1), layout.dim(deg), {
             gcol: sparse_row(column) for gcol, column in entries.items()})
             for deg, entries in cols.items()}
         return ChainComplex(dict(layout.dims), diff)
 
-    def _derivation(self, key, s, deg, col, att_cols, column, matches):
-        """Add to ``column`` the attachment terms of d on one basis
-        vector: each vertex in turn expanded into the attachment image of
-        its generator, with the Koszul sign of the vertices before it.
-        ``att_cols[vkey][degree]`` holds (summand, columns) per block;
-        ``matches`` keeps the match of each expanded object."""
-        obj = self.summands[key][s][0]
-        types = self._types_of[key][s]
-        actions = self._actions_of[key][s]
-        lifted = self._lift(key, s, deg, col)
-        for v, vkey in enumerate(types):
-            att = att_cols.get(vkey)
-            if not att:
-                continue
-            for label, lcoeff in lifted:
-                dv, kk = label[v]
-                if dv not in att:
-                    continue
-                sign = -F1 if sum(d for d, _ in label[:v]) % 2 else F1
-                for ssub, cols in att[dv]:
-                    for local, coeff in cols[kk]:
-                        if (s, v, ssub) not in matches:
-                            matches[s, v, ssub] = self._match(
-                                key, self._expanded(
-                                    obj, v, self.summands[vkey][ssub][0]))
-                        scale = sign * lcoeff * coeff
-                        labels = [(label[:v] + tuple(sl) + label[v + 1:],
-                                   c * scale) for sl, c in
-                                  self._lift(vkey, ssub, dv - 1, local)]
-                        out = self._push(
-                            key, matches[s, v, ssub],
-                            actions[:v] + self._actions_of[vkey][ssub]
-                            + actions[v + 1:], labels)
-                        for (_, r), c in out.items():
-                            column[r] = column.get(r, F0) + c
+    @staticmethod
+    def _kept(store, k, keep, work):
+        """``store[k]``, else ``work()``; left in the store for finish
+        when ``keep``, else taken out of it."""
+        value = store.pop(k, None)
+        if value is None:
+            value = work()
+        if keep:
+            store[k] = value
+        return value
+
+    def _attachment_terms(self, key, s):
+        """The attachment terms of d on each basis vector of summand s:
+        each vertex in turn expanded into the attachment image of its
+        generator, with the Koszul sign of the vertices before it.
+        Returns {(degree, column): [(_Summand, local terms)]}; each
+        expanded object is matched once."""
+        rec = self._records[key][s]
+        att_cols = self._attachment_columns()
+        if all(t not in att_cols for t in rec.types):
+            return {}
+        terms = {}
+        matches = {}
+        obj = rec.item[0]
+        for deg, dim in rec.item[-1].complex.dims.items():
+            for col in range(dim):
+                lifted = self._lift(key, s, deg, col)
+                found = []
+                for v, vkey in enumerate(rec.types):
+                    att = att_cols.get(vkey)
+                    if not att:
+                        continue
+                    for label, lcoeff in lifted:
+                        dv, kk = label[v]
+                        if dv not in att:
+                            continue
+                        sign = -F1 if sum(d for d, _ in label[:v]) % 2 else F1
+                        for sub, cols in att[dv]:
+                            for local, coeff in cols[kk]:
+                                if (v, sub) not in matches:
+                                    matches[v, sub] = self._match(
+                                        key, self._expanded(obj, v,
+                                                            sub.item[0]))
+                                scale = sign * lcoeff * coeff
+                                labels = [(label[:v] + tuple(sl)
+                                           + label[v + 1:], c * scale)
+                                          for sl, c in self._lift(
+                                              vkey, sub.s, dv - 1, local)]
+                                target, out = self._local(
+                                    key, matches[v, sub],
+                                    rec.actions[:v] + sub.actions
+                                    + rec.actions[v + 1:], labels)
+                                if target is not None:
+                                    found.append((target, out))
+                if found:
+                    terms[deg, col] = found
+        return terms
 
     def action_generator(self, key, j, component):
         """ChainMap of the adjacent transposition s_j on the component:
         each summand's columns pushed through its one image
         (``_image``)."""
-        cols = {}
-        for s in range(len(self.summands[key])):
-            found = self._image(key, s, j)
-            actions = self._actions_of[key][s]
-            for deg, col, gcol in self._columns(key, s):
-                out = self._push(key, found, actions,
-                                 self._lift(key, s, deg, col))
-                for (tdeg, row), c in out.items():
-                    cols.setdefault(tdeg, {}).setdefault(gcol, {})[row] = c
+        return self._action_generator(key, j, component, keep=True)
+
+    def _action_generator(self, key, j, component, keep):
+        """``action_generator``; each summand's columns under s_j, in
+        its image's own coordinates, are kept for finish when ``keep``,
+        else taken out of the store."""
         layout = self.layouts[key]
+        cols = {}
+        for s, rec in enumerate(self._records[key]):
+            image = self._kept(self._images, (rec, j), keep,
+                               lambda: self._image_columns(key, s, j))
+            for deg, col, (target, local) in image:
+                gcol = layout.offset(s, deg) + col
+                for (tdeg, pos), c in local:
+                    cols.setdefault(tdeg, {}).setdefault(gcol, {})[
+                        layout.offset(target.s, tdeg) + pos] = c
         return ChainMap(component, component, {
             deg: _assemble(layout.dim(deg), layout.dim(deg),
                            {gcol: sparse_row(c) for gcol, c in e.items()})
             for deg, e in cols.items()}, check=False)
 
+    def _image_columns(self, key, s, j):
+        """[(degree, column, ``_local`` image under s_j)] for each basis
+        vector of summand s, through its one image (``_image``)."""
+        found = self._image(key, s, j)
+        rec = self._records[key][s]
+        return [(deg, col, self._local(key, found, rec.actions,
+                                       self._lift(key, s, deg, col)))
+                for deg, dim in rec.item[-1].complex.dims.items()
+                for col in range(dim)]
+
     def composition_table(self, key1, i, key2):
         table = CompTable()
         tkey = self.shape.comp_target(key1, i, key2)
-        for s1, (obj1, *_) in enumerate(self.summands[key1]):
+        for s1, rec1 in enumerate(self._records[key1]):
             lifts1 = [(deg, k, self._lift(key1, s1, deg, c))
                       for deg, c, k in self._columns(key1, s1)]
-            for s2, (obj2, *_) in enumerate(self.summands[key2]):
+            for s2, rec2 in enumerate(self._records[key2]):
                 lifts2 = [(deg, k, self._lift(key2, s2, deg, c))
                           for deg, c, k in self._columns(key2, s2)]
-                found = self._match(tkey, self._grafted(obj1, i, obj2))
-                actions = self._actions_of[key1][s1] + self._actions_of[key2][s2]
+                found = self._match(tkey, self._grafted(rec1.item[0], i,
+                                                        rec2.item[0]))
+                actions = rec1.actions + rec2.actions
                 for deg1, k1, lift1 in lifts1:
                     for deg2, k2, lift2 in lifts2:
                         labels = [(l1 + l2, a * b) for l1, a in lift1
@@ -357,19 +481,19 @@ class _FreeBuilder:
                             table.add(deg1, k1, deg2, k2, row, c)
         return table
 
-    def finish(self, attachments=None):
+    def finish(self):
         """The operad on the window, its differential extended by the
-        attachment maps in summand coordinates (generator key -> degree d
-        -> {summand object: Matrix}, rows the summand's basis in d - 1)."""
-        attachments = attachments or {}
+        attachment maps added with the generators.  The work kept while
+        generators were added is used up."""
         shape = self.shape
         actions = {}
         for key in shape.keys():
-            comp = self.component_complex(key, attachments)
+            comp = self._component_complex(key, keep=False)
             if comp.is_zero():
                 continue
             legs = shape.legs(key)
-            gens = [self.action_generator(key, j, comp) for j in range(1, legs)]
+            gens = [self._action_generator(key, j, comp, keep=False)
+                    for j in range(1, legs)]
             actions[key] = GroupAction(legs, comp, gens, check=False)
         comp_tables = {}
         for trip in shape.comp_keys():
@@ -385,7 +509,7 @@ class _FreeBuilder:
                     contr_tables[trip] = tab
         op = shape.remake(actions, comp_tables, contr_tables, shape.window,
                           None)
-        self.attachments = attachments
+        self._att_cols, self._images, self._terms = None, {}, {}
         op.free = self
         return op
 
@@ -416,9 +540,10 @@ class _FreeBuilder:
     def evaluate_basis(self, dst, columns, key, s, deg, col):
         """Image in dst of basis vector col of summand s in degree deg,
         composed along the summand's plan (``_plan``), built once."""
-        if (key, s) not in self._plans:
-            self._plans[key, s] = self._plan(key, s)
-        return evaluate_tree_basis(dst, self._plans[key, s], columns,
+        rec = self._records[key][s]
+        if rec not in self._plans:
+            self._plans[rec] = self._plan(key, s)
+        return evaluate_tree_basis(dst, self._plans[rec], columns,
                                    self._lift(key, s, deg, col))
 
 
@@ -435,18 +560,20 @@ class FreeOperadBuilder(_FreeBuilder):
     """
 
     def __init__(self, gens, max_arity):
-        super().__init__(gens, DGOperad(SigmaModule({}), {}, max_arity))
         # per summand: the preorder position of each clade of its tree,
         # its identity slot permutations and the vertex whose slots each
         # s_j swaps; and per arity, the summand of each clade set
-        self._shapes = {n: [({c: p for p, c in enumerate(tree.clades())},
-                             [Permutation.identity(k) for k in types],
+        self._shapes = {}
+        self._by_clades = {}
+        super().__init__(gens, DGOperad(SigmaModule({}), {}, max_arity))
+
+    def _admit(self, n, rec):
+        tree = rec.item[0]
+        clades = {c: p for p, c in enumerate(tree.clades())}
+        self._shapes[rec] = (clades,
+                             [Permutation.identity(k) for k in rec.types],
                              tree.adjacent_children())
-                            for (tree, _), types in zip(items, self._types_of[n])]
-                        for n, items in self.summands.items()}
-        self._by_clades = {n: {frozenset(shape[0]): s
-                               for s, shape in enumerate(shapes)}
-                           for n, shapes in self._shapes.items()}
+        self._by_clades.setdefault(n, {})[frozenset(clades)] = rec
 
     def _catalogue(self, n):
         return T.enumerate_trees(n)
@@ -466,7 +593,7 @@ class FreeOperadBuilder(_FreeBuilder):
         for pos, fid in enumerate(match.factor_order):
             perm_images[fid] = pos
         sigmas = [match.input_perms[fid] for fid in range(len(perm_images))]
-        return self.summand_index(n, match.tree), sigmas, perm_images
+        return self._record(n, match.tree), sigmas, perm_images
 
     def _project(self, n, s, local):
         return local.items()
@@ -477,14 +604,14 @@ class FreeOperadBuilder(_FreeBuilder):
         positions of their new clades; only the vertex whose children
         have minimal leaves j and j + 1 has its slots moved."""
         pair = 3 << (j - 1)
-        clades, sigmas, swaps = self._shapes[n][s]
+        clades, sigmas, swaps = self._shapes[self._records[n][s]]
         moved = [c ^ pair if c & pair not in (0, pair) else c for c in clades]
         t = self._by_clades[n][frozenset(moved)]
         if j in swaps:
             p, i = swaps[j]
             sigmas = list(sigmas)
             sigmas[p] = Permutation.transposition(sigmas[p].n, i + 1)
-        return t, sigmas, [self._shapes[n][t][0][c] for c in moved]
+        return t, sigmas, [self._shapes[t][0][c] for c in moved]
 
     def _grafted(self, t1, i, t2):
         l, m = t1.arity, t2.arity
@@ -523,7 +650,7 @@ class FreeOperadBuilder(_FreeBuilder):
         complete, the vertices pushed in preorder; the composite's legs
         are the tree's leaves in preorder."""
         tree = self.summands[n][s][0]
-        vertices = enumerate(self._types_of[n][s])
+        vertices = enumerate(self.vertex_types(n, s))
         steps = []
 
         def walk(node):
@@ -567,9 +694,9 @@ class FreeModularBuilder(_FreeBuilder):
     """
 
     def __init__(self, gens, max_dim):
+        self._lifts = {}  # (_Summand, degree) -> columns of the inclusion
         super().__init__(gens, ModularOperad(ModularSigmaModule({}), {}, {},
                                              max_dim))
-        self._lifts = {}  # (key, s, deg) -> columns of the inclusion
 
     def _catalogue(self, key):
         return T.enumerate_stable_graphs(*key)
@@ -613,20 +740,21 @@ class FreeModularBuilder(_FreeBuilder):
         return ChainMap(td1.complex, td2.complex, blocks, check=False)
 
     def _lift(self, key, s, deg, col):
-        _, td, coin = self.summands[key][s]
-        if (key, s, deg) not in self._lifts:
-            self._lifts[key, s, deg] = coin.inclusion.block(deg).columns()
+        rec = self._records[key][s]
+        _, td, coin = rec.item
+        if (rec, deg) not in self._lifts:
+            self._lifts[rec, deg] = coin.inclusion.block(deg).columns()
         basis = td.basis(deg)
-        return [(basis[r], c) for r, c in self._lifts[key, s, deg][col]]
+        return [(basis[r], c) for r, c in self._lifts[rec, deg][col]]
 
     def _match(self, key, concrete):
         match = T.match_graph(concrete)
-        s = self._summand_of[key].get(
+        rec = self._summand_of[key].get(
             T.enumerate_stable_graphs(*key)[match.index])
-        if s is None:
+        if rec is None:
             return None
         sigmas = [match.slot_perms[v] for v in range(len(match.vertex_map))]
-        return s, sigmas, match.vertex_map
+        return rec, sigmas, match.vertex_map
 
     def _project(self, key, s, local):
         coin = self.summands[key][s][2]
@@ -657,7 +785,7 @@ class FreeModularBuilder(_FreeBuilder):
         for s, (graph, _, _) in enumerate(self.summands[key]):
             found = self._match(
                 tkey, T.self_glue(T.concrete_from_canonical(graph), i, j))
-            actions = self._actions_of[key][s]
+            actions = self._records[key][s].actions
             for deg, col, k in self._columns(key, s):
                 out = self._push(tkey, found, actions,
                                  self._lift(key, s, deg, col))

@@ -334,17 +334,15 @@ def minimal_model(p, up_to=None, seed=0) -> MinimalModel:
     up_to = up_to if up_to is not None else p.window
     if up_to > p.window:
         raise ValueError("requested window exceeds the operad's support")
-    gens = {}
-    attachments = {}
+    # one free builder for the whole tower: each key's generators join it
+    # once found, and only a key's corolla holds generators of its level
+    builder = free_builder(p, {}, up_to)
     images = {}
     levels = sorted({p.level(k) for k in p.keys() if p.level(k) <= up_to})
     for n in levels:
-        builder = free_builder(p, gens, n)
         for key in [k for k in p.keys() if p.level(k) == n]:
             pc = p.component(key)
-            layout = builder.layouts.get(key)
-            m_complex = builder.component_complex(key, attachments) \
-                if layout is not None else ChainComplex.zero()
+            m_complex = builder.component_complex(key)
             arity = p.legs(key)
             if m_complex.is_zero():
                 m_action = GroupAction.trivial(arity, m_complex)
@@ -378,14 +376,12 @@ def minimal_model(p, up_to=None, seed=0) -> MinimalModel:
                 img_blocks[d] = top
                 if not bottom.is_zero():
                     xi_blocks[d] = bottom.scale(-1)
-            gens[key] = v_action
-            if xi_blocks:
-                attachments[key] = {d: builder.summand_blocks(key, d - 1, m)
-                                    for d, m in xi_blocks.items()}
+            builder.add({key: v_action}, {
+                key: {d: builder.summand_blocks(key, d - 1, m)
+                      for d, m in xi_blocks.items()}} if xi_blocks else None)
             images[key] = ChainMap(v_action.complex, pc, img_blocks,
                                    check=False)
-    final_builder = free_builder(p, gens, up_to)
-    m_op = final_builder.finish(attachments)
+    m_op = builder.finish()
     rho = morphism_from_generators(m_op, p, images)
     return MinimalModel(m_op, rho, tuple(levels), seed)
 

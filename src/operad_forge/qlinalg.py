@@ -440,6 +440,8 @@ class _Frozen:
     once with ``_setfield``; assigning or deleting an attribute
     afterwards raises ``AttributeError``."""
 
+    __slots__ = ()
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 

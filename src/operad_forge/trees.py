@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from types import MappingProxyType
 
 from .chain import ChainComplex, TensorData
 from .qlinalg import _Frozen, _setfield
@@ -511,18 +512,34 @@ def graph_space(graph: StableGraph, module) -> ChainComplex:
 # -- concrete graphs (intermediate states of structure maps) -----------------
 
 
-class ConcreteGraph:
+class ConcreteGraph(_Frozen):
     """Graph produced mid-computation, before matching to the catalog.
 
     ``slot_orders[v]`` lists, in the order of the tensor slots of the
     element sitting at v, the descriptors those slots currently occupy.
+    A value: equal graphs (all four fields tuples) hash alike, so
+    ``match_graph`` can remember its answer.
     """
 
     def __init__(self, genera, legs, edges, slot_orders):
-        self.genera = genera
-        self.legs = legs
-        self.edges = edges
-        self.slot_orders = slot_orders
+        _setfield(self, "genera", genera)
+        _setfield(self, "legs", legs)
+        _setfield(self, "edges", edges)
+        _setfield(self, "slot_orders", slot_orders)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.genera == other.genera and self.legs == other.legs
+                    and self.edges == other.edges
+                    and self.slot_orders == other.slot_orders)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.genera, self.legs, self.edges, self.slot_orders))
+
+    def __repr__(self):
+        return (f"ConcreteGraph(genera={self.genera!r}, legs={self.legs!r}, "
+                f"edges={self.edges!r}, slot_orders={self.slot_orders!r})")
 
     def as_stable_graph(self):
         return StableGraph(self.genera, self.legs, self.edges)
@@ -684,22 +701,50 @@ def expand_vertex(c: ConcreteGraph, v: int, sub: ConcreteGraph) -> ConcreteGraph
     return ConcreteGraph(genera, tuple(legs), tuple(edges), tuple(slot_orders))
 
 
-class GraphMatch:
-    """Result of matching a concrete graph against the catalog."""
+class GraphMatch(_Frozen):
+    """Result of matching a concrete graph against the catalog; shared
+    by every caller that matches an equal graph, so ``slot_perms`` is a
+    read-only mapping."""
+
+    __slots__ = ("index", "vertex_map", "slot_perms")
 
     def __init__(self, index, vertex_map, slot_perms):
-        self.index = index
-        self.vertex_map = vertex_map
+        _setfield(self, "index", index)
+        _setfield(self, "vertex_map", vertex_map)
         # concrete vertex -> Permutation (canonical slot -> factor slot)
-        self.slot_perms = slot_perms
+        _setfield(self, "slot_perms", MappingProxyType(dict(slot_perms)))
 
 
 def match_graph(c: ConcreteGraph) -> GraphMatch:
     """Match c against ``enumerate_stable_graphs(genus, legs)`` of its own
     genus and leg count: the catalog graph with c's canonical key, by the
     first isomorphism onto it.  Catalog graphs are pairwise
-    non-isomorphic, so no other entry could match."""
-    underlying = c.as_stable_graph()
+    non-isomorphic, so no other entry could match.  A match depends only
+    on c's fields and the catalogs, so each is computed once per process
+    (``_match``), like the catalogs themselves; the slot orders are
+    remembered as small integers: leg j as j, half h of edge e as
+    -(2e + h + 1), and 0 after each vertex's slots."""
+    codes = []
+    for slots in c.slot_orders:
+        for slot in slots:
+            codes.append(slot[1] if slot[0] == "leg"
+                         else -(2 * slot[1] + slot[2] + 1))
+        codes.append(0)
+    return _match(c.genera, c.legs, c.edges, tuple(codes))
+
+
+@lru_cache(maxsize=None)
+def _match(genera, legs, edges, codes):
+    """``match_graph`` of the concrete graph with these fields."""
+    slot_orders, slots = [], []
+    for x in codes:
+        if not x:
+            slot_orders.append(slots)
+            slots = []
+        else:
+            slots.append(("leg", x) if x > 0 else ("edge", (-x - 1) // 2,
+                                                   (-x - 1) % 2))
+    underlying = StableGraph(genera, legs, edges)
     g, l = underlying.genus, underlying.n_legs
     idx = _catalog_index(g, l).get(underlying.canonical_key())
     if idx is None:
@@ -707,11 +752,15 @@ def match_graph(c: ConcreteGraph) -> GraphMatch:
     cand = enumerate_stable_graphs(g, l)[idx]
     vertex_map, slot_map = next(graph_isomorphisms(underlying, cand))
     slot_perms = {}
-    for v in range(len(c.genera)):
+    for v in range(len(genera)):
         target_order = cand.leg_order(vertex_map[v])
-        image_slots = [slot_map[s] for s in c.slot_orders[v]]
+        image_slots = [slot_map[s] for s in slot_orders[v]]
         perm = []
         for d in target_order:
             perm.append(image_slots.index(d) + 1)
-        slot_perms[v] = Permutation(tuple(perm))
+        slot_perms[v] = _slot_perm(tuple(perm))
     return GraphMatch(idx, vertex_map, slot_perms)
+
+
+# one Permutation object for each slot permutation of a remembered match
+_slot_perm = lru_cache(maxsize=None)(Permutation)

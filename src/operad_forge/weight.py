@@ -341,14 +341,14 @@ class FormalityWitness:
 
 
 def _suboperad_from_components(p, components):
-    """Suboperad spanned by given ambient bases; rejects non-closure.
+    """Suboperad on given subcomplexes; rejects one not closed under the
+    structure maps.
 
-    ``components``: key -> dict degree -> ambient basis Matrix.
+    ``components``: key -> the inclusion ChainMap of a subcomplex of
+    p's component (``chain.subcomplex``, which checks d-closure).
     Returns (operad, inclusion morphism).
     """
-    incls = {key: subcomplex(p.component(key), basis)[1]
-             for key, basis in components.items()}
-    incls = {key: f for key, f in incls.items() if f.src.dims}
+    incls = {key: f for key, f in components.items() if f.src.dims}
 
     def project(key, d, m):
         basis = incls[key].blocks.get(d) if key in incls else None
@@ -377,8 +377,7 @@ def formality_witness_from_pure(p, f: OperadMorphism,
         if comp.is_zero():
             continue
         res = t_functor(comp, f.block(key), w)
-        components[key] = {d: res.inclusion.block(d)
-                           for d in res.complex.dims}
+        components[key] = res.inclusion
         projections[key] = res
     tp, incl = _suboperad_from_components(p, components)
     h_transfer = homology_operad(p)

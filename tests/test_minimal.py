@@ -46,6 +46,7 @@ from operad_forge.operad import (
 )
 from operad_forge.qlinalg import F1, Matrix
 from operad_forge.sigma import GroupAction, SigmaModule
+from operad_forge.trees import enumerate_trees
 
 from operad_forge.weight import formality_check
 
@@ -73,10 +74,10 @@ def massey_minimal_operad():
     the binary trees."""
     ga2 = GroupAction.trivial(2, ChainComplex({1: 1}))
     ga3 = GroupAction.trivial(3, ChainComplex({3: 1}))
-    builder = FreeOperadBuilder({2: ga2, 3: ga3}, 4)
-    return builder.finish({3: {3: {
-        tree: Matrix.from_rows([[1]]) for tree, _ in builder.summands[3]
-        if len(tree.vertices()) == 2}}})
+    builder = FreeOperadBuilder({2: ga2}, 4)
+    builder.add({3: ga3}, {3: {3: {
+        tree: Matrix.from_rows([[1]]) for tree, _ in builder.summands[3]}}})
+    return builder.finish()
 
 
 class TestPrincipalExtension:
@@ -295,9 +296,11 @@ class TestIsMinimal:
         # d sends the degree-1 generator onto the degree-0 one: a linear
         # attachment, made by hand in summand coordinates
         ga = GroupAction.trivial(2, ChainComplex({0: 1, 1: 1}))
-        builder = FreeOperadBuilder({2: ga}, 3)
-        corolla = builder.summands[2][builder.corolla_summand(2)][0]
-        P = builder.finish({2: {1: {corolla: Matrix.from_rows([[1]])}}})
+        builder = FreeOperadBuilder({}, 3)
+        corolla = enumerate_trees(2)[0]
+        builder.add({2: ga}, {2: {1: {corolla: Matrix.from_rows([[1]])}}})
+        assert builder.summands[2][builder.corolla_summand(2)][0] == corolla
+        P = builder.finish()
         assert validate(P) == []
         assert is_minimal(P) == (False, 2)
 
@@ -757,3 +760,132 @@ class TestCatalogueOrder:
         assert is_minimal(mm.operad) == (True, None)
         wit = formality_check(hypercommutative(4), 4)
         assert wit is not None and wit.verify() is True
+
+
+class TestOneBuilderPerModel:
+    """A minimal model is built on one free builder, its generators added
+    key by key: the per-summand work is done once and placed through the
+    layout current at each use."""
+
+    # sha256 of the ``minimal-model`` document, pinned from the builder
+    # that rebuilt the free operad at every level
+    DIGESTS = {
+        ("endomorphism-dim1-window2", 0):
+            "bdfc79ede212bd05079dfbdcc601c9b5c65d58e68540908bf7f50d05a228311b",
+        ("endomorphism-dim1-window2", 5):
+            "4adacc17939f8e6f61b172f4b2666cf5b207497ba331a6783a761c3a2bda8d56",
+        ("moduli2", 0):
+            "36f387152156292913219429c29d6f5befc0f560e015d10f4c87a633161bc8ac",
+        ("moduli2", 5):
+            "cf2c516aa5abed462b2d728300735a750272cf7adc59dd604a2514352eb23d16",
+    }
+    MAKE = {"endomorphism-dim1-window2": lambda: endomorphism_dim1(2),
+            "moduli2": lambda: moduli_quotient(2)}
+
+    @pytest.mark.parametrize("name, seed", sorted(DIGESTS))
+    def test_document_bytes_pinned(self, tmp_path, name, seed):
+        src, out = tmp_path / "op.json", tmp_path / "mm.json"
+        with open(src, "w") as fh:
+            doc.dump(doc.to_document(self.MAKE[name]()), fh)
+        assert main(["minimal-model", str(src), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() \
+            == self.DIGESTS[name, seed]
+
+    @staticmethod
+    def _counted(monkeypatch, cls):
+        """Count the s_j images and attachment terms computed, by
+        (key, summand object[, j])."""
+        counts = {}
+        image, terms = cls._image, cls._attachment_terms
+
+        def counted_image(self, key, s, j):
+            k = ("image", key, self.summands[key][s][0], j)
+            counts[k] = counts.get(k, 0) + 1
+            return image(self, key, s, j)
+
+        def counted_terms(self, key, s):
+            k = ("derivation", key, self.summands[key][s][0])
+            counts[k] = counts.get(k, 0) + 1
+            return terms(self, key, s)
+
+        monkeypatch.setattr(cls, "_image", counted_image)
+        monkeypatch.setattr(cls, "_attachment_terms", counted_terms)
+        return counts
+
+    @pytest.mark.parametrize("make, cls", [
+        (lambda: moduli_quotient(2), FreeModularBuilder),
+        (lambda: hypercommutative(4), FreeOperadBuilder),
+        (lambda: commutative_style_operad(4), FreeOperadBuilder),
+    ], ids=["moduli2", "hycom4", "commutative4"])
+    def test_each_summand_column_computed_once(self, monkeypatch, make,
+                                               cls):
+        p = make()
+        counts = self._counted(monkeypatch, cls)
+        mm = minimal_model(p, seed=5)
+        builder = mm.operad.free
+        want = set()
+        for key, items in builder.summands.items():
+            for obj, *_ in items:
+                want.add(("derivation", key, obj))
+                want |= {("image", key, obj, j)
+                         for j in range(1, p.legs(key))}
+        assert set(counts) == want
+        assert set(counts.values()) == {1}
+        # placed through the final layouts, the stored columns give the
+        # operad a builder given every generator at once gives
+        assert any(builder.attachments.values())
+        fresh = free_builder(p, {}, p.window)
+        fresh.add(builder.gens, builder.attachments)
+        fresh = fresh.finish()
+        assert fresh.keys() == mm.operad.keys()
+        for key in fresh.keys():
+            assert mm.operad.component(key) == fresh.component(key), key
+            ga, want_ga = mm.operad.group_action(key), fresh.group_action(key)
+            assert (ga is None) == (want_ga is None), key
+            if ga is not None:
+                assert ga.generators == want_ga.generators, key
+        assert mm.operad.comp.keys() == fresh.comp.keys()
+        assert mm.operad.contr.keys() == fresh.contr.keys()
+        # finishing used up the stored columns
+        assert builder._images == {} and builder._terms == {}
+
+    def test_generators_and_attachments_set_once(self):
+        ga = GroupAction.trivial(2, ChainComplex({0: 1}))
+        builder = FreeOperadBuilder({2: ga}, 3)
+        with pytest.raises(ValueError, match="set once"):
+            builder.add({2: ga})
+        # attachments come with their key's generators
+        with pytest.raises(ValueError, match="set once"):
+            builder.add({}, {2: {}})
+
+    def test_no_module_level_store_grows(self):
+        """The per-model store lives on the builder and goes with the
+        model: building models leaves every module-level container and
+        cache of ``free`` and ``minimal`` as it was."""
+        import gc
+        import weakref
+        from operad_forge import free
+
+        def sizes():
+            out = {}
+            for mod in (free, minimal):
+                for name, value in vars(mod).items():
+                    if name.startswith("__"):
+                        continue
+                    if isinstance(value, (dict, list, set, tuple)):
+                        out[mod.__name__, name] = len(value)
+                    elif hasattr(value, "cache_info"):
+                        out[mod.__name__, name] = value.cache_info().currsize
+            return out
+
+        minimal_model(endomorphism_dim1(2), seed=1)
+        before = sizes()
+        builders = []
+        for seed in (2, 3, 4):
+            mm = minimal_model(endomorphism_dim1(2), seed=seed)
+            builders.append(weakref.ref(mm.operad.free))
+        assert sizes() == before
+        del mm
+        gc.collect()
+        assert [ref() for ref in builders] == [None] * 3

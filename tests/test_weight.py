@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from operad_forge.chain import ChainComplex, ChainMap, homology_dims, tensor
+from operad_forge.chain import (
+    ChainComplex,
+    ChainMap,
+    homology_dims,
+    subcomplex,
+    tensor,
+)
 from operad_forge.free import endomorphism_modular_operad, free_operad
 from operad_forge.operad import OperadMorphism, weak_equivalence_test
 from operad_forge.qlinalg import Matrix
@@ -341,13 +347,20 @@ class TestFormalityCheck:
 
 
 class TestSuboperadRejects:
-    """_suboperad_from_components refuses a candidate that is not closed
-    under one of the structure maps."""
+    """A candidate that is not closed under one of the structure maps is
+    refused on its way to a suboperad: under d by ``subcomplex`` (as in
+    ``t_functor``), under the others by _suboperad_from_components."""
 
     @staticmethod
     def _full(op, keys):
         return {k: {d: Matrix.identity(n)
                     for d, n in op.component(k).dims.items()} for k in keys}
+
+    @staticmethod
+    def _suboperad(op, cand):
+        return _suboperad_from_components(
+            op, {k: subcomplex(op.component(k), bases)[1]
+                 for k, bases in cand.items()})
 
     def test_not_closed_under_d(self):
         from fixtures_ops import one_dim_operad_with_acyclic_component
@@ -357,7 +370,7 @@ class TestSuboperadRejects:
         cand[2] = {1: Matrix.from_rows([[1]]),
                    0: Matrix.from_rows([[1], [0]])}
         with pytest.raises(AssertionError, match="not d-closed"):
-            _suboperad_from_components(op, cand)
+            self._suboperad(op, cand)
 
     def test_d_into_a_missing_degree(self):
         from fixtures_ops import one_dim_operad_with_acyclic_component
@@ -366,7 +379,7 @@ class TestSuboperadRejects:
         cand = self._full(op, [3])
         cand[2] = {1: Matrix.from_rows([[1]])}
         with pytest.raises(AssertionError, match="not d-closed"):
-            _suboperad_from_components(op, cand)
+            self._suboperad(op, cand)
 
     def test_not_action_closed(self):
         c = ChainComplex({0: 2})
@@ -374,7 +387,7 @@ class TestSuboperadRejects:
         op = free_operad(SigmaModule({2: GroupAction(2, c, [swap])}), 3)
         cand = {2: {0: Matrix.from_rows([[1], [0]])}}
         with pytest.raises(AssertionError, match="not action-closed"):
-            _suboperad_from_components(op, cand)
+            self._suboperad(op, cand)
 
     def test_composition_leaves_span(self):
         op = free_operad(SigmaModule(
@@ -385,13 +398,13 @@ class TestSuboperadRejects:
         cand = self._full(op, [2])
         cand[3] = {0: Matrix.from_rows([[1], [1], [1]])}
         with pytest.raises(AssertionError, match=r"closure fails at \(2, 1, 2\)"):
-            _suboperad_from_components(op, cand)
+            self._suboperad(op, cand)
 
     def test_composition_into_vanished_component(self):
         op = free_operad(SigmaModule(
             {2: GroupAction.trivial(2, ChainComplex({0: 1}))}), 3)
         with pytest.raises(AssertionError, match=r"closure fails at \(2, 1, 2\)"):
-            _suboperad_from_components(op, self._full(op, [2]))
+            self._suboperad(op, self._full(op, [2]))
 
     def test_contraction_leaves_span(self):
         E = endomorphism_modular_operad(ChainComplex({0: 2}),
@@ -400,4 +413,4 @@ class TestSuboperadRejects:
         # xi(v1 v2 v3) = <v1, v2> v3 reaches all of V, not only e_1
         cand[(1, 1)] = {0: Matrix.from_rows([[1], [0]])}
         with pytest.raises(AssertionError, match="closure fails at xi"):
-            _suboperad_from_components(E, cand)
+            self._suboperad(E, cand)
