@@ -339,9 +339,12 @@ def from_document(doc):
         _expect(metadata["seed"], int, "metadata.seed")
     metadata["kind"] = kind
     metadata["indexing"] = doc.get("indexing", "arity")
-    if kind == "sigma-module":
+    try:
         module = (ModularSigmaModule(components) if modular
                   else SigmaModule(components))
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
+    if kind == "sigma-module":
         return module, metadata
     comp = _comp_tables_from_doc(doc.get("compositions", []), modular)
     cut = doc.get("truncation_cut") if kind == "truncated" else None
@@ -358,11 +361,9 @@ def from_document(doc):
              if modular else None)
     try:
         if modular:
-            op = ModularOperad(ModularSigmaModule(components), comp, contr,
-                               max_dim=top, cut=cut)
+            op = ModularOperad(module, comp, contr, max_dim=top, cut=cut)
         else:
-            op = DGOperad(SigmaModule(components), comp, max_arity=top,
-                          cut=cut)
+            op = DGOperad(module, comp, max_arity=top, cut=cut)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
     _check_table_indices(op)

@@ -3,9 +3,12 @@
 Components of the free operad are indexed by reduced labelled trees,
 those of the free modular operad by stable graphs with coinvariants
 under graph automorphisms.  All structure maps reduce to one routine:
-build the combinatorially grafted/expanded object, match it against the
-catalog of canonical representatives, and push basis labels through the
-induced per-vertex slot permutations and the Koszul factor reordering.
+rearrange the object (relabel its legs, graft, expand a vertex), match
+the result against the catalog of canonical representatives, and push
+basis labels through the induced per-vertex slot permutations and the
+Koszul factor reordering.  A rearranged tree is the leaf sets of its
+vertices' children, matched by its set of vertex clades; a rearranged
+stable graph is a concrete graph, matched by ``trees.match_graph``.
 Morphisms out of a free operad take one route too: each summand is
 composed in the target along a plan built once per summand (along the
 tree's nesting, or along the stable graph's spanning tree and then its
@@ -160,8 +163,9 @@ class _FreeBuilder:
     (``_lift``), the match of a rearranged object (``_match``) with the
     projection back onto the summand (``_project``), the image of a
     summand under an adjacent transposition (``_image``), the
-    rearrangements ``_grafted`` and ``_expanded``, and the plan along
-    which ``evaluation`` composes a summand in a target (``_plan``).
+    rearrangements ``_grafted`` and ``_expanded`` of summand records, and
+    the plan along which ``evaluation`` composes a summand in a target
+    (``_plan``).
     """
 
     def __init__(self, gens, shape):
@@ -390,7 +394,6 @@ class _FreeBuilder:
             return {}
         terms = {}
         matches = {}
-        obj = rec.item[0]
         for deg, dim in rec.item[-1].complex.dims.items():
             for col in range(dim):
                 lifted = self._lift(key, s, deg, col)
@@ -408,8 +411,7 @@ class _FreeBuilder:
                             for local, coeff in cols[kk]:
                                 if (v, sub) not in matches:
                                     matches[v, sub] = self._match(
-                                        key, self._expanded(obj, v,
-                                                            sub.item[0]))
+                                        key, self._expanded(rec, v, sub))
                                 scale = sign * lcoeff * coeff
                                 labels = [(label[:v] + tuple(sl)
                                            + label[v + 1:], c * scale)
@@ -469,8 +471,7 @@ class _FreeBuilder:
             for s2, rec2 in enumerate(self._records[key2]):
                 lifts2 = [(deg, k, self._lift(key2, s2, deg, c))
                           for deg, c, k in self._columns(key2, s2)]
-                found = self._match(tkey, self._grafted(rec1.item[0], i,
-                                                        rec2.item[0]))
+                found = self._match(tkey, self._grafted(rec1, i, rec2))
                 actions = rec1.actions + rec2.actions
                 for deg1, k1, lift1 in lifts1:
                     for deg2, k2, lift2 in lifts2:
@@ -560,20 +561,19 @@ class FreeOperadBuilder(_FreeBuilder):
     """
 
     def __init__(self, gens, max_arity):
-        # per summand: the preorder position of each clade of its tree,
-        # its identity slot permutations and the vertex whose slots each
-        # s_j swaps; and per arity, the summand of each clade set
-        self._shapes = {}
+        # per summand: the leaf sets of its vertices' children (slot
+        # masks) and the preorder place of each vertex's clade; per
+        # arity, the summand of each clade set
+        self._masks = {}
+        self._places = {}
         self._by_clades = {}
         super().__init__(gens, DGOperad(SigmaModule({}), {}, max_arity))
 
     def _admit(self, n, rec):
-        tree = rec.item[0]
-        clades = {c: p for p, c in enumerate(tree.clades())}
-        self._shapes[rec] = (clades,
-                             [Permutation.identity(k) for k in rec.types],
-                             tree.adjacent_children())
-        self._by_clades.setdefault(n, {})[frozenset(clades)] = rec
+        masks = rec.item[0].slot_masks()
+        self._masks[rec] = masks
+        self._places[rec] = {sum(f): p for p, f in enumerate(masks)}
+        self._by_clades.setdefault(n, {})[frozenset(self._places[rec])] = rec
 
     def _catalogue(self, n):
         return T.enumerate_trees(n)
@@ -587,63 +587,50 @@ class FreeOperadBuilder(_FreeBuilder):
     def _lift(self, n, s, deg, col):
         return ((self.summands[n][s][1].basis(deg)[col], F1),)
 
-    def _match(self, n, planar):
-        match = T.normalize_planar(planar)
-        perm_images = [0] * len(match.factor_order)
-        for pos, fid in enumerate(match.factor_order):
-            perm_images[fid] = pos
-        sigmas = [match.input_perms[fid] for fid in range(len(perm_images))]
-        return self._record(n, match.tree), sigmas, perm_images
+    def _match(self, n, factors):
+        """The summand of arity n whose tree is the rearranged one given,
+        factor by factor, by the leaf sets of its vertex's children in
+        slot order (``Tree.slot_masks``).  The summand is the one with
+        these vertex clades; each factor moves to its clade's preorder
+        place, and its slots are sorted by least leaf."""
+        clades = [sum(f) for f in factors]
+        rec = self._by_clades[n][frozenset(clades)]
+        place = self._places[rec]
+        sigmas = [T._slot_perm(tuple(k for _, k in sorted(
+            (c & -c, k) for k, c in enumerate(f, 1)))) for f in factors]
+        return rec, sigmas, [place[c] for c in clades]
 
     def _project(self, n, s, local):
         return local.items()
 
     def _image(self, n, s, j):
-        """s_j on summand s: swap leaves j and j + 1 in every clade and
-        look the new clade set up.  The factors move to the preorder
-        positions of their new clades; only the vertex whose children
-        have minimal leaves j and j + 1 has its slots moved."""
+        """s_j on summand s: leaves j and j + 1 swapped in every mask."""
         pair = 3 << (j - 1)
-        clades, sigmas, swaps = self._shapes[self._records[n][s]]
-        moved = [c ^ pair if c & pair not in (0, pair) else c for c in clades]
-        t = self._by_clades[n][frozenset(moved)]
-        if j in swaps:
-            p, i = swaps[j]
-            sigmas = list(sigmas)
-            sigmas[p] = Permutation.transposition(sigmas[p].n, i + 1)
-        return t, sigmas, [self._shapes[t][0][c] for c in moved]
+        return self._match(n, [
+            tuple(c ^ pair if c & pair not in (0, pair) else c for c in f)
+            for f in self._masks[self._records[n][s]]])
 
-    def _grafted(self, t1, i, t2):
-        l, m = t1.arity, t2.arity
-        first = T.tree_to_planar(
-            t1, relabel={j: (j if j < i else (i if j == i else j + m - 1))
-                         for j in range(1, l + 1)})
-        second = T.tree_to_planar(t2, factor_offset=len(t1.vertices()),
-                                  relabel={p: p + i - 1 for p in range(1, m + 1)})
-        return T.planar_substitute_leaf(first, i, second)
+    def _grafted(self, rec1, i, rec2):
+        """t2 grafted at leaf i of t1, t1's factors first: t1's leaf i
+        widens to t2's leaves, now i..i + m - 1, and its later leaves
+        move up by m - 1."""
+        masks2 = self._masks[rec2]
+        m = sum(masks2[0]).bit_length()
+        low, block = (1 << (i - 1)) - 1, ((1 << m) - 1) << (i - 1)
+        return ([tuple(c & low | (block if c >> (i - 1) & 1 else 0)
+                       | c >> i << (i + m - 1) for c in f)
+                 for f in self._masks[rec1]]
+                + [tuple(c << (i - 1) for c in f) for f in masks2])
 
-    def _expanded(self, tree, v, sub):
-        """Planar tree with vertex v replaced by sub.  Factor ids follow
-        the sequence order: tree's vertices with the slot of v replaced by
-        the block of sub's vertices."""
-        shift = len(sub.vertices()) - 1
-
-        def paste(p, children):
-            if isinstance(p, int):
-                return children[p - 1]
-            return T.PlanarNode(p.factor,
-                                tuple(paste(c, children) for c in p.children))
-
-        def walk(p):
-            if isinstance(p, int):
-                return p
-            children = tuple(walk(c) for c in p.children)
-            if p.factor == v:
-                return paste(T.tree_to_planar(sub, factor_offset=v), children)
-            return T.PlanarNode(p.factor + shift if p.factor > v else p.factor,
-                                children)
-
-        return walk(T.tree_to_planar(tree))
+    def _expanded(self, rec, v, sub):
+        """Vertex v replaced by sub, whose factors take v's place: sub's
+        leaf k stands for the leaf set of v's k-th child."""
+        masks = self._masks[rec]
+        children = masks[v]
+        return masks[:v] + [
+            tuple(sum(x for k, x in enumerate(children) if c >> k & 1)
+                  for c in f)
+            for f in self._masks[sub]] + masks[v + 1:]
 
     def _plan(self, n, s):
         """Compose each child subtree into its parent as soon as it is
@@ -771,13 +758,13 @@ class FreeModularBuilder(_FreeBuilder):
         return self._match(key, T.relabel_legs(
             T.concrete_from_canonical(self.summands[key][s][0]), sigma))
 
-    def _grafted(self, g1, i, g2):
-        return T.graft_graphs(T.concrete_from_canonical(g1), i,
-                              T.concrete_from_canonical(g2))
+    def _grafted(self, rec1, i, rec2):
+        return T.graft_graphs(T.concrete_from_canonical(rec1.item[0]), i,
+                              T.concrete_from_canonical(rec2.item[0]))
 
-    def _expanded(self, graph, v, sub):
-        return T.expand_vertex(T.concrete_from_canonical(graph), v,
-                               T.concrete_from_canonical(sub))
+    def _expanded(self, rec, v, sub):
+        return T.expand_vertex(T.concrete_from_canonical(rec.item[0]), v,
+                               T.concrete_from_canonical(sub.item[0]))
 
     def contraction_table(self, key, i, j):
         table = ContrTable()

@@ -150,6 +150,8 @@ class Matrix:
 
     def __getitem__(self, idx):
         i, j = idx
+        if not 0 <= i < self.rows:
+            raise IndexError("matrix row out of range")
         if not 0 <= j < self.cols:
             raise IndexError("matrix column out of range")
         for k, x in self.sparse[i]:
@@ -273,6 +275,8 @@ class Matrix:
                                self.sparse + other.sparse)
 
     def submatrix(self, row_idx, col_idx):
+        if not all(0 <= i < self.rows for i in row_idx):
+            raise IndexError("matrix row out of range")
         where = {}
         for new, j in enumerate(col_idx):
             if not 0 <= j < self.cols:

@@ -257,6 +257,8 @@ class SigmaModule(_IndexedModule):
     def __init__(self, components, check=True):
         super().__init__(components, check=check)
         for key, ga in self.components.items():
+            if key < 1:
+                raise ValueError(f"arity {key} is below 1")
             if ga.n != key:
                 raise ValueError(f"component {key} carries a Sigma_{ga.n} action")
 

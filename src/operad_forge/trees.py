@@ -9,6 +9,10 @@ coinvariants; stable graphs carry explicit automorphism data.
 Vertex ordering for tensor purposes is the canonical-form preorder
 (trees) or the vertex index order (graphs); per-vertex input slots are
 ordered by minimal leaf label (trees) or legs-then-edges (graphs).
+A tree is described by the leaf sets of its vertices' children
+(``Tree.slot_masks``), which is all the free builder needs to match a
+rearranged tree onto this catalogue; stable graphs are matched here
+(``match_graph``).
 """
 
 from __future__ import annotations
@@ -83,22 +87,12 @@ class Tree(_Frozen):
             return (0, self.label)
         return (1, len(self.children), tuple(c.sort_key() for c in self.children))
 
-    def clades(self):
-        """Leaf set of each vertex in preorder, as a bitmask (leaf j is
-        bit j - 1).  A tree is determined by its set of clades."""
-        return [sum(1 << (j - 1) for j in v.leaves()) for v in self.vertices()]
-
-    def adjacent_children(self):
-        """{j: (p, i)}: the vertex at preorder position p whose children i
-        and i + 1 have minimal leaves j and j + 1.  Swapping leaves j and
-        j + 1 reorders the children of that vertex and of no other."""
-        out = {}
-        for p, v in enumerate(self.vertices()):
-            mins = [c.min_leaf for c in v.children]
-            for i in range(len(mins) - 1):
-                if mins[i + 1] == mins[i] + 1:
-                    out[mins[i]] = (p, i)
-        return out
+    def slot_masks(self):
+        """The leaf sets of each vertex's children as bitmasks (leaf j is
+        bit j - 1): vertices in preorder, children in slot order.  Their
+        sums, the vertices' clades, determine the tree."""
+        return [tuple(sum(1 << (j - 1) for j in c.leaves())
+                      for c in v.children) for v in self.vertices()]
 
 
 def leaf(label: int) -> Tree:
@@ -150,86 +144,6 @@ def enumerate_trees(n: int):
         return ()
     trees = _trees_on(tuple(range(1, n + 1)))
     return tuple(sorted(trees, key=Tree.sort_key))
-
-
-# -- planar trees and normalization ------------------------------------------
-
-
-class PlanarNode(_Frozen):
-    """Planar rooted tree with factor-tagged vertices; children are
-    PlanarNode or int leaf labels."""
-
-    def __init__(self, factor, children):
-        _setfield(self, "factor", factor)
-        _setfield(self, "children", children)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.factor == other.factor and self.children == other.children
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.factor, self.children))
-
-    def __repr__(self):
-        return f"PlanarNode(factor={self.factor!r}, children={self.children!r})"
-
-
-def tree_to_planar(tree: Tree, factor_offset=0, relabel=None):
-    """Planar copy of a canonical tree with factors numbered in preorder."""
-    counter = [factor_offset]
-
-    def walk(t):
-        if t.is_leaf:
-            lbl = t.label
-            return relabel[lbl] if relabel else lbl
-        fid = counter[0]
-        counter[0] += 1
-        return PlanarNode(fid, tuple(walk(c) for c in t.children))
-
-    return walk(tree)
-
-
-def planar_substitute_leaf(pnode, target_label, replacement):
-    """Replace the leaf with the given label by a planar subtree."""
-    if isinstance(pnode, int):
-        return replacement if pnode == target_label else pnode
-    return PlanarNode(pnode.factor,
-                      tuple(planar_substitute_leaf(c, target_label, replacement)
-                            for c in pnode.children))
-
-
-class TreeMatch:
-    """Normalization data of a planar tree against its canonical form.
-
-    ``factor_order[p]`` is the factor id sitting at canonical preorder
-    position p; ``input_perms[fid]`` sends canonical input slot c to the
-    planar slot it came from.
-    """
-
-    def __init__(self, tree, factor_order, input_perms):
-        self.tree = tree
-        self.factor_order = factor_order
-        self.input_perms = input_perms
-
-
-def normalize_planar(pnode) -> TreeMatch:
-    def walk(p):
-        if isinstance(p, int):
-            return leaf(p), [], {}
-        results = [walk(c) for c in p.children]
-        k = len(results)
-        order = sorted(range(k), key=lambda i: results[i][0].min_leaf)
-        t = Tree(None, tuple(results[i][0] for i in order))
-        perms = {p.factor: Permutation(tuple(i + 1 for i in order))}
-        factors = [p.factor]
-        for i in order:
-            factors.extend(results[i][1])
-            perms.update(results[i][2])
-        return t, factors, perms
-
-    t, factors, perms = walk(pnode)
-    return TreeMatch(t, tuple(factors), perms)
 
 
 def tree_space_data(tree: Tree, module) -> TensorData:
@@ -762,5 +676,6 @@ def _match(genera, legs, edges, codes):
     return GraphMatch(idx, vertex_map, slot_perms)
 
 
-# one Permutation object for each slot permutation of a remembered match
+# one Permutation object for each slot permutation of a remembered graph
+# match, and of each tree match the free builder makes
 _slot_perm = lru_cache(maxsize=None)(Permutation)

@@ -18,6 +18,8 @@ from operad_forge.qlinalg import (
     Subspace,
     _combine,
     _frac,
+    _Frozen,
+    _setfield,
     char_poly,
     image,
     kernel,
@@ -26,6 +28,7 @@ from operad_forge.qlinalg import (
     sparse_row,
 )
 from operad_forge.sigma import Permutation
+from operad_forge.trees import Tree, leaf
 
 
 # -- dense vectors --------------------------------------------------------
@@ -753,6 +756,137 @@ def brute_graph_isomorphisms(g1, g2):
                         slot_map[("edge", e1, 0)] = ("edge", e2, h0)
                         slot_map[("edge", e1, 1)] = ("edge", e2, h1)
                     yield tuple(perm), slot_map
+
+
+# -- reference tree match --------------------------------------------------
+# The free operad builder once matched a rearranged tree by building it as
+# a planar tree with factor-tagged vertices and normalising that
+# recursively; kept verbatim as the reference for its match by the leaf
+# sets of each vertex's children (``FreeOperadBuilder._match``).
+
+
+class PlanarNode(_Frozen):
+    """Planar rooted tree with factor-tagged vertices; children are
+    PlanarNode or int leaf labels."""
+
+    def __init__(self, factor, children):
+        _setfield(self, "factor", factor)
+        _setfield(self, "children", children)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.factor == other.factor and self.children == other.children
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.factor, self.children))
+
+    def __repr__(self):
+        return f"PlanarNode(factor={self.factor!r}, children={self.children!r})"
+
+
+def tree_to_planar(tree: Tree, factor_offset=0, relabel=None):
+    """Planar copy of a canonical tree with factors numbered in preorder."""
+    counter = [factor_offset]
+
+    def walk(t):
+        if t.is_leaf:
+            lbl = t.label
+            return relabel[lbl] if relabel else lbl
+        fid = counter[0]
+        counter[0] += 1
+        return PlanarNode(fid, tuple(walk(c) for c in t.children))
+
+    return walk(tree)
+
+
+def planar_substitute_leaf(pnode, target_label, replacement):
+    """Replace the leaf with the given label by a planar subtree."""
+    if isinstance(pnode, int):
+        return replacement if pnode == target_label else pnode
+    return PlanarNode(pnode.factor,
+                      tuple(planar_substitute_leaf(c, target_label, replacement)
+                            for c in pnode.children))
+
+
+class TreeMatch:
+    """Normalization data of a planar tree against its canonical form.
+
+    ``factor_order[p]`` is the factor id sitting at canonical preorder
+    position p; ``input_perms[fid]`` sends canonical input slot c to the
+    planar slot it came from.
+    """
+
+    def __init__(self, tree, factor_order, input_perms):
+        self.tree = tree
+        self.factor_order = factor_order
+        self.input_perms = input_perms
+
+
+def normalize_planar(pnode) -> TreeMatch:
+    def walk(p):
+        if isinstance(p, int):
+            return leaf(p), [], {}
+        results = [walk(c) for c in p.children]
+        k = len(results)
+        order = sorted(range(k), key=lambda i: results[i][0].min_leaf)
+        t = Tree(None, tuple(results[i][0] for i in order))
+        perms = {p.factor: Permutation(tuple(i + 1 for i in order))}
+        factors = [p.factor]
+        for i in order:
+            factors.extend(results[i][1])
+            perms.update(results[i][2])
+        return t, factors, perms
+
+    t, factors, perms = walk(pnode)
+    return TreeMatch(t, tuple(factors), perms)
+
+
+def planar_match(pnode):
+    """(tree, slot permutation of each factor, preorder place of each
+    factor) of a planar tree, as the builder read them off
+    ``normalize_planar``."""
+    match = normalize_planar(pnode)
+    perm_images = [0] * len(match.factor_order)
+    for pos, fid in enumerate(match.factor_order):
+        perm_images[fid] = pos
+    sigmas = [match.input_perms[fid] for fid in range(len(perm_images))]
+    return match.tree, sigmas, perm_images
+
+
+def planar_grafted(t1, i, t2):
+    """Planar t1 with t2 grafted at leaf i; t1's factors come first."""
+    l, m = t1.arity, t2.arity
+    first = tree_to_planar(
+        t1, relabel={j: (j if j < i else (i if j == i else j + m - 1))
+                     for j in range(1, l + 1)})
+    second = tree_to_planar(t2, factor_offset=len(t1.vertices()),
+                            relabel={p: p + i - 1 for p in range(1, m + 1)})
+    return planar_substitute_leaf(first, i, second)
+
+
+def planar_expanded(tree, v, sub):
+    """Planar tree with vertex v replaced by sub.  Factor ids follow
+    the sequence order: tree's vertices with the slot of v replaced by
+    the block of sub's vertices."""
+    shift = len(sub.vertices()) - 1
+
+    def paste(p, children):
+        if isinstance(p, int):
+            return children[p - 1]
+        return PlanarNode(p.factor,
+                          tuple(paste(c, children) for c in p.children))
+
+    def walk(p):
+        if isinstance(p, int):
+            return p
+        children = tuple(walk(c) for c in p.children)
+        if p.factor == v:
+            return paste(tree_to_planar(sub, factor_offset=v), children)
+        return PlanarNode(p.factor + shift if p.factor > v else p.factor,
+                          children)
+
+    return walk(tree_to_planar(tree))
 
 
 # -- value semantics -------------------------------------------------------

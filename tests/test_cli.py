@@ -81,21 +81,31 @@ def _set(path, value):
     return mutate
 
 
-@pytest.mark.parametrize("mutate", [
-    _set(("components", "2", "action"), None),
-    _set(("components",), []),
-    _set(("metadata",), None),
-    _set(("components", "2", "dims", "0"), 1.5),
-    _set(("metadata", "seed"), "7"),
+BIN, MOD = "binary_generator.json", "modular_generator_03.json"
+# a component with no action generators, valid at any arity 1 or below
+BARE = {"action": [], "dims": {"0": 1}}
+
+
+@pytest.mark.parametrize("name,mutate", [
+    (BIN, _set(("components", "2", "action"), None)),
+    (BIN, _set(("components",), [])),
+    (BIN, _set(("metadata",), None)),
+    (BIN, _set(("components", "2", "dims", "0"), 1.5)),
+    (BIN, _set(("metadata", "seed"), "7")),
+    # these exited 1 (the module was built outside the document checks)
+    (MOD, _set(("components", "0,1"), BARE)),
+    # these were accepted
+    (BIN, _set(("components", "-3"), BARE)),
 ], ids=["null-action", "list-components", "null-metadata", "float-dim",
-        "string-seed"])
-def test_malformed_document_exit_2_without_traceback(mutate, tmp_path):
-    with open(fx("binary_generator.json")) as fh:
+        "string-seed", "unstable-modular-key", "nonpositive-arity"])
+def test_malformed_document_exit_2_without_traceback(name, mutate, tmp_path):
+    with open(fx(name)) as fh:
         payload = json.load(fh)
     mutate(payload)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
-    for args in (["validate"], ["homology"], ["free", "--max-arity", "3"]):
+    window = ["--max-arity", "3"] if name == BIN else ["--max-dim", "2"]
+    for args in (["validate"], ["homology"], ["free", *window]):
         run = run_cli(args[0], str(bad), *args[1:])
         stderr = run.stderr.decode()
         assert run.returncode == 2, (args, stderr)

@@ -50,17 +50,14 @@ from operad_forge.sigma import (
     coinvariants,
 )
 from operad_forge.trees import (
-    PlanarNode,
     concrete_from_canonical,
     enumerate_stable_graphs,
     enumerate_trees,
     graph_automorphisms,
     graph_space,
     match_graph,
-    normalize_planar,
     relabel_legs,
     tree_space,
-    tree_to_planar,
 )
 from operad_forge.weight import formality_check
 
@@ -71,11 +68,16 @@ from fixtures_ops import (
     one_dim_operad_with_acyclic_component,
 )
 from helpers import (
+    PlanarNode,
     _leaf_relabel,
     dense_col,
     evaluate_graph_basis,
     one_vector_closure,
+    planar_expanded,
+    planar_grafted,
+    planar_match,
     to_sparse,
+    tree_to_planar,
 )
 from helpers import evaluate_tree_basis as ref_evaluate_tree_basis
 
@@ -182,12 +184,8 @@ def _reference_push_label(factor_actions, sigmas, label, perm_images,
 def _reference_match(builder, key, obj):
     objects = [item[0] for item in builder.summands[key]]
     if isinstance(builder, FreeOperadBuilder):
-        match = normalize_planar(obj)
-        perm_images = [0] * len(match.factor_order)
-        for pos, fid in enumerate(match.factor_order):
-            perm_images[fid] = pos
-        sigmas = [match.input_perms[fid] for fid in range(len(perm_images))]
-        return objects.index(match.tree), sigmas, perm_images
+        tree, sigmas, perm_images = planar_match(obj)
+        return objects.index(tree), sigmas, perm_images
     match = match_graph(obj)
     graph = enumerate_stable_graphs(*key)[match.index]
     if graph not in objects:
@@ -303,6 +301,63 @@ class TestActionGeneratorsAgainstParent:
     def test_free_operad_bytes_pinned(self, module, digest):
         # sha256 as written by the per-column route
         assert _digest(document.to_document(free_operad(module, 5))) == digest
+
+
+class TestTreeMatchAgainstPlanarReference:
+    """Every rearranged tree up to arity 5 (each graft, each vertex
+    expansion, each s_j image) matched by its children's leaf sets
+    (``FreeOperadBuilder._match``) gives the summand, slot permutations
+    and factor places that normalising the planar tree gives."""
+
+    @staticmethod
+    def _builder():
+        return FreeOperadBuilder(dict(trivial_module(
+            {n: {0: 1} for n in range(2, 6)}).components), 5)
+
+    @staticmethod
+    def _assert_same(found, planar):
+        rec, sigmas, perm_images = found
+        tree, want_sigmas, want_images = planar_match(planar)
+        assert rec.item[0] == tree
+        assert list(sigmas) == want_sigmas
+        assert list(perm_images) == want_images
+
+    def test_grafts(self):
+        b = self._builder()
+        checked = 0
+        for n1, n2 in itertools.product(range(2, 5), repeat=2):
+            if n1 + n2 - 1 > 5:
+                continue
+            for rec1, rec2 in itertools.product(b._records[n1],
+                                                b._records[n2]):
+                for i in range(1, n1 + 1):
+                    self._assert_same(
+                        b._match(n1 + n2 - 1, b._grafted(rec1, i, rec2)),
+                        planar_grafted(rec1.item[0], i, rec2.item[0]))
+                    checked += 1
+        assert checked == 226
+
+    def test_vertex_expansions(self):
+        b = self._builder()
+        checked = 0
+        for n in range(2, 6):
+            for rec in b._records[n]:
+                for v, k in enumerate(rec.types):
+                    for sub in b._records[k]:
+                        self._assert_same(
+                            b._match(n, b._expanded(rec, v, sub)),
+                            planar_expanded(rec.item[0], v, sub.item[0]))
+                        checked += 1
+        assert checked == 1903
+
+    def test_images(self):
+        b = self._builder()
+        for n in range(2, 6):
+            for s, rec in enumerate(b._records[n]):
+                for j in range(1, n):
+                    moved = _reference_relabelled(
+                        b, rec.item[0], Permutation.transposition(n, j))
+                    self._assert_same(b._image(n, s, j), moved)
 
 
 class TestFreeModular:

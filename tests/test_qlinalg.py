@@ -592,6 +592,27 @@ def product_by_triple_loop(a, b):
                  for i in range(a.rows))
 
 
+class TestIndexRange:
+    """An entry or submatrix index outside the matrix raises, rows as
+    well as columns; a negative index does not wrap round."""
+
+    @pytest.mark.parametrize("i, j", [(-1, 0), (2, 0), (0, -1), (0, 2)])
+    def test_entry(self, i, j):
+        with pytest.raises(IndexError):
+            M([[1, 2], [3, 4]])[i, j]
+
+    @pytest.mark.parametrize("rows, cols", [([-1], [0]), ([2], [0]),
+                                            ([0], [-1]), ([0], [2])])
+    def test_submatrix(self, rows, cols):
+        with pytest.raises(IndexError):
+            M([[1, 2], [3, 4]]).submatrix(rows, cols)
+
+    def test_in_range(self):
+        a = M([[1, 2], [3, 4]])
+        assert a[1, 0] == 3
+        assert a.submatrix([1], [0]) == M([[3]])
+
+
 class TestProduct:
     @given(product_operands())
     @settings(max_examples=200, deadline=None)

@@ -15,10 +15,8 @@ from operad_forge.sigma import (
 from operad_forge.trees import (
     ConcreteGraph,
     GraphMatch,
-    PlanarNode,
     StableGraph,
     Tree,
-    TreeMatch,
     concrete_from_canonical,
     enumerate_stable_graphs,
     enumerate_trees,
@@ -30,16 +28,14 @@ from operad_forge.trees import (
     leaf,
     match_graph,
     node,
-    normalize_planar,
-    planar_substitute_leaf,
     relabel_legs,
     self_glue,
     tree_space,
-    tree_to_planar,
 )
 
-from helpers import (assert_value_semantics, brute_canonical_key,
-                     brute_graph_isomorphisms)
+from helpers import (PlanarNode, assert_value_semantics, brute_canonical_key,
+                     brute_graph_isomorphisms, normalize_planar,
+                     planar_substitute_leaf, tree_to_planar)
 
 
 # -- oracles ------------------------------------------------------------------
@@ -162,6 +158,15 @@ class TestEnumerateTrees:
         for t in enumerate_trees(4):
             assert sorted(t.leaves()) == [1, 2, 3, 4]
             assert all(v >= 2 for v in t.vertex_valences())
+
+    def test_slot_masks(self):
+        # children in slot order (by least leaf), leaf j as bit j - 1
+        t = node([leaf(2), node([leaf(3), leaf(1)])])
+        assert t.slot_masks() == [(0b101, 0b010), (0b001, 0b100)]
+        for n in (2, 3, 4, 5):
+            clade_sets = {frozenset(sum(f) for f in tree.slot_masks())
+                          for tree in enumerate_trees(n)}
+            assert len(clade_sets) == len(enumerate_trees(n))
 
 
 class TestNormalize:
@@ -511,10 +516,6 @@ VALUES = {
              lambda: Tree(None, (Tree(1, ()), Tree(3, ()))),
              "Tree(label=None, children=(Tree(label=1, children=()), "
              "Tree(label=2, children=())))"),
-    "planar": (lambda: PlanarNode(0, (2, PlanarNode(1, (1, 3)))),
-               lambda: PlanarNode(1, (2, PlanarNode(1, (1, 3)))),
-               "PlanarNode(factor=0, children=(2, PlanarNode(factor=1, "
-               "children=(1, 3))))"),
     "graph": (lambda: StableGraph((0, 1), (0, 0, 1), ((0, 1),)),
               lambda: StableGraph((1, 0), (0, 0, 1), ((0, 1),)),
               "StableGraph(genera=(0, 1), legs=(0, 0, 1), edges=((0, 1),))"),
@@ -545,17 +546,13 @@ class TestValueClasses:
     def test_keyword_fields(self):
         assert Tree(label=None, children=(leaf(1), leaf(2))) \
             == node([leaf(1), leaf(2)])
-        assert PlanarNode(factor=0, children=(1, 2)) == PlanarNode(0, (1, 2))
         assert StableGraph(genera=(0,), legs=(0, 0, 0), edges=()) \
             == enumerate_stable_graphs(0, 3)[0]
 
 
 class TestRecordClasses:
     def test_keyword_fields(self):
-        t = node([leaf(1), leaf(2)])
         perms = {0: Permutation((1, 2))}
-        m = TreeMatch(tree=t, factor_order=(0,), input_perms=perms)
-        assert (m.tree, m.factor_order, m.input_perms) == (t, (0,), perms)
         c = ConcreteGraph(genera=(0,), legs=(0, 0, 0), edges=(),
                           slot_orders=((("leg", 1), ("leg", 2), ("leg", 3)),))
         assert c.as_stable_graph() == enumerate_stable_graphs(0, 3)[0]
