@@ -39,13 +39,12 @@ from .qlinalg import (
     MatrixEquations,
     _combine,
     block_matrix,
-    kernel,
     rref,
-    solve,
     solve_matrix,
+    solve_with_kernel,
     sparse_row,
 )
-from .sigma import GroupAction, Permutation
+from .sigma import GroupAction, Permutation, reynolds_average
 
 
 class ObstructionError(RuntimeError):
@@ -94,11 +93,13 @@ def _equivariant_section(cone_action: GroupAction, hrec, rng=None):
 
     Starts from the reduced-echelon representatives, optionally applies
     a seeded boundary perturbation and a seeded change of basis on V,
-    then averages g . s0 . g^{-1} over the group by the coset recursion
-    avg(Sigma_k) = avg(Sigma_{k-1}) o avg over the transpositions (j k),
-    which costs O(arity^2) sparse matrix products instead of a factorial
-    sum.  Returns (section blocks, V GroupAction); the section
-    classifies to the identity of V in its (possibly mixed) basis.
+    then averages g . s0 . g^{-1} over the group (sigma.reynolds_average):
+    a coset recursion over Sigma_k / Sigma_{k-1} with the transversal
+    s_j s_{j+1} ... s_{k-1}, each stage a Horner sum over the adjacent
+    generators on integer rows, O(arity^2) sparse products in all
+    instead of a factorial sum.  Returns (section blocks, V GroupAction);
+    the section classifies to the identity of V in its (possibly mixed)
+    basis.
     """
     cone = cone_action.complex
     n = cone_action.n
@@ -114,11 +115,9 @@ def _equivariant_section(cone_action: GroupAction, hrec, rng=None):
         s0[d] = mat
     # induced V action from the cone action (in the echelon basis)
     v_complex = ChainComplex(hdims)
-    v_gens = []
-    for j in range(1, n):
-        sigma = Permutation.transposition(n, j)
-        blocks = induced_map(cone_action.action(sigma), hrec, hrec)
-        v_gens.append(ChainMap(v_complex, v_complex, blocks, check=False))
+    v_gens = [ChainMap(v_complex, v_complex, induced_map(g, hrec, hrec),
+                       check=False)
+              for g in cone_action.generators]
     mix = None
     if rng is not None:
         mix = {d: _random_unimodular(rng, h) for d, h in hdims.items()}
@@ -130,18 +129,7 @@ def _equivariant_section(cone_action: GroupAction, hrec, rng=None):
                            check=False)
                   for gmap in v_gens]
     v_action = GroupAction(n, v_complex, v_gens, check=False)
-    section = {}
-    for d, h in hdims.items():
-        x = s0[d]
-        for k in range(n, 1, -1):
-            acc = x  # j = k term: the identity
-            for j in range(1, k):
-                t = Permutation.transposition(n, j, k)
-                rc = cone_action.action(t).block(d)
-                rv = v_action.action(t).block(d)
-                acc = acc + rc * (x * rv)
-            x = acc.scale(Fraction(1, k))
-        section[d] = x
+    section = reynolds_average(cone_action, v_action, s0)
     # sanity: cycles, classification, and generator equivariance
     for d, h in hdims.items():
         if not (cone.d(d) * section[d]).is_zero():
@@ -150,11 +138,8 @@ def _equivariant_section(cone_action: GroupAction, hrec, rng=None):
         for col, want in zip(section[d].columns(), expected.columns()):
             if hrec.classify(d, col) != want:
                 raise AssertionError("section is not a section")
-        for j in range(1, n):
-            sigma = Permutation.transposition(n, j)
-            lhs = cone_action.action(sigma).block(d) * section[d]
-            rhs = section[d] * v_action.action(sigma).block(d)
-            if lhs != rhs:
+        for cg, vg in zip(cone_action.generators, v_gens):
+            if cg.block(d) * section[d] != section[d] * vg.block(d):
                 raise AssertionError("section is not equivariant")
     return section, v_action
 
@@ -528,12 +513,11 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
                             cond[hrow][u] = c
                 g.add_rows(cond, _combine(want, fixed, -F1))
     system, rhs = g.system()
-    sol = solve(system, rhs) if system.rows else ()
+    sol, ker = solve_with_kernel(system, rhs)
     if sol is None:
         raise ObstructionError(f"obstruction system unsolvable at {key}")
     if seed:
         rng = random.Random(f"{seed}:lift:{key}")
-        ker = kernel(system)
         if ker.dim:
             # ker.dim draws in index order, the zeros then dropped
             draws = sparse_row({i: Fraction(rng.randint(-1, 1))

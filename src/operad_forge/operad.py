@@ -39,7 +39,16 @@ from .chain import (
     homology,
     induced_map,
 )
-from .qlinalg import F0, F1, Matrix, Subspace, _combine, rank, sparse_row
+from .qlinalg import (
+    F0,
+    F1,
+    Matrix,
+    Subspace,
+    _accumulate,
+    _combine,
+    rank,
+    sparse_row,
+)
 from .sigma import (
     GroupAction,
     ModularSigmaModule,
@@ -86,15 +95,10 @@ class CompTable:
         block = self.entries.get((d1, d2))
         if not block:
             return ()
-        out = {}
-        for k1, c1 in v1:
-            for k2, c2 in v2:
-                cell = block.get((k1, k2))
-                if cell:
-                    c12 = c1 * c2
-                    for row, coeff in cell.items():
-                        out[row] = out.get(row, F0) + c12 * coeff
-        return sparse_row(out)
+        return _accumulate((), (
+            (c1.numerator * c2.numerator, c1.denominator * c2.denominator,
+             block[k1, k2].items())
+            for k1, c1 in v1 for k2, c2 in v2 if (k1, k2) in block))
 
     def is_zero(self):
         return not any(self.entries.values())
@@ -130,13 +134,8 @@ class ContrTable:
         block = self.entries.get(d)
         if not block:
             return ()
-        out = {}
-        for k, c in v:
-            cell = block.get(k)
-            if cell:
-                for row, coeff in cell.items():
-                    out[row] = out.get(row, F0) + c * coeff
-        return sparse_row(out)
+        return _accumulate((), ((c.numerator, c.denominator, block[k].items())
+                                for k, c in v if k in block))
 
     def matrix(self, d, target_dim, source_dim):
         rows = [{} for _ in range(target_dim)]

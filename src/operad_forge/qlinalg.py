@@ -9,12 +9,15 @@ Matrices are immutable and hashable, and stored as sparse rows: each
 row is the tuple of its nonzero ``(col, Fraction)`` pairs, sorted by
 column.  A vector is one such row, ``()`` the zero vector, wherever
 one is passed, here and in every caller; ``Matrix.data`` is only a
-dense view.  ``Matrix.apply`` walks the rows once for one vector;
-``Matrix.images`` applies a block to many vectors from one transpose,
-reading each image as a sum of columns.  Subspaces carry a canonical
-reduced-echelon basis so equality of subspaces is syntactic.
-``rref`` and ``Matrix.__mul__`` compute on Python integers and make one
-``Fraction`` per nonzero entry they return.
+dense view.  ``Matrix.images`` applies a block to many vectors from one
+transpose, reading each image as a sum of columns; ``Matrix.apply``
+reads a one-entry vector's column off the rows.  Subspaces carry a
+canonical reduced-echelon basis so equality of subspaces is syntactic.
+``rref``, ``Matrix.__mul__``, ``sandwich_horner`` and every sum of rows
+(``_accumulate``: ``_combine``, so ``Matrix.__add__``, ``images``,
+``apply``, ``Subspace._split`` and the composition tables) compute on
+Python integers over a common denominator and make one ``Fraction`` per
+output entry they touch; entries that no term touches keep theirs.
 """
 
 from __future__ import annotations
@@ -47,15 +50,37 @@ def _check_indices(vec, n):
         raise ValueError(f"vector index out of range for dimension {n}")
 
 
+def _accumulate(base, terms):
+    """The sparse row base + sum (n / d) row over the terms ``(n, d, row)``:
+    each entry a term touches sums its numerators over a common
+    denominator and becomes one ``Fraction``; the other entries of base
+    keep theirs."""
+    acc = {}  # entry -> (numerator, denominator), not reduced
+    for cn, cd, row in terms:
+        for j, x in row:
+            n, d = cn * x.numerator, cd * x.denominator
+            v = acc.get(j)
+            if v is not None:
+                n, d = (v[0] + n, d) if v[1] == d else \
+                    (v[0] * d + n * v[1], v[1] * d)
+            acc[j] = n, d
+    if not acc:
+        return base
+    out = dict(base)
+    for j, (n, d) in acc.items():
+        v = out.get(j)
+        if v is not None:
+            n, d = n * v.denominator + v.numerator * d, d * v.denominator
+        if n:
+            out[j] = Fraction(n, d)
+        elif v is not None:
+            del out[j]
+    return tuple(sorted(out.items()))
+
+
 def _combine(a, b, c):
     """The sparse row a + c * b."""
-    if not b:
-        return a
-    acc = dict(a)
-    for j, x in b:
-        v = acc.get(j)
-        acc[j] = c * x if v is None else v + c * x
-    return sparse_row(acc)
+    return _accumulate(a, ((c.numerator, c.denominator, b),))
 
 
 class Matrix:
@@ -232,17 +257,12 @@ class Matrix:
         _check_indices(vec, self.cols)
         if not vec:
             return ()
-        entries = dict(vec)
-        out = []
-        for i, row in enumerate(self.sparse):
-            acc = None  # rows that meet no entry of vec test nothing
-            for k, a in row:
-                x = entries.get(k)
-                if x is not None:
-                    acc = a * x if acc is None else acc + a * x
-            if acc:
-                out.append((i, acc))
-        return tuple(out)
+        if len(vec) > 1:
+            return self.images([vec])[0]
+        (k, x), = vec  # x times column k: a product per row holding k
+        col = [(i, a) for i, row in enumerate(self.sparse)
+               for j, a in row if j == k]
+        return tuple(col) if x == 1 else tuple((i, a * x) for i, a in col)
 
     def images(self, vecs):
         """``[self.apply(v) for v in vecs]``, read off one transpose: each
@@ -255,12 +275,8 @@ class Matrix:
             if len(vec) == 1 and vec[0][1] == 1:
                 out.append(cols[vec[0][0]])
                 continue
-            acc = {}
-            for k, x in vec:
-                for i, a in cols[k]:
-                    v = acc.get(i)
-                    acc[i] = a * x if v is None else v + a * x
-            out.append(sparse_row(acc))
+            out.append(_accumulate((), ((x.numerator, x.denominator, cols[k])
+                                        for k, x in vec)))
         return out
 
     def hstack(self, other):
@@ -307,6 +323,56 @@ def block_matrix(blocks):
                               for j, x in b.sparse[i]))
     ncols = widths.pop() if widths else sum(b.cols for b in blocks[0])
     return Matrix._trusted(len(rows), ncols, tuple(rows))
+
+
+def _int_rows(m):
+    """``(rows, den)`` with m = rows / den: integer sparse rows over the
+    lcm of m's denominators."""
+    den = lcm(*(x.denominator for row in m.sparse for _, x in row))
+    return [tuple((j, x.numerator * (den // x.denominator)) for j, x in row)
+            for row in m.sparse], den
+
+
+def _int_product(arows, brows):
+    """The integer sparse rows of arows * brows."""
+    out = []
+    for row in arows:
+        if len(row) == 1:  # a multiple of one row of brows
+            k, a = row[0]
+            out.append(brows[k] if a == 1
+                       else tuple((j, a * b) for j, b in brows[k]))
+            continue
+        acc = {}
+        for k, a in row:
+            for j, b in brows[k]:
+                acc[j] = acc.get(j, 0) + a * b
+        out.append(tuple(sorted((j, v) for j, v in acc.items() if v)))
+    return out
+
+
+def sandwich_horner(x: Matrix, pairs, stages) -> Matrix:
+    """x after each stage ``(m, k)`` in turn: y starts at x and becomes
+    x + L y R for each ``(L, R)`` of the first m pairs in order, and x
+    becomes y / k.  The sums and products run on integer rows over one
+    denominator, divided by the gcd of all of them once per stage; a
+    ``Fraction`` is made once per nonzero entry of the result."""
+    ints = [(_int_rows(left), _int_rows(right)) for left, right in pairs]
+    xrows, xden = _int_rows(x)
+    for m, k in stages:
+        rows, den = xrows, xden
+        for (lrows, lden), (rrows, rden) in ints[:m]:
+            prod = _int_product(lrows, _int_product(rows, rrows))
+            pden = lden * den * rden
+            den = lcm(xden, pden)
+            a, b = den // xden, den // pden
+            # a x + b (L y R), each row as the product [a b] [x_i; (LyR)_i]
+            rows = [_int_product((((0, a), (1, b)),), (r1, r2))[0]
+                    for r1, r2 in zip(xrows, prod)]
+        g = gcd(den * k, *(v for row in rows for _, v in row))
+        xrows = [tuple((j, v // g) for j, v in row) for row in rows]
+        xden = den * k // g
+    return Matrix._trusted(x.rows, x.cols, tuple(
+        tuple((j, Fraction(v, xden)) for j, v in row) for row in xrows))
 
 
 class MatrixEquations:
@@ -411,6 +477,7 @@ def rref(m: Matrix):
         if r:
             den = lcm(*(x.denominator for _, x in r))
             lead.setdefault(r[0][0], []).append(
+                {j: x.numerator for j, x in r} if den == 1 else
                 {j: x.numerator * (den // x.denominator) for j, x in r})
     done = {}  # pivot column -> its integer row
     for c in range(m.cols):
@@ -428,7 +495,8 @@ def rref(m: Matrix):
             if c in row:
                 _clear(row, prow, c)
         done[c] = prow
-    sparse = tuple(tuple((j, F1 if j == c else Fraction(x, row[c]))
+    sparse = tuple(tuple((j, F1 if j == c else Fraction(x) if row[c] == 1
+                          else Fraction(x, row[c]))
                          for j, x in sorted(row.items()))
                    for c, row in done.items())
     sparse += ((),) * (m.rows - len(done))
@@ -536,16 +604,13 @@ class Subspace(_Frozen):
         own, so its coordinate is vec's entry at pivot i."""
         _check_indices(vec, self.ambient_dim)
         pivots = self.pivots
-        coords = []
-        residual = dict(vec)
+        coords, terms = [], []
         for r, c in vec:
             i = bisect_left(pivots, r)
             if i < len(pivots) and pivots[i] == r:
                 coords.append((i, c))
-                for q, x in self._entries[i]:
-                    v = residual.get(q)
-                    residual[q] = -c * x if v is None else v - c * x
-        return tuple(coords), sparse_row(residual)
+                terms.append((-c.numerator, c.denominator, self._entries[i]))
+        return tuple(coords), _accumulate(vec, terms)
 
     def reduce(self, vec):
         """Residual of vec against the pivots: zero at every pivot, and
@@ -596,16 +661,7 @@ def _span(ambient_dim, m: Matrix) -> Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """Null space of m, with canonical basis."""
-    red, pivots, rk = rref(m)
-    pivot_set = set(pivots)
-    vecs = {j: [(j, F1)] for j in range(m.cols) if j not in pivot_set}
-    # off its pivot, a row of R has entries only in free columns
-    for pcol, row in zip(pivots, red.sparse):
-        for j, x in row:
-            if j != pcol:
-                vecs[j].append((pcol, -x))
-    return _span(m.cols, Matrix._trusted(
-        len(vecs), m.cols, tuple(tuple(sorted(v)) for v in vecs.values())))
+    return solve_with_kernel(m, ())[1]
 
 
 def image(m: Matrix) -> Subspace:
@@ -622,6 +678,29 @@ def solve(m: Matrix, b):
     """
     x = solve_matrix(m, Matrix.from_cols((b,), m.rows))
     return None if x is None else x.columns()[0]
+
+
+def solve_with_kernel(m: Matrix, b):
+    """``(solve(m, b), kernel(m))`` from one elimination of [m | b]: its
+    first m.cols columns are the reduced echelon form R of m, and a pivot
+    in the last column means m x = b has no solution (None)."""
+    _check_indices(b, m.rows)
+    n = m.cols
+    aug = list(m.sparse)
+    for i, x in b:
+        aug[i] += ((n, x),)
+    red, pivots, _ = rref(Matrix._trusted(m.rows, n + 1, tuple(aug)))
+    rows = dict(zip(pivots, red.sparse))  # pivot column -> its row of R
+    sol = None if rows.pop(n, None) else tuple(
+        (p, row[-1][1]) for p, row in rows.items() if row[-1][0] == n)
+    vecs = {j: [(j, F1)] for j in range(n) if j not in rows}
+    # off its pivot, a row of R has entries only in free columns
+    for p, row in rows.items():
+        for j, x in row:
+            if j != p and j != n:
+                vecs[j].append((p, -x))
+    return sol, _span(n, Matrix._trusted(
+        len(vecs), n, tuple(tuple(sorted(v)) for v in vecs.values())))
 
 
 def solve_matrix(m: Matrix, b: Matrix):

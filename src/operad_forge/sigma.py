@@ -16,7 +16,15 @@ import itertools
 from fractions import Fraction
 
 from .chain import ChainComplex, ChainMap, subcomplex
-from .qlinalg import F1, Matrix, _Frozen, _setfield, image, solve_matrix
+from .qlinalg import (
+    F1,
+    Matrix,
+    _Frozen,
+    _setfield,
+    image,
+    sandwich_horner,
+    solve_matrix,
+)
 
 
 class Permutation(_Frozen):
@@ -42,14 +50,12 @@ class Permutation(_Frozen):
     def identity(cls, n):
         return cls(tuple(range(1, n + 1)))
 
-    @classmethod
-    def transposition(cls, n, i, j=None):
-        """The transposition (i j); (i i+1) if j is omitted."""
-        if j is None:
-            j = i + 1
+    @staticmethod
+    def transposition(n, i):
+        """The adjacent transposition s_i = (i i+1)."""
         imgs = list(range(1, n + 1))
-        imgs[i - 1], imgs[j - 1] = j, i
-        return cls(tuple(imgs))
+        imgs[i - 1], imgs[i] = i + 1, i
+        return Permutation(tuple(imgs))
 
     @classmethod
     def cycle_to_front(cls, n, q):
@@ -198,15 +204,21 @@ class GroupAction:
             self._cache[perm.images] = acc
         return acc
 
-    def average(self) -> ChainMap:
-        """The idempotent (1/n!) sum over the group."""
-        total = None
-        count = 0
-        for p in all_permutations(self.n):
-            m = self.action(p)
-            total = m if total is None else total + m
-            count += 1
-        return total.scale(Fraction(1, count))
+
+def reynolds_average(left: GroupAction, right: GroupAction, blocks):
+    """The Reynolds average (1/n!) sum_g R_left(g) x R_right(g)^-1 of each
+    block x (degree -> Matrix from right's complex to left's).
+
+    Coset recursion over Sigma_k / Sigma_{k-1}, k = n, ..., 2, with the
+    transversal g_j = s_j s_{j+1} ... s_{k-1} (j <= k), which maps k to j
+    as (j k) does.  As R(g_j) = R(s_{k-1}) ... R(s_j), stage k is a Horner
+    sum over s_1, ..., s_{k-1}: x + R(s_{k-1}) (x + ...) R(s_{k-1}), over k
+    (qlinalg.sandwich_horner, on integer rows)."""
+    stages = [(k - 1, k) for k in range(left.n, 1, -1)]
+    return {d: sandwich_horner(x, [(lg.block(d), rg.block(d)) for lg, rg
+                                   in zip(left.generators, right.generators)],
+                               stages)
+            for d, x in blocks.items()}
 
 
 class _IndexedModule:

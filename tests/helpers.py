@@ -27,7 +27,7 @@ from operad_forge.qlinalg import (
     solve_matrix,
     sparse_row,
 )
-from operad_forge.sigma import Permutation
+from operad_forge.sigma import GroupAction, Permutation, all_permutations
 from operad_forge.trees import Tree, leaf
 
 
@@ -512,6 +512,102 @@ def word_action(ga, perm):
     for j in perm.adjacent_word():
         acc = ga.generators[j - 1].compose(acc)
     return acc
+
+
+def group_average(ga):
+    """The idempotent (1/n!) sum over the group, all n! terms summed."""
+    total = None
+    count = 0
+    for p in all_permutations(ga.n):
+        m = ga.action(p)
+        total = m if total is None else total + m
+        count += 1
+    return total.scale(Fraction(1, count))
+
+
+def hom_action(left, right, degree):
+    """Sigma_n acting on the maps x from right's complex to left's in one
+    degree, flattened row by row: s_i sends x to R_left(s_i) x R_right(s_i)
+    (each s_i is its own inverse), a right action as both factors are."""
+    rows, cols = left.complex.dim(degree), right.complex.dim(degree)
+    c = ChainComplex({0: rows * cols})
+    gens = []
+    for lg, rg in zip(left.generators, right.generators):
+        # (L x R)[r, k] = sum L[r, a] x[a, b] R[b, k]
+        rcols = rg.block(degree).columns()
+        kron = tuple(sparse_row({a * cols + b: la * rb
+                                 for a, la in lg.block(degree).sparse[r]
+                                 for b, rb in rcols[k]})
+                     for r in range(rows) for k in range(cols))
+        gens.append(ChainMap(c, c, {0: Matrix._trusted(
+            rows * cols, rows * cols, kron)}, check=False))
+    return GroupAction(left.n, c, gens, check=False)
+
+
+def reference_reynolds(left, right, blocks):
+    """(1/n!) sum_g R_left(g) x R_right(g)^-1 of each block x, as the
+    group average of the action on maps (``hom_action``) applied to x."""
+    out = {}
+    for d, x in blocks.items():
+        avg = group_average(hom_action(left, right, d)).block(0)
+        flat = tuple((r * x.cols + k, v)
+                     for r, row in enumerate(x.sparse) for k, v in row)
+        rows = [[] for _ in range(x.rows)]
+        for j, v in avg.apply(flat):
+            rows[j // x.cols].append((j % x.cols, v))
+        out[d] = Matrix._trusted(x.rows, x.cols, tuple(map(tuple, rows)))
+    return out
+
+
+# -- Fraction references for the integer kernels ------------------------------
+# The vector kernels as they were when each product and sum made its own
+# Fraction; the engine's integer accumulation must give the same rows.
+
+
+def fraction_combine(a, b, c):
+    """``_combine``: the sparse row a + c * b."""
+    acc = dict(a)
+    for j, x in b:
+        v = acc.get(j)
+        acc[j] = c * x if v is None else v + c * x
+    return sparse_row(acc)
+
+
+def fraction_apply(m, vec):
+    """``Matrix.apply``: m times the sparse vector vec."""
+    entries = dict(vec)
+    out = []
+    for i, row in enumerate(m.sparse):
+        acc = F0
+        for k, a in row:
+            if k in entries:
+                acc += a * entries[k]
+        if acc:
+            out.append((i, acc))
+    return tuple(out)
+
+
+def fraction_split(sub, vec):
+    """``Subspace._split``: (coordinates, residual) of the sparse vector vec."""
+    coords = []
+    residual = dict(vec)
+    for r, c in vec:
+        if r in sub.pivots:
+            i = sub.pivots.index(r)
+            coords.append((i, c))
+            for q, x in sub._entries[i]:
+                residual[q] = residual.get(q, F0) - c * x
+    return tuple(coords), sparse_row(residual)
+
+
+def fraction_comp_apply(table, d1, v1, d2, v2):
+    """``CompTable.apply``: the image of a pair of sparse vectors."""
+    out = {}
+    for k1, c1 in v1:
+        for k2, c2 in v2:
+            for row, coeff in table.pair_image(d1, k1, d2, k2).items():
+                out[row] = out.get(row, F0) + c1 * c2 * coeff
+    return sparse_row(out)
 
 
 # -- reference leg relabels ---------------------------------------------------

@@ -586,7 +586,7 @@ class TestLevelSystems:
     ], ids=["commutative-window4-lift", "hypercommutative-window4-seed5"])
     def test_same_systems_as_hand_built_rows(self, run, monkeypatch):
         fast = minimal._solve_level
-        minimal_solve = minimal.solve
+        minimal_solve = minimal.solve_with_kernel
         solved = []
         seen = []
 
@@ -610,7 +610,7 @@ class TestLevelSystems:
             seen.append((key, len(rows), system.rows, seed))
             return got
 
-        monkeypatch.setattr(minimal, "solve", recording_solve)
+        monkeypatch.setattr(minimal, "solve_with_kernel", recording_solve)
         monkeypatch.setattr(minimal, "_solve_level", checked)
         assert run() is not None
         # every level has (a) or (b) rows and homology rows after them,

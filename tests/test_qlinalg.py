@@ -14,9 +14,11 @@ from operad_forge.qlinalg import (
     kernel,
     rank,
     rational_eigen_split,
+    _combine,
     rref,
     solve,
     solve_matrix,
+    solve_with_kernel,
 )
 
 from operad_forge.chain import ChainComplex, HomologyRecord
@@ -49,6 +51,10 @@ from helpers import (
     dense_row,
     dense_solve,
     dense_split,
+    fraction_apply,
+    fraction_combine,
+    fraction_comp_apply,
+    fraction_split,
     poly_eval_matrix,
     rational_roots,
     to_dense,
@@ -1061,3 +1067,134 @@ class TestSparseVectorsAgainstDense:
         # the last index is in range
         assert m.apply(((1, one),)) == to_sparse((2, 4, 6))
         assert solve(m, ((2, one),)) is None
+
+
+# -- one elimination for a solution and the kernel ---------------------------
+
+
+@st.composite
+def level_systems(draw):
+    """(m, b): m may have no rows; b is m times a drawn vector (a
+    consistent system) or drawn freely (often inconsistent)."""
+    r, k = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    m = Matrix(r, k, _grid(draw, r, k, vector_entries))
+    if draw(st.booleans()):
+        b = m.apply(to_sparse(draw(st.lists(rationals, min_size=k,
+                                            max_size=k))))
+    else:
+        b = to_sparse(draw(dense_vectors(r)))
+    return m, b
+
+
+class TestSolveWithKernel:
+    @given(level_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_solve_and_kernel(self, case):
+        m, b = case
+        assert solve_with_kernel(m, b) == (solve(m, b), kernel(m))
+
+    def test_cases(self):
+        # no rows: the zero solution and the whole space
+        assert solve_with_kernel(Matrix.zeros(0, 3), ()) \
+            == ((), Subspace.full(3))
+        m = M([[1, 2], [2, 4]])
+        one = Fraction(1)
+        assert solve_with_kernel(m, ((0, one), (1, Fraction(2)))) \
+            == (((0, one),), kernel(m))
+        sol, ker = solve_with_kernel(m, ((0, one),))
+        assert sol is None and ker == kernel(m) and ker.dim == 1
+
+
+# -- integer kernels against their Fraction references -----------------------
+
+mixed = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(
+    bool)
+
+
+@st.composite
+def sparse_vectors(draw, n):
+    """A sparse vector of length n with mixed denominators."""
+    keys = draw(st.sets(st.integers(0, n - 1)))
+    return tuple((j, draw(mixed)) for j in sorted(keys))
+
+
+def assert_sparse_row(row):
+    """Sorted distinct indices, nonzero Fraction entries."""
+    assert [j for j, _ in row] == sorted({j for j, _ in row})
+    assert all(type(x) is Fraction and x for _, x in row)
+
+
+class TestIntegerKernels:
+    """Integer accumulation over a common denominator gives the rows of
+    one Fraction per product and sum: mixed denominators, negative
+    coefficients, exact cancellation."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_combine(self, data):
+        n = data.draw(st.integers(1, 6))
+        b = data.draw(sparse_vectors(n))
+        c = data.draw(mixed)
+        # a cancels c * b at some (or all) of its entries
+        cancel = data.draw(st.sets(st.sampled_from([j for j, _ in b]))
+                           if b else st.just(set()))
+        a = dict(data.draw(sparse_vectors(n)))
+        a.update((j, -c * x) for j, x in b if j in cancel)
+        a = tuple(sorted(a.items()))
+        got = _combine(a, b, c)
+        assert got == fraction_combine(a, b, c)
+        assert_sparse_row(got)
+        assert not any(j in cancel for j, _ in got)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_apply(self, data):
+        r, k = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 5))
+        rows = [data.draw(sparse_vectors(k)) for _ in range(r)]
+        vec = data.draw(sparse_vectors(k))
+        if vec and r:
+            # a row orthogonal to vec: its entry of the image cancels
+            (j0, x0), rest = vec[0], vec[1:]
+            row = dict(data.draw(sparse_vectors(k)))
+            row.pop(j0, None)
+            dot = sum((row[j] * x for j, x in rest if j in row), Fraction(0))
+            if dot:
+                row[j0] = -dot / x0
+            rows[0] = tuple(sorted(row.items()))
+        m = Matrix._trusted(r, k, tuple(rows))
+        got = m.apply(vec)
+        assert got == fraction_apply(m, vec)
+        assert_sparse_row(got)
+
+    @given(spans_and_vector())
+    @settings(max_examples=200, deadline=None)
+    def test_split(self, case):
+        n, vecs, v = case
+        sub = Subspace.from_spanning(n, map(to_sparse, vecs))
+        vec = to_sparse(v)
+        coords, residual = sub._split(vec)
+        assert (coords, residual) == fraction_split(sub, vec)
+        assert_sparse_row(residual)
+        assert not any(j in sub.pivots for j, _ in residual)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_comp_apply(self, data):
+        n1, n2, nt = (data.draw(st.integers(1, 4)) for _ in range(3))
+        table = CompTable()
+        for _ in range(data.draw(st.integers(0, 10))):
+            table.add(0, data.draw(st.integers(0, n1 - 1)), 0,
+                      data.draw(st.integers(0, n2 - 1)),
+                      data.draw(st.integers(0, nt - 1)), data.draw(mixed))
+        v1, v2 = data.draw(sparse_vectors(n1)), data.draw(sparse_vectors(n2))
+        if len(v1) > 1 and v2 and data.draw(st.booleans()):
+            # two pairs with opposite images at row 0: it cancels
+            (k1, a1), (k1b, b1) = v1[:2]
+            k2, c2 = v2[0]
+            table.entries.get((0, 0), {}).pop((k1, k2), None)
+            table.entries.get((0, 0), {}).pop((k1b, k2), None)
+            table.add(0, k1, 0, k2, 0, 1 / a1)
+            table.add(0, k1b, 0, k2, 0, -1 / b1)
+        got = table.apply(0, v1, 0, v2)
+        assert got == fraction_comp_apply(table, 0, v1, 0, v2)
+        assert_sparse_row(got)

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from operad_forge import minimal
 from operad_forge.chain import ChainComplex, ChainMap, homology_dims
+from operad_forge.free import endomorphism_modular_operad
 from operad_forge.qlinalg import Matrix
 from operad_forge.sigma import (
     Coinvariants,
@@ -17,12 +19,19 @@ from operad_forge.sigma import (
     equivariance_report,
     modular_dimension,
     permutation_matrix,
+    reynolds_average,
     stable_pairs_up_to,
     stable_pairs_with_dimension,
     validate_action,
 )
 
-from helpers import assert_value_semantics, dense_col, word_action
+from helpers import (
+    assert_value_semantics,
+    dense_col,
+    group_average,
+    reference_reynolds,
+    word_action,
+)
 
 
 class TestPermutation:
@@ -178,6 +187,81 @@ class TestActionAgainstWordProduct:
         assert any(len(row) > 1 for row in s3.sparse)
 
 
+def permutation_rep(n, sign=False):
+    """Sigma_n on Q^n in degree 0 by permutation matrices, times the
+    sign character if asked."""
+    c = ChainComplex({0: n})
+    gens = []
+    for j in range(1, n):
+        m = permutation_matrix(Permutation.transposition(n, j))
+        gens.append(ChainMap(c, c, {0: -m if sign else m}))
+    return GroupAction(n, c, gens)
+
+
+def random_blocks(rng, left, right):
+    """A random rational map from right's complex to left's in each
+    degree of right's."""
+    return {d: Matrix(left.complex.dim(d), h,
+                      [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                        for _ in range(h)]
+                       for _ in range(left.complex.dim(d))])
+            for d, h in right.complex.dims.items()}
+
+
+def model_section_actions(seed):
+    """The (cone action, V action) pairs whose Reynolds average
+    minimal_model takes on the window-2 dim-1 endomorphism modular
+    operad."""
+    seen = []
+
+    def recording(left, right, blocks):
+        seen.append((left, right))
+        return reynolds_average(left, right, blocks)
+
+    p = endomorphism_modular_operad(ChainComplex({0: 1}),
+                                    Matrix.from_rows([[1]]), 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimal, "reynolds_average", recording)
+        minimal.minimal_model(p, seed=seed)
+    return seen
+
+
+class TestReynoldsAverage:
+    """The Horner recursion along adjacent generators equals the n!-term
+    average of the action on maps."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_permutation_actions(self, n):
+        rng = random.Random(n)
+        cases = [(permutation_rep(n), permutation_rep(n)),
+                 (permutation_rep(n), permutation_rep(n, True)),
+                 (permutation_rep(n, True), permutation_rep(n))]
+        if n <= 3:
+            cases.append((regular_rep(n), permutation_rep(n, True)))
+        for left, right in cases:
+            for _ in range(2):
+                x = random_blocks(rng, left, right)
+                got = reynolds_average(left, right, x)
+                assert got == reference_reynolds(left, right, x)
+                for lg, rg in zip(left.generators, right.generators):
+                    assert lg.block(0) * got[0] == got[0] * rg.block(0)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_actions_of_a_minimal_model(self, seed):
+        pairs = model_section_actions(seed)
+        assert pairs and all(left.n <= 5 for left, _ in pairs)
+        # some of the actions are not signed permutations
+        assert any(len(row) > 1
+                   for left, right in pairs
+                   for ga in (left, right) for g in ga.generators
+                   for m in g.blocks.values() for row in m.sparse)
+        rng = random.Random(seed)
+        for left, right in pairs:
+            x = random_blocks(rng, left, right)
+            assert reynolds_average(left, right, x) \
+                == reference_reynolds(left, right, x)
+
+
 class TestCoinvariants:
     def test_trivial_action_identity_projection(self):
         c = ChainComplex({0: 2})
@@ -202,7 +286,7 @@ class TestCoinvariants:
 
     def test_average_is_idempotent_and_projects(self):
         ga = regular_rep(3)
-        avg = ga.average()
+        avg = group_average(ga)
         assert avg.compose(avg) == avg
         res = coinvariants(ga.complex, list(ga.generators))
         assert res.complex.dims == {0: 1}
