@@ -550,18 +550,15 @@ def reference_reynolds(left, right, blocks):
     out = {}
     for d, x in blocks.items():
         avg = group_average(hom_action(left, right, d)).block(0)
-        flat = tuple((r * x.cols + k, v)
-                     for r, row in enumerate(x.sparse) for k, v in row)
-        rows = [[] for _ in range(x.rows)]
-        for j, v in avg.apply(flat):
-            rows[j // x.cols].append((j % x.cols, v))
-        out[d] = Matrix._trusted(x.rows, x.cols, tuple(map(tuple, rows)))
+        flat = dense_apply(avg, [v for row in x.data for v in row])
+        out[d] = Matrix(x.rows, x.cols, [flat[r * x.cols:(r + 1) * x.cols]
+                                         for r in range(x.rows)])
     return out
 
 
-# -- Fraction references for the integer kernels ------------------------------
-# The vector kernels as they were when each product and sum made its own
-# Fraction; the engine's integer accumulation must give the same rows.
+# -- Fraction reference for the integer row sum ------------------------------
+# _combine as it was when each product and sum made its own Fraction (the
+# dense references above serve apply, _split and the tables).
 
 
 def fraction_combine(a, b, c):
@@ -571,43 +568,6 @@ def fraction_combine(a, b, c):
         v = acc.get(j)
         acc[j] = c * x if v is None else v + c * x
     return sparse_row(acc)
-
-
-def fraction_apply(m, vec):
-    """``Matrix.apply``: m times the sparse vector vec."""
-    entries = dict(vec)
-    out = []
-    for i, row in enumerate(m.sparse):
-        acc = F0
-        for k, a in row:
-            if k in entries:
-                acc += a * entries[k]
-        if acc:
-            out.append((i, acc))
-    return tuple(out)
-
-
-def fraction_split(sub, vec):
-    """``Subspace._split``: (coordinates, residual) of the sparse vector vec."""
-    coords = []
-    residual = dict(vec)
-    for r, c in vec:
-        if r in sub.pivots:
-            i = sub.pivots.index(r)
-            coords.append((i, c))
-            for q, x in sub._entries[i]:
-                residual[q] = residual.get(q, F0) - c * x
-    return tuple(coords), sparse_row(residual)
-
-
-def fraction_comp_apply(table, d1, v1, d2, v2):
-    """``CompTable.apply``: the image of a pair of sparse vectors."""
-    out = {}
-    for k1, c1 in v1:
-        for k2, c2 in v2:
-            for row, coeff in table.pair_image(d1, k1, d2, k2).items():
-                out[row] = out.get(row, F0) + c1 * c2 * coeff
-    return sparse_row(out)
 
 
 # -- reference leg relabels ---------------------------------------------------

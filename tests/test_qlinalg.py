@@ -51,10 +51,7 @@ from helpers import (
     dense_row,
     dense_solve,
     dense_split,
-    fraction_apply,
     fraction_combine,
-    fraction_comp_apply,
-    fraction_split,
     poly_eval_matrix,
     rational_roots,
     to_dense,
@@ -637,14 +634,19 @@ class TestProduct:
 # -- every sparse-row operation against a dense reference --------------------
 
 
+def assert_sparse_row(row, n):
+    """Sorted distinct indices in range(n), only nonzero Fractions."""
+    cols = [j for j, _ in row]
+    assert cols == sorted(set(cols))
+    assert all(0 <= j < n for j in cols)
+    assert all(type(x) is Fraction and x != 0 for _, x in row)
+
+
 def assert_sparse_invariants(m):
     """Rows sorted by column, in range, no stored zero, only Fractions."""
     assert len(m.sparse) == m.rows
     for row in m.sparse:
-        cols = [j for j, _ in row]
-        assert cols == sorted(set(cols))
-        assert all(0 <= j < m.cols for j in cols)
-        assert all(type(x) is Fraction and x != 0 for _, x in row)
+        assert_sparse_row(row, m.cols)
 
 
 def dense(grid):
@@ -1118,16 +1120,11 @@ def sparse_vectors(draw, n):
     return tuple((j, draw(mixed)) for j in sorted(keys))
 
 
-def assert_sparse_row(row):
-    """Sorted distinct indices, nonzero Fraction entries."""
-    assert [j for j, _ in row] == sorted({j for j, _ in row})
-    assert all(type(x) is Fraction and x for _, x in row)
-
-
 class TestIntegerKernels:
     """Integer accumulation over a common denominator gives the rows of
-    one Fraction per product and sum: mixed denominators, negative
-    coefficients, exact cancellation."""
+    one Fraction per product and sum (the Fraction references in
+    helpers): mixed denominators, negative coefficients, exact
+    cancellation."""
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -1143,7 +1140,7 @@ class TestIntegerKernels:
         a = tuple(sorted(a.items()))
         got = _combine(a, b, c)
         assert got == fraction_combine(a, b, c)
-        assert_sparse_row(got)
+        assert_sparse_row(got, n)
         assert not any(j in cancel for j, _ in got)
 
     @given(st.data())
@@ -1163,8 +1160,8 @@ class TestIntegerKernels:
             rows[0] = tuple(sorted(row.items()))
         m = Matrix._trusted(r, k, tuple(rows))
         got = m.apply(vec)
-        assert got == fraction_apply(m, vec)
-        assert_sparse_row(got)
+        assert got == to_sparse(dense_apply(m, to_dense(vec, k)))
+        assert_sparse_row(got, r)
 
     @given(spans_and_vector())
     @settings(max_examples=200, deadline=None)
@@ -1173,8 +1170,9 @@ class TestIntegerKernels:
         sub = Subspace.from_spanning(n, map(to_sparse, vecs))
         vec = to_sparse(v)
         coords, residual = sub._split(vec)
-        assert (coords, residual) == fraction_split(sub, vec)
-        assert_sparse_row(residual)
+        want = dense_split(sub, v)
+        assert (coords, residual) == (to_sparse(want[0]), to_sparse(want[1]))
+        assert_sparse_row(residual, n)
         assert not any(j in sub.pivots for j, _ in residual)
 
     @given(st.data())
@@ -1196,5 +1194,6 @@ class TestIntegerKernels:
             table.add(0, k1, 0, k2, 0, 1 / a1)
             table.add(0, k1b, 0, k2, 0, -1 / b1)
         got = table.apply(0, v1, 0, v2)
-        assert got == fraction_comp_apply(table, 0, v1, 0, v2)
-        assert_sparse_row(got)
+        assert got == to_sparse(dense_comp_apply(
+            table, 0, to_dense(v1, n1), 0, to_dense(v2, n2), nt))
+        assert_sparse_row(got, nt)
