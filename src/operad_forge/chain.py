@@ -195,18 +195,19 @@ class ChainMap:
 class HomologyRecord:
     """Homology of a complex with chosen cycle data.
 
-    Per degree: the cycle subspace, a canonical list of representative
+    Per degree i with H_i nonzero: a canonical list of representative
     cycles (the reduced-echelon lift of a basis of Z/B, as sparse
-    vectors), and the projection matrix sending cycle-basis coordinates
-    to homology coordinates.
+    vectors) and the classifier K_i, the dim H_i x dim C_i matrix sending
+    each cycle to its homology coordinates.  K_i is zero off the pivots
+    of the cycles' echelon basis, where a cycle's entries are its
+    coordinates along that basis.
     """
 
-    def __init__(self, complex, dims, cycles, representatives, projections):
+    def __init__(self, complex, dims, representatives, classifiers):
         self.complex = complex
         self.dims = dims
-        self.cycles = cycles
         self.representatives = representatives
-        self.projections = projections
+        self.classifiers = classifiers
 
     def dim(self, i):
         return self.dims.get(i, 0)
@@ -216,43 +217,43 @@ class HomologyRecord:
         reps = self.representatives.get(i, [])
         return Matrix.from_cols(reps, rows=self.complex.dim(i))
 
+    def classifier(self, i):
+        """K_i: dim H_i x dim C_i, exact on cycles, zero off the pivots."""
+        k = self.classifiers.get(i)
+        return k if k is not None else Matrix.zeros(0, self.complex.dim(i))
+
     def classify(self, i, vec):
         """Homology coordinates of an ambient cycle, both sparse vectors;
         None if not a cycle."""
-        z = self.cycles.get(i) or Subspace.zero(self.complex.dim(i))
-        coords = z.coordinates(vec)
-        if coords is None:
+        if self.complex.d(i).apply(vec):
             return None
-        proj = self.projections.get(i)
-        if proj is None:
-            return ()
-        return proj.apply(coords)
+        return self.classifier(i).apply(vec)
 
     def homology_complex(self):
         return ChainComplex({i: d for i, d in self.dims.items()})
 
 
 def homology(c: ChainComplex) -> HomologyRecord:
-    dims, cycles, reps, projections = {}, {}, {}, {}
+    dims, reps, classifiers = {}, {}, {}
     for i in c.support:
         z = kernel(c.d(i))
         b = image(c.d(i + 1)) if c.dim(i + 1) else Subspace.zero(c.dim(i))
-        cycles[i] = z
         h = z.dim - b.dim
         if h < 0:
             raise AssertionError("boundaries exceed cycles")
-        dims[i] = h
         if h == 0:
             continue
+        dims[i] = h
         # in the echelon of [B | Z] the pivots past B are the cycle basis
         # vectors, in order, that are independent modulo B and the earlier
-        # ones; their rows hold each cycle's coordinates along them
+        # ones; the rows past B send a cycle's coordinates along Z, its
+        # entries at Z's pivots, to its homology coordinates
         red, pivots, _ = rref(b.basis.hstack(z.basis))
         reps[i] = [z._entries[p - b.dim] for p in pivots[b.dim:]]
-        projections[i] = red.submatrix(range(b.dim, z.dim),
-                                       range(b.dim, b.dim + z.dim))
-    dims = {i: d for i, d in dims.items() if d}
-    return HomologyRecord(c, dims, cycles, reps, projections)
+        classifiers[i] = Matrix._trusted(h, c.dim(i), tuple(
+            tuple((z.pivots[j - b.dim], x) for j, x in row)
+            for row in red.sparse[b.dim:z.dim]))
+    return HomologyRecord(c, dims, reps, classifiers)
 
 
 def homology_dims(c: ChainComplex) -> dict:
@@ -260,20 +261,16 @@ def homology_dims(c: ChainComplex) -> dict:
 
 
 def induced_map(f: ChainMap, hsrc: HomologyRecord = None, hdst: HomologyRecord = None):
-    """Induced map on homology, as degree -> matrix."""
+    """Induced map on homology, as degree -> matrix: K_i f_i R_i, R_i the
+    source's representatives and K_i the target's classifier."""
     hsrc = hsrc or homology(f.src)
     hdst = hdst or homology(f.dst)
     out = {}
     for i in set(hsrc.dims) | set(hdst.dims):
-        cols = []
-        for rep in hsrc.representatives.get(i, []):
-            img = f.block(i).apply(rep)
-            cls = hdst.classify(i, img)
-            if cls is None:
-                raise AssertionError("chain map sent a cycle to a non-cycle")
-            cols.append(cls)
-        out[i] = Matrix.from_cols(cols, rows=hdst.dim(i)) if cols else \
-            Matrix.zeros(hdst.dim(i), 0)
+        img = f.block(i) * hsrc.rep_matrix(i)
+        if not (f.dst.d(i) * img).is_zero():
+            raise AssertionError("chain map sent a cycle to a non-cycle")
+        out[i] = hdst.classifier(i) * img
     return out
 
 

@@ -39,12 +39,11 @@ from .qlinalg import (
     MatrixEquations,
     _combine,
     block_matrix,
-    rref,
     solve_matrix,
     solve_with_kernel,
     sparse_row,
 )
-from .sigma import GroupAction, Permutation, reynolds_average
+from .sigma import GroupAction, reynolds_average
 
 
 class ObstructionError(RuntimeError):
@@ -65,10 +64,9 @@ class NotIsomorphicError(RuntimeError):
 def _diagonal_action(n, cone, a_action, b_action, a_complex, b_complex):
     """Sigma_n action on a mapping cone A + B[1] (diagonal blocks)."""
     gens = []
-    for j in range(1, n):
-        sigma = Permutation.transposition(n, j)
-        ra = a_action.action(sigma) if a_action else None
-        rb = b_action.action(sigma) if b_action else None
+    for j in range(n - 1):
+        ra = a_action.generators[j] if a_action else None
+        rb = b_action.generators[j] if b_action else None
         blocks = {}
         for i in cone.dims:
             na, nb = a_complex.dim(i), b_complex.dim(i - 1)
@@ -135,9 +133,8 @@ def _equivariant_section(cone_action: GroupAction, hrec, rng=None):
         if not (cone.d(d) * section[d]).is_zero():
             raise AssertionError("section does not land in cycles")
         expected = mix[d] if mix is not None else Matrix.identity(h)
-        for col, want in zip(section[d].columns(), expected.columns()):
-            if hrec.classify(d, col) != want:
-                raise AssertionError("section is not a section")
+        if hrec.classifier(d) * section[d] != expected:
+            raise AssertionError("section is not a section")
         for cg, vg in zip(cone_action.generators, v_gens):
             if cg.block(d) * section[d] != section[d] * vg.block(d):
                 raise AssertionError("section is not equivariant")
@@ -209,13 +206,12 @@ def principal_extension(p, level, generators, xi,
             if not (pc.d(d - 1) * m).is_zero():
                 raise ValueError("attachment is not a chain map into cycles")
         base_action = p.group_action(key)
-        for j in range(1, n):
-            sigma = Permutation.transposition(n, j)
-            rp = base_action.action(sigma) if base_action else None
+        for j in range(n - 1):
+            rp = base_action.generators[j] if base_action else None
             for d, m in xi.get(key, {}).items():
                 lhs = (rp.block(d - 1) if rp else
                        Matrix.identity(pc.dim(d - 1))) * m
-                rhs = m * v_act.action(sigma).block(d)
+                rhs = m * v_act.generators[j].block(d)
                 if lhs != rhs:
                     raise ValueError("attachment is not equivariant")
     x = _truncated_with_cone(p, level, generators, xi)
@@ -396,21 +392,6 @@ def is_minimal(op):
 # -- lifting ------------------------------------------------------------------
 
 
-def _extended_classify(hrec, degree):
-    """Linear extension of the cycle-classifying map to the whole space."""
-    c = hrec.complex
-    n = c.dim(degree)
-    h = hrec.dim(degree)
-    if h == 0 or n == 0:
-        return Matrix.zeros(h, n)
-    z = hrec.cycles[degree]
-    # the echelon of [Z | I] is E [Z | I] with E = [Z | U]^-1, U the unit
-    # vectors, in index order, outside the span of Z and the earlier ones
-    red = rref(z.basis.hstack(Matrix.identity(n)))[0]
-    inv = red.submatrix(range(z.dim), range(z.dim, z.dim + n))
-    return hrec.projections[degree] * inv
-
-
 def _count_type_vertices(builder, ckey, gen_key):
     """Max count of gen_key-typed vertices over the summands of ckey."""
     return max((builder.vertex_types(ckey, s).count(gen_key)
@@ -445,13 +426,15 @@ def _assign_c_keys(op, gen_keys):
 
 
 def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
-                 r_hom, c_keys, seed=0):
+                 m_hom, r_hom, c_keys, seed=0):
     """Solve for the generator images at one key of the tower.
 
     Conditions: (a) d_Q g = phi_prev(xi), (b) equivariance, and (c) for
     every component in c_keys: the induced homology map, composed with
     the post map, equals the prescribed matrix.  The (c) rows are read
-    off _condition_deltas.  Returns the blocks of g.
+    off _condition_deltas at the representatives of the model's
+    homology records ``m_hom``, through the classifiers of the target's
+    ``r_hom``.  Returns the blocks of g.
     """
     op = mm.operad
     builder = op.free
@@ -475,20 +458,18 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
         g.add([(qc.d(d), d, None)], target)
     # (b) equivariance: g R_V(s) - R_Q(s) g = 0
     q_ga = q_operad.group_action(key)
-    for j in range(1, arity):
-        sigma = Permutation.transposition(arity, j)
-        rv = v_act.action(sigma)
-        rq = q_ga.action(sigma) if q_ga else None
+    for j in range(arity - 1):
+        rv = v_act.generators[j]
+        rq = q_ga.generators[j] if q_ga else None
         for d in sorted(vc.dims):
             rqb = rq.block(d) if rq else Matrix.identity(qc.dim(d))
             g.add([(None, d, rv.block(d)), (-rqb, d, None)],
                   Matrix.zeros(qc.dim(d), vc.dim(d)))
     # (c) homology conditions
     for ckey in c_keys:
-        mc = op.component(ckey)
-        if mc.is_zero() or ckey not in r_hom:
+        if ckey not in r_hom:
             continue
-        hm = homology(mc)
+        hm = m_hom[ckey]
         if not hm.dims:
             continue
         base_eval, deltas = _condition_deltas(
@@ -498,9 +479,11 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
         presc = prescribed.get(ckey, {})
         qcc = q_operad.component(ckey)
         for d in sorted(hm.dims):
-            ext = _extended_classify(hr, d)
             post_block = post.block(d) if post else Matrix.identity(qcc.dim(d))
-            lam = ext * post_block
+            # K is exact only on cycles; a g solving (a) sends z to a
+            # cycle, so another extension of K changes these rows only by
+            # combinations of (a)'s rows, and not the solution or kernel
+            lam = hr.classifier(d) * post_block
             wants = presc[d].columns() if d in presc else None
             for col, z in enumerate(hm.representatives[d]):
                 fixed = lam.apply(base_eval[d].apply(z))
@@ -547,7 +530,8 @@ def _condition_deltas(builder, q_operad, images, key, ckey, g, vc, qc):
     return base, deltas
 
 
-def _solve_generators(mm, target, post_maps, prescribed, r_hom, seed):
+def _solve_generators(mm, target, post_maps, prescribed, m_hom, r_hom,
+                      seed):
     """The morphism out of mm's operad into target whose generator
     images are solved key by key, in level order (``_solve_level``).
 
@@ -564,7 +548,7 @@ def _solve_generators(mm, target, post_maps, prescribed, r_hom, seed):
         c_keys = [ckey for ckey in assignments[key]
                   if _count_type_vertices(op.free, ckey, key) <= 1]
         images[key] = _solve_level(mm, target, post_maps, prescribed, key,
-                                   images, r_hom, c_keys, seed=seed)
+                                   images, m_hom, r_hom, c_keys, seed=seed)
     return morphism_from_generators(op, target, images)
 
 
@@ -579,17 +563,15 @@ def lift(rho: OperadMorphism, psi: OperadMorphism, mm: MinimalModel,
     if psi.src is not op:
         raise ValueError("psi must start at the minimal model's operad")
     q_operad, r_operad = rho.src, rho.dst
-    r_hom = {}
-    prescribed = {}
+    m_hom, r_hom, prescribed = {}, {}, {}
     for key in op.keys():
         if key not in op.free.gens and op.component(key).is_zero():
             continue
-        hr = homology(r_operad.component(key))
-        r_hom[key] = hr
-        hm = homology(op.component(key))
-        ind = induced_map(psi.block(key), hm, hr)
-        prescribed[key] = ind
-    phi = _solve_generators(mm, q_operad, rho.maps, prescribed, r_hom, seed)
+        r_hom[key] = homology(r_operad.component(key))
+        m_hom[key] = homology(op.component(key))
+        prescribed[key] = induced_map(psi.block(key), m_hom[key], r_hom[key])
+    phi = _solve_generators(mm, q_operad, rho.maps, prescribed, m_hom, r_hom,
+                            seed)
     certificates = {}
     comp = rho.compose(phi)
     for key in op.keys():
@@ -618,7 +600,7 @@ def endomorphism_with_prescribed_homology(mm: MinimalModel, h_target,
     for key, hr in r_hom.items():
         prescribed[key] = {d: h_target[key][d] for d in hr.dims} \
             if key in h_target else {}
-    return _solve_generators(mm, op, {}, prescribed, r_hom, seed)
+    return _solve_generators(mm, op, {}, prescribed, r_hom, r_hom, seed)
 
 
 def iso_between_minimal(mm1: MinimalModel, mm2: MinimalModel, seed=0):

@@ -849,10 +849,8 @@ def transfer(op, complexes, section, project):
     actions = {}
     for key, c in complexes.items():
         n = op.legs(key)
-        ga = op.group_action(key)
         gens = []
-        for j in range(1, n):
-            act = ga.action(Permutation.transposition(n, j))
+        for act in op.group_action(key).generators:
             blocks = {}
             for d in c.dims:
                 blocks[d] = project(key, d, act.block(d) * basis[key][d])
@@ -922,10 +920,10 @@ def homology_operad(op) -> HomologyTransfer:
     records = {key: homology(op.component(key)) for key in op.keys()}
 
     def classify(key, d, m):
-        cols = [records[key].classify(d, v) for v in m.columns()]
-        if None in cols:
+        rec = records[key]
+        if not (rec.complex.d(d) * m).is_zero():
             return None
-        return Matrix.from_cols(cols, rows=records[key].dim(d))
+        return rec.classifier(d) * m
 
     hop = transfer(op, {key: rec.homology_complex()
                         for key, rec in records.items() if rec.dims},
@@ -999,10 +997,8 @@ class _Images:
         """The images of each vector of vecs in turn; the d and s_j
         images of all of them come from one ``Matrix.images`` per block."""
         op = self.op
-        n = op.legs(key)
         blocks = [op.component(key).d(degree)] + [
-            op.action(key, Permutation.transposition(n, j)).block(degree)
-            for j in range(1, n)]
+            g.block(degree) for g in op.group_action(key).generators]
         for vec, dv, *acted in zip(vecs, *(m.images(vecs) for m in blocks)):
             yield "closed under d", key, key, degree - 1, dv
             for img in acted:

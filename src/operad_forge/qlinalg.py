@@ -533,7 +533,7 @@ class Subspace(_Frozen):
     ``basis`` is an ``ambient_dim x dim`` matrix whose columns are the
     rows of a reduced row echelon form, ordered by pivot; two equal
     subspaces have identical bases.  ``pivots`` holds the pivot index of
-    each column.  Membership, coordinates and the complement projection
+    each column.  Membership, the residual and the complement projection
     are read off the pivots, with no new elimination.  Equality and the
     hash read only ``ambient_dim`` and ``basis``.
     """
@@ -619,11 +619,6 @@ class Subspace(_Frozen):
 
     def contains(self, vec):
         return not self.reduce(vec)
-
-    def coordinates(self, vec):
-        """Coordinates of vec in the basis, or None if vec is outside."""
-        coords, residual = self._split(vec)
-        return None if residual else coords
 
     def complement_projection(self):
         """``(proj, section)`` for the complement spanned by the unit

@@ -268,16 +268,13 @@ def t_functor(c: ChainComplex, f: ChainMap, w: WeightFunction) -> TFunctorResult
     hcomplex = hrec.homology_complex()
     proj_blocks = {}
     for d in tp.dims:
-        cols = []
-        for vec, tag in zip(basis[d], tags[d]):
-            if tag == d:
-                cls = hrec.classify(d, vec)
-                if cls is None:
-                    raise AssertionError("truncation vector is not a cycle")
-                cols.append(cls)
-            else:
-                cols.append(())
-        proj_blocks[d] = Matrix.from_cols(cols, rows=hcomplex.dim(d))
+        # only the weight-d vectors, cycles at d, reach homology
+        at_d = Matrix.from_cols([vec if tag == d else ()
+                                 for vec, tag in zip(basis[d], tags[d])],
+                                rows=c.dim(d))
+        if not (c.d(d) * at_d).is_zero():
+            raise AssertionError("truncation vector is not a cycle")
+        proj_blocks[d] = hrec.classifier(d) * at_d
     projection = ChainMap(tp, hcomplex, proj_blocks)
     return TFunctorResult(tp, inclusion, projection, hrec, tags)
 

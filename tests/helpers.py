@@ -684,16 +684,16 @@ def greedy_homology(c):
     return reps, projections
 
 
-def greedy_extended_classify(hrec, degree):
-    """Linear extension of the cycle-classifying map to the whole space."""
-    c = hrec.complex
+def greedy_extended_classify(c, degree):
+    """A linear extension to all of c_degree of the map sending each
+    cycle to its homology coordinates: zero on the unit vectors, in index
+    order, outside the span of Z and the earlier choices.  Z and its
+    projection to homology come from ``kernel`` and ``greedy_homology``."""
     n = c.dim(degree)
-    h = hrec.dim(degree)
-    if h == 0 or n == 0:
-        return Matrix.zeros(h, n)
-    z = hrec.cycles[degree]
-    # complement of Z: the unit vectors, in index order, outside the span
-    # of Z and the earlier choices
+    projection = greedy_homology(c)[1].get(degree)
+    if projection is None:
+        return Matrix.zeros(0, n)
+    z = kernel(c.d(degree))
     ident = Matrix.identity(n)
     chosen = []
     span = z
@@ -703,7 +703,7 @@ def greedy_extended_classify(hrec, degree):
             chosen.append(j)
     stacked = z.basis.hstack(ident.submatrix(range(n), chosen))
     inv = solve_matrix(stacked, ident)
-    return hrec.projections[degree] * inv.submatrix(range(z.dim), range(n))
+    return projection * inv.submatrix(range(z.dim), range(n))
 
 
 def one_vector_closure(op, seeds):

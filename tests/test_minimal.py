@@ -9,6 +9,7 @@ import pytest
 from operad_forge.chain import (
     ChainComplex,
     ChainMap,
+    HomologyRecord,
     check_homotopy,
     homology_dims,
     homotopy_solve,
@@ -44,7 +45,7 @@ from operad_forge.operad import (
     validate,
     weak_equivalence_test,
 )
-from operad_forge.qlinalg import F1, Matrix
+from operad_forge.qlinalg import F1, Matrix, rref
 from operad_forge.sigma import GroupAction, SigmaModule
 from operad_forge.trees import enumerate_trees
 
@@ -57,6 +58,7 @@ from fixtures_ops import (
     moduli_quotient,
 )
 from helpers import (
+    greedy_extended_classify,
     random_chain_map,
     random_complex,
     reference_level_blocks,
@@ -595,10 +597,10 @@ class TestLevelSystems:
             return minimal_solve(m, b)
 
         def checked(mm, q_operad, post_maps, prescribed, key, images_so_far,
-                    r_hom, c_keys, seed=0):
+                    m_hom, r_hom, c_keys, seed=0):
             solved.clear()
             got = fast(mm, q_operad, post_maps, prescribed, key,
-                       images_so_far, r_hom, c_keys, seed)
+                       images_so_far, m_hom, r_hom, c_keys, seed)
             rows, rhs, offsets, total = reference_level_rows(
                 mm, q_operad, key, images_so_far)
             (system, b), = solved
@@ -616,6 +618,100 @@ class TestLevelSystems:
         # every level has (a) or (b) rows and homology rows after them,
         # and is solved with a seed
         assert seen and all(0 < n < m and seed for _, n, m, seed in seen)
+
+
+def _with_greedy_classifiers(records, keys):
+    """Copies of the records at keys whose classifiers are the greedy
+    extensions (helpers.greedy_extended_classify), which need not vanish
+    off Z's pivots."""
+    return {key: HomologyRecord(rec.complex, rec.dims, rec.representatives,
+                                {d: greedy_extended_classify(rec.complex, d)
+                                 for d in rec.dims})
+            for key, rec in records.items() if key in keys}
+
+
+def _augmented_echelon(system, rhs):
+    return rref(system.hstack(Matrix.from_cols((rhs,), system.rows)))
+
+
+def lift_free_on_complex(seed):
+    """Lift the model of the free operad on C through the identity.  C is
+    Q^2 -> Q, d = (1, -1), so its cycles (1, 1) are no coordinate
+    subspace and the level's homology rows meet the non-cycles that
+    K and the greedy extension send to different places."""
+    c = ChainComplex({1: 2, 0: 1}, {1: Matrix.from_rows([[1, -1]])})
+    p = free_operad(SigmaModule({2: GroupAction.trivial(2, c)}), 3)
+    mm = minimal_model(p, 3, seed=seed)
+    return lift(OperadMorphism.identity(p), mm.morphism, mm, seed=seed)
+
+
+class TestClassifierExtension:
+    """The homology rows of a level system apply the target's classifier
+    K, exact only on cycles, to the images of the model's cycles.  A g
+    solving the (a) rows sends cycles to cycles, so with another
+    extension of the classifying map in K's place (the greedy one the
+    solver used before) the augmented system has the same echelon form,
+    solution and kernel."""
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("run", [
+        lambda seed: formality_check(
+            fixture_document("commutative_window3.json"), seed=seed),
+        lambda seed: formality_check(
+            fixture_document("endomorphism_dim1.json"), seed=seed),
+        lambda seed: formality_check(endomorphism_dim1(2), seed=seed),
+        lambda seed: formality_check(hypercommutative(4), 4, seed=seed),
+    ], ids=["commutative-window3", "endomorphism-dim1",
+            "endomorphism-window2", "hypercommutative-window4"])
+    def test_greedy_extension_same_solution(self, run, seed, monkeypatch):
+        assert self.check_every_level(lambda: run(seed), monkeypatch)
+
+    def test_commutative_window4_lift(self, monkeypatch):
+        assert self.check_every_level(lift_commutative_window4, monkeypatch)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_systems_differ_off_the_cycles(self, seed, monkeypatch):
+        # the fixtures above only ever classify cycles, so their systems
+        # are identical; here every level's system changes
+        moved = self.check_every_level(lambda: lift_free_on_complex(seed),
+                                       monkeypatch)
+        assert moved and all(moved)
+
+    @staticmethod
+    def check_every_level(run, monkeypatch):
+        """Run, solving each level twice; one flag per level: whether
+        the two systems differ."""
+        fast = minimal._solve_level
+        minimal_solve = minimal.solve_with_kernel
+        solved = []
+        moved = []
+
+        def recording_solve(m, b):
+            out = minimal_solve(m, b)
+            solved.append((m, b, out))
+            return out
+
+        def twice(mm, q_operad, post_maps, prescribed, key, images_so_far,
+                  m_hom, r_hom, c_keys, seed=0):
+            greedy = _with_greedy_classifiers(r_hom, c_keys)
+            runs = []
+            for records in (r_hom, {**r_hom, **greedy}):
+                solved.clear()
+                got = fast(mm, q_operad, post_maps, prescribed, key,
+                           images_so_far, m_hom, records, c_keys, seed)
+                (entry,) = solved
+                runs.append((entry, got))
+            ((m1, b1, out1), got1), ((m2, b2, out2), got2) = runs
+            assert _augmented_echelon(m1, b1) == _augmented_echelon(m2, b2)
+            assert out1 == out2
+            assert got1 == got2
+            moved.append((m1, b1) != (m2, b2))
+            return got1
+
+        monkeypatch.setattr(minimal, "solve_with_kernel", recording_solve)
+        monkeypatch.setattr(minimal, "_solve_level", twice)
+        assert run() is not None
+        return moved
 
 
 class TestHypercommutative:

@@ -462,6 +462,17 @@ class TestEndomorphismModularOperad:
                                         Matrix.from_rows([[1, 0], [0, 1]]), 1)
         assert validate(E) == []
 
+    def test_odd_degree_pairing(self):
+        # V = <e_1, e_-1>: B(e_-1, e_1) = (-1)^1 B(e_1, e_-1), so graded
+        # symmetry wants B_-1 = -B_1^T
+        v = ChainComplex({1: 1, -1: 1})
+        E = endomorphism_modular_operad(v, {1: Matrix.from_rows([[1]]),
+                                            -1: Matrix.from_rows([[-1]])}, 2)
+        assert validate(E) == []
+        with pytest.raises(ValueError, match="not graded symmetric"):
+            endomorphism_modular_operad(v, {1: Matrix.from_rows([[1]]),
+                                            -1: Matrix.from_rows([[1]])}, 2)
+
 
 class TestTruncations:
     def test_truncate_then_extend_by_zero(self):

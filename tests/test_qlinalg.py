@@ -409,8 +409,7 @@ class TestValueClasses:
 
 # each former record class outside sigma and trees, with its field names
 RECORDS = [
-    (HomologyRecord, ("complex", "dims", "cycles", "representatives",
-                      "projections")),
+    (HomologyRecord, ("complex", "dims", "representatives", "classifiers")),
     (PrincipalExtension, ("base", "level", "generators", "attachment",
                           "result")),
     (MinimalModel, ("operad", "morphism", "tower", "seed")),
@@ -500,12 +499,11 @@ def complement_projection_by_solves(sub):
 class TestSubspaceFastPaths:
     @given(spans_and_vector())
     @settings(max_examples=100, deadline=None)
-    def test_contains_and_coordinates_match_solve(self, case):
+    def test_contains_matches_solve(self, case):
         n, vecs, v = case
         sub = Subspace.from_spanning(n, map(to_sparse, vecs))
         v = to_sparse(v)
         expected = solve(sub.basis, v)
-        assert sub.coordinates(v) == expected
         assert sub.contains(v) == (expected is not None)
         residual = to_dense(sub.reduce(v), n)
         assert all(residual[p] == 0 for p in sub.pivots)
