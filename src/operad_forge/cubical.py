@@ -4,9 +4,11 @@ Cubes are combinatorial: a cubical set provides its p-cubes, face
 assignments c |-> c o delta_i^eps, and degeneracy flags; chains are
 rational combinations of cubes with degenerate cubes identified with
 zero (normalized on read).  Product sets carry the coordinate
-permutation action by precomposition, which is all the alternating
-operator needs; consequently the symmetrized cross product
-kappa(c, d) = alt(c x d) is defined on products of symmetric sets.
+permutation action by precomposition; ``alt`` sums its signed orbits,
+a product's built from its factors' by shuffles, so kappa(c, d) =
+alt(c x d) is defined on products of symmetric sets.  ``boundary``
+reads each cube's faces in one pass; both sum integer numerators and
+make one ``Fraction`` per output cube.
 
 The permutation bijection sending (tau, r, i) to the unique sigma with
 sigma o delta_i^eps = delta_r^eps o tau is implemented directly on
@@ -18,11 +20,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .chain import ChainComplex
 from .qlinalg import F0, F1, Matrix, sparse_row
-from .sigma import Permutation, all_permutations
+from .sigma import Permutation
 
 
 # -- index maps I^m -> I^n -----------------------------------------------------
@@ -163,17 +165,29 @@ class FiniteCubicalSet:
     def face(self, cube, i, eps):
         return self.face_table[(cube, i, eps)]
 
+    def _faces(self, cube, n):
+        return [self.face_table[cube, i, eps]
+                for i in range(1, n + 1) for eps in (0, 1)]
+
     def is_degenerate(self, cube):
         return cube in self.degenerate
 
     def act(self, cube, sigma: Permutation):
         """Right action by coordinate permutation; only trivial here."""
+        if sigma.n != self.dim_of(cube):
+            raise ValueError("permutation has the wrong size")
         return self._act(cube, sigma.images)
 
     def _act(self, cube, inv):
         if inv != tuple(range(1, len(inv) + 1)):
             raise ValueError("this cubical set carries no symmetry structure")
         return cube, 1
+
+    def _orbit(self, cube, n):
+        """The signed orbit of an n-cube, defined only for trivial Sigma_n."""
+        if n > 1:
+            raise ValueError("this cubical set carries no symmetry structure")
+        return {cube: 1}
 
 
 def point() -> FiniteCubicalSet:
@@ -239,13 +253,27 @@ class ProductCubicalSet:
         return self.left.is_degenerate(a) or self.right.is_degenerate(b)
 
     def face(self, cube, i, eps):
+        n = self.dim_of(cube)
+        if not (1 <= i <= n and eps in (0, 1)):
+            raise KeyError((cube, i, eps))
+        return self._faces(cube, n)[2 * i - 2 + eps]
+
+    def _faces(self, cube, n):
+        """The 2n faces of (a, b, S) in (i, eps) order: coordinate i is
+        a's k-th if S[k - 1] = i, else b's (i - k)-th, k entries of S below."""
         a, b, S = cube
-        k = bisect_left(S, i)
-        if k < len(S) and S[k] == i:
-            return (self.left.face(a, k + 1, eps), b,
-                    S[:k] + tuple(s - 1 for s in S[k + 1:]))
-        return (a, self.right.face(b, i - k, eps),
-                S[:k] + tuple(s - 1 for s in S[k:]))
+        p = len(S)
+        fa, fb = self.left._faces(a, p), self.right._faces(b, n - p)
+        out, k = [], 0
+        for i in range(1, n + 1):
+            if k < p and S[k] == i:
+                S2 = S[:k] + tuple([s - 1 for s in S[k + 1:]])
+                out += ((fa[2 * k], b, S2), (fa[2 * k + 1], b, S2))
+                k += 1
+            else:
+                S2, j = S[:k] + tuple([s - 1 for s in S[k:]]), 2 * (i - k)
+                out += ((a, fb[j - 2], S2), (a, fb[j - 1], S2))
+        return out
 
     def act(self, cube, sigma: Permutation):
         """Right action by precomposition: the new cube reads its a-part
@@ -266,6 +294,18 @@ class ProductCubicalSet:
         a2, sa = self.left._act(a, inv_a)
         b2, sb = self.right._act(b, inv_b)
         return (a2, b2, tuple(S2)), sa * sb
+
+    def _orbit(self, cube, n):
+        """Sum of (-1)^{|sigma|} (a, b, S) o sigma over Sigma_n, {cube: int}:
+        Sigma_n = Sh(p, q) (Sigma_p x Sigma_q) gives orbit(a) x orbit(b)
+        at each p-set T, signed by the shuffles placing S and T."""
+        a, b, S = cube
+        p = len(S)
+        pairs = [(a2, b2, x * y) for a2, x in self.left._orbit(a, p).items()
+                 for b2, y in self.right._orbit(b, n - p).items()]
+        return {(a2, b2, T): -x if (sum(S) + sum(T)) % 2 else x
+                for T in itertools.combinations(range(1, n + 1), p)
+                for a2, b2, x in pairs}
 
 
 def interval_power(n: int):
@@ -326,59 +366,49 @@ class CubicChain:
                 and self.coeffs == other.coeffs)
 
 
+def _expand(chain, dim, terms, scale=1):
+    """Sum of x * k / scale t over (c, x) in chain, (t, k) in terms(c)."""
+    den = lcm(*(x.denominator for x in chain.coeffs.values()))
+    out = {}
+    for cube, x in chain.coeffs.items():
+        m = x.numerator * (den // x.denominator)
+        for t, k in terms(cube):
+            out[t] = out[t] + k * m if t in out else k * m
+    return CubicChain(chain.space, dim, {t: Fraction(v, den * scale)
+                                         for t, v in out.items() if v})
+
+
 def boundary(chain: CubicChain) -> CubicChain:
     """d(c) = sum over (i, eps) of (-1)^{i+eps} c o delta_i^eps."""
-    out = {}
-    space = chain.space
-    for cube, coeff in chain.coeffs.items():
-        signed = (coeff, -coeff)
-        for i in range(1, chain.dim + 1):
-            for eps in (0, 1):
-                f, x = space.face(cube, i, eps), signed[(i + eps) % 2]
-                out[f] = out[f] + x if f in out else x
-    return CubicChain(space, chain.dim - 1, out)
+    n, space = chain.dim, chain.space
+    signs = [(-1) ** (i + eps) for i in range(1, n + 1) for eps in (0, 1)]
+    return _expand(chain, n - 1, lambda c: zip(space._faces(c, n), signs))
 
 
 def cross(cx: CubicChain, cy: CubicChain, product=None) -> CubicChain:
     """Cartesian concatenation of cubes, bilinearly extended."""
     if product is None:
         product = ProductCubicalSet(cx.space, cy.space)
-    p = cx.dim
-    out = {}
-    for a, xa in cx.coeffs.items():
-        for b, xb in cy.coeffs.items():
-            cube = (a, b, tuple(range(1, p + 1)))
-            out[cube] = out.get(cube, F0) + xa * xb
-    return CubicChain(product, cx.dim + cy.dim, out)
+    S = tuple(range(1, cx.dim + 1))
+    return CubicChain(product, cx.dim + cy.dim,
+                      {(a, b, S): xa * xb for a, xa in cx.coeffs.items()
+                       for b, xb in cy.coeffs.items()})
 
 
 def act(chain: CubicChain, sigma: Permutation) -> CubicChain:
-    out = {}
-    for cube, coeff in chain.coeffs.items():
-        newcube, sgn = chain.space.act(cube, sigma)
-        out[newcube] = out.get(newcube, F0) + sgn * coeff
-    return CubicChain(chain.space, chain.dim, out)
+    return _expand(chain, chain.dim,
+                   lambda cube: [chain.space.act(cube, sigma)])
 
 
 def alt(chain: CubicChain) -> CubicChain:
     """The alternating projector (1/n!) sum of (-1)^{|sigma|} c o sigma."""
-    n = chain.dim
+    n, space = chain.dim, chain.space
     if n <= 1:
         return chain
-    space = chain.space
     if any(space.dim_of(cube) != n for cube in chain.coeffs):
         raise ValueError("permutation has the wrong size")
-    w = Fraction(1, factorial(n))
-    terms = [(cube, {1: x * w, -1: -x * w})
-             for cube, x in chain.coeffs.items()]
-    out = {}
-    for sigma in all_permutations(n):
-        inv, sign = sigma.inverse().images, sigma.sign()
-        for cube, signed in terms:
-            newcube, sgn = space._act(cube, inv)
-            x = signed[sign * sgn]
-            out[newcube] = out[newcube] + x if newcube in out else x
-    return CubicChain(space, n, out)
+    return _expand(chain, n, lambda cube: space._orbit(cube, n).items(),
+                   factorial(n))
 
 
 def kappa(cx: CubicChain, cy: CubicChain, product=None) -> CubicChain:

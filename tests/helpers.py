@@ -1,14 +1,16 @@
 """Shared test utilities: random complexes and small oracles."""
 
+import functools
 import itertools
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 
 from operad_forge.chain import ChainComplex, ChainMap, koszul_reorder_sign
+from operad_forge.cubical import CubicChain, FiniteCubicalSet, ProductCubicalSet
 from operad_forge.operad import _Images
 from operad_forge.qlinalg import (
     F0,
@@ -1121,3 +1123,124 @@ def evaluate_graph_basis(dst, graph, columns, vlevel_entries):
         if vec:
             out[deg] = _combine(out.get(deg, ()), vec, lcoeff)
     return out
+
+
+# -- reference cubical operators ----------------------------------------------
+
+
+class ReferenceFinite(FiniteCubicalSet):
+    """Leaf ``dim_of`` and ``act`` as they were before the flat action."""
+
+    def dim_of(self, cube):
+        for p, cs in self.cube_table.items():
+            if cube in cs:
+                return p
+        raise KeyError(cube)
+
+    def act(self, cube, sigma: Permutation):
+        """Right action by coordinate permutation; only trivial here."""
+        if sigma.is_identity():
+            return cube, 1
+        raise ValueError("this cubical set carries no symmetry structure")
+
+
+class ReferenceProduct(ProductCubicalSet):
+    """``face`` and ``act`` as they were before the flat action: a new
+    ``Permutation`` per factor at every level of the product, and one
+    recursive call per face."""
+
+    def face(self, cube, i, eps):
+        a, b, S = cube
+        if i in S:
+            k = S.index(i) + 1
+            a2 = self.left.face(a, k, eps)
+            S2 = tuple(s - 1 if s > i else s for s in S if s != i)
+            return (a2, b, S2)
+        comp = [j for j in range(1, self.dim_of(cube) + 1) if j not in S]
+        k = comp.index(i) + 1
+        b2 = self.right.face(b, k, eps)
+        S2 = tuple(s - 1 if s > i else s for s in S)
+        return (a, b2, S2)
+
+    def act(self, cube, sigma: Permutation):
+        """Right action by precomposition: coordinate j of the result
+        reads coordinate sigma^{-1}(j)... the new cube reads its a-part
+        at the positions sigma^{-1}(S), reordered inside each factor."""
+        a, b, S = cube
+        p = self.dim_of(cube)
+        if sigma.n != p:
+            raise ValueError("permutation has the wrong size")
+        inv = sigma.inverse()
+        new_positions = [inv(s) for s in S]
+        order = sorted(range(len(S)), key=lambda k: new_positions[k])
+        S2 = tuple(new_positions[k] for k in order)
+        tau_a = Permutation(tuple(k + 1 for k in order))
+        comp = [j for j in range(1, p + 1) if j not in S]
+        new_comp = [inv(s) for s in comp]
+        order_b = sorted(range(len(comp)), key=lambda k: new_comp[k])
+        tau_b = Permutation(tuple(k + 1 for k in order_b))
+        a2, sa = self.left.act(a, tau_a)
+        b2, sb = self.right.act(b, tau_b)
+        return (a2, b2, S2), sa * sb
+
+
+def reference_copy(space):
+    """The same cubical set, built from the reference classes."""
+    if isinstance(space, ProductCubicalSet):
+        return ReferenceProduct(reference_copy(space.left),
+                                reference_copy(space.right))
+    return ReferenceFinite(space.cube_table, space.face_table,
+                           space.degenerate, check=False)
+
+
+@functools.lru_cache(maxsize=None)
+def _signed_inverses(n):
+    return [(sigma.inverse().images, sigma.sign())
+            for sigma in all_permutations(n)]
+
+
+def reference_orbit(space, cube, n):
+    """The signed orbit of an n-cube, sum of (-1)^{|sigma|} cube o sigma,
+    with one ``_act`` call per sigma in Sigma_n; zero entries dropped."""
+    out = {}
+    for inv, sign in _signed_inverses(n):
+        new, sgn = space._act(cube, inv)
+        out[new] = out.get(new, 0) + sign * sgn
+    return {c: k for c, k in out.items() if k}
+
+
+def reference_alt(chain):
+    """``cubical.alt`` as it was before orbits by shuffles: one ``_act``
+    call per (cube, sigma) over all of Sigma_n, summed in Fractions."""
+    n = chain.dim
+    if n <= 1:
+        return chain
+    space = chain.space
+    if any(space.dim_of(cube) != n for cube in chain.coeffs):
+        raise ValueError("permutation has the wrong size")
+    w = Fraction(1, factorial(n))
+    terms = [(cube, {1: x * w, -1: -x * w})
+             for cube, x in chain.coeffs.items()]
+    out = {}
+    for sigma in all_permutations(n):
+        inv, sign = sigma.inverse().images, sigma.sign()
+        for cube, signed in terms:
+            newcube, sgn = space._act(cube, inv)
+            x = signed[sign * sgn]
+            out[newcube] = out[newcube] + x if newcube in out else x
+    return CubicChain(space, n, out)
+
+
+def reference_boundary(chain):
+    """``cubical.boundary`` as it was before one pass of faces: one
+    ``face`` call per (cube, i, eps), each face read from the reference
+    copy of the chain's space, summed in Fractions."""
+    space = reference_copy(chain.space)
+    out = {}
+    for cube, coeff in chain.coeffs.items():
+        signed = (coeff, -coeff)
+        for i in range(1, chain.dim + 1):
+            for eps in (0, 1):
+                f, x = space.face(cube, i, eps), signed[(i + eps) % 2]
+                out[f] = out[f] + x if f in out else x
+    return CubicChain(chain.space, chain.dim - 1, out)

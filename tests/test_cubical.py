@@ -29,6 +29,13 @@ from operad_forge.cubical import (
 from operad_forge.qlinalg import Matrix
 from operad_forge.sigma import Permutation, all_permutations
 
+from helpers import (
+    reference_alt,
+    reference_boundary,
+    reference_copy,
+    reference_orbit,
+)
+
 
 def random_chain(rng, space, dim, size=3):
     cubes = [c for c in space.cubes(dim)]
@@ -371,70 +378,6 @@ class TestHomology:
 # -- the flat action against the nested-Permutation path it replaced -----------
 
 
-class ReferenceFinite(FiniteCubicalSet):
-    """Leaf ``dim_of`` and ``act`` as they were before the flat action."""
-
-    def dim_of(self, cube):
-        for p, cs in self.cube_table.items():
-            if cube in cs:
-                return p
-        raise KeyError(cube)
-
-    def act(self, cube, sigma: Permutation):
-        """Right action by coordinate permutation; only trivial here."""
-        if sigma.is_identity():
-            return cube, 1
-        raise ValueError("this cubical set carries no symmetry structure")
-
-
-class ReferenceProduct(ProductCubicalSet):
-    """``face`` and ``act`` as they were before the flat action: a new
-    ``Permutation`` per factor at every level of the product."""
-
-    def face(self, cube, i, eps):
-        a, b, S = cube
-        if i in S:
-            k = S.index(i) + 1
-            a2 = self.left.face(a, k, eps)
-            S2 = tuple(s - 1 if s > i else s for s in S if s != i)
-            return (a2, b, S2)
-        comp = [j for j in range(1, self.dim_of(cube) + 1) if j not in S]
-        k = comp.index(i) + 1
-        b2 = self.right.face(b, k, eps)
-        S2 = tuple(s - 1 if s > i else s for s in S)
-        return (a, b2, S2)
-
-    def act(self, cube, sigma: Permutation):
-        """Right action by precomposition: coordinate j of the result
-        reads coordinate sigma^{-1}(j)... the new cube reads its a-part
-        at the positions sigma^{-1}(S), reordered inside each factor."""
-        a, b, S = cube
-        p = self.dim_of(cube)
-        if sigma.n != p:
-            raise ValueError("permutation has the wrong size")
-        inv = sigma.inverse()
-        new_positions = [inv(s) for s in S]
-        order = sorted(range(len(S)), key=lambda k: new_positions[k])
-        S2 = tuple(new_positions[k] for k in order)
-        tau_a = Permutation(tuple(k + 1 for k in order))
-        comp = [j for j in range(1, p + 1) if j not in S]
-        new_comp = [inv(s) for s in comp]
-        order_b = sorted(range(len(comp)), key=lambda k: new_comp[k])
-        tau_b = Permutation(tuple(k + 1 for k in order_b))
-        a2, sa = self.left.act(a, tau_a)
-        b2, sb = self.right.act(b, tau_b)
-        return (a2, b2, S2), sa * sb
-
-
-def reference_copy(space):
-    """The same cubical set, built from the reference classes."""
-    if isinstance(space, ProductCubicalSet):
-        return ReferenceProduct(reference_copy(space.left),
-                                reference_copy(space.right))
-    return ReferenceFinite(space.cube_table, space.face_table,
-                           space.degenerate, check=False)
-
-
 def outcome(space, cube, sigma):
     """``space.act(cube, sigma)``, or the exception class it raised."""
     try:
@@ -526,3 +469,115 @@ class TestFlatAction:
                         + sigma.sign() * sgn * coeff
             assert alt(chain) == CubicChain(X, p, expected).scale(
                 Fraction(1, math.factorial(p)))
+
+
+# -- alt by shuffles and boundary by one pass of faces against the -------------
+# -- per-permutation and per-face paths they replaced --------------------------
+
+
+SPACES = {
+    "I^4": lambda: interval_power(4),
+    "(IxI)x(IxI)": lambda: ProductCubicalSet(interval_power(2),
+                                             interval_power(2)),
+    "IxI^3": lambda: ProductCubicalSet(interval(), interval_power(3)),
+}
+
+
+def assert_cube_matches_references(X, R, cube, p):
+    assert X._faces(cube, p) == [R.face(cube, i, eps)
+                                 for i in range(1, p + 1) for eps in (0, 1)]
+    if X.is_degenerate(cube):
+        # a chain drops a degenerate cube, so its orbit is compared as is
+        assert X._orbit(cube, p) == reference_orbit(X, cube, p)
+        return
+    chain = CubicChain.of_cube(X, cube)
+    assert alt(chain) == reference_alt(chain)
+    assert boundary(chain) == reference_boundary(chain)
+
+
+class TestShuffleAltAndFacePass:
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_every_cube(self, name):
+        X = SPACES[name]()
+        R = reference_copy(X)
+        for p in X.dims():
+            for cube in X.cubes(p):
+                assert_cube_matches_references(X, R, cube, p)
+        assert len(X.cubes(4)) == 1944
+
+    def test_nondegenerate_cubes_of_i5(self):
+        X = interval_power(5)
+        R = reference_copy(X)
+        checked = 0
+        for p in X.dims():
+            for cube in X.cubes(p):
+                if not X.is_degenerate(cube):
+                    assert_cube_matches_references(X, R, cube, p)
+                    checked += 1
+        assert checked == 872
+
+    @pytest.mark.parametrize("name", ["I^4", "I^5", "(IxI)x(IxI)"])
+    def test_seeded_rational_chains(self, name):
+        X = interval_power(5) if name == "I^5" else SPACES[name]()
+        R = reference_copy(X)
+        rng = random.Random(32)
+        for p in X.dims():
+            cubes = [c for c in X.cubes(p) if not X.is_degenerate(c)]
+            for size in (1, 2, 5, 9):
+                chain = CubicChain(X, p, {
+                    rng.choice(cubes): Fraction(rng.randint(-9, 9),
+                                                rng.randint(1, 12))
+                    for _ in range(size)})
+                assert any(x.denominator > 1 for x in chain.coeffs.values()) \
+                    or size == 1
+                assert alt(chain) == reference_alt(chain)
+                assert boundary(chain) == reference_boundary(chain)
+                sigma = Permutation(tuple(rng.sample(range(1, p + 1), p)))
+                expected = {}
+                for cube, x in chain.coeffs.items():
+                    new, sgn = R.act(cube, sigma)
+                    expected[new] = expected.get(new, Fraction(0)) + sgn * x
+                assert act(chain, sigma) == CubicChain(X, p, expected)
+
+    def test_torus_factor(self):
+        P = ProductCubicalSet(torus(), interval())
+        R = reference_copy(P)
+        with pytest.raises(ValueError, match="no symmetry structure"):
+            alt(CubicChain.of_cube(P, ("s", "id", (1, 2))))
+        raised = 0
+        for p in P.dims():
+            for cube in P.cubes(p):
+                chain = CubicChain.of_cube(P, cube)
+                assert boundary(chain) == reference_boundary(chain)
+                assert P._faces(cube, p) == [
+                    R.face(cube, i, eps)
+                    for i in range(1, p + 1) for eps in (0, 1)]
+                try:
+                    expected = reference_alt(chain)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        alt(chain)
+                    raised += 1
+                else:
+                    assert alt(chain) == expected
+        # the square times a vertex, and times "id" at each of three S
+        assert raised == 2 + 3
+
+    def test_face_index_out_of_range(self):
+        for X in (interval(), torus(), interval_power(3),
+                  ProductCubicalSet(torus(), interval())):
+            for p in X.dims():
+                for cube in X.cubes(p):
+                    for i, eps in ((0, 0), (0, 1), (p + 1, 0), (p + 1, 1),
+                                   (1, 2)):
+                        with pytest.raises(KeyError):
+                            X.face(cube, i, eps)
+
+    def test_finite_act_checks_the_permutation_size(self):
+        I = interval()
+        assert I.act("id", Permutation.identity(1)) == ("id", 1)
+        for space, cube in ((I, "id"), (I, "0"), (torus(), "s")):
+            with pytest.raises(ValueError, match="wrong size"):
+                space.act(cube, Permutation.identity(3))
+        with pytest.raises(ValueError, match="wrong size"):
+            act(CubicChain.of_cube(I, "id"), Permutation.identity(3))
