@@ -31,13 +31,15 @@ class ChainComplex:
 
     ``dims`` maps degree -> dimension (only nonzero degrees stored);
     ``diff`` maps degree i -> matrix of d_i : degree i -> degree i-1.
-    Zero differentials may be omitted from ``diff``.
+    Zero differentials may be omitted from ``diff``.  A complex is not
+    changed after construction, so it keeps its homology record.
     """
 
-    __slots__ = ("dims", "diff")
+    __slots__ = ("dims", "diff", "_homology")
 
     def __init__(self, dims, diff=None, check=True):
         self.dims = {int(k): int(v) for k, v in dims.items() if v}
+        self._homology = None
         diff = diff or {}
         self.diff = {}
         for i, m in diff.items():
@@ -76,6 +78,14 @@ class ChainComplex:
 
     def is_zero(self):
         return not self.dims
+
+    @property
+    def homology(self):
+        """This complex's HomologyRecord: ``homology(self)``, computed on
+        first read and kept."""
+        if self._homology is None:
+            self._homology = homology(self)
+        return self._homology
 
     def d(self, i):
         """Differential leaving degree i, zero-filled."""
@@ -257,28 +267,26 @@ def homology(c: ChainComplex) -> HomologyRecord:
 
 
 def homology_dims(c: ChainComplex) -> dict:
-    return dict(homology(c).dims)
+    return dict(c.homology.dims)
 
 
-def induced_map(f: ChainMap, hsrc: HomologyRecord = None, hdst: HomologyRecord = None):
+def induced_map(f: ChainMap):
     """Induced map on homology, as degree -> matrix: K_i f_i R_i, R_i the
     source's representatives and K_i the target's classifier."""
-    hsrc = hsrc or homology(f.src)
-    hdst = hdst or homology(f.dst)
+    hs, hd = f.src.homology, f.dst.homology
     out = {}
-    for i in set(hsrc.dims) | set(hdst.dims):
-        img = f.block(i) * hsrc.rep_matrix(i)
+    for i in set(hs.dims) | set(hd.dims):
+        img = f.block(i) * hs.rep_matrix(i)
         if not (f.dst.d(i) * img).is_zero():
             raise AssertionError("chain map sent a cycle to a non-cycle")
-        out[i] = hdst.classifier(i) * img
+        out[i] = hd.classifier(i) * img
     return out
 
 
 def is_weak_equivalence(f: ChainMap) -> bool:
-    hs, hd = homology(f.src), homology(f.dst)
-    if hs.dims != hd.dims:
+    if f.src.homology.dims != f.dst.homology.dims:
         return False
-    ind = induced_map(f, hs, hd)
+    ind = induced_map(f)
     return all(m.rows == m.cols and rank(m) == m.rows for m in ind.values())
 
 

@@ -316,6 +316,12 @@ def to_document(obj, name="", seed=0, tower=None) -> dict:
     return doc
 
 
+# the (kind, indexing) pairs to_document writes
+_INDEXINGS = (("operad", "arity"), ("modular", "modular"),
+              ("truncated", "arity"), ("truncated", "modular"),
+              ("sigma-module", "arity"), ("sigma-module", "modular"))
+
+
 def from_document(doc):
     """Parse a document; returns (object, metadata dict)."""
     if not isinstance(doc, dict):
@@ -326,7 +332,10 @@ def from_document(doc):
     kind = doc.get("kind")
     if kind not in ("operad", "modular", "truncated", "sigma-module"):
         raise DocumentError(f"unknown kind {kind!r}")
-    modular = doc.get("indexing") == "modular"
+    indexing = doc.get("indexing", "arity")
+    if (kind, indexing) not in _INDEXINGS:
+        raise DocumentError(f"{kind} document with indexing {indexing!r}")
+    modular = indexing == "modular"
     components = {}
     for key_s, comp_doc in _expect(doc.get("components", {}), dict,
                                    "components").items():
@@ -338,7 +347,7 @@ def from_document(doc):
     if "seed" in metadata:
         _expect(metadata["seed"], int, "metadata.seed")
     metadata["kind"] = kind
-    metadata["indexing"] = doc.get("indexing", "arity")
+    metadata["indexing"] = indexing
     try:
         module = (ModularSigmaModule(components) if modular
                   else SigmaModule(components))

@@ -25,7 +25,6 @@ from .chain import (
     ChainComplex,
     ChainMap,
     check_homotopy,
-    homology,
     homotopy_solve,
     induced_map,
     mapping_cone,
@@ -86,7 +85,7 @@ def _random_unimodular(rng, n):
     return Matrix(n, n, upper) * Matrix(n, n, lower)
 
 
-def _equivariant_section(cone_action: GroupAction, hrec, rng=None):
+def _equivariant_section(cone_action: GroupAction, rng=None):
     """Equivariant section V = H(C) -> cycles of C.
 
     Starts from the reduced-echelon representatives, optionally applies
@@ -100,8 +99,9 @@ def _equivariant_section(cone_action: GroupAction, hrec, rng=None):
     basis.
     """
     cone = cone_action.complex
+    hrec = cone.homology
     n = cone_action.n
-    hdims = dict(hrec.dims)
+    hdims = hrec.dims
     s0 = {}
     for d, h in hdims.items():
         mat = hrec.rep_matrix(d)
@@ -113,8 +113,7 @@ def _equivariant_section(cone_action: GroupAction, hrec, rng=None):
         s0[d] = mat
     # induced V action from the cone action (in the echelon basis)
     v_complex = ChainComplex(hdims)
-    v_gens = [ChainMap(v_complex, v_complex, induced_map(g, hrec, hrec),
-                       check=False)
+    v_gens = [ChainMap(v_complex, v_complex, induced_map(g), check=False)
               for g in cone_action.generators]
     mix = None
     if rng is not None:
@@ -340,16 +339,16 @@ def minimal_model(p, up_to=None, seed=0) -> MinimalModel:
                 continue
             cone_action = _diagonal_action(
                 arity, cone, p.group_action(key), m_action, pc, m_complex)
-            hrec = homology(cone)
-            if not hrec.dims:
+            hdims = cone.homology.dims
+            if not hdims:
                 continue
             rng = random.Random(f"{seed}:{n}:{key}") if seed else None
-            section, v_action = _equivariant_section(cone_action, hrec, rng)
+            section, v_action = _equivariant_section(cone_action, rng)
             # split the section into its P and M parts; degrees shift:
             # V_d sits in cone degree d = P_d + M_{d-1}
             xi_blocks = {}
             img_blocks = {}
-            for d, h in hrec.dims.items():
+            for d, h in hdims.items():
                 na = pc.dim(d)
                 top = section[d].submatrix(range(na), range(h))
                 bottom = section[d].submatrix(
@@ -567,9 +566,9 @@ def lift(rho: OperadMorphism, psi: OperadMorphism, mm: MinimalModel,
     for key in op.keys():
         if key not in op.free.gens and op.component(key).is_zero():
             continue
-        r_hom[key] = homology(r_operad.component(key))
-        m_hom[key] = homology(op.component(key))
-        prescribed[key] = induced_map(psi.block(key), m_hom[key], r_hom[key])
+        r_hom[key] = r_operad.component(key).homology
+        m_hom[key] = op.component(key).homology
+        prescribed[key] = induced_map(psi.block(key))
     phi = _solve_generators(mm, q_operad, rho.maps, prescribed, m_hom, r_hom,
                             seed)
     certificates = {}
@@ -594,7 +593,7 @@ def endomorphism_with_prescribed_homology(mm: MinimalModel, h_target,
     Raises ObstructionError when some level system has no solution.
     """
     op = mm.operad
-    r_hom = {key: homology(op.component(key)) for key in op.keys()
+    r_hom = {key: op.component(key).homology for key in op.keys()
              if not op.component(key).is_zero()}
     prescribed = {}
     for key, hr in r_hom.items():

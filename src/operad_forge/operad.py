@@ -36,8 +36,7 @@ import itertools
 from .chain import (
     ChainComplex,
     ChainMap,
-    homology,
-    induced_map,
+    is_weak_equivalence,
 )
 from .qlinalg import (
     F0,
@@ -46,7 +45,6 @@ from .qlinalg import (
     Subspace,
     _accumulate,
     _combine,
-    rank,
     sparse_row,
 )
 from .sigma import (
@@ -809,19 +807,12 @@ def weak_equivalence_test(f: OperadMorphism):
     Returns (verdict, per-component homology dimension table).
     """
     table = {}
-    ok = True
     for key in f.src.keys():
         blk = f.block(key)
-        hs, hd = homology(blk.src), homology(blk.dst)
-        iso = hs.dims == hd.dims
-        if iso:
-            ind = induced_map(blk, hs, hd)
-            iso = all(m.rows == m.cols and rank(m) == m.rows
-                      for m in ind.values())
-        table[key] = {"source": dict(hs.dims), "target": dict(hd.dims),
-                      "isomorphism": iso}
-        ok = ok and iso
-    return ok, table
+        table[key] = {"source": dict(blk.src.homology.dims),
+                      "target": dict(blk.dst.homology.dims),
+                      "isomorphism": is_weak_equivalence(blk)}
+    return all(row["isomorphism"] for row in table.values()), table
 
 
 # -- structure transfer -------------------------------------------------------
@@ -903,21 +894,12 @@ def transfer(op, complexes, section, project):
 # -- homology operad ----------------------------------------------------------
 
 
-class HomologyTransfer:
-    """The homology operad together with the cycle bookkeeping used to
-    transfer elements and morphisms."""
-
-    def __init__(self, operad, records):
-        self.operad = operad
-        self.records = records
-
-
-def homology_operad(op) -> HomologyTransfer:
+def homology_operad(op):
     """The operad H(P): zero differentials, induced structure maps.
 
     Raises AssertionError when a structure map sends cycles to a
     non-cycle."""
-    records = {key: homology(op.component(key)) for key in op.keys()}
+    records = {key: op.component(key).homology for key in op.keys()}
 
     def classify(key, d, m):
         rec = records[key]
@@ -925,10 +907,9 @@ def homology_operad(op) -> HomologyTransfer:
             return None
         return rec.classifier(d) * m
 
-    hop = transfer(op, {key: rec.homology_complex()
-                        for key, rec in records.items() if rec.dims},
-                   lambda key, d: records[key].rep_matrix(d), classify)
-    return HomologyTransfer(hop, records)
+    return transfer(op, {key: rec.homology_complex()
+                         for key, rec in records.items() if rec.dims},
+                    lambda key, d: records[key].rep_matrix(d), classify)
 
 
 # -- truncations --------------------------------------------------------------

@@ -21,7 +21,6 @@ from .chain import (
     ChainComplex,
     ChainMap,
     TensorData,
-    homology,
     induced_map,
     subcomplex,
 )
@@ -210,9 +209,7 @@ def purity_check(p, f, w: WeightFunction) -> PureEndomorphism:
     eigen_table = {}
     for key, comp, block in _component_items(p, f):
         where = f"component {key}: " if key is not None else ""
-        hrec = homology(comp)
-        ind = induced_map(block, hrec, hrec)
-        for d, m in ind.items():
+        for d, m in induced_map(block).items():
             if m.rows == 0:
                 continue
             expected = w.base ** d
@@ -231,11 +228,10 @@ def purity_check(p, f, w: WeightFunction) -> PureEndomorphism:
 class TFunctorResult:
     """The weight-truncation subcomplex with its two weak equivalences."""
 
-    def __init__(self, complex, inclusion, projection, homology, weight_tags):
+    def __init__(self, complex, inclusion, projection, weight_tags):
         self.complex = complex
         self.inclusion = inclusion
         self.projection = projection    # onto the homology complex (zero differential)
-        self.homology = homology
         self.weight_tags = weight_tags  # degree -> tuple of weights per basis column
 
 
@@ -248,7 +244,7 @@ def t_functor(c: ChainComplex, f: ChainMap, w: WeightFunction) -> TFunctorResult
     """
     purity_check(c, f, w)
     decomp = weight_decompose(c, f, w)
-    hrec = homology(c)
+    hrec = c.homology
     basis = {}
     tags = {}
     for n in decomp.weights():
@@ -276,7 +272,7 @@ def t_functor(c: ChainComplex, f: ChainMap, w: WeightFunction) -> TFunctorResult
             raise AssertionError("truncation vector is not a cycle")
         proj_blocks[d] = hrec.classifier(d) * at_d
     projection = ChainMap(tp, hcomplex, proj_blocks)
-    return TFunctorResult(tp, inclusion, projection, hrec, tags)
+    return TFunctorResult(tp, inclusion, projection, tags)
 
 
 def _tensor_vec(td, d1, v1, d2, v2):
@@ -377,8 +373,7 @@ def formality_witness_from_pure(p, f: OperadMorphism,
         components[key] = res.inclusion
         projections[key] = res
     tp, incl = _suboperad_from_components(p, components)
-    h_transfer = homology_operad(p)
-    hp = h_transfer.operad
+    hp = homology_operad(p)
     proj_maps = {}
     for key in components:
         res = projections[key]
@@ -421,10 +416,8 @@ def formality_check(p, up_to=None, alpha=Fraction(2), seed=0):
         comp = m_op.component(key)
         if comp.is_zero():
             continue
-        hrec = homology(comp)
-        h_target[key] = {
-            d: Matrix.identity(hrec.dim(d)).scale(w.base ** d)
-            for d in hrec.dims}
+        h_target[key] = {d: Matrix.identity(h).scale(w.base ** d)
+                         for d, h in comp.homology.dims.items()}
     try:
         f = endomorphism_with_prescribed_homology(mm, h_target, seed=seed)
     except ObstructionError:

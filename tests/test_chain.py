@@ -454,3 +454,26 @@ class TestHomologyAgainstGreedy:
     @pytest.mark.parametrize("c", _fixture_components())
     def test_golden_fixture_components(self, c):
         _assert_matches_greedy(c)
+
+
+class TestHomologyOwnedByComplex:
+    """``c.homology`` is computed by ``homology(c)`` on first read and
+    kept: the same record on every read, equal to a fresh one."""
+
+    @given(complexes())
+    @settings(max_examples=100, deadline=None)
+    def test_record_kept_and_fresh(self, c):
+        rec = c.homology
+        assert c.homology is rec and rec.complex is c
+        fresh = homology(c)
+        assert fresh is not rec
+        assert rec.dims == fresh.dims
+        assert rec.representatives == fresh.representatives
+        assert rec.classifiers == fresh.classifiers
+
+    def test_computed_on_first_read_only(self):
+        c = ChainComplex({0: 2, 1: 1}, {1: Matrix.from_rows([[1], [1]])})
+        with mock.patch.object(chain, "homology", wraps=chain.homology) as spy:
+            assert homology_dims(c) == {0: 1}
+            assert is_weak_equivalence(ChainMap.identity(c))
+            assert spy.call_count == 1

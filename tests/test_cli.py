@@ -3,8 +3,10 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operad_forge.cli import main
 
@@ -96,8 +98,17 @@ BARE = {"action": [], "dims": {"0": 1}}
     (MOD, _set(("components", "0,1"), BARE)),
     # these were accepted
     (BIN, _set(("components", "-3"), BARE)),
+    # these were read as arity-indexed whatever their indexing said
+    (BIN, _set(("indexing",), "bogus")),
+    (BIN, _set(("indexing",), 7)),
+    (BIN, _set(("indexing",), None)),
+    # a kind that does not fit the indexing
+    (BIN, _set(("kind",), "modular")),
+    (MOD, _set(("kind",), "operad")),
 ], ids=["null-action", "list-components", "null-metadata", "float-dim",
-        "string-seed", "unstable-modular-key", "nonpositive-arity"])
+        "string-seed", "unstable-modular-key", "nonpositive-arity",
+        "bogus-indexing", "integer-indexing", "null-indexing",
+        "modular-kind-arity-indexing", "operad-kind-modular-indexing"])
 def test_malformed_document_exit_2_without_traceback(name, mutate, tmp_path):
     with open(fx(name)) as fh:
         payload = json.load(fh)
@@ -174,6 +185,8 @@ CELL = ("compositions", 0, "blocks", "0,0", "0,0")
     # a component's degree keys: a bare "error:" line
     (COM, _set(("components", "2", "differential"), {"x": []})),
     (COM, _set(("components", "2", "action"), [{"x": [["1"]]}])),
+    # a kind its indexing does not match: read as arity-indexed
+    (COM, _set(("kind",), "modular")),
 ], ids=["null-compositions", "null-contractions", "list-entry", "list-blocks",
         "list-block", "string-cell", "non-list-pair", "string-slot",
         "string-source-key", "string-modular-key", "string-max-arity",
@@ -183,7 +196,7 @@ CELL = ("compositions", 0, "blocks", "0,0", "0,0")
         "negative-basis-index", "negative-contraction-index",
         "string-truncation-cut", "list-endomorphism", "list-endomorphism-blocks",
         "bad-endomorphism-degree", "bad-differential-degree",
-        "bad-action-degree"])
+        "bad-action-degree", "modular-kind-arity-indexing"])
 def test_malformed_tables_exit_2_without_traceback(name, mutate, tmp_path):
     with open(fx(name)) as fh:
         payload = json.load(fh)
@@ -213,6 +226,55 @@ def test_bad_matrix_cell_exit_2_without_traceback(cell, tmp_path):
         assert run.returncode == 2, (command, stderr)
         assert "malformed input" in stderr
         assert "Traceback" not in stderr
+
+
+# the values a mutation may put in place of an entry of a document
+FUZZ_VALUES = (None, -1, "a", [], {}, 1.5, "1/0", True)
+GENERATOR_WINDOWS = {BIN: ["--max-arity", "3"], MOD: ["--max-dim", "1"]}
+
+
+@st.composite
+def mutated_documents(draw):
+    """(fixture name, golden document with one entry deleted or replaced
+    by a value of FUZZ_VALUES).  The entry is found by descending from
+    the top, so top-level fields are drawn as often as deep cells."""
+    name = draw(st.sampled_from(sorted(
+        n for n in os.listdir(FIXTURES) if n.endswith(".json"))))
+    with open(fx(name)) as fh:
+        payload = json.load(fh)
+    node = payload
+    while True:
+        at = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                  else range(len(node))))
+        child = node[at]
+        if not (isinstance(child, (dict, list)) and child
+                and draw(st.booleans())):
+            break
+        node = child
+    if draw(st.booleans()):
+        del node[at]
+    else:
+        node[at] = draw(st.sampled_from(FUZZ_VALUES))
+    return name, payload
+
+
+@given(mutated_documents())
+@settings(max_examples=300, deadline=None)
+def test_mutated_documents_exit_0_1_or_2(case):
+    """Every command that reads a document ends with an exit code on a
+    mutated golden document; no exception escapes ``cli.main``."""
+    name, payload = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        commands = [["validate"], ["homology"]]
+        if name in GENERATOR_WINDOWS:
+            commands.append(["free", *GENERATOR_WINDOWS[name],
+                             "--out", os.path.join(tmp, "free.json")])
+        for command in commands:
+            assert main([command[0], path, *command[1:]]) in (0, 1, 2), \
+                command
 
 
 @pytest.mark.parametrize("args", [

@@ -985,3 +985,52 @@ class TestOneBuilderPerModel:
         del mm
         gc.collect()
         assert [ref() for ref in builders] == [None] * 3
+
+
+class TestHomologyOncePerComplex:
+    """A complex owns its homology record (``ChainComplex.homology``):
+    ``chain.homology`` runs at most once on any complex object, however
+    many consumers read the record."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Count the calls to chain.homology by complex object, through
+        every operad_forge module that holds it by name."""
+        import sys
+        from operad_forge import chain
+        original = chain.homology
+        calls = {}
+
+        def counted(c):
+            calls.setdefault(id(c), [c, 0])[1] += 1
+            return original(c)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("operad_forge") \
+                    and getattr(module, "homology", None) is original:
+                monkeypatch.setattr(module, "homology", counted)
+        return calls
+
+    @pytest.mark.parametrize("run", [
+        lambda: formality_check(
+            fixture_document("commutative_window3.json"), seed=5),
+        lift_commutative_window4,
+    ], ids=["commutative-window3-formality", "commutative-window4-lift"])
+    def test_no_complex_computed_twice(self, monkeypatch, run):
+        calls = self._counted(monkeypatch)
+        assert run() is not None
+        assert calls
+        repeated = [(c, n) for c, n in calls.values() if n > 1]
+        assert repeated == []
+
+    def test_records_read_by_formality_check_are_fresh(self, monkeypatch):
+        from operad_forge.chain import homology
+        calls = self._counted(monkeypatch)
+        formality_check(fixture_document("commutative_window3.json"), seed=5)
+        monkeypatch.undo()
+        for c, _ in calls.values():
+            rec, fresh = c.homology, homology(c)
+            assert rec is c.homology and rec.complex is c
+            assert rec.dims == fresh.dims
+            assert rec.representatives == fresh.representatives
+            assert rec.classifiers == fresh.classifiers

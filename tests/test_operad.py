@@ -616,21 +616,21 @@ class TestHomologyOperad:
     def test_h_of_zero_differential_is_same_dims(self):
         fr = free_operad(trivial_module({2: {0: 1}}), 4)
         hop = homology_operad(fr)
-        assert hop.operad.total_dims() == fr.total_dims()
-        assert validate(hop.operad) == []
+        assert hop.total_dims() == fr.total_dims()
+        assert validate(hop) == []
 
     def test_h_is_monoidal_on_free_with_zero_differential(self):
         # H(free on V) = free on HV = the same object, compositions included
         fr = free_operad(mixed_module(), 3)
         hop = homology_operad(fr)
-        assert hop.operad.total_dims() == fr.total_dims()
+        assert hop.total_dims() == fr.total_dims()
         for trip, table in fr.comp.items():
-            assert trip in hop.operad.comp or table.is_zero()
+            assert trip in hop.comp or table.is_zero()
 
     def test_acyclic_component_dies(self):
         op = one_dim_operad_with_acyclic_component()
         hop = homology_operad(op)
-        assert hop.operad.component(2).dims == {0: 1}
+        assert hop.component(2).dims == {0: 1}
 
 
 class TestFiltrationLaw:
@@ -848,7 +848,7 @@ class TestTransferredOutputsPinned:
          "0db2b4166c39f3e6f2c3ce19cd11ef8b5131b3dc5a77251166a814729011f4a5"),
     ])
     def test_homology_operad(self, name, digest):
-        hop = homology_operad(_fixture(name)).operad
+        hop = homology_operad(_fixture(name))
         assert _digest(document.to_document(hop)) == digest
 
     @pytest.mark.parametrize("name,cut,window,digest", [

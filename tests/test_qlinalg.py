@@ -28,7 +28,6 @@ from operad_forge.minimal import MinimalModel, PrincipalExtension
 from operad_forge.operad import (
     CompTable,
     ContrTable,
-    HomologyTransfer,
     OperadIdeal,
     OperadMorphism,
 )
@@ -414,14 +413,12 @@ RECORDS = [
                           "result")),
     (MinimalModel, ("operad", "morphism", "tower", "seed")),
     (OperadMorphism, ("src", "dst", "maps")),
-    (HomologyTransfer, ("operad", "records")),
     (OperadIdeal, ("operad", "spans")),
     (WeightDecomposition, ("complex", "endomorphism", "weight_function",
                            "pure", "residual")),
     (PureEndomorphism, ("subject", "endomorphism", "weight_function",
                         "homology_eigenvalues")),
-    (TFunctorResult, ("complex", "inclusion", "projection", "homology",
-                      "weight_tags")),
+    (TFunctorResult, ("complex", "inclusion", "projection", "weight_tags")),
     (FormalityWitness, ("arrows", "t_operad", "automorphism")),
 ]
 
