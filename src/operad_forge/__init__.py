@@ -25,7 +25,6 @@ from .chain import (
     HomologyRecord,
     canonical_truncation,
     check_homotopy,
-    direct_sum,
     homology,
     homology_dims,
     homotopy_solve,
@@ -35,8 +34,6 @@ from .chain import (
     shift,
     subcomplex,
     tensor,
-    tensor_data,
-    tensor_symmetry,
 )
 from .sigma import (
     Coinvariants,
@@ -45,7 +42,6 @@ from .sigma import (
     Permutation,
     SigmaModule,
     coinvariants,
-    equivariance_report,
     is_stable,
     modular_dimension,
     stable_pairs_up_to,
@@ -59,8 +55,6 @@ from .trees import (
     enumerate_trees,
     graph_automorphisms,
     graph_isomorphisms,
-    graph_space,
-    tree_space,
 )
 from .operad import (
     DGOperad,
@@ -88,7 +82,6 @@ from .minimal import (
     NotIsomorphicError,
     ObstructionError,
     PrincipalExtension,
-    cone_completion,
     is_minimal,
     iso_between_minimal,
     lift,
@@ -103,7 +96,6 @@ from .weight import (
     formality_check,
     formality_witness_from_pure,
     grading_automorphism,
-    operad_grading_automorphism,
     purity_check,
     t_functor,
     weight_decompose,

@@ -365,46 +365,6 @@ def canonical_truncation(c: ChainComplex, n: int):
     return subcomplex(c, bases)
 
 
-def direct_sum(complexes):
-    """Direct sum with inclusion and projection chain maps."""
-    degrees = set()
-    for c in complexes:
-        degrees |= set(c.dims)
-    dims = {i: sum(c.dim(i) for c in complexes) for i in degrees}
-    offsets = {i: [] for i in degrees}
-    for i in degrees:
-        off = 0
-        for c in complexes:
-            offsets[i].append(off)
-            off += c.dim(i)
-    diff = {}
-    for i in degrees:
-        rows, cols = dims.get(i - 1, 0), dims[i]
-        if rows == 0 or cols == 0:
-            continue
-        # the summands' row ranges are disjoint, so each row has one source
-        out = [()] * rows
-        for k, c in enumerate(complexes):
-            ro, co = offsets[i - 1][k], offsets[i][k]
-            for r, row in enumerate(c.d(i).sparse):
-                out[ro + r] = tuple((co + j, x) for j, x in row)
-        diff[i] = Matrix._trusted(rows, cols, tuple(out))
-    total = ChainComplex(dims, diff, check=False)
-    incls, projs = [], []
-    for k, c in enumerate(complexes):
-        ib, pb = {}, {}
-        for i in c.dims:
-            n = c.dim(i)
-            off = offsets[i][k]
-            ib[i] = Matrix._trusted(dims[i], n, tuple(
-                ((r - off, F1),) if off <= r < off + n else ()
-                for r in range(dims[i])))
-            pb[i] = ib[i].transpose()
-        incls.append(ChainMap(c, total, ib, check=False))
-        projs.append(ChainMap(total, c, pb, check=False))
-    return total, incls, projs
-
-
 # -- tensor products --------------------------------------------------------
 
 
@@ -476,10 +436,6 @@ class TensorData:
         return self._index[label]
 
 
-def tensor_data(factors) -> TensorData:
-    return TensorData(factors)
-
-
 def tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
     return TensorData((x, y)).complex
 
@@ -523,13 +479,6 @@ def reorder_map(td: TensorData, perm_images):
             out[rowpos] = ((colpos, sign),)
         blocks[n] = Matrix._trusted(len(out), len(items), tuple(out))
     return target, ChainMap(td.complex, target.complex, blocks)
-
-
-def tensor_symmetry(x: ChainComplex, y: ChainComplex) -> ChainMap:
-    """The braiding x (x) y -> y (x) x with the Koszul sign."""
-    td = TensorData((x, y))
-    _, f = reorder_map(td, (1, 0))
-    return f
 
 
 # -- homotopies --------------------------------------------------------------

@@ -87,27 +87,6 @@ def sigma_tau_r_i(tau: Permutation, r: int, i: int) -> Permutation:
     return cycle_up(r, n).compose(tau_bar).compose(cycle_up(i, n).inverse())
 
 
-def face_permutation_decomposition(sigma: Permutation, i: int):
-    """Write sigma o delta_i^eps as delta_r^eps o tau; returns (r, tau).
-
-    This is the inverse direction of the bijection (tau, r, i) ->
-    (sigma, i)."""
-    n = sigma.n
-    composite = compose_maps(perm_map(sigma), delta_map(n, i, 0))
-    r = next(j + 1 for j, e in enumerate(composite) if e[0] == "const")
-    images = []
-    for j, e in enumerate(composite):
-        if e[0] == "in":
-            pos = j + 1
-            target = pos if pos < r else pos - 1
-            images.append((e[1], target))
-    images.sort()
-    tau = [0] * (n - 1)
-    for src, tgt in images:
-        tau[src - 1] = tgt
-    return r, Permutation(tuple(tau))
-
-
 # -- cubical sets --------------------------------------------------------------
 
 

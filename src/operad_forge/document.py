@@ -10,6 +10,7 @@ canonical: parse(serialize(x)) = x and serialize is byte-deterministic.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .chain import ChainComplex, ChainMap
@@ -32,14 +33,13 @@ def rational_to_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-_RATIONAL_RE = None
+# ASCII digits only; an integer key is spelled as ``str`` writes it (no
+# '+', no leading zero, no '-0', no space)
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
+_INT_RE = re.compile(r"(0|-?[1-9][0-9]*)\Z")
 
 
 def rational_from_str(s) -> Fraction:
-    global _RATIONAL_RE
-    if _RATIONAL_RE is None:
-        import re
-        _RATIONAL_RE = re.compile(r"-?\d+(/\d+)?\Z")
     if not isinstance(s, str) or not _RATIONAL_RE.match(s):
         raise DocumentError(f"bad rational {s!r} (expected 'p' or 'p/q')")
     try:
@@ -83,13 +83,10 @@ def _key_to_str(key):
 
 
 def _key_from_str(s, modular):
-    try:
-        if modular:
-            g, l = s.split(",")
-            return (int(g), int(l))
-        return int(s)
-    except (ValueError, AttributeError) as exc:
-        raise DocumentError(f"bad component key {s!r}") from exc
+    if modular:
+        return _ints(s, 2, "component")
+    key, = _ints(s, 1, "component")
+    return key
 
 
 def _component_to_doc(ga: GroupAction):
@@ -120,11 +117,10 @@ def _component_from_doc(key, doc):
     _expect(doc, dict, f"component {key}")
     if "dims" not in doc:
         raise DocumentError(f"component {key}: missing dims")
-    try:
-        dims = {int(d): n for d, n in
-                _expect(doc["dims"], dict, f"component {key}: dims").items()}
-    except ValueError as exc:
-        raise DocumentError(f"component {key}: bad degree") from exc
+    dims = {}
+    for d, n in _expect(doc["dims"], dict, f"component {key}: dims").items():
+        d, = _ints(d, 1, f"component {key}: dims")
+        dims[d] = n
     if any(_expect(n, int, f"component {key}: dim") < 0
            for n in dims.values()):
         raise DocumentError(f"component {key}: negative dim")
@@ -184,14 +180,13 @@ def _comp_tables_to_doc(comp, modular):
 
 
 def _ints(s, n, what):
-    """The n integers of a comma-separated key string."""
-    try:
-        out = tuple(int(x) for x in s.split(","))
-    except ValueError:
-        out = ()
-    if len(out) != n:
+    """The n integers of a comma-separated key string, each spelled as
+    the writer spells it; every component, degree and table key is read
+    here, so no two spellings name one key."""
+    parts = s.split(",") if type(s) is str else ()
+    if len(parts) != n or not all(map(_INT_RE.match, parts)):
         raise DocumentError(f"{what}: bad key {s!r}")
-    return out
+    return tuple(map(int, parts))
 
 
 def _table_key(x, modular, what):

@@ -696,7 +696,9 @@ class FreeModularBuilder(_FreeBuilder):
         return None if coin.complex.is_zero() else (graph, td, coin)
 
     def _automorphism_maps(self, graph, td):
-        maps = []
+        """The chain maps of every automorphism of the graph on td, the
+        identity first."""
+        maps = [ChainMap.identity(td.complex)]
         for vperm, slot_map in T.graph_automorphisms(graph):
             if all(vperm[v] == v for v in range(graph.n_vertices)) \
                     and all(slot_map[s] == s for s in slot_map):

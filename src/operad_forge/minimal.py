@@ -24,7 +24,6 @@ from fractions import Fraction
 from .chain import (
     ChainComplex,
     ChainMap,
-    check_homotopy,
     homotopy_solve,
     induced_map,
     mapping_cone,
@@ -227,62 +226,6 @@ def principal_extension(p, level, generators, xi,
             if rc.dim(d) != pc.dim(d) + v_act.complex.dim(d):
                 raise AssertionError("cone dimensions violated at the level")
     return PrincipalExtension(p, level, generators, xi, result)
-
-
-def cone_completion(lam: ChainMap, mu: ChainMap, eta: ChainMap,
-                    zeta: ChainMap):
-    """Complete a commutative square through the cones.
-
-    Input: eta: B -> A, mu: A -> Y, zeta: Y -> X, lam: B -> (C zeta)[-1]
-    with -p_Y lam = mu eta.  Returns (nu: C eta -> X, homotopy h) where
-    the central square commutes exactly and the right square commutes up
-    to h: incl_X nu - lam[1] proj_B = d h + h d.
-    """
-    b, a = eta.src, eta.dst
-    y, x = zeta.src, zeta.dst
-    czeta, incl_x, proj_y1 = mapping_cone(zeta)
-    # p_Y at shifted degrees: lam lands in (C zeta)[-1]_i = X_{i+1} + Y_i
-    for i in set(b.dims):
-        if lam.src.dim(i) != b.dim(i):
-            raise ValueError("lambda has the wrong source")
-        if lam.dst.dim(i) != czeta.dim(i + 1):
-            raise ValueError("lambda must land in the shifted cone")
-    # check -p_Y lam = mu eta
-    for i in b.dims:
-        lam_i = lam.block(i)
-        py = Matrix.zeros(y.dim(i), x.dim(i + 1)).hstack(
-            Matrix.identity(y.dim(i)))
-        lhs = py * lam_i
-        rhs = mu.block(i) * eta.block(i)
-        if lhs.scale(-1) != rhs:
-            raise ValueError("input square does not commute")
-    ceta, incl_a, proj_b1 = mapping_cone(eta)
-    nu_blocks = {}
-    for i in ceta.dims:
-        na, nb = a.dim(i), b.dim(i - 1)
-        left = zeta.block(i) * mu.block(i)
-        lam_x = lam.block(i - 1).submatrix(range(x.dim(i)), range(b.dim(i - 1)))
-        nu_blocks[i] = left.hstack(lam_x) if nb else left
-    nu = ChainMap(ceta, x, nu_blocks)
-    # homotopy h(a, b) = (0, mu(a)) : (C eta)_i -> (C zeta)_{i+1}
-    h = {}
-    for i in ceta.dims:
-        rows = czeta.dim(i + 1)
-        if rows == 0:
-            continue
-        na, nb = a.dim(i), b.dim(i - 1)
-        h[i] = Matrix.zeros(x.dim(i + 1), na + nb).vstack(
-            mu.block(i).hstack(Matrix.zeros(y.dim(i), nb)))
-    # verify the right square commutes up to h: lam[1] o proj_b sends
-    # (C eta)_i onto B_{i-1} and through lam into (C zeta)_i
-    lp_blocks = {}
-    for i in ceta.dims:
-        lp = Matrix.zeros(czeta.dim(i), a.dim(i))
-        lp_blocks[i] = lp.hstack(lam.block(i - 1)) if b.dim(i - 1) else lp
-    if not check_homotopy(incl_x.compose(nu),
-                          ChainMap(ceta, czeta, lp_blocks, check=False), h):
-        raise AssertionError("cone completion homotopy identity failed")
-    return nu, h
 
 
 # -- minimal models -----------------------------------------------------------

@@ -45,7 +45,6 @@ from .qlinalg import (
     Subspace,
     _accumulate,
     _combine,
-    sparse_row,
 )
 from .sigma import (
     GroupAction,
@@ -134,15 +133,6 @@ class ContrTable:
             return ()
         return _accumulate((), ((c.numerator, c.denominator, block[k].items())
                                 for k, c in v if k in block))
-
-    def matrix(self, d, target_dim, source_dim):
-        rows = [{} for _ in range(target_dim)]
-        for k, cell in self.entries.get(d, {}).items():
-            for row, coeff in cell.items():
-                rows[row][k] = coeff
-        return Matrix._trusted(target_dim, source_dim,
-                               tuple(map(sparse_row, rows)))
-
 
 # -- leg relabels for the axioms ----------------------------------------------
 

@@ -17,8 +17,6 @@ from fractions import Fraction
 
 from .chain import ChainComplex, ChainMap, subcomplex
 from .qlinalg import (
-    F1,
-    Matrix,
     _Frozen,
     _setfield,
     image,
@@ -124,15 +122,6 @@ class Permutation(_Frozen):
 
 def all_permutations(n):
     return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
-
-
-def permutation_matrix(p: Permutation) -> Matrix:
-    """Right-action matrix on the regular-ish basis e_1..e_n: e_k -> e_{p^{-1}(k)}.
-
-    Chosen so that word evaluation matches R(p o q) = R(q) R(p).
-    """
-    return Matrix._trusted(p.n, p.n, tuple(((p(k) - 1, F1),)
-                                           for k in range(1, p.n + 1)))
 
 
 class GroupAction:
@@ -330,31 +319,6 @@ def validate_action(module) -> list:
     return module.validate_action()
 
 
-def equivariance_report(src, dst, maps) -> list:
-    """Check f(l) o s = s o f(l) for all generators; empty report = ok.
-
-    ``maps`` is a dict key -> ChainMap between the components of two
-    modules with matching supports.
-    """
-    report = []
-    keys = set(src.keys()) | set(dst.keys()) | set(maps)
-    for key in sorted(keys):
-        f = maps.get(key)
-        if f is None:
-            if not src.component(key).is_zero() and not dst.component(key).is_zero():
-                report.append(f"component {key}: missing map")
-            continue
-        ga_src = src.components.get(key)
-        ga_dst = dst.components.get(key)
-        n_gens = len(ga_src.generators) if ga_src else 0
-        for j in range(n_gens):
-            lhs = f.compose(ga_src.generators[j])
-            rhs = ga_dst.generators[j].compose(f) if ga_dst else None
-            if rhs is None or lhs != rhs:
-                report.append(f"component {key}: not equivariant at s_{j + 1}")
-    return report
-
-
 class Coinvariants:
     """Coinvariant complex with the projection and a canonical inclusion."""
 
@@ -364,39 +328,16 @@ class Coinvariants:
         self.inclusion = inclusion
 
 
-MAX_GROUP_SIZE = 100000
-
-
-def close_group(generators):
-    """Multiplicative closure of a list of chain maps (finite groups only);
-    more than ``MAX_GROUP_SIZE`` elements raises ValueError."""
-    if not generators:
-        return []
-    ident = ChainMap.identity(generators[0].src)
-    elements = {ident: True}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for g in generators:
-            for h in frontier:
-                prod = g.compose(h)
-                if prod not in elements:
-                    elements[prod] = True
-                    new.append(prod)
-                    if len(elements) > MAX_GROUP_SIZE:
-                        raise ValueError("group closure exceeded bound")
-        frontier = new
-    return list(elements)
-
-def coinvariants(complex: ChainComplex, generators) -> Coinvariants:
+def coinvariants(complex: ChainComplex, elements) -> Coinvariants:
     """Image of the averaging idempotent, with projection and inclusion.
 
-    ``generators`` must generate a finite group of chain maps; over the
+    ``elements`` lists every element of a finite group of chain maps of
+    ``complex``, the identity included (or the image of every element of
+    a group under a homomorphism: the average is the same).  Over the
     rationals the coinvariants of a finite group action are canonically
     the invariants, and we return that subcomplex.
     """
-    elements = close_group(list(generators))
-    if not elements:
+    if len(elements) == 1:
         return Coinvariants(complex, ChainMap.identity(complex),
                             ChainMap.identity(complex))
     avg = None

@@ -21,7 +21,6 @@ import itertools
 from functools import lru_cache
 from types import MappingProxyType
 
-from .chain import ChainComplex, TensorData
 from .qlinalg import _Frozen, _setfield
 from .sigma import Permutation, is_stable
 
@@ -146,16 +145,6 @@ def enumerate_trees(n: int):
     return tuple(sorted(trees, key=Tree.sort_key))
 
 
-def tree_space_data(tree: Tree, module) -> TensorData:
-    """Tensor of module components over the vertices in preorder."""
-    factors = [module.component(len(v.children)) for v in tree.vertices()]
-    return TensorData(tuple(factors))
-
-
-def tree_space(tree: Tree, module) -> ChainComplex:
-    return tree_space_data(tree, module).complex
-
-
 # -- stable graphs ------------------------------------------------------------
 
 
@@ -270,11 +259,6 @@ class StableGraph(_Frozen):
             if best is None or edges < best:
                 best = edges
         return genera, legs, best
-
-    def canonical(self):
-        g, l, e = self.canonical_key()
-        return StableGraph(g, l, e)
-
 
 def graph_isomorphisms(g1: StableGraph, g2: StableGraph):
     """All decorated isomorphisms g1 -> g2 fixing external legs.
@@ -410,17 +394,6 @@ def _catalog_index(g: int, l: int):
     canonical key."""
     return {(gr.genera, gr.legs, gr.edges): i
             for i, gr in enumerate(enumerate_stable_graphs(g, l))}
-
-
-def graph_space_data(graph: StableGraph, module) -> TensorData:
-    """Tensor of module components over vertices in index order."""
-    factors = [module.component(graph.vertex_type(v))
-               for v in range(graph.n_vertices)]
-    return TensorData(tuple(factors))
-
-
-def graph_space(graph: StableGraph, module) -> ChainComplex:
-    return graph_space_data(graph, module).complex
 
 
 # -- concrete graphs (intermediate states of structure maps) -----------------

@@ -20,7 +20,6 @@ from fractions import Fraction
 from .chain import (
     ChainComplex,
     ChainMap,
-    TensorData,
     induced_map,
     subcomplex,
 )
@@ -37,14 +36,12 @@ from .operad import (
 )
 from .qlinalg import (
     Matrix,
-    Subspace,
     _Frozen,
     _setfield,
     char_poly,
     kernel,
     rational_eigen_split,
     solve_matrix,
-    sparse_row,
 )
 
 
@@ -146,17 +143,6 @@ def grading_automorphism(c: ChainComplex, alpha) -> ChainMap:
     return ChainMap(c, c, {
         d: Matrix.identity(c.dim(d)).scale(alpha ** d) for d in c.dims},
         check=False)
-
-
-def operad_grading_automorphism(op, alpha) -> OperadMorphism:
-    """The grading automorphism of an operad with zero differentials."""
-    maps = {}
-    for key in op.keys():
-        comp = op.component(key)
-        if comp.is_zero():
-            continue
-        maps[key] = grading_automorphism(comp, alpha)
-    return OperadMorphism(op, op, maps)
 
 
 class PureEndomorphism:
@@ -273,47 +259,6 @@ def t_functor(c: ChainComplex, f: ChainMap, w: WeightFunction) -> TFunctorResult
         proj_blocks[d] = hrec.classifier(d) * at_d
     projection = ChainMap(tp, hcomplex, proj_blocks)
     return TFunctorResult(tp, inclusion, projection, tags)
-
-
-def _tensor_vec(td, d1, v1, d2, v2):
-    """The sparse vector v1 (x) v2 of td, for sparse vectors v1 and v2 of
-    its two factors in degrees d1 and d2."""
-    return sparse_row({td.index(((d1, r1), (d2, r2)))[1]: a * b
-                       for r1, a in v1 for r2, b in v2})
-
-
-def leibniz_containment(cx, fx, cy, fy, w) -> bool:
-    """Products of the weight truncations land in the truncation of the
-    tensor product (the monoidality containment), checked exactly."""
-    tx, ty = t_functor(cx, fx, w), t_functor(cy, fy, w)
-    td = TensorData((cx, cy))
-    fx_cols = {d: m.columns() for d, m in fx.blocks.items()}
-    fy_cols = {d: m.columns() for d, m in fy.blocks.items()}
-    tensor_f_blocks = {}
-    for n in td.complex.dims:
-        cols = []
-        for (d1, k1), (d2, k2) in td.basis(n):
-            cols.append(_tensor_vec(td, d1, fx_cols[d1][k1], d2,
-                                    fy_cols[d2][k2])
-                        if d1 in fx_cols and d2 in fy_cols else ())
-        tensor_f_blocks[n] = Matrix.from_cols(cols, td.complex.dim(n))
-    tensor_f = ChainMap(td.complex, td.complex, tensor_f_blocks)
-    tt = t_functor(td.complex, tensor_f, w)
-    for n in td.complex.dims:
-        span = Subspace.from_spanning(
-            td.complex.dim(n),
-            tt.inclusion.block(n).columns()) if tt.complex.dim(n) else \
-            Subspace.zero(td.complex.dim(n))
-        for d1 in tx.complex.dims:
-            d2 = n - d1
-            if ty.complex.dim(d2) == 0:
-                continue
-            for v1 in tx.inclusion.block(d1).columns():
-                for v2 in ty.inclusion.block(d2).columns():
-                    prod = _tensor_vec(td, d1, v1, d2, v2)
-                    if prod and not span.contains(prod):
-                        return False
-    return True
 
 
 class FormalityWitness:

@@ -9,9 +9,23 @@ from math import factorial, lcm
 
 import pytest
 
-from operad_forge.chain import ChainComplex, ChainMap, koszul_reorder_sign
-from operad_forge.cubical import CubicChain, FiniteCubicalSet, ProductCubicalSet
-from operad_forge.operad import _Images
+from operad_forge.chain import (
+    ChainComplex,
+    ChainMap,
+    TensorData,
+    check_homotopy,
+    koszul_reorder_sign,
+    mapping_cone,
+)
+from operad_forge.cubical import (
+    CubicChain,
+    FiniteCubicalSet,
+    ProductCubicalSet,
+    compose_maps,
+    delta_map,
+    perm_map,
+)
+from operad_forge.operad import OperadMorphism, _Images
 from operad_forge.qlinalg import (
     F0,
     F1,
@@ -30,7 +44,8 @@ from operad_forge.qlinalg import (
     sparse_row,
 )
 from operad_forge.sigma import GroupAction, Permutation, all_permutations
-from operad_forge.trees import Tree, leaf
+from operad_forge.trees import StableGraph, Tree, leaf
+from operad_forge.weight import WeightFunction, grading_automorphism, t_functor
 
 
 # -- dense vectors --------------------------------------------------------
@@ -1244,3 +1259,217 @@ def reference_boundary(chain):
                 f, x = space.face(cube, i, eps), signed[(i + eps) % 2]
                 out[f] = out[f] + x if f in out else x
     return CubicChain(chain.space, chain.dim - 1, out)
+
+
+# -- constructions no pipeline runs ----------------------------------------
+# The paper's side constructions and the inverse directions of pipeline
+# maps, kept verbatim from the library as independent references: the
+# tests check the pipeline against them.
+
+
+def tree_space_data(tree: Tree, module) -> TensorData:
+    """Tensor of module components over the vertices in preorder."""
+    factors = [module.component(len(v.children)) for v in tree.vertices()]
+    return TensorData(tuple(factors))
+
+
+def graph_space_data(graph: StableGraph, module) -> TensorData:
+    """Tensor of module components over vertices in index order."""
+    factors = [module.component(graph.vertex_type(v))
+               for v in range(graph.n_vertices)]
+    return TensorData(tuple(factors))
+
+
+def direct_sum(complexes):
+    """Direct sum with inclusion and projection chain maps."""
+    degrees = set()
+    for c in complexes:
+        degrees |= set(c.dims)
+    dims = {i: sum(c.dim(i) for c in complexes) for i in degrees}
+    offsets = {i: [] for i in degrees}
+    for i in degrees:
+        off = 0
+        for c in complexes:
+            offsets[i].append(off)
+            off += c.dim(i)
+    diff = {}
+    for i in degrees:
+        rows, cols = dims.get(i - 1, 0), dims[i]
+        if rows == 0 or cols == 0:
+            continue
+        # the summands' row ranges are disjoint, so each row has one source
+        out = [()] * rows
+        for k, c in enumerate(complexes):
+            ro, co = offsets[i - 1][k], offsets[i][k]
+            for r, row in enumerate(c.d(i).sparse):
+                out[ro + r] = tuple((co + j, x) for j, x in row)
+        diff[i] = Matrix._trusted(rows, cols, tuple(out))
+    total = ChainComplex(dims, diff, check=False)
+    incls, projs = [], []
+    for k, c in enumerate(complexes):
+        ib, pb = {}, {}
+        for i in c.dims:
+            n = c.dim(i)
+            off = offsets[i][k]
+            ib[i] = Matrix._trusted(dims[i], n, tuple(
+                ((r - off, F1),) if off <= r < off + n else ()
+                for r in range(dims[i])))
+            pb[i] = ib[i].transpose()
+        incls.append(ChainMap(c, total, ib, check=False))
+        projs.append(ChainMap(total, c, pb, check=False))
+    return total, incls, projs
+
+
+def permutation_matrix(p: Permutation) -> Matrix:
+    """Right-action matrix on the regular-ish basis e_1..e_n: e_k -> e_{p^{-1}(k)}.
+
+    Chosen so that word evaluation matches R(p o q) = R(q) R(p).
+    """
+    return Matrix._trusted(p.n, p.n, tuple(((p(k) - 1, F1),)
+                                           for k in range(1, p.n + 1)))
+
+
+def face_permutation_decomposition(sigma: Permutation, i: int):
+    """Write sigma o delta_i^eps as delta_r^eps o tau; returns (r, tau).
+
+    This is the inverse direction of the bijection (tau, r, i) ->
+    (sigma, i)."""
+    n = sigma.n
+    composite = compose_maps(perm_map(sigma), delta_map(n, i, 0))
+    r = next(j + 1 for j, e in enumerate(composite) if e[0] == "const")
+    images = []
+    for j, e in enumerate(composite):
+        if e[0] == "in":
+            pos = j + 1
+            target = pos if pos < r else pos - 1
+            images.append((e[1], target))
+    images.sort()
+    tau = [0] * (n - 1)
+    for src, tgt in images:
+        tau[src - 1] = tgt
+    return r, Permutation(tuple(tau))
+
+
+def operad_grading_automorphism(op, alpha) -> OperadMorphism:
+    """The grading automorphism of an operad with zero differentials."""
+    maps = {}
+    for key in op.keys():
+        comp = op.component(key)
+        if comp.is_zero():
+            continue
+        maps[key] = grading_automorphism(comp, alpha)
+    return OperadMorphism(op, op, maps)
+
+
+def _tensor_vec(td, d1, v1, d2, v2):
+    """The sparse vector v1 (x) v2 of td, for sparse vectors v1 and v2 of
+    its two factors in degrees d1 and d2."""
+    return sparse_row({td.index(((d1, r1), (d2, r2)))[1]: a * b
+                       for r1, a in v1 for r2, b in v2})
+
+
+def leibniz_containment(cx, fx, cy, fy, w) -> bool:
+    """Products of the weight truncations land in the truncation of the
+    tensor product (the monoidality containment), checked exactly."""
+    tx, ty = t_functor(cx, fx, w), t_functor(cy, fy, w)
+    td = TensorData((cx, cy))
+    fx_cols = {d: m.columns() for d, m in fx.blocks.items()}
+    fy_cols = {d: m.columns() for d, m in fy.blocks.items()}
+    tensor_f_blocks = {}
+    for n in td.complex.dims:
+        cols = []
+        for (d1, k1), (d2, k2) in td.basis(n):
+            cols.append(_tensor_vec(td, d1, fx_cols[d1][k1], d2,
+                                    fy_cols[d2][k2])
+                        if d1 in fx_cols and d2 in fy_cols else ())
+        tensor_f_blocks[n] = Matrix.from_cols(cols, td.complex.dim(n))
+    tensor_f = ChainMap(td.complex, td.complex, tensor_f_blocks)
+    tt = t_functor(td.complex, tensor_f, w)
+    for n in td.complex.dims:
+        span = Subspace.from_spanning(
+            td.complex.dim(n),
+            tt.inclusion.block(n).columns()) if tt.complex.dim(n) else \
+            Subspace.zero(td.complex.dim(n))
+        for d1 in tx.complex.dims:
+            d2 = n - d1
+            if ty.complex.dim(d2) == 0:
+                continue
+            for v1 in tx.inclusion.block(d1).columns():
+                for v2 in ty.inclusion.block(d2).columns():
+                    prod = _tensor_vec(td, d1, v1, d2, v2)
+                    if prod and not span.contains(prod):
+                        return False
+    return True
+
+
+def leibniz_holds(witness, alpha=2):
+    """Whether leibniz_containment holds on every pair of nonzero
+    components of a formality witness's model that a composition joins,
+    under the witness's automorphism; False when no composition joins
+    two nonzero components."""
+    f = witness.automorphism
+    op = f.src
+    w = WeightFunction(Fraction(alpha))
+    pairs = {(k1, k2) for k1, _, k2 in op.comp_keys()
+             if not op.component(k1).is_zero()
+             and not op.component(k2).is_zero()}
+    return bool(pairs) and all(
+        leibniz_containment(op.component(k1), f.block(k1),
+                            op.component(k2), f.block(k2), w)
+        for k1, k2 in sorted(pairs))
+
+
+def cone_completion(lam: ChainMap, mu: ChainMap, eta: ChainMap,
+                    zeta: ChainMap):
+    """Complete a commutative square through the cones.
+
+    Input: eta: B -> A, mu: A -> Y, zeta: Y -> X, lam: B -> (C zeta)[-1]
+    with -p_Y lam = mu eta.  Returns (nu: C eta -> X, homotopy h) where
+    the central square commutes exactly and the right square commutes up
+    to h: incl_X nu - lam[1] proj_B = d h + h d.
+    """
+    b, a = eta.src, eta.dst
+    y, x = zeta.src, zeta.dst
+    czeta, incl_x, proj_y1 = mapping_cone(zeta)
+    # p_Y at shifted degrees: lam lands in (C zeta)[-1]_i = X_{i+1} + Y_i
+    for i in set(b.dims):
+        if lam.src.dim(i) != b.dim(i):
+            raise ValueError("lambda has the wrong source")
+        if lam.dst.dim(i) != czeta.dim(i + 1):
+            raise ValueError("lambda must land in the shifted cone")
+    # check -p_Y lam = mu eta
+    for i in b.dims:
+        lam_i = lam.block(i)
+        py = Matrix.zeros(y.dim(i), x.dim(i + 1)).hstack(
+            Matrix.identity(y.dim(i)))
+        lhs = py * lam_i
+        rhs = mu.block(i) * eta.block(i)
+        if lhs.scale(-1) != rhs:
+            raise ValueError("input square does not commute")
+    ceta, incl_a, proj_b1 = mapping_cone(eta)
+    nu_blocks = {}
+    for i in ceta.dims:
+        na, nb = a.dim(i), b.dim(i - 1)
+        left = zeta.block(i) * mu.block(i)
+        lam_x = lam.block(i - 1).submatrix(range(x.dim(i)), range(b.dim(i - 1)))
+        nu_blocks[i] = left.hstack(lam_x) if nb else left
+    nu = ChainMap(ceta, x, nu_blocks)
+    # homotopy h(a, b) = (0, mu(a)) : (C eta)_i -> (C zeta)_{i+1}
+    h = {}
+    for i in ceta.dims:
+        rows = czeta.dim(i + 1)
+        if rows == 0:
+            continue
+        na, nb = a.dim(i), b.dim(i - 1)
+        h[i] = Matrix.zeros(x.dim(i + 1), na + nb).vstack(
+            mu.block(i).hstack(Matrix.zeros(y.dim(i), nb)))
+    # verify the right square commutes up to h: lam[1] o proj_b sends
+    # (C eta)_i onto B_{i-1} and through lam into (C zeta)_i
+    lp_blocks = {}
+    for i in ceta.dims:
+        lp = Matrix.zeros(czeta.dim(i), a.dim(i))
+        lp_blocks[i] = lp.hstack(lam.block(i - 1)) if b.dim(i - 1) else lp
+    if not check_homotopy(incl_x.compose(nu),
+                          ChainMap(ceta, czeta, lp_blocks, check=False), h):
+        raise AssertionError("cone completion homotopy identity failed")
+    return nu, h

@@ -29,7 +29,6 @@ from operad_forge.cubical import (
     boundary,
     compose_maps,
     delta_map,
-    face_permutation_decomposition,
     interval_power,
     perm_map,
     sigma_tau_r_i,
@@ -70,20 +69,25 @@ from operad_forge.sigma import (
 from operad_forge.trees import (
     enumerate_stable_graphs,
     enumerate_trees,
-    graph_space,
-    tree_space,
 )
 from operad_forge.weight import (
     WeightFunction,
     formality_check,
     formality_witness_from_pure,
-    operad_grading_automorphism,
     purity_check,
     t_functor,
 )
 
 from fixtures_ops import acyclic_operad, commutative_style_operad
-from helpers import poly_eval_matrix, random_complex, random_chain_map
+from helpers import (
+    face_permutation_decomposition,
+    graph_space_data,
+    operad_grading_automorphism,
+    poly_eval_matrix,
+    random_chain_map,
+    random_complex,
+    tree_space_data,
+)
 
 
 def report(number, ok, detail):
@@ -224,13 +228,13 @@ def test_criterion_2_free_constructions_vs_oracles():
         for n in range(2, 6):
             expected = {}
             for t in enumerate_trees(n):
-                for d, v in tree_space(t, module).dims.items():
+                for d, v in tree_space_data(t, module).complex.dims.items():
                     expected[d] = expected.get(d, 0) + v
             expected = {d: v for d, v in expected.items() if v}
             assert op.component(n).dims == expected, (name, n)
     # modular: trivial and sign actions at (0,3)
     from operad_forge.sigma import coinvariants
-    from operad_forge.trees import graph_automorphisms, graph_space_data
+    from operad_forge.trees import graph_automorphisms
     from operad_forge.free import FreeModularBuilder
 
     def oracle_dims(module, key):

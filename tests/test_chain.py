@@ -13,24 +13,23 @@ from operad_forge.chain import (
     TensorData,
     canonical_truncation,
     check_homotopy,
-    direct_sum,
     homology,
     homology_dims,
     homotopy_solve,
     induced_map,
     is_weak_equivalence,
     mapping_cone,
+    reorder_map,
     shift,
     subcomplex,
     tensor,
-    tensor_data,
-    tensor_symmetry,
 )
 from operad_forge.qlinalg import (F0, F1, Matrix, image, kernel, solve,
                                   solve_matrix)
 
 from helpers import (
     dense_col,
+    direct_sum,
     greedy_homology,
     random_chain_map,
     random_complex,
@@ -261,8 +260,8 @@ class TestTensor:
         rng = random.Random(11)
         x = random_complex(rng, degree_span=(0, 2))
         y = random_complex(rng, degree_span=(0, 2))
-        s = tensor_symmetry(x, y)
-        s2 = tensor_symmetry(y, x)
+        _, s = reorder_map(TensorData((x, y)), (1, 0))
+        _, s2 = reorder_map(TensorData((y, x)), (1, 0))
         assert s2.compose(s) == ChainMap.identity(s.src)
 
     def test_leibniz_differential(self):

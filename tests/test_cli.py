@@ -86,6 +86,8 @@ def _set(path, value):
 BIN, MOD = "binary_generator.json", "modular_generator_03.json"
 # a component with no action generators, valid at any arity 1 or below
 BARE = {"action": [], "dims": {"0": 1}}
+# the sign representation of Sigma_2 in degree 0
+SIGN = {"action": [{"0": [["-1"]]}], "dims": {"0": 1}}
 
 
 @pytest.mark.parametrize("name,mutate", [
@@ -105,10 +107,25 @@ BARE = {"action": [], "dims": {"0": 1}}
     # a kind that does not fit the indexing
     (BIN, _set(("kind",), "modular")),
     (MOD, _set(("kind",), "operad")),
+    # another spelling of a key the document has: it replaced that
+    # component, degree or generator block
+    (BIN, _set(("components", "+2"), SIGN)),
+    (BIN, _set(("components", " 2"), SIGN)),
+    (BIN, _set(("components", "02"), SIGN)),
+    (BIN, _set(("components", "\u0662"), SIGN)),
+    (BIN, _set(("components", "2", "dims"), {"0": 1, "-0": 1})),
+    (BIN, _set(("components", "2", "action"), [{"+0": [["-1"]]}])),
+    (MOD, _set(("components", "0, 3"), BARE)),
+    (MOD, _set(("components", "0,+3"), BARE)),
+    # not a key the writer spells: read as 20
+    (BIN, _set(("components", "2_0"), BARE)),
 ], ids=["null-action", "list-components", "null-metadata", "float-dim",
         "string-seed", "unstable-modular-key", "nonpositive-arity",
         "bogus-indexing", "integer-indexing", "null-indexing",
-        "modular-kind-arity-indexing", "operad-kind-modular-indexing"])
+        "modular-kind-arity-indexing", "operad-kind-modular-indexing",
+        "plus-key", "space-key", "leading-zero-key", "arabic-indic-key",
+        "minus-zero-degree", "plus-action-degree", "space-modular-key",
+        "plus-modular-key", "underscore-key"])
 def test_malformed_document_exit_2_without_traceback(name, mutate, tmp_path):
     with open(fx(name)) as fh:
         payload = json.load(fh)
@@ -187,6 +204,18 @@ CELL = ("compositions", 0, "blocks", "0,0", "0,0")
     (COM, _set(("components", "2", "action"), [{"x": [["1"]]}])),
     # a kind its indexing does not match: read as arity-indexed
     (COM, _set(("kind",), "modular")),
+    # another spelling of a key: it replaced the component, block, cell
+    # or endomorphism block of that key; "+2" was read with the sign
+    # action, and validate exited 1
+    (COM, _set(("components", "+2"), SIGN)),
+    (COM, _set(("compositions", 0, "blocks"), {"0, 0": {"0,0": [[0, "1"]]}})),
+    (COM, _set(("compositions", 0, "blocks", "0,0"), {"0,+0": [[0, "1"]]})),
+    (ENDO, _set(("contractions", 0, "blocks"), {"00": {"0": [[0, "1"]]}})),
+    (ENDO, _set(("contractions", 0, "blocks", "0"), {"+0": [[0, "1"]]})),
+    (COM, _set(("endomorphism",), {"+2": {"0": [["1"]]}})),
+    (COM, _set(("endomorphism",), {"2": {" 0": [["1"]]}})),
+    # a non-ASCII digit: read as 3
+    (COM, _set(CELL, [[0, "\u0663"]])),
 ], ids=["null-compositions", "null-contractions", "list-entry", "list-blocks",
         "list-block", "string-cell", "non-list-pair", "string-slot",
         "string-source-key", "string-modular-key", "string-max-arity",
@@ -196,7 +225,11 @@ CELL = ("compositions", 0, "blocks", "0,0", "0,0")
         "negative-basis-index", "negative-contraction-index",
         "string-truncation-cut", "list-endomorphism", "list-endomorphism-blocks",
         "bad-endomorphism-degree", "bad-differential-degree",
-        "bad-action-degree", "modular-kind-arity-indexing"])
+        "bad-action-degree", "modular-kind-arity-indexing",
+        "plus-component-key", "space-block-key", "plus-cell-key",
+        "leading-zero-contraction-block", "plus-contraction-cell",
+        "plus-endomorphism-key", "space-endomorphism-degree",
+        "arabic-indic-rational"])
 def test_malformed_tables_exit_2_without_traceback(name, mutate, tmp_path):
     with open(fx(name)) as fh:
         payload = json.load(fh)

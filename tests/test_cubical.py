@@ -17,7 +17,6 @@ from operad_forge.cubical import (
     compose_maps,
     cross,
     delta_map,
-    face_permutation_decomposition,
     interval,
     interval_power,
     kappa,
@@ -30,6 +29,7 @@ from operad_forge.qlinalg import Matrix
 from operad_forge.sigma import Permutation, all_permutations
 
 from helpers import (
+    face_permutation_decomposition,
     reference_alt,
     reference_boundary,
     reference_copy,

@@ -31,7 +31,6 @@ from operad_forge.minimal import (
     MinimalModel,
     NotIsomorphicError,
     ObstructionError,
-    cone_completion,
     is_minimal,
     iso_between_minimal,
     lift,
@@ -58,7 +57,9 @@ from fixtures_ops import (
     moduli_quotient,
 )
 from helpers import (
+    cone_completion,
     greedy_extended_classify,
+    leibniz_holds,
     random_chain_map,
     random_complex,
     reference_level_blocks,
@@ -749,12 +750,14 @@ class TestHypercommutative:
         # generators in the adjacent degrees 2 and 3
         wit = formality_check(hypercommutative(4), 4)
         assert wit is not None and wit.verify()
+        assert leibniz_holds(wit)
 
     @pytest.mark.parametrize("alpha", [3, Fraction(1, 2), -2])
     def test_formality_witness_any_alpha(self, alpha):
         # the characterization of formality does not depend on alpha
         wit = formality_check(hypercommutative(4), 4, alpha=alpha)
         assert wit is not None and wit.verify() is True
+        assert leibniz_holds(wit, alpha)
 
 
 class CorollaFirstTrees(FreeOperadBuilder):
@@ -804,6 +807,7 @@ class TestModuliQuotient:
         # the characterization of formality does not depend on alpha
         wit = formality_check(moduli_quotient(2), 2, alpha=alpha)
         assert wit is not None and wit.verify() is True
+        assert leibniz_holds(wit, alpha)
 
     def test_minimal_model_window_3(self, moduli_window_3):
         # genus 0: (0, 5) is (1 + 2t)(1 + 3t), (0, 6) the arity-5

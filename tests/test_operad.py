@@ -54,10 +54,8 @@ from operad_forge.trees import (
     enumerate_stable_graphs,
     enumerate_trees,
     graph_automorphisms,
-    graph_space,
     match_graph,
     relabel_legs,
-    tree_space,
 )
 from operad_forge.weight import formality_check
 
@@ -72,11 +70,13 @@ from helpers import (
     _leaf_relabel,
     dense_col,
     evaluate_graph_basis,
+    graph_space_data,
     one_vector_closure,
     planar_expanded,
     planar_grafted,
     planar_match,
     to_sparse,
+    tree_space_data,
     tree_to_planar,
 )
 from helpers import evaluate_tree_basis as ref_evaluate_tree_basis
@@ -108,7 +108,7 @@ class TestFreeOperad:
             for n in (2, 3, 4):
                 expected = {}
                 for tree in enumerate_trees(n):
-                    dims = tree_space(tree, module).dims
+                    dims = tree_space_data(tree, module).complex.dims
                     for d, v in dims.items():
                         expected[d] = expected.get(d, 0) + v
                 expected = {d: v for d, v in expected.items() if v}
@@ -368,7 +368,7 @@ class TestFreeModular:
         for key in [(0, 3), (0, 4), (1, 1), (0, 5), (1, 2)]:
             expected = {}
             for graph in enumerate_stable_graphs(*key):
-                space = graph_space(graph, mod)
+                space = graph_space_data(graph, mod).complex
                 if space.is_zero():
                     continue
                 # coinvariants under the automorphisms, computed directly
@@ -610,6 +610,31 @@ class TestWeakEquivalence:
         q, proj = quotient(op, ideal)
         ok, _ = weak_equivalence_test(proj)
         assert ok
+
+
+class TestMorphismEquivariance:
+    """OperadMorphism.validate checks every block against the generators
+    of both Sigma-actions."""
+
+    @staticmethod
+    def regular_arity2():
+        c = ChainComplex({0: 2})
+        swap = ChainMap(c, c, {0: Matrix.from_rows([[0, 1], [1, 0]])})
+        return DGOperad(SigmaModule({2: GroupAction(2, c, [swap])}), {}, 2)
+
+    def test_equivariance_ok_for_identity_and_zero(self):
+        op = self.regular_arity2()
+        c = op.component(2)
+        assert OperadMorphism.identity(op).validate() == []
+        assert OperadMorphism(op, op, {2: ChainMap.zero_map(c, c)}) \
+            .validate() == []
+
+    def test_non_equivariant_map_flagged(self):
+        op = self.regular_arity2()
+        c = op.component(2)
+        f = ChainMap(c, c, {0: Matrix.from_rows([[1, 0], [0, 0]])})
+        report = OperadMorphism(op, op, {2: f}).validate()
+        assert report == ["component 2: not equivariant at s_1"]
 
 
 class TestHomologyOperad:

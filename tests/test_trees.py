@@ -24,18 +24,17 @@ from operad_forge.trees import (
     graft_graphs,
     graph_automorphisms,
     graph_isomorphisms,
-    graph_space,
     leaf,
     match_graph,
     node,
     relabel_legs,
     self_glue,
-    tree_space,
 )
 
 from helpers import (PlanarNode, assert_value_semantics, brute_canonical_key,
-                     brute_graph_isomorphisms, normalize_planar,
-                     planar_substitute_leaf, tree_to_planar)
+                     brute_graph_isomorphisms, graph_space_data,
+                     normalize_planar, planar_substitute_leaf, tree_space_data,
+                     tree_to_planar)
 
 
 # -- oracles ------------------------------------------------------------------
@@ -202,18 +201,18 @@ class TestTreeSpace:
 
     def test_single_vertex(self):
         corolla = enumerate_trees(2)[0]
-        assert tree_space(corolla, self.module).dims == {0: 1}
+        assert tree_space_data(corolla, self.module).complex.dims == {0: 1}
 
     def test_degree_additivity(self):
         deg1 = SigmaModule({2: GroupAction.trivial(2, ChainComplex({1: 1}))})
         two_vertex = node([leaf(1), node([leaf(2), leaf(3)])])
-        assert tree_space(two_vertex, deg1).dims == {2: 1}
+        assert tree_space_data(two_vertex, deg1).complex.dims == {2: 1}
 
     def test_unsupported_valence_gives_zero(self):
         four = enumerate_trees(4)[0:1][0]
         # corolla with 4 inputs is not in the module support
         corolla4 = [t for t in enumerate_trees(4) if len(t.vertices()) == 1][0]
-        assert tree_space(corolla4, self.module).is_zero()
+        assert tree_space_data(corolla4, self.module).complex.is_zero()
 
 
 # -- stable graphs ------------------------------------------------------------
@@ -487,7 +486,7 @@ class TestGraphSpace:
             (0, 3): GroupAction.trivial(3, ChainComplex({0: 2})),
         })
         corolla = enumerate_stable_graphs(0, 3)[0]
-        assert graph_space(corolla, mod).dims == {0: 2}
+        assert graph_space_data(corolla, mod).complex.dims == {0: 2}
 
     def test_self_loop_space_dims(self):
         from operad_forge.sigma import ModularSigmaModule
@@ -496,7 +495,7 @@ class TestGraphSpace:
         })
         loop = [g for g in enumerate_stable_graphs(1, 1) if g.edges][0]
         # legs of the loop are inputs of the same vertex
-        assert graph_space(loop, mod).dims == {0: 3}
+        assert graph_space_data(loop, mod).complex.dims == {0: 3}
 
     def test_two_vertex_tensor(self):
         from operad_forge.sigma import ModularSigmaModule
@@ -504,7 +503,7 @@ class TestGraphSpace:
             (0, 3): GroupAction.trivial(3, ChainComplex({0: 2})),
         })
         twov = [g for g in enumerate_stable_graphs(0, 4) if g.n_vertices == 2][0]
-        assert graph_space(twov, mod).dims == {0: 4}
+        assert graph_space_data(twov, mod).complex.dims == {0: 4}
 
 
 # -- value semantics ----------------------------------------------------------

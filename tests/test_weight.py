@@ -24,16 +24,20 @@ from operad_forge.weight import (
     formality_check,
     formality_witness_from_pure,
     grading_automorphism,
-    leibniz_containment,
-    operad_grading_automorphism,
     purity_check,
     t_functor,
     weight_decompose,
 )
 
 from fixtures_ops import commutative_style_operad
-from helpers import dense_cols
-from test_minimal import massey_minimal_operad
+from helpers import (
+    dense_cols,
+    direct_sum,
+    leibniz_containment,
+    leibniz_holds,
+    operad_grading_automorphism,
+)
+from test_minimal import fixture_document, massey_minimal_operad
 
 W2 = WeightFunction(Fraction(2))
 
@@ -187,7 +191,6 @@ class TestTFunctor:
     def test_direct_sum_additivity(self):
         a = ChainComplex({0: 1, 1: 1})
         b = ChainComplex({1: 1, 0: 1}, {1: Matrix.from_rows([[1]])})
-        from operad_forge.chain import direct_sum
         total, _, _ = direct_sum([a, b])
         fa = grading_automorphism(a, 2)
         fb = ChainMap(b, b, {1: Matrix.from_rows([[2]]),
@@ -252,6 +255,16 @@ class TestLeibnizContainment:
                              0: Matrix.from_rows([[2]])})
         assert leibniz_containment(a, fa, a, fa, W2)
         assert leibniz_containment(a, fa, b, fb, W2)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("name", ["commutative_window3.json",
+                                      "endomorphism_dim1.json"])
+    def test_on_golden_witnesses(self, name, seed):
+        # the weight truncation is monoidal on every pair of model
+        # components that a composition joins
+        wit = formality_check(fixture_document(name), seed=seed)
+        assert wit is not None and wit.verify() is True
+        assert leibniz_holds(wit)
 
 
 class TestFormalityWitness:
