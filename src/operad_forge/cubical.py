@@ -7,8 +7,9 @@ zero (normalized on read).  Product sets carry the coordinate
 permutation action by precomposition; ``alt`` sums its signed orbits,
 a product's built from its factors' by shuffles, so kappa(c, d) =
 alt(c x d) is defined on products of symmetric sets.  ``boundary``
-reads each cube's faces in one pass; both sum integer numerators and
-make one ``Fraction`` per output cube.
+reads each cube's faces in one pass.  A product keeps each cube's faces
+and orbit once worked out; both operators sum integers into one
+``Fraction`` per output cube, none of them degenerate.
 
 The permutation bijection sending (tau, r, i) to the unique sigma with
 sigma o delta_i^eps = delta_r^eps o tau is implemented directly on
@@ -148,6 +149,13 @@ class FiniteCubicalSet:
         return [self.face_table[cube, i, eps]
                 for i in range(1, n + 1) for eps in (0, 1)]
 
+    def _boundary(self, cube, n):
+        """The faces in (i, eps) order, each with its sign (-1)^{i+eps}
+        in the boundary, or with 0 if it is degenerate."""
+        return [(f, 0 if f in self.degenerate
+                 else (-1) ** (k // 2 + 1 + k % 2))
+                for k, f in enumerate(self._faces(cube, n))]
+
     def is_degenerate(self, cube):
         return cube in self.degenerate
 
@@ -200,12 +208,22 @@ class ProductCubicalSet:
     A p-cube is (a, b, S) where S is the sorted tuple of coordinate
     positions feeding a; this is the smallest cube collection containing
     the products a x b and stable under faces and the permutation
-    action.
+    action.  Products of the same factors are equal; each keeps the
+    faces and orbits it is asked for (``_face_entries``, ``_orbits``).
     """
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
+        self._face_entries = {}
+        self._orbits = {}
+
+    def __eq__(self, other):
+        return (isinstance(other, ProductCubicalSet)
+                and (self.left, self.right) == (other.left, other.right))
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
     def dims(self):
         return sorted({p + q for p in self.left.dims()
@@ -235,24 +253,36 @@ class ProductCubicalSet:
         n = self.dim_of(cube)
         if not (1 <= i <= n and eps in (0, 1)):
             raise KeyError((cube, i, eps))
-        return self._faces(cube, n)[2 * i - 2 + eps]
+        return self._boundary(cube, n)[2 * i - 2 + eps][0]
 
     def _faces(self, cube, n):
-        """The 2n faces of (a, b, S) in (i, eps) order: coordinate i is
-        a's k-th if S[k - 1] = i, else b's (i - k)-th, k entries of S below."""
+        return [f for f, _ in self._boundary(cube, n)]
+
+    def _boundary(self, cube, n):
+        """As for a finite set, kept: coordinate i of (a, b, S) is a's k-th
+        if S[k - 1] = i, else b's (i - k)-th, k entries of S below.  Like
+        an orbit, an entry depends on the cube alone, not on n."""
+        entry = self._face_entries.get(cube)
+        if entry is not None:
+            return entry
         a, b, S = cube
-        p = len(S)
-        fa, fb = self.left._faces(a, p), self.right._faces(b, n - p)
+        p, q = len(S), self.right.dim_of(b)
+        fa, fb = self.left._boundary(a, p), self.right._boundary(b, q)
+        ta = 0 if self.right.is_degenerate(b) else 1
+        tb = 0 if self.left.is_degenerate(a) else 1
         out, k = [], 0
-        for i in range(1, n + 1):
+        for i in range(1, p + q + 1):
             if k < p and S[k] == i:
                 S2 = S[:k] + tuple([s - 1 for s in S[k + 1:]])
-                out += ((fa[2 * k], b, S2), (fa[2 * k + 1], b, S2))
+                t = ta * (-1) ** (i + k + 1)
+                out += [((f, b, S2), x * t) for f, x in fa[2 * k:2 * k + 2]]
                 k += 1
             else:
                 S2, j = S[:k] + tuple([s - 1 for s in S[k:]]), 2 * (i - k)
-                out += ((a, fb[j - 2], S2), (a, fb[j - 1], S2))
-        return out
+                t = tb * (-1) ** k
+                out += [((a, f, S2), x * t) for f, x in fb[j - 2:j]]
+        entry = self._face_entries[cube] = tuple(out)
+        return entry
 
     def act(self, cube, sigma: Permutation):
         """Right action by precomposition: the new cube reads its a-part
@@ -278,13 +308,18 @@ class ProductCubicalSet:
         """Sum of (-1)^{|sigma|} (a, b, S) o sigma over Sigma_n, {cube: int}:
         Sigma_n = Sh(p, q) (Sigma_p x Sigma_q) gives orbit(a) x orbit(b)
         at each p-set T, signed by the shuffles placing S and T."""
+        orbit = self._orbits.get(cube)
+        if orbit is not None:
+            return orbit
         a, b, S = cube
-        p = len(S)
+        p, q = len(S), self.right.dim_of(b)
         pairs = [(a2, b2, x * y) for a2, x in self.left._orbit(a, p).items()
-                 for b2, y in self.right._orbit(b, n - p).items()]
-        return {(a2, b2, T): -x if (sum(S) + sum(T)) % 2 else x
-                for T in itertools.combinations(range(1, n + 1), p)
-                for a2, b2, x in pairs}
+                 for b2, y in self.right._orbit(b, q).items()]
+        orbit = self._orbits[cube] = {
+            (a2, b2, T): -x if (sum(S) + sum(T)) % 2 else x
+            for T in itertools.combinations(range(1, p + q + 1), p)
+            for a2, b2, x in pairs}
+        return orbit
 
 
 def interval_power(n: int):
@@ -318,6 +353,13 @@ class CubicChain:
         self.coeffs = clean
 
     @classmethod
+    def _normal(cls, space, dim, coeffs):
+        """A chain of nonzero ``Fraction``s on nondegenerate cubes."""
+        chain = cls.__new__(cls)
+        chain.space, chain.dim, chain.coeffs = space, dim, coeffs
+        return chain
+
+    @classmethod
     def of_cube(cls, space, cube):
         return cls(space, space.dim_of(cube), {cube: F1})
 
@@ -325,7 +367,7 @@ class CubicChain:
         return not self.coeffs
 
     def __add__(self, other):
-        if other.dim != self.dim or other.space is not self.space:
+        if other.dim != self.dim or other.space != self.space:
             raise ValueError("chain mismatch")
         coeffs = dict(self.coeffs)
         for cube, x in other.coeffs.items():
@@ -346,22 +388,22 @@ class CubicChain:
 
 
 def _expand(chain, dim, terms, scale=1):
-    """Sum of x * k / scale t over (c, x) in chain, (t, k) in terms(c)."""
+    """Sum of x * k / scale t over (c, x) in chain, (t, k) in terms(c);
+    every t with k != 0 must be nondegenerate."""
     den = lcm(*(x.denominator for x in chain.coeffs.values()))
     out = {}
     for cube, x in chain.coeffs.items():
         m = x.numerator * (den // x.denominator)
         for t, k in terms(cube):
             out[t] = out[t] + k * m if t in out else k * m
-    return CubicChain(chain.space, dim, {t: Fraction(v, den * scale)
-                                         for t, v in out.items() if v})
+    return CubicChain._normal(chain.space, dim, {
+        t: Fraction(v, den * scale) for t, v in out.items() if v})
 
 
 def boundary(chain: CubicChain) -> CubicChain:
     """d(c) = sum over (i, eps) of (-1)^{i+eps} c o delta_i^eps."""
     n, space = chain.dim, chain.space
-    signs = [(-1) ** (i + eps) for i in range(1, n + 1) for eps in (0, 1)]
-    return _expand(chain, n - 1, lambda c: zip(space._faces(c, n), signs))
+    return _expand(chain, n - 1, lambda c: space._boundary(c, n))
 
 
 def cross(cx: CubicChain, cy: CubicChain, product=None) -> CubicChain:

@@ -45,6 +45,20 @@ def random_chain(rng, space, dim, size=3):
     return CubicChain(space, dim, coeffs)
 
 
+def pinched_square():
+    """A square whose face (1, 0) is the degenerate 1-cube ``c0`` and
+    whose other faces are the loop ``id``, all at one vertex ``0``: a
+    nondegenerate cube with a degenerate face, named like the
+    interval's cubes."""
+    return FiniteCubicalSet(
+        {0: ["0"], 1: ["id", "c0"], 2: ["s"]},
+        {("id", 1, 0): "0", ("id", 1, 1): "0",
+         ("c0", 1, 0): "0", ("c0", 1, 1): "0",
+         ("s", 1, 0): "c0", ("s", 1, 1): "id",
+         ("s", 2, 0): "id", ("s", 2, 1): "id"},
+        degenerate={"c0"})
+
+
 def flatten(space, cube, coords=None):
     """Normal form of an iterated interval-product cube: the interval
     letter read by each global coordinate, plus the constant letters."""
@@ -196,6 +210,24 @@ class TestBoundary:
         ch = CubicChain(I, 1, {"c0": Fraction(5)})
         assert ch.is_zero()
 
+    def test_degenerate_face_dropped(self):
+        X = pinched_square()
+        ch = CubicChain.of_cube(X, "s")
+        assert boundary(ch).coeffs == {"id": Fraction(1)}
+        assert boundary(ch) == reference_boundary(ch)
+        I = interval()
+        for P in (ProductCubicalSet(X, I), ProductCubicalSet(I, X)):
+            dropped = 0
+            for p in P.dims():
+                for cube in P.cubes(p):
+                    if P.is_degenerate(cube):
+                        continue
+                    chain = CubicChain.of_cube(P, cube)
+                    assert boundary(chain) == reference_boundary(chain)
+                    dropped += sum(map(P.is_degenerate, P._faces(cube, p)))
+            # c0 x id at each of the three S of s x id, c0 x each endpoint
+            assert dropped == 3 + 2
+
 
 class TestCross:
     def test_unit(self):
@@ -224,6 +256,19 @@ class TestCross:
             rhs = cross(boundary(cx), cy, prod_space) \
                 + cross(cx, boundary(cy), prod_space).scale((-1) ** cx.dim)
             assert lhs == rhs
+
+    def test_sums_of_cross_results(self):
+        # cross builds its product space on each call; products of the
+        # same factor spaces are one space
+        I = interval()
+        c = CubicChain.of_cube(I, "id")
+        assert cross(c, c) + cross(c, c) == cross(c, c).scale(2)
+        assert ProductCubicalSet(I, I) == ProductCubicalSet(I, I)
+        assert hash(ProductCubicalSet(I, I)) == hash(ProductCubicalSet(I, I))
+        other = CubicChain.of_cube(interval(), "id")
+        assert ProductCubicalSet(I, I) != ProductCubicalSet(I, other.space)
+        with pytest.raises(ValueError, match="chain mismatch"):
+            cross(c, c) + cross(c, other)
 
 
 class TestAlt:
@@ -581,3 +626,88 @@ class TestShuffleAltAndFacePass:
                 space.act(cube, Permutation.identity(3))
         with pytest.raises(ValueError, match="wrong size"):
             act(CubicChain.of_cube(I, "id"), Permutation.identity(3))
+
+
+# -- the face and orbit tables of a product ------------------------------------
+
+
+def product_levels(space):
+    """A product and its nested product factors."""
+    if not isinstance(space, ProductCubicalSet):
+        return []
+    return [space] + product_levels(space.left) + product_levels(space.right)
+
+
+def check_faces(X, R, cube, p):
+    keys = [(i, eps) for i in range(1, p + 1) for eps in (0, 1)]
+    faces = [R.face(cube, i, eps) for i, eps in keys]
+    assert X._faces(cube, p) == faces
+    assert [X.face(cube, i, eps) for i, eps in keys] == faces
+    # each face with its sign in d, or with 0 if it is degenerate
+    assert X._boundary(cube, p) == tuple(
+        (f, 0 if R.is_degenerate(f) else (-1) ** (i + eps))
+        for f, (i, eps) in zip(faces, keys))
+
+
+def check_reads(X, R, cube, p):
+    check_faces(X, R, cube, p)
+    assert X._orbit(cube, p) == reference_orbit(X, cube, p)
+
+
+def check_operators(X, R, cube, p):
+    if not X.is_degenerate(cube):
+        chain = CubicChain.of_cube(X, cube)
+        assert alt(chain) == reference_alt(chain)
+        assert boundary(chain) == reference_boundary(chain)
+
+
+class TestFaceAndOrbitTables:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_first_and_second_reads(self, n):
+        # every cube of I^4, the nondegenerate ones of I^5; half of them
+        # enter the tables through alt and boundary, half through the reads
+        X = interval_power(n)
+        R = reference_copy(X)
+        for p in X.dims():
+            cubes = [c for c in X.cubes(p) if n == 4 or not X.is_degenerate(c)]
+            for k, cube in enumerate(cubes):
+                checks = (check_reads, check_operators)[::1 - 2 * (k % 2)]
+                for check in checks + checks:
+                    check(X, R, cube, p)
+        expected = sum(map(len, map(X.cubes, X.dims()))) if n == 4 else 872
+        assert len(X._face_entries) == len(X._orbits) == expected
+
+    def test_no_table_holds_a_degenerate_cube(self):
+        X = interval_power(5)
+        nondegenerate = [c for p in (4, 5) for c in X.cubes(p)
+                         if not X.is_degenerate(c)]
+        for cube in nondegenerate:
+            chain = CubicChain.of_cube(X, cube)
+            boundary(chain)
+            alt(chain)
+        assert len(X._face_entries) == len(X._orbits) \
+            == len(nondegenerate) == 120 + 240
+        levels = product_levels(X)
+        assert len(levels) == 4
+        for Y in levels:
+            assert Y._face_entries and Y._orbits
+            for cube, signed in Y._face_entries.items():
+                # every face of a nondegenerate cube of I^5 is nondegenerate
+                faces = [f for f, _ in signed]
+                assert not any(map(Y.is_degenerate, [cube] + faces))
+                assert all(sign for _, sign in signed)
+            for cube, orbit in Y._orbits.items():
+                assert not any(map(Y.is_degenerate, (cube, *orbit)))
+
+    def test_each_product_keeps_its_own_tables(self):
+        # the pinched square reuses the interval's cube names, so a cube
+        # such as ("id", "id", (1,)) lies in both products, with other faces
+        I = interval()
+        spaces = [ProductCubicalSet(pinched_square(), I),
+                  ProductCubicalSet(I, I)]
+        for P in spaces + spaces:
+            R = reference_copy(P)
+            for cube in P.cubes(2):
+                check_faces(P, R, cube, 2)
+                chain = CubicChain.of_cube(P, cube)
+                assert boundary(chain) == reference_boundary(chain)
