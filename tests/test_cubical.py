@@ -671,7 +671,9 @@ class TestFaceAndOrbitTables:
         for p in X.dims():
             cubes = [c for c in X.cubes(p) if n == 4 or not X.is_degenerate(c)]
             for k, cube in enumerate(cubes):
-                checks = (check_reads, check_operators)[::1 - 2 * (k % 2)]
+                checks = [check_reads, check_operators]
+                if k % 2:
+                    checks.reverse()
                 for check in checks + checks:
                     check(X, R, cube, p)
         expected = sum(map(len, map(X.cubes, X.dims()))) if n == 4 else 872
