@@ -268,18 +268,20 @@ class ProductCubicalSet:
         a, b, S = cube
         p, q = len(S), self.right.dim_of(b)
         fa, fb = self.left._boundary(a, p), self.right._boundary(b, q)
-        ta = 0 if self.right.is_degenerate(b) else 1
-        tb = 0 if self.left.is_degenerate(a) else 1
+        # x * t: the factor's sign of a face made (-1)^{i+eps}, or 0 when
+        # the factor's face or the other factor's cube is degenerate
+        keep_a = 0 if self.right.is_degenerate(b) else 1
+        keep_b = 0 if self.left.is_degenerate(a) else 1
         out, k = [], 0
         for i in range(1, p + q + 1):
             if k < p and S[k] == i:
                 S2 = S[:k] + tuple([s - 1 for s in S[k + 1:]])
-                t = ta * (-1) ** (i + k + 1)
+                t = keep_a * (-1) ** (i + k + 1)
                 out += [((f, b, S2), x * t) for f, x in fa[2 * k:2 * k + 2]]
                 k += 1
             else:
                 S2, j = S[:k] + tuple([s - 1 for s in S[k:]]), 2 * (i - k)
-                t = tb * (-1) ** k
+                t = keep_b * (-1) ** k
                 out += [((a, f, S2), x * t) for f, x in fb[j - 2:j]]
         entry = self._face_entries[cube] = tuple(out)
         return entry
