@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 
 from .chain import ChainComplex, ChainMap
-from .operad import CompTable, ContrTable, DGOperad, ModularOperad
+from .operad import CompTable, DGOperad, ModularOperad
 from .qlinalg import Matrix
 from .sigma import GroupAction, ModularSigmaModule, SigmaModule
 
@@ -158,23 +158,22 @@ def _component_from_doc(key, doc):
         raise DocumentError(f"component {key}: {exc}") from exc
 
 
-def _comp_tables_to_doc(comp, modular):
+def _tables_to_doc(tables):
+    """The document entries of a dict source -> CompTable, compositions
+    and contractions alike: a block key joins the sources' degrees with
+    commas and a cell key their basis indices."""
     out = []
-    for trip in sorted(comp, key=lambda t: str(t)):
-        table = comp[trip]
-        key1, i, key2 = trip
+    for source in sorted(tables, key=str):
         blocks = {}
-        for (d1, d2), cells in sorted(table.entries.items(),
-                                      key=lambda kv: str(kv[0])):
-            entry = {}
-            for (k1, k2), cell in sorted(cells.items()):
-                for row, coeff in sorted(cell.items()):
-                    entry.setdefault(f"{k1},{k2}", []).append(
-                        [row, rational_to_str(coeff)])
+        for degrees, cells in tables[source].entries.items():
+            entry = {",".join(map(str, indices)):
+                     [[row, rational_to_str(coeff)]
+                      for row, coeff in sorted(cell.items())]
+                     for indices, cell in cells.items() if cell}
             if entry:
-                blocks[f"{d1},{d2}"] = entry
-        out.append({"source": [list(key1) if modular else key1, i,
-                               list(key2) if modular else key2],
+                blocks[",".join(map(str, degrees))] = entry
+        out.append({"source": [list(x) if type(x) is tuple else x
+                               for x in source],
                     "blocks": blocks})
     return out
 
@@ -206,106 +205,68 @@ def _cells(rowlist, what):
         yield _expect(pair[0], int, f"{what}: row"), rational_from_str(pair[1])
 
 
-def _comp_tables_from_doc(entries, modular):
-    comp = {}
-    for item in _expect(entries, list, "compositions"):
-        src = _expect(item, dict, "composition entry").get("source")
-        if not isinstance(src, list) or len(src) != 3:
-            raise DocumentError("composition entry needs [key, slot, key]")
-        key1 = _table_key(src[0], modular, "composition source")
-        key2 = _table_key(src[2], modular, "composition source")
-        i = _expect(src[1], int, "composition slot")
-        table = CompTable()
+def _tables_from_doc(entries, what, places, modular):
+    """{source: CompTable} from the entries of a document's compositions
+    or contractions.  ``places`` names the three places of a source: a
+    "key" is a component key, one per source of the map, and any other
+    place a leg number.  A source listed twice, or a row listed twice in
+    one cell, is malformed."""
+    n = places.count("key")
+    tables = {}
+    for item in _expect(entries, list, f"{what}s"):
+        src = _expect(item, dict, f"{what} entry").get("source")
+        if type(src) is not list or len(src) != len(places):
+            raise DocumentError(f"{what} entry needs [{', '.join(places)}]")
+        source = tuple(
+            _table_key(x, modular, f"{what} source") if place == "key"
+            else _expect(x, int, f"{what} {place}")
+            for x, place in zip(src, places))
+        if source in tables:
+            raise DocumentError(f"{what} {source} listed twice")
+        table = tables[source] = CompTable()
         for degs, cells in _expect(item.get("blocks", {}), dict,
-                                   "composition blocks").items():
-            d1, d2 = _ints(degs, 2, "composition block")
-            for pair, rowlist in _expect(cells, dict,
-                                         "composition block").items():
-                k1, k2 = _ints(pair, 2, "composition cell")
-                for row, coeff in _cells(rowlist, "composition cell"):
-                    table.add(d1, k1, d2, k2, row, coeff)
-        comp[(key1, i, key2)] = table
-    return comp
-
-
-def _contr_tables_to_doc(contr):
-    out = []
-    for (key, i, j) in sorted(contr, key=str):
-        table = contr[(key, i, j)]
-        blocks = {}
-        for d, cells in sorted(table.entries.items()):
-            entry = {}
-            for k, cell in sorted(cells.items()):
-                for row, coeff in sorted(cell.items()):
-                    entry.setdefault(str(k), []).append(
-                        [row, rational_to_str(coeff)])
-            if entry:
-                blocks[str(d)] = entry
-        out.append({"source": [list(key), i, j], "blocks": blocks})
-    return out
-
-
-def _contr_tables_from_doc(entries):
-    contr = {}
-    for item in _expect(entries, list, "contractions"):
-        src = _expect(item, dict, "contraction entry").get("source")
-        if not isinstance(src, list) or len(src) != 3:
-            raise DocumentError("contraction entry needs [key, i, j]")
-        key = _table_key(src[0], True, "contraction source")
-        i = _expect(src[1], int, "contraction leg")
-        j = _expect(src[2], int, "contraction leg")
-        table = ContrTable()
-        for d, cells in _expect(item.get("blocks", {}), dict,
-                                "contraction blocks").items():
-            d, = _ints(d, 1, "contraction block")
-            for k, rowlist in _expect(cells, dict,
-                                      "contraction block").items():
-                k, = _ints(k, 1, "contraction cell")
-                for row, coeff in _cells(rowlist, "contraction cell"):
-                    table.add(d, k, row, coeff)
-        contr[(key, i, j)] = table
-    return contr
+                                   f"{what} blocks").items():
+            degrees = _ints(degs, n, f"{what} block")
+            block = {}
+            for cell_s, rowlist in _expect(cells, dict,
+                                           f"{what} block").items():
+                indices = _ints(cell_s, n, f"{what} cell")
+                cell = {}
+                for row, coeff in _cells(rowlist, f"{what} cell"):
+                    if row in cell:
+                        raise DocumentError(
+                            f"{what} {source}: row {row} listed twice in "
+                            f"cell {cell_s!r} of block {degs!r}")
+                    cell[row] = coeff
+                cell = {row: coeff for row, coeff in cell.items() if coeff}
+                if cell:
+                    block[indices] = cell
+            if block:
+                table.entries[degrees] = block
+    return tables
 
 
 def to_document(obj, name="", seed=0, tower=None) -> dict:
     """Serialize an operad, modular operad or (modular) Sigma-module."""
-    doc = {"format": FORMAT_VERSION,
-           "metadata": {"name": name, "seed": seed}}
-    if isinstance(obj, ModularOperad):
-        doc["kind"] = "modular" if obj.cut is None else "truncated"
-        doc["indexing"] = "modular"
-        doc["window"] = {"max_dim": obj.max_dim}
-        if obj.cut is not None:
-            doc["truncation_cut"] = obj.cut
-        doc["components"] = {
-            _key_to_str(k): _component_to_doc(ga)
-            for k, ga in sorted(obj.module.components.items())}
-        doc["compositions"] = _comp_tables_to_doc(obj.comp, True)
-        doc["contractions"] = _contr_tables_to_doc(obj.contr)
-    elif isinstance(obj, DGOperad):
-        doc["kind"] = "operad" if obj.cut is None else "truncated"
-        doc["indexing"] = "arity"
-        doc["window"] = {"max_arity": obj.max_arity}
-        if obj.cut is not None:
-            doc["truncation_cut"] = obj.cut
-        doc["components"] = {
-            _key_to_str(k): _component_to_doc(ga)
-            for k, ga in sorted(obj.module.components.items())}
-        doc["compositions"] = _comp_tables_to_doc(obj.comp, False)
-    elif isinstance(obj, ModularSigmaModule):
-        doc["kind"] = "sigma-module"
-        doc["indexing"] = "modular"
-        doc["components"] = {
-            _key_to_str(k): _component_to_doc(ga)
-            for k, ga in sorted(obj.components.items())}
-    elif isinstance(obj, SigmaModule):
-        doc["kind"] = "sigma-module"
-        doc["indexing"] = "arity"
-        doc["components"] = {
-            _key_to_str(k): _component_to_doc(ga)
-            for k, ga in sorted(obj.components.items())}
-    else:
+    operad = isinstance(obj, (DGOperad, ModularOperad))
+    module = obj.module if operad else obj
+    if not isinstance(module, (SigmaModule, ModularSigmaModule)):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+    modular = isinstance(module, ModularSigmaModule)
+    doc = {"format": FORMAT_VERSION,
+           "metadata": {"name": name, "seed": seed},
+           "kind": "sigma-module",
+           "indexing": "modular" if modular else "arity",
+           "components": {_key_to_str(k): _component_to_doc(ga)
+                          for k, ga in sorted(module.components.items())}}
+    if operad:
+        doc["kind"] = obj.kind if obj.cut is None else "truncated"
+        doc["window"] = {"max_dim" if modular else "max_arity": obj.window}
+        if obj.cut is not None:
+            doc["truncation_cut"] = obj.cut
+        doc["compositions"] = _tables_to_doc(obj.comp)
+        if modular:
+            doc["contractions"] = _tables_to_doc(obj.contr)
     if tower:
         doc["tower"] = tower
     return doc
@@ -350,7 +311,8 @@ def from_document(doc):
         raise DocumentError(str(exc)) from exc
     if kind == "sigma-module":
         return module, metadata
-    comp = _comp_tables_from_doc(doc.get("compositions", []), modular)
+    comp = _tables_from_doc(doc.get("compositions", []), "composition",
+                            ("key", "slot", "key"), modular)
     cut = doc.get("truncation_cut") if kind == "truncated" else None
     if kind == "truncated" and cut is None:
         raise DocumentError("truncated document needs truncation_cut")
@@ -361,7 +323,8 @@ def from_document(doc):
     if window.get(bound) is None:
         raise DocumentError(f"{kind} document needs window.{bound}")
     top = _expect(window[bound], int, f"window.{bound}")
-    contr = (_contr_tables_from_doc(doc.get("contractions", []))
+    contr = (_tables_from_doc(doc.get("contractions", []), "contraction",
+                              ("key", "leg", "leg"), True)
              if modular else None)
     try:
         if modular:
@@ -388,43 +351,28 @@ def from_document(doc):
 
 
 def _check_table_indices(op):
-    """Every referenced degree pair and basis index must be in range."""
-    for (key1, i, key2), table in op.comp.items():
-        if not (1 <= i <= op.legs(key1)):
-            raise DocumentError(f"composition slot {i} out of range for {key1}")
-        try:
-            tkey = op.comp_target(key1, i, key2)
-            c1, c2, ct = (op.component(key1), op.component(key2),
-                          op.component(tkey))
-        except (ValueError, KeyError) as exc:
-            raise DocumentError(f"bad composition source {key1}, {key2}") \
-                from exc
-        for (d1, d2), cells in table.entries.items():
-            for (k1, k2), cell in cells.items():
-                if not (0 <= k1 < c1.dim(d1) and 0 <= k2 < c2.dim(d2)):
-                    raise DocumentError(
-                        f"composition {key1} o_{i} {key2}: basis index out "
-                        f"of range at degrees ({d1},{d2})")
-                for row in cell:
-                    if not 0 <= row < ct.dim(d1 + d2):
+    """Every structure-map key must be one of the window's, and every
+    referenced basis index and target row in range."""
+    for name, tables, keys, sources, target, _ in op.structure_maps():
+        window = set(keys())
+        for trip, table in tables.items():
+            if trip not in window:
+                raise DocumentError(f"{name} {trip}: keys or legs out of "
+                                    "range for the window")
+            dims = [op.component(key).dim for key in sources(*trip)]
+            ct = op.component(target(*trip))
+            for degrees, cells in table.entries.items():
+                for indices, cell in cells.items():
+                    if not all(0 <= k < dim(d) for k, dim, d
+                               in zip(indices, dims, degrees)):
                         raise DocumentError(
-                            f"composition {key1} o_{i} {key2}: target row "
-                            f"out of range at degree {d1 + d2}")
-    for (key, i, j), table in op.contr.items():
-        c = op.component(key)
-        ct = op.component(op.contr_target(key))
-        if not (1 <= i < j <= key[1]):
-            raise DocumentError(f"contraction legs ({i},{j}) out of range "
-                                f"for {key}")
-        for d, cells in table.entries.items():
-            for k, cell in cells.items():
-                if not 0 <= k < c.dim(d):
-                    raise DocumentError(f"contraction on {key}: basis index "
-                                        f"out of range at degree {d}")
-                for row in cell:
-                    if not 0 <= row < ct.dim(d):
-                        raise DocumentError(f"contraction on {key}: target "
-                                            f"row out of range at degree {d}")
+                            f"{name} {trip}: basis index out of range at "
+                            f"degrees {degrees}")
+                    if not all(0 <= row < ct.dim(sum(degrees))
+                               for row in cell):
+                        raise DocumentError(
+                            f"{name} {trip}: target row out of range at "
+                            f"degree {sum(degrees)}")
 
 
 def dumps(doc) -> str:

@@ -40,7 +40,6 @@ from .sigma import (
 )
 from .operad import (
     CompTable,
-    ContrTable,
     DGOperad,
     ModularOperad,
     OperadMorphism,
@@ -769,7 +768,7 @@ class FreeModularBuilder(_FreeBuilder):
                                T.concrete_from_canonical(sub.item[0]))
 
     def contraction_table(self, key, i, j):
-        table = ContrTable()
+        table = CompTable()
         tkey = self.shape.contr_target(key)
         for s, (graph, _, _) in enumerate(self.summands[key]):
             found = self._match(
@@ -955,7 +954,7 @@ def endomorphism_modular_operad(v: ChainComplex, pairing,
         if tkey not in tds:
             continue
         td, tdt = tds[key], tds[tkey]
-        table = ContrTable()
+        table = CompTable()
         for deg in td.complex.dims:
             for k, lab in enumerate(td.basis(deg)):
                 di, ki = lab[i - 1]

@@ -1,9 +1,10 @@
 """dg pseudo-operads (P(1) = 0) and dg modular operads.
 
-Structure maps are stored as sparse tables: for each composition
-(l, i, m) (resp. ((g,l), i, (h,m))) a table keyed by degree pairs and
-basis pairs, and for each contraction ((g,l), i, j) a table keyed by
-degree and basis index.
+Each structure map is one sparse table (``CompTable``), keyed by the
+degrees and basis indices of its sources: two for a composition
+(l, i, m) (resp. ((g,l), i, (h,m))), one for a contraction
+((g,l), i, j).  ``structure_maps`` lists both kinds, so code that walks
+structure maps is written once.
 
 Composition convention: ``a o_i b`` glues leg i of a to b, and its legs
 are a(1..i-1), the legs b keeps, a(i+1..l).  ``glue`` is the number of
@@ -57,14 +58,19 @@ from .sigma import (
 )
 
 
-# -- sparse composition tables ------------------------------------------------
+# -- sparse structure-map tables ---------------------------------------------
 
 
 class CompTable:
-    """Sparse bilinear map tensor(X, Y) -> Z between graded spaces.
+    """Sparse multilinear map from one or two graded spaces to a graded
+    space: a composition a o_i b has two sources, a contraction xi_ij one.
 
-    ``entries[(d1, d2)][(k1, k2)]`` is a dict row -> coefficient, the
-    image of the basis pair in degree d1 + d2.
+    ``entries[degrees][indices]`` is a dict row -> coefficient, the image
+    in degree ``sum(degrees)`` of the basis elements ``indices``, one per
+    source, of those degrees.  Arguments name each source in turn by a
+    degree and an index (or a sparse vector): ``add(d1, k1, d2, k2, row,
+    coeff)`` for a composition, ``add(d, k, row, coeff)`` for a
+    contraction.
     """
 
     __slots__ = ("entries",)
@@ -72,67 +78,42 @@ class CompTable:
     def __init__(self):
         self.entries = {}
 
-    def add(self, d1, k1, d2, k2, row, coeff):
+    def add(self, *args):
+        """add(d1, k1, ..., row, coeff): coeff more at row of the image."""
+        row, coeff = args[-2:]
         if coeff == 0:
             return
-        block = self.entries.setdefault((d1, d2), {})
-        cell = block.setdefault((k1, k2), {})
+        indices = args[1:-2:2]
+        block = self.entries.setdefault(args[0:-2:2], {})
+        cell = block.setdefault(indices, {})
         cell[row] = cell.get(row, F0) + coeff
         if cell[row] == 0:
             del cell[row]
             if not cell:
-                del block[(k1, k2)]
+                del block[indices]
 
-    def pair_image(self, d1, k1, d2, k2):
-        """Image of a basis pair as a dict row -> coeff."""
-        return self.entries.get((d1, d2), {}).get((k1, k2), {})
+    def image(self, *args):
+        """image(d1, k1, ...): the image of basis elements, as a dict
+        row -> coeff."""
+        return self.entries.get(args[::2], {}).get(args[1::2], {})
 
-    def apply(self, d1, v1, d2, v2):
-        """Image of a pair of sparse vectors, as a sparse vector."""
-        block = self.entries.get((d1, d2))
+    def apply(self, *args):
+        """apply(d1, v1, ...): the image of sparse vectors, as a sparse
+        vector."""
+        block = self.entries.get(args[::2])
         if not block:
             return ()
-        return _accumulate((), (
-            (c1.numerator * c2.numerator, c1.denominator * c2.denominator,
-             block[k1, k2].items())
-            for k1, c1 in v1 for k2, c2 in v2 if (k1, k2) in block))
+        # (indices, numerator, denominator) of each product of entries
+        terms = [((k,), c.numerator, c.denominator) for k, c in args[1]]
+        for v in args[3::2]:
+            terms = [(ks + (k,), n * c.numerator, m * c.denominator)
+                     for ks, n, m in terms for k, c in v]
+        return _accumulate((), [(n, m, block[ks].items())
+                                for ks, n, m in terms if ks in block])
 
     def is_zero(self):
         return not any(self.entries.values())
 
-
-class ContrTable:
-    """Sparse linear map X -> Z between graded spaces (degree 0)."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self):
-        self.entries = {}
-
-    def add(self, d, k, row, coeff):
-        if coeff == 0:
-            return
-        block = self.entries.setdefault(d, {})
-        cell = block.setdefault(k, {})
-        cell[row] = cell.get(row, F0) + coeff
-        if cell[row] == 0:
-            del cell[row]
-            if not cell:
-                del block[k]
-
-    def basis_image(self, d, k):
-        return self.entries.get(d, {}).get(k, {})
-
-    def is_zero(self):
-        return not any(self.entries.values())
-
-    def apply(self, d, v):
-        """Image of a sparse vector, as a sparse vector."""
-        block = self.entries.get(d)
-        if not block:
-            return ()
-        return _accumulate((), ((c.numerator, c.denominator, block[k].items())
-                                for k, c in v if k in block))
 
 # -- leg relabels for the axioms ----------------------------------------------
 
@@ -222,14 +203,34 @@ class _OperadCore:
         return ChainMap.identity(zero)
 
     def comp_table(self, key1, i, key2) -> CompTable:
-        return self.comp.get((key1, i, key2), _EMPTY_COMP)
+        return self.comp.get((key1, i, key2), _EMPTY)
 
     def compose(self, key1, i, key2, d1, v1, d2, v2):
         """Vector-level composition of sparse vectors."""
         return self.comp_table(key1, i, key2).apply(d1, v1, d2, v2)
 
-    def basis_compose(self, key1, i, key2, d1, k1, d2, k2):
-        return self.comp_table(key1, i, key2).pair_image(d1, k1, d2, k2)
+    def contr_table(self, key, i, j) -> CompTable:
+        if i == j:
+            raise ValueError("contraction needs distinct legs")
+        if i > j:
+            i, j = j, i
+        return self.contr.get((key, i, j), _EMPTY)
+
+    def contract(self, key, i, j, d, v):
+        return self.contr_table(key, i, j).apply(d, v)
+
+    def structure_maps(self):
+        """Compositions, then contractions, each as (name, tables, keys,
+        sources, target, apply): ``keys()`` lists the in-window trips,
+        ``sources(*trip)`` the component keys a map reads and
+        ``target(*trip)`` the one it writes, and ``apply(*trip, d1, v1,
+        ...)`` is the map on sparse vectors of the sources."""
+        return (("composition", self.comp, self.comp_keys,
+                 lambda key1, i, key2: (key1, key2), self.comp_target,
+                 self.compose),
+                ("contraction", self.contr, self.contr_keys,
+                 lambda key, i, j: (key,),
+                 lambda key, i, j: self.contr_target(key), self.contract))
 
     def is_zero(self):
         return all(self.component(k).is_zero() for k in self.keys())
@@ -239,8 +240,7 @@ class _OperadCore:
                 if not self.component(k).is_zero()}
 
 
-_EMPTY_COMP = CompTable()
-_EMPTY_CONTR = ContrTable()
+_EMPTY = CompTable()
 
 
 class DGOperad(_OperadCore):
@@ -364,19 +364,6 @@ class ModularOperad(_OperadCore):
                     for j in range(i + 1, l + 1):
                         out.append(((g, l), i, j))
         return out
-
-    def contr_table(self, key, i, j) -> ContrTable:
-        if i == j:
-            raise ValueError("contraction needs distinct legs")
-        if i > j:
-            i, j = j, i
-        return self.contr.get((key, i, j), _EMPTY_CONTR)
-
-    def contract(self, key, i, j, d, v):
-        return self.contr_table(key, i, j).apply(d, v)
-
-    def basis_contract(self, key, i, j, d, k):
-        return self.contr_table(key, i, j).basis_image(d, k)
 
 
 # -- validation ---------------------------------------------------------------
@@ -763,31 +750,27 @@ class OperadMorphism:
                     report.append(f"component {key}: not equivariant at s_{j}")
             if len(report) >= max_report:
                 return report
-        for (key1, i, key2) in src.comp_keys():
-            tkey = src.comp_target(key1, i, key2)
-            f1, f2, ft = self.block(key1), self.block(key2), self.block(tkey)
-            for (d1, a), (d2, b) in itertools.product(
-                    _units(src.component(key1)), _units(src.component(key2))):
-                lhs = ft.block(d1 + d2).apply(
-                    src.compose(key1, i, key2, d1, a, d2, b))
-                rhs = dst.compose(key1, i, key2,
-                                  d1, f1.block(d1).apply(a),
-                                  d2, f2.block(d2).apply(b))
-                if lhs != rhs:
-                    report.append(
-                        f"does not commute with composition {key1} o_{i} {key2}")
-                    break
-            if len(report) >= max_report:
-                return report
-        for (key, i, j) in src.contr_keys():
-            f, ft = self.block(key), self.block(src.contr_target(key))
-            for d, vec in _units(src.component(key)):
-                lhs = ft.block(d).apply(src.contract(key, i, j, d, vec))
-                rhs = dst.contract(key, i, j, d, f.block(d).apply(vec))
-                if lhs != rhs:
-                    report.append(
-                        f"does not commute with contraction {key} xi_({i},{j})")
-                    break
+        # key -> ((d, v), (d, f(v))) for each basis vector v of degree d
+        images = {}
+        for (name, _, keys, sources, target, apply), (*_, dst_apply) in zip(
+                src.structure_maps(), dst.structure_maps()):
+            for trip in keys():
+                ends = sources(*trip)
+                for key in ends:
+                    if key not in images:
+                        f = self.block(key)
+                        images[key] = [((d, v), (d, f.block(d).apply(v)))
+                                       for d, v in _units(src.component(key))]
+                ft = self.block(target(*trip))
+                for units in itertools.product(*map(images.get, ends)):
+                    a, fa = zip(*units)
+                    lhs = ft.block(sum(d for d, _ in a)).apply(
+                        apply(*trip, *itertools.chain(*a)))
+                    if lhs != dst_apply(*trip, *itertools.chain(*fa)):
+                        report.append(f"does not commute with {name} {trip}")
+                        break
+                if len(report) >= max_report:
+                    return report
         return report
 
 
@@ -825,8 +808,9 @@ def transfer(op, complexes, section, project):
     """
     basis = {key: {d: section(key, d) for d in c.dims}
              for key, c in complexes.items()}
-    vectors = {key: {d: m.columns() for d, m in per.items()}
-               for key, per in basis.items()}
+    # key -> degree -> (d, v) for each new basis vector v
+    units = {key: {d: [(d, v) for v in m.columns()] for d, m in per.items()}
+             for key, per in basis.items()}
     actions = {}
     for key, c in complexes.items():
         n = op.legs(key)
@@ -839,45 +823,35 @@ def transfer(op, complexes, section, project):
                     raise AssertionError(f"not action-closed at {key}")
             gens.append(ChainMap(c, c, blocks, check=False))
         actions[key] = GroupAction(n, c, gens, check=False)
-    comp = {}
-    for trip in op.comp_keys():
-        key1, i, key2 = trip
-        if key1 not in complexes or key2 not in complexes:
-            continue
-        tkey = op.comp_target(*trip)
-        table = CompTable()
-        for d1, vs1 in vectors[key1].items():
-            for d2, vs2 in vectors[key2].items():
-                images = [op.compose(key1, i, key2, d1, v1, d2, v2)
-                          for v1 in vs1 for v2 in vs2]
-                coords = project(tkey, d1 + d2, Matrix.from_cols(
-                    images, rows=op.component(tkey).dim(d1 + d2)))
+    tables = []
+    for name, _, keys, sources, target, apply in op.structure_maps():
+        carried = {}
+        for trip in keys():
+            ends = sources(*trip)
+            if not all(key in complexes for key in ends):
+                continue
+            tkey = target(*trip)
+            table = CompTable()
+            # each choice of source degrees is one block of the table
+            for choice in itertools.product(*(units[key].items()
+                                              for key in ends)):
+                degrees = [d for d, _ in choice]
+                block = [us for _, us in choice]
+                images = [apply(*trip, *itertools.chain(*args))
+                          for args in itertools.product(*block)]
+                coords = project(tkey, sum(degrees), Matrix.from_cols(
+                    images, rows=op.component(tkey).dim(sum(degrees))))
                 if coords is None:
-                    raise AssertionError(f"closure fails at {trip}")
+                    raise AssertionError(f"closure fails at {name} {trip}")
+                cells = list(itertools.product(*map(range, map(len, block))))
                 for row, line in enumerate(coords.sparse):
                     for col, coeff in line:
-                        k1, k2 = divmod(col, len(vs2))
-                        table.add(d1, k1, d2, k2, row, coeff)
-        if not table.is_zero():
-            comp[trip] = table
-    contr = {}
-    for trip in op.contr_keys():
-        key, i, j = trip
-        if key not in complexes:
-            continue
-        tkey = op.contr_target(key)
-        table = ContrTable()
-        for d, vs in vectors[key].items():
-            images = [op.contract(key, i, j, d, v) for v in vs]
-            coords = project(tkey, d, Matrix.from_cols(
-                images, rows=op.component(tkey).dim(d)))
-            if coords is None:
-                raise AssertionError(f"closure fails at xi {key}")
-            for row, line in enumerate(coords.sparse):
-                for k, coeff in line:
-                    table.add(d, k, row, coeff)
-        if not table.is_zero():
-            contr[trip] = table
+                        table.add(*itertools.chain(*zip(degrees, cells[col])),
+                                  row, coeff)
+            if not table.is_zero():
+                carried[trip] = table
+        tables.append(carried)
+    comp, contr = tables
     return op.remake(actions, comp, contr, op.window, op.cut)
 
 

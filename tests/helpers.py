@@ -103,38 +103,35 @@ def dense_apply(m, vec):
     return tuple(out)
 
 
-def dense_comp_apply(table, d1, v1, d2, v2, target_dim):
-    """``CompTable.apply`` on dense vectors, as a dense tuple."""
+def dense_table_apply(table, target_dim, *args):
+    """``CompTable.apply(d1, v1, ...)`` on dense vectors v1, ..., as a
+    dense tuple: one product of coefficients per choice of a nonzero
+    entry from each vector."""
     out = [F0] * target_dim
-    block = table.entries.get((d1, d2))
+    block = table.entries.get(args[::2])
     if not block:
         return tuple(out)
-    nz1 = [(k, c) for k, c in enumerate(v1) if c]
-    nz2 = [(k, c) for k, c in enumerate(v2) if c]
-    for k1, c1 in nz1:
-        for k2, c2 in nz2:
-            cell = block.get((k1, k2))
-            if cell:
-                c12 = c1 * c2
-                for r, coeff in cell.items():
-                    out[r] += c12 * coeff
-    return tuple(out)
-
-
-def dense_contr_apply(table, d, v, target_dim):
-    """``ContrTable.apply`` on a dense vector, as a dense tuple."""
-    out = [F0] * target_dim
-    block = table.entries.get(d)
-    if not block:
-        return tuple(out)
-    for k, c in enumerate(v):
-        if not c:
-            continue
-        cell = block.get(k)
+    nonzeros = [[(k, c) for k, c in enumerate(v) if c] for v in args[1::2]]
+    for choice in itertools.product(*nonzeros):
+        cell = block.get(tuple(k for k, _ in choice))
         if cell:
+            c = F1
+            for _, x in choice:
+                c *= x
             for r, coeff in cell.items():
                 out[r] += c * coeff
     return tuple(out)
+
+
+def table_cells(table):
+    """``(d1, k1, ..., row, coeff)`` for each entry of a ``CompTable``,
+    the arguments of the ``add`` calls that rebuild it, sorted by
+    degrees, then basis indices, then row."""
+    for degrees, block in sorted(table.entries.items()):
+        for indices, cell in sorted(block.items()):
+            for row, coeff in sorted(cell.items()):
+                yield (*(x for pair in zip(degrees, indices) for x in pair),
+                       row, coeff)
 
 
 def dense_split(sub, vec):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -244,6 +245,41 @@ def test_malformed_tables_exit_2_without_traceback(name, mutate, tmp_path):
         assert "Traceback" not in stderr
 
 
+def _first_cell(entry):
+    return next(iter(next(iter(entry["blocks"].values())).values()))
+
+
+def _source_twice(payload):
+    """List the first composition again, its first coefficient negated."""
+    again = copy.deepcopy(payload["compositions"][0])
+    _first_cell(again)[0][1] = "-1"
+    payload["compositions"].append(again)
+
+
+def _row_twice(payload):
+    """List the first row of the first contraction's first cell again."""
+    cell = _first_cell(payload["contractions"][0])
+    cell.append(list(cell[0]))
+
+
+@pytest.mark.parametrize("name,mutate", [
+    (COM, _source_twice),
+    (ENDO, _row_twice),
+], ids=["composition-source", "contraction-row"])
+def test_structure_map_data_listed_twice_exit_2(name, mutate, tmp_path,
+                                                capsys):
+    # read silently, the later table would replace the earlier one and
+    # the repeated row's coefficients would add up
+    with open(fx(name)) as fh:
+        payload = json.load(fh)
+    mutate(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    for command in ("validate", "homology"):
+        assert main([command, str(bad)]) == 2, command
+        assert "listed twice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cell", ["0.0", "", "1/0", "+1", 0],
                          ids=["decimal-zero", "empty", "zero-denominator",
                               "plus-sign", "integer-zero"])
@@ -355,6 +391,8 @@ FREE_DIGESTS = [
      "d9a67201747703f6c3ca02c0139a7a02cbc72365b75d8458fa2b50d9d28b2a13"),
     (["free", "binary_generator.json", "--max-arity", "5"],
      "771a6fc1d54350705aaa0b0aa93834754a46b71a1246fd5820dc9b4f11d8a0a8"),
+    # 714 341 bytes: 37 composition and 20 contraction tables, cell
+    # indices up to 14, the widest pin on the structure-map table writer
     (["free", "modular_generator_03.json", "--max-dim", "3"],
      "5f3ebf2a646211211cdd032fabb35c0da474f32a6ca08c6b8cba38d0b4916d35"),
     (["minimal-model", "commutative_window3.json", "--max", "3",

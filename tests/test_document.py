@@ -1,3 +1,4 @@
+import copy
 import glob
 import io
 import json
@@ -79,14 +80,14 @@ class TestRoundTrip:
         assert isinstance(op, DGOperad)
         assert validate(op) == []
         assert op.component(2).dims == {0: 1}
-        img = op.basis_compose(2, 1, 2, 0, 0, 0, 0)
+        img = op.comp_table(2, 1, 2).image(0, 0, 0, 0)
         assert img == {0: Fraction(1)}
 
     def test_modular_semantics_survive(self):
         op, meta = doc.load(os.path.join(FIXTURES, "endomorphism_dim1.json"))
         assert isinstance(op, ModularOperad)
         assert validate(op) == []
-        assert op.basis_contract((0, 3), 1, 2, 0, 0) == {0: Fraction(1)}
+        assert op.contr_table((0, 3), 1, 2).image(0, 0) == {0: Fraction(1)}
 
     def test_truncated_round_trip(self):
         op, meta = doc.load(os.path.join(FIXTURES,
@@ -149,6 +150,36 @@ class TestMalformed:
                "components": {}}
         with pytest.raises(DocumentError):
             doc.from_document(bad)
+
+    @pytest.mark.parametrize("name,section,phrase", [
+        ("commutative_window3.json", "compositions",
+         r"composition \(2, 1, 2\) listed twice"),
+        ("endomorphism_dim1.json", "contractions",
+         r"contraction \(\(0, 3\), 1, 2\) listed twice"),
+    ], ids=["composition", "contraction"])
+    def test_source_listed_twice(self, name, section, phrase):
+        # read silently, the second table would replace the first
+        payload = _fixture_payload(name)
+        again = copy.deepcopy(payload[section][0])
+        next(iter(next(iter(again["blocks"].values())).values()))[0][1] = "-1"
+        payload[section].append(again)
+        with pytest.raises(DocumentError, match=phrase):
+            doc.from_document(payload)
+
+    @pytest.mark.parametrize("name,section,phrase", [
+        ("commutative_window3.json", "compositions",
+         r"composition \(2, 1, 2\): row 0 listed twice in cell '0,0'"),
+        ("endomorphism_dim1.json", "contractions",
+         r"contraction \(\(0, 3\), 1, 2\): row 0 listed twice in cell '0'"),
+    ], ids=["composition", "contraction"])
+    def test_row_listed_twice_in_a_cell(self, name, section, phrase):
+        # read silently, the two listings' coefficients would add up
+        payload = _fixture_payload(name)
+        cell = next(iter(next(iter(
+            payload[section][0]["blocks"].values())).values()))
+        cell.append(list(cell[0]))
+        with pytest.raises(DocumentError, match=phrase):
+            doc.from_document(payload)
 
 
 class TestDeterminism:
@@ -220,6 +251,11 @@ class TestWriter:
                 assert write(payload) == want, (path, write)
 
 
+def _fixture_payload(name):
+    with open(os.path.join(FIXTURES, name)) as fh:
+        return json.load(fh)
+
+
 class TestIndexRangeValidation:
     def test_out_of_range_composition_rejected(self):
         with open(os.path.join(FIXTURES, "commutative_window3.json")) as fh:
@@ -236,3 +272,32 @@ class TestIndexRangeValidation:
         payload["compositions"][0]["source"][1] = 9
         with pytest.raises(DocumentError):
             doc.from_document(payload)
+
+    def _contraction(self, blocks=None, legs=None):
+        """endomorphism_dim1.json (every component one-dimensional in
+        degree 0) with the blocks or legs of its first contraction,
+        xi_12 on (0,3), replaced."""
+        payload = _fixture_payload("endomorphism_dim1.json")
+        entry = payload["contractions"][0]
+        assert entry["source"] == [[0, 3], 1, 2]
+        if blocks is not None:
+            entry["blocks"] = blocks
+        if legs is not None:
+            entry["source"][1:] = legs
+        return payload
+
+    @pytest.mark.parametrize("blocks,phrase", [
+        ({"0": {"1": [[0, "1"]]}}, "basis index out of range at degrees"),
+        ({"1": {"0": [[0, "1"]]}}, "basis index out of range at degrees"),
+        ({"0": {"0": [[1, "1"]]}}, "target row out of range at degree 0"),
+    ], ids=["basis-index", "empty-degree", "target-row"])
+    def test_out_of_range_contraction_rejected(self, blocks, phrase):
+        with pytest.raises(DocumentError, match=phrase):
+            doc.from_document(self._contraction(blocks=blocks))
+
+    @pytest.mark.parametrize("legs", [[2, 1], [2, 2], [1, 4], [0, 2]],
+                             ids=["reversed", "equal", "past-legs", "zero"])
+    def test_contraction_legs_rejected(self, legs):
+        with pytest.raises(DocumentError,
+                           match="keys or legs out of range"):
+            doc.from_document(self._contraction(legs=legs))

@@ -27,7 +27,6 @@ from operad_forge.free import (
 )
 from operad_forge.operad import (
     CompTable,
-    ContrTable,
     DGOperad,
     ModularOperad,
     OperadIdeal,
@@ -75,6 +74,7 @@ from helpers import (
     planar_expanded,
     planar_grafted,
     planar_match,
+    table_cells,
     to_sparse,
     tree_space_data,
     tree_to_planar,
@@ -425,7 +425,7 @@ class TestEndomorphismModularOperad:
         for key in E.indices:
             assert E.component(key).dims == {0: 1}
         # contractions multiply by the trace-like pairing value
-        img = E.basis_contract((0, 3), 1, 2, 0, 0)
+        img = E.contr_table((0, 3), 1, 2).image(0, 0)
         assert img == {0: Fraction(1)}
         assert validate(E) == []
 
@@ -443,7 +443,7 @@ class TestEndomorphismModularOperad:
         td_basis = [(a, b, c) for a in range(2) for b in range(2)
                     for c in range(2)]
         for k, (a, b, c) in enumerate(td_basis):
-            img = E.basis_contract((0, 3), 1, 2, 0, k)
+            img = E.contr_table((0, 3), 1, 2).image(0, k)
             expected = Fraction(1) if a != b else Fraction(0)
             vec = [Fraction(0)] * 2
             for row, coeff in img.items():
@@ -731,22 +731,16 @@ def _scrambled(op, seed):
     def coeff():
         return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
 
-    comp = {}
-    for trip, table in sorted(op.comp.items()):
-        comp[trip] = CompTable()
-        for (d1, d2), block in sorted(table.entries.items()):
-            for (k1, k2), cell in sorted(block.items()):
-                for row in sorted(cell):
-                    comp[trip].add(d1, k1, d2, k2, row, coeff())
-    contr = {}
-    for trip, table in sorted(op.contr.items()):
-        contr[trip] = ContrTable()
-        for d, block in sorted(table.entries.items()):
-            for k, cell in sorted(block.items()):
-                for row in sorted(cell):
-                    contr[trip].add(d, k, row, coeff())
+    def scrambled(tables):
+        out = {}
+        for trip, table in sorted(tables.items()):
+            out[trip] = CompTable()
+            for *args, _ in table_cells(table):
+                out[trip].add(*args, coeff())
+        return out
+
     out = copy.copy(op)
-    out.comp, out.contr = comp, contr
+    out.comp, out.contr = scrambled(op.comp), scrambled(op.contr)
     return out
 
 
@@ -832,19 +826,21 @@ class TestGenusBearingGenerators:
 
 
 class TestContrTable:
+    """A contraction's table: the one table with one source."""
+
     def test_cancelled_cell_keeps_other_images(self):
-        table = ContrTable()
+        table = CompTable()
         table.add(0, 0, 0, 1)
         table.add(0, 1, 0, 2)
         table.add(0, 1, 0, -2)
-        assert table.basis_image(0, 0) == {0: 1}
-        assert table.basis_image(0, 1) == {}
+        assert table.image(0, 0) == {0: 1}
+        assert table.image(0, 1) == {}
 
     def test_cancelled_cell_in_fresh_block(self):
-        table = ContrTable()
+        table = CompTable()
         table.add(2, 0, 0, 1)
         table.add(2, 0, 0, -1)
-        assert table.basis_image(2, 0) == {}
+        assert table.image(2, 0) == {}
         assert table.is_zero()
 
 

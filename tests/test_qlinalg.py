@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -27,7 +28,6 @@ from operad_forge.free import Layout
 from operad_forge.minimal import MinimalModel, PrincipalExtension
 from operad_forge.operad import (
     CompTable,
-    ContrTable,
     OperadIdeal,
     OperadMorphism,
 )
@@ -45,8 +45,7 @@ from helpers import (
     dense_apply,
     dense_col,
     dense_cols,
-    dense_comp_apply,
-    dense_contr_apply,
+    dense_table_apply,
     dense_row,
     dense_solve,
     dense_split,
@@ -963,11 +962,11 @@ def dense_vectors(n):
 
 @st.composite
 def tables_and_vectors(draw):
-    """(CompTable, ContrTable, target dimension, v1, v2): both tables
-    have cells in degree 0 only, v1 and v2 are dense vectors of the two
-    source dimensions."""
+    """(two-source table, one-source table, target dimension, v1, v2):
+    both tables have cells in degree 0 only, v1 and v2 are dense vectors
+    of the two source dimensions."""
     n1, n2, nt = (draw(st.integers(1, 4)) for _ in range(3))
-    comp, contr = CompTable(), ContrTable()
+    comp, contr = CompTable(), CompTable()
     for _ in range(draw(st.integers(0, 8))):
         comp.add(0, draw(st.integers(0, n1 - 1)), 0,
                  draw(st.integers(0, n2 - 1)), draw(st.integers(0, nt - 1)),
@@ -1019,9 +1018,9 @@ class TestSparseVectorsAgainstDense:
         # degree d = 1 holds no cells, so both images are zero there
         comp, contr, nt, v1, v2 = case
         assert comp.apply(0, to_sparse(v1), d, to_sparse(v2)) \
-            == to_sparse(dense_comp_apply(comp, 0, v1, d, v2, nt))
+            == to_sparse(dense_table_apply(comp, nt, 0, v1, d, v2))
         assert contr.apply(d, to_sparse(v1)) \
-            == to_sparse(dense_contr_apply(contr, d, v1, nt))
+            == to_sparse(dense_table_apply(contr, nt, d, v1))
 
     @given(spans_and_vector())
     @settings(max_examples=150, deadline=None)
@@ -1064,6 +1063,86 @@ class TestSparseVectorsAgainstDense:
         # the last index is in range
         assert m.apply(((1, one),)) == to_sparse((2, 4, 6))
         assert solve(m, ((2, one),)) is None
+
+
+# -- the one structure-map table against the dense reference ----------------
+
+
+def _table_args(degrees, items):
+    """``d1, x1, d2, x2, ...``: the arguments of a table's methods."""
+    return [x for pair in zip(degrees, items) for x in pair]
+
+
+@st.composite
+def structure_tables(draw):
+    """(table, its cells worked out by hand, source dimensions, target
+    dimension): a CompTable of one source (a contraction) or two (a
+    composition) filled by adds in degrees 0 and 1.  A last add cancels
+    one drawn entry to zero, and sometimes every entry of degrees
+    (1, ...) is cancelled, which leaves that degree key an empty block."""
+    n = draw(st.sampled_from([1, 2]))
+    dims = [draw(st.integers(1, 3)) for _ in range(n)]
+    nt = draw(st.integers(1, 3))
+    table, want = CompTable(), {}
+
+    def add(degrees, indices, row, coeff):
+        table.add(*_table_args(degrees, indices), row, Fraction(coeff))
+        cell = want.setdefault((degrees, indices), {})
+        cell[row] = cell.get(row, 0) + Fraction(coeff)
+
+    adds = draw(st.lists(st.tuples(
+        st.tuples(*(st.integers(0, 1) for _ in dims)),
+        st.tuples(*(st.integers(0, d - 1) for d in dims)),
+        st.integers(0, nt - 1), vector_entries), max_size=10))
+    for entry in adds:
+        add(*entry)
+    if adds:
+        degrees, indices, row, _ = draw(st.sampled_from(adds))
+        add(degrees, indices, row, -want[degrees, indices][row])
+    if draw(st.booleans()):
+        for (degrees, indices), cell in list(want.items()):
+            if degrees == (1,) * n:
+                for row, coeff in list(cell.items()):
+                    add(degrees, indices, row, -coeff)
+    want = {key: {row: c for row, c in cell.items() if c}
+            for key, cell in want.items()}
+    return table, want, dims, nt
+
+
+class TestOneStructureTable:
+    """``CompTable`` with one source and with two: ``image`` gives the
+    cells the adds made, ``apply`` equals the dense reference, and
+    degrees with an empty block or none at all map to zero."""
+
+    @given(structure_tables(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_against_dense(self, case, data):
+        table, want, dims, nt = case
+        # degree 2 has no key in the table
+        for degrees in itertools.product(range(3), repeat=len(dims)):
+            for indices in itertools.product(*map(range, dims)):
+                assert table.image(*_table_args(degrees, indices)) \
+                    == want.get((degrees, indices), {})
+            vectors = [data.draw(dense_vectors(d)) for d in dims]
+            got = table.apply(*_table_args(degrees, map(to_sparse, vectors)))
+            assert got == to_sparse(dense_table_apply(
+                table, nt, *_table_args(degrees, vectors)))
+            assert_sparse_row(got, nt)
+        assert table.is_zero() == (not any(want.values()))
+
+    @pytest.mark.parametrize("entry", [(1, 0), (1, 0, 0, 1)],
+                             ids=["one-source", "two-sources"])
+    def test_cancelled_cell_leaves_an_empty_block(self, entry):
+        table = CompTable()
+        table.add(*entry, 0, Fraction(2))
+        table.add(*entry, 0, Fraction(-2))
+        degrees = entry[::2]
+        assert table.entries == {degrees: {}}
+        assert table.is_zero()
+        assert table.image(*entry) == {}
+        units = [((k, Fraction(1)),) for k in entry[1::2]]
+        assert table.apply(*_table_args(degrees, units)) == ()
+        assert table.apply(*_table_args([0] * len(units), units)) == ()
 
 
 # -- one elimination for a solution and the kernel ---------------------------
@@ -1189,6 +1268,6 @@ class TestIntegerKernels:
             table.add(0, k1, 0, k2, 0, 1 / a1)
             table.add(0, k1b, 0, k2, 0, -1 / b1)
         got = table.apply(0, v1, 0, v2)
-        assert got == to_sparse(dense_comp_apply(
-            table, 0, to_dense(v1, n1), 0, to_dense(v2, n2), nt))
+        assert got == to_sparse(dense_table_apply(
+            table, nt, 0, to_dense(v1, n1), 0, to_dense(v2, n2)))
         assert_sparse_row(got, nt)

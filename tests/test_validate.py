@@ -16,7 +16,6 @@ from operad_forge.free import (
 )
 from operad_forge.operad import (
     CompTable,
-    ContrTable,
     comp_relabel,
     ideal_closure,
     validate,
@@ -35,6 +34,7 @@ from helpers import (
     modular_first_relabel,
     modular_second_relabel,
     operadic_block_perm,
+    table_cells,
     to_dense,
     to_sparse,
 )
@@ -88,20 +88,15 @@ def _operad(name):
 def _tampered(op, kind, trip, entry):
     """op with 1 added to one entry of a structure map: (d1, k1, d2, k2,
     row) of the composition ``trip``, or (d, k, row) of the contraction."""
+    table = CompTable()
     if kind == "comp":
-        table = CompTable()
-        for (d1, d2), block in op.comp_table(*trip).entries.items():
-            for (k1, k2), image in block.items():
-                for row, coeff in image.items():
-                    table.add(d1, k1, d2, k2, row, coeff)
+        old = op.comp_table(*trip)
         comp, contr = {**op.comp, trip: table}, dict(op.contr)
     else:
-        table = ContrTable()
-        for d, block in op.contr_table(*trip).entries.items():
-            for k, image in block.items():
-                for row, coeff in image.items():
-                    table.add(d, k, row, coeff)
+        old = op.contr_table(*trip)
         comp, contr = dict(op.comp), {**op.contr, trip: table}
+    for args in table_cells(old):
+        table.add(*args)
     table.add(*entry, Fraction(1))
     return op.remake(op.module.components, comp, contr, op.window, op.cut)
 

@@ -410,13 +410,13 @@ class TestSuboperadRejects:
         assert op.component(3).dims == {0: 3}
         cand = self._full(op, [2])
         cand[3] = {0: Matrix.from_rows([[1], [1], [1]])}
-        with pytest.raises(AssertionError, match=r"closure fails at \(2, 1, 2\)"):
+        with pytest.raises(AssertionError, match=r"closure fails at composition \(2, 1, 2\)"):
             self._suboperad(op, cand)
 
     def test_composition_into_vanished_component(self):
         op = free_operad(SigmaModule(
             {2: GroupAction.trivial(2, ChainComplex({0: 1}))}), 3)
-        with pytest.raises(AssertionError, match=r"closure fails at \(2, 1, 2\)"):
+        with pytest.raises(AssertionError, match=r"closure fails at composition \(2, 1, 2\)"):
             self._suboperad(op, self._full(op, [2]))
 
     def test_contraction_leaves_span(self):
@@ -425,5 +425,5 @@ class TestSuboperadRejects:
         cand = self._full(E, [(0, 3), (0, 4)])
         # xi(v1 v2 v3) = <v1, v2> v3 reaches all of V, not only e_1
         cand[(1, 1)] = {0: Matrix.from_rows([[1], [0]])}
-        with pytest.raises(AssertionError, match="closure fails at xi"):
+        with pytest.raises(AssertionError, match=r"closure fails at contraction \(\(0, 3\), 1, 2\)"):
             self._suboperad(E, cand)
