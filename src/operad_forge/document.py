@@ -58,10 +58,14 @@ def matrix_to_lists(m: Matrix):
     return out
 
 
-def matrix_from_lists(data, rows, cols):
+def matrix_from_lists(data, rows, cols, parsed=None):
+    """The Matrix of a document's rows of cells.  A read passes one dict
+    ``parsed`` (cell text -> rational) to all its matrices."""
     if not isinstance(data, list) or len(data) != rows \
             or any(not isinstance(r, list) or len(r) != cols for r in data):
         raise DocumentError(f"matrix shape mismatch (expected {rows}x{cols})")
+    if parsed is None:
+        parsed = {}
     sparse = []
     for row in data:
         entries = []
@@ -69,9 +73,11 @@ def matrix_from_lists(data, rows, cols):
             # a "0" cell is the common case; any other spelling of zero
             # ("-0", "0/3") is parsed and dropped
             if x != "0":
-                x = rational_from_str(x)
-                if x:
-                    entries.append((j, x))
+                q = parsed.get(x) if type(x) is str else None
+                if q is None:
+                    q = parsed[x] = rational_from_str(x)
+                if q:
+                    entries.append((j, q))
         sparse.append(tuple(entries))
     return Matrix._trusted(rows, cols, tuple(sparse))
 
@@ -113,7 +119,7 @@ def _expect(value, kind, what):
     return value
 
 
-def _component_from_doc(key, doc):
+def _component_from_doc(key, doc, parsed):
     _expect(doc, dict, f"component {key}")
     if "dims" not in doc:
         raise DocumentError(f"component {key}: missing dims")
@@ -128,7 +134,8 @@ def _component_from_doc(key, doc):
     for d, data in _expect(doc.get("differential", {}), dict,
                            f"component {key}: differential").items():
         d, = _ints(d, 1, f"component {key}: differential")
-        diff[d] = matrix_from_lists(data, dims.get(d - 1, 0), dims.get(d, 0))
+        diff[d] = matrix_from_lists(data, dims.get(d - 1, 0), dims.get(d, 0),
+                                    parsed)
     try:
         complex_ = ChainComplex(dims, diff)
     except ValueError as exc:
@@ -145,7 +152,8 @@ def _component_from_doc(key, doc):
         for d, data in _expect(gen, dict,
                                f"component {key}: action generator").items():
             d, = _ints(d, 1, f"component {key}: action generator")
-            blocks[d] = matrix_from_lists(data, dims.get(d, 0), dims.get(d, 0))
+            blocks[d] = matrix_from_lists(data, dims.get(d, 0), dims.get(d, 0),
+                                          parsed)
         try:
             gens.append(ChainMap(complex_, complex_, blocks))
         except ValueError as exc:
@@ -292,11 +300,12 @@ def from_document(doc):
     if (kind, indexing) not in _INDEXINGS:
         raise DocumentError(f"{kind} document with indexing {indexing!r}")
     modular = indexing == "modular"
+    parsed = {}  # cell text -> its rational, for this read's matrices
     components = {}
     for key_s, comp_doc in _expect(doc.get("components", {}), dict,
                                    "components").items():
         key = _key_from_str(key_s, modular)
-        components[key] = _component_from_doc(key, comp_doc)
+        components[key] = _component_from_doc(key, comp_doc, parsed)
     metadata = dict(_expect(doc.get("metadata", {}), dict, "metadata"))
     if "name" in metadata:
         _expect(metadata["name"], str, "metadata.name")
@@ -343,7 +352,8 @@ def from_document(doc):
             endo[key] = {}
             for d, m in _expect(blocks, dict, "endomorphism blocks").items():
                 d, = _ints(d, 1, "endomorphism block")
-                endo[key][d] = matrix_from_lists(m, c.dim(d), c.dim(d))
+                endo[key][d] = matrix_from_lists(m, c.dim(d), c.dim(d),
+                                                 parsed)
         metadata["endomorphism"] = endo
     if "tower" in doc:
         metadata["tower"] = doc["tower"]

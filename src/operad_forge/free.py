@@ -52,21 +52,47 @@ from . import trees as T
 # -- shared assembly ----------------------------------------------------------
 
 
-def push_labels(factor_actions, sigmas, perm_images, target_td, labels, out):
-    """Push basis labels [(label, coeff)] of a factor sequence into a
-    target tensor.
+# rearrangement -> its match (``_matched``), for the process: ("image",
+# key, pos, j), ("graft", key1, pos1, i, key2, pos2), ("expand", key,
+# pos, v, vkey, subpos) or ("glue", key, pos, i, j), in catalogue positions
+_MATCHES = {}
 
-    Factor p is first twisted by its slot permutation ``sigmas[p]`` (as
-    a right action), then moved to position ``perm_images[p]`` of the
-    target, with the Koszul sign of the reordering; contributions
-    accumulate in ``out`` keyed by (degree, target index).
-    """
+
+def _matched(pos, sigmas, perm_images):
+    """A match as the memo holds it: the target's catalogue position,
+    each factor's slot permutation and place in the target, the pairs
+    of factors the placing reverses and the factors whose slot
+    permutation is not the identity."""
     m = len(perm_images)
-    inversions = [(p, q) for p in range(m) for q in range(p + 1, m)
-                  if perm_images[p] > perm_images[q]]
-    twisted = [(p, factor_actions[p].action(sig))
-               for p, sig in enumerate(sigmas) if not sig.is_identity()]
-    columns = {}  # (p, degree) -> the columns of factor p's twist
+    return (pos, tuple(sigmas), tuple(perm_images),
+            tuple((p, q) for p in range(m) for q in range(p + 1, m)
+                  if perm_images[p] > perm_images[q]),
+            tuple(p for p, sig in enumerate(sigmas) if not sig.is_identity()))
+
+
+def _twist(store, action, sigma):
+    """degree -> the columns of sigma's action on a vertex's generators
+    (``action``), worked out once per ``store``."""
+    cols = store.get((action, sigma))
+    if cols is None:
+        act = action.action(sigma)
+        cols = store[action, sigma] = {d: act.block(d).columns()
+                                       for d in action.complex.dims}
+    return cols
+
+
+def push_labels(match, twists, target_td, labels, out):
+    """Push basis labels [(label, coeff)] of a factor sequence into a
+    target tensor along a match (``_matched``).
+
+    Factor p is first twisted by its slot permutation (as a right
+    action, of columns ``twists[p][d]`` in degree d, ``_twist``), then
+    moved to position ``perm_images[p]`` of the target, with the Koszul
+    sign of the reordering; contributions accumulate in ``out`` keyed by
+    (degree, target index).
+    """
+    _, _, perm_images, inversions, twisted = match
+    m = len(perm_images)
     for label, coeff in labels:
         if sum(label[p][0] * label[q][0] for p, q in inversions) % 2:
             coeff = -coeff
@@ -74,13 +100,11 @@ def push_labels(factor_actions, sigmas, perm_images, target_td, labels, out):
         for p, entry in enumerate(label):
             moved[perm_images[p]] = entry
         terms = [(moved, coeff)]
-        for p, action in twisted:
+        for p in twisted:
             d, k = label[p]
-            if (p, d) not in columns:
-                columns[p, d] = action.block(d).columns()
             pos = perm_images[p]
             terms = [(t[:pos] + [(d, r)] + t[pos + 1:], c * x)
-                     for t, c in terms for r, x in columns[p, d][k]]
+                     for t, c in terms for r, x in twists[p][d][k]]
         for t, c in terms:
             key = target_td.index(tuple(t))
             if key in out:
@@ -119,16 +143,19 @@ class Layout:
 
 class _Summand:
     """One summand of a component: ``item`` is the summand tuple (the
-    catalogue object first, what carries its complex last), ``pos`` the
-    object's place in the catalogue, ``types`` and ``actions`` the
-    generator key and action of each vertex, and ``s`` its place in the
-    component's current layout.  The builder keys the work done on the
-    summand, in its own coordinates, by this record."""
+    catalogue object first, what carries its complex last), ``key`` its
+    component, ``pos`` and ``place`` the object's places in the catalogue
+    and in the layout order (``_catalogue``), ``types`` and ``actions``
+    the generator key and action of each vertex, and ``s`` its place in
+    the component's current layout.  The builder keys the work done on
+    the summand, in its own coordinates, by this record."""
 
-    __slots__ = ("pos", "item", "types", "actions", "s")
+    __slots__ = ("key", "pos", "place", "item", "types", "actions", "s")
 
-    def __init__(self, pos, item, types, actions):
+    def __init__(self, key, pos, place, item, types, actions):
+        self.key = key
         self.pos = pos
+        self.place = place
         self.item = item
         self.types = types
         self.actions = actions
@@ -146,9 +173,16 @@ class _FreeBuilder:
     complex (the tensor data, or the coinvariants); ``layouts[key]``
     places those complexes.
     Every structure map takes one route: rearrange the object (relabel
-    its legs, graft, expand a vertex), match the result once onto its
-    summand, then lift each basis vector to tensor labels and push the
-    labels there.
+    its legs, graft, expand a vertex, glue two legs), match the result
+    onto its summand, then lift each basis vector to tensor labels and
+    push the labels there.
+
+    A match depends only on the catalogues, not on the generators, so
+    each is made once per process (``_found``): ``_MATCHES`` keeps, by
+    the rearrangement in catalogue positions, the target's position,
+    slot permutations and factor places (``_matched``).  Whether a
+    summand sits at that position depends on the generators (its tensor
+    or coinvariants may vanish), so each builder looks it up (``_at``).
 
     Generators can be added key by key (``add``), as a minimal model
     attaches them level by level.  A key's generators and attachments
@@ -156,15 +190,15 @@ class _FreeBuilder:
     stays valid as later summands join the layouts; each structure map
     places it through the current layout.
 
-    Subclasses say what a summand is: the catalogue at a key, the
-    generator key of each vertex (``_types``), the summand tuple
+    Subclasses say what a summand is: the catalogue at a key with the
+    generator key of each vertex of each object (``_canonical``), an
+    object's position in it (``_position``), the summand tuple
     (``_summand``, None when it vanishes), the lift of a basis vector
     (``_lift``), the match of a rearranged object (``_match``) with the
-    projection back onto the summand (``_project``), the image of a
-    summand under an adjacent transposition (``_image``), the
-    rearrangements ``_grafted`` and ``_expanded`` of summand records, and
-    the plan along which ``evaluation`` composes a summand in a target
-    (``_plan``).
+    projection back onto the summand (``_project``), the rearrangements
+    ``_swapped`` (legs j and j + 1 swapped), ``_grafted`` and
+    ``_expanded`` of summand records, and the plan along which
+    ``evaluation`` composes a summand in a target (``_plan``).
     """
 
     def __init__(self, gens, shape):
@@ -175,12 +209,16 @@ class _FreeBuilder:
         self.attachments = {}
         self.summands = {}
         self.layouts = {}
-        self._records = {}     # key -> the _Summand of each summand, in order
-        self._summand_of = {}  # key -> {object: _Summand}
-        # key -> the catalogue entries (pos, object, types) some of whose
-        # vertices carry no generators yet
+        self._records = {}  # key -> the _Summand of each summand, in order
+        self._at = {}       # key -> {catalogue position: _Summand}
+        # key -> the catalogue entries (place, pos, object, types) some of
+        # whose vertices carry no generators yet
         self._waiting = {}
-        self._plans = {}       # _Summand -> its evaluation plan
+        self._plans = {}    # _Summand -> its evaluation plan
+        self._tensors = {}  # vertex types -> their TensorData
+        # (vertex action, slot permutation) -> degree -> the columns of
+        # the permutation's action
+        self._twists = {}
         # until finish: the attachment blocks by column, and the work of
         # each summand that finish uses again, in the summand's own
         # coordinates: (_Summand, j) -> its columns under s_j, and
@@ -189,10 +227,15 @@ class _FreeBuilder:
         self._images = {}
         self._terms = {}
         for key in shape.keys():
-            self._waiting[key] = [(pos, obj, self._types(obj)) for pos, obj
-                                  in enumerate(self._catalogue(key))]
+            objects, types = self._canonical(key)
+            catalogue = self._catalogue(key)
+            self._waiting[key] = []
+            for place, obj in enumerate(catalogue):
+                pos = (place if catalogue is objects
+                       else self._position(key, obj))
+                self._waiting[key].append((place, pos, obj, types[pos]))
             self._records[key] = []
-            self._summand_of[key] = {}
+            self._at[key] = {}
             self.summands[key] = []
             self.layouts[key] = Layout([])
         self.add(gens)
@@ -211,22 +254,24 @@ class _FreeBuilder:
                              "once, together")
         self.gens.update(gens)
         for key, waiting in self._waiting.items():
-            ready = [e for e in waiting if self.gens.keys() >= set(e[2])]
+            ready = [e for e in waiting if self.gens.keys() >= set(e[3])]
             if not ready:
                 continue
             self._waiting[key] = [e for e in waiting
-                                  if not self.gens.keys() >= set(e[2])]
+                                  if not self.gens.keys() >= set(e[3])]
             records = self._records[key]
-            for pos, obj, types in ready:
-                td = TensorData(tuple(self.gens[t].complex for t in types))
+            for place, pos, obj, types in ready:
+                td = self._tensors.get(types)
+                if td is None:
+                    td = self._tensors[types] = TensorData(
+                        tuple(self.gens[t].complex for t in types))
                 item = None if td.complex.is_zero() else self._summand(obj, td)
                 if item is not None:
-                    rec = _Summand(pos, item, types,
+                    rec = _Summand(key, pos, place, item, list(types),
                                    [self._gen_action(t) for t in types])
                     records.append(rec)
-                    self._summand_of[key][obj] = rec
-                    self._admit(key, rec)
-            records.sort(key=lambda rec: rec.pos)
+                    self._at[key][pos] = rec
+            records.sort(key=lambda rec: rec.place)
             for s, rec in enumerate(records):
                 rec.s = s
             self.summands[key] = [rec.item for rec in records]
@@ -247,17 +292,18 @@ class _FreeBuilder:
                 for k, v in self.attachments.items()}
         return self._att_cols
 
-    def _admit(self, key, rec):
-        """Note a summand that has joined the component at key."""
+    def _catalogue(self, key):
+        """The catalogue at key in layout order: by default its own."""
+        return self._canonical(key)[0]
 
     def _gen_action(self, key):
         return self.gens[key]
 
     def _record(self, key, obj):
-        try:
-            return self._summand_of[key][obj]
-        except KeyError:
-            raise KeyError("summand not present") from None
+        rec = self._at[key].get(self._position(key, obj))
+        if rec is None:
+            raise KeyError("summand not present")
+        return rec
 
     def summand_index(self, key, obj):
         return self._record(key, obj).s
@@ -318,17 +364,30 @@ class _FreeBuilder:
             for col in range(dim):
                 yield deg, col, off + col
 
+    def _found(self, key, how, rearranged):
+        """(_Summand, match) of a rearranged object at key, None when its
+        summand vanished here.  ``how`` names the rearrangement in
+        catalogue positions; ``rearranged()`` makes the object, matched
+        (``_match``) the first time the process meets ``how``."""
+        match = _MATCHES.get(how)
+        if match is None:
+            match = _MATCHES[how] = self._match(key, rearranged())
+        rec = self._at[key].get(match[0])
+        return None if rec is None else (rec, match)
+
     def _local(self, key, found, actions, labels):
         """The tensor labels [(label, coeff)] of a rearranged object,
-        matched onto its summand as ``found`` (``_match``), in that
+        matched onto its summand as ``found`` (``_found``), in that
         summand's own coordinates: (its _Summand, [((degree, row),
         coeff)]); an object whose summand vanished (``found`` None) gives
         (None, [])."""
         if found is None:
             return None, []
-        rec, sigmas, perm_images = found
+        rec, match = found
+        sigmas = match[1]
         local = {}
-        push_labels(actions, sigmas, perm_images, rec.item[1], labels, local)
+        push_labels(match, {p: _twist(self._twists, actions[p], sigmas[p])
+                            for p in match[4]}, rec.item[1], labels, local)
         return rec, list(self._project(key, rec.s, local))
 
     def _push(self, key, found, actions, labels):
@@ -385,14 +444,12 @@ class _FreeBuilder:
         """The attachment terms of d on each basis vector of summand s:
         each vertex in turn expanded into the attachment image of its
         generator, with the Koszul sign of the vertices before it.
-        Returns {(degree, column): [(_Summand, local terms)]}; each
-        expanded object is matched once."""
+        Returns {(degree, column): [(_Summand, local terms)]}."""
         rec = self._records[key][s]
         att_cols = self._attachment_columns()
         if all(t not in att_cols for t in rec.types):
             return {}
         terms = {}
-        matches = {}
         for deg, dim in rec.item[-1].complex.dims.items():
             for col in range(dim):
                 lifted = self._lift(key, s, deg, col)
@@ -407,17 +464,17 @@ class _FreeBuilder:
                             continue
                         sign = -F1 if sum(d for d, _ in label[:v]) % 2 else F1
                         for sub, cols in att[dv]:
+                            expanded = self._found(key, (
+                                "expand", key, rec.pos, v, vkey, sub.pos),
+                                lambda: self._expanded(rec, v, sub))
                             for local, coeff in cols[kk]:
-                                if (v, sub) not in matches:
-                                    matches[v, sub] = self._match(
-                                        key, self._expanded(rec, v, sub))
                                 scale = sign * lcoeff * coeff
                                 labels = [(label[:v] + tuple(sl)
                                            + label[v + 1:], c * scale)
                                           for sl, c in self._lift(
                                               vkey, sub.s, dv - 1, local)]
                                 target, out = self._local(
-                                    key, matches[v, sub],
+                                    key, expanded,
                                     rec.actions[:v] + sub.actions
                                     + rec.actions[v + 1:], labels)
                                 if target is not None:
@@ -429,7 +486,7 @@ class _FreeBuilder:
     def action_generator(self, key, j, component):
         """ChainMap of the adjacent transposition s_j on the component:
         each summand's columns pushed through its one image
-        (``_image``)."""
+        (``_swapped``)."""
         return self._action_generator(key, j, component, keep=True)
 
     def _action_generator(self, key, j, component, keep):
@@ -453,9 +510,10 @@ class _FreeBuilder:
 
     def _image_columns(self, key, s, j):
         """[(degree, column, ``_local`` image under s_j)] for each basis
-        vector of summand s, through its one image (``_image``)."""
-        found = self._image(key, s, j)
+        vector of summand s, through its one image (``_swapped``)."""
         rec = self._records[key][s]
+        found = self._found(key, ("image", key, rec.pos, j),
+                            lambda: self._swapped(rec, j))
         return [(deg, col, self._local(key, found, rec.actions,
                                        self._lift(key, s, deg, col)))
                 for deg, dim in rec.item[-1].complex.dims.items()
@@ -470,7 +528,9 @@ class _FreeBuilder:
             for s2, rec2 in enumerate(self._records[key2]):
                 lifts2 = [(deg, k, self._lift(key2, s2, deg, c))
                           for deg, c, k in self._columns(key2, s2)]
-                found = self._match(tkey, self._grafted(rec1, i, rec2))
+                found = self._found(
+                    tkey, ("graft", key1, rec1.pos, i, key2, rec2.pos),
+                    lambda: self._grafted(rec1, i, rec2))
                 actions = rec1.actions + rec2.actions
                 for deg1, k1, lift1 in lifts1:
                     for deg2, k2, lift2 in lifts2:
@@ -560,25 +620,14 @@ class FreeOperadBuilder(_FreeBuilder):
     """
 
     def __init__(self, gens, max_arity):
-        # per summand: the leaf sets of its vertices' children (slot
-        # masks) and the preorder place of each vertex's clade; per
-        # arity, the summand of each clade set
-        self._masks = {}
-        self._places = {}
-        self._by_clades = {}
         super().__init__(gens, DGOperad(SigmaModule({}), {}, max_arity))
 
-    def _admit(self, n, rec):
-        masks = rec.item[0].slot_masks()
-        self._masks[rec] = masks
-        self._places[rec] = {sum(f): p for p, f in enumerate(masks)}
-        self._by_clades.setdefault(n, {})[frozenset(self._places[rec])] = rec
+    def _canonical(self, n):
+        return T.enumerate_trees(n), T.tree_tables(n)[0]
 
-    def _catalogue(self, n):
-        return T.enumerate_trees(n)
-
-    def _types(self, tree):
-        return [len(v.children) for v in tree.vertices()]
+    def _position(self, n, tree):
+        return T.tree_tables(n)[3].get(
+            frozenset(sum(f) for f in tree.slot_masks()))
 
     def _summand(self, tree, td):
         return tree, td
@@ -587,49 +636,53 @@ class FreeOperadBuilder(_FreeBuilder):
         return ((self.summands[n][s][1].basis(deg)[col], F1),)
 
     def _match(self, n, factors):
-        """The summand of arity n whose tree is the rearranged one given,
-        factor by factor, by the leaf sets of its vertex's children in
-        slot order (``Tree.slot_masks``).  The summand is the one with
-        these vertex clades; each factor moves to its clade's preorder
-        place, and its slots are sorted by least leaf."""
+        """The match (``_matched``) of the rearranged tree of arity n
+        given, factor by factor, by the leaf sets of its vertex's
+        children in slot order (``Tree.slot_masks``).  The catalogue
+        tree is the one with these vertex clades; each factor moves to
+        its clade's preorder place, and its slots are sorted by least
+        leaf."""
+        _, _, places, index = T.tree_tables(n)
         clades = [sum(f) for f in factors]
-        rec = self._by_clades[n][frozenset(clades)]
-        place = self._places[rec]
+        pos = index[frozenset(clades)]
         sigmas = [T._slot_perm(tuple(k for _, k in sorted(
             (c & -c, k) for k, c in enumerate(f, 1)))) for f in factors]
-        return rec, sigmas, [place[c] for c in clades]
+        return _matched(pos, sigmas, [places[pos][c] for c in clades])
 
     def _project(self, n, s, local):
         return local.items()
 
-    def _image(self, n, s, j):
-        """s_j on summand s: leaves j and j + 1 swapped in every mask."""
+    @staticmethod
+    def _masks(rec):
+        return T.tree_tables(rec.key)[1][rec.pos]
+
+    def _swapped(self, rec, j):
+        """s_j on a summand's tree: leaves j and j + 1 swapped in every
+        mask."""
         pair = 3 << (j - 1)
-        return self._match(n, [
-            tuple(c ^ pair if c & pair not in (0, pair) else c for c in f)
-            for f in self._masks[self._records[n][s]]])
+        return [tuple(c ^ pair if c & pair not in (0, pair) else c
+                      for c in f) for f in self._masks(rec)]
 
     def _grafted(self, rec1, i, rec2):
         """t2 grafted at leaf i of t1, t1's factors first: t1's leaf i
         widens to t2's leaves, now i..i + m - 1, and its later leaves
         move up by m - 1."""
-        masks2 = self._masks[rec2]
-        m = sum(masks2[0]).bit_length()
+        m = rec2.key
         low, block = (1 << (i - 1)) - 1, ((1 << m) - 1) << (i - 1)
         return ([tuple(c & low | (block if c >> (i - 1) & 1 else 0)
                        | c >> i << (i + m - 1) for c in f)
-                 for f in self._masks[rec1]]
-                + [tuple(c << (i - 1) for c in f) for f in masks2])
+                 for f in self._masks(rec1)]
+                + [tuple(c << (i - 1) for c in f) for f in self._masks(rec2)])
 
     def _expanded(self, rec, v, sub):
         """Vertex v replaced by sub, whose factors take v's place: sub's
         leaf k stands for the leaf set of v's k-th child."""
-        masks = self._masks[rec]
+        masks = self._masks(rec)
         children = masks[v]
-        return masks[:v] + [
+        return [*masks[:v], *(
             tuple(sum(x for k, x in enumerate(children) if c >> k & 1)
                   for c in f)
-            for f in self._masks[sub]] + masks[v + 1:]
+            for f in self._masks(sub)), *masks[v + 1:]]
 
     def _plan(self, n, s):
         """Compose each child subtree into its parent as soon as it is
@@ -684,11 +737,12 @@ class FreeModularBuilder(_FreeBuilder):
         super().__init__(gens, ModularOperad(ModularSigmaModule({}), {}, {},
                                              max_dim))
 
-    def _catalogue(self, key):
-        return T.enumerate_stable_graphs(*key)
+    def _canonical(self, key):
+        return T.enumerate_stable_graphs(*key), T.graph_types(*key)
 
-    def _types(self, graph):
-        return [graph.vertex_type(v) for v in range(graph.n_vertices)]
+    def _position(self, key, graph):
+        return T._catalog_index(*key).get(
+            (graph.genera, graph.legs, graph.edges))
 
     def _summand(self, graph, td):
         coin = coinvariants(td.complex, self._automorphism_maps(graph, td))
@@ -715,13 +769,15 @@ class FreeModularBuilder(_FreeBuilder):
             image_slots = [slot_map[s] for s in g1.leg_order(v)]
             sigmas.append(Permutation(tuple(
                 image_slots.index(d) + 1 for d in target_order)))
+        match = _matched(None, sigmas, vperm)
+        twists = {p: _twist({}, factor_actions[p], sigmas[p])
+                  for p in match[4]}
         blocks = {}
         for deg in td1.complex.dims:
             cols = {}
             for col, label in enumerate(td1.basis(deg)):
                 out = {}
-                push_labels(factor_actions, sigmas, vperm, td2, [(label, F1)],
-                            out)
+                push_labels(match, twists, td2, [(label, F1)], out)
                 cols[col] = sparse_row({row: c for (_, row), c in out.items()})
             blocks[deg] = _assemble(td2.complex.dim(deg),
                                     td1.complex.dim(deg), cols)
@@ -737,12 +793,8 @@ class FreeModularBuilder(_FreeBuilder):
 
     def _match(self, key, concrete):
         match = T.match_graph(concrete)
-        rec = self._summand_of[key].get(
-            T.enumerate_stable_graphs(*key)[match.index])
-        if rec is None:
-            return None
-        sigmas = [match.slot_perms[v] for v in range(len(match.vertex_map))]
-        return rec, sigmas, match.vertex_map
+        return _matched(match.index, [match.slot_perms[v] for v in range(
+            len(match.vertex_map))], match.vertex_map)
 
     def _project(self, key, s, local):
         coin = self.summands[key][s][2]
@@ -752,12 +804,10 @@ class FreeModularBuilder(_FreeBuilder):
             for row, c in coin.projection.block(deg).apply(vec):
                 yield (deg, row), c
 
-    def _image(self, key, s, j):
-        """s_j on summand s: its graph with legs j and j + 1 swapped,
-        matched once."""
-        sigma = Permutation.transposition(key[1], j)
-        return self._match(key, T.relabel_legs(
-            T.concrete_from_canonical(self.summands[key][s][0]), sigma))
+    def _swapped(self, rec, j):
+        """s_j on a summand's graph: legs j and j + 1 swapped."""
+        return T.relabel_legs(T.concrete_from_canonical(rec.item[0]),
+                              Permutation.transposition(rec.key[1], j))
 
     def _grafted(self, rec1, i, rec2):
         return T.graft_graphs(T.concrete_from_canonical(rec1.item[0]), i,
@@ -770,12 +820,12 @@ class FreeModularBuilder(_FreeBuilder):
     def contraction_table(self, key, i, j):
         table = CompTable()
         tkey = self.shape.contr_target(key)
-        for s, (graph, _, _) in enumerate(self.summands[key]):
-            found = self._match(
-                tkey, T.self_glue(T.concrete_from_canonical(graph), i, j))
-            actions = self._records[key][s].actions
+        for s, rec in enumerate(self._records[key]):
+            found = self._found(tkey, ("glue", key, rec.pos, i, j),
+                                lambda: T.self_glue(T.concrete_from_canonical(
+                                    rec.item[0]), i, j))
             for deg, col, k in self._columns(key, s):
-                out = self._push(tkey, found, actions,
+                out = self._push(tkey, found, rec.actions,
                                  self._lift(key, s, deg, col))
                 for (_, row), c in out.items():
                     table.add(deg, k, row, c)

@@ -90,8 +90,18 @@ class Tree(_Frozen):
         """The leaf sets of each vertex's children as bitmasks (leaf j is
         bit j - 1): vertices in preorder, children in slot order.  Their
         sums, the vertices' clades, determine the tree."""
-        return [tuple(sum(1 << (j - 1) for j in c.leaves())
-                      for c in v.children) for v in self.vertices()]
+        out = []
+
+        def walk(t):
+            if t.is_leaf:
+                return 1 << (t.label - 1)
+            p = len(out)
+            out.append(None)
+            out[p] = tuple(walk(c) for c in t.children)
+            return sum(out[p])
+
+        walk(self)
+        return out
 
 
 def leaf(label: int) -> Tree:
@@ -143,6 +153,19 @@ def enumerate_trees(n: int):
         return ()
     trees = _trees_on(tuple(range(1, n + 1)))
     return tuple(sorted(trees, key=Tree.sort_key))
+
+
+@lru_cache(maxsize=None)
+def tree_tables(n: int):
+    """Catalogue facts of ``enumerate_trees(n)`` by position: each tree's
+    vertex types (child counts, preorder), slot masks
+    (``Tree.slot_masks``) and preorder place of each vertex clade; and
+    the position of each set of vertex clades."""
+    masks = tuple(tuple(t.slot_masks()) for t in enumerate_trees(n))
+    types = tuple(tuple(len(f) for f in m) for m in masks)
+    places = tuple({sum(f): p for p, f in enumerate(m)} for m in masks)
+    index = {frozenset(place): pos for pos, place in enumerate(places)}
+    return types, masks, places, index
 
 
 # -- stable graphs ------------------------------------------------------------
@@ -386,6 +409,14 @@ def enumerate_stable_graphs(g: int, l: int):
                     if key not in found:
                         found[key] = StableGraph(*key)
     return tuple(found[k] for k in sorted(found))
+
+
+@lru_cache(maxsize=None)
+def graph_types(g: int, l: int):
+    """The vertex types (genus, valence) of each graph of
+    ``enumerate_stable_graphs(g, l)``, by position."""
+    return tuple(tuple(gr.vertex_type(v) for v in range(gr.n_vertices))
+                 for gr in enumerate_stable_graphs(g, l))
 
 
 @lru_cache(maxsize=None)

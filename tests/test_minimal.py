@@ -894,10 +894,12 @@ class TestOneBuilderPerModel:
 
     @staticmethod
     def _counted(monkeypatch, cls):
-        """Count the s_j images and attachment terms computed, by
-        (key, summand object[, j])."""
+        """Count the columns of s_j images and the attachment terms
+        computed, by (key, summand object[, j]).  The match behind an
+        image is made once per process (``free._MATCHES``), so the work
+        counted is the per-summand column work, done once per model."""
         counts = {}
-        image, terms = cls._image, cls._attachment_terms
+        image, terms = cls._image_columns, cls._attachment_terms
 
         def counted_image(self, key, s, j):
             k = ("image", key, self.summands[key][s][0], j)
@@ -909,7 +911,7 @@ class TestOneBuilderPerModel:
             counts[k] = counts.get(k, 0) + 1
             return terms(self, key, s)
 
-        monkeypatch.setattr(cls, "_image", counted_image)
+        monkeypatch.setattr(cls, "_image_columns", counted_image)
         monkeypatch.setattr(cls, "_attachment_terms", counted_terms)
         return counts
 

@@ -9,6 +9,8 @@ from fractions import Fraction
 import pytest
 
 from operad_forge import document
+from operad_forge import free as free_module
+from operad_forge.cli import main as cli_main
 from operad_forge.chain import (
     ChainComplex,
     ChainMap,
@@ -55,6 +57,7 @@ from operad_forge.trees import (
     graph_automorphisms,
     match_graph,
     relabel_legs,
+    self_glue,
 )
 from operad_forge.weight import formality_check
 
@@ -229,7 +232,7 @@ def _reference_action_generator(builder, key, j, component):
     cols = {}
     for s, (obj, *_) in enumerate(builder.summands[key]):
         moved = _reference_relabelled(builder, obj, sigma)
-        actions = [builder.gens[t] for t in builder._types(obj)]
+        actions = [builder.gens[t] for t in builder.vertex_types(key, s)]
         for deg, col, gcol in builder._columns(key, s):
             out = _reference_push(builder, key, moved, actions,
                                   builder._lift(key, s, deg, col), F1)
@@ -316,9 +319,9 @@ class TestTreeMatchAgainstPlanarReference:
 
     @staticmethod
     def _assert_same(found, planar):
-        rec, sigmas, perm_images = found
+        pos, sigmas, perm_images, *_ = found
         tree, want_sigmas, want_images = planar_match(planar)
-        assert rec.item[0] == tree
+        assert enumerate_trees(tree.arity)[pos] == tree
         assert list(sigmas) == want_sigmas
         assert list(perm_images) == want_images
 
@@ -353,11 +356,199 @@ class TestTreeMatchAgainstPlanarReference:
     def test_images(self):
         b = self._builder()
         for n in range(2, 6):
-            for s, rec in enumerate(b._records[n]):
+            for rec in b._records[n]:
                 for j in range(1, n):
                     moved = _reference_relabelled(
                         b, rec.item[0], Permutation.transposition(n, j))
-                    self._assert_same(b._image(n, s, j), moved)
+                    self._assert_same(b._match(n, b._swapped(rec, j)), moved)
+
+
+def _rearrangements(b):
+    """(target key, memo key, rearrangement method, its arguments) for
+    every s_j image, graft, vertex expansion and self-gluing of the
+    summands of a builder."""
+    shape = b.shape
+    for key in shape.keys():
+        for rec in b._records[key]:
+            for j in range(1, shape.legs(key)):
+                yield key, ("image", key, rec.pos, j), b._swapped, (rec, j)
+            for v, vkey in enumerate(rec.types):
+                for sub in b._records.get(vkey, ()):
+                    yield (key, ("expand", key, rec.pos, v, vkey, sub.pos),
+                           b._expanded, (rec, v, sub))
+    for key1, i, key2 in shape.comp_keys():
+        for rec1, rec2 in itertools.product(b._records[key1],
+                                            b._records[key2]):
+            yield (shape.comp_target(key1, i, key2),
+                   ("graft", key1, rec1.pos, i, key2, rec2.pos), b._grafted,
+                   (rec1, i, rec2))
+    for key, i, j in shape.contr_keys():
+        for rec in b._records[key]:
+            yield (shape.contr_target(key), ("glue", key, rec.pos, i, j),
+                   lambda rec, i, j: self_glue(
+                       concrete_from_canonical(rec.item[0]), i, j),
+                   (rec, i, j))
+
+
+def _sizes(*modules):
+    """The size of every module-level container and cache."""
+    out = {}
+    for mod in modules:
+        for name, value in vars(mod).items():
+            if name.startswith("__"):
+                continue
+            if isinstance(value, (dict, list, set, tuple)):
+                out[mod.__name__, name] = len(value)
+            elif hasattr(value, "cache_info"):
+                out[mod.__name__, name] = value.cache_info().currsize
+    return out
+
+
+def _sign_modular_module():
+    c = ChainComplex({0: 1})
+    minus = ChainMap(c, c, {0: Matrix.from_rows([[-1]])})
+    return ModularSigmaModule({(0, 3): GroupAction(3, c, [minus, minus])})
+
+
+class TestRearrangementMemo:
+    """Each rearrangement of a catalogue object is matched once per
+    process (``free._MATCHES``, keyed by catalogue positions).  A
+    remembered match is a catalogue fact: read by any builder, it equals
+    the match of the freshly rearranged object, and a builder on other
+    generators, where other summands vanish, builds what it builds with
+    a cold memo."""
+
+    BUILDERS = {
+        "binary-trivial": lambda: FreeOperadBuilder(
+            dict(trivial_module({2: {0: 1}}).components), 5),
+        "binary-sign": lambda: FreeOperadBuilder(
+            dict(sign_module(2, 0).components), 5),
+        "ternary-trivial": lambda: FreeOperadBuilder(
+            dict(trivial_module({3: {1: 1}}).components), 5),
+        "ternary-sign": lambda: FreeOperadBuilder(
+            dict(sign_module(3, 1).components), 5),
+        "mixed-degree": lambda: FreeOperadBuilder(
+            dict(mixed_module().components), 5),
+        "binary-ternary-odd": lambda: FreeOperadBuilder(dict(SigmaModule({
+            **sign_module(2, 1).components,
+            **sign_module(3, 1).components}).components), 5),
+        "modular-generator-03": lambda: FreeModularBuilder(
+            dict(_fixture("modular_generator_03.json").components), 3),
+        "endomorphism-dim1": lambda: FreeModularBuilder(
+            _endomorphism_dim1_module(3), 3),
+    }
+
+    def test_memo_reads_equal_fresh_matches(self):
+        # every builder finished first, so most reads below are of
+        # matches another builder remembered
+        builders = {name: make() for name, make in self.BUILDERS.items()}
+        for b in builders.values():
+            b.finish()
+        for name, b in builders.items():
+            kinds = set()
+            for tkey, how, rearrange, args in _rearrangements(b):
+                found = b._found(tkey, how, lambda: rearrange(*args))
+                fresh = b._match(tkey, rearrange(*args))
+                assert free_module._MATCHES[how] == fresh, (name, how)
+                obj = b._canonical(tkey)[0][fresh[0]]
+                objects = [item[0] for item in b.summands[tkey]]
+                if obj in objects:
+                    assert found[0].item[0] == obj and found[1] == fresh, \
+                        (name, how)
+                else:
+                    assert found is None, (name, how)
+                kinds.add(how[0])
+            want = {"image", "graft", "expand"}
+            if isinstance(b, FreeModularBuilder):
+                want.add("glue")
+            assert kinds == want, name
+
+    @staticmethod
+    def _count_matches(monkeypatch):
+        calls = []
+        for cls in (FreeOperadBuilder, FreeModularBuilder):
+            def counted(self, key, obj, _match=cls._match):
+                calls.append(key)
+                return _match(self, key, obj)
+            monkeypatch.setattr(cls, "_match", counted)
+        return calls
+
+    @pytest.mark.parametrize("name,digest", [
+        ("binary-sign",
+         "2169ed90ecc26a313975798365d48f8b25f36385e37f09eeaa5c250f0927f958"),
+        ("mixed-degree",
+         "ad58aabc9310643c7b888515fa4f9faf203bff197ad7b2b9dd608f10a7630847"),
+        ("ternary-sign",
+         "6d8700a49dfea3955c178baccab707e8645b4296d4a74a1c0d8da092e63c1087"),
+        ("dim-3",
+         "5f3ebf2a646211211cdd032fabb35c0da474f32a6ca08c6b8cba38d0b4916d35"),
+    ], ids=["binary-sign", "mixed-degree", "ternary-sign", "dim-3"])
+    def test_cold_and_warm_memo_same_bytes(self, monkeypatch, tmp_path,
+                                           name, digest):
+        """The pins of ``TestActionGeneratorsAgainstParent`` and of
+        ``free modular_generator_03.json --max-dim 3``, with the memo
+        cleared and then warm; the warm build matches nothing."""
+        modules = {"binary-sign": sign_module(2, 0),
+                   "mixed-degree": mixed_module(),
+                   "ternary-sign": sign_module(3, 1)}
+
+        def build():
+            if name in modules:
+                return _digest(document.to_document(
+                    free_operad(modules[name], 5)))
+            out = tmp_path / "free.json"
+            assert cli_main(["free", os.path.join(
+                FIXTURES, "modular_generator_03.json"), "--max-dim", "3",
+                "--out", str(out)]) == 0
+            return hashlib.sha256(out.read_bytes()).hexdigest()
+
+        monkeypatch.setattr(free_module, "_MATCHES", {})
+        assert build() == digest
+        assert free_module._MATCHES
+        calls = self._count_matches(monkeypatch)
+        assert build() == digest
+        assert calls == []
+
+    def test_vanished_summand_never_remembered(self, monkeypatch):
+        """The loop summands of the sign generator's free modular operad
+        vanish (``test_sign_rep_loop_coinvariants_vanish``) and are
+        present on the trivial generator: built after each other, in
+        either order, each gives its cold-memo bytes."""
+        modules = {"trivial": genus_one_module(),
+                   "sign": _sign_modular_module()}
+
+        def build(name):
+            return _digest(document.to_document(
+                free_modular_operad(modules[name], 2)))
+
+        cold = {}
+        for name in modules:
+            monkeypatch.setattr(free_module, "_MATCHES", {})
+            cold[name] = build(name)
+        trivial = free_modular_operad(modules["trivial"], 2).free
+        sign = free_modular_operad(modules["sign"], 2).free
+        assert any(len(sign.summands[key]) < len(trivial.summands[key])
+                   for key in trivial.shape.keys())
+        for order in (("trivial", "sign"), ("sign", "trivial")):
+            monkeypatch.setattr(free_module, "_MATCHES", {})
+            for name in order:
+                assert build(name) == cold[name], order
+
+    def test_no_module_level_store_grows_across_extensions(self):
+        """After one extension at a window, extensions of other
+        generator modules at that window leave every module-level
+        container and cache of ``free`` and ``trees`` as it was: the
+        memo holds no generator fact and the per-build work stays on the
+        builder."""
+        from operad_forge import trees as trees_module
+
+        extend_freely(truncate(commutative_style_operad(4), 3), 4)
+        before = _sizes(free_module, trees_module)
+        for op, n in [(free_operad(trivial_module({2: {0: 1}}), 4), 2),
+                      (free_operad(sign_module(2, 0), 4), 3),
+                      (free_operad(mixed_module(), 4), 2)]:
+            assert validate(extend_freely(truncate(op, n), 4)) == []
+        assert _sizes(free_module, trees_module) == before
 
 
 class TestFreeModular:
