@@ -440,47 +440,6 @@ def tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
     return TensorData((x, y)).complex
 
 
-def koszul_reorder_sign(degrees, perm_images):
-    """Sign for reordering tensor factors.
-
-    ``perm_images[p]`` is the target position (0-based) of factor p; the
-    sign is the product of (-1)^(deg_p * deg_q) over inverted pairs.
-    """
-    sign = 1
-    m = len(degrees)
-    for p in range(m):
-        for q in range(p + 1, m):
-            if perm_images[p] > perm_images[q] and degrees[p] % 2 and degrees[q] % 2:
-                sign = -sign
-    return F1 if sign == 1 else -F1
-
-
-def reorder_map(td: TensorData, perm_images):
-    """Chain map permuting tensor factors with Koszul signs.
-
-    Factor p of the source goes to slot ``perm_images[p]`` (0-based) of
-    the target tensor product.
-    """
-    m = len(td.factors)
-    target_factors = [None] * m
-    for p in range(m):
-        target_factors[perm_images[p]] = td.factors[p]
-    target = TensorData(tuple(target_factors))
-    blocks = {}
-    for n, items in td._basis.items():
-        out = [()] * len(target.basis(n))
-        for colpos, label in enumerate(items):
-            degrees = [d for d, _ in label]
-            sign = koszul_reorder_sign(degrees, perm_images)
-            newlabel = [None] * m
-            for p, entry in enumerate(label):
-                newlabel[perm_images[p]] = entry
-            _, rowpos = target.index(tuple(newlabel))
-            out[rowpos] = ((colpos, sign),)
-        blocks[n] = Matrix._trusted(len(out), len(items), tuple(out))
-    return target, ChainMap(td.complex, target.complex, blocks)
-
-
 # -- homotopies --------------------------------------------------------------
 
 

@@ -439,15 +439,10 @@ def kappa(cx: CubicChain, cy: CubicChain, product=None) -> CubicChain:
     return alt(cross(cx, cy, product))
 
 
-def chain_complex(space, p_max=None) -> ChainComplex:
-    """Boundary complex on the nondegenerate cubes up to p_max."""
-    dims_avail = space.dims()
-    if p_max is None:
-        p_max = max(dims_avail)
+def chain_complex(space) -> ChainComplex:
+    """Boundary complex on the nondegenerate cubes."""
     basis = {}
-    for p in dims_avail:
-        if p > p_max:
-            continue
+    for p in space.dims():
         cubes = [c for c in space.cubes(p) if not space.is_degenerate(c)]
         if cubes:
             basis[p] = cubes

@@ -58,9 +58,19 @@ def matrix_to_lists(m: Matrix):
     return out
 
 
+def _rational(x, parsed):
+    """The rational of a cell, each text parsed once per read (``parsed``:
+    cell text -> rational); a cell that is not a string is rejected."""
+    q = parsed.get(x) if type(x) is str else None
+    if q is None:
+        q = rational_from_str(x)
+        parsed[x] = q
+    return q
+
+
 def matrix_from_lists(data, rows, cols, parsed=None):
     """The Matrix of a document's rows of cells.  A read passes one dict
-    ``parsed`` (cell text -> rational) to all its matrices."""
+    ``parsed`` (cell text -> rational) to all its matrices and tables."""
     if not isinstance(data, list) or len(data) != rows \
             or any(not isinstance(r, list) or len(r) != cols for r in data):
         raise DocumentError(f"matrix shape mismatch (expected {rows}x{cols})")
@@ -73,9 +83,7 @@ def matrix_from_lists(data, rows, cols, parsed=None):
             # a "0" cell is the common case; any other spelling of zero
             # ("-0", "0/3") is parsed and dropped
             if x != "0":
-                q = parsed.get(x) if type(x) is str else None
-                if q is None:
-                    q = parsed[x] = rational_from_str(x)
+                q = _rational(x, parsed)
                 if q:
                     entries.append((j, q))
         sparse.append(tuple(entries))
@@ -205,15 +213,15 @@ def _table_key(x, modular, what):
     return tuple(x)
 
 
-def _cells(rowlist, what):
+def _cells(rowlist, what, parsed):
     """(row, coefficient) pairs of one table cell."""
     for pair in _expect(rowlist, list, what):
         if type(pair) is not list or len(pair) != 2:
             raise DocumentError(f"{what}: expected [row, coefficient]")
-        yield _expect(pair[0], int, f"{what}: row"), rational_from_str(pair[1])
+        yield _expect(pair[0], int, f"{what}: row"), _rational(pair[1], parsed)
 
 
-def _tables_from_doc(entries, what, places, modular):
+def _tables_from_doc(entries, what, places, modular, parsed):
     """{source: CompTable} from the entries of a document's compositions
     or contractions.  ``places`` names the three places of a source: a
     "key" is a component key, one per source of the map, and any other
@@ -240,7 +248,7 @@ def _tables_from_doc(entries, what, places, modular):
                                            f"{what} block").items():
                 indices = _ints(cell_s, n, f"{what} cell")
                 cell = {}
-                for row, coeff in _cells(rowlist, f"{what} cell"):
+                for row, coeff in _cells(rowlist, f"{what} cell", parsed):
                     if row in cell:
                         raise DocumentError(
                             f"{what} {source}: row {row} listed twice in "
@@ -300,7 +308,7 @@ def from_document(doc):
     if (kind, indexing) not in _INDEXINGS:
         raise DocumentError(f"{kind} document with indexing {indexing!r}")
     modular = indexing == "modular"
-    parsed = {}  # cell text -> its rational, for this read's matrices
+    parsed = {}  # cell text -> its rational, for this read's cells
     components = {}
     for key_s, comp_doc in _expect(doc.get("components", {}), dict,
                                    "components").items():
@@ -321,7 +329,7 @@ def from_document(doc):
     if kind == "sigma-module":
         return module, metadata
     comp = _tables_from_doc(doc.get("compositions", []), "composition",
-                            ("key", "slot", "key"), modular)
+                            ("key", "slot", "key"), modular, parsed)
     cut = doc.get("truncation_cut") if kind == "truncated" else None
     if kind == "truncated" and cut is None:
         raise DocumentError("truncated document needs truncation_cut")
@@ -333,7 +341,7 @@ def from_document(doc):
         raise DocumentError(f"{kind} document needs window.{bound}")
     top = _expect(window[bound], int, f"window.{bound}")
     contr = (_tables_from_doc(doc.get("contractions", []), "contraction",
-                              ("key", "leg", "leg"), True)
+                              ("key", "leg", "leg"), True, parsed)
              if modular else None)
     try:
         if modular:

@@ -6,9 +6,12 @@ under graph automorphisms.  All structure maps reduce to one routine:
 rearrange the object (relabel its legs, graft, expand a vertex), match
 the result against the catalog of canonical representatives, and push
 basis labels through the induced per-vertex slot permutations and the
-Koszul factor reordering.  A rearranged tree is the leaf sets of its
-vertices' children, matched by its set of vertex clades; a rearranged
-stable graph is a concrete graph, matched by ``trees.match_graph``.
+Koszul factor reordering, ``push_labels``: graph automorphisms and the
+endomorphism operad's Sigma_n action reorder through it too
+(``_factor_map``).  A rearranged tree is the leaf sets of its vertices'
+children, matched by its set of vertex clades; a rearranged stable
+graph is a concrete graph, matched by ``trees.match_graph``; each match
+is made once per process (``_MATCHES``).
 Morphisms out of a free operad take one route too: each summand is
 composed in the target along a plan built once per summand (along the
 tree's nesting, or along the stable graph's spanning tree and then its
@@ -23,12 +26,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .chain import (
-    ChainComplex,
-    ChainMap,
-    TensorData,
-    reorder_map,
-)
+from .chain import ChainComplex, ChainMap, TensorData
 from .qlinalg import F0, F1, Matrix, _combine, kernel, rank, sparse_row
 from .sigma import (
     GroupAction,
@@ -58,15 +56,26 @@ from . import trees as T
 _MATCHES = {}
 
 
+def _inversions(perm_images):
+    """The pairs (p, q), p < q, of factors whose order the placing
+    ``perm_images`` (factor p to place ``perm_images[p]``) reverses."""
+    m = len(perm_images)
+    return tuple((p, q) for p in range(m) for q in range(p + 1, m)
+                 if perm_images[p] > perm_images[q])
+
+
+def _odd(label, inversions):
+    """Whether moving the factors of a tensor label across these
+    inversions (``_inversions``) costs a Koszul sign."""
+    return sum(label[p][0] * label[q][0] for p, q in inversions) % 2
+
+
 def _matched(pos, sigmas, perm_images):
     """A match as the memo holds it: the target's catalogue position,
     each factor's slot permutation and place in the target, the pairs
     of factors the placing reverses and the factors whose slot
     permutation is not the identity."""
-    m = len(perm_images)
-    return (pos, tuple(sigmas), tuple(perm_images),
-            tuple((p, q) for p in range(m) for q in range(p + 1, m)
-                  if perm_images[p] > perm_images[q]),
+    return (pos, tuple(sigmas), tuple(perm_images), _inversions(perm_images),
             tuple(p for p, sig in enumerate(sigmas) if not sig.is_identity()))
 
 
@@ -94,7 +103,7 @@ def push_labels(match, twists, target_td, labels, out):
     _, _, perm_images, inversions, twisted = match
     m = len(perm_images)
     for label, coeff in labels:
-        if sum(label[p][0] * label[q][0] for p, q in inversions) % 2:
+        if _odd(label, inversions):
             coeff = -coeff
         moved = [None] * m
         for p, entry in enumerate(label):
@@ -111,6 +120,24 @@ def push_labels(match, twists, target_td, labels, out):
                 c += out.pop(key)
             if c:
                 out[key] = c
+
+
+def _factor_map(td1, td2, actions, sigmas, perm_images):
+    """The chain map td1 -> td2 that twists factor p by its slot
+    permutation ``sigmas[p]`` (through ``actions[p]``) and moves it to
+    place ``perm_images[p]``, with the Koszul sign (``push_labels``)."""
+    match = _matched(None, sigmas, perm_images)
+    twists = {p: _twist({}, actions[p], sigmas[p]) for p in match[4]}
+    blocks = {}
+    for deg in td1.complex.dims:
+        cols = {}
+        for col, label in enumerate(td1.basis(deg)):
+            out = {}
+            push_labels(match, twists, td2, [(label, F1)], out)
+            cols[col] = sparse_row({row: c for (_, row), c in out.items()})
+        blocks[deg] = _assemble(td2.complex.dim(deg),
+                                td1.complex.dim(deg), cols)
+    return ChainMap(td1.complex, td2.complex, blocks, check=False)
 
 
 def _assemble(rows, cols, entries):
@@ -756,32 +783,20 @@ class FreeModularBuilder(_FreeBuilder):
             if all(vperm[v] == v for v in range(graph.n_vertices)) \
                     and all(slot_map[s] == s for s in slot_map):
                 continue
-            maps.append(self._iso_chain_map(graph, td, graph, td, vperm,
-                                            slot_map))
+            maps.append(self._iso_chain_map(graph, td, vperm, slot_map))
         return maps
 
-    def _iso_chain_map(self, g1, td1, g2, td2, vperm, slot_map):
-        factor_actions = [self._gen_action(g1.vertex_type(v))
-                          for v in range(g1.n_vertices)]
+    def _iso_chain_map(self, graph, td, vperm, slot_map):
+        """``_factor_map`` on td of the graph automorphism (vperm,
+        slot_map), each vertex twisted by the permutation of its slots."""
         sigmas = []
-        for v in range(g1.n_vertices):
-            target_order = g2.leg_order(vperm[v])
-            image_slots = [slot_map[s] for s in g1.leg_order(v)]
+        for v in range(graph.n_vertices):
+            image_slots = [slot_map[s] for s in graph.leg_order(v)]
             sigmas.append(Permutation(tuple(
-                image_slots.index(d) + 1 for d in target_order)))
-        match = _matched(None, sigmas, vperm)
-        twists = {p: _twist({}, factor_actions[p], sigmas[p])
-                  for p in match[4]}
-        blocks = {}
-        for deg in td1.complex.dims:
-            cols = {}
-            for col, label in enumerate(td1.basis(deg)):
-                out = {}
-                push_labels(match, twists, td2, [(label, F1)], out)
-                cols[col] = sparse_row({row: c for (_, row), c in out.items()})
-            blocks[deg] = _assemble(td2.complex.dim(deg),
-                                    td1.complex.dim(deg), cols)
-        return ChainMap(td1.complex, td2.complex, blocks, check=False)
+                image_slots.index(d) + 1 for d in graph.leg_order(vperm[v]))))
+        return _factor_map(td, td, [self._gen_action(graph.vertex_type(v))
+                                    for v in range(graph.n_vertices)],
+                           sigmas, vperm)
 
     def _lift(self, key, s, deg, col):
         rec = self._records[key][s]
@@ -793,8 +808,8 @@ class FreeModularBuilder(_FreeBuilder):
 
     def _match(self, key, concrete):
         match = T.match_graph(concrete)
-        return _matched(match.index, [match.slot_perms[v] for v in range(
-            len(match.vertex_map))], match.vertex_map)
+        return _matched(match.index, match.slot_perms.values(),
+                        match.vertex_map)
 
     def _project(self, key, s, local):
         coin = self.summands[key][s][2]
@@ -870,8 +885,7 @@ class FreeModularBuilder(_FreeBuilder):
         if (genus, len(slots)) != key:
             raise AssertionError("graph evaluation lost track of the type")
         # the pairs of vertices that the glue order reverses
-        inversions = tuple((p, q) for i, q in enumerate(order)
-                           for p in order[i + 1:] if p < q)
+        inversions = _inversions([order.index(v) for v in range(len(order))])
         relabel = Permutation(tuple(slots.index(("leg", q)) + 1
                                     for q in range(1, key[1] + 1)))
         return (steps, inversions, key,
@@ -956,13 +970,11 @@ def endomorphism_modular_operad(v: ChainComplex, pairing,
         if td.complex.is_zero():
             continue
         tds[key] = td
-        gens = []
-        for j in range(1, l):
-            sigma = Permutation.transposition(l, j)
-            images = [sigma(q) - 1 for q in range(1, l + 1)]
-            _, rmap = reorder_map(td, images)
-            gens.append(ChainMap(td.complex, td.complex, rmap.blocks,
-                                 check=False))
+        # s_j swaps the factors at places j - 1 and j (from 0); they
+        # have no slots to twist
+        gens = [_factor_map(td, td, None, [Permutation.identity(1)] * l,
+                            [*range(j - 1), j, j - 1, *range(j + 1, l)])
+                for j in range(1, l)]
         actions[key] = GroupAction(l, td.complex, gens, check=False)
     op = ModularOperad(ModularSigmaModule(actions, check=False), {}, {},
                        max_dim)
@@ -1066,7 +1078,7 @@ def evaluate_tree_basis(dst, plan, columns, labels):
         (deg, vec), = stack
         if relabel is not None:
             vec = dst.action(key, relabel).block(deg).apply(vec)
-        if sum(label[p][0] * label[q][0] for p, q in inversions) % 2:
+        if _odd(label, inversions):
             coeff = -coeff
         if vec:
             out[deg] = _combine(out.get(deg, ()), vec, coeff)

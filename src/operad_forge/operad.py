@@ -197,10 +197,7 @@ class _OperadCore:
         return self.module.components.get(key)
 
     def action(self, key, perm) -> ChainMap:
-        if key in self.module.components:
-            return self.module.components[key].action(perm)
-        zero = self.component(key)
-        return ChainMap.identity(zero)
+        return self.module.action(key, perm)
 
     def comp_table(self, key1, i, key2) -> CompTable:
         return self.comp.get((key1, i, key2), _EMPTY)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from types import MappingProxyType
 
 from .qlinalg import _Frozen, _setfield
 from .sigma import Permutation, is_stable
@@ -435,8 +434,8 @@ class ConcreteGraph(_Frozen):
 
     ``slot_orders[v]`` lists, in the order of the tensor slots of the
     element sitting at v, the descriptors those slots currently occupy.
-    A value: equal graphs (all four fields tuples) hash alike, so
-    ``match_graph`` can remember its answer.
+    A value: equal graphs (all four fields tuples) compare and hash
+    alike.
     """
 
     def __init__(self, genera, legs, edges, slot_orders):
@@ -619,50 +618,26 @@ def expand_vertex(c: ConcreteGraph, v: int, sub: ConcreteGraph) -> ConcreteGraph
     return ConcreteGraph(genera, tuple(legs), tuple(edges), tuple(slot_orders))
 
 
-class GraphMatch(_Frozen):
-    """Result of matching a concrete graph against the catalog; shared
-    by every caller that matches an equal graph, so ``slot_perms`` is a
-    read-only mapping."""
+class GraphMatch:
+    """Result of matching a concrete graph against the catalog: the
+    catalog position, the vertex map onto that graph and, by concrete
+    vertex, the slot permutation (canonical slot -> factor slot)."""
 
     __slots__ = ("index", "vertex_map", "slot_perms")
 
     def __init__(self, index, vertex_map, slot_perms):
-        _setfield(self, "index", index)
-        _setfield(self, "vertex_map", vertex_map)
-        # concrete vertex -> Permutation (canonical slot -> factor slot)
-        _setfield(self, "slot_perms", MappingProxyType(dict(slot_perms)))
+        self.index = index
+        self.vertex_map = vertex_map
+        self.slot_perms = slot_perms
 
 
 def match_graph(c: ConcreteGraph) -> GraphMatch:
     """Match c against ``enumerate_stable_graphs(genus, legs)`` of its own
     genus and leg count: the catalog graph with c's canonical key, by the
     first isomorphism onto it.  Catalog graphs are pairwise
-    non-isomorphic, so no other entry could match.  A match depends only
-    on c's fields and the catalogs, so each is computed once per process
-    (``_match``), like the catalogs themselves; the slot orders are
-    remembered as small integers: leg j as j, half h of edge e as
-    -(2e + h + 1), and 0 after each vertex's slots."""
-    codes = []
-    for slots in c.slot_orders:
-        for slot in slots:
-            codes.append(slot[1] if slot[0] == "leg"
-                         else -(2 * slot[1] + slot[2] + 1))
-        codes.append(0)
-    return _match(c.genera, c.legs, c.edges, tuple(codes))
-
-
-@lru_cache(maxsize=None)
-def _match(genera, legs, edges, codes):
-    """``match_graph`` of the concrete graph with these fields."""
-    slot_orders, slots = [], []
-    for x in codes:
-        if not x:
-            slot_orders.append(slots)
-            slots = []
-        else:
-            slots.append(("leg", x) if x > 0 else ("edge", (-x - 1) // 2,
-                                                   (-x - 1) % 2))
-    underlying = StableGraph(genera, legs, edges)
+    non-isomorphic, so no other entry could match.  The free builder
+    remembers the matches it asks for (``free._MATCHES``)."""
+    underlying = c.as_stable_graph()
     g, l = underlying.genus, underlying.n_legs
     idx = _catalog_index(g, l).get(underlying.canonical_key())
     if idx is None:
@@ -670,16 +645,13 @@ def _match(genera, legs, edges, codes):
     cand = enumerate_stable_graphs(g, l)[idx]
     vertex_map, slot_map = next(graph_isomorphisms(underlying, cand))
     slot_perms = {}
-    for v in range(len(genera)):
-        target_order = cand.leg_order(vertex_map[v])
-        image_slots = [slot_map[s] for s in slot_orders[v]]
-        perm = []
-        for d in target_order:
-            perm.append(image_slots.index(d) + 1)
-        slot_perms[v] = _slot_perm(tuple(perm))
+    for v, slots in enumerate(c.slot_orders):
+        image_slots = [slot_map[s] for s in slots]
+        slot_perms[v] = _slot_perm(tuple(
+            image_slots.index(d) + 1 for d in cand.leg_order(vertex_map[v])))
     return GraphMatch(idx, vertex_map, slot_perms)
 
 
-# one Permutation object for each slot permutation of a remembered graph
-# match, and of each tree match the free builder makes
+# one Permutation object for each slot permutation of a graph or tree
+# match the free builder makes; its twist columns are kept by them
 _slot_perm = lru_cache(maxsize=None)(Permutation)

@@ -14,7 +14,6 @@ from operad_forge.chain import (
     ChainMap,
     TensorData,
     check_homotopy,
-    koszul_reorder_sign,
     mapping_cone,
 )
 from operad_forge.cubical import (
@@ -826,6 +825,53 @@ def brute_graph_isomorphisms(g1, g2):
                         slot_map[("edge", e1, 0)] = ("edge", e2, h0)
                         slot_map[("edge", e1, 1)] = ("edge", e2, h1)
                     yield tuple(perm), slot_map
+
+
+# -- reference factor reorder ---------------------------------------------
+# The Koszul reordering of tensor factors as ``chain`` once wrote it; the
+# free builder's one reorder (``free._factor_map``, ``push_labels``) must
+# agree with it.
+
+
+def koszul_reorder_sign(degrees, perm_images):
+    """Sign for reordering tensor factors.
+
+    ``perm_images[p]`` is the target position (0-based) of factor p; the
+    sign is the product of (-1)^(deg_p * deg_q) over inverted pairs.
+    """
+    sign = 1
+    m = len(degrees)
+    for p in range(m):
+        for q in range(p + 1, m):
+            if perm_images[p] > perm_images[q] and degrees[p] % 2 and degrees[q] % 2:
+                sign = -sign
+    return F1 if sign == 1 else -F1
+
+
+def reorder_map(td: TensorData, perm_images):
+    """Chain map permuting tensor factors with Koszul signs.
+
+    Factor p of the source goes to slot ``perm_images[p]`` (0-based) of
+    the target tensor product.
+    """
+    m = len(td.factors)
+    target_factors = [None] * m
+    for p in range(m):
+        target_factors[perm_images[p]] = td.factors[p]
+    target = TensorData(tuple(target_factors))
+    blocks = {}
+    for n, items in td._basis.items():
+        out = [()] * len(target.basis(n))
+        for colpos, label in enumerate(items):
+            degrees = [d for d, _ in label]
+            sign = koszul_reorder_sign(degrees, perm_images)
+            newlabel = [None] * m
+            for p, entry in enumerate(label):
+                newlabel[perm_images[p]] = entry
+            _, rowpos = target.index(tuple(newlabel))
+            out[rowpos] = ((colpos, sign),)
+        blocks[n] = Matrix._trusted(len(out), len(items), tuple(out))
+    return target, ChainMap(td.complex, target.complex, blocks)
 
 
 # -- reference tree match --------------------------------------------------

@@ -247,8 +247,7 @@ def test_criterion_2_free_constructions_vs_oracles():
             maps = []
             for vperm, slot_map in graph_automorphisms(graph):
                 mp = FreeModularBuilder._iso_chain_map(
-                    _BuilderShim(module), graph, td, graph, td, vperm,
-                    slot_map)
+                    _BuilderShim(module), graph, td, vperm, slot_map)
                 maps.append(mp)
             coin = coinvariants(td.complex, maps)
             for d, v in coin.complex.dims.items():

@@ -19,7 +19,6 @@ from operad_forge.chain import (
     induced_map,
     is_weak_equivalence,
     mapping_cone,
-    reorder_map,
     shift,
     subcomplex,
     tensor,
@@ -35,6 +34,7 @@ from helpers import (
     random_complex,
     reference_homotopy_blocks,
     reference_homotopy_system,
+    reorder_map,
     to_dense,
     to_sparse,
 )

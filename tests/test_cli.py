@@ -217,6 +217,11 @@ CELL = ("compositions", 0, "blocks", "0,0", "0,0")
     (COM, _set(("endomorphism",), {"2": {" 0": [["1"]]}})),
     # a non-ASCII digit: read as 3
     (COM, _set(CELL, [[0, "\u0663"]])),
+    # table coefficients that are not rationals' texts: a cell is parsed
+    # once per read, and one that is not a string is never looked up
+    (COM, _set(CELL, [[0, 1]])),
+    (COM, _set(CELL, [[0, ["1"]]])),
+    (COM, _set(CELL, [[0, "1/0"]])),
 ], ids=["null-compositions", "null-contractions", "list-entry", "list-blocks",
         "list-block", "string-cell", "non-list-pair", "string-slot",
         "string-source-key", "string-modular-key", "string-max-arity",
@@ -230,7 +235,8 @@ CELL = ("compositions", 0, "blocks", "0,0", "0,0")
         "plus-component-key", "space-block-key", "plus-cell-key",
         "leading-zero-contraction-block", "plus-contraction-cell",
         "plus-endomorphism-key", "space-endomorphism-degree",
-        "arabic-indic-rational"])
+        "arabic-indic-rational", "int-coefficient", "list-coefficient",
+        "zero-denominator-coefficient"])
 def test_malformed_tables_exit_2_without_traceback(name, mutate, tmp_path):
     with open(fx(name)) as fh:
         payload = json.load(fh)

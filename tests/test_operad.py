@@ -14,13 +14,14 @@ from operad_forge.cli import main as cli_main
 from operad_forge.chain import (
     ChainComplex,
     ChainMap,
+    TensorData,
     homology_dims,
-    koszul_reorder_sign,
 )
 from operad_forge.free import (
     FreeModularBuilder,
     FreeOperadBuilder,
     _assemble,
+    _factor_map,
     endomorphism_modular_operad,
     extend_freely,
     free_modular_operad,
@@ -73,10 +74,12 @@ from helpers import (
     dense_col,
     evaluate_graph_basis,
     graph_space_data,
+    koszul_reorder_sign,
     one_vector_closure,
     planar_expanded,
     planar_grafted,
     planar_match,
+    reorder_map,
     table_cells,
     to_sparse,
     tree_space_data,
@@ -304,6 +307,24 @@ class TestActionGeneratorsAgainstParent:
     def test_free_operad_bytes_pinned(self, module, digest):
         # sha256 as written by the per-column route
         assert _digest(document.to_document(free_operad(module, 5))) == digest
+
+
+class TestFactorMapAgainstReference:
+    """``_factor_map`` with no factor twisted is the reference Koszul
+    reorder, block for block, under every permutation of 2 to 4 factors
+    of odd and even degrees."""
+
+    FACTORS = (ChainComplex({1: 2, 2: 1}), ChainComplex({0: 1, 1: 1}),
+               ChainComplex({-1: 1, 0: 1}), ChainComplex({3: 1}))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_every_permutation(self, m):
+        td = TensorData(self.FACTORS[:m])
+        unit = [Permutation.identity(1)] * m
+        for images in itertools.permutations(range(m)):
+            target, want = reorder_map(td, images)
+            got = _factor_map(td, target, None, unit, images)
+            assert got.blocks == want.blocks, images
 
 
 class TestTreeMatchAgainstPlanarReference:
@@ -663,6 +684,23 @@ class TestEndomorphismModularOperad:
         with pytest.raises(ValueError, match="not graded symmetric"):
             endomorphism_modular_operad(v, {1: Matrix.from_rows([[1]]),
                                             -1: Matrix.from_rows([[1]])}, 2)
+
+    def test_action_generators_are_the_reference_reorder(self):
+        # on the odd-degree V above, s_j swaps factors j and j + 1 with
+        # the Koszul sign of their degrees
+        v = ChainComplex({1: 1, -1: 1})
+        E = endomorphism_modular_operad(v, {1: Matrix.from_rows([[1]]),
+                                            -1: Matrix.from_rows([[-1]])}, 2)
+        checked = 0
+        for (g, l) in E.keys():
+            td = TensorData((v,) * l)
+            for j, got in enumerate(E.group_action((g, l)).generators, 1):
+                sigma = Permutation.transposition(l, j)
+                _, want = reorder_map(td, [sigma(q) - 1
+                                           for q in range(1, l + 1)])
+                assert got.blocks == want.blocks, ((g, l), j)
+                checked += 1
+        assert checked
 
 
 class TestTruncations:
