@@ -3,14 +3,16 @@
 Components of the free operad are indexed by reduced labelled trees,
 those of the free modular operad by stable graphs with coinvariants
 under graph automorphisms.  All structure maps reduce to one routine:
-rearrange the object (relabel its legs, graft, expand a vertex), match
-the result against the catalog of canonical representatives, and push
-basis labels through the induced per-vertex slot permutations and the
-Koszul factor reordering, ``push_labels``: graph automorphisms and the
-endomorphism operad's Sigma_n action reorder through it too
-(``_factor_map``).  A rearranged tree is the leaf sets of its vertices'
-children, matched by its set of vertex clades; a rearranged stable
-graph is a concrete graph, matched by ``trees.match_graph``; each match
+rearrange the object by substitution (into a corolla to relabel legs,
+into the object of o_i to graft, into the loop graph to glue, into the
+object itself to expand a vertex), match the result against the
+catalog of canonical representatives, and push basis labels through
+the induced per-vertex slot permutations and the Koszul factor
+reordering, ``push_labels``: graph automorphisms and the endomorphism
+operad's Sigma_n action reorder through it too (``_factor_map``).  A
+rearranged tree is the leaf sets of its vertices' children, matched by
+its set of vertex clades; a rearranged stable graph is a concrete graph
+(``trees.expand_vertex``), matched by ``trees.match_graph``; each match
 is made once per process (``_MATCHES``).
 Morphisms out of a free operad take one route too: each summand is
 composed in the target along a plan built once per summand (along the
@@ -199,10 +201,10 @@ class _FreeBuilder:
     tuple with the object first and, last, what carries the summand's
     complex (the tensor data, or the coinvariants); ``layouts[key]``
     places those complexes.
-    Every structure map takes one route: rearrange the object (relabel
-    its legs, graft, expand a vertex, glue two legs), match the result
-    onto its summand, then lift each basis vector to tensor labels and
-    push the labels there.
+    Every structure map takes one route: rearrange the object (by
+    substitution into a corolla, into the object of o_i, into the loop
+    graph or into the object itself), match the result onto its summand,
+    then lift each basis vector to tensor labels and push them there.
 
     A match depends only on the catalogues, not on the generators, so
     each is made once per process (``_found``): ``_MATCHES`` keeps, by
@@ -962,6 +964,17 @@ def endomorphism_modular_operad(v: ChainComplex, pairing,
     """
     b = _normalize_pairing(v, pairing)
     _validate_pairing(v, b)
+
+    def paired(lab, p, q):
+        """B on slots p < q of a tensor label, signed by moving them to
+        the front (B sees only pairs of degree 0, so only slot q passing
+        the slots between counts), and the label without them."""
+        (dp, kp), (dq, kq) = lab[p - 1], lab[q - 1]
+        coeff = b[dp][kp, kq] if dp + dq == 0 and dp in b else F0
+        if dq % 2 and sum(d for d, _ in lab[p:q - 1]) % 2:
+            coeff = -coeff
+        return coeff, lab[:p - 1] + lab[p:q - 1] + lab[q:]
+
     tds = {}
     actions = {}
     for key in stable_pairs_up_to(max_dim):
@@ -980,62 +993,40 @@ def endomorphism_modular_operad(v: ChainComplex, pairing,
                        max_dim)
     for trip in op.comp_keys():
         key1, i, key2 = trip
-        if key1 not in tds or key2 not in tds:
-            continue
         tkey = op.comp_target(key1, i, key2)
-        if tkey not in tds:
+        if not tds.keys() >= {key1, key2, tkey}:
             continue
         td1, td2, tdt = tds[key1], tds[key2], tds[tkey]
+        l1 = key1[1]
         table = CompTable()
         for deg1 in td1.complex.dims:
             for k1, lab1 in enumerate(td1.basis(deg1)):
                 for deg2 in td2.complex.dims:
                     for k2, lab2 in enumerate(td2.basis(deg2)):
-                        di, ki = lab1[i - 1]
-                        dj, kj = lab2[0]
-                        if di + dj != 0 or di not in b:
-                            continue
-                        coeff = b[di][ki, kj]
+                        coeff, rest = paired(lab1 + lab2, i, l1 + 1)
                         if coeff == 0:
                             continue
-                        tail_a = sum(d for d, _ in lab1[i:])
-                        rest_b = sum(d for d, _ in lab2[1:])
-                        if (di % 2) and (tail_a % 2):
+                        # b's remaining slots move ahead of a's tail
+                        tail, rest_b = rest[i - 1:l1 - 1], rest[l1 - 1:]
+                        if (sum(d for d, _ in tail) % 2
+                                and sum(d for d, _ in rest_b) % 2):
                             coeff = -coeff
-                        if (tail_a % 2) and (rest_b % 2):
-                            coeff = -coeff
-                        newlab = lab1[:i - 1] + lab2[1:] + lab1[i:]
-                        tdeg, pos = tdt.index(newlab)
-                        table.add(deg1, k1, deg2, k2, pos, coeff)
+                        table.add(deg1, k1, deg2, k2,
+                                  tdt.index(rest[:i - 1] + rest_b + tail)[1],
+                                  coeff)
         if not table.is_zero():
             op.comp[trip] = table
     for (key, i, j) in op.contr_keys():
-        if key not in tds:
-            continue
         tkey = op.contr_target(key)
-        if tkey not in tds:
+        if not tds.keys() >= {key, tkey}:
             continue
         td, tdt = tds[key], tds[tkey]
         table = CompTable()
         for deg in td.complex.dims:
             for k, lab in enumerate(td.basis(deg)):
-                di, ki = lab[i - 1]
-                dj, kj = lab[j - 1]
-                if di + dj != 0 or di not in b:
-                    continue
-                coeff = b[di][ki, kj]
-                if coeff == 0:
-                    continue
-                before_i = sum(d for d, _ in lab[:i - 1])
-                before_j = sum(d for d, _ in lab[:j - 1]) - di
-                if (di % 2) and (before_i % 2):
-                    coeff = -coeff
-                if (dj % 2) and (before_j % 2):
-                    coeff = -coeff
-                newlab = tuple(x for p, x in enumerate(lab)
-                               if p not in (i - 1, j - 1))
-                tdeg, pos = tdt.index(newlab)
-                table.add(deg, k, pos, coeff)
+                coeff, rest = paired(lab, i, j)
+                if coeff != 0:
+                    table.add(deg, k, tdt.index(rest)[1], coeff)
         if table.entries:
             op.contr[(key, i, j)] = table
     return op

@@ -43,7 +43,7 @@ from operad_forge.qlinalg import (
     sparse_row,
 )
 from operad_forge.sigma import GroupAction, Permutation, all_permutations
-from operad_forge.trees import StableGraph, Tree, leaf
+from operad_forge.trees import ConcreteGraph, StableGraph, Tree, leaf
 from operad_forge.weight import WeightFunction, grading_automorphism, t_functor
 
 
@@ -825,6 +825,165 @@ def brute_graph_isomorphisms(g1, g2):
                         slot_map[("edge", e1, 0)] = ("edge", e2, h0)
                         slot_map[("edge", e1, 1)] = ("edge", e2, h1)
                     yield tuple(perm), slot_map
+
+
+# -- reference stable-graph surgery ------------------------------------------
+# The four concrete-graph surgeries as ``trees`` once wrote them, each with
+# its own leg bookkeeping; the engine's grafts, gluings and relabellings
+# substitute into a small outer graph through ``trees.expand_vertex``.  A
+# graft or gluing here numbers the new edge last, so its match may be
+# another isomorphism onto the same catalogue graph.
+
+
+def _relabel_slot(slot, leg_map, edge_offset):
+    kind = slot[0]
+    if kind == "leg":
+        return leg_map[slot[1]]
+    return ("edge", slot[1] + edge_offset, slot[2])
+
+
+def graft_graphs(c1: ConcreteGraph, i: int, c2: ConcreteGraph) -> ConcreteGraph:
+    """Glue leg i of the first graph to leg 1 of the second.
+
+    Result legs: first 1..i-1, second 2..m, first i+1..l, in that order;
+    the new edge is appended last with half 0 on the first graph.
+    """
+    l, m = len(c1.legs), len(c2.legs)
+    off = len(c1.genera)
+    e_off1, e_off2 = 0, len(c1.edges)
+    new_edge = len(c1.edges) + len(c2.edges)
+    leg_map1 = {}
+    for j in range(1, l + 1):
+        if j < i:
+            leg_map1[j] = ("leg", j)
+        elif j == i:
+            leg_map1[j] = ("edge", new_edge, 0)
+        else:
+            leg_map1[j] = ("leg", j + m - 2)
+    leg_map2 = {1: ("edge", new_edge, 1)}
+    for q in range(2, m + 1):
+        leg_map2[q] = ("leg", i + q - 2)
+    genera = c1.genera + c2.genera
+    legs = [None] * (l + m - 2)
+    for j in range(1, l + 1):
+        if j != i:
+            slot = leg_map1[j]
+            legs[slot[1] - 1] = c1.legs[j - 1]
+    for q in range(2, m + 1):
+        slot = leg_map2[q]
+        legs[slot[1] - 1] = c2.legs[q - 1] + off
+    edges = list(c1.edges)
+    edges.extend((a + off, b + off) for (a, b) in c2.edges)
+    edges.append((c1.legs[i - 1], c2.legs[0] + off))
+    slot_orders = []
+    for v in range(len(c1.genera)):
+        slot_orders.append(tuple(_relabel_slot(s, leg_map1, e_off1)
+                                 for s in c1.slot_orders[v]))
+    for v in range(len(c2.genera)):
+        slot_orders.append(tuple(_relabel_slot(s, leg_map2, e_off2)
+                                 for s in c2.slot_orders[v]))
+    return ConcreteGraph(genera, tuple(legs), tuple(edges), tuple(slot_orders))
+
+
+def self_glue(c: ConcreteGraph, i: int, j: int) -> ConcreteGraph:
+    """Glue legs i and j of the same graph; remaining legs keep order."""
+    l = len(c.legs)
+    if i == j or not (1 <= i <= l and 1 <= j <= l):
+        raise ValueError("contraction needs two distinct legs")
+    new_edge = len(c.edges)
+    leg_map = {}
+    shift = 0
+    for p in range(1, l + 1):
+        if p == i:
+            leg_map[p] = ("edge", new_edge, 0)
+            shift += 1
+        elif p == j:
+            leg_map[p] = ("edge", new_edge, 1)
+            shift += 1
+        else:
+            leg_map[p] = ("leg", p - sum(1 for q in (i, j) if q < p))
+    legs = [None] * (l - 2)
+    for p in range(1, l + 1):
+        if p not in (i, j):
+            legs[leg_map[p][1] - 1] = c.legs[p - 1]
+    edges = list(c.edges) + [(c.legs[i - 1], c.legs[j - 1])]
+    slot_orders = tuple(tuple(_relabel_slot(s, leg_map, 0) for s in so)
+                        for so in c.slot_orders)
+    return ConcreteGraph(c.genera, tuple(legs), tuple(edges), slot_orders)
+
+
+def relabel_legs(c: ConcreteGraph, sigma: Permutation) -> ConcreteGraph:
+    """Right action on legs: new leg p sits where old leg sigma(p) was."""
+    l = len(c.legs)
+    legs = tuple(c.legs[sigma(p) - 1] for p in range(1, l + 1))
+    inv = sigma.inverse()
+    leg_map = {j: ("leg", inv(j)) for j in range(1, l + 1)}
+    slot_orders = tuple(tuple(_relabel_slot(s, leg_map, 0) for s in so)
+                        for so in c.slot_orders)
+    return ConcreteGraph(c.genera, legs, c.edges, slot_orders)
+
+
+def expand_vertex(c: ConcreteGraph, v: int, sub: ConcreteGraph) -> ConcreteGraph:
+    """Substitute a graph for vertex v; its legs take over v's slots.
+
+    The k-th slot of v (in slot_orders[v]) is wired to external leg k of
+    ``sub``; sub must have genus equal to the decoration of v.
+    """
+    kv = len(c.slot_orders[v])
+    if len(sub.legs) != kv:
+        raise ValueError("substituted graph has wrong number of legs")
+    nv_sub = len(sub.genera)
+    e_off = len(c.edges)
+
+    def vmap(w):
+        return w if w < v else w + nv_sub - 1
+
+    def sub_vmap(u):
+        return v + u
+
+    # where does slot k of v end up attaching?
+    anchors = {k + 1: c.slot_orders[v][k] for k in range(kv)}
+    genera = (tuple(c.genera[w] for w in range(v)) + sub.genera
+              + tuple(c.genera[w] for w in range(v + 1, len(c.genera))))
+    # edges of c keep indices; endpoints at v are redirected into sub
+    edges = []
+    for e, (a, b) in enumerate(c.edges):
+        na, nb = None, None
+        for (end, vert) in ((0, a), (1, b)):
+            if vert == v:
+                # find which slot of v this half occupies
+                k = next(k for k, d in anchors.items() if d == ("edge", e, end))
+                target = sub_vmap(sub.legs[k - 1])
+            else:
+                target = vmap(vert)
+            if end == 0:
+                na = target
+            else:
+                nb = target
+        edges.append((na, nb))
+    edges.extend((sub_vmap(a), sub_vmap(b)) for (a, b) in sub.edges)
+    legs = []
+    for j, vert in enumerate(c.legs):
+        if vert == v:
+            k = next(k for k, d in anchors.items() if d == ("leg", j + 1))
+            legs.append(sub_vmap(sub.legs[k - 1]))
+        else:
+            legs.append(vmap(vert))
+    # slot orders: untouched vertices keep descriptors verbatim
+    slot_orders = []
+    for w in range(v):
+        slot_orders.append(c.slot_orders[w])
+    for u in range(nv_sub):
+        slots = []
+        for s in sub.slot_orders[u]:
+            if s[0] == "leg":
+                slots.append(anchors[s[1]])
+            else:
+                slots.append(("edge", s[1] + e_off, s[2]))
+        slot_orders.append(tuple(slots))
+    for w in range(v + 1, len(c.genera)):
+        slot_orders.append(c.slot_orders[w])
+    return ConcreteGraph(genera, tuple(legs), tuple(edges), tuple(slot_orders))
 
 
 # -- reference factor reorder ---------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from operad_forge import document
 from operad_forge import free as free_module
+from operad_forge import trees as trees_module
 from operad_forge.cli import main as cli_main
 from operad_forge.chain import (
     ChainComplex,
@@ -58,7 +59,6 @@ from operad_forge.trees import (
     graph_automorphisms,
     match_graph,
     relabel_legs,
-    self_glue,
 )
 from operad_forge.weight import formality_check
 
@@ -86,6 +86,7 @@ from helpers import (
     tree_to_planar,
 )
 from helpers import evaluate_tree_basis as ref_evaluate_tree_basis
+import helpers
 
 
 def trivial_module(dims_by_arity):
@@ -406,7 +407,7 @@ def _rearrangements(b):
     for key, i, j in shape.contr_keys():
         for rec in b._records[key]:
             yield (shape.contr_target(key), ("glue", key, rec.pos, i, j),
-                   lambda rec, i, j: self_glue(
+                   lambda rec, i, j: trees_module.self_glue(
                        concrete_from_canonical(rec.item[0]), i, j),
                    (rec, i, j))
 
@@ -561,8 +562,6 @@ class TestRearrangementMemo:
         container and cache of ``free`` and ``trees`` as it was: the
         memo holds no generator fact and the per-build work stays on the
         builder."""
-        from operad_forge import trees as trees_module
-
         extend_freely(truncate(commutative_style_operad(4), 3), 4)
         before = _sizes(free_module, trees_module)
         for op, n in [(free_operad(trivial_module({2: {0: 1}}), 4), 2),
@@ -570,6 +569,40 @@ class TestRearrangementMemo:
                       (free_operad(mixed_module(), 4), 2)]:
             assert validate(extend_freely(truncate(op, n), 4)) == []
         assert _sizes(free_module, trees_module) == before
+
+
+class TestGraphSurgeryAgainstReference:
+    """The engine's grafts, gluings and relabellings substitute into a
+    small outer graph through ``trees.expand_vertex`` and number a new
+    edge first; the reference surgeries of ``tests/helpers.py`` number
+    it last.  A match may then pick another isomorphism onto the same
+    catalogue graph, which the coinvariant projection does not see:
+    each free modular operad is the same document both ways, and every
+    rearrangement matches onto the same catalogue position."""
+
+    MODULES = {
+        "odd-graphs": lambda: _odd_modular_generators(),
+        "sign": lambda: dict(_sign_modular_module().components),
+        "genus-one": lambda: dict(genus_one_module().components),
+        "endomorphism-dim1": lambda: _endomorphism_dim1_module(3),
+    }
+
+    @pytest.mark.parametrize("name", list(MODULES))
+    def test_same_document_and_positions(self, monkeypatch, name):
+        def build():
+            monkeypatch.setattr(free_module, "_MATCHES", {})
+            b = FreeModularBuilder(self.MODULES[name](), 3)
+            digest = _digest(document.to_document(b.finish()))
+            return digest, [b._match(tkey, rearrange(*args))[0]
+                            for tkey, _, rearrange, args in _rearrangements(b)]
+
+        got = build()
+        for fn in ("graft_graphs", "self_glue", "relabel_legs",
+                   "expand_vertex"):
+            monkeypatch.setattr(trees_module, fn, getattr(helpers, fn))
+        want = build()
+        assert got[0] == want[0]
+        assert got[1] == want[1]
 
 
 class TestFreeModular:
@@ -684,6 +717,26 @@ class TestEndomorphismModularOperad:
         with pytest.raises(ValueError, match="not graded symmetric"):
             endomorphism_modular_operad(v, {1: Matrix.from_rows([[1]]),
                                             -1: Matrix.from_rows([[1]])}, 2)
+
+    @pytest.mark.parametrize("v,pairing,window,digest", [
+        (ChainComplex({0: 1}), Matrix.from_rows([[1]]), 1,
+         "bbfa46a66c2056a6bb5cf755dd329456df1706c23865c84c4252f78f7d6f5bcf"),
+        (ChainComplex({0: 1}), Matrix.from_rows([[1]]), 2,
+         "3133865940c167a73343024a3092fafc1bafc8d00dc6d633b611cd7c51537b93"),
+        (ChainComplex({1: 1, -1: 1}), {1: Matrix.from_rows([[1]]),
+                                       -1: Matrix.from_rows([[-1]])}, 2,
+         "9b52944bccb599ec1f20e148c2caa75b22757801b920014c141344b6490a836b"),
+        (ChainComplex({0: 1, 1: 1, -1: 1}),
+         {0: Matrix.from_rows([[1]]), 1: Matrix.from_rows([[1]]),
+          -1: Matrix.from_rows([[-1]])}, 2,
+         "9734e5508f050ddbcbd925837693f5e52d01789e17656f5fbd11d3029136b039"),
+    ], ids=["rational-window-1", "rational-window-2", "odd-pairing",
+            "three-degrees"])
+    def test_document_bytes_pinned(self, v, pairing, window, digest):
+        # sha256 as written when the composition loop and the
+        # contraction loop each derived the inner-product sign
+        E = endomorphism_modular_operad(v, pairing, window)
+        assert _digest(document.to_document(E)) == digest
 
     def test_action_generators_are_the_reference_reorder(self):
         # on the odd-degree V above, s_j swaps factors j and j + 1 with

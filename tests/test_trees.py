@@ -351,6 +351,20 @@ class TestConcreteOperations:
         # slots still enumerate all legs
         assert sorted(out.slot_orders[0]) == [("leg", 1), ("leg", 2), ("leg", 3)]
 
+    def test_graft_rejects_bad_legs(self):
+        # leg i of the first graph must exist, and the second needs a leg
+        c03 = concrete_from_canonical(enumerate_stable_graphs(0, 3)[0])
+        c20 = concrete_from_canonical(enumerate_stable_graphs(2, 0)[0])
+        for i, c2 in ((0, c03), (4, c03), (1, c20)):
+            with pytest.raises(ValueError):
+                graft_graphs(c03, i, c2)
+
+    def test_relabel_rejects_wrong_leg_count(self):
+        c03 = concrete_from_canonical(enumerate_stable_graphs(0, 3)[0])
+        for images in ((2, 1), (2, 3, 4, 1)):
+            with pytest.raises(ValueError):
+                relabel_legs(c03, Permutation(images))
+
     def test_expand_vertex(self):
         # substitute the 2-vertex (0,4) graph into the (0,4) corolla slot
         corolla = [g for g in enumerate_stable_graphs(0, 4) if g.n_vertices == 1][0]
