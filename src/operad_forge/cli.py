@@ -249,8 +249,7 @@ def cmd_alt_check(args):
     rng = random.Random(args.seed)
     failures = []
     space = interval_power(args.dim)
-    cubes = [c for c in space.cubes(args.dim)
-             if not space.is_degenerate(c)]
+    cubes = space.nondegenerate_cubes(args.dim)
     for trial in range(args.trials):
         coeffs = {rng.choice(cubes): Fraction(rng.randint(-3, 3))
                   for _ in range(3)}

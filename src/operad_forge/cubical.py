@@ -139,6 +139,9 @@ class FiniteCubicalSet:
     def cubes(self, p):
         return self.cube_table.get(p, [])
 
+    def nondegenerate_cubes(self, p):
+        return [c for c in self.cubes(p) if c not in self.degenerate]
+
     def dim_of(self, cube):
         return self._dims[cube]
 
@@ -230,13 +233,26 @@ class ProductCubicalSet:
                        for q in self.right.dims()})
 
     def cubes(self, p):
+        return self._products(p, self.left.cubes, self.right.cubes)
+
+    def nondegenerate_cubes(self, p):
+        """``cubes(p)`` less the degenerate ones, in the same order: a
+        product cube is degenerate when one of its factors is, so it is
+        built from the factors' nondegenerate cubes."""
+        return self._products(p, self.left.nondegenerate_cubes,
+                              self.right.nondegenerate_cubes)
+
+    def _products(self, p, left_cubes, right_cubes):
+        """The p-cubes (a, b, S), a from left_cubes(|S|) and b from
+        right_cubes(p - |S|)."""
         out = []
+        right_dims = self.right.dims()
         for pa in self.left.dims():
             pb = p - pa
-            if pb < 0 or pb not in self.right.dims():
+            if pb < 0 or pb not in right_dims:
                 continue
-            for a in self.left.cubes(pa):
-                for b in self.right.cubes(pb):
+            for a in left_cubes(pa):
+                for b in right_cubes(pb):
                     for S in itertools.combinations(range(1, p + 1), pa):
                         out.append((a, b, S))
         return out

@@ -1,10 +1,16 @@
 """The self-describing text format for operads and modules.
 
-One JSON-compatible document format (version "operad-forge/1") covers
-dg operads, dg modular operads, truncated operads and (modular)
-Sigma-modules; rationals are serialized as strings "p/q" (or "p" when
-the denominator is one), so round trips are exact.  Serialization is
-canonical: parse(serialize(x)) = x and serialize is byte-deterministic.
+One JSON-compatible document format covers dg operads, dg modular
+operads, truncated operads and (modular) Sigma-modules; rationals are
+serialized as strings "p/q" (or "p" when the denominator is one), so
+round trips are exact.  Serialization is canonical: parse(serialize(x))
+= x and serialize is byte-deterministic.
+
+The writer writes version "operad-forge/2": a matrix is the list of its
+rows, each the list of its nonzero [column, "p/q"] pairs in increasing
+column order, its shape implied by the component's dims.  The reader
+also reads version "operad-forge/1", where a row lists every cell; the
+"format" field picks the matrix reader.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from .operad import CompTable, DGOperad, ModularOperad
 from .qlinalg import Matrix
 from .sigma import GroupAction, ModularSigmaModule, SigmaModule
 
-FORMAT_VERSION = "operad-forge/1"
+FORMAT_VERSION = "operad-forge/2"
 
 
 class DocumentError(ValueError):
@@ -49,13 +55,9 @@ def rational_from_str(s) -> Fraction:
 
 
 def matrix_to_lists(m: Matrix):
-    out = []
-    for row in m.sparse:
-        line = ["0"] * m.cols
-        for j, x in row:
-            line[j] = rational_to_str(x)
-        out.append(line)
-    return out
+    """The rows of m, each the list of its nonzero [column, "p/q"] pairs
+    in increasing column order."""
+    return [[[j, rational_to_str(x)] for j, x in row] for row in m.sparse]
 
 
 def _rational(x, parsed):
@@ -69,8 +71,40 @@ def _rational(x, parsed):
 
 
 def matrix_from_lists(data, rows, cols, parsed=None):
-    """The Matrix of a document's rows of cells.  A read passes one dict
-    ``parsed`` (cell text -> rational) to all its matrices and tables."""
+    """The Matrix of the rows written by ``matrix_to_lists``.  A read passes
+    one dict ``parsed`` (cell text -> rational) to all its matrices and
+    tables.  There must be exactly ``rows`` rows, and a row may hold only
+    [column, coefficient] pairs with columns strictly increasing below
+    ``cols`` and nonzero coefficients: one matrix has one spelling."""
+    if type(data) is not list or len(data) != rows:
+        raise DocumentError(f"matrix shape mismatch (expected {rows} rows)")
+    if parsed is None:
+        parsed = {}
+    sparse = []
+    for i, row in enumerate(data):
+        entries = []
+        last = -1
+        for pair in _expect(row, list, f"matrix row {i}"):
+            if type(pair) is not list or len(pair) != 2 \
+                    or type(pair[0]) is not int:
+                raise DocumentError(f"matrix row {i}: expected "
+                                    "[column, coefficient] pairs")
+            j, q = pair[0], _rational(pair[1], parsed)
+            if not last < j < cols:
+                raise DocumentError(
+                    f"matrix row {i}: column {j} out of order or out of "
+                    f"range (expected {last + 1} to {cols - 1})")
+            if not q:
+                raise DocumentError(f"matrix row {i}: zero coefficient "
+                                    f"{pair[1]!r} at column {j}")
+            entries.append((j, q))
+            last = j
+        sparse.append(tuple(entries))
+    return Matrix._trusted(rows, cols, tuple(sparse))
+
+
+def matrix_from_dense_lists(data, rows, cols, parsed=None):
+    """The Matrix of an "operad-forge/1" document's rows of cells."""
     if not isinstance(data, list) or len(data) != rows \
             or any(not isinstance(r, list) or len(r) != cols for r in data):
         raise DocumentError(f"matrix shape mismatch (expected {rows}x{cols})")
@@ -88,6 +122,11 @@ def matrix_from_lists(data, rows, cols, parsed=None):
                     entries.append((j, q))
         sparse.append(tuple(entries))
     return Matrix._trusted(rows, cols, tuple(sparse))
+
+
+# format version -> its matrix reader
+_MATRIX_READERS = {"operad-forge/1": matrix_from_dense_lists,
+                   FORMAT_VERSION: matrix_from_lists}
 
 
 def _key_to_str(key):
@@ -127,7 +166,9 @@ def _expect(value, kind, what):
     return value
 
 
-def _component_from_doc(key, doc, parsed):
+def _component_from_doc(key, doc, matrix):
+    """The GroupAction of a component entry; ``matrix(data, rows, cols)``
+    reads its matrices."""
     _expect(doc, dict, f"component {key}")
     if "dims" not in doc:
         raise DocumentError(f"component {key}: missing dims")
@@ -142,8 +183,7 @@ def _component_from_doc(key, doc, parsed):
     for d, data in _expect(doc.get("differential", {}), dict,
                            f"component {key}: differential").items():
         d, = _ints(d, 1, f"component {key}: differential")
-        diff[d] = matrix_from_lists(data, dims.get(d - 1, 0), dims.get(d, 0),
-                                    parsed)
+        diff[d] = matrix(data, dims.get(d - 1, 0), dims.get(d, 0))
     try:
         complex_ = ChainComplex(dims, diff)
     except ValueError as exc:
@@ -160,8 +200,7 @@ def _component_from_doc(key, doc, parsed):
         for d, data in _expect(gen, dict,
                                f"component {key}: action generator").items():
             d, = _ints(d, 1, f"component {key}: action generator")
-            blocks[d] = matrix_from_lists(data, dims.get(d, 0), dims.get(d, 0),
-                                          parsed)
+            blocks[d] = matrix(data, dims.get(d, 0), dims.get(d, 0))
         try:
             gens.append(ChainMap(complex_, complex_, blocks))
         except ValueError as exc:
@@ -298,9 +337,11 @@ def from_document(doc):
     """Parse a document; returns (object, metadata dict)."""
     if not isinstance(doc, dict):
         raise DocumentError("document must be an object")
-    if doc.get("format") != FORMAT_VERSION:
-        raise DocumentError(f"unsupported format {doc.get('format')!r} "
-                            f"(expected {FORMAT_VERSION!r})")
+    fmt = doc.get("format")
+    read = _MATRIX_READERS.get(fmt) if type(fmt) is str else None
+    if read is None:
+        raise DocumentError(f"unsupported format {fmt!r} (expected one of "
+                            f"{', '.join(map(repr, _MATRIX_READERS))})")
     kind = doc.get("kind")
     if kind not in ("operad", "modular", "truncated", "sigma-module"):
         raise DocumentError(f"unknown kind {kind!r}")
@@ -309,11 +350,15 @@ def from_document(doc):
         raise DocumentError(f"{kind} document with indexing {indexing!r}")
     modular = indexing == "modular"
     parsed = {}  # cell text -> its rational, for this read's cells
+
+    def matrix(data, rows, cols):
+        return read(data, rows, cols, parsed)
+
     components = {}
     for key_s, comp_doc in _expect(doc.get("components", {}), dict,
                                    "components").items():
         key = _key_from_str(key_s, modular)
-        components[key] = _component_from_doc(key, comp_doc, parsed)
+        components[key] = _component_from_doc(key, comp_doc, matrix)
     metadata = dict(_expect(doc.get("metadata", {}), dict, "metadata"))
     if "name" in metadata:
         _expect(metadata["name"], str, "metadata.name")
@@ -360,8 +405,7 @@ def from_document(doc):
             endo[key] = {}
             for d, m in _expect(blocks, dict, "endomorphism blocks").items():
                 d, = _ints(d, 1, "endomorphism block")
-                endo[key][d] = matrix_from_lists(m, c.dim(d), c.dim(d),
-                                                 parsed)
+                endo[key][d] = matrix(m, c.dim(d), c.dim(d))
         metadata["endomorphism"] = endo
     if "tower" in doc:
         metadata["tower"] = doc["tower"]
@@ -399,9 +443,10 @@ def dumps(doc) -> str:
     The text is exactly ``json.dumps(doc, sort_keys=True, indent=1) +
     "\\n"`` for a JSON value with string keys, written directly: the
     standard encoder runs in pure Python whenever it indents.  A list of
-    strings, such as a matrix row, is written in one join: when the
-    strings together are printable ASCII without ``"`` or ``\\``, each
-    is its own JSON text between quotes, and otherwise each is encoded.
+    strings, such as a dense "operad-forge/1" row, is written in one
+    join: when the strings together are printable ASCII without ``"`` or
+    ``\\``, each is its own JSON text between quotes, and otherwise each
+    is encoded.
     """
     out = []
     _write(doc, "\n", out.append)

@@ -472,15 +472,31 @@ def rref(m: Matrix):
     only the rows that hold it.  At the end each pivot row is divided by
     its pivot, the only ``Fraction``s made: one per nonzero entry of R.
     """
-    lead = {}  # column -> the pending rows whose first entry is there
-    for r in m.sparse:
+    done = _eliminate(_leading(m.sparse), m.cols)
+    sparse = _reduced(done) + ((),) * (m.rows - len(done))
+    return Matrix._trusted(m.rows, m.cols, sparse), tuple(done), len(done)
+
+
+def _leading(sparse):
+    """{column: the nonzero rows whose first entry is there}, each row of
+    sparse as ``{col: int}`` scaled by the lcm of its denominators."""
+    lead = {}
+    for r in sparse:
         if r:
             den = lcm(*(x.denominator for _, x in r))
             lead.setdefault(r[0][0], []).append(
                 {j: x.numerator for j, x in r} if den == 1 else
                 {j: x.numerator * (den // x.denominator) for j, x in r})
+    return lead
+
+
+def _eliminate(lead, cols):
+    """The fraction-free Gauss-Jordan of ``rref`` on the integer rows of
+    lead (``_leading``; the rows are consumed): {pivot column: its
+    integer row}, in increasing pivot order.  A pivot row holds no other
+    pivot column."""
     done = {}  # pivot column -> its integer row
-    for c in range(m.cols):
+    for c in range(cols):
         # the pending rows hold no column before c: the holders of c lead
         holders = lead.pop(c, None)
         if not holders:
@@ -495,12 +511,16 @@ def rref(m: Matrix):
             if c in row:
                 _clear(row, prow, c)
         done[c] = prow
-    sparse = tuple(tuple((j, F1 if j == c else Fraction(x) if row[c] == 1
-                          else Fraction(x, row[c]))
-                         for j, x in sorted(row.items()))
-                   for c, row in done.items())
-    sparse += ((),) * (m.rows - len(done))
-    return Matrix._trusted(m.rows, m.cols, sparse), tuple(done), len(done)
+    return done
+
+
+def _reduced(done):
+    """The rows of R from ``_eliminate``'s integer rows, each divided by
+    its pivot: the only ``Fraction``s made, one per nonzero entry."""
+    return tuple(tuple((j, F1 if j == c else Fraction(x) if row[c] == 1
+                        else Fraction(x, row[c]))
+                       for j, x in sorted(row.items()))
+                 for c, row in done.items())
 
 
 def rank(m: Matrix) -> int:
@@ -678,24 +698,37 @@ def solve(m: Matrix, b):
 def solve_with_kernel(m: Matrix, b):
     """``(solve(m, b), kernel(m))`` from one elimination of [m | b]: its
     first m.cols columns are the reduced echelon form R of m, and a pivot
-    in the last column means m x = b has no solution (None)."""
+    in the last column means m x = b has no solution (None).  The kernel
+    is spanned by one vector per free column j, e_j minus R's column j
+    on the pivots; each is scaled to integers straight from the
+    elimination's integer rows and eliminated once more for the
+    canonical basis."""
     _check_indices(b, m.rows)
     n = m.cols
     aug = list(m.sparse)
     for i, x in b:
         aug[i] += ((n, x),)
-    red, pivots, _ = rref(Matrix._trusted(m.rows, n + 1, tuple(aug)))
-    rows = dict(zip(pivots, red.sparse))  # pivot column -> its row of R
+    rows = _eliminate(_leading(aug), n + 1)  # pivot column -> integer row
     sol = None if rows.pop(n, None) else tuple(
-        (p, row[-1][1]) for p, row in rows.items() if row[-1][0] == n)
-    vecs = {j: [(j, F1)] for j in range(n) if j not in rows}
-    # off its pivot, a row of R has entries only in free columns
+        (p, Fraction(row[n], row[p])) for p, row in rows.items() if n in row)
+    # off its pivot, a row holds only free columns, each after the pivot:
+    # so each vector's pivot entries come in increasing order, before j
+    terms = {j: [] for j in range(n) if j not in rows}
     for p, row in rows.items():
-        for j, x in row:
+        d = row[p]
+        for j, x in row.items():
             if j != p and j != n:
-                vecs[j].append((p, -x))
-    return sol, _span(n, Matrix._trusted(
-        len(vecs), n, tuple(tuple(sorted(v)) for v in vecs.values())))
+                terms[j].append((p, x, d))
+    lead = {}
+    for j, ts in terms.items():
+        scale = lcm(*(d for _, _, d in ts))
+        vec = {p: -x * (scale // d) for p, x, d in ts}
+        vec[j] = scale
+        lead.setdefault(ts[0][0] if ts else j, []).append(vec)
+    done = _eliminate(lead, n)
+    if not done:
+        return sol, Subspace.zero(n)
+    return sol, Subspace._trusted(n, _reduced(done), tuple(done))
 
 
 def solve_matrix(m: Matrix, b: Matrix):

@@ -1,5 +1,6 @@
 """Shared test utilities: random complexes and small oracles."""
 
+import contextlib
 import functools
 import itertools
 import random
@@ -9,6 +10,7 @@ from math import factorial, lcm
 
 import pytest
 
+from operad_forge import document
 from operad_forge.chain import (
     ChainComplex,
     ChainMap,
@@ -35,9 +37,11 @@ from operad_forge.qlinalg import (
     _frac,
     _Frozen,
     _setfield,
+    _span,
     char_poly,
     image,
     kernel,
+    rref,
     solve,
     solve_matrix,
     sparse_row,
@@ -1675,3 +1679,64 @@ def cone_completion(lam: ChainMap, mu: ChainMap, eta: ChainMap,
                           ChainMap(ceta, czeta, lp_blocks, check=False), h):
         raise AssertionError("cone completion homotopy identity failed")
     return nu, h
+
+
+# -- the "operad-forge/1" reference writer ---------------------------------
+# The engine writes "operad-forge/2", every matrix as its rows of nonzero
+# [column, "p/q"] pairs.  The first format wrote each row densely, one
+# cell per column; the byte pins of documents written before the sparse
+# format are checked on this rendering.
+
+
+def dense_matrix_to_lists(m):
+    """The rows of m with every cell written, "0" for a zero."""
+    out = []
+    for row in m.sparse:
+        line = ["0"] * m.cols
+        for j, x in row:
+            line[j] = document.rational_to_str(x)
+        out.append(line)
+    return out
+
+
+@contextlib.contextmanager
+def writing_v1():
+    """Within the block, the document writer renders "operad-forge/1":
+    the same documents, each matrix through ``dense_matrix_to_lists``."""
+    saved = document.matrix_to_lists, document.FORMAT_VERSION
+    document.matrix_to_lists = dense_matrix_to_lists
+    document.FORMAT_VERSION = "operad-forge/1"
+    try:
+        yield
+    finally:
+        document.matrix_to_lists, document.FORMAT_VERSION = saved
+
+
+def v1_dumps(make):
+    """The "operad-forge/1" text of the document ``make()`` builds."""
+    with writing_v1():
+        return document.dumps(make())
+
+
+# -- reference null space through Fractions ---------------------------------
+
+
+def fraction_solve_with_kernel(m: Matrix, b):
+    """``qlinalg.solve_with_kernel`` as it was before the null space was
+    built from the elimination's integer rows: R's Fractions, negated,
+    read back into integers by a second ``rref``."""
+    n = m.cols
+    aug = list(m.sparse)
+    for i, x in b:
+        aug[i] += ((n, x),)
+    red, pivots, _ = rref(Matrix._trusted(m.rows, n + 1, tuple(aug)))
+    rows = dict(zip(pivots, red.sparse))
+    sol = None if rows.pop(n, None) else tuple(
+        (p, row[-1][1]) for p, row in rows.items() if row[-1][0] == n)
+    vecs = {j: [(j, F1)] for j in range(n) if j not in rows}
+    for p, row in rows.items():
+        for j, x in row:
+            if j != p and j != n:
+                vecs[j].append((p, -x))
+    return sol, _span(n, Matrix._trusted(
+        len(vecs), n, tuple(tuple(sorted(v)) for v in vecs.values())))

@@ -5,6 +5,7 @@ report is visible under pytest's default capture.  Run with
 ``pytest tests/test_acceptance.py`` (add -s for live output).
 """
 
+import contextlib
 import itertools
 import json
 import random
@@ -446,20 +447,25 @@ def test_criterion_7_homological_kernel():
 
 def test_criterion_8_determinism_and_round_trip(tmp_path):
     """Byte-identical outputs for a fixed seed; parse o serialize is the
-    identity on every golden fixture."""
+    identity on every "operad-forge/2" golden fixture, and on every
+    "operad-forge/1" golden when written by the reference writer."""
     import glob
     import os
     from operad_forge import document as doc
     from operad_forge.cli import main
+    from helpers import writing_v1
     fixtures_dir = os.path.join(os.path.dirname(__file__), "fixtures")
     files = sorted(glob.glob(os.path.join(fixtures_dir, "*.json")))
-    assert files
-    for path in files:
+    v2_files = sorted(glob.glob(os.path.join(fixtures_dir, "v2", "*.json")))
+    assert files and len(v2_files) == len(files)
+    for path, writer in [(p, writing_v1) for p in files] + [
+            (p, contextlib.nullcontext) for p in v2_files]:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         obj, meta = doc.from_document(doc.loads(text))
-        again = doc.dumps(doc.to_document(obj, name=meta.get("name", ""),
-                                          seed=meta.get("seed", 0)))
+        with writer():
+            again = doc.dumps(doc.to_document(
+                obj, name=meta.get("name", ""), seed=meta.get("seed", 0)))
         assert again == text, path
     out1 = tmp_path / "m1.json"
     out2 = tmp_path / "m2.json"
@@ -474,5 +480,6 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
         assert main(["check-formality", fixture, "--alpha", "2",
                      "--max", "3", "--seed", "3", "--out", str(out)]) == 0
     assert wit1.read_bytes() == wit2.read_bytes()
-    report(8, True, f"{len(files)} golden fixtures round-trip byte-"
-                    "identically; CLI outputs byte-identical per seed")
+    report(8, True, f"{len(files) + len(v2_files)} golden fixtures "
+                    "round-trip byte-identically; CLI outputs byte-"
+                    "identical per seed")

@@ -419,6 +419,8 @@ def _fixture_components():
     folder = os.path.join(os.path.dirname(__file__), "fixtures")
     out = []
     for name in sorted(os.listdir(folder)):
+        if not name.endswith(".json"):
+            continue
         obj = document.load(os.path.join(folder, name))[0]
         module = getattr(obj, "module", obj)
         out += [pytest.param(ga.complex, id=f"{name}-{key}")

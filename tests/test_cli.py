@@ -37,6 +37,22 @@ def run_cli(*args, **env):
     return run_python("-m", "operad_forge.cli", *args, **env)
 
 
+# the CLI with the document writer rendering "operad-forge/1" through the
+# reference writer of tests/helpers.py (its folder is the first argument)
+V1_CLI = """import sys
+sys.path.insert(0, sys.argv.pop(1))
+from helpers import writing_v1
+from operad_forge.cli import main
+with writing_v1():
+    code = main(sys.argv[1:])
+sys.exit(code)
+"""
+
+
+def run_cli_v1(*args, **env):
+    return run_python("-c", V1_CLI, os.path.dirname(__file__), *args, **env)
+
+
 class TestValidate:
     def test_golden_fixture_ok(self, capsys):
         assert main(["validate", fx("commutative_window3.json")]) == 0
@@ -85,6 +101,9 @@ def _set(path, value):
 
 
 BIN, MOD = "binary_generator.json", "modular_generator_03.json"
+FREE3 = "free_binary_window3.json"
+# the folder of the "operad-forge/2" twins of the goldens
+V2 = "v2/"
 # a component with no action generators, valid at any arity 1 or below
 BARE = {"action": [], "dims": {"0": 1}}
 # the sign representation of Sigma_2 in degree 0
@@ -303,6 +322,59 @@ def test_bad_matrix_cell_exit_2_without_traceback(cell, tmp_path):
         assert "Traceback" not in stderr
 
 
+# the 3x3 action of s_1 on the arity-3 component of the "operad-forge/2"
+# twin of free_binary_window3.json, [[[2, "1"]], [[1, "1"]], [[0, "1"]]]
+SPARSE_MATRIX = ("components", "3", "action", 0, "0")
+
+
+SHAPE, PAIRS = "matrix shape mismatch", "expected [column, coefficient] pairs"
+ORDER, ZERO = "out of order or out of range", "zero coefficient"
+
+
+@pytest.mark.parametrize("rows,phrase", [
+    ([[[2, "1"]], [[1, "1"]]], SHAPE),
+    ([[[2, "1"]], [[1, "1"]], [[0, "1"]], []], SHAPE),
+    ("[]", SHAPE),
+    ([[[2, "1"]], "1", [[0, "1"]]], "matrix row 1: expected list"),
+    ([[[2, "1"]], {}, [[0, "1"]]], "matrix row 1: expected list"),
+    ([[[2, "1"]], [1, "1"], [[0, "1"]]], PAIRS),
+    ([[[2, "1"]], [[1]], [[0, "1"]]], PAIRS),
+    ([[[2, "1"]], [[1, "1", 0]], [[0, "1"]]], PAIRS),
+    ([[[2, "1"]], [["1", "1"]], [[0, "1"]]], PAIRS),
+    ([[[2, "1"]], [[1.0, "1"]], [[0, "1"]]], PAIRS),
+    ([[[2, "1"]], [[True, "1"]], [[0, "1"]]], PAIRS),
+    ([[[2, "1"]], [[1, 1]], [[0, "1"]]], "bad rational 1"),
+    ([[[2, "1"]], [[1, "1"], [1, "1"]], [[0, "1"]]], ORDER),
+    ([[[2, "1"]], [[2, "1"], [1, "1"]], [[0, "1"]]], ORDER),
+    ([[[2, "1"]], [[-1, "1"]], [[0, "1"]]], ORDER),
+    ([[[3, "1"]], [[1, "1"]], [[0, "1"]]], ORDER),
+    ([[[2, "1"]], [[1, "1"], [2, "0"]], [[0, "1"]]], ZERO),
+    ([[[2, "1"]], [[1, "1"], [2, "-0"]], [[0, "1"]]], ZERO),
+    ([[[2, "1"]], [[1, "1"], [2, "0/5"]], [[0, "1"]]], ZERO),
+    ([[[2, "1"]], [[1, "1/0"]], [[0, "1"]]], "bad rational '1/0'"),
+], ids=["row-short", "row-over", "string-matrix", "string-row",
+        "object-row", "bare-pair", "one-element-pair", "three-element-pair",
+        "string-column", "float-column", "bool-column", "int-coefficient",
+        "repeated-column", "decreasing-columns", "negative-column",
+        "column-past-width", "zero", "minus-zero", "zero-over-five",
+        "zero-denominator"])
+def test_bad_sparse_matrix_exit_2_without_traceback(rows, phrase, tmp_path):
+    # the "operad-forge/2" reader takes one spelling of each matrix: dims
+    # rows of [column, coefficient] pairs, columns strictly increasing
+    # and in range, coefficients nonzero rationals' texts; each rule
+    # names itself, before any check of the action could
+    with open(fx(V2 + FREE3)) as fh:
+        payload = json.load(fh)
+    _set(SPARSE_MATRIX, rows)(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    run = run_cli("validate", str(bad))
+    stderr = run.stderr.decode()
+    assert run.returncode == 2, stderr
+    assert "malformed input" in stderr and phrase in stderr, stderr
+    assert "Traceback" not in stderr
+
+
 # the values a mutation may put in place of an entry of a document
 FUZZ_VALUES = (None, -1, "a", [], {}, 1.5, "1/0", True)
 GENERATOR_WINDOWS = {BIN: ["--max-arity", "3"], MOD: ["--max-dim", "1"]}
@@ -311,10 +383,11 @@ GENERATOR_WINDOWS = {BIN: ["--max-arity", "3"], MOD: ["--max-dim", "1"]}
 @st.composite
 def mutated_documents(draw):
     """(fixture name, golden document with one entry deleted or replaced
-    by a value of FUZZ_VALUES).  The entry is found by descending from
-    the top, so top-level fields are drawn as often as deep cells."""
-    name = draw(st.sampled_from(sorted(
-        n for n in os.listdir(FIXTURES) if n.endswith(".json"))))
+    by a value of FUZZ_VALUES), drawn from the "operad-forge/1" goldens
+    and their "/2" twins.  The entry is found by descending from the
+    top, so top-level fields are drawn as often as deep cells."""
+    names = sorted(n for n in os.listdir(FIXTURES) if n.endswith(".json"))
+    name = draw(st.sampled_from(names + [V2 + n for n in names]))
     with open(fx(name)) as fh:
         payload = json.load(fh)
     node = payload
@@ -344,8 +417,9 @@ def test_mutated_documents_exit_0_1_or_2(case):
         with open(path, "w") as fh:
             json.dump(payload, fh)
         commands = [["validate"], ["homology"]]
-        if name in GENERATOR_WINDOWS:
-            commands.append(["free", *GENERATOR_WINDOWS[name],
+        window = GENERATOR_WINDOWS.get(name.removeprefix(V2))
+        if window:
+            commands.append(["free", *window,
                              "--out", os.path.join(tmp, "free.json")])
         for command in commands:
             assert main([command[0], path, *command[1:]]) in (0, 1, 2), \
@@ -389,34 +463,45 @@ def test_malformed_argument_exit_2_without_traceback(args):
 # sha256 of the stdout of `free` on the generator fixtures, as written
 # before the writer and the summand and graph lookups were rewritten, and
 # of seeded `minimal-model` runs (the only pinned runs of the attachment
-# derivation), as written before the two free builders were merged
+# derivation), as written before the two free builders were merged: the
+# "operad-forge/1" text, rendered by the reference writer, and the
+# "operad-forge/2" text the CLI writes
 FREE_DIGESTS = [
     (["free", "binary_generator.json", "--max-arity", "4"],
-     "405434c8b02813b2545e2ec97a93b406e22a6a7df57f19ce0ff7d9685754005a"),
+     "405434c8b02813b2545e2ec97a93b406e22a6a7df57f19ce0ff7d9685754005a",
+     "3592826969c71b16de018765d11908104f6e00c497ab922e77a52b21bf0698c8"),
     (["free", "modular_generator_03.json", "--max-dim", "2"],
-     "d9a67201747703f6c3ca02c0139a7a02cbc72365b75d8458fa2b50d9d28b2a13"),
+     "d9a67201747703f6c3ca02c0139a7a02cbc72365b75d8458fa2b50d9d28b2a13",
+     "7dddd5e06510137de2d4616138c9484004177ef5087302bb99141b6f0fd2aefd"),
     (["free", "binary_generator.json", "--max-arity", "5"],
-     "771a6fc1d54350705aaa0b0aa93834754a46b71a1246fd5820dc9b4f11d8a0a8"),
-    # 714 341 bytes: 37 composition and 20 contraction tables, cell
-    # indices up to 14, the widest pin on the structure-map table writer
+     "771a6fc1d54350705aaa0b0aa93834754a46b71a1246fd5820dc9b4f11d8a0a8",
+     "ea94680aeb141c6cbc02ac3ac8c8626e82cc6d83b98a9ee18ea55e36b454220c"),
+    # 714 341 bytes at "/1": 37 composition and 20 contraction tables,
+    # cell indices up to 14, the widest pin on the structure-map table
+    # writer
     (["free", "modular_generator_03.json", "--max-dim", "3"],
-     "5f3ebf2a646211211cdd032fabb35c0da474f32a6ca08c6b8cba38d0b4916d35"),
+     "5f3ebf2a646211211cdd032fabb35c0da474f32a6ca08c6b8cba38d0b4916d35",
+     "8532c550d23c20419ef80c35403b615e954481d399aca9061ad3ea6f4a63131d"),
     (["minimal-model", "commutative_window3.json", "--max", "3",
       "--seed", "9"],
-     "2a575fbb502fdea6dbe20f5f9721f51bdde7e2cbd4a299ec33fa44afac7ef800"),
+     "2a575fbb502fdea6dbe20f5f9721f51bdde7e2cbd4a299ec33fa44afac7ef800",
+     "655fa561bd4efa3adad8a7d828f9095b2a4ce5b7d51f6a575101b92ffbe39a05"),
     (["minimal-model", "endomorphism_dim1.json", "--seed", "5"],
-     "aa7f6189b421d2eaef559bfc05681fbdd13460d6d1459aac906d76882b73d251"),
+     "aa7f6189b421d2eaef559bfc05681fbdd13460d6d1459aac906d76882b73d251",
+     "2ebfdf7dcf4b2fb76b8d3eaec073cf778767ddbe13fbf30e70e41f8830da279c"),
 ]
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "123"])
-@pytest.mark.parametrize("args,digest", FREE_DIGESTS,
+@pytest.mark.parametrize("args,v1_digest,v2_digest", FREE_DIGESTS,
                          ids=["arity-4", "dim-2", "arity-5", "dim-3",
                               "model-commutative", "model-endomorphism"])
-def test_free_output_bytes_unchanged(args, digest, hash_seed):
-    run = run_cli(args[0], fx(args[1]), *args[2:], PYTHONHASHSEED=hash_seed)
-    assert run.returncode == 0, run.stderr
-    assert hashlib.sha256(run.stdout).hexdigest() == digest
+def test_free_output_bytes_unchanged(args, v1_digest, v2_digest, hash_seed):
+    for run_with, digest in ((run_cli_v1, v1_digest), (run_cli, v2_digest)):
+        run = run_with(args[0], fx(args[1]), *args[2:],
+                       PYTHONHASHSEED=hash_seed)
+        assert run.returncode == 0, run.stderr
+        assert hashlib.sha256(run.stdout).hexdigest() == digest, run_with
 
 
 class TestHomology:
@@ -552,6 +637,12 @@ class TestAltCheck:
         main(["alt-check", "--dim", "2", "--trials", "2", "--seed", "5"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_dim_5_output_bytes(self):
+        # the seeded chains draw from the 120 nondegenerate 5-cubes
+        run = run_cli("alt-check", "--dim", "5", "--trials", "20")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == b"alt-check passed: dim=5 trials=20 seed=0\n"
 
 
 class TestFixtureDirOverride:

@@ -713,3 +713,27 @@ class TestFaceAndOrbitTables:
                 check_faces(P, R, cube, 2)
                 chain = CubicChain.of_cube(P, cube)
                 assert boundary(chain) == reference_boundary(chain)
+
+
+class TestNondegenerateCubes:
+    """A product cube is degenerate when a factor is, so the nondegenerate
+    cubes come from the factors' own: the list of filtering every cube
+    through ``is_degenerate``, in its order."""
+
+    @pytest.mark.parametrize("space", [
+        interval(), torus(), point(), interval_power(2), interval_power(5),
+        ProductCubicalSet(torus(), interval_power(2)),
+        ProductCubicalSet(interval(), ProductCubicalSet(torus(), interval())),
+    ], ids=["interval", "torus", "point", "square", "I^5", "torus-x-I^2",
+            "I-x-torus-x-I"])
+    def test_same_list_as_filtering(self, space):
+        for p in range(max(space.dims()) + 2):
+            assert space.nondegenerate_cubes(p) == [
+                c for c in space.cubes(p) if not space.is_degenerate(c)]
+
+    def test_count_on_interval_powers(self):
+        # the nondegenerate n-cubes of I^n: one per ordering of the n
+        # identity factors' coordinates
+        for n in range(1, 6):
+            assert len(interval_power(n).nondegenerate_cubes(n)) \
+                == math.factorial(n)

@@ -17,12 +17,36 @@ from operad_forge.qlinalg import Matrix
 from operad_forge.sigma import GroupAction, ModularSigmaModule, SigmaModule
 
 from fixtures_ops import commutative_style_operad
+from helpers import v1_dumps
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+# the "operad-forge/2" twin of each "operad-forge/1" golden, by name
+V2_FIXTURES = os.path.join(FIXTURES, "v2")
 
 
 def fixture_files():
+    """The "operad-forge/1" goldens."""
     return sorted(glob.glob(os.path.join(FIXTURES, "*.json")))
+
+
+def v2_fixture_files():
+    return sorted(glob.glob(os.path.join(V2_FIXTURES, "*.json")))
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _rewritten(text, v1=False):
+    """The text of the document read from text, written again: in
+    "operad-forge/2", or in "/1" by the reference writer."""
+    obj, meta = doc.from_document(doc.loads(text))
+
+    def make():
+        return doc.to_document(obj, name=meta.get("name", ""),
+                               seed=meta.get("seed", 0))
+    return v1_dumps(make) if v1 else doc.dumps(make())
 
 
 class TestRationals:
@@ -50,29 +74,53 @@ BAD_CELL_IDS = ["decimal-zero", "empty", "zero-denominator", "plus-sign",
 
 
 class TestMatrixCells:
+    """The "operad-forge/1" reader: rows of every cell."""
+
     @pytest.mark.parametrize("cell", BAD_CELLS, ids=BAD_CELL_IDS)
     def test_bad_cells_raise(self, cell):
         # only the exact string "0" skips the parser
         with pytest.raises(DocumentError):
-            doc.matrix_from_lists([["1", cell]], 1, 2)
+            doc.matrix_from_dense_lists([["1", cell]], 1, 2)
 
     def test_other_zero_spellings_store_no_entry(self):
-        m = doc.matrix_from_lists([["0", "-0", "0/3", "-3/2"], ["00"] * 4],
-                                  2, 4)
+        m = doc.matrix_from_dense_lists(
+            [["0", "-0", "0/3", "-3/2"], ["00"] * 4], 2, 4)
         assert m.sparse == (((3, Fraction(-3, 2)),), ())
-        assert doc.matrix_to_lists(m) == [["0", "0", "0", "-3/2"], ["0"] * 4]
+        assert doc.matrix_to_lists(m) == [[[3, "-3/2"]], []]
+
+
+class TestSparseRows:
+    """The "operad-forge/2" rows of nonzero [column, "p/q"] pairs; the
+    rows the reader rejects are the CLI cases of
+    ``test_bad_sparse_matrix_exit_2_without_traceback``."""
+
+    def test_round_trip(self):
+        m = Matrix.from_rows([[0, Fraction(-3, 2), 0], [0, 0, 0],
+                              [5, 0, Fraction(1, 7)]])
+        rows = doc.matrix_to_lists(m)
+        assert rows == [[[1, "-3/2"]], [], [[0, "5"], [2, "1/7"]]]
+        assert doc.matrix_from_lists(rows, 3, 3) == m
+
+    def test_empty_shapes(self):
+        assert doc.matrix_to_lists(Matrix.zeros(2, 0)) == [[], []]
+        assert doc.matrix_from_lists([[], []], 2, 0) == Matrix.zeros(2, 0)
+        assert doc.matrix_from_lists([], 0, 4) == Matrix.zeros(0, 4)
 
 
 class TestRoundTrip:
     def test_golden_fixtures_byte_identical(self):
-        assert fixture_files(), "golden fixtures missing"
-        for path in fixture_files():
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-            obj, meta = doc.from_document(doc.loads(text))
-            again = doc.dumps(doc.to_document(
-                obj, name=meta.get("name", ""), seed=meta.get("seed", 0)))
-            assert again == text, path
+        """Each "/2" twin round-trips byte for byte; its "/1" golden reads
+        to the same operad and is the reference writer's text of it."""
+        names = [os.path.basename(p) for p in fixture_files()]
+        assert len(names) == 7, "golden fixtures missing"
+        assert [os.path.basename(p) for p in v2_fixture_files()] == names
+        for name in names:
+            v1 = _read(os.path.join(FIXTURES, name))
+            v2 = _read(os.path.join(V2_FIXTURES, name))
+            assert '"format": "operad-forge/2"' in v2, name
+            assert _rewritten(v2) == v2, name
+            assert _rewritten(v1) == v2, name
+            assert _rewritten(v2, v1=True) == v1, name
 
     def test_operad_semantics_survive(self):
         path = os.path.join(FIXTURES, "commutative_window3.json")
@@ -112,8 +160,14 @@ class TestRoundTrip:
 
 class TestMalformed:
     def test_wrong_format_version(self):
-        with pytest.raises(DocumentError):
+        with pytest.raises(DocumentError, match="unsupported format"):
             doc.from_document({"format": "other/9", "kind": "operad"})
+
+    @pytest.mark.parametrize("fmt", [["operad-forge/2"], None, 2],
+                             ids=["list", "null", "integer"])
+    def test_format_not_a_version_string(self, fmt):
+        with pytest.raises(DocumentError, match="unsupported format"):
+            doc.from_document({"format": fmt, "kind": "operad"})
 
     def test_unknown_kind(self):
         with pytest.raises(DocumentError):
@@ -130,7 +184,7 @@ class TestMalformed:
                "indexing": "arity",
                "components": {"2": {
                    "dims": {"0": 1, "1": 1, "2": 1},
-                   "differential": {"1": [["1"]], "2": [["1"]]},
+                   "differential": {"1": [[[0, "1"]]], "2": [[[0, "1"]]]},
                    "action": [{}]}}}
         with pytest.raises(DocumentError):
             doc.from_document(bad)
@@ -140,8 +194,8 @@ class TestMalformed:
                "indexing": "arity",
                "components": {"2": {
                    "dims": {"0": 2},
-                   "action": [{"0": [["1"]]}]}}}
-        with pytest.raises(DocumentError):
+                   "action": [{"0": [[[0, "1"]]]}]}}}
+        with pytest.raises(DocumentError, match="shape mismatch"):
             doc.from_document(bad)
 
     def test_truncated_without_cut(self):
@@ -243,7 +297,7 @@ class TestWriter:
                 assert write(value) == want, write
 
     def test_golden_fixture_bytes(self):
-        for path in fixture_files():
+        for path in fixture_files() + v2_fixture_files():
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
             want = json.dumps(payload, sort_keys=True, indent=1) + "\n"

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -58,12 +59,14 @@ from fixtures_ops import (
 )
 from helpers import (
     cone_completion,
+    dense_matrix_to_lists,
     greedy_extended_classify,
     leibniz_holds,
     random_chain_map,
     random_complex,
     reference_level_blocks,
     reference_level_rows,
+    writing_v1,
 )
 
 
@@ -416,13 +419,18 @@ class TestLift:
         h = homotopy_solve(f, g)
         assert check_homotopy(f, g, h) is True
         assert h[0] != -h0[0]
-        # sha256 of each block as computed by the dense elimination
-        digests = {i: hashlib.sha256(
-            json.dumps(matrix_to_lists(m)).encode()).hexdigest()
-            for i, m in h.items()}
+        # sha256 of each block's dense rows as computed by the dense
+        # elimination, and of its sparse rows
+        digests = {i: tuple(hashlib.sha256(json.dumps(rows(m)).encode())
+                            .hexdigest()
+                            for rows in (dense_matrix_to_lists,
+                                         matrix_to_lists))
+                   for i, m in h.items()}
         assert digests == {
-            0: "fbd8442c6007240f2a42d0260a17903cc538f77cbb92f91fd659973b722e874f",
-            1: "5bae48439a3261467d55e23920900800def4dce19af49e2292a8852f4c29d84e",
+            0: ("fbd8442c6007240f2a42d0260a17903cc538f77cbb92f91fd659973b722e874f",
+                "44561f46fc711979821558bd318c1d5cad0e554ef4e9589bd431d08b09101391"),
+            1: ("5bae48439a3261467d55e23920900800def4dce19af49e2292a8852f4c29d84e",
+                "23762e0e68cd89dfc1f142f556de611018cca8c26dfe2e9f3924606efc8c77b1"),
         }
 
     def test_not_isomorphic_reported(self):
@@ -867,17 +875,23 @@ class TestOneBuilderPerModel:
     key by key: the per-summand work is done once and placed through the
     layout current at each use."""
 
-    # sha256 of the ``minimal-model`` document, pinned from the builder
-    # that rebuilt the free operad at every level
+    # sha256 of the ``minimal-model`` document: the "operad-forge/1" text,
+    # rendered by the reference writer and pinned from the builder that
+    # rebuilt the free operad at every level, and the "operad-forge/2"
+    # text
     DIGESTS = {
-        ("endomorphism-dim1-window2", 0):
+        ("endomorphism-dim1-window2", 0): (
             "bdfc79ede212bd05079dfbdcc601c9b5c65d58e68540908bf7f50d05a228311b",
-        ("endomorphism-dim1-window2", 5):
+            "64a63dbf4091a89c2ff563b39d10a499c41a134b509f04718225cbc9beb1897c"),
+        ("endomorphism-dim1-window2", 5): (
             "4adacc17939f8e6f61b172f4b2666cf5b207497ba331a6783a761c3a2bda8d56",
-        ("moduli2", 0):
+            "633a4830edfffcbc2034c48b7d4f69cbaba5c372a485887b600a170165bc4100"),
+        ("moduli2", 0): (
             "36f387152156292913219429c29d6f5befc0f560e015d10f4c87a633161bc8ac",
-        ("moduli2", 5):
+            "e6a4bffd949653ac74ceedbde580641b16c0f0dc9040e540f49f4c33e87a0f1f"),
+        ("moduli2", 5): (
             "cf2c516aa5abed462b2d728300735a750272cf7adc59dd604a2514352eb23d16",
+            "168944e38e10d45019c3e13eac4e8974015fdd91f4f1842349a587ded2d1d182"),
     }
     MAKE = {"endomorphism-dim1-window2": lambda: endomorphism_dim1(2),
             "moduli2": lambda: moduli_quotient(2)}
@@ -887,10 +901,13 @@ class TestOneBuilderPerModel:
         src, out = tmp_path / "op.json", tmp_path / "mm.json"
         with open(src, "w") as fh:
             doc.dump(doc.to_document(self.MAKE[name]()), fh)
-        assert main(["minimal-model", str(src), "--seed", str(seed),
-                     "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() \
-            == self.DIGESTS[name, seed]
+        digests = []
+        for writer in (writing_v1, contextlib.nullcontext):
+            with writer():
+                assert main(["minimal-model", str(src), "--seed", str(seed),
+                             "--out", str(out)]) == 0
+            digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert tuple(digests) == self.DIGESTS[name, seed]
 
     @staticmethod
     def _counted(monkeypatch, cls):

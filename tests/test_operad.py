@@ -84,9 +84,29 @@ from helpers import (
     to_sparse,
     tree_space_data,
     tree_to_planar,
+    v1_dumps,
 )
 from helpers import evaluate_tree_basis as ref_evaluate_tree_basis
 import helpers
+
+# sha256 of free operads' documents: the "operad-forge/1" text as written
+# by the per-column route (the three window-5 free operads) and by
+# `free modular_generator_03.json --max-dim 3`, and the "operad-forge/2"
+# text
+FREE_PINS = {
+    "binary-sign": (
+        "2169ed90ecc26a313975798365d48f8b25f36385e37f09eeaa5c250f0927f958",
+        "ba4ec1a230c754be327684a259921b04386cd7df39aaf7d48c6156f4c0db2d89"),
+    "mixed-degree": (
+        "ad58aabc9310643c7b888515fa4f9faf203bff197ad7b2b9dd608f10a7630847",
+        "3cf61ac936be05eaf2afc915d784f1d58036c474ef6f7f1985e2cdc7fe36dda6"),
+    "ternary-sign": (
+        "6d8700a49dfea3955c178baccab707e8645b4296d4a74a1c0d8da092e63c1087",
+        "715f7a70f175a5e2a567ab0f9ec21c37755524ea307db4b50f8539c67bea95eb"),
+    "dim-3": (
+        "5f3ebf2a646211211cdd032fabb35c0da474f32a6ca08c6b8cba38d0b4916d35",
+        "8532c550d23c20419ef80c35403b615e954481d399aca9061ad3ea6f4a63131d"),
+}
 
 
 def trivial_module(dims_by_arity):
@@ -297,17 +317,15 @@ class TestActionGeneratorsAgainstParent:
     def test_free_modular_operad(self, gens, max_dim):
         self._assert_same_generators(FreeModularBuilder(gens(), max_dim))
 
-    @pytest.mark.parametrize("module,digest", [
-        (sign_module(2, 0),
-         "2169ed90ecc26a313975798365d48f8b25f36385e37f09eeaa5c250f0927f958"),
-        (mixed_module(),
-         "ad58aabc9310643c7b888515fa4f9faf203bff197ad7b2b9dd608f10a7630847"),
-        (sign_module(3, 1),
-         "6d8700a49dfea3955c178baccab707e8645b4296d4a74a1c0d8da092e63c1087"),
+    @pytest.mark.parametrize("module,digests", [
+        (sign_module(2, 0), FREE_PINS["binary-sign"]),
+        (mixed_module(), FREE_PINS["mixed-degree"]),
+        (sign_module(3, 1), FREE_PINS["ternary-sign"]),
     ], ids=["binary-sign", "mixed-degree", "ternary-sign"])
-    def test_free_operad_bytes_pinned(self, module, digest):
-        # sha256 as written by the per-column route
-        assert _digest(document.to_document(free_operad(module, 5))) == digest
+    def test_free_operad_bytes_pinned(self, module, digests):
+        # the "/1" sha256 as written by the per-column route
+        op = free_operad(module, 5)
+        assert _digests(lambda: document.to_document(op)) == digests
 
 
 class TestFactorMapAgainstReference:
@@ -495,34 +513,32 @@ class TestRearrangementMemo:
             monkeypatch.setattr(cls, "_match", counted)
         return calls
 
-    @pytest.mark.parametrize("name,digest", [
-        ("binary-sign",
-         "2169ed90ecc26a313975798365d48f8b25f36385e37f09eeaa5c250f0927f958"),
-        ("mixed-degree",
-         "ad58aabc9310643c7b888515fa4f9faf203bff197ad7b2b9dd608f10a7630847"),
-        ("ternary-sign",
-         "6d8700a49dfea3955c178baccab707e8645b4296d4a74a1c0d8da092e63c1087"),
-        ("dim-3",
-         "5f3ebf2a646211211cdd032fabb35c0da474f32a6ca08c6b8cba38d0b4916d35"),
-    ], ids=["binary-sign", "mixed-degree", "ternary-sign", "dim-3"])
+    @pytest.mark.parametrize("name", list(FREE_PINS))
     def test_cold_and_warm_memo_same_bytes(self, monkeypatch, tmp_path,
-                                           name, digest):
+                                           name):
         """The pins of ``TestActionGeneratorsAgainstParent`` and of
         ``free modular_generator_03.json --max-dim 3``, with the memo
-        cleared and then warm; the warm build matches nothing."""
+        cleared and then warm; the warm build matches nothing.  Each
+        build's "/1" text is the reference writer's rendering of the
+        operad it wrote."""
         modules = {"binary-sign": sign_module(2, 0),
                    "mixed-degree": mixed_module(),
                    "ternary-sign": sign_module(3, 1)}
+        digest = FREE_PINS[name]
 
         def build():
             if name in modules:
-                return _digest(document.to_document(
-                    free_operad(modules[name], 5)))
+                op = free_operad(modules[name], 5)
+                return _digests(lambda: document.to_document(op))
             out = tmp_path / "free.json"
             assert cli_main(["free", os.path.join(
                 FIXTURES, "modular_generator_03.json"), "--max-dim", "3",
                 "--out", str(out)]) == 0
-            return hashlib.sha256(out.read_bytes()).hexdigest()
+            op, meta = document.load(out)
+            v1 = v1_dumps(lambda: document.to_document(
+                op, name=meta["name"], seed=meta["seed"]))
+            return (hashlib.sha256(v1.encode()).hexdigest(),
+                    hashlib.sha256(out.read_bytes()).hexdigest())
 
         monkeypatch.setattr(free_module, "_MATCHES", {})
         assert build() == digest
@@ -718,25 +734,29 @@ class TestEndomorphismModularOperad:
             endomorphism_modular_operad(v, {1: Matrix.from_rows([[1]]),
                                             -1: Matrix.from_rows([[1]])}, 2)
 
-    @pytest.mark.parametrize("v,pairing,window,digest", [
-        (ChainComplex({0: 1}), Matrix.from_rows([[1]]), 1,
-         "bbfa46a66c2056a6bb5cf755dd329456df1706c23865c84c4252f78f7d6f5bcf"),
-        (ChainComplex({0: 1}), Matrix.from_rows([[1]]), 2,
-         "3133865940c167a73343024a3092fafc1bafc8d00dc6d633b611cd7c51537b93"),
+    @pytest.mark.parametrize("v,pairing,window,digests", [
+        (ChainComplex({0: 1}), Matrix.from_rows([[1]]), 1, (
+            "bbfa46a66c2056a6bb5cf755dd329456df1706c23865c84c4252f78f7d6f5bcf",
+            "35a7dfa9686e7207aa55ae0d72830fcad7df508e63b30c77870c4ed577f77615")),
+        (ChainComplex({0: 1}), Matrix.from_rows([[1]]), 2, (
+            "3133865940c167a73343024a3092fafc1bafc8d00dc6d633b611cd7c51537b93",
+            "babca8daf4c6f39ff6b9cd37c0bce46dd100c15fb50ea681310b77d4e52833ad")),
         (ChainComplex({1: 1, -1: 1}), {1: Matrix.from_rows([[1]]),
-                                       -1: Matrix.from_rows([[-1]])}, 2,
-         "9b52944bccb599ec1f20e148c2caa75b22757801b920014c141344b6490a836b"),
+                                       -1: Matrix.from_rows([[-1]])}, 2, (
+            "9b52944bccb599ec1f20e148c2caa75b22757801b920014c141344b6490a836b",
+            "2f05d25d35d85195876c13e39b03af54da97e7bc4eb93b20e2e354b584007706")),
         (ChainComplex({0: 1, 1: 1, -1: 1}),
          {0: Matrix.from_rows([[1]]), 1: Matrix.from_rows([[1]]),
-          -1: Matrix.from_rows([[-1]])}, 2,
-         "9734e5508f050ddbcbd925837693f5e52d01789e17656f5fbd11d3029136b039"),
+          -1: Matrix.from_rows([[-1]])}, 2, (
+            "9734e5508f050ddbcbd925837693f5e52d01789e17656f5fbd11d3029136b039",
+            "24e5904697753cb98723170b9e97e298c3fc85835d6a07cc8d0af2398472c8af")),
     ], ids=["rational-window-1", "rational-window-2", "odd-pairing",
             "three-degrees"])
-    def test_document_bytes_pinned(self, v, pairing, window, digest):
-        # sha256 as written when the composition loop and the
+    def test_document_bytes_pinned(self, v, pairing, window, digests):
+        # the "/1" sha256 as written when the composition loop and the
         # contraction loop each derived the inner-product sign
         E = endomorphism_modular_operad(v, pairing, window)
-        assert _digest(document.to_document(E)) == digest
+        assert _digests(lambda: document.to_document(E)) == digests
 
     def test_action_generators_are_the_reference_reorder(self):
         # on the odd-degree V above, s_j swaps factors j and j + 1 with
@@ -1137,44 +1157,68 @@ def _digest(doc):
     return hashlib.sha256(document.dumps(doc).encode()).hexdigest()
 
 
+def _digests(make):
+    """sha256 of the "operad-forge/1" text (the reference writer's) and of
+    the "operad-forge/2" text of the document ``make()`` builds."""
+    return (hashlib.sha256(v1_dumps(make).encode()).hexdigest(),
+            _digest(make()))
+
+
+def _pinned_ids(cases):
+    """The cases, each (..., (v1_digest, v2_digest)) with the test id it
+    had when it pinned the "/1" digest alone."""
+    return [pytest.param(*case, id="-".join(
+        map(str, (*case[:-1], case[-1][0])))) for case in cases]
+
+
 class TestTransferredOutputsPinned:
     """sha256 of the canonical documents of operads whose structure maps
-    are carried onto new complexes (homology, quotients, sub-operads),
-    as computed before those three constructions shared one routine."""
+    are carried onto new complexes (homology, quotients, sub-operads):
+    the "/1" text as computed before those three constructions shared
+    one routine, and the "/2" text."""
 
-    @pytest.mark.parametrize("name,digest", [
-        ("free_binary_window3.json",
-         "5f6276a49555051dd8f592a5e16122ae56e147e83a4ba779ed47b100267f1784"),
-        ("endomorphism_dim1.json",
-         "bbfa46a66c2056a6bb5cf755dd329456df1706c23865c84c4252f78f7d6f5bcf"),
-        ("commutative_window3.json",
-         "0db2b4166c39f3e6f2c3ce19cd11ef8b5131b3dc5a77251166a814729011f4a5"),
-    ])
-    def test_homology_operad(self, name, digest):
+    @pytest.mark.parametrize("name,digests", _pinned_ids([
+        ("free_binary_window3.json", (
+            "5f6276a49555051dd8f592a5e16122ae56e147e83a4ba779ed47b100267f1784",
+            "230fa616d13de622e81403256565a48e300a191aae01fbe660b4387885650e5f")),
+        ("endomorphism_dim1.json", (
+            "bbfa46a66c2056a6bb5cf755dd329456df1706c23865c84c4252f78f7d6f5bcf",
+            "35a7dfa9686e7207aa55ae0d72830fcad7df508e63b30c77870c4ed577f77615")),
+        ("commutative_window3.json", (
+            "0db2b4166c39f3e6f2c3ce19cd11ef8b5131b3dc5a77251166a814729011f4a5",
+            "cba8caa1208d473a6804e997e6cef0730923a15cf5a910a09426c870e288604d")),
+    ]))
+    def test_homology_operad(self, name, digests):
         hop = homology_operad(_fixture(name))
-        assert _digest(document.to_document(hop)) == digest
+        assert _digests(lambda: document.to_document(hop)) == digests
 
-    @pytest.mark.parametrize("name,cut,window,digest", [
-        ("free_binary_window3.json", 2, 4,
-         "82e3c2e2a2e714bac5aac7ee691046b5de931e6949722d96c18fd0594c42dccf"),
-        ("commutative_window3.json", 3, 4,
-         "83397d388ee2d02b7e36db8370af38714360274b8276bc29fd7010d0c5dce2c8"),
-        ("endomorphism_dim1.json", 1, 2,
-         "3133865940c167a73343024a3092fafc1bafc8d00dc6d633b611cd7c51537b93"),
-    ])
-    def test_free_extension_quotient(self, name, cut, window, digest):
+    @pytest.mark.parametrize("name,cut,window,digests", _pinned_ids([
+        ("free_binary_window3.json", 2, 4, (
+            "82e3c2e2a2e714bac5aac7ee691046b5de931e6949722d96c18fd0594c42dccf",
+            "6f6c682b938fbb414668dae35e414218f52001ecf0b6c5a96adb12cb7f327382")),
+        ("commutative_window3.json", 3, 4, (
+            "83397d388ee2d02b7e36db8370af38714360274b8276bc29fd7010d0c5dce2c8",
+            "63200b3725dfd7de94f1b0addbb240fb246036450ff6ea69455c4ccceb35cdda")),
+        ("endomorphism_dim1.json", 1, 2, (
+            "3133865940c167a73343024a3092fafc1bafc8d00dc6d633b611cd7c51537b93",
+            "babca8daf4c6f39ff6b9cd37c0bce46dd100c15fb50ea681310b77d4e52833ad")),
+    ]))
+    def test_free_extension_quotient(self, name, cut, window, digests):
         ext = extend_freely(truncate(_fixture(name), cut), window)
-        assert _digest(document.to_document(ext)) == digest
+        assert _digests(lambda: document.to_document(ext)) == digests
 
-    @pytest.mark.parametrize("name,digest", [
-        ("commutative_window3.json",
-         "510b534cb8e11854a12f2d46489e7b66af6a71413d8da48d4febc904d87b411d"),
-        ("endomorphism_dim1.json",
-         "db22ef463a9a11df2033119b5655b976938a2b898db74e2f44a0b16b58974492"),
-    ])
-    def test_formality_witness(self, name, digest):
+    @pytest.mark.parametrize("name,digests", _pinned_ids([
+        ("commutative_window3.json", (
+            "510b534cb8e11854a12f2d46489e7b66af6a71413d8da48d4febc904d87b411d",
+            "1e9a69882f58f71a37744824f15447f7e071f84929fa1491d1d714750328ec1a")),
+        ("endomorphism_dim1.json", (
+            "db22ef463a9a11df2033119b5655b976938a2b898db74e2f44a0b16b58974492",
+            "b2660693095ef6a4be5f259ed2aab381317c7704668cf43a1f0c4ce5848150e7")),
+    ]))
+    def test_formality_witness(self, name, digests):
         witness = formality_check(_fixture(name))
-        assert _digest(document.witness_to_document(witness, 2)) == digest
+        assert _digests(
+            lambda: document.witness_to_document(witness, 2)) == digests
 
 
 def genus_one_module():
@@ -1219,7 +1263,8 @@ def _assert_closure_matches(op, seeds):
 
 def _fixture_operads():
     return [name for name in sorted(os.listdir(FIXTURES))
-            if isinstance(_fixture(name), (DGOperad, ModularOperad))]
+            if name.endswith(".json")
+            and isinstance(_fixture(name), (DGOperad, ModularOperad))]
 
 
 class TestClosureAgainstOneVector:

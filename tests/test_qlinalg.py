@@ -22,6 +22,8 @@ from operad_forge.qlinalg import (
     solve_with_kernel,
 )
 
+from operad_forge import minimal as minimal_module
+from operad_forge import qlinalg as qlinalg_module
 from operad_forge.chain import ChainComplex, HomologyRecord
 from operad_forge.cubical import CubicChain, interval
 from operad_forge.free import Layout
@@ -37,8 +39,10 @@ from operad_forge.weight import (
     TFunctorResult,
     WeightDecomposition,
     WeightFunction,
+    formality_check,
 )
 
+from fixtures_ops import hypercommutative, moduli_quotient
 from helpers import (
     assert_value_semantics,
     charpoly_eigen_split,
@@ -50,6 +54,7 @@ from helpers import (
     dense_solve,
     dense_split,
     fraction_combine,
+    fraction_solve_with_kernel,
     poly_eval_matrix,
     rational_roots,
     to_dense,
@@ -1179,6 +1184,37 @@ class TestSolveWithKernel:
             == (((0, one),), kernel(m))
         sol, ker = solve_with_kernel(m, ((0, one),))
         assert sol is None and ker == kernel(m) and ker.dim == 1
+
+    @given(level_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_fraction_route(self, case):
+        m, b = case
+        assert solve_with_kernel(m, b) == fraction_solve_with_kernel(m, b)
+
+    def test_captured_systems_equal_fraction_route(self, monkeypatch):
+        """The level systems of formality witnesses (``minimal``'s solver)
+        and every kernel taken on the way (homology, weight splits): the
+        null space from the integer rows is the Fraction route's basis,
+        entry for entry."""
+        levels, kernels = [], []
+        for module, captured in ((minimal_module, levels),
+                                 (qlinalg_module, kernels)):
+            def recorded(m, b, captured=captured):
+                captured.append((m, b))
+                return solve_with_kernel(m, b)
+            monkeypatch.setattr(module, "solve_with_kernel", recorded)
+        for p, window in ((hypercommutative(4), 4), (moduli_quotient(2), 2)):
+            assert formality_check(p, window, seed=3).verify() is True
+        monkeypatch.undo()
+        assert len(levels) == 8 and len(kernels) > 300
+        assert sum(m.cols > 100 for m, _ in levels) == 2
+        assert sum(kernel(m).dim > 0 for m, _ in kernels) > 100
+        for m, b in levels + kernels:
+            got = solve_with_kernel(m, b)
+            want = fraction_solve_with_kernel(m, b)
+            assert got == want
+            assert got[1].basis.sparse == want[1].basis.sparse
+            assert got[1].pivots == want[1].pivots
 
 
 # -- integer kernels against their Fraction references -----------------------
