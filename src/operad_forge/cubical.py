@@ -71,7 +71,7 @@ def cycle_up(r, n):
             images.append(k + 1)
         else:
             images.append(r)
-    return Permutation(tuple(images))
+    return Permutation(images)
 
 
 def sigma_tau_r_i(tau: Permutation, r: int, i: int) -> Permutation:
@@ -84,7 +84,7 @@ def sigma_tau_r_i(tau: Permutation, r: int, i: int) -> Permutation:
     n = tau.n + 1
     if not (1 <= r <= n and 1 <= i <= n):
         raise ValueError("face indices out of range")
-    tau_bar = Permutation(tuple(list(tau.images) + [n]))
+    tau_bar = Permutation(tau.images + (n,))
     return cycle_up(r, n).compose(tau_bar).compose(cycle_up(i, n).inverse())
 
 

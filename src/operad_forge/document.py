@@ -4,7 +4,9 @@ One JSON-compatible document format covers dg operads, dg modular
 operads, truncated operads and (modular) Sigma-modules; rationals are
 serialized as strings "p/q" (or "p" when the denominator is one), so
 round trips are exact.  Serialization is canonical: parse(serialize(x))
-= x and serialize is byte-deterministic.
+= x and serialize is byte-deterministic.  The text is the standard
+library's ``json.dumps(doc, sort_keys=True, indent=1)`` and a newline;
+``dump`` streams it to a file in the pieces the encoder yields.
 
 The writer writes version "operad-forge/2": a matrix is the list of its
 rows, each the list of its nonzero [column, "p/q"] pairs in increasing
@@ -438,86 +440,17 @@ def _check_table_indices(op):
 
 
 def dumps(doc) -> str:
-    """Canonical byte-deterministic serialization.
-
-    The text is exactly ``json.dumps(doc, sort_keys=True, indent=1) +
-    "\\n"`` for a JSON value with string keys, written directly: the
-    standard encoder runs in pure Python whenever it indents.  A list of
-    strings, such as a dense "operad-forge/1" row, is written in one
-    join: when the strings together are printable ASCII without ``"`` or
-    ``\\``, each is its own JSON text between quotes, and otherwise each
-    is encoded.
-    """
-    out = []
-    _write(doc, "\n", out.append)
-    out.append("\n")
-    return "".join(out)
+    """Canonical byte-deterministic serialization: ``json.dumps(doc,
+    sort_keys=True, indent=1)`` and a final newline."""
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 def dump(doc, fh):
     """Write the text of ``dumps(doc)`` to the text stream fh piece by
-    piece, without holding the whole text."""
-    _write(doc, "\n", fh.write)
+    piece, as the standard encoder yields it, without holding the whole
+    text."""
+    json.dump(doc, fh, sort_keys=True, indent=1)
     fh.write("\n")
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _write(x, nl, write):
-    """Pass the indented JSON text of x, in pieces, to write; nl is the
-    newline plus the indentation of the line x starts on."""
-    if isinstance(x, str):
-        write(_encode_str(x))
-    elif isinstance(x, dict):
-        if not x:
-            write("{}")
-            return
-        inner = nl + " "
-        sep = "{" + inner
-        for key, value in sorted(x.items()):
-            write(sep + _encode_str(key) + ": ")
-            _write(value, inner, write)
-            sep = "," + inner
-        write(nl + "}")
-    elif isinstance(x, (list, tuple)):
-        if not x:
-            write("[]")
-            return
-        inner = nl + " "
-        try:
-            text = "".join(x)
-        except TypeError:
-            pass
-        else:
-            if (text.isascii() and text.isprintable() and '"' not in text
-                    and "\\" not in text):
-                write("[" + inner + '"')
-                write(('",' + inner + '"').join(x))
-                write('"' + nl + "]")
-            else:
-                write("[" + inner + ("," + inner).join(map(_encode_str, x))
-                      + nl + "]")
-            return
-        sep = "[" + inner
-        for value in x:
-            write(sep)
-            _write(value, inner, write)
-            sep = "," + inner
-        write(nl + "]")
-    elif x is None:
-        write("null")
-    elif x is True:
-        write("true")
-    elif x is False:
-        write("false")
-    elif isinstance(x, int):
-        write(int.__repr__(x))
-    elif isinstance(x, float):
-        write(json.dumps(x))
-    else:
-        raise TypeError(f"Object of type {type(x).__name__} "
-                        "is not JSON serializable")
 
 
 def loads(text: str) -> dict:

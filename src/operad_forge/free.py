@@ -736,7 +736,7 @@ class FreeOperadBuilder(_FreeBuilder):
             return arity
 
         walk(tree)
-        relabel = Permutation(tuple(tree.leaves())).inverse()
+        relabel = Permutation(tree.leaves()).inverse()
         return (steps, (), n,
                 None if relabel.is_identity() else relabel)
 
@@ -794,8 +794,8 @@ class FreeModularBuilder(_FreeBuilder):
         sigmas = []
         for v in range(graph.n_vertices):
             image_slots = [slot_map[s] for s in graph.leg_order(v)]
-            sigmas.append(Permutation(tuple(
-                image_slots.index(d) + 1 for d in graph.leg_order(vperm[v]))))
+            sigmas.append(Permutation(
+                image_slots.index(d) + 1 for d in graph.leg_order(vperm[v])))
         return _factor_map(td, td, [self._gen_action(graph.vertex_type(v))
                                     for v in range(graph.n_vertices)],
                            sigmas, vperm)
@@ -888,8 +888,8 @@ class FreeModularBuilder(_FreeBuilder):
             raise AssertionError("graph evaluation lost track of the type")
         # the pairs of vertices that the glue order reverses
         inversions = _inversions([order.index(v) for v in range(len(order))])
-        relabel = Permutation(tuple(slots.index(("leg", q)) + 1
-                                    for q in range(1, key[1] + 1)))
+        relabel = Permutation(slots.index(("leg", q)) + 1
+                              for q in range(1, key[1] + 1))
         return (steps, inversions, key,
                 None if relabel.is_identity() else relabel)
 

@@ -129,7 +129,7 @@ def _comp_legs(l: int, i: int, m: int, glue: int) -> list:
 def _relabel(legs, target) -> Permutation:
     """The permutation sending the position of each leg in ``legs`` to its
     position in ``target``."""
-    return Permutation(tuple(target.index(leg) + 1 for leg in legs))
+    return Permutation(target.index(leg) + 1 for leg in legs)
 
 
 def comp_relabel(sigma: Permutation, i: int, tau: Permutation,
@@ -150,7 +150,7 @@ def modular_contr_relabel(sigma: Permutation, i: int, j: int):
     si, sj = sigma(i), sigma(j)
     rhs_rest = [p for p in range(1, l + 1) if p not in (si, sj)]
     images = [rhs_rest.index(sigma(r)) + 1 for r in lhs_rest]
-    return si, sj, Permutation(tuple(images))
+    return si, sj, Permutation(images)
 
 
 def modular_commutation_relabel(i: int, l: int, m: int) -> Permutation:
@@ -163,7 +163,7 @@ def modular_commutation_relabel(i: int, l: int, m: int) -> Permutation:
             images.append(l + p - i)
         else:
             images.append(p - m + 1)
-    return Permutation(tuple(images))
+    return Permutation(images)
 
 
 # -- operads ------------------------------------------------------------------

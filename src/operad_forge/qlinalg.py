@@ -13,11 +13,15 @@ dense view.  ``Matrix.images`` applies a block to many vectors from one
 transpose, reading each image as a sum of columns; ``Matrix.apply``
 reads a one-entry vector's column off the rows.  Subspaces carry a
 canonical reduced-echelon basis so equality of subspaces is syntactic.
-``rref``, ``Matrix.__mul__``, ``sandwich_horner`` and every sum of rows
-(``_accumulate``: ``_combine``, so ``Matrix.__add__``, ``images``,
-``apply``, ``Subspace._split`` and the composition tables) compute on
-Python integers over a common denominator and make one ``Fraction`` per
-output entry they touch; entries that no term touches keep theirs.
+Every sum of rows goes through ``_accumulate``: ``Matrix.__mul__``,
+``_combine`` (so ``Matrix.__add__``), ``images``, ``apply``,
+``Subspace._split`` and the composition tables.  It, ``rref`` and
+``sandwich_horner`` compute on Python integers over a common denominator
+and make one ``Fraction`` per output entry they touch; entries that no
+term touches keep theirs.  ``solve``, ``solve_matrix`` and
+``solve_with_kernel`` share one elimination of the augmented rows
+[m | b] (``_solve_augmented``), which makes a ``Fraction`` only for the
+solution's entries.
 """
 
 from __future__ import annotations
@@ -236,18 +240,8 @@ class Matrix:
                 out.append(brows[k] if a == 1
                            else tuple((j, -b) for j, b in brows[k]))
                 continue
-            acc = {}  # col -> (numerator, denominator), not reduced
-            for k, a in row:
-                an, ad = a.numerator, a.denominator
-                for j, b in brows[k]:
-                    n, d = an * b.numerator, ad * b.denominator
-                    v = acc.get(j)
-                    if v is not None:
-                        n, d = (v[0] + n, d) if v[1] == d else \
-                            (v[0] * d + n * v[1], v[1] * d)
-                    acc[j] = n, d
-            out.append(tuple((j, Fraction(n, d))
-                             for j, (n, d) in sorted(acc.items()) if n))
+            out.append(_accumulate((), ((a.numerator, a.denominator, brows[k])
+                                        for k, a in row)))
         return Matrix._trusted(self.rows, other.cols, tuple(out))
 
     __rmul__ = scale
@@ -696,33 +690,27 @@ def solve(m: Matrix, b):
 
 
 def solve_with_kernel(m: Matrix, b):
-    """``(solve(m, b), kernel(m))`` from one elimination of [m | b]: its
-    first m.cols columns are the reduced echelon form R of m, and a pivot
-    in the last column means m x = b has no solution (None).  The kernel
-    is spanned by one vector per free column j, e_j minus R's column j
-    on the pivots; each is scaled to integers straight from the
+    """``(solve(m, b), kernel(m))`` from one elimination of [m | b]
+    (``_solve_augmented``).  The kernel is spanned by one vector per free
+    column j of m, e_j minus R's column j on the pivots, R the reduced
+    echelon form of m; each is scaled to integers straight from the
     elimination's integer rows and eliminated once more for the
     canonical basis."""
-    _check_indices(b, m.rows)
     n = m.cols
-    aug = list(m.sparse)
-    for i, x in b:
-        aug[i] += ((n, x),)
-    rows = _eliminate(_leading(aug), n + 1)  # pivot column -> integer row
-    sol = None if rows.pop(n, None) else tuple(
-        (p, Fraction(row[n], row[p])) for p, row in rows.items() if n in row)
+    rows, x = _solve_augmented(m, Matrix.from_cols((b,), m.rows))
+    sol = None if x is None else x.columns()[0]
     # off its pivot, a row holds only free columns, each after the pivot:
     # so each vector's pivot entries come in increasing order, before j
     terms = {j: [] for j in range(n) if j not in rows}
     for p, row in rows.items():
         d = row[p]
-        for j, x in row.items():
-            if j != p and j != n:
-                terms[j].append((p, x, d))
+        for j, v in row.items():
+            if j != p and j < n:
+                terms[j].append((p, v, d))
     lead = {}
     for j, ts in terms.items():
         scale = lcm(*(d for _, _, d in ts))
-        vec = {p: -x * (scale // d) for p, x, d in ts}
+        vec = {p: -v * (scale // d) for p, v, d in ts}
         vec[j] = scale
         lead.setdefault(ts[0][0] if ts else j, []).append(vec)
     done = _eliminate(lead, n)
@@ -735,15 +723,26 @@ def solve_matrix(m: Matrix, b: Matrix):
     """Solve m X = b columnwise; return X or None if any column fails."""
     if b.rows != m.rows:
         raise ValueError("shape mismatch in solve_matrix")
-    red, pivots, rk = rref(m.hstack(b))
-    # a pivot beyond m.cols signals inconsistency
-    if pivots and pivots[-1] >= m.cols:
-        return None
+    return _solve_augmented(m, b)[1]
+
+
+def _solve_augmented(m: Matrix, b: Matrix):
+    """``(rows, X)`` from one elimination of [m | b]: rows maps each
+    pivot column to its integer row (``_eliminate``), and X solves
+    m X = b with every free variable zero, or is None when a pivot lands
+    in b's columns.  A ``Fraction`` is made only for X's entries."""
     n = m.cols
-    rows = [()] * n
-    for pcol, row in zip(pivots, red.sparse):
-        rows[pcol] = tuple((j - n, x) for j, x in row if j >= n)
-    return Matrix._trusted(n, b.cols, tuple(rows))
+    aug = [r + tuple((n + j, v) for j, v in s) if s else r
+           for r, s in zip(m.sparse, b.sparse)]
+    rows = _eliminate(_leading(aug), n + b.cols)
+    if max(rows, default=-1) >= n:
+        return rows, None
+    x = [()] * n
+    for p, row in rows.items():
+        d = row[p]
+        x[p] = tuple(sorted((j - n, Fraction(v, d))
+                            for j, v in row.items() if j >= n))
+    return rows, Matrix._trusted(n, b.cols, tuple(x))
 
 
 # -- characteristic polynomial (for reports) and primary decomposition ------

@@ -26,9 +26,11 @@ from .qlinalg import (
 
 
 class Permutation(_Frozen):
-    """Bijection of {1..n}; images[k] is the image of k+1."""
+    """Bijection of {1..n}; images[k] is the image of k+1, kept as a
+    tuple whatever sequence is given."""
 
     def __init__(self, images):
+        images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
         _setfield(self, "images", images)
@@ -53,13 +55,13 @@ class Permutation(_Frozen):
         """The adjacent transposition s_i = (i i+1)."""
         imgs = list(range(1, n + 1))
         imgs[i - 1], imgs[i] = i + 1, i
-        return Permutation(tuple(imgs))
+        return Permutation(imgs)
 
     @classmethod
     def cycle_to_front(cls, n, q):
         """Sends 1 -> q and shifts 2..q down; fixes q+1..n."""
         imgs = [q] + list(range(1, q)) + list(range(q + 1, n + 1))
-        return cls(tuple(imgs))
+        return cls(imgs)
 
     @property
     def n(self):
@@ -72,13 +74,13 @@ class Permutation(_Frozen):
         """self o other: apply other first."""
         if self.n != other.n:
             raise ValueError("size mismatch")
-        return Permutation(tuple(self(other(k)) for k in range(1, self.n + 1)))
+        return Permutation(self(other(k)) for k in range(1, self.n + 1))
 
     def inverse(self):
         inv = [0] * self.n
         for k in range(1, self.n + 1):
             inv[self(k) - 1] = k
-        return Permutation(tuple(inv))
+        return Permutation(inv)
 
     def sign(self):
         seen = [False] * self.n

@@ -176,12 +176,14 @@ class StableGraph(_Frozen):
     ``legs[j-1]`` is the vertex carrying leg j; ``edges`` are ordered
     pairs (u, v) with half-edge 0 at u and half-edge 1 at v (self loops
     allowed).  Total genus = sum of vertex genera + first Betti number.
+    The fields, and each edge, are kept as tuples whatever sequences are
+    given.
     """
 
     def __init__(self, genera, legs, edges):
-        _setfield(self, "genera", genera)
-        _setfield(self, "legs", legs)
-        _setfield(self, "edges", edges)
+        _setfield(self, "genera", tuple(genera))
+        _setfield(self, "legs", tuple(legs))
+        _setfield(self, "edges", tuple(map(tuple, edges)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -249,7 +251,7 @@ class StableGraph(_Frozen):
             genera[perm[v]] = self.genera[v]
         legs = tuple(perm[x] for x in self.legs)
         edges = sorted(tuple(sorted((perm[a], perm[b]))) for (a, b) in self.edges)
-        return StableGraph(tuple(genera), legs, tuple(edges))
+        return StableGraph(genera, legs, edges)
 
     def canonical_key(self):
         """The least (genera, legs, edges) of ``permuted(perm)`` over all

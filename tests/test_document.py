@@ -280,8 +280,8 @@ class TestWriter:
         class Cell(str):
             pass
 
-        # string rows that pass the one-join check, and rows that fail it
-        # only at their last cell
+        # string rows: dense "/1" rows, and rows whose last cell needs
+        # escaping
         rows = [["1", "0"], ["-1/2", "3", " ", "a~{}"], ["0"] * 1000,
                 ["0"] * 999 + ["\x7f"], ["0"] * 999 + ["\n"], ["0", "\x1f"],
                 ["0", "\u2028"], ["0", '"'], ["0", "\\"], ["0", "é"], ["0", ""],
@@ -303,6 +303,25 @@ class TestWriter:
             want = json.dumps(payload, sort_keys=True, indent=1) + "\n"
             for write in (doc.dumps, dumped):
                 assert write(payload) == want, (path, write)
+
+    def test_dump_streams(self):
+        """``dump`` passes the text to the stream in many short pieces,
+        never whole."""
+        class Recorder:
+            def __init__(self):
+                self.pieces = []
+
+            def write(self, piece):
+                self.pieces.append(piece)
+
+        for path in v2_fixture_files():
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            fh = Recorder()
+            doc.dump(payload, fh)
+            assert "".join(fh.pieces) == doc.dumps(payload), path
+            assert len(fh.pieces) > 1, path
+            assert max(map(len, fh.pieces)) <= 64, path
 
 
 def _fixture_payload(name):

@@ -806,7 +806,8 @@ def dense_solve_matrix(m: Matrix, b: Matrix):
         for r, pcol in enumerate(pivots):
             x[pcol] = red.data[r][m.cols + j]
         cols.append(tuple(x))
-    return dense_cols(cols)
+    return Matrix(m.cols, b.cols, [[x[i] for x in cols]
+                                   for i in range(m.cols)])
 
 
 def _grid(draw, rows, cols, entries):
@@ -886,21 +887,39 @@ class TestRrefAgainstDense:
     @given(elimination_inputs(), st.data())
     @settings(max_examples=120, deadline=None)
     def test_solve_matrix_identical_to_dense(self, m, data):
-        k = data.draw(st.integers(1, 2))
-        if data.draw(st.booleans()) and m.cols:
-            # consistent right-hand sides: m times a drawn solution
-            xs = data.draw(st.lists(st.lists(rationals, min_size=m.cols,
-                                             max_size=m.cols),
-                                    min_size=k, max_size=k))
-            b = m * dense_cols(xs)
-        else:
-            b = Matrix(m.rows, k, data.draw(st.lists(
-                st.lists(rationals, min_size=k, max_size=k),
-                min_size=m.rows, max_size=m.rows)))
+        k = data.draw(st.integers(0, 2))
+        # each column of b is m times a drawn solution (consistent) or
+        # drawn freely (often not); "mixed" draws the first one way and
+        # the second the other
+        kind = data.draw(st.sampled_from(["consistent", "free", "mixed"]))
+        cols = []
+        for j in range(k):
+            if m.cols and (kind == "consistent" or kind == "mixed" and j == 0):
+                cols.append(dense_apply(m, data.draw(st.lists(
+                    rationals, min_size=m.cols, max_size=m.cols))))
+            else:
+                cols.append(data.draw(st.lists(rationals, min_size=m.rows,
+                                               max_size=m.rows)))
+        b = Matrix(m.rows, k, [[c[i] for c in cols] for i in range(m.rows)])
         x = solve_matrix(m, b)
         assert x == dense_solve_matrix(m, b)
         if x is not None:
             assert_sparse_invariants(x)
+
+    def test_solve_matrix_cases(self):
+        m = M([[1, 2], [2, 4]])
+        # the first column of b is in the image of m, the second is not
+        b = M([[1, 1], [2, 0]])
+        assert solve_matrix(m, b) is None and dense_solve_matrix(m, b) is None
+        # no columns in b, and no rows or no columns in m
+        for a in (m, Matrix.zeros(0, 3), Matrix.zeros(3, 0), Matrix.zeros(0, 0),
+                  M([[1, 2, 3]])):
+            for b in (Matrix.zeros(a.rows, 0), Matrix.zeros(a.rows, 2)):
+                assert solve_matrix(a, b) == dense_solve_matrix(a, b) \
+                    == Matrix.zeros(a.cols, b.cols)
+        b = M([[1], [0], [0]])
+        assert solve_matrix(Matrix.zeros(3, 0), b) is None \
+            and dense_solve_matrix(Matrix.zeros(3, 0), b) is None
 
     def test_homotopy_sized_system(self):
         # a 72 x 72 Kronecker system with about 5% nonzeros, rank 65
@@ -1184,6 +1203,17 @@ class TestSolveWithKernel:
             == (((0, one),), kernel(m))
         sol, ker = solve_with_kernel(m, ((0, one),))
         assert sol is None and ker == kernel(m) and ker.dim == 1
+        # the columns of a two-column b, the first in the image of m and
+        # the second not, one at a time
+        first, second = M([[1, 1], [2, 0]]).columns()
+        assert solve_with_kernel(m, first) == (((0, one),), kernel(m))
+        assert solve_with_kernel(m, second) == (None, kernel(m))
+        # no columns, or no rows and no columns
+        for a, b, want in ((Matrix.zeros(2, 0), (), ()),
+                           (Matrix.zeros(2, 0), ((1, one),), None),
+                           (Matrix.zeros(0, 0), (), ())):
+            assert solve_with_kernel(a, b) == fraction_solve_with_kernel(a, b) \
+                == (want, Subspace.zero(0))
 
     @given(level_systems())
     @settings(max_examples=200, deadline=None)

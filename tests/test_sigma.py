@@ -102,6 +102,14 @@ class TestPermutationValue:
             Permutation((1, 1))
         assert Permutation(images=(1, 2)).images == (1, 2)
 
+    def test_list_and_tuple_images(self):
+        perm = Permutation([2, 1, 3])
+        assert perm == Permutation((2, 1, 3))
+        assert hash(perm) == hash(Permutation((2, 1, 3)))
+        assert repr(perm) == "Permutation(images=(2, 1, 3))"
+        ga = GroupAction.trivial(3, ChainComplex({0: 1}))
+        assert ga.action(perm) == ga.action(Permutation((2, 1, 3)))
+
 
 class TestCoinvariantsRecord:
     def test_keyword_fields(self):

@@ -531,6 +531,13 @@ class TestValueClasses:
         g = StableGraph((0,), (0, 0, 0), ())
         assert hash(g) == hash(((0,), (0, 0, 0), ()))
 
+    def test_list_and_tuple_fields(self):
+        g = StableGraph([1, 0], [1, 1, 1], [[0, 1]])
+        want = StableGraph((1, 0), (1, 1, 1), ((0, 1),))
+        assert g == want and hash(g) == hash(want)
+        assert repr(g) == repr(want) == \
+            "StableGraph(genera=(1, 0), legs=(1, 1, 1), edges=((0, 1),))"
+
     def test_same_fields_other_class_unequal(self):
         assert Tree(1, ()) != PlanarNode(1, ())
         assert PlanarNode(1, ()) != Tree(1, ())
