@@ -459,7 +459,7 @@ def chain_complex(space) -> ChainComplex:
     """Boundary complex on the nondegenerate cubes."""
     basis = {}
     for p in space.dims():
-        cubes = [c for c in space.cubes(p) if not space.is_degenerate(c)]
+        cubes = space.nondegenerate_cubes(p)
         if cubes:
             basis[p] = cubes
     dims = {p: len(cs) for p, cs in basis.items()}

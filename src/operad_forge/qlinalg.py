@@ -669,8 +669,9 @@ def _span(ambient_dim, m: Matrix) -> Subspace:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Null space of m, with canonical basis."""
-    return solve_with_kernel(m, ())[1]
+    """Null space of m, with canonical basis, from one elimination of m's
+    own rows."""
+    return _null_space(_eliminate(_leading(m.sparse), m.cols), m.cols)
 
 
 def image(m: Matrix) -> Subspace:
@@ -691,14 +692,17 @@ def solve(m: Matrix, b):
 
 def solve_with_kernel(m: Matrix, b):
     """``(solve(m, b), kernel(m))`` from one elimination of [m | b]
-    (``_solve_augmented``).  The kernel is spanned by one vector per free
-    column j of m, e_j minus R's column j on the pivots, R the reduced
-    echelon form of m; each is scaled to integers straight from the
-    elimination's integer rows and eliminated once more for the
-    canonical basis."""
-    n = m.cols
+    (``_solve_augmented``)."""
     rows, x = _solve_augmented(m, Matrix.from_cols((b,), m.rows))
-    sol = None if x is None else x.columns()[0]
+    return (None if x is None else x.columns()[0]), _null_space(rows, m.cols)
+
+
+def _null_space(rows, n):
+    """The null space of the first n columns of an elimination's integer
+    rows (``_eliminate``'s pivot column -> row), with canonical basis.  It
+    is spanned by one vector per free column j < n, e_j minus R's column
+    j on the pivots, R the reduced echelon form; each is scaled to
+    integers straight from the integer rows and eliminated once more."""
     # off its pivot, a row holds only free columns, each after the pivot:
     # so each vector's pivot entries come in increasing order, before j
     terms = {j: [] for j in range(n) if j not in rows}
@@ -715,8 +719,8 @@ def solve_with_kernel(m: Matrix, b):
         lead.setdefault(ts[0][0] if ts else j, []).append(vec)
     done = _eliminate(lead, n)
     if not done:
-        return sol, Subspace.zero(n)
-    return sol, Subspace._trusted(n, _reduced(done), tuple(done))
+        return Subspace.zero(n)
+    return Subspace._trusted(n, _reduced(done), tuple(done))
 
 
 def solve_matrix(m: Matrix, b: Matrix):

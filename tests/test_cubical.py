@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from operad_forge.chain import homology_dims
+from operad_forge.chain import ChainComplex, homology_dims
 from operad_forge.cubical import (
     CubicChain,
     FiniteCubicalSet,
@@ -395,6 +395,28 @@ class TestHomology:
         # this finite model has an extra class on top of the point
         assert homology_dims(chain_complex(interval_power(2))) \
             == {0: 1, 2: 1}
+
+    def test_basis_is_the_filtered_listing(self):
+        """chain_complex lists its basis with nondegenerate_cubes; the
+        complex is the one built on every cube filtered through
+        is_degenerate, in its order."""
+        space = interval_power(4)
+        basis = {p: [c for c in space.cubes(p) if not space.is_degenerate(c)]
+                 for p in space.dims()}
+        basis = {p: cs for p, cs in basis.items() if cs}
+        diff = {}
+        for p in basis:
+            if p - 1 in basis:
+                index = {f: k for k, f in enumerate(basis[p - 1])}
+                diff[p] = Matrix.from_cols(
+                    [tuple(sorted((index[f], x) for f, x in boundary(
+                        CubicChain.of_cube(space, c)).coeffs.items()))
+                     for c in basis[p]], len(basis[p - 1]))
+        want = ChainComplex({p: len(cs) for p, cs in basis.items()}, diff)
+        got = chain_complex(space)
+        assert got.dims == want.dims
+        for p in got.dims:
+            assert got.d(p) == want.d(p)
 
     @pytest.mark.parametrize("name", ["I^1", "I^2", "I^3", "I^4", "torus"])
     def test_sparse_columns_match_dense_grid(self, name):

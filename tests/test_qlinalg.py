@@ -22,8 +22,11 @@ from operad_forge.qlinalg import (
     solve_with_kernel,
 )
 
+from operad_forge import chain as chain_module
+from operad_forge import free as free_module
 from operad_forge import minimal as minimal_module
 from operad_forge import qlinalg as qlinalg_module
+from operad_forge import weight as weight_module
 from operad_forge.chain import ChainComplex, HomologyRecord
 from operad_forge.cubical import CubicChain, interval
 from operad_forge.free import Layout
@@ -1227,12 +1230,18 @@ class TestSolveWithKernel:
         null space from the integer rows is the Fraction route's basis,
         entry for entry."""
         levels, kernels = [], []
-        for module, captured in ((minimal_module, levels),
-                                 (qlinalg_module, kernels)):
-            def recorded(m, b, captured=captured):
-                captured.append((m, b))
-                return solve_with_kernel(m, b)
-            monkeypatch.setattr(module, "solve_with_kernel", recorded)
+
+        def level(m, b):
+            levels.append((m, b))
+            return solve_with_kernel(m, b)
+
+        def recorded_kernel(m):
+            kernels.append((m, ()))
+            return kernel(m)
+        monkeypatch.setattr(minimal_module, "solve_with_kernel", level)
+        for module in (chain_module, weight_module, free_module,
+                       qlinalg_module):
+            monkeypatch.setattr(module, "kernel", recorded_kernel)
         for p, window in ((hypercommutative(4), 4), (moduli_quotient(2), 2)):
             assert formality_check(p, window, seed=3).verify() is True
         monkeypatch.undo()
