@@ -350,6 +350,8 @@ def from_document(doc):
     indexing = doc.get("indexing", "arity")
     if (kind, indexing) not in _INDEXINGS:
         raise DocumentError(f"{kind} document with indexing {indexing!r}")
+    if "truncation_cut" in doc and kind != "truncated":
+        raise DocumentError(f"{kind} document with truncation_cut")
     modular = indexing == "modular"
     parsed = {}  # cell text -> its rational, for this read's cells
 
@@ -377,7 +379,7 @@ def from_document(doc):
         return module, metadata
     comp = _tables_from_doc(doc.get("compositions", []), "composition",
                             ("key", "slot", "key"), modular, parsed)
-    cut = doc.get("truncation_cut") if kind == "truncated" else None
+    cut = doc.get("truncation_cut")
     if kind == "truncated" and cut is None:
         raise DocumentError("truncated document needs truncation_cut")
     if cut is not None:
@@ -397,6 +399,14 @@ def from_document(doc):
             op = DGOperad(module, comp, max_arity=top, cut=cut)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
+    if cut is not None:
+        # t_cut leaves no nonzero component above the cut, and cuts
+        # within the window
+        low = max((op.level(k) for k, ga in module.components.items()
+                   if not ga.complex.is_zero()), default=cut)
+        if not low <= cut <= top:
+            raise DocumentError(f"truncation_cut {cut} outside {low}..{top}: "
+                                "the nonzero components' levels to the window")
     _check_table_indices(op)
     if "endomorphism" in doc:
         endo = {}

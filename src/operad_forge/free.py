@@ -602,38 +602,65 @@ class _FreeBuilder:
         op.free = self
         return op
 
-    def evaluation(self, dst, images, key, select=None):
+    def evaluation(self, dst, images, key):
         """Evaluation matrices (degree -> Matrix) of the component at
-        key in dst, the generators sent along ``images``.
-
-        ``select(s)``, when given, picks the summands to evaluate; the
-        columns of the others stay zero.
-        """
-        layout = self.layouts[key]
+        key in dst, the generators sent along ``images``: ``evaluate``
+        on the unit vectors."""
         target = dst.component(key)
+        return {d: _assemble(target.dim(d), n, dict(enumerate(
+            fixed for fixed, _ in self.evaluate(
+                dst, images, key, d, [((c, F1),) for c in range(n)]))))
+            for d, n in self.layouts[key].dims.items()}
+
+    def evaluate(self, dst, images, key, degree, vectors, gen=None):
+        """The images in dst of sparse vectors of the component at key
+        in the given degree, the generators sent along ``images`` and
+        each summand composed along its plan (``_plan``), built once.
+        For each vector a pair: its image with the summands carrying
+        generator key ``gen`` left out, and their part linear in gen's
+        image g as {(d, i, j): the vector g_d[i, j] multiplies}.  Each
+        label of those summands is evaluated once per row i, its gen
+        vertex's generator j sent to e_i; no summand may have two
+        gen-typed vertices."""
+        records = self._records[key]
+        if any(rec.types.count(gen) > 1 for rec in records):
+            raise ValueError(f"a summand at {key} is not linear in {gen}")
         # the generator images by column, one transpose per (key, degree)
         columns = cache(lambda k, d: images[k].block(d).columns())
-        cols = {deg: {} for deg in layout.dims}
-        for s in range(len(self.summands[key])):
-            if select is not None and not select(s):
-                continue
-            for deg, col, gcol in self._columns(key, s):
-                res = self.evaluate_basis(dst, columns, key, s, deg, col)
-                for d, vec in res.items():
-                    if d != deg:
-                        raise AssertionError("degree drift in evaluation")
-                    cols[d][gcol] = vec
-        return {d: _assemble(target.dim(d), layout.dim(d), c)
-                for d, c in cols.items()}
-
-    def evaluate_basis(self, dst, columns, key, s, deg, col):
-        """Image in dst of basis vector col of summand s in degree deg,
-        composed along the summand's plan (``_plan``), built once."""
-        rec = self._records[key][s]
-        if rec not in self._plans:
-            self._plans[rec] = self._plan(key, s)
-        return evaluate_tree_basis(dst, self._plans[rec], columns,
-                                   self._lift(key, s, deg, col))
+        place = {gcol: (s, col) for s in range(len(records))
+                 for d, col, gcol in self._columns(key, s) if d == degree}
+        out = []
+        for vec in vectors:
+            lifts = {}  # summand -> its labels, times vec's coefficients
+            for gcol, x in vec:
+                s, col = place[gcol]
+                lifts.setdefault(s, []).extend(
+                    (label, c if x == 1 else c * x)
+                    for label, c in self._lift(key, s, degree, col))
+            acc = {}  # None (gen's summands left out) or (d, i, j) -> image
+            for s, lifted in lifts.items():
+                rec = records[s]
+                if rec not in self._plans:
+                    self._plans[rec] = self._plan(key, s)
+                parts = [(None, lifted, columns)]
+                if gen in rec.types:
+                    v, groups = rec.types.index(gen), {}
+                    for label, c in lifted:
+                        groups.setdefault(label[v], []).append((label, c))
+                    parts = [((d, i, j), group, lambda k, e, u={j: ((i, F1),)}:
+                              u if k == gen else columns(k, e))
+                             for (d, j), group in groups.items()
+                             for i in range(dst.component(gen).dim(d))]
+                for at, labels, cols in parts:
+                    for d, image in evaluate_tree_basis(
+                            dst, self._plans[rec], cols, labels).items():
+                        if d != degree:
+                            raise AssertionError("degree drift in evaluation")
+                        acc[at] = _combine(acc[at], image, F1) if at in acc \
+                            else image
+            fixed = acc.pop(None, ())
+            out.append((fixed, {at: w for at, w in acc.items() if w}))
+        return out
 
 
 # -- free operads on trees ----------------------------------------------------

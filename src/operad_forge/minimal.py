@@ -374,9 +374,10 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
     Conditions: (a) d_Q g = phi_prev(xi), (b) equivariance, and (c) for
     every component in c_keys: the induced homology map, composed with
     the post map, equals the prescribed matrix.  The (c) rows are read
-    off _condition_deltas at the representatives of the model's
-    homology records ``m_hom``, through the classifiers of the target's
-    ``r_hom``.  Returns the blocks of g.
+    off the part of the representatives of the model's homology records
+    ``m_hom`` that is linear in g (``evaluate`` with gen = key), through
+    the classifiers of the target's ``r_hom``.  Returns the blocks of
+    g.
     """
     op = mm.operad
     builder = op.free
@@ -384,20 +385,17 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
     vc = v_act.complex
     qc = q_operad.component(key)
     arity = op.legs(key)
-    # phi_prev on the decomposable part: every summand but the corolla
-    prev_eval = builder.evaluation(
-        q_operad, images_so_far, key,
-        select=lambda s: key not in builder.vertex_types(key, s)) \
-        if images_so_far else {}
     # the unknowns: g_d : V_d -> Q_d for each degree d
     g = MatrixEquations({d: (qc.dim(d), vc.dim(d)) for d in sorted(vc.dims)})
     xi = builder.attachments.get(key, {})
-    # (a) d_Q g = phi_prev o xi
+    # (a) d_Q g = phi_prev o xi: xi's columns miss the corolla, so only
+    # their images with g left out count
     for d in sorted(vc.dims):
-        target = prev_eval[d - 1] * builder.placed(key, d - 1, xi[d]) \
-            if xi.get(d) and d - 1 in prev_eval \
-            else Matrix.zeros(qc.dim(d - 1), vc.dim(d))
-        g.add([(qc.d(d), d, None)], target)
+        cols = [fixed for fixed, _ in builder.evaluate(
+            q_operad, images_so_far, key, d - 1,
+            builder.placed(key, d - 1, xi[d]).columns(), gen=key)] \
+            if xi.get(d) else [()] * vc.dim(d)
+        g.add([(qc.d(d), d, None)], Matrix.from_cols(cols, qc.dim(d - 1)))
     # (b) equivariance: g R_V(s) - R_Q(s) g = 0
     q_ga = q_operad.group_action(key)
     for j in range(arity - 1):
@@ -408,35 +406,25 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
             g.add([(None, d, rv.block(d)), (-rqb, d, None)],
                   Matrix.zeros(qc.dim(d), vc.dim(d)))
     # (c) homology conditions
-    for ckey in c_keys:
-        if ckey not in r_hom:
-            continue
-        hm = m_hom[ckey]
-        if not hm.dims:
-            continue
-        base_eval, deltas = _condition_deltas(
-            builder, q_operad, images_so_far, key, ckey, g, vc, qc)
-        post = post_maps.get(ckey)
-        hr = r_hom[ckey]
+    for ckey in [k for k in c_keys if k in r_hom]:
+        hm, hr, post = m_hom[ckey], r_hom[ckey], post_maps.get(ckey)
         presc = prescribed.get(ckey, {})
-        qcc = q_operad.component(ckey)
         for d in sorted(hm.dims):
-            post_block = post.block(d) if post else Matrix.identity(qcc.dim(d))
             # K is exact only on cycles; a g solving (a) sends z to a
             # cycle, so another extension of K changes these rows only by
             # combinations of (a)'s rows, and not the solution or kernel
-            lam = hr.classifier(d) * post_block
-            wants = presc[d].columns() if d in presc else None
-            for col, z in enumerate(hm.representatives[d]):
-                fixed = lam.apply(base_eval[d].apply(z))
-                want = wants[col] if wants is not None else ()
+            lam = hr.classifier(d) * post.block(d) if post \
+                else hr.classifier(d)
+            reps = hm.representatives[d]
+            wants = presc[d].columns() if d in presc else [()] * len(reps)
+            for want, (fixed, linear) in zip(wants, builder.evaluate(
+                    q_operad, images_so_far, ckey, d, reps, gen=key)):
                 # each unknown's contribution to each homology coordinate
                 cond = [{} for _ in range(hr.dim(d))]
-                for u, dmat in deltas.items():
-                    if d in dmat:
-                        for hrow, c in lam.apply(dmat[d].apply(z)):
-                            cond[hrow][u] = c
-                g.add_rows(cond, _combine(want, fixed, -F1))
+                for (dg, i, j), image in linear.items():
+                    for hrow, c in lam.apply(image):
+                        cond[hrow][g.unknown(dg, i, j)] = c
+                g.add_rows(cond, _combine(want, lam.apply(fixed), -F1))
     system, rhs = g.system()
     sol, ker = solve_with_kernel(system, rhs)
     if sol is None:
@@ -449,27 +437,6 @@ def _solve_level(mm, q_operad, post_maps, prescribed, key, images_so_far,
                                 for i in range(ker.dim)})
             sol = _combine(sol, ker.basis.apply(draws), F1)
     return ChainMap(vc, qc, g.blocks(sol), check=False)
-
-
-def _condition_deltas(builder, q_operad, images, key, ckey, g, vc, qc):
-    """Evaluation of component ckey at g = 0, and the change each unknown
-    of g: V -> Q (numbered by the level's equations g) makes to it.  No
-    summand has two key-typed vertices (checked by the caller): those
-    with one vanish at g = 0 and are linear in g, the others do not
-    depend on g."""
-    carrying = {s for s in range(len(builder.summands[ckey]))
-                if key in builder.vertex_types(ckey, s)}
-    base = builder.evaluation(q_operad, images, ckey,
-                              select=lambda s: s not in carrying)
-    deltas = {}
-    for u in range(g.unknowns):
-        unit = ChainMap(vc, qc, g.blocks(((u, F1),)), check=False)
-        ev = builder.evaluation(q_operad, {**images, key: unit}, ckey,
-                                select=carrying.__contains__)
-        delta = {deg: m for deg, m in ev.items() if not m.is_zero()}
-        if delta:
-            deltas[u] = delta
-    return base, deltas
 
 
 def _solve_generators(mm, target, post_maps, prescribed, m_hom, r_hom,

@@ -417,6 +417,11 @@ class MatrixEquations:
         self.rhs += [(len(self.rows) + i, x) for i, x in values]
         self.rows += map(sparse_row, rows)
 
+    def unknown(self, key, row, col):
+        """The number of the unknown X_key[row, col]."""
+        off, _, cols = self.layout[key]
+        return off + row * cols + col
+
     def system(self):
         return (Matrix._trusted(len(self.rows), self.unknowns,
                                 tuple(self.rows)), tuple(self.rhs))

@@ -141,19 +141,27 @@ GUARDS = [
           [absent(r"TowerData|LevelRecord|\.tower\.")]),
     Guard("One evaluation route",
           "every summand, tree or stable graph, is composed along its plan "
-          "(the builder's _plan) by one executor (free.evaluate_tree_basis)",
-          "evaluate a summand along its _plan with evaluate_tree_basis; no "
-          "second evaluator",
+          "(the builder's _plan) by one executor (free.evaluate_tree_basis), "
+          "and vectors reach it through one builder method "
+          "(_FreeBuilder.evaluate), which also reads off the part linear in "
+          "one generator's image for the level solver; no per-unknown "
+          "re-evaluation and no summand filter",
+          "evaluate a summand along its _plan with evaluate_tree_basis, and "
+          "vectors with _FreeBuilder.evaluate; no second evaluator, "
+          "_condition_deltas, evaluate_basis or select= filter",
           [absent("_eval_tree|_eval_graph|_leaf_relabel|evaluate_graph_basis",
-                  "src/**/*.py"),
-           count(r"def evaluate_basis\(", PKG + "free.py", 0, 1)]),
+                  "src/**/*.py")]
+          + [absent(r"_condition_deltas|def evaluate_basis|select=", PKG + f)
+             for f in ("free.py", "minimal.py")]),
     Guard("One layout of matrix unknowns",
           "the entries of unknown matrices (the homotopies of homotopy_solve, "
           "the generator images of the level solver) are numbered only by "
-          "qlinalg.MatrixEquations; no solver numbers or reads them by hand",
-          "number and read matrix unknowns with qlinalg.MatrixEquations, not "
-          "by hand",
-          [absent(r"unflatten|hoffsets|def var\(")]),
+          "qlinalg.MatrixEquations (its unknown and blocks); no solver "
+          "numbers or reads them by hand, nor reads its layout",
+          "number and read matrix unknowns with qlinalg.MatrixEquations "
+          "(unknown, blocks), not by hand or through .layout[",
+          [absent(r"unflatten|hoffsets|def var\("),
+           absent(r"\.layout\[", skip=("qlinalg.py",))]),
     Guard("One free builder per model",
           "minimal_model adds each level's generators to one free builder, so "
           "the work on a summand (its s_j images, its attachment terms) is "

@@ -329,10 +329,10 @@ def reference_level_rows(mm, q_operad, key, images_so_far):
     vc = v_act.complex
     qc = q_operad.component(key)
     arity = op.legs(key)
+    # phi_prev on the decomposable part: the key's own image set to zero
     prev_eval = builder.evaluation(
-        q_operad, images_so_far, key,
-        select=lambda s: key not in builder.vertex_types(key, s)) \
-        if images_so_far else {}
+        q_operad, {**images_so_far, key: ChainMap(vc, qc, {}, check=False)},
+        key) if images_so_far else {}
     offsets = {}
     total = 0
     for d in sorted(vc.dims):

@@ -215,6 +215,11 @@ CELL = ("compositions", 0, "blocks", "0,0", "0,0")
     (COM, _set(("compositions", 0, "blocks", "0,0"), {"-1,0": [[0, "1"]]})),
     (ENDO, _set(("contractions", 0, "blocks", "0"), {"-1": [[0, "1"]]})),
     (COM, _truncated("3")),
+    # these were accepted: a cut below a nonzero component's level or
+    # above the window, and a cut on a document that is not truncated
+    (COM, _truncated(-1)),
+    (COM, _truncated(99)),
+    (COM, _set(("truncation_cut",), 3)),
     # the endomorphism section: two tracebacks and a bare "error:" line
     (COM, _set(("endomorphism",), [])),
     (COM, _set(("endomorphism",), {"2": []})),
@@ -248,7 +253,8 @@ CELL = ("compositions", 0, "blocks", "0,0", "0,0")
         "string-row", "three-element-pair", "window-below-component",
         "modular-window-below-component", "negative-row", "float-row",
         "negative-basis-index", "negative-contraction-index",
-        "string-truncation-cut", "list-endomorphism", "list-endomorphism-blocks",
+        "string-truncation-cut", "negative-truncation-cut",
+        "truncation-cut-past-window", "operad-truncation-cut", "list-endomorphism", "list-endomorphism-blocks",
         "bad-endomorphism-degree", "bad-differential-degree",
         "bad-action-degree", "modular-kind-arity-indexing",
         "plus-component-key", "space-block-key", "plus-cell-key",

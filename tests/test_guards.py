@@ -30,9 +30,8 @@ BREAKS = {
         ("minimal.py", None, "_at = layout.offset(summand)"),
     "One tower record": ("minimal.py", None, "_gens = op.tower.gens"),
     "One evaluation route":
-        ("free.py", "    def evaluate_basis(self, dst",
-         "    def evaluate_basis(self):\n        pass\n\n"
-         "    def evaluate_basis(self, dst"),
+        ("free.py", "    def evaluation(self, dst, images, key):",
+         "    def evaluation(self, dst, images, key, select=None):"),
     "One layout of matrix unknowns": ("chain.py", None, "_x = unflatten(s)"),
     "One free builder per model":
         ("minimal.py", None, "_builder = free_builder(p)"),

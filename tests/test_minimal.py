@@ -45,7 +45,7 @@ from operad_forge.operad import (
     validate,
     weak_equivalence_test,
 )
-from operad_forge.qlinalg import F1, Matrix, rref
+from operad_forge.qlinalg import F1, Matrix, _combine, rref, sparse_row
 from operad_forge.sigma import GroupAction, SigmaModule
 from operad_forge.trees import enumerate_trees
 
@@ -502,12 +502,12 @@ def _unit_g_map(vc, qc, d, r, k):
 
 
 def reference_condition_deltas(builder, q_operad, images_so_far, key, ckey,
-                               g, vc, qc):
-    """The unit-perturbation loop that _condition_deltas replaced, kept
-    as its reference: the whole component evaluated with each unit
-    (d, r, k) of g, minus the whole component evaluated at g = 0.  The
-    unknowns are numbered row by row, degree after degree, so each delta
-    is keyed by the unit's place in that order."""
+                               vc, qc):
+    """The unit-perturbation loop the level solver once ran, kept as the
+    reference for its (c) rows: the whole component evaluated with each
+    unit (d, r, k) of g, minus the whole component evaluated at g = 0.
+    The unknowns are numbered row by row, degree after degree, so each
+    delta is keyed by the unit's place in that order."""
     units = [(d, r, k) for d in sorted(vc.dims)
              for r in range(qc.dim(d)) for k in range(vc.dim(d))]
     zero_g = ChainMap(vc, qc, {}, check=False)
@@ -524,6 +524,42 @@ def reference_condition_deltas(builder, q_operad, images_so_far, key, ckey,
         if delta:
             deltas[u] = delta
     return base_eval, deltas
+
+
+def reference_level_system(mm, q_operad, post_maps, prescribed, key,
+                           images_so_far, m_hom, r_hom, c_keys):
+    """The level system at key by the reference route: its (a) and (b)
+    rows from reference_level_rows, whose (a) evaluates with the key's
+    image zero, then one (c) row per homology coordinate of each
+    representative, read off reference_condition_deltas.  Returns the
+    rows, their sparse right-hand side and the number of unknowns."""
+    rows, rhs, _, total = reference_level_rows(mm, q_operad, key,
+                                               images_so_far)
+    builder = mm.operad.free
+    vc, qc = builder.gens[key].complex, q_operad.component(key)
+    for ckey in c_keys:
+        if ckey not in r_hom or not m_hom[ckey].dims:
+            continue
+        hm, hr, post = m_hom[ckey], r_hom[ckey], post_maps.get(ckey)
+        base, deltas = reference_condition_deltas(
+            builder, q_operad, images_so_far, key, ckey, vc, qc)
+        presc = prescribed.get(ckey, {})
+        for d in sorted(hm.dims):
+            post_block = post.block(d) if post else Matrix.identity(
+                q_operad.component(ckey).dim(d))
+            lam = hr.classifier(d) * post_block
+            for col, z in enumerate(hm.representatives[d]):
+                want = presc[d].columns()[col] if d in presc else ()
+                cond = [{} for _ in range(hr.dim(d))]
+                for u, dmat in deltas.items():
+                    if d in dmat:
+                        for hrow, c in lam.apply(dmat[d].apply(z)):
+                            cond[hrow][u] = c
+                fixed = lam.apply(base[d].apply(z))
+                rhs += [(len(rows) + i, x)
+                        for i, x in _combine(want, fixed, -F1)]
+                rows += map(sparse_row, cond)
+    return rows, rhs, total
 
 
 def fixture_document(name):
@@ -552,9 +588,12 @@ def lift_commutative_window4():
 
 
 class TestConditionDeltas:
-    """Every level system reads its homology rows off the summands that
-    carry the level's generator; the deltas and base evaluations must be
-    the matrices the whole-component perturbations gave."""
+    """Every level system reads its (a) rows off the attachment's columns
+    and its homology rows off the part of the representatives linear in
+    the level's generator image g (``_FreeBuilder.evaluate``).  Matrix
+    and right-hand side must be those of the reference route: the
+    whole component evaluated with the key's image zero for (a), and
+    with each unit of g against g = 0 for (c)."""
 
     @pytest.mark.parametrize("run", [
         lambda: formality_check(fixture_document("commutative_window3.json")),
@@ -563,25 +602,111 @@ class TestConditionDeltas:
         lambda: formality_check(endomorphism_dim1(2)),
         lambda: formality_check(hypercommutative(4), 4),
         lambda: formality_check(free_binary_ternary_window4(), 4),
+        lambda: formality_check(moduli_quotient(2), 2),
     ], ids=["commutative-window3", "endomorphism-dim1",
             "commutative-window4-lift", "endomorphism-window2",
-            "hypercommutative-window4", "free-binary-ternary-window4"])
+            "hypercommutative-window4", "free-binary-ternary-window4",
+            "moduli-window2"])
     def test_identical_to_whole_component_perturbations(self, run,
                                                         monkeypatch):
-        fast = minimal._condition_deltas
+        fast = minimal._solve_level
+        minimal_solve = minimal.solve_with_kernel
+        solved = []
         seen = []
 
-        def checked(*args):
-            got = fast(*args)
-            base, deltas = reference_condition_deltas(*args)
-            assert got[1] == deltas, args[3:5]
-            assert got[0] == base, args[3:5]
-            seen.append((args[3], args[4], len(deltas)))
+        def recording_solve(m, b):
+            solved.append((m, b))
+            return minimal_solve(m, b)
+
+        def checked(mm, q_operad, post_maps, prescribed, key, images_so_far,
+                    m_hom, r_hom, c_keys, seed=0):
+            solved.clear()
+            got = fast(mm, q_operad, post_maps, prescribed, key,
+                       images_so_far, m_hom, r_hom, c_keys, seed)
+            rows, rhs, total = reference_level_system(
+                mm, q_operad, post_maps, prescribed, key, images_so_far,
+                m_hom, r_hom, c_keys)
+            (system, b), = solved
+            assert (system.cols, system.sparse, b) == (
+                total, tuple(rows), tuple(rhs)), key
+            ab = len(reference_level_rows(mm, q_operad, key,
+                                          images_so_far)[0])
+            seen.append(any(system.sparse[ab:]))
             return got
 
-        monkeypatch.setattr(minimal, "_condition_deltas", checked)
+        monkeypatch.setattr(minimal, "solve_with_kernel", recording_solve)
+        monkeypatch.setattr(minimal, "_solve_level", checked)
         assert run() is not None
-        assert any(n for _, _, n in seen)
+        # some level's homology rows move with g
+        assert any(seen)
+
+
+def _random_sparse(rng, n):
+    """A sparse vector of dimension n with random support and nonzero
+    coefficients, not all 1."""
+    return sparse_row({k: Fraction(rng.choice([-3, -1, 2, 5]),
+                                   rng.choice([1, 2]))
+                       for k in range(n) if rng.random() < 0.6})
+
+
+class TestEvaluate:
+    """``_FreeBuilder.evaluate`` on the minimal model of the window-2
+    endomorphism operad, in the model itself under random generator
+    images: its coinvariant lifts have several labels.  The fixed part is
+    the evaluation with gen's image zero, and each linear entry (d, i, j)
+    the difference the unit map E_ij makes to it."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return minimal_model(endomorphism_dim1(2), 2).operad
+
+    @staticmethod
+    def random_images(op, rng):
+        images = {}
+        for k, ga in op.free.gens.items():
+            vc, qc = ga.complex, op.component(k)
+            images[k] = ChainMap(vc, qc, {d: Matrix(
+                qc.dim(d), vc.dim(d),
+                [[rng.randint(-2, 2) for _ in range(vc.dim(d))]
+                 for _ in range(qc.dim(d))])
+                for d in vc.dims if qc.dim(d)}, check=False)
+        return images
+
+    @pytest.mark.parametrize("gen, ckey", [
+        ((0, 3), (0, 3)), ((0, 3), (1, 1)), ((0, 4), (0, 4)),
+        ((0, 4), (1, 2)), ((0, 4), (0, 5)), ((0, 5), (0, 5))], ids=str)
+    def test_fixed_and_linear_parts(self, model, gen, ckey):
+        rng = random.Random(f"evaluate:{gen}:{ckey}")
+        builder = model.free
+        images = self.random_images(model, rng)
+        vc, qc = builder.gens[gen].complex, model.component(gen)
+        zero = builder.evaluation(
+            model, {**images, gen: ChainMap(vc, qc, {}, check=False)}, ckey)
+        units = [(d, i, j) for d in sorted(vc.dims)
+                 for i in range(qc.dim(d)) for j in range(vc.dim(d))]
+        moved = {u: builder.evaluation(
+            model, {**images, gen: _unit_g_map(vc, qc, *u)}, ckey)
+            for u in units}
+        linear_seen = False
+        for d, n in builder.layouts[ckey].dims.items():
+            vectors = [_random_sparse(rng, n) for _ in range(4)]
+            got = builder.evaluate(model, images, ckey, d, vectors, gen=gen)
+            assert len(got) == len(vectors)
+            for z, (fixed, linear) in zip(vectors, got):
+                assert fixed == zero[d].apply(z)
+                assert linear.keys() <= set(units)
+                for u in units:
+                    assert linear.get(u, ()) == \
+                        (moved[u][d] - zero[d]).apply(z), (d, u)
+                linear_seen = linear_seen or bool(linear)
+        assert linear_seen
+
+    @pytest.mark.parametrize("ckey", [(0, 4), (1, 2)])
+    def test_two_gen_vertices_raise(self, model, ckey):
+        images = self.random_images(model, random.Random(1))
+        with pytest.raises(ValueError, match="not linear"):
+            model.free.evaluate(model, images, ckey, 0, [((0, F1),)],
+                                gen=(0, 3))
 
 
 class TestLevelSystems:
