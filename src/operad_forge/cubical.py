@@ -8,8 +8,9 @@ permutation action by precomposition; ``alt`` sums its signed orbits,
 a product's built from its factors' by shuffles, so kappa(c, d) =
 alt(c x d) is defined on products of symmetric sets.  ``boundary``
 reads each cube's faces in one pass.  A product keeps each cube's faces
-and orbit once worked out; both operators sum integers into one
-``Fraction`` per output cube, none of them degenerate.
+and orbit once worked out.  A chain holds integer numerators over one
+denominator, in lowest terms; both operators sum those integers into
+output cubes, none of them degenerate, and make no ``Fraction``.
 
 The permutation bijection sending (tau, r, i) to the unique sigma with
 sigma o delta_i^eps = delta_r^eps o tau is implemented directly on
@@ -21,10 +22,10 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .chain import ChainComplex
-from .qlinalg import F0, F1, Matrix, sparse_row
+from .qlinalg import Matrix, sparse_row
 from .sigma import Permutation
 
 
@@ -96,22 +97,24 @@ class FiniteCubicalSet:
 
     ``cube_table``: dict p -> list of hashable cube names;
     ``face_table``: dict (cube, i, eps) -> cube of one dimension lower;
-    ``degenerate``: set of cube names.  The cubical identities
-    c o delta_i o delta_j = c o delta_{j+1} o delta_i (i <= j) are
-    validated at construction.
+    ``degenerate``: set of cube names.  Each cube listed once, each face
+    a listed cube and c o delta_i o delta_j = c o delta_{j+1} o delta_i
+    (i <= j) are validated at construction.
     """
 
     def __init__(self, cube_table, face_table, degenerate=(), check=True):
         self.cube_table = {p: list(cs) for p, cs in cube_table.items() if cs}
         self.face_table = dict(face_table)
         self.degenerate = set(degenerate)
-        # reversed, so that the first degree listing a cube wins
-        self._dims = {c: p for p, cs in reversed(self.cube_table.items())
-                      for c in cs}
+        self._dims = {c: p for p, cs in self.cube_table.items() for c in cs}
         if check:
             self._validate()
 
     def _validate(self):
+        listed = [c for cs in self.cube_table.values() for c in cs]
+        if len(listed) != len(self._dims):
+            twice = next(c for c in listed if listed.count(c) > 1)
+            raise ValueError(f"cube {twice!r} is listed twice")
         for p, cs in self.cube_table.items():
             if p == 0:
                 continue
@@ -120,6 +123,9 @@ class FiniteCubicalSet:
                     for eps in (0, 1):
                         if (c, i, eps) not in self.face_table:
                             raise ValueError(f"missing face ({c}, {i}, {eps})")
+                        if self._dims.get(self.face(c, i, eps)) != p - 1:
+                            raise ValueError(f"face ({c}, {i}, {eps}) is not "
+                                             f"a listed {p - 1}-cube")
         for p, cs in self.cube_table.items():
             if p < 2:
                 continue
@@ -258,8 +264,13 @@ class ProductCubicalSet:
         return out
 
     def dim_of(self, cube):
+        """p + q, for S a sorted p-subset of 1..p+q; else KeyError."""
         a, b, S = cube
-        return self.left.dim_of(a) + self.right.dim_of(b)
+        p = self.left.dim_of(a)
+        n = p + self.right.dim_of(b)
+        if len(S) != p or S != tuple(sorted(set(S) & set(range(1, n + 1)))):
+            raise KeyError(cube)
+        return n
 
     def is_degenerate(self, cube):
         a, b, _ = cube
@@ -354,68 +365,85 @@ def interval_power(n: int):
 
 
 class CubicChain:
-    """Formal rational combination of cubes of one dimension.
-
-    Degenerate cubes are identified with zero; normalization happens on
-    construction."""
+    """Formal rational combination of cubes of one dimension: nonzero
+    integer numerators ``num`` over one ``den > 0``, in lowest terms, so
+    equal chains have equal (dim, den, num).  Degenerate cubes are zero;
+    the constructor drops them and refuses a cube of another dimension
+    or one the space does not hold."""
 
     def __init__(self, space, dim, coeffs):
-        self.space = space
-        self.dim = dim
         clean = {}
         for cube, coeff in coeffs.items():
+            try:
+                if space.dim_of(cube) != dim:
+                    raise KeyError(cube)
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(f"{cube!r} is not a {dim}-cube of the space")
             if type(coeff) is not Fraction:
                 coeff = Fraction(coeff)
             if coeff and not space.is_degenerate(cube):
                 clean[cube] = coeff
-        self.coeffs = clean
+        self.space, self.dim = space, dim
+        # lowest terms: a prime of den divides some denominator fully
+        self.den = den = lcm(*(x.denominator for x in clean.values()))
+        self.num = {cube: x.numerator * (den // x.denominator)
+                    for cube, x in clean.items()}
 
     @classmethod
-    def _normal(cls, space, dim, coeffs):
-        """A chain of nonzero ``Fraction``s on nondegenerate cubes."""
+    def _normal(cls, space, dim, num, den):
+        """The chain num / den, for num nonzero integers on nondegenerate
+        cubes of dimension dim and den > 0; reduced by one gcd."""
+        g = gcd(den, *num.values())
+        if g > 1:
+            num, den = {cube: x // g for cube, x in num.items()}, den // g
         chain = cls.__new__(cls)
-        chain.space, chain.dim, chain.coeffs = space, dim, coeffs
+        chain.space, chain.dim, chain.num, chain.den = space, dim, num, den
         return chain
 
     @classmethod
     def of_cube(cls, space, cube):
-        return cls(space, space.dim_of(cube), {cube: F1})
+        return cls(space, space.dim_of(cube), {cube: 1})
+
+    @property
+    def coeffs(self):
+        """The chain as ``{cube: Fraction}``, built on each read."""
+        return {cube: Fraction(x, self.den) for cube, x in self.num.items()}
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     def __add__(self, other):
         if other.dim != self.dim or other.space != self.space:
             raise ValueError("chain mismatch")
-        coeffs = dict(self.coeffs)
-        for cube, x in other.coeffs.items():
-            coeffs[cube] = coeffs.get(cube, F0) + x
-        return CubicChain(self.space, self.dim, coeffs)
+        num = {cube: x * other.den for cube, x in self.num.items()}
+        for cube, y in other.num.items():
+            num[cube] = num.get(cube, 0) + y * self.den
+        return CubicChain._normal(self.space, self.dim, {
+            cube: x for cube, x in num.items() if x}, self.den * other.den)
 
     def scale(self, c):
-        return CubicChain(self.space, self.dim,
-                          {cube: Fraction(c) * x
-                           for cube, x in self.coeffs.items()})
+        c = Fraction(c)
+        return CubicChain._normal(self.space, self.dim, {
+            cube: x * c.numerator for cube, x in self.num.items() if c},
+            self.den * c.denominator)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def __eq__(self, other):
         return (isinstance(other, CubicChain) and self.dim == other.dim
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and self.num == other.num)
 
 
 def _expand(chain, dim, terms, scale=1):
-    """Sum of x * k / scale t over (c, x) in chain, (t, k) in terms(c);
-    every t with k != 0 must be nondegenerate."""
-    den = lcm(*(x.denominator for x in chain.coeffs.values()))
+    """Sum of x * k / scale t over (c, x) in chain, (t, k) in terms(c), on
+    the integer numerators; every t with k != 0 must be nondegenerate."""
     out = {}
-    for cube, x in chain.coeffs.items():
-        m = x.numerator * (den // x.denominator)
+    for cube, m in chain.num.items():
         for t, k in terms(cube):
-            out[t] = out[t] + k * m if t in out else k * m
+            out[t] = out.get(t, 0) + k * m
     return CubicChain._normal(chain.space, dim, {
-        t: Fraction(v, den * scale) for t, v in out.items() if v})
+        t: v for t, v in out.items() if v}, chain.den * scale)
 
 
 def boundary(chain: CubicChain) -> CubicChain:
@@ -429,9 +457,9 @@ def cross(cx: CubicChain, cy: CubicChain, product=None) -> CubicChain:
     if product is None:
         product = ProductCubicalSet(cx.space, cy.space)
     S = tuple(range(1, cx.dim + 1))
-    return CubicChain(product, cx.dim + cy.dim,
-                      {(a, b, S): xa * xb for a, xa in cx.coeffs.items()
-                       for b, xb in cy.coeffs.items()})
+    return CubicChain._normal(product, cx.dim + cy.dim, {
+        (a, b, S): xa * xb for a, xa in cx.num.items()
+        for b, xb in cy.num.items()}, cx.den * cy.den)
 
 
 def act(chain: CubicChain, sigma: Permutation) -> CubicChain:
@@ -444,8 +472,6 @@ def alt(chain: CubicChain) -> CubicChain:
     n, space = chain.dim, chain.space
     if n <= 1:
         return chain
-    if any(space.dim_of(cube) != n for cube in chain.coeffs):
-        raise ValueError("permutation has the wrong size")
     return _expand(chain, n, lambda cube: space._orbit(cube, n).items(),
                    factorial(n))
 
@@ -471,6 +497,7 @@ def chain_complex(space) -> ChainComplex:
         cols = []
         for cube in basis[p]:
             bd = boundary(CubicChain.of_cube(space, cube))
-            cols.append(sparse_row({index[f]: x for f, x in bd.coeffs.items()}))
+            cols.append(sparse_row({index[f]: Fraction(x, bd.den)
+                                    for f, x in bd.num.items()}))
         diff[p] = Matrix.from_cols(cols, dims[p - 1])
     return ChainComplex(dims, diff)

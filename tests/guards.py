@@ -241,6 +241,16 @@ GUARDS = [
           "alternate by signed orbits (_orbit) built by shuffles, not by a "
           "loop over all_permutations",
           [absent("all_permutations", PKG + "cubical.py")]),
+    Guard("Cubical chains on integer numerators",
+          "a CubicChain holds integer numerators over one denominator in "
+          "lowest terms; alt, boundary and act sum those integers and reduce "
+          "by one gcd (CubicChain._normal), so cubical.py reads no Fraction "
+          "view of a chain and takes an lcm only in the constructor",
+          "work on a chain's num and den, not .coeffs, and take lcm( only in "
+          "CubicChain.__init__",
+          [absent(r"\.coeffs\b", PKG + "cubical.py"),
+           count(r"\blcm\(", PKG + "cubical.py", 0, 1),
+           calls(PKG + "cubical.py", "CubicChain.__init__", "lcm")]),
     Guard("One matrix writer",
           'document.py writes every matrix one way, as its rows of nonzero '
           '[column, "p/q"] pairs ("operad-forge/2"); the dense rows of '

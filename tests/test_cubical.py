@@ -1,9 +1,12 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operad_forge.chain import ChainComplex, homology_dims
 from operad_forge.cubical import (
@@ -511,16 +514,19 @@ class TestFlatAction:
         X = interval()
         with pytest.raises(KeyError):
             X.dim_of("zz")
-        # a cube listed in two degrees has the first one
-        Y = FiniteCubicalSet({1: ["e", "p"], 0: ["p"]}, {}, check=False)
-        assert Y.dim_of("p") == reference_copy(Y).dim_of("p") == 1
+        # a cube listed in two degrees has no dimension: it is refused
+        with pytest.raises(ValueError, match="'p' is listed twice"):
+            FiniteCubicalSet({1: ["e", "p"], 0: ["p"]}, {})
         assert [X.dim_of(c) for c in ("0", "id", "c1")] == [0, 1, 1]
 
     def test_alt_rejects_a_cube_of_the_wrong_dimension(self):
+        # the chain that alt would be handed cannot be made
         X = interval_power(3)
-        chain = CubicChain(X, 2, {X.cubes(3)[0]: 1, X.cubes(2)[0]: 1})
-        with pytest.raises(ValueError):
-            alt(chain)
+        cube = X.cubes(3)[0]
+        with pytest.raises(ValueError, match="is not a 2-cube"):
+            CubicChain(X, 2, {cube: 1, X.cubes(2)[0]: 1})
+        with pytest.raises(ValueError, match=re.escape(repr(cube))):
+            CubicChain(X, 2, {cube: 1})
 
     def test_alt_against_reference_action(self):
         X = interval_power(4)
@@ -759,3 +765,176 @@ class TestNondegenerateCubes:
         for n in range(1, 6):
             assert len(interval_power(n).nondegenerate_cubes(n)) \
                 == math.factorial(n)
+
+
+# -- what a chain and a cubical set refuse -------------------------------------
+
+
+class TestChainsHoldTheirCubes:
+    def test_boundary_of_a_misplaced_cube(self):
+        # a 3-cube in a 2-chain once gave a "dimension 1" chain of 2-cubes
+        X = interval_power(3)
+        cube = next(c for c in X.cubes(3) if not X.is_degenerate(c))
+        with pytest.raises(ValueError, match=re.escape(repr(cube))):
+            CubicChain(X, 2, {cube: 1})
+        d = boundary(CubicChain(X, 3, {cube: 1}))
+        assert d.dim == 2 and all(X.dim_of(f) == 2 for f in d.num)
+
+    @pytest.mark.parametrize("space, dim, cube", [
+        (interval(), 1, "zz"),
+        (torus(), 2, ("s",)),
+        (interval_power(2), 2, ("id", "zz", (1,))),
+        (interval_power(2), 2, ("id", "id", (2, 1))),
+        (interval_power(2), 2, ("id", "id", (1, 2))),
+        (interval_power(2), 1, ("id", "0", (2,))),
+        (interval_power(2), 1, "id"),
+    ])
+    def test_foreign_cube(self, space, dim, cube):
+        with pytest.raises(ValueError, match=re.escape(repr(cube))):
+            CubicChain(space, dim, {cube: 1})
+        with pytest.raises((KeyError, ValueError)):
+            space.dim_of(cube)
+
+
+class TestCubicalSetValidation:
+    def test_cube_listed_twice(self):
+        with pytest.raises(ValueError, match="'v' is listed twice"):
+            FiniteCubicalSet({0: ["v"], 1: ["v"]},
+                             {("v", 1, 0): "v", ("v", 1, 1): "v"})
+        with pytest.raises(ValueError, match="'e' is listed twice"):
+            FiniteCubicalSet({0: ["p"], 1: ["e", "e"]},
+                             {("e", 1, 0): "p", ("e", 1, 1): "p"})
+
+    @pytest.mark.parametrize("faces, bad", [
+        # a face outside the table, and one of the cube's own degree
+        ({("e", 1, 1): "q"}, r"\(e, 1, 1\) is not a listed 0-cube"),
+        ({("e", 1, 1): "e"}, r"\(e, 1, 1\) is not a listed 0-cube"),
+        # a square's face two degrees down
+        ({("s", 2, 1): "p"}, r"\(s, 2, 1\) is not a listed 1-cube"),
+    ])
+    def test_face_not_a_cube_one_degree_lower(self, faces, bad):
+        square = {("e", 1, 0): "p", ("e", 1, 1): "p",
+                  ("s", 1, 0): "e", ("s", 1, 1): "e",
+                  ("s", 2, 0): "e", ("s", 2, 1): "e"}
+        FiniteCubicalSet({0: ["p"], 1: ["e"], 2: ["s"]}, square)
+        with pytest.raises(ValueError, match=bad):
+            FiniteCubicalSet({0: ["p"], 1: ["e"], 2: ["s"]},
+                             {**square, **faces})
+
+
+# -- integer chains against the Fraction references ----------------------------
+
+
+INTEGER_SPACES = {"I^3": interval_power(3), "I^4": interval_power(4),
+                  "I^5": interval_power(5), "torus": torus()}
+INTERVAL = interval()
+
+
+def fraction_sum(*pairs):
+    """{cube: Fraction} of sum k * coeffs over (k, coeffs), zeros
+    dropped."""
+    out = {}
+    for k, coeffs in pairs:
+        for cube, x in coeffs.items():
+            out[cube] = out.get(cube, Fraction(0)) + k * x
+    return {cube: x for cube, x in out.items() if x}
+
+
+def assert_integer_chain(chain, expected):
+    """chain is num / den in lowest terms, with den > 0, nonzero integer
+    numerators on nondegenerate cubes of its dimension, and its
+    ``coeffs`` are expected."""
+    assert type(chain.den) is int and chain.den > 0
+    assert gcd(chain.den, *chain.num.values()) == 1
+    for cube, x in chain.num.items():
+        assert type(x) is int and x
+        assert chain.space.dim_of(cube) == chain.dim
+        assert not chain.space.is_degenerate(cube)
+    assert chain.coeffs == {c: x for c, x in expected.items() if x}
+
+
+@st.composite
+def rational_chains(draw, space, dim):
+    """A chain of dim-cubes of space, degenerate ones included, with
+    coefficients of denominators up to 12; some terms cancel a term
+    drawn before them."""
+    cubes = space.cubes(dim)
+    coeffs = {}
+    for _ in range(draw(st.integers(0, 6))):
+        cube = cubes[draw(st.integers(0, len(cubes) - 1))]
+        x = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 12)))
+        coeffs[cube] = coeffs.get(cube, Fraction(0)) + x
+        if draw(st.booleans()):
+            other = cubes[draw(st.integers(0, len(cubes) - 1))]
+            coeffs[other] = coeffs.get(other, Fraction(0)) - x
+    return coeffs
+
+
+@st.composite
+def chain_cases(draw):
+    name = draw(st.sampled_from(sorted(INTEGER_SPACES)))
+    space = INTEGER_SPACES[name]
+    dim = draw(st.sampled_from(space.dims()))
+    left = draw(rational_chains(space, dim))
+    right = draw(rational_chains(space, dim))
+    edge_dim = draw(st.sampled_from([0, 1]))
+    edge = CubicChain(INTERVAL, edge_dim,
+                      draw(rational_chains(INTERVAL, edge_dim)))
+    k = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 12)))
+    sigma = Permutation(tuple(draw(st.permutations(range(1, dim + 1))))) \
+        if dim else Permutation(())
+    return space, dim, left, right, edge, k, sigma
+
+
+def outcome_of(operation, *args):
+    """operation(*args), or ValueError if it raised one."""
+    try:
+        return operation(*args)
+    except ValueError:
+        return ValueError
+
+
+class TestIntegerChains:
+    @settings(max_examples=80, deadline=None)
+    @given(chain_cases())
+    def test_against_fraction_references(self, case):
+        space, dim, left, right, edge, k, sigma = case
+        a, b = CubicChain(space, dim, left), CubicChain(space, dim, right)
+        dropped = {c: x for c, x in left.items()
+                   if x and not space.is_degenerate(c)}
+        assert_integer_chain(a, dropped)
+        assert_integer_chain(a + b, fraction_sum((1, a.coeffs),
+                                                 (1, b.coeffs)))
+        assert_integer_chain(a - b, fraction_sum((1, a.coeffs),
+                                                 (-1, b.coeffs)))
+        assert_integer_chain(a.scale(k), fraction_sum((k, a.coeffs)))
+        assert_integer_chain(boundary(a), reference_boundary(a).coeffs)
+        expected = outcome_of(reference_alt, a)
+        got = outcome_of(alt, a)
+        if expected is ValueError:
+            assert got is ValueError
+        else:
+            assert_integer_chain(got, expected.coeffs)
+        R = reference_copy(space)
+        moved = outcome_of(lambda: {R.act(c, sigma) for c in a.num})
+        if moved is ValueError:
+            assert outcome_of(act, a, sigma) is ValueError
+        else:
+            turned = {}
+            for cube, x in a.coeffs.items():
+                new, sgn = R.act(cube, sigma)
+                turned[new] = turned.get(new, Fraction(0)) + sgn * x
+            assert_integer_chain(act(a, sigma), turned)
+        c, P = edge, ProductCubicalSet(space, INTERVAL)
+        S = tuple(range(1, dim + 1))
+        product = cross(a, c, P)
+        assert_integer_chain(product, {
+            (x, y, S): u * v for x, u in a.coeffs.items()
+            for y, v in c.coeffs.items()})
+        if product.dim <= 5:
+            expected = outcome_of(reference_alt, product)
+            got = outcome_of(kappa, a, c, P)
+            if expected is ValueError:
+                assert got is ValueError
+            else:
+                assert_integer_chain(got, expected.coeffs)

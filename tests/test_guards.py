@@ -49,6 +49,8 @@ BREAKS = {
     "One homology per complex": ("weight.py", None, "_h = homology(c)"),
     "Alternation by shuffles":
         ("cubical.py", None, "from .sigma import all_permutations"),
+    "Cubical chains on integer numerators":
+        ("cubical.py", None, "_den = lcm(*(x.denominator for x in xs))"),
     "One matrix writer": ("document.py", None, '_row = ["0"] * n'),
     "One document writer":
         ("document.py", None, "from json.encoder import encode_basestring"),
