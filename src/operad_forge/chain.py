@@ -14,12 +14,9 @@ from .qlinalg import (
     F1,
     Matrix,
     MatrixEquations,
-    Subspace,
     block_matrix,
-    image,
     kernel,
     rank,
-    rref,
     solve,
     solve_matrix,
     sparse_row,
@@ -208,9 +205,10 @@ class HomologyRecord:
     Per degree i with H_i nonzero: a canonical list of representative
     cycles (the reduced-echelon lift of a basis of Z/B, as sparse
     vectors) and the classifier K_i, the dim H_i x dim C_i matrix sending
-    each cycle to its homology coordinates.  K_i is zero off the pivots
-    of the cycles' echelon basis, where a cycle's entries are its
-    coordinates along that basis.
+    each cycle to its homology coordinates.  K_i is the echelon basis of
+    the coordinate rows along Z that kill every boundary, placed on Z's
+    pivots (a cycle's entries there are its coordinates) and zero off
+    them; the representatives are Z's basis vectors at its pivots.
     """
 
     def __init__(self, complex, dims, representatives, classifiers):
@@ -247,22 +245,18 @@ def homology(c: ChainComplex) -> HomologyRecord:
     dims, reps, classifiers = {}, {}, {}
     for i in c.support:
         z = kernel(c.d(i))
-        b = image(c.d(i + 1)) if c.dim(i + 1) else Subspace.zero(c.dim(i))
-        h = z.dim - b.dim
-        if h < 0:
-            raise AssertionError("boundaries exceed cycles")
-        if h == 0:
+        # a cycle's coordinates along Z are its entries at Z's pivots, so
+        # the coordinate rows that kill every boundary are the kernel of
+        # the transpose of d_{i+1}'s rows there
+        d = c.d(i + 1)
+        ann = kernel(Matrix._trusted(z.dim, d.cols, tuple(
+            d.sparse[p] for p in z.pivots)).transpose())
+        if not ann.dim:
             continue
-        dims[i] = h
-        # in the echelon of [B | Z] the pivots past B are the cycle basis
-        # vectors, in order, that are independent modulo B and the earlier
-        # ones; the rows past B send a cycle's coordinates along Z, its
-        # entries at Z's pivots, to its homology coordinates
-        red, pivots, _ = rref(b.basis.hstack(z.basis))
-        reps[i] = [z._entries[p - b.dim] for p in pivots[b.dim:]]
-        classifiers[i] = Matrix._trusted(h, c.dim(i), tuple(
-            tuple((z.pivots[j - b.dim], x) for j, x in row)
-            for row in red.sparse[b.dim:z.dim]))
+        dims[i] = ann.dim
+        reps[i] = [z._entries[j] for j in ann.pivots]
+        classifiers[i] = Matrix._trusted(ann.dim, c.dim(i), tuple(
+            tuple((z.pivots[j], x) for j, x in row) for row in ann._entries))
     return HomologyRecord(c, dims, reps, classifiers)
 
 

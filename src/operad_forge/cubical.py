@@ -453,9 +453,16 @@ def boundary(chain: CubicChain) -> CubicChain:
 
 
 def cross(cx: CubicChain, cy: CubicChain, product=None) -> CubicChain:
-    """Cartesian concatenation of cubes, bilinearly extended."""
+    """Cartesian concatenation of cubes, bilinearly extended, on the
+    product of the two chains' spaces.  A caller may pass that product,
+    so that its chains share one space's tables; any other raises
+    ``ValueError``."""
+    own = ProductCubicalSet(cx.space, cy.space)
     if product is None:
-        product = ProductCubicalSet(cx.space, cy.space)
+        product = own
+    elif product != own:
+        raise ValueError("cross: product is not the product of the chains' "
+                         "spaces")
     S = tuple(range(1, cx.dim + 1))
     return CubicChain._normal(product, cx.dim + cy.dim, {
         (a, b, S): xa * xb for a, xa in cx.num.items()
@@ -477,7 +484,7 @@ def alt(chain: CubicChain) -> CubicChain:
 
 
 def kappa(cx: CubicChain, cy: CubicChain, product=None) -> CubicChain:
-    """The symmetrized cross product alt(c x d)."""
+    """The symmetrized cross product alt(c x d); product as in ``cross``."""
     return alt(cross(cx, cy, product))
 
 

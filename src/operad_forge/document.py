@@ -203,10 +203,8 @@ def _component_from_doc(key, doc, matrix):
                                f"component {key}: action generator").items():
             d, = _ints(d, 1, f"component {key}: action generator")
             blocks[d] = matrix(data, dims.get(d, 0), dims.get(d, 0))
-        try:
-            gens.append(ChainMap(complex_, complex_, blocks))
-        except ValueError as exc:
-            raise DocumentError(f"component {key}: bad action ({exc})") from exc
+        # GroupAction.validate checks that each generator is a chain map
+        gens.append(ChainMap(complex_, complex_, blocks, check=False))
     if not action_doc:
         gens = [ChainMap.identity(complex_)] * max(n - 1, 0)
     try:

@@ -16,13 +16,7 @@ import itertools
 from fractions import Fraction
 
 from .chain import ChainComplex, ChainMap, subcomplex
-from .qlinalg import (
-    _Frozen,
-    _setfield,
-    image,
-    sandwich_horner,
-    solve_matrix,
-)
+from .qlinalg import Matrix, _Frozen, _setfield, image, sandwich_horner
 
 
 class Permutation(_Frozen):
@@ -337,7 +331,10 @@ def coinvariants(complex: ChainComplex, elements) -> Coinvariants:
     ``complex``, the identity included (or the image of every element of
     a group under a homomorphism: the average is the same).  Over the
     rationals the coinvariants of a finite group action are canonically
-    the invariants, and we return that subcomplex.
+    the invariants, and we return that subcomplex: in each degree the
+    span of the average's echelon basis.  The average is an idempotent
+    onto that span, so the projection is the average's rows at the
+    basis's pivots, with no solve.
     """
     if len(elements) == 1:
         return Coinvariants(complex, ChainMap.identity(complex),
@@ -346,13 +343,9 @@ def coinvariants(complex: ChainComplex, elements) -> Coinvariants:
     for m in elements:
         avg = m if avg is None else avg + m
     avg = avg.scale(Fraction(1, len(elements)))
-    sub, incl = subcomplex(complex, {i: image(avg.block(i)).basis
-                                     for i in complex.dims})
-    proj_blocks = {}
-    for i in sub.dims:
-        m = solve_matrix(incl.block(i), avg.block(i))
-        if m is None:
-            raise AssertionError("projection failed")
-        proj_blocks[i] = m
-    proj = ChainMap(complex, sub, proj_blocks)
+    spans = {i: image(avg.block(i)) for i in complex.dims}
+    sub, incl = subcomplex(complex, {i: s.basis for i, s in spans.items()})
+    proj = ChainMap(complex, sub, {i: Matrix._trusted(
+        s.dim, complex.dim(i), tuple(avg.block(i).sparse[p] for p in s.pivots))
+        for i, s in spans.items()})
     return Coinvariants(sub, proj, incl)

@@ -219,13 +219,24 @@ GUARDS = [
           [absent(r"transposition\([^)]*,[^)]*,|def average")]),
     Guard("One homology classifier",
           "a HomologyRecord classifies cycles by one matrix per degree, K_i, "
-          "read off the echelon homology already computes; no cycle Subspace, "
-          "Z-coordinate projection or second extension of it",
+          "the coordinate rows that kill the boundaries placed on Z's pivots, "
+          "which homology computes anyway; no cycle Subspace, Z-coordinate "
+          "projection or second extension of it",
           "classify cycles with the record's classifier K_i "
           "(HomologyRecord.classifier), not cycle coordinates or an extended "
           "classifier",
           [absent(r"_extended_classify|\.projections\b|\.cycles\b|"
                   r"def coordinates")]),
+    Guard("Homology from kernels",
+          "homology takes two kernels per degree, Z and the coordinate rows "
+          "that kill the boundaries, and coinvariants reads its projection "
+          "off the average's rows at its image's pivots; no image of the "
+          "boundaries, echelon of [B | Z] or projection solve is left",
+          "take homology from kernel(d_i) and the kernel of d_{i+1}'s rows at "
+          "Z's pivots, and the coinvariant projection off the average's rows; "
+          "no image( or rref( in chain.py, no solve_matrix in sigma.py",
+          [absent(r"\b(image|rref)\(", PKG + "chain.py"),
+           absent(r"\bsolve_matrix\b", PKG + "sigma.py")]),
     Guard("One homology per complex",
           "a complex owns its homology record: ChainComplex.homology calls "
           "chain.homology once, on first read, and every consumer reads the "

@@ -14,9 +14,11 @@ from operad_forge import document
 from operad_forge.chain import (
     ChainComplex,
     ChainMap,
+    HomologyRecord,
     TensorData,
     check_homotopy,
     mapping_cone,
+    subcomplex,
 )
 from operad_forge.cubical import (
     CubicChain,
@@ -46,7 +48,12 @@ from operad_forge.qlinalg import (
     solve_matrix,
     sparse_row,
 )
-from operad_forge.sigma import GroupAction, Permutation, all_permutations
+from operad_forge.sigma import (
+    Coinvariants,
+    GroupAction,
+    Permutation,
+    all_permutations,
+)
 from operad_forge.trees import ConcreteGraph, StableGraph, Tree, leaf
 from operad_forge.weight import WeightFunction, grading_automorphism, t_functor
 
@@ -721,6 +728,71 @@ def greedy_extended_classify(c, degree):
     stacked = z.basis.hstack(ident.submatrix(range(n), chosen))
     inv = solve_matrix(stacked, ident)
     return projection * inv.submatrix(range(z.dim), range(n))
+
+
+# -- homology and coinvariants by the eliminations they replaced --------------
+# ``chain.homology`` takes two kernels per degree and ``sigma.coinvariants``
+# reads its projection off the average's rows; these are the routes they
+# replaced: kernel(d_i), image(d_{i+1}) and one rref of [B | Z], and a solve
+# of the inclusion against the average.  The reduced echelon form of a
+# subspace is unique, so both must agree entry for entry.
+
+
+def echelon_homology(c):
+    """The HomologyRecord of ``c`` read off one rref of [B | Z] per degree."""
+    dims, reps, classifiers = {}, {}, {}
+    for i in c.support:
+        z = kernel(c.d(i))
+        b = image(c.d(i + 1)) if c.dim(i + 1) else Subspace.zero(c.dim(i))
+        h = z.dim - b.dim
+        if h < 0:
+            raise AssertionError("boundaries exceed cycles")
+        if h == 0:
+            continue
+        dims[i] = h
+        # the pivots past B are the cycle basis vectors, in order, that are
+        # independent modulo B and the earlier ones; the rows past B send
+        # a cycle's entries at Z's pivots to its homology coordinates
+        red, pivots, _ = rref(b.basis.hstack(z.basis))
+        reps[i] = [z._entries[p - b.dim] for p in pivots[b.dim:]]
+        classifiers[i] = Matrix._trusted(h, c.dim(i), tuple(
+            tuple((z.pivots[j - b.dim], x) for j, x in row)
+            for row in red.sparse[b.dim:z.dim]))
+    return HomologyRecord(c, dims, reps, classifiers)
+
+
+def assert_same_homology(rec, ref):
+    assert rec.complex is ref.complex
+    assert rec.dims == ref.dims
+    assert rec.representatives == ref.representatives
+    assert rec.classifiers == ref.classifiers
+
+
+def solved_coinvariants(complex, elements):
+    """``sigma.coinvariants`` with its projection solved from the
+    inclusion and the average (``solve_matrix``)."""
+    if len(elements) == 1:
+        return Coinvariants(complex, ChainMap.identity(complex),
+                            ChainMap.identity(complex))
+    avg = functools.reduce(lambda a, b: a + b, elements)
+    avg = avg.scale(Fraction(1, len(elements)))
+    sub, incl = subcomplex(complex, {i: image(avg.block(i)).basis
+                                     for i in complex.dims})
+    proj_blocks = {}
+    for i in sub.dims:
+        m = solve_matrix(incl.block(i), avg.block(i))
+        if m is None:
+            raise AssertionError("projection failed")
+        proj_blocks[i] = m
+    return Coinvariants(sub, ChainMap(complex, sub, proj_blocks), incl)
+
+
+def assert_same_coinvariants(got, ref):
+    assert got.complex == ref.complex
+    for name in ("projection", "inclusion"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert (a.src, a.dst) == (b.src, b.dst)
+        assert a.blocks == b.blocks
 
 
 def one_vector_closure(op, seeds):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from operad_forge import chain, document
 from operad_forge.chain import (
@@ -25,16 +25,23 @@ from operad_forge.chain import (
 )
 from operad_forge.qlinalg import (F0, F1, Matrix, image, kernel, solve,
                                   solve_matrix)
+from operad_forge.sigma import all_permutations, coinvariants
 
 from helpers import (
+    assert_same_coinvariants,
+    assert_same_homology,
     dense_col,
     direct_sum,
+    echelon_homology,
     greedy_homology,
+    invert,
     random_chain_map,
     random_complex,
+    random_invertible,
     reference_homotopy_blocks,
     reference_homotopy_system,
     reorder_map,
+    solved_coinvariants,
     to_dense,
     to_sparse,
 )
@@ -332,7 +339,7 @@ class TestHomotopySolve:
             assert (homotopy_solve(f, g) is not None) == same
 
 
-# -- homology from one elimination against the greedy insert loops ------------
+# -- homology against the greedy insert loops ---------------------------------
 
 
 @st.composite
@@ -443,7 +450,7 @@ def _assert_matches_greedy(c):
 
 class TestHomologyAgainstGreedy:
     """Representatives and the projection of cycle coordinates to
-    homology are unique, so one elimination must give the insert loops'
+    homology are unique, so the two kernels must give the insert loops'
     bytes; the classifier K carries that projection on Z's pivots and is
     zero off them."""
 
@@ -478,3 +485,99 @@ class TestHomologyOwnedByComplex:
             assert homology_dims(c) == {0: 1}
             assert is_weak_equivalence(ChainMap.identity(c))
             assert spy.call_count == 1
+
+
+# -- homology and coinvariants against the eliminations they replaced ---------
+
+FRACTIONS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def _rational_basis(draw, n):
+    """A random invertible n x n matrix with non-integer entries."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    scales = draw(st.lists(st.builds(Fraction, st.sampled_from((-3, -1, 1, 2)),
+                                     st.integers(1, 3)),
+                           min_size=n, max_size=n))
+    return Matrix.diagonal(scales) * random_invertible(rng, n)
+
+
+def _change_basis(draw, c, maps=()):
+    """c and chain maps of c written in a random rational basis per
+    degree."""
+    basis = {i: _rational_basis(draw, n) for i, n in c.dims.items()}
+    inv = {i: invert(b) for i, b in basis.items()}
+    new = ChainComplex(c.dims, {i: inv[i - 1] * d * basis[i]
+                                for i, d in c.diff.items()})
+    return new, [ChainMap(new, new, {i: inv[i] * m * basis[i]
+                                     for i, m in f.blocks.items()})
+                 for f in maps]
+
+
+@st.composite
+def rational_complexes(draw):
+    """Complexes in degrees 0-3 with non-integer entries: each d_k maps
+    onto a random ("random", entries often zero), the largest ("full") or
+    the zero ("zero") subspace of the cycles below it, given by their
+    echelon basis or in a random rational basis per degree.  In the
+    echelon basis the boundaries of a full d_k are the first cycles, so
+    the homology classes are not the first cycle coordinates."""
+    kind = draw(st.sampled_from(("random", "full", "zero")))
+    dims = {k: draw(st.integers(0, 4)) for k in range(4)}
+
+    def grid(rows, cols):
+        if kind == "random":
+            return Matrix(rows, cols, draw(st.lists(
+                st.lists(st.one_of(st.just(0), FRACTIONS),
+                         min_size=cols, max_size=cols),
+                min_size=rows, max_size=rows)))
+        return Matrix(rows, cols, [[int(kind == "full" and i == j)
+                                    for j in range(cols)]
+                                   for i in range(rows)])
+
+    diff, cycles = {}, Matrix.identity(dims[0])
+    for k in (1, 2, 3):
+        diff[k] = cycles * grid(cycles.cols, dims[k])
+        cycles = kernel(diff[k]).basis
+    c = ChainComplex(dims, diff)
+    return _change_basis(draw, c)[0] if draw(st.booleans()) else c
+
+
+@st.composite
+def permuted_sums(draw):
+    """(c, elements): c the sum of k copies of a complex, 2 <= k <= 3, and
+    elements the chain maps by which Sigma_k permutes the copies, each
+    times its sign when the action is twisted, all in a random rational
+    basis."""
+    one = draw(rational_complexes())
+    k = draw(st.integers(2, 3))
+    twisted = draw(st.booleans())
+    total, incls, projs = direct_sum([one] * k)
+    elements = []
+    for p in all_permutations(k):
+        g = ChainMap.zero_map(total, total)
+        for j in range(k):
+            g = g + incls[p(j + 1) - 1].compose(projs[j])
+        elements.append(g.scale(p.sign() if twisted else 1))
+    return _change_basis(draw, total, elements)
+
+
+class TestHomologyFromKernels:
+    """``homology`` takes two kernels per degree, Z and the coordinate
+    rows that kill the boundaries, and ``coinvariants`` reads its
+    projection off the average's rows.  Both must give the records of
+    the eliminations they replaced (``helpers.echelon_homology``, one
+    rref of [B | Z], and ``helpers.solved_coinvariants``) entry for
+    entry; the golden runs are in test_minimal."""
+
+    @given(st.one_of(rational_complexes(), complexes()))
+    @example(ChainComplex({1: 2, 2: 1}, {2: Matrix.from_rows([[1], [0]])}))
+    @settings(max_examples=200, deadline=None)
+    def test_random_complexes(self, c):
+        assert_same_homology(homology(c), echelon_homology(c))
+
+    @given(permuted_sums())
+    @settings(max_examples=100, deadline=None)
+    def test_random_coinvariants(self, case):
+        c, elements = case
+        assert_same_coinvariants(coinvariants(c, elements),
+                                 solved_coinvariants(c, elements))

@@ -248,6 +248,22 @@ class TestCross:
         assert sq.dim == 2
         assert list(sq.coeffs.values()) == [Fraction(1)]
 
+    def test_product_of_other_spaces_refused(self):
+        # a product of other spaces does not hold the concatenated
+        # cubes: boundary of such a chain would look up faces it lacks
+        e = CubicChain.of_cube(interval(), "id")
+        wrong = ProductCubicalSet(torus(), interval())
+        for make in (cross, kappa):
+            with pytest.raises(ValueError, match="not the product"):
+                make(e, e, product=wrong)
+
+    def test_given_product_shared(self):
+        I = interval()
+        e = CubicChain.of_cube(I, "id")
+        P = ProductCubicalSet(I, I)
+        assert cross(e, e, product=P).space is P
+        assert cross(e, e, product=P) == cross(e, e)
+
     def test_leibniz(self):
         rng = random.Random(2)
         I2 = interval_power(2)

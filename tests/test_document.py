@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from operad_forge import document as doc
-from operad_forge.chain import ChainComplex
+from operad_forge.chain import ChainComplex, ChainMap
+from operad_forge.cli import main
 from operad_forge.document import DocumentError
 from operad_forge.free import endomorphism_modular_operad, free_operad
 from operad_forge.operad import DGOperad, ModularOperad, truncate, validate
@@ -188,6 +189,39 @@ class TestMalformed:
                    "action": [{}]}}}
         with pytest.raises(DocumentError):
             doc.from_document(bad)
+
+    @staticmethod
+    def one_generator(sign):
+        """Arity 2, d_1 = 1, s_1 = -1 in degree 1 and sign in degree 0: a
+        chain map only for sign -1."""
+        return {"format": doc.FORMAT_VERSION, "kind": "sigma-module",
+                "indexing": "arity",
+                "components": {"2": {
+                    "dims": {"0": 1, "1": 1},
+                    "differential": {"1": [[[0, "1"]]]},
+                    "action": [{"0": [[[0, str(sign)]]],
+                                "1": [[[0, "-1"]]]}]}}}
+
+    def test_action_not_a_chain_map_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(self.one_generator(1)))
+        assert main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed input" in err and "s_1 is not a chain map" in err
+
+    def test_action_checked_once(self, monkeypatch):
+        # the reader builds each generator unchecked, and the group
+        # action's validate checks it, once
+        checked = []
+        real = ChainMap.assert_chain
+
+        def counting(self):
+            checked.append(self)
+            return real(self)
+
+        monkeypatch.setattr(ChainMap, "assert_chain", counting)
+        module = doc.from_document(self.one_generator(-1))[0]
+        assert checked == list(module.components[2].generators)
 
     def test_matrix_shape_mismatch(self):
         bad = {"format": doc.FORMAT_VERSION, "kind": "sigma-module",

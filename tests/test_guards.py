@@ -46,6 +46,7 @@ BREAKS = {
     "Group averages along adjacent generators":
         ("sigma.py", None, "_t = transposition(n, 0, 1)"),
     "One homology classifier": ("chain.py", None, "_z = record.cycles"),
+    "Homology from kernels": ("chain.py", None, "_b = image(m)"),
     "One homology per complex": ("weight.py", None, "_h = homology(c)"),
     "Alternation by shuffles":
         ("cubical.py", None, "from .sigma import all_permutations"),

@@ -16,8 +16,8 @@ from operad_forge.chain import (
     homotopy_solve,
     mapping_cone,
 )
+from operad_forge import chain, free, minimal
 from operad_forge import document as doc
-from operad_forge import minimal
 from operad_forge.document import matrix_to_lists
 from operad_forge.cli import main
 from operad_forge.free import (
@@ -25,6 +25,7 @@ from operad_forge.free import (
     FreeOperadBuilder,
     endomorphism_modular_operad,
     free_builder,
+    free_modular_operad,
     free_operad,
     morphism_from_generators,
 )
@@ -46,7 +47,7 @@ from operad_forge.operad import (
     weak_equivalence_test,
 )
 from operad_forge.qlinalg import F1, Matrix, _combine, rref, sparse_row
-from operad_forge.sigma import GroupAction, SigmaModule
+from operad_forge.sigma import GroupAction, ModularSigmaModule, SigmaModule
 from operad_forge.trees import enumerate_trees
 
 from operad_forge.weight import formality_check
@@ -58,14 +59,18 @@ from fixtures_ops import (
     moduli_quotient,
 )
 from helpers import (
+    assert_same_coinvariants,
+    assert_same_homology,
     cone_completion,
     dense_matrix_to_lists,
+    echelon_homology,
     greedy_extended_classify,
     leibniz_holds,
     random_chain_map,
     random_complex,
     reference_level_blocks,
     reference_level_rows,
+    solved_coinvariants,
     writing_v1,
 )
 
@@ -566,6 +571,21 @@ def fixture_document(name):
     path = os.path.join(os.path.dirname(__file__), "fixtures", name)
     with open(path, encoding="utf-8") as fh:
         return doc.from_document(doc.loads(fh.read()))[0]
+
+
+GOLDEN = sorted(name for name in os.listdir(
+    os.path.join(os.path.dirname(__file__), "fixtures")) if name.endswith(".json"))
+
+
+def golden_operad(name):
+    """The operad of a golden fixture; the free one, in window 3, on a
+    fixture that is a Sigma-module."""
+    obj = fixture_document(name)
+    if isinstance(obj, SigmaModule):
+        return free_operad(obj, 3)
+    if isinstance(obj, ModularSigmaModule):
+        return free_modular_operad(obj, 3)
+    return obj
 
 
 def endomorphism_dim1(window):
@@ -1182,3 +1202,34 @@ class TestHomologyOncePerComplex:
             assert rec.dims == fresh.dims
             assert rec.representatives == fresh.representatives
             assert rec.classifiers == fresh.classifiers
+
+
+class TestGoldenRecordsAgainstEchelon:
+    """Every homology record that ``formality_check`` (the minimal model,
+    then the lift and the witness) reads on a golden fixture, and every
+    coinvariant complex the free operad on a fixture builds, equals the
+    record of the eliminations it replaced: one rref of [B | Z]
+    (``helpers.echelon_homology``) and a solve for the projection
+    (``helpers.solved_coinvariants``)."""
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_every_record(self, name, monkeypatch):
+        records, coins = [], []
+        fast_homology, fast_coinvariants = chain.homology, free.coinvariants
+
+        def recording_homology(c):
+            records.append(fast_homology(c))
+            return records[-1]
+
+        def recording_coinvariants(c, elements):
+            coins.append((c, elements, fast_coinvariants(c, elements)))
+            return coins[-1][2]
+
+        monkeypatch.setattr(chain, "homology", recording_homology)
+        monkeypatch.setattr(free, "coinvariants", recording_coinvariants)
+        assert formality_check(golden_operad(name)) is not None
+        assert records
+        for rec in records:
+            assert_same_homology(rec, echelon_homology(rec.complex))
+        for c, elements, got in coins:
+            assert_same_coinvariants(got, solved_coinvariants(c, elements))
