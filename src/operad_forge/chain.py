@@ -249,8 +249,7 @@ def homology(c: ChainComplex) -> HomologyRecord:
         # the coordinate rows that kill every boundary are the kernel of
         # the transpose of d_{i+1}'s rows there
         d = c.d(i + 1)
-        ann = kernel(Matrix._trusted(z.dim, d.cols, tuple(
-            d.sparse[p] for p in z.pivots)).transpose())
+        ann = kernel(d.submatrix(z.pivots, range(d.cols)).transpose())
         if not ann.dim:
             continue
         dims[i] = ann.dim

@@ -704,10 +704,10 @@ def solve_with_kernel(m: Matrix, b):
 
 def _null_space(rows, n):
     """The null space of the first n columns of an elimination's integer
-    rows (``_eliminate``'s pivot column -> row), with canonical basis.  It
-    is spanned by one vector per free column j < n, e_j minus R's column
-    j on the pivots, R the reduced echelon form; each is scaled to
-    integers straight from the integer rows and eliminated once more."""
+    rows (``_eliminate``'s pivot column -> row), with canonical basis: the
+    span (``_span``) of one vector per free column j < n, e_j minus R's
+    column j on the pivots, R the reduced echelon form, each scaled to
+    integers straight from the integer rows."""
     # off its pivot, a row holds only free columns, each after the pivot:
     # so each vector's pivot entries come in increasing order, before j
     terms = {j: [] for j in range(n) if j not in rows}
@@ -716,16 +716,12 @@ def _null_space(rows, n):
         for j, v in row.items():
             if j != p and j < n:
                 terms[j].append((p, v, d))
-    lead = {}
+    vecs = []
     for j, ts in terms.items():
         scale = lcm(*(d for _, _, d in ts))
-        vec = {p: -v * (scale // d) for p, v, d in ts}
-        vec[j] = scale
-        lead.setdefault(ts[0][0] if ts else j, []).append(vec)
-    done = _eliminate(lead, n)
-    if not done:
-        return Subspace.zero(n)
-    return Subspace._trusted(n, _reduced(done), tuple(done))
+        vecs.append(tuple((p, Fraction(-v * (scale // d))) for p, v, d in ts)
+                    + ((j, Fraction(scale)),))
+    return _span(n, Matrix._trusted(len(vecs), n, tuple(vecs)))
 
 
 def solve_matrix(m: Matrix, b: Matrix):

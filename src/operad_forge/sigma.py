@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 
 from .chain import ChainComplex, ChainMap, subcomplex
-from .qlinalg import Matrix, _Frozen, _setfield, image, sandwich_horner
+from .qlinalg import _Frozen, _setfield, image, sandwich_horner
 
 
 class Permutation(_Frozen):
@@ -345,7 +345,7 @@ def coinvariants(complex: ChainComplex, elements) -> Coinvariants:
     avg = avg.scale(Fraction(1, len(elements)))
     spans = {i: image(avg.block(i)) for i in complex.dims}
     sub, incl = subcomplex(complex, {i: s.basis for i, s in spans.items()})
-    proj = ChainMap(complex, sub, {i: Matrix._trusted(
-        s.dim, complex.dim(i), tuple(avg.block(i).sparse[p] for p in s.pivots))
+    proj = ChainMap(complex, sub, {
+        i: avg.block(i).submatrix(s.pivots, range(complex.dim(i)))
         for i, s in spans.items()})
     return Coinvariants(sub, proj, incl)
