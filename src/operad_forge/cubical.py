@@ -102,13 +102,12 @@ class FiniteCubicalSet:
     (i <= j) are validated at construction.
     """
 
-    def __init__(self, cube_table, face_table, degenerate=(), check=True):
+    def __init__(self, cube_table, face_table, degenerate=()):
         self.cube_table = {p: list(cs) for p, cs in cube_table.items() if cs}
         self.face_table = dict(face_table)
         self.degenerate = set(degenerate)
         self._dims = {c: p for p, cs in self.cube_table.items() for c in cs}
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         listed = [c for cs in self.cube_table.values() for c in cs]

@@ -1016,8 +1016,7 @@ def endomorphism_modular_operad(v: ChainComplex, pairing,
                             [*range(j - 1), j, j - 1, *range(j + 1, l)])
                 for j in range(1, l)]
         actions[key] = GroupAction(l, td.complex, gens, check=False)
-    op = ModularOperad(ModularSigmaModule(actions, check=False), {}, {},
-                       max_dim)
+    op = ModularOperad(ModularSigmaModule(actions), {}, {}, max_dim)
     for trip in op.comp_keys():
         key1, i, key2 = trip
         tkey = op.comp_target(key1, i, key2)

@@ -271,8 +271,7 @@ class DGOperad(_OperadCore):
         return l
 
     def remake(self, actions, comp, contr, window, cut):
-        return DGOperad(SigmaModule(actions, check=False), comp, window,
-                        cut=cut)
+        return DGOperad(SigmaModule(actions), comp, window, cut=cut)
 
     def comp_target(self, l, i, m):
         return l + m - 1
@@ -321,7 +320,7 @@ class ModularOperad(_OperadCore):
         return modular_dimension(*key)
 
     def remake(self, actions, comp, contr, window, cut):
-        return ModularOperad(ModularSigmaModule(actions, check=False), comp,
+        return ModularOperad(ModularSigmaModule(actions), comp,
                              contr, window, cut=cut)
 
     def comp_target(self, key1, i, key2):

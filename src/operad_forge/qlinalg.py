@@ -21,7 +21,8 @@ and make one ``Fraction`` per output entry they touch; entries that no
 term touches keep theirs.  ``solve``, ``solve_matrix`` and
 ``solve_with_kernel`` share one elimination of the augmented rows
 [m | b] (``_solve_augmented``), which makes a ``Fraction`` only for the
-solution's entries.
+solution's entries.  ``kernel`` is one ``rref`` of m with its columns
+reversed: the vectors read off its free columns are the canonical basis.
 """
 
 from __future__ import annotations
@@ -658,11 +659,6 @@ class Subspace(_Frozen):
         return (Matrix._trusted(len(free), n, tuple(map(sparse_row, proj))),
                 Matrix._trusted(n, len(free), section))
 
-    def sum(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return image(self.basis.hstack(other.basis))
-
 
 def _span(ambient_dim, m: Matrix) -> Subspace:
     """The span of the rows of m, with canonical basis; no elimination
@@ -674,9 +670,17 @@ def _span(ambient_dim, m: Matrix) -> Subspace:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Null space of m, with canonical basis, from one elimination of m's
-    own rows."""
-    return _null_space(_eliminate(_leading(m.sparse), m.cols), m.cols)
+    """Null space of m, with canonical basis, from one ``rref`` of m with
+    its columns reversed: read back in m's order, each free column's
+    vector (``_null_vectors``) leads there and is zero on the other free
+    columns, so the vectors are the (unique) reduced echelon basis."""
+    n = m.cols
+    last = n - 1
+    red, pivots, rk = rref(Matrix._trusted(m.rows, n, tuple(
+        tuple((last - j, x) for j, x in reversed(row)) for row in m.sparse)))
+    vecs = _null_vectors(red.sparse[:rk], pivots, n)[::-1]
+    entries = tuple(tuple((last - j, x) for j, x in reversed(v)) for v in vecs)
+    return Subspace._trusted(n, entries, tuple(v[0][0] for v in entries))
 
 
 def image(m: Matrix) -> Subspace:
@@ -696,32 +700,30 @@ def solve(m: Matrix, b):
 
 
 def solve_with_kernel(m: Matrix, b):
-    """``(solve(m, b), kernel(m))`` from one elimination of [m | b]
-    (``_solve_augmented``)."""
+    """``(solve(m, b), kernel(m))`` from one elimination of [m | b] in
+    column order (``_solve_augmented``), so free variables are zero; its
+    null vectors are put in echelon form by ``_span``."""
+    n = m.cols
     rows, x = _solve_augmented(m, Matrix.from_cols((b,), m.rows))
-    return (None if x is None else x.columns()[0]), _null_space(rows, m.cols)
+    vecs = _null_vectors(_reduced(rows), tuple(rows), n)
+    return ((None if x is None else x.columns()[0]),
+            _span(n, Matrix._trusted(len(vecs), n, vecs)))
 
 
-def _null_space(rows, n):
-    """The null space of the first n columns of an elimination's integer
-    rows (``_eliminate``'s pivot column -> row), with canonical basis: the
-    span (``_span``) of one vector per free column j < n, e_j minus R's
-    column j on the pivots, R the reduced echelon form, each scaled to
-    integers straight from the integer rows."""
-    # off its pivot, a row holds only free columns, each after the pivot:
-    # so each vector's pivot entries come in increasing order, before j
-    terms = {j: [] for j in range(n) if j not in rows}
-    for p, row in rows.items():
-        d = row[p]
-        for j, v in row.items():
+def _null_vectors(rows, pivots, n):
+    """One null vector per free column j < n of a reduced row echelon
+    form R, given by its nonzero rows and their pivot columns: e_j minus
+    R's column j on the pivots, as sparse vectors in increasing j.
+    Columns from n on (a right-hand side) are not read."""
+    # off its pivot, a row holds only free columns, each after the pivot,
+    # so each vector's entries come in increasing order
+    taken = set(pivots)
+    free = {j: [] for j in range(n) if j not in taken}
+    for p, row in zip(pivots, rows):
+        for j, x in row:
             if j != p and j < n:
-                terms[j].append((p, v, d))
-    vecs = []
-    for j, ts in terms.items():
-        scale = lcm(*(d for _, _, d in ts))
-        vecs.append(tuple((p, Fraction(-v * (scale // d))) for p, v, d in ts)
-                    + ((j, Fraction(scale)),))
-    return _span(n, Matrix._trusted(len(vecs), n, tuple(vecs)))
+                free[j].append((p, -x))
+    return tuple(tuple(vec) + ((j, F1),) for j, vec in free.items())
 
 
 def solve_matrix(m: Matrix, b: Matrix):

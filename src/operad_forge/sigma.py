@@ -209,12 +209,11 @@ def reynolds_average(left: GroupAction, right: GroupAction, blocks):
 class _IndexedModule:
     """Family of chain complexes with group actions, keyed by index."""
 
-    def __init__(self, components, check=True):
+    def __init__(self, components):
         self.components = dict(components)
-        if check:
-            for key, ga in self.components.items():
-                if not isinstance(ga, GroupAction):
-                    raise TypeError(f"component {key} is not a GroupAction")
+        for key, ga in self.components.items():
+            if not isinstance(ga, GroupAction):
+                raise TypeError(f"component {key} is not a GroupAction")
 
     def keys(self):
         return sorted(self.components)
@@ -251,8 +250,8 @@ class _IndexedModule:
 class SigmaModule(_IndexedModule):
     """Arity-indexed chain complexes with right symmetric-group actions."""
 
-    def __init__(self, components, check=True):
-        super().__init__(components, check=check)
+    def __init__(self, components):
+        super().__init__(components)
         for key, ga in self.components.items():
             if key < 1:
                 raise ValueError(f"arity {key} is below 1")
@@ -297,8 +296,8 @@ def stable_pairs_up_to(n):
 class ModularSigmaModule(_IndexedModule):
     """(g, l)-indexed chain complexes, stable indices only."""
 
-    def __init__(self, components, check=True):
-        super().__init__(components, check=check)
+    def __init__(self, components):
+        super().__init__(components)
         for (g, l), ga in self.components.items():
             if not is_stable(g, l):
                 raise ValueError(f"unstable index ({g}, {l})")

@@ -50,9 +50,10 @@ def count(pattern, file, low, high=None):
     return check, None
 
 
-def calls(file, function, callee, message=None):
+def calls(file, function, callee, message=None, never=False):
     """The body of function (``name`` or ``Class.name``) in file calls
-    callee as written there (``expand_vertex``, ``self._match``)."""
+    callee as written there (``expand_vertex``, ``self._match``); with
+    never, it does not."""
     def check(root):
         node = ast.parse((root / file).read_text())
         for name in function.split("."):
@@ -60,10 +61,12 @@ def calls(file, function, callee, message=None):
                          if isinstance(n, DEFS) and n.name == name), None)
         if node is None:
             return [f"{file}: no definition {function}"]
-        if any(isinstance(n, ast.Call) and ast.unparse(n.func) == callee
-               for n in ast.walk(node)):
+        if never != any(isinstance(n, ast.Call)
+                        and ast.unparse(n.func) == callee
+                        for n in ast.walk(node)):
             return []
-        return [f"{file}:{node.lineno}: {function} does not call {callee}"]
+        verb = "calls" if never else "does not call"
+        return [f"{file}:{node.lineno}: {function} {verb} {callee}"]
     return check, message
 
 
@@ -290,12 +293,15 @@ GUARDS = [
                  "sum the rows of a product with qlinalg._accumulate in "
                  "Matrix.__mul__")]),
     Guard("One kernel route",
-          "kernel eliminates m's own rows and reads the null space off the "
-          "integer rows (qlinalg._null_space, which solve_with_kernel "
-          "shares); it solves no zero right-hand side",
-          "take kernel(m) from _eliminate on m's rows with _null_space, not "
-          "solve_with_kernel(m, ())",
-          [absent(r"solve_with_kernel\(m, \(\)\)", PKG + "qlinalg.py")]),
+          "kernel runs one rref of m with its columns reversed and reads "
+          "its reduced echelon basis off the free columns "
+          "(qlinalg._null_vectors, which solve_with_kernel shares); the "
+          "null vectors are not eliminated a second time",
+          "take kernel(m) from one rref of m's reversed columns through "
+          "_null_vectors, not through _span or _null_space",
+          [absent(r"_null_space", PKG + "qlinalg.py"),
+           calls(PKG + "qlinalg.py", "kernel", "rref"),
+           calls(PKG + "qlinalg.py", "kernel", "_span", never=True)]),
     Guard("Stable graphs canonicalised by refinement",
           "stable graphs are canonicalised by refinement, not by trying every "
           "vertex permutation; the Window-4 catalogue step pins the result",

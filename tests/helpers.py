@@ -36,8 +36,10 @@ from operad_forge.qlinalg import (
     Matrix,
     Subspace,
     _combine,
+    _eliminate,
     _frac,
     _Frozen,
+    _leading,
     _setfield,
     _span,
     char_poly,
@@ -1483,7 +1485,7 @@ def reference_copy(space):
         return ReferenceProduct(reference_copy(space.left),
                                 reference_copy(space.right))
     return ReferenceFinite(space.cube_table, space.face_table,
-                           space.degenerate, check=False)
+                           space.degenerate)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1790,7 +1792,37 @@ def v1_dumps(make):
         return document.dumps(make())
 
 
-# -- reference null space through Fractions ---------------------------------
+# -- reference null spaces --------------------------------------------------
+
+
+def column_order_kernel(m: Matrix):
+    """``qlinalg.kernel`` as it was before it eliminated the reversed
+    columns: one elimination of m's rows in column order, one integer
+    vector per free column j (e_j minus R's column j on the pivots,
+    scaled to integers from the integer rows), and their span
+    (``_span``), a second elimination that puts them in echelon form."""
+    n = m.cols
+    rows = _eliminate(_leading(m.sparse), n)
+    terms = {j: [] for j in range(n) if j not in rows}
+    for p, row in rows.items():
+        d = row[p]
+        for j, v in row.items():
+            if j != p:
+                terms[j].append((p, v, d))
+    vecs = []
+    for j, ts in terms.items():
+        scale = lcm(*(d for _, _, d in ts))
+        vecs.append(tuple((p, Fraction(-v * (scale // d))) for p, v, d in ts)
+                    + ((j, Fraction(scale)),))
+    return _span(n, Matrix._trusted(len(vecs), n, tuple(vecs)))
+
+
+def assert_same_kernel(got, want):
+    """Equal subspaces with identical bases, pivots and basis rows."""
+    assert got == want
+    assert got.basis.sparse == want.basis.sparse
+    assert got.pivots == want.pivots
+    assert got._entries == want._entries
 
 
 def fraction_solve_with_kernel(m: Matrix, b):

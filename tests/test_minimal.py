@@ -16,7 +16,7 @@ from operad_forge.chain import (
     homotopy_solve,
     mapping_cone,
 )
-from operad_forge import chain, free, minimal
+from operad_forge import chain, free, minimal, qlinalg, weight
 from operad_forge import document as doc
 from operad_forge.document import matrix_to_lists
 from operad_forge.cli import main
@@ -46,7 +46,8 @@ from operad_forge.operad import (
     validate,
     weak_equivalence_test,
 )
-from operad_forge.qlinalg import F1, Matrix, _combine, rref, sparse_row
+from operad_forge.qlinalg import (F1, Matrix, _combine, kernel, rref,
+                                  sparse_row)
 from operad_forge.sigma import GroupAction, ModularSigmaModule, SigmaModule
 from operad_forge.trees import enumerate_trees
 
@@ -61,6 +62,8 @@ from fixtures_ops import (
 from helpers import (
     assert_same_coinvariants,
     assert_same_homology,
+    assert_same_kernel,
+    column_order_kernel,
     cone_completion,
     dense_matrix_to_lists,
     echelon_homology,
@@ -1233,3 +1236,27 @@ class TestGoldenRecordsAgainstEchelon:
             assert_same_homology(rec, echelon_homology(rec.complex))
         for c, elements, got in coins:
             assert_same_coinvariants(got, solved_coinvariants(c, elements))
+
+
+class TestGoldenKernelsAgainstColumnOrder:
+    """Every kernel that ``formality_check`` (the minimal model, then the
+    lift and the witness) takes on a golden fixture, in homology, the
+    weight splits and the free builder, equals the column-order route
+    that eliminates its null vectors a second time
+    (``helpers.column_order_kernel``), entry for entry."""
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_every_kernel(self, name, monkeypatch):
+        taken = []
+
+        def recording_kernel(m):
+            taken.append(m)
+            return kernel(m)
+
+        for module in (chain, free, qlinalg, weight):
+            monkeypatch.setattr(module, "kernel", recording_kernel)
+        assert formality_check(golden_operad(name)) is not None
+        monkeypatch.undo()
+        assert taken
+        for m in taken:
+            assert_same_kernel(kernel(m), column_order_kernel(m))

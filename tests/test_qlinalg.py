@@ -47,8 +47,10 @@ from operad_forge.weight import (
 
 from fixtures_ops import hypercommutative, moduli_quotient
 from helpers import (
+    assert_same_kernel,
     assert_value_semantics,
     charpoly_eigen_split,
+    column_order_kernel,
     dense_apply,
     dense_col,
     dense_cols,
@@ -345,11 +347,6 @@ class TestSubspace:
         b = Subspace.from_spanning(3, map(to_sparse, [(1, 1, 2), (1, -1, 0)]))
         assert a == b
         assert a.basis == b.basis
-
-    def test_sum(self):
-        a = Subspace.from_spanning(3, [to_sparse((1, 0, 0))])
-        b = Subspace.from_spanning(3, [to_sparse((0, 1, 0))])
-        assert a.sum(b).dim == 2
 
     def test_rationals_stay_exact(self):
         s = Subspace.from_spanning(
@@ -1172,6 +1169,66 @@ class TestOneStructureTable:
         assert table.apply(*_table_args([0] * len(units), units)) == ()
 
 
+# -- the kernel from one elimination of the reversed columns ----------------
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Matrices for ``kernel``: those of ``elimination_inputs``, zero ones
+    (with or without rows or columns), ones of full row or full column
+    rank (an echelon form mixed by an invertible lower triangular
+    matrix, transposed or not), and single rows of up to 30 entries, many
+    of them zero; entries are non-integer rationals wherever drawn."""
+    kind = draw(st.sampled_from(["elimination", "zero", "full-rank", "row"]))
+    if kind == "elimination":
+        return draw(elimination_inputs())
+    if kind == "zero":
+        return Matrix.zeros(draw(st.integers(0, 5)), draw(st.integers(0, 8)))
+    if kind == "row":
+        n = draw(st.integers(1, 30))
+        return Matrix(1, n, [draw(st.lists(
+            st.one_of(st.just(0), st.just(0), rationals), min_size=n,
+            max_size=n))])
+    r = draw(st.integers(1, 6))
+    c = draw(st.integers(r, 8))
+    pivots = sorted(draw(st.permutations(range(c)))[:r])
+    echelon = [[Fraction(j == p) if j <= p else draw(rationals)
+                for j in range(c)] for p in pivots]
+    nonzero = rationals.filter(bool)
+    lower = [[draw(nonzero) if j == i else draw(rationals) if j < i else 0
+              for j in range(r)] for i in range(r)]
+    m = M(lower) * Matrix(r, c, echelon)
+    return m.transpose() if draw(st.booleans()) else m
+
+
+class TestKernelAgainstColumnOrder:
+    """``kernel`` reads its basis off one rref of the reversed columns;
+    it equals the column-order route that eliminates its null vectors a
+    second time (``helpers.column_order_kernel``), entry for entry."""
+
+    @given(kernel_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_identical_to_column_order(self, m):
+        got = kernel(m)
+        assert_same_kernel(got, column_order_kernel(m))
+        assert got.dim + rank(m) == m.cols
+        assert all(not m.apply(vec) for vec in got._entries)
+
+    def test_cases(self):
+        # no rows: every unit vector; no columns: the zero space of Q^0
+        assert_same_kernel(kernel(Matrix.zeros(0, 3)), Subspace.full(3))
+        assert_same_kernel(kernel(Matrix.zeros(2, 0)), Subspace.zero(0))
+        assert_same_kernel(kernel(Matrix.identity(3)), Subspace.zero(3))
+        # one row: its last nonzero column is the one pivot of the
+        # reversed elimination, and each other column leads one vector
+        ker = kernel(M([[0, 2, Fraction(1, 2), 0, -3]]))
+        assert ker.pivots == (0, 1, 2, 3)
+        assert ker._entries == (((0, Fraction(1)),),
+                                ((1, Fraction(1)), (4, Fraction(2, 3))),
+                                ((2, Fraction(1)), (4, Fraction(1, 6))),
+                                ((3, Fraction(1)),))
+
+
 # -- one elimination for a solution and the kernel ---------------------------
 
 
@@ -1228,7 +1285,7 @@ class TestSolveWithKernel:
         """The level systems of formality witnesses (``minimal``'s solver)
         and every kernel taken on the way (homology, weight splits): the
         null space from the integer rows is the Fraction route's basis,
-        entry for entry."""
+        entry for entry, and each kernel is the column-order route's."""
         levels, kernels = [], []
 
         def level(m, b):
@@ -1254,6 +1311,8 @@ class TestSolveWithKernel:
             assert got == want
             assert got[1].basis.sparse == want[1].basis.sparse
             assert got[1].pivots == want[1].pivots
+        for m, _ in kernels:
+            assert_same_kernel(kernel(m), column_order_kernel(m))
 
 
 # -- integer kernels against their Fraction references -----------------------

@@ -321,7 +321,7 @@ class TestModules:
     def test_violation_pinpoints_arity(self):
         c = ChainComplex({0: 2})
         bad = ChainMap(c, c, {0: Matrix.from_rows([[1, 1], [0, 1]])})
-        m = SigmaModule({2: GroupAction(2, c, [bad], check=False)}, check=False)
+        m = SigmaModule({2: GroupAction(2, c, [bad], check=False)})
         report = validate_action(m)
         assert report
         assert "component 2" in report[0]
