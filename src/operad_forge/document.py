@@ -406,17 +406,6 @@ def from_document(doc):
             raise DocumentError(f"truncation_cut {cut} outside {low}..{top}: "
                                 "the nonzero components' levels to the window")
     _check_table_indices(op)
-    if "endomorphism" in doc:
-        endo = {}
-        for key_s, blocks in _expect(doc["endomorphism"], dict,
-                                     "endomorphism").items():
-            key = _key_from_str(key_s, modular)
-            c = op.component(key)
-            endo[key] = {}
-            for d, m in _expect(blocks, dict, "endomorphism blocks").items():
-                d, = _ints(d, 1, "endomorphism block")
-                endo[key][d] = matrix(m, c.dim(d), c.dim(d))
-        metadata["endomorphism"] = endo
     if "tower" in doc:
         metadata["tower"] = doc["tower"]
     return op, metadata

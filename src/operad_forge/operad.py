@@ -447,10 +447,9 @@ class _Validator:
                     self.nested_associativity(key1, i, key2, key3, prods[i])
                     self.disjoint_associativity(key1, i, key2, key3, prods[i])
             if mid in self.contracted:
-                if key1 in self.contracted:
-                    self.compatibility_first(key1, i, key2, prods[i])
-                if key2 in self.contracted:
-                    self.compatibility_second(key1, i, key2, prods[i])
+                for factor, key in enumerate((key1, key2)):
+                    if key in self.contracted:
+                        self.compatibility(key1, i, key2, factor, prods[i])
                 self.two_edge(key1, i, key2, prods[i])
 
     def chain_map(self, key1, i, key2, prods):
@@ -547,40 +546,29 @@ class _Validator:
                               f"{key2}, p={p}, {key3}")
                     return
 
-    def compatibility_first(self, key1, i, key2, prods):
-        """xi_{P,Q}(a o_i b) = xi_{pq}(a) o_{i'} b for a's legs p and q at
+    def compatibility(self, key1, i, key2, factor, prods):
+        """xi_{P,Q}(a o_i b) = xi_{pq}(a) o_{i'} b (factor 0), resp.
+        a o_i xi_{pq}(b) (factor 1), for that factor's legs p and q at
         positions P and Q in a o_i b, with i' the position of leg i once
-        p and q are gone."""
+        a's legs p and q are gone."""
         op = self.op
         mid = op.comp_target(key1, i, key2)
-        xkey = op.contr_target(key1)
+        keys = [key1, key2]
+        keys[factor] = op.contr_target(keys[factor])
         legs = _comp_legs(op.legs(key1), i, op.legs(key2), self.glue)
-        free = [x for f, x in legs if f == 0]
+        free = [x for f, x in legs if f == factor]
         for p, q in itertools.combinations(free, 2):
-            P, Q = legs.index((0, p)) + 1, legs.index((0, q)) + 1
+            P, Q = legs.index((factor, p)) + 1, legs.index((factor, q)) + 1
+            at = i if factor else _collapse(i, p, q)
             for d1, a, d2, b, ab in prods:
-                xa = op.contract(key1, p, q, d1, a)
+                if factor:
+                    b = op.contract(key2, p, q, d2, b)
+                else:
+                    a = op.contract(key1, p, q, d1, a)
                 if op.contract(mid, P, Q, d1 + d2, ab) != op.compose(
-                        xkey, _collapse(i, p, q), key2, d1, xa, d2, b):
-                    self.fail(f"compatibility (xi on first factor) fails "
-                              f"{key1} o_{i} {key2}, pair ({p},{q})")
-                    return
-
-    def compatibility_second(self, key1, i, key2, prods):
-        """xi_{P,Q}(a o_i b) = a o_i xi_{pq}(b) for b's legs p and q at
-        positions P and Q in a o_i b."""
-        op = self.op
-        mid = op.comp_target(key1, i, key2)
-        xkey = op.contr_target(key2)
-        legs = _comp_legs(op.legs(key1), i, op.legs(key2), self.glue)
-        free = [y for f, y in legs if f == 1]
-        for p, q in itertools.combinations(free, 2):
-            P, Q = legs.index((1, p)) + 1, legs.index((1, q)) + 1
-            for d1, a, d2, b, ab in prods:
-                xb = op.contract(key2, p, q, d2, b)
-                if op.contract(mid, P, Q, d1 + d2, ab) != op.compose(
-                        key1, i, xkey, d1, a, d2, xb):
-                    self.fail(f"compatibility (xi on second factor) fails "
+                        keys[0], at, keys[1], d1, a, d2, b):
+                    self.fail(f"compatibility (xi on "
+                              f"{('first', 'second')[factor]} factor) fails "
                               f"{key1} o_{i} {key2}, pair ({p},{q})")
                     return
 

@@ -31,6 +31,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
+from operator import attrgetter
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -528,11 +529,39 @@ def rank(m: Matrix) -> int:
 
 
 class _Frozen:
-    """Base of the immutable value classes: ``__init__`` sets each field
-    once with ``_setfield``; assigning or deleting an attribute
-    afterwards raises ``AttributeError``."""
+    """Base of the immutable value classes.
+
+    A subclass names in ``_fields`` the fields of its value, in order,
+    and ``_values(obj)`` reads them as a tuple (a one-tuple for one
+    field): two instances are equal when they are of one class with
+    equal field tuples, the hash is the hash of that tuple, and the repr
+    is ``Name(field=value!r, ...)``.
+    ``__init__`` sets each field, and any other attribute, once with
+    ``_setfield``; assigning or deleting an attribute afterwards raises
+    ``AttributeError``.
+    """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        get = attrgetter(*cls._fields)
+        cls._values = staticmethod(
+            get if len(cls._fields) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__name__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -554,9 +583,11 @@ class Subspace(_Frozen):
     rows of a reduced row echelon form, ordered by pivot; two equal
     subspaces have identical bases.  ``pivots`` holds the pivot index of
     each column.  Membership, the residual and the complement projection
-    are read off the pivots, with no new elimination.  Equality and the
-    hash read only ``ambient_dim`` and ``basis``.
+    are read off the pivots, with no new elimination.  Equality, the
+    hash and the repr read only ``ambient_dim`` and ``basis``.
     """
+
+    _fields = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim, basis):
         if basis.rows != ambient_dim:
@@ -574,18 +605,6 @@ class Subspace(_Frozen):
             raise ValueError("subspace basis is not in reduced echelon form")
         _setfield(self, "pivots", tuple(pivots))
         _setfield(self, "_entries", entries)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ambient_dim == other.ambient_dim
-                    and self.basis == other.basis)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
-
-    def __repr__(self):
-        return f"Subspace(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
 
     @classmethod
     def _trusted(cls, ambient_dim, entries, pivots):
@@ -785,20 +804,11 @@ class EigenSplit(_Frozen):
     m-invariant complement of the pairs.
     """
 
+    _fields = ("pairs", "residual")
+
     def __init__(self, pairs, residual):
         _setfield(self, "pairs", pairs)
         _setfield(self, "residual", residual)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.pairs == other.pairs and self.residual == other.residual
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.pairs, self.residual))
-
-    def __repr__(self):
-        return f"EigenSplit(pairs={self.pairs!r}, residual={self.residual!r})"
 
 
 def rational_eigen_split(m: Matrix, eigenvalues) -> EigenSplit:

@@ -23,22 +23,13 @@ class Permutation(_Frozen):
     """Bijection of {1..n}; images[k] is the image of k+1, kept as a
     tuple whatever sequence is given."""
 
+    _fields = ("images",)
+
     def __init__(self, images):
         images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
         _setfield(self, "images", images)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.images == other.images
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.images,))
-
-    def __repr__(self):
-        return f"Permutation(images={self.images!r})"
 
     @classmethod
     def identity(cls, n):

@@ -31,20 +31,11 @@ class Tree(_Frozen):
     """Canonical reduced tree; leaves carry labels, children are sorted
     by minimal leaf label."""
 
+    _fields = ("label", "children")
+
     def __init__(self, label, children):
         _setfield(self, "label", label)
         _setfield(self, "children", children)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.label == other.label and self.children == other.children
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.label, self.children))
-
-    def __repr__(self):
-        return f"Tree(label={self.label!r}, children={self.children!r})"
 
     @property
     def is_leaf(self):
@@ -180,23 +171,12 @@ class StableGraph(_Frozen):
     given.
     """
 
+    _fields = ("genera", "legs", "edges")
+
     def __init__(self, genera, legs, edges):
         _setfield(self, "genera", tuple(genera))
         _setfield(self, "legs", tuple(legs))
         _setfield(self, "edges", tuple(map(tuple, edges)))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.genera == other.genera and self.legs == other.legs
-                    and self.edges == other.edges)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.genera, self.legs, self.edges))
-
-    def __repr__(self):
-        return (f"StableGraph(genera={self.genera!r}, legs={self.legs!r}, "
-                f"edges={self.edges!r})")
 
     @property
     def n_vertices(self):
@@ -442,25 +422,13 @@ class ConcreteGraph(_Frozen):
     value: equal graphs (all four fields tuples) compare and hash alike.
     """
 
+    _fields = ("genera", "legs", "edges", "slot_orders")
+
     def __init__(self, genera, legs, edges, slot_orders):
         _setfield(self, "genera", genera)
         _setfield(self, "legs", legs)
         _setfield(self, "edges", edges)
         _setfield(self, "slot_orders", slot_orders)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.genera == other.genera and self.legs == other.legs
-                    and self.edges == other.edges
-                    and self.slot_orders == other.slot_orders)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.genera, self.legs, self.edges, self.slot_orders))
-
-    def __repr__(self):
-        return (f"ConcreteGraph(genera={self.genera!r}, legs={self.legs!r}, "
-                f"edges={self.edges!r}, slot_orders={self.slot_orders!r})")
 
     @property
     def genus(self):

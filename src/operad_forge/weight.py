@@ -57,22 +57,13 @@ class PurityError(ValueError):
 class WeightFunction(_Frozen):
     """w(alpha^n) = n on the cyclic group generated by alpha."""
 
+    _fields = ("base",)
+
     def __init__(self, base):
         alpha = Fraction(base)
         _setfield(self, "base", alpha)
         if alpha in (0, 1, -1):
             raise ValueError("weight base must not be 0 or a root of unity")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.base == other.base
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.base,))
-
-    def __repr__(self):
-        return f"WeightFunction(base={self.base!r})"
 
 
 class WeightDecomposition:
@@ -308,25 +299,15 @@ def formality_witness_from_pure(p, f: OperadMorphism,
     an upstream bug), and both arrows are certified weak equivalences.
     """
     purity_check(p, f, w)
-    components = {}
-    projections = {}
+    results = {}
     for key in p.keys():
         comp = p.component(key)
-        if comp.is_zero():
-            continue
-        res = t_functor(comp, f.block(key), w)
-        components[key] = res.inclusion
-        projections[key] = res
-    tp, incl = _suboperad_from_components(p, components)
-    hp = homology_operad(p)
-    proj_maps = {}
-    for key in components:
-        res = projections[key]
-        sub = incl.block(key).src
-        proj_maps[key] = ChainMap(sub, hp.component(key), res.projection.blocks,
-                                  check=False)
-        proj_maps[key].assert_chain()
-    proj = OperadMorphism(tp, hp, proj_maps)
+        if not comp.is_zero():
+            results[key] = t_functor(comp, f.block(key), w)
+    tp, incl = _suboperad_from_components(
+        p, {key: res.inclusion for key, res in results.items()})
+    proj = OperadMorphism(tp, homology_operad(p),
+                          {key: res.projection for key, res in results.items()})
     bad = proj.validate()
     if bad:
         raise AssertionError("projection onto homology is not an operad "

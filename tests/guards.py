@@ -1,13 +1,14 @@
 """The design guards of ``src/operad_forge`` in one table, and their checker.
 
 A guard has a name, the reason it exists, the message a failure prints
-and its rules (``absent``, ``count``, ``calls`` and ``callers`` below);
-patterns are Python regular expressions matched line by line, as
-``grep -E`` does.  ``python tests/guards.py`` takes no options: it prints
-each failing guard with its ``file:line`` hits and message and exits 1,
-or exits 0.  It imports nothing from ``operad_forge``.  A rule is a pair
-(check, message): check(root) lists the hits that break it, and message,
-when not None, replaces its guard's.
+and its rules (``absent``, ``count``, ``calls``, ``overrides`` and
+``callers`` below); patterns are Python regular expressions matched line
+by line, as ``grep -E`` does.  ``python tests/guards.py`` takes no
+options: it prints each failing guard with its ``file:line`` hits and
+message and exits 1, or exits 0.  It imports nothing from
+``operad_forge``.  A rule is a pair (check, message): check(root) lists
+the hits that break it, and message, when not None, replaces its
+guard's.
 """
 
 import ast
@@ -68,6 +69,21 @@ def calls(file, function, callee, message=None, never=False):
         verb = "calls" if never else "does not call"
         return [f"{file}:{node.lineno}: {function} {verb} {callee}"]
     return check, message
+
+
+def overrides(base, names, files=SRC):
+    """No class of files with base among its bases defines a method
+    named in names."""
+    def check(root):
+        return [f"{path.relative_to(root)}:{node.lineno}: "
+                f"{cls.name}.{node.name}"
+                for path in sorted(root.glob(files))
+                for cls in ast.walk(ast.parse(path.read_text()))
+                if isinstance(cls, ast.ClassDef)
+                and base in map(ast.unparse, cls.bases)
+                for node in cls.body
+                if isinstance(node, DEFS) and node.name in names]
+    return check, None
 
 
 def callers():
@@ -131,6 +147,13 @@ GUARDS = [
           "__init__; dataclasses costs each fresh CLI process start-up time",
           "write a plain class with an explicit __init__, not a dataclass",
           [absent("dataclass")]),
+    Guard("One value-class implementation",
+          "equality, the hash and the repr of every frozen value class come "
+          "from qlinalg._Frozen, which reads each class's _fields; no "
+          "subclass writes them out again",
+          "declare the value's fields in _fields; do not define __eq__, "
+          "__hash__ or __repr__ in a _Frozen subclass",
+          [overrides("_Frozen", ("__eq__", "__hash__", "__repr__"))]),
     Guard("Attachments in summand coordinates",
           "an attachment block is keyed by its summand object; only the free "
           "builder turns a summand into offsets of its own layout",

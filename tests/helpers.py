@@ -1122,20 +1122,11 @@ class PlanarNode(_Frozen):
     """Planar rooted tree with factor-tagged vertices; children are
     PlanarNode or int leaf labels."""
 
+    _fields = ("factor", "children")
+
     def __init__(self, factor, children):
         _setfield(self, "factor", factor)
         _setfield(self, "children", children)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.factor == other.factor and self.children == other.children
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.factor, self.children))
-
-    def __repr__(self):
-        return f"PlanarNode(factor={self.factor!r}, children={self.children!r})"
 
 
 def tree_to_planar(tree: Tree, factor_offset=0, relabel=None):

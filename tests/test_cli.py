@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from operad_forge.cli import main
+from operad_forge.document import from_document, to_document
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -220,25 +221,19 @@ CELL = ("compositions", 0, "blocks", "0,0", "0,0")
     (COM, _truncated(-1)),
     (COM, _truncated(99)),
     (COM, _set(("truncation_cut",), 3)),
-    # the endomorphism section: two tracebacks and a bare "error:" line
-    (COM, _set(("endomorphism",), [])),
-    (COM, _set(("endomorphism",), {"2": []})),
-    (COM, _set(("endomorphism",), {"2": {"x": [["1"]]}})),
     # a component's degree keys: a bare "error:" line
     (COM, _set(("components", "2", "differential"), {"x": []})),
     (COM, _set(("components", "2", "action"), [{"x": [["1"]]}])),
     # a kind its indexing does not match: read as arity-indexed
     (COM, _set(("kind",), "modular")),
-    # another spelling of a key: it replaced the component, block, cell
-    # or endomorphism block of that key; "+2" was read with the sign
-    # action, and validate exited 1
+    # another spelling of a key: it replaced the component, block or
+    # cell of that key; "+2" was read with the sign action, and validate
+    # exited 1
     (COM, _set(("components", "+2"), SIGN)),
     (COM, _set(("compositions", 0, "blocks"), {"0, 0": {"0,0": [[0, "1"]]}})),
     (COM, _set(("compositions", 0, "blocks", "0,0"), {"0,+0": [[0, "1"]]})),
     (ENDO, _set(("contractions", 0, "blocks"), {"00": {"0": [[0, "1"]]}})),
     (ENDO, _set(("contractions", 0, "blocks", "0"), {"+0": [[0, "1"]]})),
-    (COM, _set(("endomorphism",), {"+2": {"0": [["1"]]}})),
-    (COM, _set(("endomorphism",), {"2": {" 0": [["1"]]}})),
     # a non-ASCII digit: read as 3
     (COM, _set(CELL, [[0, "\u0663"]])),
     # table coefficients that are not rationals' texts: a cell is parsed
@@ -254,12 +249,11 @@ CELL = ("compositions", 0, "blocks", "0,0", "0,0")
         "modular-window-below-component", "negative-row", "float-row",
         "negative-basis-index", "negative-contraction-index",
         "string-truncation-cut", "negative-truncation-cut",
-        "truncation-cut-past-window", "operad-truncation-cut", "list-endomorphism", "list-endomorphism-blocks",
-        "bad-endomorphism-degree", "bad-differential-degree",
+        "truncation-cut-past-window", "operad-truncation-cut",
+        "bad-differential-degree",
         "bad-action-degree", "modular-kind-arity-indexing",
         "plus-component-key", "space-block-key", "plus-cell-key",
         "leading-zero-contraction-block", "plus-contraction-cell",
-        "plus-endomorphism-key", "space-endomorphism-degree",
         "arabic-indic-rational", "int-coefficient", "list-coefficient",
         "zero-denominator-coefficient"])
 def test_malformed_tables_exit_2_without_traceback(name, mutate, tmp_path):
@@ -274,6 +268,22 @@ def test_malformed_tables_exit_2_without_traceback(name, mutate, tmp_path):
         assert run.returncode == 2, (command, stderr)
         assert "malformed input" in stderr
         assert "Traceback" not in stderr
+
+
+def test_endomorphism_section_ignored(tmp_path, capsys):
+    """An "endomorphism" section is read like any key the reader does not
+    know: not at all, however malformed."""
+    with open(fx(COM)) as fh:
+        payload = json.load(fh)
+    op, meta = from_document(payload)
+    for key in ("endomorphism", "unknown_section"):
+        extra = dict(payload, **{key: {"2": {"x": [["1"]]}}})
+        op_x, meta_x = from_document(extra)
+        assert (to_document(op_x), meta_x) == (to_document(op), meta)
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(extra))
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out == "ok\n"
 
 
 def _first_cell(entry):

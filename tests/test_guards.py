@@ -26,6 +26,10 @@ BREAKS = {
     "One structure table": ("operad.py", None, "_table = ContrTable()"),
     "Spans from one elimination": ("qlinalg.py", None, "_rows.insert(0, ())"),
     "Plain classes": ("sigma.py", None, "from dataclasses import dataclass"),
+    "One value-class implementation":
+        ("sigma.py", '        _setfield(self, "images", images)\n',
+         '        _setfield(self, "images", images)\n\n'
+         '    def __hash__(self):\n        return hash(self.images)\n'),
     "Attachments in summand coordinates":
         ("minimal.py", None, "_at = layout.offset(summand)"),
     "One tower record": ("minimal.py", None, "_gens = op.tower.gens"),

@@ -530,6 +530,9 @@ class TestValueClasses:
         assert hash(t) == hash((None, t.children))
         g = StableGraph((0,), (0, 0, 0), ())
         assert hash(g) == hash(((0,), (0, 0, 0), ()))
+        slots = ((("leg", 1), ("leg", 2), ("leg", 3)),)
+        c = ConcreteGraph((0,), (0, 0, 0), (), slots)
+        assert hash(c) == hash(((0,), (0, 0, 0), (), slots))
 
     def test_list_and_tuple_fields(self):
         g = StableGraph([1, 0], [1, 1, 1], [[0, 1]])
