@@ -535,10 +535,9 @@ class _Frozen:
     and ``_values(obj)`` reads them as a tuple (a one-tuple for one
     field): two instances are equal when they are of one class with
     equal field tuples, the hash is the hash of that tuple, and the repr
-    is ``Name(field=value!r, ...)``.
-    ``__init__`` sets each field, and any other attribute, once with
-    ``_setfield``; assigning or deleting an attribute afterwards raises
-    ``AttributeError``.
+    is ``Name(field=value!r, ...)``.  ``__init__`` sets each field, and
+    any other attribute, once with ``_setfield``; assigning or deleting
+    an attribute afterwards raises ``AttributeError``.
     """
 
     __slots__ = ()
