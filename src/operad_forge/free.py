@@ -13,7 +13,8 @@ operad's Sigma_n action reorder through it too (``_factor_map``).  A
 rearranged tree is the leaf sets of its vertices' children, matched by
 its set of vertex clades; a rearranged stable graph is a concrete graph
 (``trees.expand_vertex``), matched by ``trees.match_graph``; each match
-is made once per process (``_MATCHES``).
+is made once per process (``_MATCHES``), and equal parts of two matches
+are one object (``_shared``).
 Morphisms out of a free operad take one route too: each summand is
 composed in the target along a plan built once per summand (along the
 tree's nesting, or along the stable graph's spanning tree and then its
@@ -58,12 +59,28 @@ from . import trees as T
 _MATCHES = {}
 
 
+@cache
+def _shared(part):
+    """One object for each distinct tuple that a match holds
+    (``_matched``): the match records share their parts."""
+    return part
+
+
+@cache
 def _inversions(perm_images):
     """The pairs (p, q), p < q, of factors whose order the placing
-    ``perm_images`` (factor p to place ``perm_images[p]``) reverses."""
+    ``perm_images`` (a tuple, factor p to place ``perm_images[p]``)
+    reverses; worked out once per placing."""
     m = len(perm_images)
-    return tuple((p, q) for p in range(m) for q in range(p + 1, m)
-                 if perm_images[p] > perm_images[q])
+    return _shared(tuple((p, q) for p in range(m) for q in range(p + 1, m)
+                         if perm_images[p] > perm_images[q]))
+
+
+@cache
+def _twisted(sigmas):
+    """The factors whose slot permutation is not the identity."""
+    return _shared(tuple(p for p, sig in enumerate(sigmas)
+                         if not sig.is_identity()))
 
 
 def _odd(label, inversions):
@@ -76,9 +93,11 @@ def _matched(pos, sigmas, perm_images):
     """A match as the memo holds it: the target's catalogue position,
     each factor's slot permutation and place in the target, the pairs
     of factors the placing reverses and the factors whose slot
-    permutation is not the identity."""
-    return (pos, tuple(sigmas), tuple(perm_images), _inversions(perm_images),
-            tuple(p for p, sig in enumerate(sigmas) if not sig.is_identity()))
+    permutation is not the identity; equal parts of two matches are one
+    object (``_shared``)."""
+    sigmas, perm_images = _shared(tuple(sigmas)), _shared(tuple(perm_images))
+    return (pos, sigmas, perm_images, _inversions(perm_images),
+            _twisted(sigmas))
 
 
 def _twist(store, action, sigma):
@@ -683,7 +702,7 @@ class FreeOperadBuilder(_FreeBuilder):
 
     def _position(self, n, tree):
         return T.tree_tables(n)[3].get(
-            frozenset(sum(f) for f in tree.slot_masks()))
+            T.clade_code(sum(f) for f in tree.slot_masks()))
 
     def _summand(self, tree, td):
         return tree, td
@@ -698,12 +717,12 @@ class FreeOperadBuilder(_FreeBuilder):
         tree is the one with these vertex clades; each factor moves to
         its clade's preorder place, and its slots are sorted by least
         leaf."""
-        _, _, places, index = T.tree_tables(n)
-        clades = [sum(f) for f in factors]
-        pos = index[frozenset(clades)]
+        _, _, clades, index = T.tree_tables(n)
+        own = [sum(f) for f in factors]
+        pos = index[T.clade_code(own)]
         sigmas = [T._slot_perm(tuple(k for _, k in sorted(
             (c & -c, k) for k, c in enumerate(f, 1)))) for f in factors]
-        return _matched(pos, sigmas, [places[pos][c] for c in clades])
+        return _matched(pos, sigmas, [clades[pos].index(c) for c in own])
 
     def _project(self, n, s, local):
         return local.items()
@@ -914,7 +933,8 @@ class FreeModularBuilder(_FreeBuilder):
         if (genus, len(slots)) != key:
             raise AssertionError("graph evaluation lost track of the type")
         # the pairs of vertices that the glue order reverses
-        inversions = _inversions([order.index(v) for v in range(len(order))])
+        inversions = _inversions(tuple(order.index(v)
+                                       for v in range(len(order))))
         relabel = Permutation(slots.index(("leg", q)) + 1
                               for q in range(1, key[1] + 1))
         return (steps, inversions, key,

@@ -11,8 +11,10 @@ Vertex ordering for tensor purposes is the canonical-form preorder
 ordered by minimal leaf label (trees) or legs-then-edges (graphs).
 A tree is described by the leaf sets of its vertices' children
 (``Tree.slot_masks``), which is all the free builder needs to match a
-rearranged tree onto this catalogue; stable graphs are matched here
-(``match_graph``).
+rearranged tree onto this catalogue, where it is found by its clade
+code, an int (``tree_tables``); stable graphs are matched here
+(``match_graph``).  The trees on each set of labels are built once, so
+catalogue trees share their subtrees.
 """
 
 from __future__ import annotations
@@ -118,18 +120,16 @@ def _set_partitions(items):
         yield [[first]] + part
 
 
+@lru_cache(maxsize=None)
 def _trees_on(labels):
-    labels = tuple(labels)
+    """The trees on a sorted tuple of leaf labels, built once per tuple,
+    so every tree is made of the shared trees on its vertices' clades."""
     if len(labels) == 1:
-        return [leaf(labels[0])]
-    out = []
-    for part in _set_partitions(list(labels)):
-        if len(part) < 2:
-            continue
-        block_choices = [_trees_on(tuple(block)) for block in part]
-        for combo in itertools.product(*block_choices):
-            out.append(node(combo))
-    return out
+        return (leaf(labels[0]),)
+    return tuple(node(combo) for part in _set_partitions(list(labels))
+                 if len(part) > 1
+                 for combo in itertools.product(
+                     *(_trees_on(tuple(block)) for block in part)))
 
 
 @lru_cache(maxsize=None)
@@ -137,25 +137,35 @@ def enumerate_trees(n: int):
     """Isomorphism classes of reduced trees with leaves 1..n.
 
     n = 1 yields the empty tuple (no unary vertices); counts follow the
-    total-partition numbers 1, 4, 26, 236, ...
+    total-partition numbers 1, 4, 26, 236, ...  Equal subtrees, across
+    the catalogues of every arity, are one object (``_trees_on``).
     """
     if n < 2:
         return ()
-    trees = _trees_on(tuple(range(1, n + 1)))
-    return tuple(sorted(trees, key=Tree.sort_key))
+    return tuple(sorted(_trees_on(tuple(range(1, n + 1))), key=Tree.sort_key))
 
 
 @lru_cache(maxsize=None)
 def tree_tables(n: int):
     """Catalogue facts of ``enumerate_trees(n)`` by position: each tree's
     vertex types (child counts, preorder), slot masks
-    (``Tree.slot_masks``) and preorder place of each vertex clade; and
-    the position of each set of vertex clades."""
-    masks = tuple(tuple(t.slot_masks()) for t in enumerate_trees(n))
-    types = tuple(tuple(len(f) for f in m) for m in masks)
-    places = tuple({sum(f): p for p, f in enumerate(m)} for m in masks)
-    index = {frozenset(place): pos for pos, place in enumerate(places)}
-    return types, masks, places, index
+    (``Tree.slot_masks``) and vertex clades in preorder (a clade's place
+    is its index); and the position of each tree by its clade code
+    (``clade_code``).  Equal type tuples, and equal mask tuples of a
+    vertex, are one object."""
+    shared = {}
+    masks = tuple(tuple(shared.setdefault(f, f) for f in t.slot_masks())
+                  for t in enumerate_trees(n))
+    types = tuple(shared.setdefault(ty, ty) for ty in (
+        tuple(len(f) for f in m) for m in masks))
+    clades = tuple(tuple(sum(f) for f in m) for m in masks)
+    index = {clade_code(c): pos for pos, c in enumerate(clades)}
+    return types, masks, clades, index
+
+
+def clade_code(clades):
+    """The int with bit c set for each vertex clade c (``tree_tables``)."""
+    return sum(1 << c for c in clades)
 
 
 # -- stable graphs ------------------------------------------------------------

@@ -56,7 +56,14 @@ from operad_forge.sigma import (
     Permutation,
     all_permutations,
 )
-from operad_forge.trees import ConcreteGraph, StableGraph, Tree, leaf
+from operad_forge.trees import (
+    ConcreteGraph,
+    StableGraph,
+    Tree,
+    _set_partitions,
+    leaf,
+    node,
+)
 from operad_forge.weight import WeightFunction, grading_automorphism, t_functor
 
 
@@ -1109,6 +1116,35 @@ def reorder_map(td: TensorData, perm_images):
             out[rowpos] = ((colpos, sign),)
         blocks[n] = Matrix._trusted(len(out), len(items), tuple(out))
     return target, ChainMap(td.complex, target.complex, blocks)
+
+
+# -- reference tree enumeration --------------------------------------------
+# ``trees.enumerate_trees`` once built every subtree anew for each set
+# partition it sat in; kept as the reference for the shared-subtree
+# catalogue.
+
+
+def _reference_trees_on(labels):
+    labels = tuple(labels)
+    if len(labels) == 1:
+        return [leaf(labels[0])]
+    out = []
+    for part in _set_partitions(list(labels)):
+        if len(part) < 2:
+            continue
+        block_choices = [_reference_trees_on(tuple(block)) for block in part]
+        for combo in itertools.product(*block_choices):
+            out.append(node(combo))
+    return out
+
+
+def reference_enumerate_trees(n):
+    """The reduced trees with leaves 1..n, sorted as the catalogue, with
+    no subtree shared."""
+    if n < 2:
+        return ()
+    trees = _reference_trees_on(tuple(range(1, n + 1)))
+    return tuple(sorted(trees, key=Tree.sort_key))
 
 
 # -- reference tree match --------------------------------------------------

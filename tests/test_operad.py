@@ -572,6 +572,20 @@ class TestRearrangementMemo:
             for name in order:
                 assert build(name) == cold[name], order
 
+    def test_match_records_share_their_parts(self, monkeypatch):
+        """Equal slot-permutation, placement, inversion or twisted-factor
+        tuples of two remembered matches are one object."""
+        monkeypatch.setattr(free_module, "_MATCHES", {})
+        free_operad(_fixture("binary_generator.json"), 5)
+        records = list(free_module._MATCHES.values())
+        assert records
+        for part in (1, 2, 3, 4):
+            ids = {}
+            for rec in records:
+                ids.setdefault(rec[part], set()).add(id(rec[part]))
+            assert all(len(v) == 1 for v in ids.values()), part
+            assert len(ids) < len(records), part
+
     def test_no_module_level_store_grows_across_extensions(self):
         """After one extension at a window, extensions of other
         generator modules at that window leave every module-level

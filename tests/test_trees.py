@@ -17,6 +17,7 @@ from operad_forge.trees import (
     GraphMatch,
     StableGraph,
     Tree,
+    clade_code,
     concrete_from_canonical,
     enumerate_stable_graphs,
     enumerate_trees,
@@ -29,11 +30,13 @@ from operad_forge.trees import (
     node,
     relabel_legs,
     self_glue,
+    tree_tables,
 )
 
 from helpers import (PlanarNode, assert_value_semantics, brute_canonical_key,
                      brute_graph_isomorphisms, graph_space_data,
-                     normalize_planar, planar_substitute_leaf, tree_space_data,
+                     normalize_planar, planar_substitute_leaf,
+                     reference_enumerate_trees, tree_space_data,
                      tree_to_planar)
 
 
@@ -141,6 +144,29 @@ class TestEnumerateTrees:
     def test_against_oracle(self):
         for n in (2, 3, 4):
             assert len(enumerate_trees(n)) == len(oracle_trees(n))
+
+    def test_shared_subtrees_against_reference(self):
+        """The catalogue builds each tree from shared subtrees: the same
+        trees in the same order as the unshared recursion, every equal
+        subtree one object, and each tree found again by its clade
+        code."""
+        for n in range(2, 7):
+            assert enumerate_trees(n) == reference_enumerate_trees(n)
+        subtrees = []
+
+        def walk(t):
+            subtrees.append(t)
+            for c in t.children:
+                walk(c)
+
+        for t in enumerate_trees(6):
+            walk(t)
+        assert len({id(t) for t in subtrees}) == len(set(subtrees))
+        for n in range(2, 7):
+            trees = enumerate_trees(n)
+            codes = [clade_code(sum(f) for f in t.slot_masks()) for t in trees]
+            assert len(set(codes)) == len(trees)
+            assert tree_tables(n)[3] == {c: pos for pos, c in enumerate(codes)}
 
     def test_pairwise_distinct_canonical(self):
         for n in (2, 3, 4):
