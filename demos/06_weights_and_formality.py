@@ -63,7 +63,7 @@ builder = FreeOperadBuilder({2: ga2}, 4)
 # the ternary generator's attachment in summand coordinates: 1 on each
 # two-vertex tree, the summands of arity 3 before its own corolla
 builder.add({3: ga3}, {3: {3: {
-    tree: Matrix.from_rows([[1]]) for tree, _ in builder.summands[3]}}})
+    rec.obj: Matrix.from_rows([[1]]) for rec in builder.summands[3]}}})
 obstructed = builder.finish()
 print("\nobstructed fixture:",
       "inconclusive" if formality_check(obstructed, up_to=4, alpha=2) is None

@@ -2,12 +2,14 @@
 
 Components of the free operad are indexed by reduced labelled trees,
 those of the free modular operad by stable graphs with coinvariants
-under graph automorphisms.  All structure maps reduce to one routine:
-rearrange the object by substitution (into a corolla to relabel legs,
-into the object of o_i to graft, into the loop graph to glue, into the
-object itself to expand a vertex), match the result against the
-catalog of canonical representatives, and push basis labels through
-the induced per-vertex slot permutations and the Koszul factor
+under graph automorphisms; a builder keeps each summand as one record
+(``_Summand``), with its own complex and offsets in the component, and
+hands that record to every per-summand step.  All structure maps reduce
+to one routine: rearrange the object by substitution (into a corolla to
+relabel legs, into the object of o_i to graft, into the loop graph to
+glue, into the object itself to expand a vertex), match the result
+against the catalog of canonical representatives, and push basis labels
+through the induced per-vertex slot permutations and the Koszul factor
 reordering, ``push_labels``: graph automorphisms and the endomorphism
 operad's Sigma_n action reorder through it too (``_factor_map``).  A
 rearranged tree is the leaf sets of its vertices' children, matched by
@@ -170,44 +172,31 @@ def _assemble(rows, cols, entries):
     return Matrix._trusted(cols, rows, tuple(columns)).transpose()
 
 
-class Layout:
-    """Offsets of a direct sum of complexes, per degree."""
-
-    def __init__(self, complexes):
-        self.complexes = complexes
-        self.offsets = {}
-        self.dims = {}
-        for s, c in enumerate(self.complexes):
-            for deg, d in c.dims.items():
-                self.offsets[(s, deg)] = self.dims.get(deg, 0)
-                self.dims[deg] = self.dims.get(deg, 0) + d
-
-    def dim(self, degree):
-        return self.dims.get(degree, 0)
-
-    def offset(self, summand, degree):
-        return self.offsets.get((summand, degree), 0)
-
-
 class _Summand:
-    """One summand of a component: ``item`` is the summand tuple (the
-    catalogue object first, what carries its complex last), ``key`` its
-    component, ``pos`` and ``place`` the object's places in the catalogue
-    and in the layout order (``_catalogue``), ``types`` and ``actions``
-    the generator key and action of each vertex, and ``s`` its place in
-    the component's current layout.  The builder keys the work done on
-    the summand, in its own coordinates, by this record."""
+    """One summand of a component, the builder's one handle on it:
+    ``obj`` its catalogue object, ``td`` the tensor data of its vertices'
+    generators, ``coin`` their coinvariants (graphs only, else None) and
+    ``complex`` the summand's own complex; ``key`` its component, ``pos``
+    and ``place`` the object's places in the catalogue and in the layout
+    order (``_catalogue``), ``types`` and ``actions`` the generator key
+    and action of each vertex, and ``offsets`` degree -> its first row
+    in the component's current layout.  The builder keys the work done
+    on the summand, in its own coordinates, by this record."""
 
-    __slots__ = ("key", "pos", "place", "item", "types", "actions", "s")
+    __slots__ = ("key", "pos", "place", "obj", "td", "coin", "complex",
+                 "types", "actions", "offsets")
 
-    def __init__(self, key, pos, place, item, types, actions):
+    def __init__(self, key, pos, place, obj, td, coin, types, actions):
         self.key = key
         self.pos = pos
         self.place = place
-        self.item = item
+        self.obj = obj
+        self.td = td
+        self.coin = coin
+        self.complex = td.complex if coin is None else coin.complex
         self.types = types
         self.actions = actions
-        self.s = None
+        self.offsets = {}
 
 
 class _FreeBuilder:
@@ -216,10 +205,10 @@ class _FreeBuilder:
     ``shape`` is an empty operad of the result's kind; it supplies the
     key arithmetic.  The component at a key is a direct sum of
     summands, one per catalogue object (tree or stable graph) whose
-    vertices all carry generators: ``summands[key]`` lists them, each a
-    tuple with the object first and, last, what carries the summand's
-    complex (the tensor data, or the coinvariants); ``layouts[key]``
-    places those complexes.
+    vertices all carry generators: ``summands[key]`` lists their records
+    (``_Summand``) in layout order, each with its complex and its
+    offsets in the component, and ``dims[key]`` holds the component's
+    dimension in each degree.
     Every structure map takes one route: rearrange the object (by
     substitution into a corolla, into the object of o_i, into the loop
     graph or into the object itself), match the result onto its summand,
@@ -235,18 +224,19 @@ class _FreeBuilder:
     Generators can be added key by key (``add``), as a minimal model
     attaches them level by level.  A key's generators and attachments
     are set once, so the work done on a summand, in its own coordinates,
-    stays valid as later summands join the layouts; each structure map
-    places it through the current layout.
+    stays valid as later summands join the components; each structure
+    map places it through the current offsets.
 
     Subclasses say what a summand is: the catalogue at a key with the
     generator key of each vertex of each object (``_canonical``), an
-    object's position in it (``_position``), the summand tuple
-    (``_summand``, None when it vanishes), the lift of a basis vector
-    (``_lift``), the match of a rearranged object (``_match``) with the
-    projection back onto the summand (``_project``), the rearrangements
-    ``_swapped`` (legs j and j + 1 swapped), ``_grafted`` and
-    ``_expanded`` of summand records, and the plan along which
-    ``evaluation`` composes a summand in a target (``_plan``).
+    object's position in it (``_position``), the coinvariants of an
+    object's tensor data (``_coinvariants``, None for trees), the lift
+    of a basis vector (``_lift``), the match of a rearranged object
+    (``_match``) with the projection back onto the summand
+    (``_project``), the rearrangements ``_swapped`` (legs j and j + 1
+    swapped), ``_grafted`` and ``_expanded`` of summand records, and the
+    plan along which ``evaluation`` composes a summand in a target
+    (``_plan``).
     """
 
     def __init__(self, gens, shape):
@@ -255,9 +245,8 @@ class _FreeBuilder:
         # what the generators are attached along:
         # key -> degree -> {summand object: Matrix}
         self.attachments = {}
-        self.summands = {}
-        self.layouts = {}
-        self._records = {}  # key -> the _Summand of each summand, in order
+        self.summands = {}  # key -> its _Summand records, in layout order
+        self.dims = {}      # key -> degree -> the component's dimension
         self._at = {}       # key -> {catalogue position: _Summand}
         # key -> the catalogue entries (place, pos, object, types) some of
         # whose vertices carry no generators yet
@@ -282,10 +271,9 @@ class _FreeBuilder:
                 pos = (place if catalogue is objects
                        else self._position(key, obj))
                 self._waiting[key].append((place, pos, obj, types[pos]))
-            self._records[key] = []
             self._at[key] = {}
             self.summands[key] = []
-            self.layouts[key] = Layout([])
+            self.dims[key] = {}
         self.add(gens)
 
     def add(self, gens, attachments=None):
@@ -294,7 +282,8 @@ class _FreeBuilder:
         object: Matrix}, rows the summand's basis in d - 1).  Each
         catalogue object whose vertices now all carry generators joins
         its component, in catalogue order, unless its summand vanishes.
-        A key's generators and attachments are set once, together."""
+        A key's generators and attachments are set once, together; the
+        blocks of a degree are checked as ``placed`` checks them."""
         attachments = attachments or {}
         if gens.keys() & self.gens.keys() \
                 or not attachments.keys() <= gens.keys():
@@ -307,24 +296,30 @@ class _FreeBuilder:
                 continue
             self._waiting[key] = [e for e in waiting
                                   if not self.gens.keys() >= set(e[3])]
-            records = self._records[key]
+            records = self.summands[key]
             for place, pos, obj, types in ready:
                 td = self._tensors.get(types)
                 if td is None:
                     td = self._tensors[types] = TensorData(
                         tuple(self.gens[t].complex for t in types))
-                item = None if td.complex.is_zero() else self._summand(obj, td)
-                if item is not None:
-                    rec = _Summand(key, pos, place, item, list(types),
-                                   [self._gen_action(t) for t in types])
+                if td.complex.is_zero():
+                    continue
+                rec = _Summand(key, pos, place, obj, td,
+                               self._coinvariants(obj, td), list(types),
+                               [self._gen_action(t) for t in types])
+                if not rec.complex.is_zero():
                     records.append(rec)
                     self._at[key][pos] = rec
             records.sort(key=lambda rec: rec.place)
-            for s, rec in enumerate(records):
-                rec.s = s
-            self.summands[key] = [rec.item for rec in records]
-            self.layouts[key] = Layout([item[-1].complex
-                                        for item in self.summands[key]])
+            dims = self.dims[key] = {}
+            for rec in records:
+                rec.offsets = {}
+                for deg, d in rec.complex.dims.items():
+                    rec.offsets[deg] = dims.get(deg, 0)
+                    dims[deg] = dims.get(deg, 0) + d
+        for key, blocks_by_degree in attachments.items():
+            for d, blocks in blocks_by_degree.items():
+                self._checked(key, d - 1, blocks)
         if attachments:
             self.attachments.update(attachments)
             self._att_cols = None
@@ -353,40 +348,45 @@ class _FreeBuilder:
             raise KeyError("summand not present")
         return rec
 
-    def summand_index(self, key, obj):
-        return self._record(key, obj).s
-
-    def vertex_types(self, key, s):
-        return self._records[key][s].types
-
     def corolla_summand(self, key):
-        """The summand of a component holding its own generators (one
-        vertex, of type key), or None.  A one-vertex graph with a loop
-        is not the corolla: its vertex has another type."""
-        for s in range(len(self.summands[key])):
-            if self.vertex_types(key, s) == [key]:
-                return s
-        return None
+        """The record of the summand of a component holding its own
+        generators (one vertex, of type key), or None.  A one-vertex
+        graph with a loop is not the corolla: its vertex has another
+        type."""
+        return next((rec for rec in self.summands[key] if rec.types == [key]),
+                    None)
 
     def summand_blocks(self, key, degree, m):
         """The nonzero row blocks {summand object: Matrix} of m, whose
         rows are the component at key in the given degree."""
-        layout = self.layouts[key]
         blocks = {}
-        for s, (obj, *_) in enumerate(self.summands[key]):
-            off = layout.offset(s, degree)
-            rows = m.sparse[off:off + layout.complexes[s].dim(degree)]
+        for rec in self.summands[key]:
+            off = rec.offsets.get(degree, 0)
+            rows = m.sparse[off:off + rec.complex.dim(degree)]
             if any(rows):
-                blocks[obj] = Matrix._trusted(len(rows), m.cols, rows)
+                blocks[rec.obj] = Matrix._trusted(len(rows), m.cols, rows)
         return blocks
+
+    def _checked(self, key, degree, blocks):
+        """[(_Summand, Matrix)] of row blocks {summand object: Matrix} on
+        the component at key in the given degree; a ValueError unless
+        there are some, each with its summand's rows, all with one
+        column count."""
+        placed = [(self._record(key, obj), m) for obj, m in blocks.items()]
+        if len({m.cols for _, m in placed}) != 1 or any(
+                m.rows != rec.complex.dim(degree) for rec, m in placed):
+            raise ValueError(f"blocks at {key} in degree {degree}: want "
+                             "some, each with its summand's rows, all with "
+                             "one column count")
+        return placed
 
     def placed(self, key, degree, blocks):
         """One matrix on the component at key in the given degree from
-        its row blocks {summand object: Matrix}."""
-        layout = self.layouts[key]
-        rows = [()] * layout.dim(degree)
-        for obj, m in blocks.items():
-            off = layout.offset(self.summand_index(key, obj), degree)
+        its row blocks {summand object: Matrix} (``_checked``)."""
+        placed = self._checked(key, degree, blocks)
+        rows = [()] * self.dims[key].get(degree, 0)
+        for rec, m in placed:
+            off = rec.offsets.get(degree, 0)
             rows[off:off + m.rows] = m.sparse
         return Matrix._trusted(len(rows), m.cols, tuple(rows))
 
@@ -397,18 +397,17 @@ class _FreeBuilder:
         but the corolla, in this order."""
         m = self.placed(key, degree, blocks)
         corolla = self.corolla_summand(key)
-        layout = self.layouts[key]
-        off = layout.offset(corolla, degree)
-        end = off + layout.complexes[corolla].dim(degree)
+        off = corolla.offsets.get(degree, 0)
+        end = off + corolla.complex.dim(degree)
         rows = m.sparse[:off] + m.sparse[end:]
         return Matrix._trusted(len(rows), m.cols, rows)
 
-    def _columns(self, key, s):
+    @staticmethod
+    def _columns(rec):
         """(degree, summand column, component column) of each basis
-        vector of summand s."""
-        layout = self.layouts[key]
-        for deg, dim in layout.complexes[s].dims.items():
-            off = layout.offset(s, deg)
+        vector of a summand."""
+        for deg, dim in rec.complex.dims.items():
+            off = rec.offsets[deg]
             for col in range(dim):
                 yield deg, col, off + col
 
@@ -423,7 +422,7 @@ class _FreeBuilder:
         rec = self._at[key].get(match[0])
         return None if rec is None else (rec, match)
 
-    def _local(self, key, found, actions, labels):
+    def _local(self, found, actions, labels):
         """The tensor labels [(label, coeff)] of a rearranged object,
         matched onto its summand as ``found`` (``_found``), in that
         summand's own coordinates: (its _Summand, [((degree, row),
@@ -435,16 +434,15 @@ class _FreeBuilder:
         sigmas = match[1]
         local = {}
         push_labels(match, {p: _twist(self._twists, actions[p], sigmas[p])
-                            for p in match[4]}, rec.item[1], labels, local)
-        return rec, list(self._project(key, rec.s, local))
+                            for p in match[4]}, rec.td, labels, local)
+        return rec, list(self._project(rec, local))
 
-    def _push(self, key, found, actions, labels):
+    def _push(self, found, actions, labels):
         """``_local`` in component coordinates {(degree, row): coeff}."""
-        rec, local = self._local(key, found, actions, labels)
+        rec, local = self._local(found, actions, labels)
         if rec is None:
             return {}
-        layout = self.layouts[key]
-        return {(deg, layout.offset(rec.s, deg) + pos): coeff
+        return {(deg, rec.offsets[deg] + pos): coeff
                 for (deg, pos), coeff in local}
 
     # -- components and structure maps -----------------------------------------
@@ -455,27 +453,28 @@ class _FreeBuilder:
         return self._component_complex(key, keep=True)
 
     def _component_complex(self, key, keep):
-        layout = self.layouts[key]
-        cols = {deg: {} for deg in layout.dims}
-        for s, cc in enumerate(layout.complexes):
-            dcols = {d: m.transpose().sparse for d, m in cc.diff.items()}
-            terms = self._kept(self._terms, self._records[key][s], keep,
-                               lambda: self._attachment_terms(key, s))
-            for deg, col, gcol in self._columns(key, s):
+        dims = self.dims[key]
+        cols = {deg: {} for deg in dims}
+        for rec in self.summands[key]:
+            dcols = {d: m.transpose().sparse
+                     for d, m in rec.complex.diff.items()}
+            terms = self._kept(self._terms, rec, keep,
+                               lambda: self._attachment_terms(rec))
+            for deg, col, gcol in self._columns(rec):
                 column = cols[deg].setdefault(gcol, {})
                 if deg in dcols:
-                    off = layout.offset(s, deg - 1)
+                    off = rec.offsets.get(deg - 1, 0)
                     for r, c in dcols[deg][col]:
                         column[off + r] = column.get(off + r, F0) + c
                 for target, local in terms.get((deg, col), ()):
                     for (d, pos), c in local:
-                        r = layout.offset(target.s, d) + pos
+                        r = target.offsets[d] + pos
                         column[r] = column.get(r, F0) + c
         # ChainComplex drops the zero ones
-        diff = {deg: _assemble(layout.dim(deg - 1), layout.dim(deg), {
+        diff = {deg: _assemble(dims.get(deg - 1, 0), dims[deg], {
             gcol: sparse_row(column) for gcol, column in entries.items()})
             for deg, entries in cols.items()}
-        return ChainComplex(dict(layout.dims), diff)
+        return ChainComplex(dict(dims), diff)
 
     @staticmethod
     def _kept(store, k, keep, work):
@@ -488,19 +487,19 @@ class _FreeBuilder:
             store[k] = value
         return value
 
-    def _attachment_terms(self, key, s):
-        """The attachment terms of d on each basis vector of summand s:
+    def _attachment_terms(self, rec):
+        """The attachment terms of d on each basis vector of a summand:
         each vertex in turn expanded into the attachment image of its
         generator, with the Koszul sign of the vertices before it.
         Returns {(degree, column): [(_Summand, local terms)]}."""
-        rec = self._records[key][s]
+        key = rec.key
         att_cols = self._attachment_columns()
         if all(t not in att_cols for t in rec.types):
             return {}
         terms = {}
-        for deg, dim in rec.item[-1].complex.dims.items():
+        for deg, dim in rec.complex.dims.items():
             for col in range(dim):
-                lifted = self._lift(key, s, deg, col)
+                lifted = self._lift(rec, deg, col)
                 found = []
                 for v, vkey in enumerate(rec.types):
                     att = att_cols.get(vkey)
@@ -520,9 +519,9 @@ class _FreeBuilder:
                                 labels = [(label[:v] + tuple(sl)
                                            + label[v + 1:], c * scale)
                                           for sl, c in self._lift(
-                                              vkey, sub.s, dv - 1, local)]
+                                              sub, dv - 1, local)]
                                 target, out = self._local(
-                                    key, expanded,
+                                    expanded,
                                     rec.actions[:v] + sub.actions
                                     + rec.actions[v + 1:], labels)
                                 if target is not None:
@@ -541,41 +540,41 @@ class _FreeBuilder:
         """``action_generator``; each summand's columns under s_j, in
         its image's own coordinates, are kept for finish when ``keep``,
         else taken out of the store."""
-        layout = self.layouts[key]
+        dims = self.dims[key]
         cols = {}
-        for s, rec in enumerate(self._records[key]):
+        for rec in self.summands[key]:
             image = self._kept(self._images, (rec, j), keep,
-                               lambda: self._image_columns(key, s, j))
+                               lambda: self._image_columns(rec, j))
             for deg, col, (target, local) in image:
-                gcol = layout.offset(s, deg) + col
+                gcol = rec.offsets[deg] + col
                 for (tdeg, pos), c in local:
                     cols.setdefault(tdeg, {}).setdefault(gcol, {})[
-                        layout.offset(target.s, tdeg) + pos] = c
+                        target.offsets[tdeg] + pos] = c
         return ChainMap(component, component, {
-            deg: _assemble(layout.dim(deg), layout.dim(deg),
+            deg: _assemble(dims[deg], dims[deg],
                            {gcol: sparse_row(c) for gcol, c in e.items()})
             for deg, e in cols.items()}, check=False)
 
-    def _image_columns(self, key, s, j):
+    def _image_columns(self, rec, j):
         """[(degree, column, ``_local`` image under s_j)] for each basis
-        vector of summand s, through its one image (``_swapped``)."""
-        rec = self._records[key][s]
+        vector of a summand, through its one image (``_swapped``)."""
+        key = rec.key
         found = self._found(key, ("image", key, rec.pos, j),
                             lambda: self._swapped(rec, j))
-        return [(deg, col, self._local(key, found, rec.actions,
-                                       self._lift(key, s, deg, col)))
-                for deg, dim in rec.item[-1].complex.dims.items()
+        return [(deg, col, self._local(found, rec.actions,
+                                       self._lift(rec, deg, col)))
+                for deg, dim in rec.complex.dims.items()
                 for col in range(dim)]
 
     def composition_table(self, key1, i, key2):
         table = CompTable()
         tkey = self.shape.comp_target(key1, i, key2)
-        for s1, rec1 in enumerate(self._records[key1]):
-            lifts1 = [(deg, k, self._lift(key1, s1, deg, c))
-                      for deg, c, k in self._columns(key1, s1)]
-            for s2, rec2 in enumerate(self._records[key2]):
-                lifts2 = [(deg, k, self._lift(key2, s2, deg, c))
-                          for deg, c, k in self._columns(key2, s2)]
+        for rec1 in self.summands[key1]:
+            lifts1 = [(deg, k, self._lift(rec1, deg, c))
+                      for deg, c, k in self._columns(rec1)]
+            for rec2 in self.summands[key2]:
+                lifts2 = [(deg, k, self._lift(rec2, deg, c))
+                          for deg, c, k in self._columns(rec2)]
                 found = self._found(
                     tkey, ("graft", key1, rec1.pos, i, key2, rec2.pos),
                     lambda: self._grafted(rec1, i, rec2))
@@ -584,7 +583,7 @@ class _FreeBuilder:
                     for deg2, k2, lift2 in lifts2:
                         labels = [(l1 + l2, a * b) for l1, a in lift1
                                   for l2, b in lift2]
-                        out = self._push(tkey, found, actions, labels)
+                        out = self._push(found, actions, labels)
                         for (_, row), c in out.items():
                             table.add(deg1, k1, deg2, k2, row, c)
         return table
@@ -613,7 +612,7 @@ class _FreeBuilder:
         for trip in shape.contr_keys():
             if {trip[0], shape.contr_target(trip[0])} <= actions.keys():
                 tab = self.contraction_table(*trip)
-                if tab.entries:
+                if not tab.is_zero():
                     contr_tables[trip] = tab
         op = shape.remake(actions, comp_tables, contr_tables, shape.window,
                           None)
@@ -629,7 +628,7 @@ class _FreeBuilder:
         return {d: _assemble(target.dim(d), n, dict(enumerate(
             fixed for fixed, _ in self.evaluate(
                 dst, images, key, d, [((c, F1),) for c in range(n)]))))
-            for d, n in self.layouts[key].dims.items()}
+            for d, n in self.dims[key].items()}
 
     def evaluate(self, dst, images, key, degree, vectors, gen=None):
         """The images in dst of sparse vectors of the component at key
@@ -641,26 +640,25 @@ class _FreeBuilder:
         label of those summands is evaluated once per row i, its gen
         vertex's generator j sent to e_i; no summand may have two
         gen-typed vertices."""
-        records = self._records[key]
+        records = self.summands[key]
         if any(rec.types.count(gen) > 1 for rec in records):
             raise ValueError(f"a summand at {key} is not linear in {gen}")
         # the generator images by column, one transpose per (key, degree)
         columns = cache(lambda k, d: images[k].block(d).columns())
-        place = {gcol: (s, col) for s in range(len(records))
-                 for d, col, gcol in self._columns(key, s) if d == degree}
+        place = {gcol: (rec, col) for rec in records
+                 for d, col, gcol in self._columns(rec) if d == degree}
         out = []
         for vec in vectors:
             lifts = {}  # summand -> its labels, times vec's coefficients
             for gcol, x in vec:
-                s, col = place[gcol]
-                lifts.setdefault(s, []).extend(
+                rec, col = place[gcol]
+                lifts.setdefault(rec, []).extend(
                     (label, c if x == 1 else c * x)
-                    for label, c in self._lift(key, s, degree, col))
+                    for label, c in self._lift(rec, degree, col))
             acc = {}  # None (gen's summands left out) or (d, i, j) -> image
-            for s, lifted in lifts.items():
-                rec = records[s]
+            for rec, lifted in lifts.items():
                 if rec not in self._plans:
-                    self._plans[rec] = self._plan(key, s)
+                    self._plans[rec] = self._plan(rec)
                 parts = [(None, lifted, columns)]
                 if gen in rec.types:
                     v, groups = rec.types.index(gen), {}
@@ -704,11 +702,11 @@ class FreeOperadBuilder(_FreeBuilder):
         return T.tree_tables(n)[3].get(
             T.clade_code(sum(f) for f in tree.slot_masks()))
 
-    def _summand(self, tree, td):
-        return tree, td
+    def _coinvariants(self, tree, td):
+        return None
 
-    def _lift(self, n, s, deg, col):
-        return ((self.summands[n][s][1].basis(deg)[col], F1),)
+    def _lift(self, rec, deg, col):
+        return ((rec.td.basis(deg)[col], F1),)
 
     def _match(self, n, factors):
         """The match (``_matched``) of the rearranged tree of arity n
@@ -724,7 +722,7 @@ class FreeOperadBuilder(_FreeBuilder):
             (c & -c, k) for k, c in enumerate(f, 1)))) for f in factors]
         return _matched(pos, sigmas, [clades[pos].index(c) for c in own])
 
-    def _project(self, n, s, local):
+    def _project(self, rec, local):
         return local.items()
 
     @staticmethod
@@ -759,12 +757,12 @@ class FreeOperadBuilder(_FreeBuilder):
                   for c in f)
             for f in self._masks(sub)), *masks[v + 1:]]
 
-    def _plan(self, n, s):
+    def _plan(self, rec):
         """Compose each child subtree into its parent as soon as it is
         complete, the vertices pushed in preorder; the composite's legs
         are the tree's leaves in preorder."""
-        tree = self.summands[n][s][0]
-        vertices = enumerate(self.vertex_types(n, s))
+        tree = rec.obj
+        vertices = enumerate(rec.types)
         steps = []
 
         def walk(node):
@@ -783,7 +781,7 @@ class FreeOperadBuilder(_FreeBuilder):
 
         walk(tree)
         relabel = Permutation(tree.leaves()).inverse()
-        return (steps, (), n,
+        return (steps, (), rec.key,
                 None if relabel.is_identity() else relabel)
 
 
@@ -819,9 +817,8 @@ class FreeModularBuilder(_FreeBuilder):
         return T._catalog_index(*key).get(
             (graph.genera, graph.legs, graph.edges))
 
-    def _summand(self, graph, td):
-        coin = coinvariants(td.complex, self._automorphism_maps(graph, td))
-        return None if coin.complex.is_zero() else (graph, td, coin)
+    def _coinvariants(self, graph, td):
+        return coinvariants(td.complex, self._automorphism_maps(graph, td))
 
     def _automorphism_maps(self, graph, td):
         """The chain maps of every automorphism of the graph on td, the
@@ -846,12 +843,10 @@ class FreeModularBuilder(_FreeBuilder):
                                     for v in range(graph.n_vertices)],
                            sigmas, vperm)
 
-    def _lift(self, key, s, deg, col):
-        rec = self._records[key][s]
-        _, td, coin = rec.item
+    def _lift(self, rec, deg, col):
         if (rec, deg) not in self._lifts:
-            self._lifts[rec, deg] = coin.inclusion.block(deg).columns()
-        basis = td.basis(deg)
+            self._lifts[rec, deg] = rec.coin.inclusion.block(deg).columns()
+        basis = rec.td.basis(deg)
         return [(basis[r], c) for r, c in self._lifts[rec, deg][col]]
 
     def _match(self, key, concrete):
@@ -859,8 +854,8 @@ class FreeModularBuilder(_FreeBuilder):
         return _matched(match.index, match.slot_perms.values(),
                         match.vertex_map)
 
-    def _project(self, key, s, local):
-        coin = self.summands[key][s][2]
+    def _project(self, rec, local):
+        coin = rec.coin
         for deg in set(d for d, _ in local):
             vec = sparse_row({pos: c for (d, pos), c in local.items()
                               if d == deg})
@@ -869,37 +864,37 @@ class FreeModularBuilder(_FreeBuilder):
 
     def _swapped(self, rec, j):
         """s_j on a summand's graph: legs j and j + 1 swapped."""
-        return T.relabel_legs(T.concrete_from_canonical(rec.item[0]),
+        return T.relabel_legs(T.concrete_from_canonical(rec.obj),
                               Permutation.transposition(rec.key[1], j))
 
     def _grafted(self, rec1, i, rec2):
-        return T.graft_graphs(T.concrete_from_canonical(rec1.item[0]), i,
-                              T.concrete_from_canonical(rec2.item[0]))
+        return T.graft_graphs(T.concrete_from_canonical(rec1.obj), i,
+                              T.concrete_from_canonical(rec2.obj))
 
     def _expanded(self, rec, v, sub):
-        return T.expand_vertex(T.concrete_from_canonical(rec.item[0]), v,
-                               T.concrete_from_canonical(sub.item[0]))
+        return T.expand_vertex(T.concrete_from_canonical(rec.obj), v,
+                               T.concrete_from_canonical(sub.obj))
 
     def contraction_table(self, key, i, j):
         table = CompTable()
         tkey = self.shape.contr_target(key)
-        for s, rec in enumerate(self._records[key]):
+        for rec in self.summands[key]:
             found = self._found(tkey, ("glue", key, rec.pos, i, j),
                                 lambda: T.self_glue(T.concrete_from_canonical(
-                                    rec.item[0]), i, j))
-            for deg, col, k in self._columns(key, s):
-                out = self._push(tkey, found, rec.actions,
-                                 self._lift(key, s, deg, col))
+                                    rec.obj), i, j))
+            for deg, col, k in self._columns(rec):
+                out = self._push(found, rec.actions,
+                                 self._lift(rec, deg, col))
                 for (_, row), c in out.items():
                     table.add(deg, k, row, c)
         return table
 
-    def _plan(self, key, s):
+    def _plan(self, rec):
         """Glue the vertices on to vertex 0 along the spanning tree that
         always takes the least edge out of the glued set, each glued
         slot cycled to the front of its vertex; then contract the other
         edges in index order.  Slots are named as in ``leg_order``."""
-        graph = self.summands[key][s][0]
+        key, graph = rec.key, rec.obj
         order = [0]  # the vertices in the order they are glued on
         genus, slots = graph.genera[0], list(graph.leg_order(0))
         steps = [(0, graph.vertex_type(0), None)]
@@ -1073,7 +1068,7 @@ def endomorphism_modular_operad(v: ChainComplex, pairing,
                 coeff, rest = paired(lab, i, j)
                 if coeff != 0:
                     table.add(deg, k, tdt.index(rest)[1], coeff)
-        if table.entries:
+        if not table.is_zero():
             op.contr[(key, i, j)] = table
     return op
 

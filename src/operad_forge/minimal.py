@@ -325,7 +325,7 @@ def is_minimal(op):
             return False, op.level(key)
         corolla = builder.corolla_summand(key)
         if corolla is not None and any(
-                builder.summands[key][corolla][0] in blocks
+                corolla.obj in blocks
                 for blocks in builder.attachments.get(key, {}).values()):
             return False, op.level(key)
     return True, None
@@ -336,9 +336,8 @@ def is_minimal(op):
 
 def _count_type_vertices(builder, ckey, gen_key):
     """Max count of gen_key-typed vertices over the summands of ckey."""
-    return max((builder.vertex_types(ckey, s).count(gen_key)
-                for s in range(len(builder.summands.get(ckey, [])))),
-               default=0)
+    return max((rec.types.count(gen_key)
+                for rec in builder.summands.get(ckey, [])), default=0)
 
 
 def _assign_c_keys(op, gen_keys):

@@ -74,9 +74,12 @@ class Tree(_Frozen):
         return [len(v.children) for v in self.vertices()]
 
     def sort_key(self):
+        """The flat preorder code: (0, label) for a leaf, (1, k) then
+        the children's codes for a vertex with k children.  Codes are
+        prefix-free, so they order trees as the nested codes do."""
         if self.is_leaf:
             return (0, self.label)
-        return (1, len(self.children), tuple(c.sort_key() for c in self.children))
+        return sum(map(Tree.sort_key, self.children), (1, len(self.children)))
 
     def slot_masks(self):
         """The leaf sets of each vertex's children as bitmasks (leaf j is

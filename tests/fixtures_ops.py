@@ -5,7 +5,7 @@ from fractions import Fraction
 from operad_forge.chain import ChainComplex, ChainMap
 from operad_forge.free import free_modular_operad, free_operad
 from operad_forge.operad import CompTable, DGOperad, ideal_closure, quotient
-from operad_forge.qlinalg import Matrix, sparse_row
+from operad_forge.qlinalg import Matrix
 from operad_forge.sigma import (
     GroupAction,
     ModularSigmaModule,
@@ -78,18 +78,17 @@ def hypercommutative_presentation(max_arity):
     seeds = {}
     for n in range(3, max_arity + 1):
         deg = 2 * (n - 3)
-        layout = free.free.layouts[n]
-        vec = [Fraction(0)] * layout.dim(deg)
-        for s, (tree, _) in enumerate(free.free.summands[n]):
-            verts = tree.vertices()
+        blocks = {}
+        for rec in free.free.summands[n]:
+            verts = rec.obj.vertices()
             if len(verts) != 2:
                 continue
             inner = set(verts[1].leaves())
-            if {1, 2} <= inner and 3 not in inner:
-                vec[layout.offset(s, deg)] += 1
-            if {2, 3} <= inner and 1 not in inner:
-                vec[layout.offset(s, deg)] -= 1
-        seeds[n] = {deg: [sparse_row(dict(enumerate(vec)))]}
+            sign = ({1, 2} <= inner and 3 not in inner) \
+                - ({2, 3} <= inner and 1 not in inner)
+            if sign:
+                blocks[rec.obj] = Matrix.from_rows([[sign]])
+        seeds[n] = {deg: list(free.free.placed(n, deg, blocks).columns())}
     return free, seeds
 
 
@@ -107,13 +106,13 @@ def moduli_quotient(window):
         for g, l in stable_pairs_up_to(window)})
     free = free_modular_operad(module, window)
     seeds = {}
-    for (g, l), items in free.free.summands.items():
+    for (g, l), records in free.free.summands.items():
         if g or l < 4:
             continue
         deg = 2 * (l - 4)
-        layout = free.free.layouts[(g, l)]
-        vec = {}
-        for s, (graph, *_) in enumerate(items):
+        blocks = {}
+        for rec in records:
+            graph = rec.obj
             if graph.n_vertices != 2:
                 continue
             inner = {j for j, v in enumerate(graph.legs, 1)
@@ -121,6 +120,7 @@ def moduli_quotient(window):
             sign = ({1, 2} <= inner and 3 not in inner) \
                 - ({2, 3} <= inner and 1 not in inner)
             if sign:
-                vec[layout.offset(s, deg)] = Fraction(sign)
-        seeds[(g, l)] = {deg: [sparse_row(vec)]}
+                blocks[graph] = Matrix.from_rows([[sign]])
+        seeds[(g, l)] = {
+            deg: list(free.free.placed((g, l), deg, blocks).columns())}
     return quotient(free, ideal_closure(free, seeds))[0]

@@ -160,6 +160,17 @@ GUARDS = [
           "key attachment blocks by summand object; let the free builder "
           "place them",
           [absent(r"locate\("), absent(r"\.offset\(", PKG + "minimal.py")]),
+    Guard("One summand record",
+          "a free builder's summand has one handle, its _Summand record "
+          "(object, tensor data, coinvariants, complex and offsets in the "
+          "component); summands[key] lists the records and dims[key] the "
+          "component's dimensions, and every per-summand method takes the "
+          "record, not a (key, index) pair",
+          "keep a summand's facts on its _Summand record and pass the record; "
+          "no Layout, layouts, _records, summand tuple (.item), "
+          "vertex_types or summand_index",
+          [absent(r"class Layout\b|\.layouts\b|\b_records\b|\.item\b|"
+                  r"def vertex_types\b|def summand_index\b")]),
     Guard("One tower record",
           "a model's generators and attachments are its free builder's "
           "(op.free.gens, op.free.attachments); no second record keeps them",

@@ -1120,8 +1120,8 @@ def reorder_map(td: TensorData, perm_images):
 
 # -- reference tree enumeration --------------------------------------------
 # ``trees.enumerate_trees`` once built every subtree anew for each set
-# partition it sat in; kept as the reference for the shared-subtree
-# catalogue.
+# partition it sat in and sorted by a nested key; kept as the reference
+# for the shared-subtree catalogue and its flat sort key.
 
 
 def _reference_trees_on(labels):
@@ -1138,13 +1138,21 @@ def _reference_trees_on(labels):
     return out
 
 
+def _nested_sort_key(t):
+    """The catalogue order's first key: (0, label) for a leaf, (1, k,
+    the tuple of the children's keys) for a vertex with k children."""
+    if t.is_leaf:
+        return (0, t.label)
+    return (1, len(t.children), tuple(_nested_sort_key(c) for c in t.children))
+
+
 def reference_enumerate_trees(n):
-    """The reduced trees with leaves 1..n, sorted as the catalogue, with
+    """The reduced trees with leaves 1..n, sorted by the nested key, with
     no subtree shared."""
     if n < 2:
         return ()
     trees = _reference_trees_on(tuple(range(1, n + 1)))
-    return tuple(sorted(trees, key=Tree.sort_key))
+    return tuple(sorted(trees, key=_nested_sort_key))
 
 
 # -- reference tree match --------------------------------------------------

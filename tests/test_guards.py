@@ -32,6 +32,7 @@ BREAKS = {
          '    def __hash__(self):\n        return hash(self.images)\n'),
     "Attachments in summand coordinates":
         ("minimal.py", None, "_at = layout.offset(summand)"),
+    "One summand record": ("minimal.py", None, "_layout = op.free.layouts"),
     "One tower record": ("minimal.py", None, "_gens = op.tower.gens"),
     "One evaluation route":
         ("free.py", "    def evaluation(self, dst, images, key):",

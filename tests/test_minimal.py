@@ -90,7 +90,7 @@ def massey_minimal_operad():
     ga3 = GroupAction.trivial(3, ChainComplex({3: 1}))
     builder = FreeOperadBuilder({2: ga2}, 4)
     builder.add({3: ga3}, {3: {3: {
-        tree: Matrix.from_rows([[1]]) for tree, _ in builder.summands[3]}}})
+        rec.obj: Matrix.from_rows([[1]]) for rec in builder.summands[3]}}})
     return builder.finish()
 
 
@@ -313,7 +313,7 @@ class TestIsMinimal:
         builder = FreeOperadBuilder({}, 3)
         corolla = enumerate_trees(2)[0]
         builder.add({2: ga}, {2: {1: {corolla: Matrix.from_rows([[1]])}}})
-        assert builder.summands[2][builder.corolla_summand(2)][0] == corolla
+        assert builder.corolla_summand(2).obj == corolla
         P = builder.finish()
         assert validate(P) == []
         assert is_minimal(P) == (False, 2)
@@ -711,7 +711,7 @@ class TestEvaluate:
             model, {**images, gen: _unit_g_map(vc, qc, *u)}, ckey)
             for u in units}
         linear_seen = False
-        for d, n in builder.layouts[ckey].dims.items():
+        for d, n in builder.dims[ckey].items():
             vectors = [_random_sparse(rng, n) for _ in range(4)]
             got = builder.evaluate(model, images, ckey, d, vectors, gen=gen)
             assert len(got) == len(vectors)
@@ -1066,15 +1066,15 @@ class TestOneBuilderPerModel:
         counts = {}
         image, terms = cls._image_columns, cls._attachment_terms
 
-        def counted_image(self, key, s, j):
-            k = ("image", key, self.summands[key][s][0], j)
+        def counted_image(self, rec, j):
+            k = ("image", rec.key, rec.obj, j)
             counts[k] = counts.get(k, 0) + 1
-            return image(self, key, s, j)
+            return image(self, rec, j)
 
-        def counted_terms(self, key, s):
-            k = ("derivation", key, self.summands[key][s][0])
+        def counted_terms(self, rec):
+            k = ("derivation", rec.key, rec.obj)
             counts[k] = counts.get(k, 0) + 1
-            return terms(self, key, s)
+            return terms(self, rec)
 
         monkeypatch.setattr(cls, "_image_columns", counted_image)
         monkeypatch.setattr(cls, "_attachment_terms", counted_terms)
@@ -1092,10 +1092,10 @@ class TestOneBuilderPerModel:
         mm = minimal_model(p, seed=5)
         builder = mm.operad.free
         want = set()
-        for key, items in builder.summands.items():
-            for obj, *_ in items:
-                want.add(("derivation", key, obj))
-                want |= {("image", key, obj, j)
+        for key, records in builder.summands.items():
+            for rec in records:
+                want.add(("derivation", key, rec.obj))
+                want |= {("image", key, rec.obj, j)
                          for j in range(1, p.legs(key))}
         assert set(counts) == want
         assert set(counts.values()) == {1}

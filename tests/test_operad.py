@@ -209,7 +209,7 @@ def _reference_push_label(factor_actions, sigmas, label, perm_images,
 
 
 def _reference_match(builder, key, obj):
-    objects = [item[0] for item in builder.summands[key]]
+    objects = [rec.obj for rec in builder.summands[key]]
     if isinstance(builder, FreeOperadBuilder):
         tree, sigmas, perm_images = planar_match(obj)
         return objects.index(tree), sigmas, perm_images
@@ -226,14 +226,13 @@ def _reference_push(builder, key, obj, actions, labels, scale):
     if found is None:
         return {}
     s, sigmas, perm_images = found
-    td = builder.summands[key][s][1]
+    rec = builder.summands[key][s]
     local = {}
     for label, coeff in labels:
-        _reference_push_label(actions, sigmas, label, perm_images, td,
+        _reference_push_label(actions, sigmas, label, perm_images, rec.td,
                               scale * coeff, local)
-    layout = builder.layouts[key]
-    return {(deg, layout.offset(s, deg) + pos): coeff
-            for (deg, pos), coeff in builder._project(key, s, local)}
+    return {(deg, rec.offsets[deg] + pos): coeff
+            for (deg, pos), coeff in builder._project(rec, local)}
 
 
 def _reference_planar_relabel(pnode, mapping):
@@ -254,17 +253,17 @@ def _reference_relabelled(builder, obj, sigma):
 def _reference_action_generator(builder, key, j, component):
     sigma = Permutation.transposition(builder.shape.legs(key), j)
     cols = {}
-    for s, (obj, *_) in enumerate(builder.summands[key]):
-        moved = _reference_relabelled(builder, obj, sigma)
-        actions = [builder.gens[t] for t in builder.vertex_types(key, s)]
-        for deg, col, gcol in builder._columns(key, s):
+    for rec in builder.summands[key]:
+        moved = _reference_relabelled(builder, rec.obj, sigma)
+        actions = [builder.gens[t] for t in rec.types]
+        for deg, col, gcol in builder._columns(rec):
             out = _reference_push(builder, key, moved, actions,
-                                  builder._lift(key, s, deg, col), F1)
+                                  builder._lift(rec, deg, col), F1)
             for (tdeg, row), c in out.items():
                 cols.setdefault(tdeg, {}).setdefault(gcol, {})[row] = c
-    layout = builder.layouts[key]
+    dims = builder.dims[key]
     return ChainMap(component, component, {
-        deg: _assemble(layout.dim(deg), layout.dim(deg),
+        deg: _assemble(dims[deg], dims[deg],
                        {gcol: sparse_row(c) for gcol, c in e.items()})
         for deg, e in cols.items()}, check=False)
 
@@ -371,12 +370,12 @@ class TestTreeMatchAgainstPlanarReference:
         for n1, n2 in itertools.product(range(2, 5), repeat=2):
             if n1 + n2 - 1 > 5:
                 continue
-            for rec1, rec2 in itertools.product(b._records[n1],
-                                                b._records[n2]):
+            for rec1, rec2 in itertools.product(b.summands[n1],
+                                                b.summands[n2]):
                 for i in range(1, n1 + 1):
                     self._assert_same(
                         b._match(n1 + n2 - 1, b._grafted(rec1, i, rec2)),
-                        planar_grafted(rec1.item[0], i, rec2.item[0]))
+                        planar_grafted(rec1.obj, i, rec2.obj))
                     checked += 1
         assert checked == 226
 
@@ -384,22 +383,22 @@ class TestTreeMatchAgainstPlanarReference:
         b = self._builder()
         checked = 0
         for n in range(2, 6):
-            for rec in b._records[n]:
+            for rec in b.summands[n]:
                 for v, k in enumerate(rec.types):
-                    for sub in b._records[k]:
+                    for sub in b.summands[k]:
                         self._assert_same(
                             b._match(n, b._expanded(rec, v, sub)),
-                            planar_expanded(rec.item[0], v, sub.item[0]))
+                            planar_expanded(rec.obj, v, sub.obj))
                         checked += 1
         assert checked == 1903
 
     def test_images(self):
         b = self._builder()
         for n in range(2, 6):
-            for rec in b._records[n]:
+            for rec in b.summands[n]:
                 for j in range(1, n):
                     moved = _reference_relabelled(
-                        b, rec.item[0], Permutation.transposition(n, j))
+                        b, rec.obj, Permutation.transposition(n, j))
                     self._assert_same(b._match(n, b._swapped(rec, j)), moved)
 
 
@@ -409,24 +408,24 @@ def _rearrangements(b):
     summands of a builder."""
     shape = b.shape
     for key in shape.keys():
-        for rec in b._records[key]:
+        for rec in b.summands[key]:
             for j in range(1, shape.legs(key)):
                 yield key, ("image", key, rec.pos, j), b._swapped, (rec, j)
             for v, vkey in enumerate(rec.types):
-                for sub in b._records.get(vkey, ()):
+                for sub in b.summands.get(vkey, ()):
                     yield (key, ("expand", key, rec.pos, v, vkey, sub.pos),
                            b._expanded, (rec, v, sub))
     for key1, i, key2 in shape.comp_keys():
-        for rec1, rec2 in itertools.product(b._records[key1],
-                                            b._records[key2]):
+        for rec1, rec2 in itertools.product(b.summands[key1],
+                                            b.summands[key2]):
             yield (shape.comp_target(key1, i, key2),
                    ("graft", key1, rec1.pos, i, key2, rec2.pos), b._grafted,
                    (rec1, i, rec2))
     for key, i, j in shape.contr_keys():
-        for rec in b._records[key]:
+        for rec in b.summands[key]:
             yield (shape.contr_target(key), ("glue", key, rec.pos, i, j),
                    lambda rec, i, j: trees_module.self_glue(
-                       concrete_from_canonical(rec.item[0]), i, j),
+                       concrete_from_canonical(rec.obj), i, j),
                    (rec, i, j))
 
 
@@ -491,9 +490,9 @@ class TestRearrangementMemo:
                 fresh = b._match(tkey, rearrange(*args))
                 assert free_module._MATCHES[how] == fresh, (name, how)
                 obj = b._canonical(tkey)[0][fresh[0]]
-                objects = [item[0] for item in b.summands[tkey]]
+                objects = [rec.obj for rec in b.summands[tkey]]
                 if obj in objects:
-                    assert found[0].item[0] == obj and found[1] == fresh, \
+                    assert found[0].obj == obj and found[1] == fresh, \
                         (name, how)
                 else:
                     assert found is None, (name, how)
@@ -1064,22 +1063,23 @@ def _reference_evaluation(builder, dst, images, key):
     """builder.evaluation(dst, images, key) by the reference evaluators."""
     columns = functools.cache(lambda k, d: images[k].block(d).columns())
     cols = {}
-    for s, (obj, *_) in enumerate(builder.summands[key]):
-        for deg, col, gcol in builder._columns(key, s):
-            lifted = builder._lift(key, s, deg, col)
+    for rec in builder.summands[key]:
+        obj = rec.obj
+        for deg, col, gcol in builder._columns(rec):
+            lifted = builder._lift(rec, deg, col)
             if isinstance(builder, FreeOperadBuilder):
                 (label, _), = lifted
                 d, vec = ref_evaluate_tree_basis(
-                    dst, obj, _leaf_relabel(obj), builder.vertex_types(key, s),
+                    dst, obj, _leaf_relabel(obj), rec.types,
                     columns, label)
                 res = {d: vec}
             else:
                 res = evaluate_graph_basis(dst, obj, columns, lifted)
             for d, vec in res.items():
                 cols.setdefault(d, {})[gcol] = vec
-    layout, target = builder.layouts[key], dst.component(key)
-    return {d: _assemble(target.dim(d), layout.dim(d), cols.get(d, {}))
-            for d in layout.dims}
+    dims, target = builder.dims[key], dst.component(key)
+    return {d: _assemble(target.dim(d), n, cols.get(d, {}))
+            for d, n in dims.items()}
 
 
 def _odd_modular_generators():
@@ -1245,19 +1245,64 @@ class TestCorollaSummand:
     def test_tree_corolla(self):
         builder = free_operad(trivial_module({2: {0: 1}, 3: {0: 1}}), 4).free
         for n in (2, 3):
-            s = builder.corolla_summand(n)
-            assert len(builder.summands[n][s][0].vertices()) == 1
+            corolla = builder.corolla_summand(n)
+            assert len(corolla.obj.vertices()) == 1
         assert builder.corolla_summand(4) is None
 
     def test_graph_corolla_is_not_the_loop(self):
         builder = free_modular_operad(genus_one_module(), 1).free
         # (1, 1) holds the (0, 3) vertex with a loop, and the corolla
-        assert [builder.vertex_types((1, 1), s)
-                for s in range(len(builder.summands[(1, 1)]))] \
+        assert [rec.types for rec in builder.summands[(1, 1)]] \
             == [[(0, 3)], [(1, 1)]]
-        assert builder.corolla_summand((1, 1)) == 1
-        assert builder.corolla_summand((0, 3)) == 0
+        assert builder.corolla_summand((1, 1)) is builder.summands[(1, 1)][1]
+        assert builder.corolla_summand((0, 3)) is builder.summands[(0, 3)][0]
         assert builder.corolla_summand((0, 4)) is None
+
+
+class TestPlacedBlocks:
+    """``placed`` and the attachment blocks given to ``add`` take row
+    blocks {summand object: Matrix} only when there are some, each has
+    its summand's rows and all have one column count."""
+
+    TERNARY = GroupAction.trivial(3, ChainComplex({1: 1}))
+
+    @staticmethod
+    def _builder():
+        return FreeOperadBuilder(
+            {2: GroupAction.trivial(2, ChainComplex({0: 1}))}, 4)
+
+    def _rejected(self, blocks):
+        """``placed`` at arity 4 in degree 0 and ``add`` of a degree-1
+        ternary generator attached at arity 3 both raise ValueError on
+        the blocks made by ``blocks(objects)`` from the component's
+        first two summand objects."""
+        b = self._builder()
+        with pytest.raises(ValueError):
+            b.placed(4, 0, blocks([rec.obj for rec in b.summands[4][:2]]))
+        b = self._builder()
+        with pytest.raises(ValueError):
+            b.add({3: self.TERNARY}, {3: {1: blocks(
+                [rec.obj for rec in b.summands[3][:2]])}})
+
+    def test_fitting_blocks_are_placed(self):
+        b = self._builder()
+        first, second = (rec.obj for rec in b.summands[4][:2])
+        m = b.placed(4, 0, {first: Matrix.from_rows([[1, 0]]),
+                            second: Matrix.from_rows([[0, 2]])})
+        assert (m.rows, m.cols) == (b.dims[4][0], 2)
+        assert m.sparse[:2] == (((0, F1),), ((1, 2 * F1),))
+
+    def test_rows_must_be_the_summands(self):
+        # a 2-row block on a 1-dimensional summand would overwrite the
+        # next summand's row
+        self._rejected(lambda objs: {objs[0]: Matrix.from_rows([[1], [1]])})
+
+    def test_blocks_must_agree_on_columns(self):
+        self._rejected(lambda objs: {objs[0]: Matrix.from_rows([[1]]),
+                                     objs[1]: Matrix.from_rows([[1, 1]])})
+
+    def test_some_block_is_given(self):
+        self._rejected(lambda objs: {})
 
 
 # -- the closure in rounds against the one-vector closure ---------------------

@@ -29,13 +29,14 @@ from operad_forge import qlinalg as qlinalg_module
 from operad_forge import weight as weight_module
 from operad_forge.chain import ChainComplex, HomologyRecord
 from operad_forge.cubical import CubicChain, interval
-from operad_forge.free import Layout
+from operad_forge.free import FreeOperadBuilder
 from operad_forge.minimal import MinimalModel, PrincipalExtension
 from operad_forge.operad import (
     CompTable,
     OperadIdeal,
     OperadMorphism,
 )
+from operad_forge.sigma import GroupAction
 from operad_forge.weight import (
     FormalityWitness,
     PureEndomorphism,
@@ -440,10 +441,21 @@ class TestRecordClasses:
         assert FormalityWitness(arrows=[], t_operad=None).automorphism is None
 
     def test_computed_fields(self):
+        # a free builder's summand records: offsets are running sums in
+        # layout order, and dims holds their totals
         c = ChainComplex({0: 2, 1: 1})
-        layout = Layout(complexes=[c, c])
-        assert layout.complexes == [c, c]
-        assert layout.offset(1, 0) == 2 and layout.dim(1) == 2
+        builder = FreeOperadBuilder({2: GroupAction.trivial(2, c)}, 3)
+        records = builder.summands[3]
+        assert len(records) == 3
+        assert [rec.place for rec in records] == sorted(
+            rec.place for rec in records)
+        totals = {}
+        for rec in records:
+            assert rec.offsets == {d: totals.get(d, 0)
+                                   for d in rec.complex.dims}
+            for d, n in rec.complex.dims.items():
+                totals[d] = totals.get(d, 0) + n
+        assert builder.dims[3] == totals == {0: 12, 1: 12, 2: 3}
         space = interval()
         cube = space.cubes(1)[0]
         chain = CubicChain(space=space, dim=1, coeffs={cube: 3})

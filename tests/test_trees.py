@@ -147,8 +147,9 @@ class TestEnumerateTrees:
 
     def test_shared_subtrees_against_reference(self):
         """The catalogue builds each tree from shared subtrees: the same
-        trees in the same order as the unshared recursion, every equal
-        subtree one object, and each tree found again by its clade
+        trees in the same order as the unshared recursion sorted by the
+        nested key (the flat ``Tree.sort_key`` orders as it does), every
+        equal subtree one object, and each tree found again by its clade
         code."""
         for n in range(2, 7):
             assert enumerate_trees(n) == reference_enumerate_trees(n)
@@ -485,17 +486,17 @@ class TestSummandIndex:
         builder = FreeOperadBuilder(gens, 5)
         for n in range(2, 6):
             assert builder.summands[n]
-            for s, (tree, _) in enumerate(builder.summands[n]):
-                assert builder.summand_index(n, tree) == s
+            for rec in builder.summands[n]:
+                assert builder._record(n, rec.obj) is rec
         # trees with a ternary vertex carry no generators: not summands
         ternary = [t for t in enumerate_trees(4)
                    if 3 in t.vertex_valences()]
         assert ternary
         for tree in ternary:
             with pytest.raises(KeyError):
-                builder.summand_index(4, tree)
+                builder._record(4, tree)
         with pytest.raises(KeyError):
-            builder.summand_index(3, enumerate_trees(4)[0])
+            builder._record(3, enumerate_trees(4)[0])
 
 
 class TestGraphSpace:
