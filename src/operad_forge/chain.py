@@ -398,10 +398,8 @@ class TensorData:
                 self._index[label] = (n, pos)
         dims = {n: len(items) for n, items in self._basis.items()}
         # the columns of each factor's differentials, as sparse rows
-        dcols = {}
-        for j, f in enumerate(self.factors):
-            for d in f.dims:
-                dcols[j, d] = f.d(d).transpose().sparse
+        dcols = {(j, d): f.d(d).columns()
+                 for j, f in enumerate(self.factors) for d in f.dims}
         diff = {}
         for n, items in self._basis.items():
             rows = len(self._basis.get(n - 1, []))

@@ -102,26 +102,15 @@ def _matched(pos, sigmas, perm_images):
             _twisted(sigmas))
 
 
-def _twist(store, action, sigma):
-    """degree -> the columns of sigma's action on a vertex's generators
-    (``action``), worked out once per ``store``."""
-    cols = store.get((action, sigma))
-    if cols is None:
-        act = action.action(sigma)
-        cols = store[action, sigma] = {d: act.block(d).columns()
-                                       for d in action.complex.dims}
-    return cols
-
-
 def push_labels(match, twists, target_td, labels, out):
     """Push basis labels [(label, coeff)] of a factor sequence into a
     target tensor along a match (``_matched``).
 
     Factor p is first twisted by its slot permutation (as a right
-    action, of columns ``twists[p][d]`` in degree d, ``_twist``), then
-    moved to position ``perm_images[p]`` of the target, with the Koszul
-    sign of the reordering; contributions accumulate in ``out`` keyed by
-    (degree, target index).
+    action, the chain map ``twists[p]``, read off its blocks' columns),
+    then moved to position ``perm_images[p]`` of the target, with the
+    Koszul sign of the reordering; contributions accumulate in ``out``
+    keyed by (degree, target index).
     """
     _, _, perm_images, inversions, twisted = match
     m = len(perm_images)
@@ -135,8 +124,9 @@ def push_labels(match, twists, target_td, labels, out):
         for p in twisted:
             d, k = label[p]
             pos = perm_images[p]
+            col = twists[p].block(d).columns()[k]
             terms = [(t[:pos] + [(d, r)] + t[pos + 1:], c * x)
-                     for t, c in terms for r, x in twists[p][d][k]]
+                     for t, c in terms for r, x in col]
         for t, c in terms:
             key = target_td.index(tuple(t))
             if key in out:
@@ -150,7 +140,7 @@ def _factor_map(td1, td2, actions, sigmas, perm_images):
     permutation ``sigmas[p]`` (through ``actions[p]``) and moves it to
     place ``perm_images[p]``, with the Koszul sign (``push_labels``)."""
     match = _matched(None, sigmas, perm_images)
-    twists = {p: _twist({}, actions[p], sigmas[p]) for p in match[4]}
+    twists = {p: actions[p].action(sigmas[p]) for p in match[4]}
     blocks = {}
     for deg in td1.complex.dims:
         cols = {}
@@ -225,7 +215,9 @@ class _FreeBuilder:
     attaches them level by level.  A key's generators and attachments
     are set once, so the work done on a summand, in its own coordinates,
     stays valid as later summands join the components; each structure
-    map places it through the current offsets.
+    map places it through the current offsets.  The builder keeps no
+    transposes: each block it reads by column keeps its own columns
+    (``Matrix.columns``).
 
     Subclasses say what a summand is: the catalogue at a key with the
     generator key of each vertex of each object (``_canonical``), an
@@ -252,15 +244,13 @@ class _FreeBuilder:
         # whose vertices carry no generators yet
         self._waiting = {}
         self._plans = {}    # _Summand -> its evaluation plan
-        self._tensors = {}  # vertex types -> their TensorData
-        # (vertex action, slot permutation) -> degree -> the columns of
-        # the permutation's action
-        self._twists = {}
-        # until finish: the attachment blocks by column, and the work of
-        # each summand that finish uses again, in the summand's own
-        # coordinates: (_Summand, j) -> its columns under s_j, and
-        # _Summand -> the attachment terms of d on its columns
-        self._att_cols = None
+        # the attachment blocks on their summands: key -> degree ->
+        # [(_Summand, Matrix)]
+        self._attached = {}
+        # until finish: the work of each summand that finish uses again,
+        # in the summand's own coordinates: (_Summand, j) -> its columns
+        # under s_j, and _Summand -> the attachment terms of d on its
+        # columns
         self._images = {}
         self._terms = {}
         for key in shape.keys():
@@ -283,33 +273,45 @@ class _FreeBuilder:
         catalogue object whose vertices now all carry generators joins
         its component, in catalogue order, unless its summand vanishes.
         A key's generators and attachments are set once, together; the
-        blocks of a degree are checked as ``placed`` checks them."""
+        blocks of a degree are checked as ``placed`` checks them, before
+        anything changes, so a rejected add leaves the builder as it was."""
         attachments = attachments or {}
         if gens.keys() & self.gens.keys() \
                 or not attachments.keys() <= gens.keys():
             raise ValueError("a key's generators and attachments are set "
                              "once, together")
-        self.gens.update(gens)
+        all_gens = {**self.gens, **gens}
+        tensors = {}  # vertex types -> their TensorData
+        joining = {}  # key -> {catalogue position: joining _Summand}
         for key, waiting in self._waiting.items():
-            ready = [e for e in waiting if self.gens.keys() >= set(e[3])]
-            if not ready:
-                continue
-            self._waiting[key] = [e for e in waiting
-                                  if not self.gens.keys() >= set(e[3])]
-            records = self.summands[key]
-            for place, pos, obj, types in ready:
-                td = self._tensors.get(types)
+            joining[key] = {}
+            for place, pos, obj, types in waiting:
+                if not all_gens.keys() >= set(types):
+                    continue
+                td = tensors.get(types)
                 if td is None:
-                    td = self._tensors[types] = TensorData(
-                        tuple(self.gens[t].complex for t in types))
+                    td = tensors[types] = TensorData(
+                        tuple(all_gens[t].complex for t in types))
                 if td.complex.is_zero():
                     continue
+                actions = [all_gens[t] for t in types]
                 rec = _Summand(key, pos, place, obj, td,
-                               self._coinvariants(obj, td), list(types),
-                               [self._gen_action(t) for t in types])
+                               self._coinvariants(obj, td, actions),
+                               list(types), actions)
                 if not rec.complex.is_zero():
-                    records.append(rec)
-                    self._at[key][pos] = rec
+                    joining[key][pos] = rec
+        attached = {key: {d: self._checked(key, d - 1, blocks, joining[key])
+                          for d, blocks in blocks_by_degree.items()}
+                    for key, blocks_by_degree in attachments.items()}
+        self.gens.update(gens)
+        for key, waiting in self._waiting.items():
+            self._waiting[key] = [e for e in waiting
+                                  if not all_gens.keys() >= set(e[3])]
+            if not joining[key]:
+                continue
+            self._at[key].update(joining[key])
+            records = self.summands[key]
+            records.extend(joining[key].values())
             records.sort(key=lambda rec: rec.place)
             dims = self.dims[key] = {}
             for rec in records:
@@ -317,33 +319,17 @@ class _FreeBuilder:
                 for deg, d in rec.complex.dims.items():
                     rec.offsets[deg] = dims.get(deg, 0)
                     dims[deg] = dims.get(deg, 0) + d
-        for key, blocks_by_degree in attachments.items():
-            for d, blocks in blocks_by_degree.items():
-                self._checked(key, d - 1, blocks)
-        if attachments:
-            self.attachments.update(attachments)
-            self._att_cols = None
-
-    def _attachment_columns(self):
-        """key -> degree -> [(_Summand, columns)]: the attachment blocks
-        by column, built when first needed after attachments are added."""
-        if self._att_cols is None:
-            self._att_cols = {
-                k: {d: [(self._record(k, obj), m.transpose().sparse)
-                        for obj, m in blocks.items()]
-                    for d, blocks in v.items()}
-                for k, v in self.attachments.items()}
-        return self._att_cols
+        self._attached.update(attached)
+        self.attachments.update(attachments)
 
     def _catalogue(self, key):
         """The catalogue at key in layout order: by default its own."""
         return self._canonical(key)[0]
 
-    def _gen_action(self, key):
-        return self.gens[key]
-
-    def _record(self, key, obj):
-        rec = self._at[key].get(self._position(key, obj))
+    def _record(self, key, obj, joining=None):
+        """A summand object's record at key, present or in joining."""
+        pos = self._position(key, obj)
+        rec = self._at[key].get(pos) or (joining or {}).get(pos)
         if rec is None:
             raise KeyError("summand not present")
         return rec
@@ -367,12 +353,13 @@ class _FreeBuilder:
                 blocks[rec.obj] = Matrix._trusted(len(rows), m.cols, rows)
         return blocks
 
-    def _checked(self, key, degree, blocks):
+    def _checked(self, key, degree, blocks, joining=None):
         """[(_Summand, Matrix)] of row blocks {summand object: Matrix} on
-        the component at key in the given degree; a ValueError unless
-        there are some, each with its summand's rows, all with one
-        column count."""
-        placed = [(self._record(key, obj), m) for obj, m in blocks.items()]
+        the component at key in the given degree, with the summands in
+        joining (``_record``); a ValueError unless there are some, each
+        with its summand's rows, all with one column count."""
+        placed = [(self._record(key, obj, joining), m)
+                  for obj, m in blocks.items()]
         if len({m.cols for _, m in placed}) != 1 or any(
                 m.rows != rec.complex.dim(degree) for rec, m in placed):
             raise ValueError(f"blocks at {key} in degree {degree}: want "
@@ -433,7 +420,7 @@ class _FreeBuilder:
         rec, match = found
         sigmas = match[1]
         local = {}
-        push_labels(match, {p: _twist(self._twists, actions[p], sigmas[p])
+        push_labels(match, {p: actions[p].action(sigmas[p])
                             for p in match[4]}, rec.td, labels, local)
         return rec, list(self._project(rec, local))
 
@@ -456,8 +443,7 @@ class _FreeBuilder:
         dims = self.dims[key]
         cols = {deg: {} for deg in dims}
         for rec in self.summands[key]:
-            dcols = {d: m.transpose().sparse
-                     for d, m in rec.complex.diff.items()}
+            dcols = {d: m.columns() for d, m in rec.complex.diff.items()}
             terms = self._kept(self._terms, rec, keep,
                                lambda: self._attachment_terms(rec))
             for deg, col, gcol in self._columns(rec):
@@ -493,8 +479,7 @@ class _FreeBuilder:
         generator, with the Koszul sign of the vertices before it.
         Returns {(degree, column): [(_Summand, local terms)]}."""
         key = rec.key
-        att_cols = self._attachment_columns()
-        if all(t not in att_cols for t in rec.types):
+        if all(t not in self._attached for t in rec.types):
             return {}
         terms = {}
         for deg, dim in rec.complex.dims.items():
@@ -502,7 +487,7 @@ class _FreeBuilder:
                 lifted = self._lift(rec, deg, col)
                 found = []
                 for v, vkey in enumerate(rec.types):
-                    att = att_cols.get(vkey)
+                    att = self._attached.get(vkey)
                     if not att:
                         continue
                     for label, lcoeff in lifted:
@@ -510,11 +495,11 @@ class _FreeBuilder:
                         if dv not in att:
                             continue
                         sign = -F1 if sum(d for d, _ in label[:v]) % 2 else F1
-                        for sub, cols in att[dv]:
+                        for sub, block in att[dv]:
                             expanded = self._found(key, (
                                 "expand", key, rec.pos, v, vkey, sub.pos),
                                 lambda: self._expanded(rec, v, sub))
-                            for local, coeff in cols[kk]:
+                            for local, coeff in block.columns()[kk]:
                                 scale = sign * lcoeff * coeff
                                 labels = [(label[:v] + tuple(sl)
                                            + label[v + 1:], c * scale)
@@ -616,7 +601,7 @@ class _FreeBuilder:
                     contr_tables[trip] = tab
         op = shape.remake(actions, comp_tables, contr_tables, shape.window,
                           None)
-        self._att_cols, self._images, self._terms = None, {}, {}
+        self._images, self._terms = {}, {}
         op.free = self
         return op
 
@@ -643,8 +628,10 @@ class _FreeBuilder:
         records = self.summands[key]
         if any(rec.types.count(gen) > 1 for rec in records):
             raise ValueError(f"a summand at {key} is not linear in {gen}")
-        # the generator images by column, one transpose per (key, degree)
-        columns = cache(lambda k, d: images[k].block(d).columns())
+
+        def columns(k, d):  # the generator images by column
+            return images[k].block(d).columns()
+
         place = {gcol: (rec, col) for rec in records
                  for d, col, gcol in self._columns(rec) if d == degree}
         out = []
@@ -702,7 +689,7 @@ class FreeOperadBuilder(_FreeBuilder):
         return T.tree_tables(n)[3].get(
             T.clade_code(sum(f) for f in tree.slot_masks()))
 
-    def _coinvariants(self, tree, td):
+    def _coinvariants(self, tree, td, actions):
         return None
 
     def _lift(self, rec, deg, col):
@@ -806,7 +793,6 @@ class FreeModularBuilder(_FreeBuilder):
     """
 
     def __init__(self, gens, max_dim):
-        self._lifts = {}  # (_Summand, degree) -> columns of the inclusion
         super().__init__(gens, ModularOperad(ModularSigmaModule({}), {}, {},
                                              max_dim))
 
@@ -817,21 +803,20 @@ class FreeModularBuilder(_FreeBuilder):
         return T._catalog_index(*key).get(
             (graph.genera, graph.legs, graph.edges))
 
-    def _coinvariants(self, graph, td):
-        return coinvariants(td.complex, self._automorphism_maps(graph, td))
-
-    def _automorphism_maps(self, graph, td):
-        """The chain maps of every automorphism of the graph on td, the
-        identity first."""
+    def _coinvariants(self, graph, td, actions):
+        """The coinvariants of td under the chain maps of every graph
+        automorphism, the vertices acted on by ``actions``."""
         maps = [ChainMap.identity(td.complex)]
         for vperm, slot_map in T.graph_automorphisms(graph):
             if all(vperm[v] == v for v in range(graph.n_vertices)) \
                     and all(slot_map[s] == s for s in slot_map):
                 continue
-            maps.append(self._iso_chain_map(graph, td, vperm, slot_map))
-        return maps
+            maps.append(self._iso_chain_map(graph, td, actions, vperm,
+                                            slot_map))
+        return coinvariants(td.complex, maps)
 
-    def _iso_chain_map(self, graph, td, vperm, slot_map):
+    @staticmethod
+    def _iso_chain_map(graph, td, actions, vperm, slot_map):
         """``_factor_map`` on td of the graph automorphism (vperm,
         slot_map), each vertex twisted by the permutation of its slots."""
         sigmas = []
@@ -839,15 +824,12 @@ class FreeModularBuilder(_FreeBuilder):
             image_slots = [slot_map[s] for s in graph.leg_order(v)]
             sigmas.append(Permutation(
                 image_slots.index(d) + 1 for d in graph.leg_order(vperm[v])))
-        return _factor_map(td, td, [self._gen_action(graph.vertex_type(v))
-                                    for v in range(graph.n_vertices)],
-                           sigmas, vperm)
+        return _factor_map(td, td, actions, sigmas, vperm)
 
     def _lift(self, rec, deg, col):
-        if (rec, deg) not in self._lifts:
-            self._lifts[rec, deg] = rec.coin.inclusion.block(deg).columns()
         basis = rec.td.basis(deg)
-        return [(basis[r], c) for r, c in self._lifts[rec, deg][col]]
+        return [(basis[r], c)
+                for r, c in rec.coin.inclusion.block(deg).columns()[col]]
 
     def _match(self, key, concrete):
         match = T.match_graph(concrete)

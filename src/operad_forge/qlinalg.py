@@ -9,10 +9,11 @@ Matrices are immutable and hashable, and stored as sparse rows: each
 row is the tuple of its nonzero ``(col, Fraction)`` pairs, sorted by
 column.  A vector is one such row, ``()`` the zero vector, wherever
 one is passed, here and in every caller; ``Matrix.data`` is only a
-dense view.  ``Matrix.images`` applies a block to many vectors from one
-transpose, reading each image as a sum of columns; ``Matrix.apply``
-reads a one-entry vector's column off the rows.  Subspaces carry a
-canonical reduced-echelon basis so equality of subspaces is syntactic.
+dense view.  Each matrix works out its columns once and keeps them:
+``Matrix.images`` reads each image off them as a sum of columns;
+``Matrix.apply`` reads a one-entry vector's column off the rows.
+Subspaces carry a canonical reduced-echelon basis so equality of
+subspaces is syntactic.
 Every sum of rows goes through ``_accumulate``: ``Matrix.__mul__``,
 ``_combine`` (so ``Matrix.__add__``), ``images``, ``apply``,
 ``Subspace._split`` and the composition tables.  It, ``rref`` and
@@ -93,12 +94,13 @@ class Matrix:
     """Sparse rational matrix; rows*cols may be zero.
 
     ``sparse[i]`` is row i as its nonzero ``(col, Fraction)`` pairs,
-    sorted by column; that is the only storage, and every operation
-    reads only nonzeros.  Vectors are sparse rows too.  ``data`` is a
-    dense tuple-of-rows view, built on each read, for display.
+    sorted by column; every operation reads only nonzeros.  A matrix
+    never changes, so ``columns()`` works its columns out once and keeps
+    them (``_columns``); equality and the hash read only the rows.
+    ``data`` is a dense tuple-of-rows view, built on each read.
     """
 
-    __slots__ = ("rows", "cols", "sparse")
+    __slots__ = ("rows", "cols", "sparse", "_columns")
 
     def __init__(self, rows, cols, data):
         """From dense rows; each entry goes through ``Fraction``."""
@@ -116,6 +118,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.sparse = tuple(sparse)
+        self._columns = None
 
     @classmethod
     def _trusted(cls, rows, cols, sparse):
@@ -125,6 +128,7 @@ class Matrix:
         m.rows = rows
         m.cols = cols
         m.sparse = sparse
+        m._columns = None
         return m
 
     # -- constructors ----------------------------------------------------
@@ -194,15 +198,17 @@ class Matrix:
         return not any(self.sparse)
 
     def columns(self):
-        """The columns, as sparse vectors."""
-        return self.transpose().sparse
+        """The columns, as sparse vectors, worked out once and kept."""
+        if self._columns is None:
+            cols = [[] for _ in range(self.cols)]
+            for i, row in enumerate(self.sparse):
+                for j, x in row:
+                    cols[j].append((i, x))
+            self._columns = tuple(map(tuple, cols))
+        return self._columns
 
     def transpose(self):
-        cols = [[] for _ in range(self.cols)]
-        for i, row in enumerate(self.sparse):
-            for j, x in row:
-                cols[j].append((i, x))
-        return Matrix._trusted(self.cols, self.rows, tuple(map(tuple, cols)))
+        return Matrix._trusted(self.cols, self.rows, self.columns())
 
     def __neg__(self):
         return Matrix._trusted(self.rows, self.cols, tuple(
@@ -261,10 +267,10 @@ class Matrix:
         return tuple(col) if x == 1 else tuple((i, a * x) for i, a in col)
 
     def images(self, vecs):
-        """``[self.apply(v) for v in vecs]``, read off one transpose: each
-        image is the sum of the columns its vector meets, and a unit
+        """``[self.apply(v) for v in vecs]``, read off the kept columns:
+        each image is the sum of the columns its vector meets, and a unit
         vector with coefficient 1 gives the column itself."""
-        cols = self.transpose().sparse
+        cols = self.columns()
         out = []
         for vec in vecs:
             _check_indices(vec, self.cols)
@@ -593,7 +599,7 @@ class Subspace(_Frozen):
             raise ValueError("basis rows do not match the ambient dimension")
         _setfield(self, "ambient_dim", ambient_dim)
         _setfield(self, "basis", basis)
-        entries = basis.transpose().sparse
+        entries = basis.columns()
         pivots = []
         for nonzero in entries:
             if not nonzero or nonzero[0][1] != 1 \

@@ -336,6 +336,22 @@ GUARDS = [
           [absent(r"_null_space", PKG + "qlinalg.py"),
            calls(PKG + "qlinalg.py", "kernel", "rref"),
            calls(PKG + "qlinalg.py", "kernel", "_span", never=True)]),
+    Guard("Columns worked out once",
+          "a matrix never changes, so Matrix.columns works its columns out "
+          "on the first call and keeps them, and transpose and images read "
+          "them; no caller transposes a matrix for its columns, the free "
+          "builder keeps no column cache of its own, and only qlinalg sets "
+          "a matrix's rows or columns",
+          "read a matrix's columns with m.columns(), not .transpose().sparse "
+          "or a cache of the caller's; set .sparse and ._columns only in "
+          "qlinalg.py",
+          [absent(r"\.transpose\(\)\.sparse"),
+           absent(r"def _twist\(|\b(_twists|_lifts|_att_cols|"
+                  r"_attachment_columns)\b", PKG + "free.py"),
+           calls(PKG + "qlinalg.py", "Matrix.images", "self.columns"),
+           calls(PKG + "qlinalg.py", "Matrix.transpose", "self.columns"),
+           absent(r"\.(sparse|_columns)\s*[-+*/|&]?=(?!=)",
+                  skip=("qlinalg.py",))]),
     Guard("Stable graphs canonicalised by refinement",
           "stable graphs are canonicalised by refinement, not by trying every "
           "vertex permutation; the Window-4 catalogue step pins the result",

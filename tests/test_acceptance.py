@@ -246,21 +246,16 @@ def test_criterion_2_free_constructions_vs_oracles():
                 continue
             builder = FreeModularBuilder({}, 0)  # only for the iso maps
             maps = []
+            actions = [module.components[graph.vertex_type(v)]
+                       for v in range(graph.n_vertices)]
             for vperm, slot_map in graph_automorphisms(graph):
                 mp = FreeModularBuilder._iso_chain_map(
-                    _BuilderShim(module), graph, td, vperm, slot_map)
+                    graph, td, actions, vperm, slot_map)
                 maps.append(mp)
             coin = coinvariants(td.complex, maps)
             for d, v in coin.complex.dims.items():
                 out[d] = out.get(d, 0) + v
         return {d: v for d, v in out.items() if v}
-
-    class _BuilderShim:
-        def __init__(self, module):
-            self.module = module
-
-        def _gen_action(self, key):
-            return self.module.components[key]
 
     c = ChainComplex({0: 1, 1: 1})
     act = ChainMap(c, c, {0: Matrix.from_rows([[1]]),

@@ -68,6 +68,8 @@ BREAKS = {
          "return Subspace._trusted(n, entries, tuple(v[0][0] for v in "
          "entries))",
          "return _span(n, Matrix._trusted(len(entries), n, entries))"),
+    "Columns worked out once":
+        ("free.py", None, "_cols = m.transpose().sparse"),
     "Stable graphs canonicalised by refinement":
         ("trees.py", None,
          "_perms = itertools.permutations(range(self.n_vertices))"),

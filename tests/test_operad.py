@@ -1304,6 +1304,28 @@ class TestPlacedBlocks:
     def test_some_block_is_given(self):
         self._rejected(lambda objs: {})
 
+    def test_rejected_add_changes_nothing(self):
+        """An add whose block is rejected leaves the generators, the
+        summands, their offsets and the dimensions as they were; the add
+        with the right block then gives the operad of a builder given
+        that block first."""
+        b = self._builder()
+        first = b.summands[3][0].obj
+        before = (dict(b.gens), list(b.summands[3]), dict(b.dims[3]),
+                  [dict(rec.offsets) for rec in b.summands[3]])
+        with pytest.raises(ValueError):
+            b.add({3: self.TERNARY},
+                  {3: {1: {first: Matrix.from_rows([[1], [1]])}}})
+        assert (b.gens, b.summands[3], b.dims[3],
+                [rec.offsets for rec in b.summands[3]]) == before
+        right = {3: {1: {first: Matrix.from_rows([[1]])}}}
+        b.add({3: self.TERNARY}, right)
+        fresh = self._builder()
+        fresh.add({3: self.TERNARY}, right)
+        assert b.dims[3] == {0: 3, 1: 1}
+        assert document.dumps(document.to_document(b.finish())) \
+            == document.dumps(document.to_document(fresh.finish()))
+
 
 # -- the closure in rounds against the one-vector closure ---------------------
 

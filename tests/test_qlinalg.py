@@ -759,6 +759,28 @@ class TestSparseAgainstDense:
         assert (a == m["same"]) == (da == d["same"])
         assert a - a == Matrix.zeros(r, k) and (a - a).is_zero()
 
+    @given(mostly_zero_operands())
+    @settings(max_examples=100, deadline=None)
+    def test_columns_worked_out_once(self, case):
+        """A matrix, built from dense rows or from sparse ones (its
+        transpose), keeps the columns it works out: a second read is the
+        same object, equal to its dense columns and its transpose's rows;
+        reading them changes neither equality nor the hash."""
+        shapes, grids, _, _ = case
+        for name, grid in grids.items():
+            built = Matrix(*shapes[name], grid)
+            for m in (built, built.transpose()):
+                cols = m.columns()
+                assert m.columns() is cols, name
+                assert cols == m.transpose().sparse, name
+                assert [to_dense(v, m.rows) for v in cols] \
+                    == [dense_col(m, j) for j in range(m.cols)], name
+                if m.cols:
+                    assert dense_cols([dense_col(m, j)
+                                       for j in range(m.cols)]) == m, name
+                fresh = Matrix(m.rows, m.cols, m.data)
+                assert m == fresh and hash(m) == hash(fresh), name
+
     def test_constructor_checks(self):
         with pytest.raises(ValueError):
             Matrix(2, 2, [[1, 0]])
